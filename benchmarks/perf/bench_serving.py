@@ -1,4 +1,4 @@
-"""Serving benchmark: batch replay vs. the incremental streaming scorer.
+"""Serving benchmark: unbudgeted replay vs. the budgeted streaming scorer.
 
 Writes ``BENCH_serving.json`` next to this file so successive PRs can track
 the performance trajectory. Run with::
@@ -9,14 +9,14 @@ Four arms, all replaying NURD over the tier-1 benchmark traces (6 jobs per
 family, tasks 120-180, seed 42 — the same configuration as
 ``benchmarks/conftest.py``):
 
-- **batch** — the preserved reference path: ``ReplaySimulator.run``
-  regenerates the full noise-perturbed feature matrix and rebuilds predictor
-  state at every checkpoint.
-- **incremental** — ``ReplaySimulator.run_incremental``: per-task feature
-  deltas and stream-held state, bit-identical flags to batch (the parity
-  suite enforces this; the benchmark re-checks and reports it).
+- **batch** — ``ReplaySimulator.run``: the checkpoint stream over a fresh
+  ``CheckpointPlan``, with a full predictor refit at every checkpoint.
+- **incremental** — ``ReplaySimulator.run_incremental`` with
+  ``budget=None``: the same stream through the budget-aware entry point,
+  bit-identical flags to batch (the parity suite enforces this; the
+  benchmark re-checks and reports it).
 - **serving** — the :class:`~repro.serving.engine.ScoringEngine` operating
-  configuration: incremental streams + warm propensity continuation + a
+  configuration: checkpoint streams + warm propensity continuation + a
   per-checkpoint latency budget that degrades to cached predictor state
   when the projected update cost would blow the budget. This is the arm the
   ≥2x checkpoints/sec acceptance gate applies to; its flag agreement vs.

@@ -91,7 +91,7 @@ class NurdPredictor(OnlineStragglerPredictor):
         the new finished/running split) instead of refitting from scratch.
         Both fits converge to the same strictly convex optimum within the
         solver tolerance, so flags are unchanged in practice; the default
-        stays False so the batch reference path is bit-stable.
+        stays False so unbudgeted replay is bit-stable.
     splitter : {'hist', 'exact'}
         Split search of the default latency model's trees (ignored when a
         custom ``regressor`` is supplied).

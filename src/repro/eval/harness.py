@@ -185,8 +185,7 @@ def _replay_job(
     All methods share one :class:`CheckpointPlan` (the grid, noise draw and
     observed matrices are method-independent), so per-job setup runs once
     rather than once per method. Each method still gets a fresh predictor
-    seeded from the job index, which keeps results bit-identical to the
-    serial, plan-less path regardless of scheduling.
+    seeded from the job index, so results do not depend on scheduling.
     """
     sim = config.make_simulator()
     plan = sim.plan(job)

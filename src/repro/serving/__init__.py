@@ -1,4 +1,4 @@
-"""Online scoring service: the streaming counterpart of batch replay.
+"""Online scoring service: replay's checkpoint stream, one event at a time.
 
 - :mod:`repro.serving.engine` — incremental scoring engine: many in-flight
   jobs, per-checkpoint latency budget, cached-state degradation.

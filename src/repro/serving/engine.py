@@ -1,11 +1,12 @@
 """The incremental scoring engine behind the scorer service.
 
 One engine owns many concurrent job streams (one
-:class:`~repro.sim.replay.ReplayStream` each) and scores checkpoint events
-against them under an optional per-checkpoint latency budget. It is the
-synchronous core that :class:`repro.serving.service.ScorerService` drives
-from its async ingest queue, and is usable directly for single-threaded
-replay at serving speed.
+:class:`~repro.sim.replay.ReplayStream` each — the same checkpoint loop
+:meth:`~repro.sim.replay.ReplaySimulator.run` drives) and scores checkpoint
+events against them under an optional per-checkpoint latency budget. It is
+the synchronous core that :class:`repro.serving.service.ScorerService`
+drives from its async ingest queue, and is usable directly for
+single-threaded replay at serving speed.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ class ScoringEngine:
         update would exceed it, the checkpoint degrades to the cached
         predictor state (previous checkpoint's regressor and propensity
         weights) and only scoring runs. ``None`` disables the budget, making
-        every event bit-identical to the batch replay path.
+        every event bit-identical to ``ReplaySimulator.run``.
     clock : callable
         Monotonic time source; injectable for deterministic tests.
     """

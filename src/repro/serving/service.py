@@ -123,7 +123,8 @@ class ServiceConfig:
     - ``queue_depth``: per-shard ingest queue bound; producers block when
       scoring falls behind (backpressure).
     - ``budget``: per-checkpoint latency budget in seconds forwarded to the
-      engine; ``None`` keeps every checkpoint bit-identical to batch replay.
+      engine; ``None`` keeps every checkpoint bit-identical to
+      ``ReplaySimulator.run``.
     - ``restart_policy``: how many times a crashed shard worker is restarted
       and with what backoff; beyond that the shard is marked dead, its
       requests dead-letter as ``"shard-dead"``, and :meth:`stop` raises.

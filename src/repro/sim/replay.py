@@ -7,6 +7,11 @@ The simulator feeds an :class:`~repro.core.base.OnlineStragglerPredictor`
 the observable information only, collects its straggler flags, and never
 lets a flagged task be evaluated again (paper §7.1).
 
+:class:`ReplayStream` is the one checkpoint loop: :meth:`ReplaySimulator.run`,
+:meth:`ReplaySimulator.run_incremental` and the serving engine all step it
+over a :class:`CheckpointPlan`, which owns the grid, noise and observed
+matrices.
+
 Feature observability: a running task's monitored metrics are still
 converging toward their final values, so observed features at checkpoint t
 are the final features perturbed multiplicatively by noise that decays with
@@ -105,20 +110,21 @@ class ReplayResult:
 class CheckpointPlan:
     """Method-independent replay state for one job, shareable across methods.
 
-    The simulator seeds its RNG per run from ``random_state`` — not per
-    method — so every predictor replaying the same job consumes the same
-    checkpoint grid, the same observation-noise draw, and therefore the same
-    observed feature matrix at each checkpoint. A plan computes the grid and
-    noise once and lazily caches each checkpoint's observed matrix the first
-    time any method asks for it; replaying the next method against the same
-    plan reuses them all.
+    The plan is the single owner of a replay's seed, checkpoint grid,
+    observation-noise draw, τ_stra and observation model. The simulator
+    seeds its RNG per plan from ``random_state`` — not per method — so every
+    predictor replaying the same job consumes the same grid, the same noise
+    draw, and therefore the same observed feature matrix at each checkpoint.
+    A plan computes the grid and noise once and lazily caches each
+    checkpoint's observed matrix the first time any stream asks for it;
+    replaying the next method against the same plan reuses them all.
 
     Build with :meth:`ReplaySimulator.plan` and pass to
-    :meth:`ReplaySimulator.run` via ``plan=``. Running with a plan is
-    bit-identical to running without one (enforced by
-    ``tests/test_trace_store.py``). Cached matrices are frozen read-only;
-    the boolean-mask slices ``run`` hands predictors are copies, so sharing
-    is invisible to them.
+    :meth:`ReplaySimulator.run` or :meth:`ReplaySimulator.stream` via
+    ``plan=``. Cached matrices are frozen read-only and depend only on the
+    job, the simulator and ``tau``, so streams and their snapshots share a
+    plan by reference; the boolean-mask slices handed to predictors are
+    copies, so sharing is invisible to them.
     """
 
     def __init__(
@@ -126,7 +132,7 @@ class CheckpointPlan:
     ):
         self.sim = sim
         self.job = job
-        # Same RNG consumption order as a plan-less run: seed, grid, noise.
+        # RNG consumption order: seed, grid, noise.
         rng = check_random_state(sim.random_state)
         self.grid = sim.checkpoint_grid(job)
         self.noise_matrix = rng.normal(0.0, 1.0, size=job.features.shape)
@@ -134,6 +140,8 @@ class CheckpointPlan:
             tau_stra = job.straggler_threshold(sim.straggler_percentile)
         self.tau_stra = float(tau_stra)
         self._observed: Dict[float, np.ndarray] = {}
+        #: Observed-matrix rows computed so far (cache misses × n_tasks).
+        self.computed_rows = 0
 
     @property
     def warmup_time(self) -> float:
@@ -155,6 +163,7 @@ class CheckpointPlan:
                 return X
             X.setflags(write=False)
             self._observed[key] = X
+            self.computed_rows += X.shape[0]
         return X
 
 
@@ -277,76 +286,10 @@ class ReplaySimulator:
         plan: Optional[CheckpointPlan] = None,
     ) -> ReplayResult:
         """Replay ``job`` through ``predictor`` and score the outcome."""
-        if plan is None:
-            plan = self.plan(job, tau_stra=tau_stra)
-        elif plan.job is not job:
-            raise ValueError(
-                f"plan was built for job {plan.job.job_id!r}, not "
-                f"{job.job_id!r}; plans are per-job."
-            )
-        n = job.n_tasks
-        y = job.latencies
-        starts = job.start_times
-        completion = job.completion_times
-        if tau_stra is None:
-            tau_stra = plan.tau_stra
-        grid = plan.grid
-        warmup_time, checkpoints = grid[0], grid[1:]
-
-        finished = completion <= warmup_time
-        if not finished.any():
-            # Degenerate grid; force the earliest completion to count.
-            finished = completion <= completion.min()
-        flagged = np.zeros(n, dtype=bool)
-        flag_times = np.full(n, np.inf)
-
-        X0 = plan.observed(warmup_time)
-        running0 = (starts <= warmup_time) & ~finished & ~flagged
-        if running0.any():
-            predictor.begin_job(
-                X0[finished], y[finished], X0[running0], tau_stra
-            )
-        else:
-            predictor.begin_job(
-                X0[finished], y[finished], X0[finished], tau_stra
-            )
-        for tau in checkpoints:
-            finished = completion <= tau
-            # Only tasks that have actually started are observable.
-            running = (starts <= tau) & ~finished & ~flagged
-            if not finished.any():
-                continue
-            if not running.any():
-                continue
-            X_tau = plan.observed(tau)
-            # Finished tasks' metrics are final; use exact features for them.
-            X_fin = job.features[finished]
-            y_fin = y[finished]
-            elapsed_run = tau - starts[running]
-            predictor.update(X_fin, y_fin, X_tau[running], elapsed_run)
-            flags = np.asarray(
-                predictor.predict_stragglers(X_tau[running]), dtype=bool
-            )
-            if flags.shape[0] != int(running.sum()):
-                raise ValueError(
-                    f"{predictor.name} returned {flags.shape[0]} flags for "
-                    f"{int(running.sum())} running tasks."
-                )
-            idx = np.nonzero(running)[0][flags]
-            flagged[idx] = True
-            flag_times[idx] = tau
-
-        return ReplayResult(
-            job_id=job.job_id,
-            tau_stra=float(tau_stra),
-            y_true=job.latencies >= tau_stra,
-            y_flag=flagged,
-            flag_times=flag_times,
-            checkpoints=checkpoints,
-            latencies=y.copy(),
-            start_times=starts.copy(),
-            meta={"warmup_time": float(warmup_time)},
-        )
+        stream = self.stream(job, predictor, tau_stra=tau_stra, plan=plan)
+        for tau in stream.checkpoints:
+            stream.step(tau)
+        return stream.result()
 
     def run_trace(
         self, trace, predictor_factory, tau_stra: Optional[float] = None
@@ -369,14 +312,16 @@ class ReplaySimulator:
         predictor: OnlineStragglerPredictor,
         tau_stra: Optional[float] = None,
         clock: Callable[[], float] = time.perf_counter,
+        plan: Optional[CheckpointPlan] = None,
     ) -> "ReplayStream":
-        """Open an incremental checkpoint stream for ``job``.
+        """Open a checkpoint stream for ``job`` (see :class:`ReplayStream`).
 
-        The stream reproduces :meth:`run` bit-for-bit (same RNG consumption,
-        same arithmetic per task row) while touching only the tasks whose
-        observation-noise scale changed since the previous checkpoint.
+        ``plan`` shares one job's grid, noise and observed matrices across
+        streams; a fresh plan is built when omitted.
         """
-        return ReplayStream(self, job, predictor, tau_stra=tau_stra, clock=clock)
+        return ReplayStream(
+            self, job, predictor, tau_stra=tau_stra, clock=clock, plan=plan
+        )
 
     def run_incremental(
         self,
@@ -386,10 +331,9 @@ class ReplaySimulator:
         budget: Optional[float] = None,
         clock: Callable[[], float] = time.perf_counter,
     ) -> ReplayResult:
-        """Replay ``job`` through the incremental checkpoint path.
+        """Replay ``job`` under a per-checkpoint latency budget.
 
-        With ``budget=None`` the outcome is bit-identical to :meth:`run`
-        (enforced by ``tests/test_streaming_parity.py``). A finite ``budget``
+        With ``budget=None`` this is :meth:`run`. A finite ``budget``
         (seconds per checkpoint) enables the latency-budget fast path: when
         the projected model-update cost would blow the budget, the checkpoint
         is scored with the cached predictor state instead (see
@@ -406,10 +350,10 @@ class StreamSnapshot:
     """Frozen mid-replay state of a :class:`ReplayStream`.
 
     Captures everything a restarted stream needs to continue bit-identically:
-    a deep copy of the predictor, the cached observation matrix and noise
-    scales, flag state, the forward-only cursor, and the latency-budget
-    bookkeeping. The job, simulator, noise draw and checkpoint grid are
-    shared by reference — all immutable after stream construction.
+    a deep copy of the predictor, flag state, the forward-only cursor, and
+    the latency-budget bookkeeping. The :class:`CheckpointPlan` (job,
+    simulator, grid, noise and cached observed matrices) is shared by
+    reference: it caches only frozen, deterministic matrices.
 
     A snapshot is restorable any number of times:
     :meth:`ReplayStream.from_snapshot` copies the stored state again rather
@@ -417,15 +361,9 @@ class StreamSnapshot:
     alias each other.
     """
 
-    sim: ReplaySimulator
-    job: Job
+    plan: CheckpointPlan
     predictor: OnlineStragglerPredictor
     tau_stra: float
-    warmup_time: float
-    checkpoints: np.ndarray
-    noise: np.ndarray
-    X_obs: np.ndarray
-    scale: np.ndarray
     flagged: np.ndarray
     flag_times: np.ndarray
     last_tau: float
@@ -435,12 +373,11 @@ class StreamSnapshot:
     score_cost: Optional[float]
     credit: float
     degraded_checkpoints: int
-    refreshed_rows_total: int
 
 
 @dataclass
 class StepOutcome:
-    """What happened at one incremental checkpoint."""
+    """What happened at one checkpoint."""
 
     tau: float
     n_finished: int = 0
@@ -454,23 +391,22 @@ class StepOutcome:
     #: NURD's propensity-only refresh); "cached" = scored on stale state;
     #: "none" = nothing finished/running, checkpoint skipped.
     update_mode: str = "none"
-    refreshed_rows: int = 0     # noise rows re-scaled by the delta update
+    #: Observed-matrix rows the plan computed for this step: ``n_tasks`` on
+    #: a cache miss, 0 on a hit (or with noise disabled).
+    refreshed_rows: int = 0
     update_seconds: float = 0.0
     score_seconds: float = 0.0
 
 
 class ReplayStream:
-    """Incremental (streaming) checkpoint path of :class:`ReplaySimulator`.
+    """The checkpoint loop of :class:`ReplaySimulator`.
 
-    Instead of regenerating the full noise-perturbed ``observed_features``
-    matrix at every checkpoint, the stream keeps a cached observation matrix
-    and a per-task noise row store keyed by task index (one draw per job from
-    the simulator RNG — the exact draw the batch path makes, so both paths
-    see bit-identical noise). At each checkpoint only the rows whose noise
-    scale changed — running tasks, plus tasks that just started or finished —
-    are re-scaled; rows finished (observed exactly) or not yet started keep
-    their cached values, which the decaying-noise model makes exact, not an
-    approximation.
+    A stream replays one job over its :class:`CheckpointPlan`: at each
+    :meth:`step` the finished tasks are revealed, the running tasks' rows of
+    ``plan.observed(tau)`` are scored, and every task is flagged at most
+    once. :meth:`ReplaySimulator.run` and
+    :meth:`ReplaySimulator.run_incremental` drive a stream over every
+    checkpoint; the serving engine steps it one event at a time.
 
     The per-checkpoint latency budget (``step(budget=...)``) implements the
     serving fast path: an EWMA of past update/score costs projects the next
@@ -501,24 +437,25 @@ class ReplayStream:
         predictor: OnlineStragglerPredictor,
         tau_stra: Optional[float] = None,
         clock: Callable[[], float] = time.perf_counter,
+        plan: Optional[CheckpointPlan] = None,
     ):
-        self.sim = sim
-        self.job = job
+        if plan is None:
+            plan = sim.plan(job, tau_stra=tau_stra)
+        elif plan.job is not job:
+            raise ValueError(
+                f"plan was built for job {plan.job.job_id!r}, not "
+                f"{job.job_id!r}; plans are per-job."
+            )
+        elif plan.sim is not sim:
+            raise ValueError(
+                "plan was built by another ReplaySimulator; plans are "
+                "per-simulator."
+            )
+        self.plan = plan
         self.predictor = predictor
         self.clock = clock
-        rng = check_random_state(sim.random_state)
+        self.tau_stra = plan.tau_stra if tau_stra is None else float(tau_stra)
         n = job.n_tasks
-        if tau_stra is None:
-            tau_stra = job.straggler_threshold(sim.straggler_percentile)
-        self.tau_stra = float(tau_stra)
-        grid = sim.checkpoint_grid(job)
-        self.warmup_time = float(grid[0])
-        self.checkpoints = grid[1:]
-        # Per-task noise rows: the same single draw the batch path makes, so
-        # delta-updated rows reproduce its arithmetic bit-for-bit.
-        self._noise = rng.normal(0.0, 1.0, size=job.features.shape)
-        self._X_obs = np.array(job.features, dtype=np.float64, copy=True)
-        self._scale = np.full(n, np.nan)  # NaN: every row dirty at warmup
         self.flagged = np.zeros(n, dtype=bool)
         self.flag_times = np.full(n, np.inf)
         self._last_tau = self.warmup_time
@@ -528,61 +465,36 @@ class ReplayStream:
         self._score_cost: Optional[float] = None
         self._credit = 0.0
         self.degraded_checkpoints = 0
-        self.refreshed_rows_total = 0
         self._begin()
 
-    # -- feature deltas -------------------------------------------------
-    def _refresh_observed(self, tau: float) -> np.ndarray:
-        """Bring the cached observation matrix up to time ``tau``.
+    @property
+    def sim(self) -> ReplaySimulator:
+        return self.plan.sim
 
-        Returns the number of rows re-scaled (0 when noise is disabled).
-        """
-        job = self.job
-        if self.sim.feature_noise == 0.0:
-            return 0
-        elapsed = np.maximum(tau - job.start_times, 0.0)
-        progress = np.minimum(1.0, elapsed / job.latencies)
-        scale = self.sim.feature_noise * (1.0 - progress)
-        changed = scale != self._scale  # NaN compares unequal: dirty rows too
-        n_changed = int(np.count_nonzero(changed))
-        if n_changed:
-            rows = np.nonzero(changed)[0]
-            X = job.features[rows] * (1.0 + scale[rows, None] * self._noise[rows])
-            self._X_obs[rows] = np.maximum(X, 0.0)
-            self._scale[rows] = scale[rows]
-            self.refreshed_rows_total += n_changed
-        return n_changed
+    @property
+    def job(self) -> Job:
+        return self.plan.job
 
-    def observed_features(self) -> np.ndarray:
-        """The cached observation matrix as of the last *scored* checkpoint.
+    @property
+    def warmup_time(self) -> float:
+        return self.plan.warmup_time
 
-        Skipped checkpoints (nothing finished or nothing running) consume no
-        observations, so — exactly like the batch path — the matrix is not
-        advanced for them.
-        """
-        if self.sim.feature_noise == 0.0:
-            return self.job.features
-        return self._X_obs
+    @property
+    def checkpoints(self) -> np.ndarray:
+        return self.plan.checkpoints
 
     # -- lifecycle ------------------------------------------------------
     def _begin(self) -> None:
         job, y = self.job, self.job.latencies
-        starts, completion = job.start_times, job.completion_times
+        completion = job.completion_times
         finished = completion <= self.warmup_time
         if not finished.any():
             # Degenerate grid; force the earliest completion to count.
             finished = completion <= completion.min()
-        self._refresh_observed(self.warmup_time)
-        X0 = self.observed_features()
-        running0 = (starts <= self.warmup_time) & ~finished & ~self.flagged
-        if running0.any():
-            self.predictor.begin_job(
-                X0[finished], y[finished], X0[running0], self.tau_stra
-            )
-        else:
-            self.predictor.begin_job(
-                X0[finished], y[finished], X0[finished], self.tau_stra
-            )
+        X0 = self.plan.observed(self.warmup_time)
+        running0 = (job.start_times <= self.warmup_time) & ~finished
+        X_run0 = X0[running0] if running0.any() else X0[finished]
+        self.predictor.begin_job(X0[finished], y[finished], X_run0, self.tau_stra)
 
     @property
     def last_tau(self) -> float:
@@ -594,20 +506,13 @@ class ReplayStream:
         """Freeze the stream's full state for later bit-identical resume.
 
         The predictor is deep-copied (its fitted state is the expensive,
-        mutable part); cached arrays are copied; the job, simulator, noise
-        draw and checkpoint grid are shared by reference since the stream
-        never mutates them after construction.
+        mutable part) and the flag arrays are copied; the plan is shared by
+        reference.
         """
         return StreamSnapshot(
-            sim=self.sim,
-            job=self.job,
+            plan=self.plan,
             predictor=copy.deepcopy(self.predictor),
             tau_stra=self.tau_stra,
-            warmup_time=self.warmup_time,
-            checkpoints=self.checkpoints,
-            noise=self._noise,
-            X_obs=self._X_obs.copy(),
-            scale=self._scale.copy(),
             flagged=self.flagged.copy(),
             flag_times=self.flag_times.copy(),
             last_tau=self._last_tau,
@@ -617,7 +522,6 @@ class ReplayStream:
             score_cost=self._score_cost,
             credit=self._credit,
             degraded_checkpoints=self.degraded_checkpoints,
-            refreshed_rows_total=self.refreshed_rows_total,
         )
 
     @classmethod
@@ -635,16 +539,10 @@ class ReplayStream:
         seed any number of restores.
         """
         stream = object.__new__(cls)
-        stream.sim = snap.sim
-        stream.job = snap.job
+        stream.plan = snap.plan
         stream.predictor = copy.deepcopy(snap.predictor)
         stream.clock = clock
         stream.tau_stra = snap.tau_stra
-        stream.warmup_time = snap.warmup_time
-        stream.checkpoints = snap.checkpoints
-        stream._noise = snap.noise
-        stream._X_obs = snap.X_obs.copy()
-        stream._scale = snap.scale.copy()
         stream.flagged = snap.flagged.copy()
         stream.flag_times = snap.flag_times.copy()
         stream._last_tau = snap.last_tau
@@ -654,7 +552,6 @@ class ReplayStream:
         stream._score_cost = snap.score_cost
         stream._credit = snap.credit
         stream.degraded_checkpoints = snap.degraded_checkpoints
-        stream.refreshed_rows_total = snap.refreshed_rows_total
         return stream
 
     def step(self, tau: float, budget: Optional[float] = None) -> StepOutcome:
@@ -681,9 +578,9 @@ class ReplayStream:
         )
         if not finished.any() or not running.any():
             return out
-        refreshed = self._refresh_observed(tau)
-        out.refreshed_rows = refreshed
-        X_run = self.observed_features()[running]
+        rows_before = self.plan.computed_rows
+        X_run = self.plan.observed(tau)[running]
+        out.refreshed_rows = self.plan.computed_rows - rows_before
         mode = "full"
         partial = getattr(self.predictor, "partial_update", None)
         if budget is not None and self._n_updates > 0:
@@ -752,9 +649,7 @@ class ReplayStream:
             start_times=job.start_times.copy(),
             meta={
                 "warmup_time": self.warmup_time,
-                "mode": "incremental",
                 "degraded_checkpoints": self.degraded_checkpoints,
-                "refreshed_rows": self.refreshed_rows_total,
                 "updates": self._n_updates,
             },
         )

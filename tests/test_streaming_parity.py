@@ -1,13 +1,16 @@
-"""Batch ↔ incremental checkpoint-path parity (PR 6's acceptance gate).
+"""Checkpoint-replay parity against an independent reference loop.
 
-``ReplaySimulator.run`` is the preserved batch reference: it regenerates the
-full noise-perturbed observation matrix at every checkpoint. The incremental
-path (``ReplaySimulator.run_incremental`` / ``ReplayStream``) must reproduce
-it **bit-for-bit** — same RNG consumption, same arithmetic per task row —
-on both synthetic trace families, including duplicate-task, zero-noise and
-staggered-start edge cases. The serving engine and async service sit on top
-of the same stream, so their unbudgeted output is checked against the batch
-reference too.
+``ReplayStream`` is the only checkpoint loop in ``src/``:
+``ReplaySimulator.run``, ``run_incremental``, the serving engine and the
+async service all drive it over a shared ``CheckpointPlan``. This module
+keeps a second, independent implementation of the same semantics,
+``_reference_run``, which regenerates the full noise-perturbed observation
+matrix with ``ReplaySimulator.observed_features`` at every checkpoint and
+shares no state with the stream. The stream must reproduce it
+**bit-for-bit** — same RNG consumption, same arithmetic per task row — on
+both synthetic trace families, including duplicate-task, zero-noise and
+staggered-start edge cases. The serving engine and async service are checked
+against ``ReplaySimulator.run`` too.
 """
 
 import asyncio
@@ -18,8 +21,62 @@ import pytest
 from repro.core.nurd import NurdNcPredictor, NurdPredictor
 from repro.eval.baselines import build_predictor
 from repro.serving import ScoringEngine, ScorerService, ServiceConfig
-from repro.sim.replay import ReplaySimulator
+from repro.sim.replay import ReplayResult, ReplaySimulator
 from repro.traces.schema import Job
+from repro.utils.validation import check_random_state
+
+
+def _reference_run(sim, job, predictor, tau_stra=None):
+    """The checkpoint loop written out once more, without a plan or stream."""
+    n = job.n_tasks
+    y = job.latencies
+    starts = job.start_times
+    completion = job.completion_times
+    # Same RNG consumption order as a plan: seed, grid, noise.
+    rng = check_random_state(sim.random_state)
+    grid = sim.checkpoint_grid(job)
+    noise = rng.normal(0.0, 1.0, size=job.features.shape)
+    if tau_stra is None:
+        tau_stra = job.straggler_threshold(sim.straggler_percentile)
+    warmup_time, checkpoints = grid[0], grid[1:]
+
+    finished = completion <= warmup_time
+    if not finished.any():
+        finished = completion <= completion.min()
+    flagged = np.zeros(n, dtype=bool)
+    flag_times = np.full(n, np.inf)
+
+    X0 = sim.observed_features(job, float(warmup_time), noise)
+    running0 = (starts <= warmup_time) & ~finished
+    if running0.any():
+        predictor.begin_job(X0[finished], y[finished], X0[running0], tau_stra)
+    else:
+        predictor.begin_job(X0[finished], y[finished], X0[finished], tau_stra)
+    for tau in checkpoints:
+        finished = completion <= tau
+        running = (starts <= tau) & ~finished & ~flagged
+        if not finished.any() or not running.any():
+            continue
+        X_tau = sim.observed_features(job, float(tau), noise)
+        predictor.update(
+            job.features[finished], y[finished], X_tau[running],
+            tau - starts[running],
+        )
+        flags = np.asarray(predictor.predict_stragglers(X_tau[running]), dtype=bool)
+        idx = np.nonzero(running)[0][flags]
+        flagged[idx] = True
+        flag_times[idx] = tau
+
+    return ReplayResult(
+        job_id=job.job_id,
+        tau_stra=float(tau_stra),
+        y_true=job.latencies >= tau_stra,
+        y_flag=flagged,
+        flag_times=flag_times,
+        checkpoints=checkpoints,
+        latencies=y.copy(),
+        start_times=starts.copy(),
+    )
 
 
 def assert_replay_equal(batch, incremental):
@@ -35,7 +92,7 @@ def assert_replay_equal(batch, incremental):
 
 
 def both_paths(sim, job, seed, **nurd_kwargs):
-    batch = sim.run(job, NurdPredictor(random_state=seed, **nurd_kwargs))
+    batch = _reference_run(sim, job, NurdPredictor(random_state=seed, **nurd_kwargs))
     inc = sim.run_incremental(
         job, NurdPredictor(random_state=seed, **nurd_kwargs)
     )
@@ -81,11 +138,11 @@ class TestNurdFlagParity:
 
 
 class TestObservedFeatureParity:
-    """The delta-updated observation matrix equals the batch recomputation."""
+    """The plan's observed matrices equal the simulator's recomputation."""
 
     def _noise_for(self, sim, job):
-        # The stream draws its noise exactly as the batch path does: first
-        # normal draw from the simulator seed, full feature shape.
+        # The plan draws its noise as the first normal draw from the
+        # simulator seed, full feature shape.
         rng = np.random.default_rng(sim.random_state)
         return rng.normal(0.0, 1.0, size=job.features.shape)
 
@@ -94,28 +151,20 @@ class TestObservedFeatureParity:
         sim = ReplaySimulator(n_checkpoints=12, random_state=9)
         noise = self._noise_for(sim, job)
         stream = sim.stream(job, NurdPredictor(random_state=0))
-        refreshed_once = scored = 0
+        scored = 0
         for tau in stream.checkpoints:
             out = stream.step(tau)
             if not out.scored:
-                # Skipped checkpoints consume no observations in either path.
                 continue
             scored += 1
-            refreshed_once += out.refreshed_rows > 0
+            # Each scored checkpoint is a cache miss of the stream's own plan.
+            assert out.refreshed_rows == job.n_tasks
             expected = sim.observed_features(job, float(tau), noise)
-            np.testing.assert_array_equal(stream.observed_features(), expected)
-        assert scored > 0 and refreshed_once > 0
-
-    def test_delta_path_touches_fewer_rows(self, google_trace):
-        """The incremental path must actually be incremental: total rows
-        refreshed stays well below a full per-checkpoint regeneration."""
-        job = google_trace[0]
-        sim = ReplaySimulator(n_checkpoints=12, random_state=9)
-        stream = sim.stream(job, NurdPredictor(random_state=0))
-        for tau in stream.checkpoints:
-            stream.step(tau)
-        full_cost = job.n_tasks * (stream.checkpoints.shape[0] + 1)
-        assert 0 < stream.refreshed_rows_total < 0.6 * full_cost
+            np.testing.assert_array_equal(stream.plan.observed(tau), expected)
+        assert scored > 0
+        # A second stream on the same plan computes no rows at all.
+        again = sim.stream(job, NurdPredictor(random_state=0), plan=stream.plan)
+        assert all(again.step(tau).refreshed_rows == 0 for tau in again.checkpoints)
 
 
 class TestEdgeCaseParity:
@@ -141,13 +190,11 @@ class TestEdgeCaseParity:
         sim = ReplaySimulator(n_checkpoints=8, feature_noise=0.0, random_state=0)
         batch, inc = both_paths(sim, job, seed=1)
         assert_replay_equal(batch, inc)
-        # With noise disabled the stream serves the exact feature matrix and
-        # refreshes nothing.
+        # With noise disabled the plan serves the exact feature matrix.
         stream = sim.stream(job, NurdPredictor(random_state=1))
         for tau in stream.checkpoints:
             stream.step(tau)
-        assert stream.refreshed_rows_total == 0
-        assert stream.observed_features() is job.features
+            assert stream.plan.observed(tau) is job.features
 
     def test_staggered_starts(self):
         rng = np.random.default_rng(4)
@@ -278,7 +325,7 @@ class TestWarmPropensityEquivalence:
         pred.partial_update(
             job.features[finished],
             job.latencies[finished],
-            stream.observed_features()[running],
+            stream.plan.observed(taus[1])[running],
         )
         assert pred.h_ is h_before          # regressor untouched (cached)
         assert pred.g_ is not g_before      # propensity refreshed

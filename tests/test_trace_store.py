@@ -11,9 +11,9 @@ Covers the contracts the paper-scale replay path leans on:
 - ``evaluate_method``/``evaluate_all`` produce bit-identical results from
   a Trace, a TraceStore, and every fan-out arm (store / pickle, serial /
   parallel), with the progress callback firing per replay;
-- sharing a :class:`CheckpointPlan` across methods is bit-identical to the
-  plan-less path, and the content-keyed neighbor cache stops per-replay
-  KD-tree rebuilds.
+- sharing a :class:`CheckpointPlan` across methods is bit-identical to a
+  fresh plan per replay, a plan from another job or simulator is rejected,
+  and the content-keyed neighbor cache stops per-replay KD-tree rebuilds.
 """
 
 import pickle
@@ -258,6 +258,9 @@ class TestCheckpointPlan:
         plan = sim.plan(google_trace[0])
         with pytest.raises(ValueError, match="per-job"):
             sim.run(google_trace[1], build_predictor("KNN", random_state=3), plan=plan)
+        other = ReplaySimulator(n_checkpoints=5, random_state=0)
+        with pytest.raises(ValueError, match="per-simulator"):
+            other.run(google_trace[0], build_predictor("KNN", random_state=3), plan=plan)
 
 
 # ---------------------------------------------------------------------------
