@@ -17,7 +17,8 @@ contribution:
 - :mod:`repro.traces` — synthetic Google/Alibaba-style cluster trace
   generators and trace I/O.
 - :mod:`repro.sim` — the online replay simulator, cluster model and the
-  paper's two schedulers (Algorithms 2 and 3).
+  closed-loop mitigation simulator, whose kill-restart policy runs the
+  paper's Algorithms 2 and 3.
 - :mod:`repro.core` — NURD itself (Algorithm 1), propensity scoring,
   calibration and the NURD-NC ablation.
 - :mod:`repro.eval` — the evaluation harness that regenerates every table

@@ -40,9 +40,9 @@ from repro.sim.mitigation import (
     ClosedLoopSimulator,
     MitigationConfig,
     control_reports,
+    jct_reduction,
 )
 from repro.sim.replay import ReplayResult, ReplaySimulator
-from repro.sim.scheduler import jct_reduction
 from repro.traces.io import TraceStore, save_trace_npz
 from repro.traces.schema import Job, Trace
 
@@ -128,7 +128,9 @@ class MethodResult:
         return np.mean([r.streaming_f1(n_points) for r in self.replays], axis=0)
 
     def jct_reduction(self, n_machines: Optional[int] = None, random_state=0) -> float:
-        """Average % JCT reduction (None = unlimited machines)."""
+        """Average % JCT reduction under paper Algorithm 2 (``n_machines=None``)
+        or Algorithm 3 on an ``n_machines`` cluster: kill-restart runs of the
+        closed loop, see :func:`repro.sim.mitigation.jct_reduction`."""
         return jct_reduction(
             self.replays, n_machines=n_machines, random_state=random_state
         )
@@ -503,7 +505,9 @@ def jct_reduction_table(
 
     Returns ``{method: {"unlimited": float, "by_machines": {m: float},
     "avg_limited": float}}``. ``machine_counts=None`` computes only the
-    unlimited-machines case (Figures 4–5).
+    unlimited-machines case (Algorithm 2, Figures 4–5); each machine count
+    runs Algorithm 3 (Figures 6–9). Relaunch draws are per task, so every
+    method and machine count sees the same draw for a given task.
     """
     table: Dict[str, Dict] = {}
     for method, res in results.items():

@@ -1,10 +1,10 @@
-"""Online replay simulation: checkpoint streaming, schedulers, JCT accounting.
+"""Online replay simulation: checkpoint streaming, closed-loop mitigation, JCT.
 
 Mirrors the paper's evaluation methodology (§6): a simulator parses a trace
 into a time series and sends each predictor exactly the features that would
-be observable at each time checkpoint; schedulers (§5) then consume the
-predictions to relaunch stragglers and the harness measures job-completion
-time (JCT) reduction.
+be observable at each time checkpoint; the closed-loop simulator then acts
+on the flags (the paper's Algorithms 2 and 3 are its kill-restart policy,
+§5) and the harness measures job-completion time (JCT) reduction.
 """
 
 from repro.sim.cluster import MachinePool
@@ -15,7 +15,9 @@ from repro.sim.mitigation import (
     MitigationConfig,
     MitigationOutcome,
     control_reports,
+    jct_reduction,
     oracle_result,
+    paper_report,
     random_flagger_result,
 )
 from repro.sim.replay import (
@@ -24,11 +26,6 @@ from repro.sim.replay import (
     ReplayStream,
     StepOutcome,
     StreamSnapshot,
-)
-from repro.sim.scheduler import (
-    simulate_unlimited_machines,
-    simulate_limited_machines,
-    jct_reduction,
 )
 
 __all__ = [
@@ -39,14 +36,13 @@ __all__ = [
     "MitigationConfig",
     "MitigationOutcome",
     "control_reports",
+    "jct_reduction",
     "oracle_result",
+    "paper_report",
     "random_flagger_result",
     "ReplaySimulator",
     "ReplayResult",
     "ReplayStream",
     "StepOutcome",
     "StreamSnapshot",
-    "simulate_unlimited_machines",
-    "simulate_limited_machines",
-    "jct_reduction",
 ]

@@ -1,5 +1,5 @@
-"""Machine-pool model used by the limited-machines scheduler (Algorithm 3)
-and the closed-loop mitigation simulator.
+"""Machine-pool model of the closed-loop mitigation simulator, including its
+runs of paper Algorithms 2 and 3 (:func:`repro.sim.mitigation.jct_reduction`).
 
 The pool tracks when spare machines become available. A job's n tasks occupy
 their original machines; a machine joins the spare pool when its (unflagged)
@@ -11,7 +11,7 @@ For closed-loop reporting the pool also keeps occupancy counters:
 ``in_use`` (machines acquired and not yet released), ``peak_in_use`` (its
 high-water mark) and ``utilization`` (busy fraction of current capacity).
 A ``release`` beyond the outstanding acquisitions grows capacity — that is
-how the limited-machines scheduler donates freed original machines to the
+how Algorithm 3 donates the machines of finished unflagged tasks to the
 spare pool — and is counted separately from returns of acquired machines.
 """
 

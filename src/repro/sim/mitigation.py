@@ -32,6 +32,18 @@ job's empirical latency distribution — but are drawn *per task* from a
 seed derived of ``(random_state, job_index)`` only, so every method, policy
 and repeated run sees bit-identical draws and arm deltas measure decision
 quality, not resampling luck.
+
+The paper's own schedulers (§5, Figs. 4–9) are kill-restart runs of the
+same loop over a per-job pool, computed by :func:`paper_report` (and
+averaged by :func:`jct_reduction`):
+
+- Algorithm 2 (unlimited machines): one spare per task from time 0, so
+  every flagged task is relaunched at its flag time.
+- Algorithm 3 (an ``m``-machine cluster): ``max(0, m - n)`` spares at time
+  0, and each *unflagged* task's machine joins them when the task
+  finishes; relaunches return their machine on completion. A flagged
+  task's machine is retired as suspect, and a flag that finds no free
+  machine waits for the earliest one.
 """
 
 from __future__ import annotations
@@ -75,7 +87,7 @@ class MitigationConfig:
         fast). Ignored by the other policies.
     random_state : int
         Seed for the per-task relaunch-latency draws; runs with the same
-        seed are bit-identical.
+        seed are bit-identical. Python or NumPy integers only.
     """
 
     policy: str = "speculative"
@@ -96,6 +108,9 @@ class MitigationConfig:
             raise ValueError("prediction_lag must be non-negative.")
         if not 0.0 < self.boost_factor <= 1.0:
             raise ValueError("boost_factor must be in (0, 1].")
+        seed = self.random_state
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+            raise ValueError(f"random_state must be an integer, got {seed!r}.")
 
 
 @dataclass
@@ -222,13 +237,18 @@ class ClosedLoopSimulator:
 
     def run(self, result: ReplayResult, job_index: int = 0) -> MitigationOutcome:
         """Apply the configured policy to one job's flag decisions."""
+        return self._run(result, job_index, MachinePool(self.config.spares))
+
+    def _run(
+        self, result: ReplayResult, job_index: int, pool: MachinePool
+    ) -> MitigationOutcome:
+        """The closed loop over a caller-supplied pool (see :func:`paper_report`)."""
         cfg = self.config
         y = result.latencies
         starts = result.start_times
         baseline = starts + y
         completion = baseline.copy()
         relaunch = self.relaunch_latencies(result, job_index)
-        pool = MachinePool(cfg.spares)
         out = MitigationOutcome(
             job_id=result.job_id,
             policy=cfg.policy,
@@ -292,6 +312,43 @@ class ClosedLoopSimulator:
         if not report.outcomes:
             raise ValueError("no replay results supplied.")
         return report
+
+
+def paper_report(
+    results: Iterable[ReplayResult],
+    n_machines: Optional[int] = None,
+    random_state: int = 0,
+) -> ClosedLoopReport:
+    """Paper Algorithm 2 (``n_machines=None``) or Algorithm 3 on an
+    ``n_machines`` cluster: ``kill_restart`` runs of the closed loop over
+    one fresh pool per job (see the module docstring)."""
+    if n_machines is not None and n_machines < 1:
+        raise ValueError("n_machines must be >= 1.")
+    sim = ClosedLoopSimulator(
+        MitigationConfig(policy="kill_restart", random_state=random_state)
+    )
+    report = ClosedLoopReport(policy="kill_restart")
+    for i, result in enumerate(results):
+        n = result.latencies.shape[0]
+        if n_machines is None:
+            pool = MachinePool(n)
+        else:
+            pool = MachinePool(max(0, n_machines - n))
+            for when in result.completion_times[~np.isfinite(result.flag_times)]:
+                pool.release(when)
+        report.outcomes.append(sim._run(result, i, pool))
+    if not report.outcomes:
+        raise ValueError("no replay results supplied.")
+    return report
+
+
+def jct_reduction(
+    results: Iterable[ReplayResult],
+    n_machines: Optional[int] = None,
+    random_state: int = 0,
+) -> float:
+    """Mean percent JCT reduction under paper Algorithm 2 or 3 (Figs. 4–9)."""
+    return paper_report(results, n_machines, random_state).mean_jct_reduction_pct
 
 
 # ---------------------------------------------------------------------------

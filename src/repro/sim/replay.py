@@ -51,7 +51,7 @@ class ReplayResult:
     y_flag: np.ndarray          # predicted straggler mask (flagged at any point)
     flag_times: np.ndarray      # time each task was flagged (inf = never)
     checkpoints: np.ndarray     # the τ_run_t grid used
-    latencies: np.ndarray       # true task execution times (for schedulers)
+    latencies: np.ndarray       # true task execution times (for mitigation)
     #: Task start times; ``None`` means all tasks start at time 0.
     start_times: Optional[np.ndarray] = field(default=None)
     meta: Dict = field(default_factory=dict)

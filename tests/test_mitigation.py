@@ -110,6 +110,10 @@ class TestMitigationConfig:
             MitigationConfig(boost_factor=0.0)
         with pytest.raises(ValueError, match="boost_factor"):
             MitigationConfig(boost_factor=1.5)
+        for seed in (1.5, None, np.random.default_rng(0)):
+            with pytest.raises(ValueError, match="random_state"):
+                MitigationConfig(random_state=seed)
+        assert MitigationConfig(random_state=np.int64(3)).random_state == 3
 
 
 class TestSpeculativePolicy:

@@ -1,17 +1,17 @@
-"""Tests for the replay simulator and the two schedulers (Algorithms 2–3)."""
+"""Tests for the replay simulator, the machine pool, and the paper's
+schedulers (Algorithms 2–3), which run as kill-restart closed loops."""
 
 import numpy as np
 import pytest
 
 from repro.core.base import OnlineStragglerPredictor
 from repro.sim.cluster import MachinePool
-from repro.sim.replay import ReplayResult, ReplaySimulator
-from repro.sim.scheduler import (
-    ScheduleOutcome,
+from repro.sim.mitigation import (
+    MitigationOutcome,
     jct_reduction,
-    simulate_limited_machines,
-    simulate_unlimited_machines,
+    paper_report,
 )
+from repro.sim.replay import ReplayResult, ReplaySimulator
 from repro.traces.schema import Job
 
 
@@ -177,35 +177,40 @@ def _replay_result(flag_times, latencies, starts=None, tau=None):
     )
 
 
+def _paper_outcome(res, n_machines=None, random_state=0):
+    return paper_report([res], n_machines, random_state).outcomes[0]
+
+
 class TestSchedulers:
     def test_unlimited_no_flags_no_change(self):
         res = _replay_result([np.inf] * 5, [1, 2, 3, 4, 10])
-        out = simulate_unlimited_machines(res, random_state=0)
+        out = _paper_outcome(res)
         assert out.baseline_jct == out.mitigated_jct == 10.0
-        assert out.n_relaunched == 0
+        assert out.n_actions == 0
+        assert jct_reduction([res]) == 0.0
 
     def test_unlimited_early_flag_cuts_jct(self):
         # The slowest task (latency 100) flagged at t=1; resampled latency
         # comes from {1, 2, 3, 4} ∪ {100} — usually a big win.
         lat = np.array([1.0, 2.0, 3.0, 4.0, 100.0])
         flags = np.array([np.inf, np.inf, np.inf, np.inf, 1.0])
-        outs = [
-            simulate_unlimited_machines(_replay_result(flags, lat, tau=50), rs)
-            for rs in range(20)
-        ]
-        assert np.mean([o.reduction_pct for o in outs]) > 50.0
+        res = _replay_result(flags, lat, tau=50)
+        reds = [jct_reduction([res], None, random_state=rs) for rs in range(20)]
+        assert np.mean(reds) > 50.0
 
     def test_false_positive_relaunch_can_hurt(self):
-        # Flagging a fast task late can only delay it.
+        # Flagging a fast task late can only delay it: the restart begins at
+        # t=0.9 and every draw is >= 1, past the original finish at t=1.
         lat = np.array([1.0, 2.0, 3.0, 10.0])
         flags = np.array([0.9, np.inf, np.inf, np.inf])
-        out = simulate_unlimited_machines(_replay_result(flags, lat, tau=9), 0)
-        assert out.mitigated_jct >= out.baseline_jct - 1e-9 or out.n_relaunched == 1
+        out = _paper_outcome(_replay_result(flags, lat, tau=9))
+        assert out.n_actions == out.n_hurt == 1
+        assert out.mitigated_completions[0] > out.baseline_completions[0]
 
     def test_limited_requires_positive_machines(self):
         res = _replay_result([np.inf], [1.0])
-        with pytest.raises(ValueError):
-            simulate_limited_machines(res, 0)
+        with pytest.raises(ValueError, match="n_machines"):
+            jct_reduction([res], 0)
 
     def test_limited_converges_to_unlimited(self):
         rng = np.random.default_rng(0)
@@ -213,13 +218,16 @@ class TestSchedulers:
         tau = float(np.quantile(lat, 0.9))
         flags = np.where(lat >= tau, 0.5, np.inf)
         res = _replay_result(flags, lat, tau=tau)
-        few = simulate_limited_machines(res, 2, random_state=1)
-        many = simulate_limited_machines(res, 10_000, random_state=1)
-        unl = simulate_unlimited_machines(res, random_state=1)
-        assert many.mitigated_jct <= few.mitigated_jct + 1e-9
-        assert many.n_relaunched >= few.n_relaunched
-        assert many.n_relaunched == unl.n_relaunched
-        assert many.mitigated_jct == pytest.approx(unl.mitigated_jct)
+        few = _paper_outcome(res, 2, random_state=1)
+        many = _paper_outcome(res, 10_000, random_state=1)
+        unl = _paper_outcome(res, None, random_state=1)
+        assert many.mitigated_jct <= few.mitigated_jct
+        assert many.n_actions >= few.n_actions
+        assert many.n_actions == unl.n_actions
+        np.testing.assert_array_equal(
+            many.mitigated_completions, unl.mitigated_completions
+        )
+        assert jct_reduction([res], 10_000, 1) == jct_reduction([res], None, 1)
 
     def test_limited_monotone_reduction_in_machines(self):
         rng = np.random.default_rng(3)
@@ -229,11 +237,11 @@ class TestSchedulers:
         tau = float(np.quantile(lat, 0.9))
         flags = np.where(lat >= tau, starts + 0.3, np.inf)
         res = _replay_result(flags, lat, starts=starts, tau=tau)
-        relaunched = [
-            simulate_limited_machines(res, m, random_state=1).n_relaunched
-            for m in (1, 30, 300)
-        ]
+        outs = [_paper_outcome(res, m, random_state=1) for m in (1, 30, 300)]
+        relaunched = [o.n_actions for o in outs]
         assert relaunched[0] <= relaunched[1] <= relaunched[2]
+        jcts = [o.mitigated_jct for o in outs]
+        assert jcts[0] >= jcts[1] >= jcts[2]
 
     def test_jct_reduction_mean(self):
         lat = np.array([1.0, 2.0, 100.0])
@@ -246,11 +254,18 @@ class TestSchedulers:
         with pytest.raises(ValueError):
             jct_reduction([], None)
 
-    def test_schedule_outcome_reduction_pct(self):
-        out = ScheduleOutcome("j", baseline_jct=100.0, mitigated_jct=80.0, n_relaunched=1)
-        assert out.reduction_pct == pytest.approx(20.0)
-        zero = ScheduleOutcome("j", baseline_jct=0.0, mitigated_jct=0.0, n_relaunched=0)
-        assert zero.reduction_pct == 0.0
+    def test_outcome_reduction_pct(self):
+        def outcome(baseline, mitigated):
+            return MitigationOutcome(
+                "j",
+                "kill_restart",
+                baseline_completions=np.array([baseline]),
+                mitigated_completions=np.array([mitigated]),
+                start_times=np.zeros(1),
+            )
+
+        assert outcome(100.0, 80.0).jct_reduction_pct == pytest.approx(20.0)
+        assert outcome(0.0, 0.0).jct_reduction_pct == 0.0
 
 
 class TestMachinePool:
