@@ -4,10 +4,9 @@ Writes ``BENCH_detector_fits.json`` next to this file. Run with::
 
     PYTHONPATH=src python benchmarks/perf/bench_detector_fits.py
 
-``bench_detectors.py`` covers the *scoring* vectorization of PR 5 (its
-forests are pinned to the stream-identical legacy builder so the committed
-zero-delta contract holds); this benchmark covers the *fit* batching that
-followed it:
+``bench_detectors.py`` covers the *scoring* vectorization (both of its
+arms score one forest from the shipping builder, so its zero-delta
+contract holds); this benchmark covers the *fit* batching:
 
 - **fits** — per-component fit wall time, before (the preserved loop
   implementations: recursive tree builder, per-trial MCD C-steps,
@@ -29,7 +28,10 @@ followed it:
   equivalent or calibrated); the forest-backed detectors draw a *different
   but equally valid* RNG stream, so their deltas are measured on
   seed-averaged metrics (mean over ``N_FOREST_SEEDS`` harness seeds), which
-  isolates the builder's systematic effect from single-forest noise.
+  isolates the builder's systematic effect from single-forest noise. Their
+  "before" arm is ``REFERENCE_FOREST_FITS`` in
+  ``tests/test_detector_vectorization.py``: the original per-node
+  tree builder feeding the shipping packed scorer.
 
 ``--smoke`` runs a scaled-down fits + determinism pass only, for CI
 freshness behind ``check_bench.py``.
@@ -55,7 +57,7 @@ from test_detector_fit_vectorization import (  # noqa: E402
     _ReferenceKMeans,
     _ReferenceMCD,
 )
-from test_detector_vectorization import REFERENCE_DETECTORS  # noqa: E402
+from test_detector_vectorization import REFERENCE_FOREST_FITS  # noqa: E402
 
 import repro.outliers.cblof as cblof_mod  # noqa: E402
 from repro.eval import EvaluationConfig, evaluate_all  # noqa: E402
@@ -63,7 +65,6 @@ from repro.learn.neighbors import clear_neighbor_cache  # noqa: E402
 from repro.learn.svm import LinearSVC  # noqa: E402
 from repro.outliers import MCD, SOS, XGBOD, CBLOF, IForest  # noqa: E402
 from repro.outliers import ALL_DETECTORS  # noqa: E402
-from repro.outliers.iforest import forest_build  # noqa: E402
 from repro.outliers.ocsvm import OCSVMDetector  # noqa: E402
 from repro.traces.alibaba import AlibabaTraceGenerator  # noqa: E402
 from repro.traces.google import GoogleTraceGenerator  # noqa: E402
@@ -135,13 +136,13 @@ def _scores_bytes(det):
 #: Factories take no arguments; each call returns a fresh estimator.
 COMPONENTS = {
     "IFOREST": (
-        lambda: REFERENCE_DETECTORS["IFOREST"](contamination=0.1, random_state=0),
-        lambda: IForest(contamination=0.1, random_state=0, build="batched"),
+        lambda: REFERENCE_FOREST_FITS["IFOREST"](contamination=0.1, random_state=0),
+        lambda: IForest(contamination=0.1, random_state=0),
         False,
         _forest_bytes,
     ),
     "XGBOD": (
-        lambda: REFERENCE_DETECTORS["XGBOD"](contamination=0.1, random_state=0),
+        lambda: REFERENCE_FOREST_FITS["XGBOD"](contamination=0.1, random_state=0),
         lambda: XGBOD(contamination=0.1, random_state=0),
         True,
         _scores_bytes,
@@ -320,8 +321,11 @@ def bench_metric_deltas(n_jobs: int) -> dict:
         for seed in range(N_FOREST_SEEDS):
             cfg = EvaluationConfig(n_checkpoints=N_CHECKPOINTS, random_state=seed)
             res_a = evaluate_all(trace, _FOREST_NAMES, cfg)
-            with forest_build("legacy"):
+            saved = _swap_registry(REFERENCE_FOREST_FITS)
+            try:
                 res_b = evaluate_all(trace, _FOREST_NAMES, cfg)
+            finally:
+                ALL_DETECTORS.update(saved)
             for m in _FOREST_NAMES:
                 acc_a[m].append([getattr(res_a[m], a) for a in _METRICS])
                 acc_b[m].append([getattr(res_b[m], a) for a in _METRICS])

@@ -1,4 +1,4 @@
-"""Paper-scale replay benchmark: serial vs. sharded vs. shared-store fan-out.
+"""Paper-scale replay benchmark: serial vs. shared-store fan-out.
 
 Writes ``BENCH_replay_scale.json`` next to this file so successive PRs can
 track the performance trajectory. Run with::
@@ -7,13 +7,10 @@ track the performance trajectory. Run with::
 
 The workload is a 1000-job Google-style trace (tasks 100-400, seed 42 —
 the paper's §6 filtered-trace scale) replayed through ``evaluate_all``
-under three arms:
+under two arms:
 
 - **serial** — one process reading jobs straight from the memory-mapped
   :class:`~repro.traces.io.TraceStore`;
-- **sharded_pickle** — the legacy fan-out: the trace materialized in RAM
-  and every work unit pickling its job arrays into the pool
-  (``fan_out="pickle"``);
 - **shared_store** — the shared-memory fan-out: workers attach once to the
   store in their initializer and work units carry only job indices.
 
@@ -54,7 +51,7 @@ from repro.traces.io import TraceStore, save_trace_npz  # noqa: E402
 SEED = 42
 RANDOM_STATE = 0
 SPEEDUP_GATE = 3.0
-ARMS = ("serial", "sharded_pickle", "shared_store")
+ARMS = ("serial", "shared_store")
 
 FULL = {
     "n_jobs": 1000,
@@ -91,23 +88,10 @@ def run_arm(args) -> None:
     )
     store = TraceStore(args.store)
     n_jobs, n_tasks = store.n_jobs, store.n_tasks
-    if args.arm == "serial":
-        source, kwargs = store, {}
-    elif args.arm == "sharded_pickle":
-        # Legacy arm: whole trace resident in RAM, job arrays pickled into
-        # every task. Materialized before the clock starts so the timing
-        # compares replay fan-out, not load cost; RSS still counts it.
-        source, kwargs = store.materialize(), {
-            "n_workers": args.workers,
-            "fan_out": "pickle",
-        }
-    elif args.arm == "shared_store":
-        source, kwargs = store, {"n_workers": args.workers}
-    else:
-        raise SystemExit(f"unknown arm {args.arm!r}")
+    n_workers = args.workers if args.arm == "shared_store" else None
 
     t0 = time.perf_counter()
-    results = evaluate_all(source, methods, cfg, **kwargs)
+    results = evaluate_all(store, methods, cfg, n_workers=n_workers)
     elapsed = time.perf_counter() - t0
 
     parity = {}
@@ -203,17 +187,14 @@ def main() -> int:
             arms[arm] = _spawn_arm(arm, store_path, scale, workers)
 
     serial = arms["serial"]
-    mismatches = []
-    for arm in ("sharded_pickle", "shared_store"):
-        for key, digest in arms[arm]["parity"].items():
-            if serial["parity"].get(key) != digest:
-                mismatches.append({"arm": arm, "replay": key})
+    mismatches = [
+        {"arm": "shared_store", "replay": key}
+        for key, digest in arms["shared_store"]["parity"].items()
+        if serial["parity"].get(key) != digest
+    ]
     parity_ok = not mismatches
 
-    speedup = {
-        arm: serial["seconds"] / arms[arm]["seconds"]
-        for arm in ("sharded_pickle", "shared_store")
-    }
+    speedup = {"shared_store": serial["seconds"] / arms["shared_store"]["seconds"]}
     cpu_count = os.cpu_count() or 1
     speedup_skip = None
     if args.smoke:
@@ -258,7 +239,7 @@ def main() -> int:
         },
         "speedup_vs_serial": speedup,
         "parity": {
-            "n_replays_checked": len(serial["parity"]) * 2,
+            "n_replays_checked": len(serial["parity"]),
             "ok": parity_ok,
             "mismatches": mismatches,
         },

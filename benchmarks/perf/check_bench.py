@@ -62,6 +62,8 @@ SPECS = {
         Check("aggregate.score.speedup", "ratio", rel_tol=0.6),
         Check("aggregate.refit.speedup", "ratio", rel_tol=0.6),
         Check("aggregate.pass", "exact"),
+        Check("full_suite.google.max_metric_delta", "exact"),
+        Check("full_suite.alibaba.max_metric_delta", "exact"),
     ],
     "BENCH_detector_fits.json": [
         Check("aggregate.speedup", "ratio", rel_tol=0.6),

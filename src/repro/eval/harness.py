@@ -8,18 +8,17 @@ process pool. Results are bit-identical to the serial path — each replay
 seeds its own simulator RNG and predictor from the job index, independent
 of execution order.
 
-At paper scale (1000+ jobs) the fan-out no longer pickles job arrays into
-every task. The trace is served from a columnar
-:class:`~repro.traces.io.TraceStore`: workers attach once to the
-memory-mapped store in their initializer (the OS page cache shares the
-bytes across processes) and each work unit carries only a job index. An
-in-memory :class:`~repro.traces.schema.Trace` is transparently spilled to
-a temporary store (``/dev/shm`` when available) for the run. Work units
-are job-major — one unit replays *all* methods for one job against a
-shared :class:`~repro.sim.replay.CheckpointPlan` — and are streamed into
-the pool through a bounded submission window, so neither the task queue
-nor the result backlog ever holds the whole trace. ``fan_out="pickle"``
-keeps the legacy per-task-pickling arm for comparison.
+The pool never pickles job arrays into its tasks. The trace is served
+from a columnar :class:`~repro.traces.io.TraceStore`: workers attach once
+to the memory-mapped store in their initializer (the OS page cache shares
+the bytes across processes) and each work unit carries only a job index.
+An in-memory :class:`~repro.traces.schema.Trace` is transparently spilled
+to a temporary store (``/dev/shm`` when available) for the run, so a
+parallel run needs a trace the store can hold: one feature schema across
+all jobs. Work units are job-major — one unit replays *all* methods for
+one job against a shared :class:`~repro.sim.replay.CheckpointPlan` — and
+are streamed into the pool through a bounded submission window, so neither
+the task queue nor the result backlog ever holds the whole trace.
 """
 
 from __future__ import annotations
@@ -172,10 +171,9 @@ _WORKER_STORE: Optional[TraceStore] = None
 _WORKER_FAULTS = None
 
 
-def _worker_attach(store_path: Optional[str], faults=None) -> None:
+def _worker_attach(store_path: str, faults=None) -> None:
     global _WORKER_STORE, _WORKER_FAULTS
-    if store_path is not None:
-        _WORKER_STORE = TraceStore(store_path)
+    _WORKER_STORE = TraceStore(store_path)
     _WORKER_FAULTS = faults
 
 
@@ -210,29 +208,26 @@ def _replay_job(
 
 
 def _replay_unit(
-    unit: Tuple[Optional[Job], Tuple[str, ...], EvaluationConfig, int],
+    unit: Tuple[Tuple[str, ...], EvaluationConfig, int],
     attempt: int = 0,
 ) -> List[ReplayResult]:
-    """Resolve a work unit's job (store index or pickled payload) and replay.
+    """Read a work unit's job from the worker's store and replay it.
 
     ``attempt`` numbers re-dispatches of the same unit (0 = first try); it
     only feeds the installed fault injector — replays themselves are pure
     functions of the unit, so a retried unit returns bit-identical results.
     """
-    job, methods, config, job_index = unit
+    methods, config, job_index = unit
     if _WORKER_FAULTS is not None:
         _WORKER_FAULTS.maybe_fail(job_index, attempt)
-    if job is None:
-        job = _WORKER_STORE.job(job_index)
-    return _replay_job(job, methods, config, job_index)
+    return _replay_job(_WORKER_STORE.job(job_index), methods, config, job_index)
 
 
 def _iter_bounded(pool, fn, units, window: int, retries: int = 0) -> Iterator:
     """``pool.map`` with a bounded, order-preserving submission window.
 
     At most ``window`` futures are outstanding, so streaming a 1000-job
-    trace never materializes the full task queue (or, with pickle fan-out,
-    all job payloads) up front.
+    trace never materializes the full task queue up front.
 
     A unit whose future raises is re-dispatched up to ``retries`` times
     (with an incremented attempt number) before the error propagates.
@@ -291,14 +286,11 @@ def _evaluate(
     methods: List[str],
     config: EvaluationConfig,
     n_workers: Optional[int],
-    fan_out: str,
     progress: Optional[Callable[[ReplayProgress], None]],
     retries: int = 0,
     faults=None,
 ) -> Dict[str, List[ReplayResult]]:
     """Core job-major evaluation loop shared by the public entry points."""
-    if fan_out not in ("auto", "store", "pickle"):
-        raise ValueError("fan_out must be 'auto', 'store' or 'pickle'.")
     if retries < 0:
         raise ValueError("retries must be >= 0.")
     method_tuple = tuple(methods)
@@ -345,49 +337,26 @@ def _evaluate(
         return per_method
 
     window = max(2, 2 * n_workers)
-    store_path: Optional[Path] = None
-    spilled = False
-    if isinstance(trace, TraceStore):
-        store_path = trace.path
-    elif fan_out != "pickle":
-        try:
-            store_path = _spill_to_store(trace)
-            spilled = True
-        except ValueError:
-            # Jobs the columnar store cannot hold (heterogeneous schemas,
-            # empty jobs): only the legacy arm can ship them.
-            if fan_out == "store":
-                raise
+    spilled = not isinstance(trace, TraceStore)
+    # A trace the store cannot hold (mixed feature schemas) raises here.
+    store_path = _spill_to_store(trace) if spilled else trace.path
     try:
-        if store_path is not None:
-            if spilled or n_jobs is None:
-                with TraceStore(store_path, mmap=False) as meta:
-                    n_jobs = meta.n_jobs
-                n_total = n_jobs * len(methods)
-            units = (
-                (None, method_tuple, config, i) for i in range(n_jobs)
-            )
-            pool_kwargs = {
-                "initializer": _worker_attach,
-                "initargs": (str(store_path), faults),
-            }
-        else:
-            units = (
-                (job, method_tuple, config, i) for i, job in enumerate(trace)
-            )
-            pool_kwargs = {}
-            if faults is not None:
-                pool_kwargs = {
-                    "initializer": _worker_attach,
-                    "initargs": (None, faults),
-                }
-        with ProcessPoolExecutor(max_workers=n_workers, **pool_kwargs) as pool:
+        if spilled or n_jobs is None:
+            with TraceStore(store_path, mmap=False) as meta:
+                n_jobs = meta.n_jobs
+            n_total = n_jobs * len(methods)
+        units = ((method_tuple, config, i) for i in range(n_jobs))
+        with ProcessPoolExecutor(
+            max_workers=n_workers,
+            initializer=_worker_attach,
+            initargs=(str(store_path), faults),
+        ) as pool:
             for i, results in enumerate(
                 _iter_bounded(pool, _replay_unit, units, window, retries)
             ):
                 emit(i, results)
     finally:
-        if spilled and store_path is not None:
+        if spilled:
             store_path.unlink(missing_ok=True)
     return per_method
 
@@ -397,7 +366,6 @@ def evaluate_method(
     method: str,
     config: Optional[EvaluationConfig] = None,
     n_workers: Optional[int] = None,
-    fan_out: str = "auto",
     progress: Optional[Callable[[ReplayProgress], None]] = None,
     retries: int = 0,
     faults=None,
@@ -408,10 +376,11 @@ def evaluate_method(
     job); Wrangler additionally receives its offline labeled sample.
     ``trace`` may be an in-memory :class:`Trace`, a memory-mapped
     :class:`TraceStore`, or any iterable of jobs. ``n_workers > 1``
-    distributes jobs over a process pool; workers attach to the store by
-    path (an in-memory trace is spilled to a temporary store first) unless
-    ``fan_out="pickle"`` requests the legacy per-task job pickling.
-    ``progress`` is called in the parent after each completed replay.
+    distributes jobs over a process pool whose workers attach to the store
+    by path; an in-memory trace is spilled to a temporary store first, so
+    its jobs must share one feature schema (``save_trace_npz`` raises a
+    ``ValueError`` naming the first job that does not). ``progress`` is
+    called in the parent after each completed replay.
 
     ``retries`` re-dispatches a failed work unit up to that many times
     before surfacing the error; recovered runs keep result order and are
@@ -421,7 +390,7 @@ def evaluate_method(
     """
     config = config or EvaluationConfig()
     per_method = _evaluate(
-        trace, [method], config, n_workers, fan_out, progress, retries, faults
+        trace, [method], config, n_workers, progress, retries, faults
     )
     return MethodResult(method=method, replays=per_method[method])
 
@@ -432,7 +401,6 @@ def evaluate_all(
     config: Optional[EvaluationConfig] = None,
     verbose: bool = False,
     n_workers: Optional[int] = None,
-    fan_out: str = "auto",
     progress: Optional[Callable[[ReplayProgress], None]] = None,
     retries: int = 0,
     faults=None,
@@ -443,12 +411,12 @@ def evaluate_all(
     the job's checkpoint plan (grid, noise, observed features) across
     methods. With ``n_workers > 1`` units stream through one shared pool
     behind a bounded submission window; see :func:`evaluate_method` for
-    ``fan_out``, ``progress``, ``retries`` and ``faults``.
+    ``n_workers``, ``progress``, ``retries`` and ``faults``.
     """
     config = config or EvaluationConfig()
     methods = list(methods)
     per_method = _evaluate(
-        trace, methods, config, n_workers, fan_out, progress, retries, faults
+        trace, methods, config, n_workers, progress, retries, faults
     )
     out: Dict[str, MethodResult] = {}
     for method in methods:

@@ -9,31 +9,21 @@ node table with per-tree root offsets, and all trees × all samples advance
 through a single vectorized frontier loop whose iteration count is the
 maximum tree depth — not the tree count.
 
-Building has two arms selected by ``build``:
-
-- ``"batched"`` (the default) — a *level-synchronous* builder that expands
-  every active node at a given depth across **all** trees in one vectorized
-  pass: per-node min/max come from sorted-index ``np.minimum.reduceat`` /
-  ``np.maximum.reduceat`` segments, and the per-node feature/threshold draws
-  come from counter-seeded SplitMix64 streams keyed on ``(seed, tree, node)``
-  so a same-seed build is bit-identical run-to-run regardless of how the
-  level frontier is laid out. The loop count is the maximum tree depth
-  (⌈log₂ψ⌉), not the node count.
-- ``"legacy"`` — the original per-node loop, preserved verbatim: it consumes
-  the ``numpy.random.Generator`` bitstream exactly like the pre-optimization
-  ``rng.choice`` / ``rng.uniform`` calls, so seeds reproduce the historical
-  forests byte-for-byte.
-
-Both arms draw the per-tree subsamples identically (sequential
-``rng.choice``), so they grow trees over the same data; only the split
-randomness differs. The batched arm's Table-3 metric deltas are gated at
-≤ 0.01 by ``benchmarks/perf/bench_detector_fits.py``.
+Building is *level-synchronous*: every active node at a given depth is
+expanded across **all** trees in one vectorized pass. Per-node min/max come
+from sorted-index ``np.minimum.reduceat`` / ``np.maximum.reduceat``
+segments, and the per-node feature/threshold draws come from
+counter-seeded SplitMix64 streams keyed on ``(seed, tree, node)``, so a
+same-seed build is bit-identical run-to-run regardless of how the level
+frontier is laid out. The loop count is the maximum tree depth (⌈log₂ψ⌉),
+not the node count. Per-tree subsamples are drawn by sequential
+``rng.choice``, as in the original per-node builder, which survives as
+the loop reference in ``tests/test_detector_vectorization.py``; the
+Table-3 metric deltas against it are gated at ≤ 0.01 by
+``benchmarks/perf/bench_detector_fits.py``.
 """
 
 from __future__ import annotations
-
-from contextlib import contextmanager
-from typing import List, Optional
 
 import numpy as np
 
@@ -41,29 +31,6 @@ from repro.outliers.base import BaseDetector
 from repro.utils.validation import check_random_state
 
 _EULER_GAMMA = 0.5772156649015329
-
-#: Module default for ``IForest(build=None)``; ``forest_build`` overrides it.
-_DEFAULT_BUILD = "batched"
-
-
-@contextmanager
-def forest_build(build: str):
-    """Temporarily change the default build arm (``"batched"``/``"legacy"``).
-
-    Benchmarks that must reproduce historical byte-identical forests (e.g.
-    the scoring-only comparison in ``bench_detectors.py``) pin
-    ``forest_build("legacy")`` around their runs; detectors constructed with
-    an explicit ``build=`` are unaffected.
-    """
-    global _DEFAULT_BUILD
-    if build not in ("batched", "legacy"):
-        raise ValueError("build must be 'batched' or 'legacy'.")
-    previous = _DEFAULT_BUILD
-    _DEFAULT_BUILD = build
-    try:
-        yield
-    finally:
-        _DEFAULT_BUILD = previous
 
 
 def average_path_length(n) -> np.ndarray:
@@ -76,65 +43,6 @@ def average_path_length(n) -> np.ndarray:
     ) / n[mask]
     out[n == 2] = 1.0
     return out
-
-
-class _IsolationTree:
-    """One isolation tree in flat-array form.
-
-    The build consumes the generator's bitstream exactly like the original
-    ``rng.choice`` / ``rng.uniform`` per-node calls (``a[integers]`` and
-    ``lo + (hi-lo)*random()`` are their stream-identical cheap forms), so
-    a given seed yields byte-identical trees — only cheaper: node storage
-    is preallocated (a split always yields two non-empty children, so a
-    psi-point subsample caps at 2·psi−1 nodes) and the per-node Python
-    overhead is trimmed to the few array ops that matter.
-    """
-
-    __slots__ = ("feature", "threshold", "left", "right", "size")
-
-    def __init__(self, X: np.ndarray, rng: np.random.Generator, max_depth: int):
-        cap = max(1, 2 * X.shape[0] - 1)
-        feature = np.full(cap, -1, dtype=np.int64)
-        threshold = np.full(cap, np.nan, dtype=np.float64)
-        left = np.full(cap, -1, dtype=np.int64)
-        right = np.full(cap, -1, dtype=np.int64)
-        size = np.zeros(cap, dtype=np.int64)
-        n_nodes = 1
-
-        integers = rng.integers
-        random = rng.random
-        stack = [(0, np.arange(X.shape[0]), 0)]
-        while stack:
-            node, idx, depth = stack.pop()
-            m = idx.shape[0]
-            size[node] = m
-            if depth >= max_depth or m <= 1:
-                continue
-            sub = X[idx]
-            lo = sub.min(axis=0)
-            hi = sub.max(axis=0)
-            candidates = np.nonzero(hi > lo)[0]
-            if candidates.shape[0] == 0:
-                continue
-            f = int(candidates[integers(0, candidates.shape[0])])
-            lo_f = lo[f]
-            t = float(lo_f + (hi[f] - lo_f) * random())
-            go_left = sub[:, f] <= t
-            l_id = n_nodes
-            r_id = n_nodes + 1
-            n_nodes += 2
-            feature[node] = f
-            threshold[node] = t
-            left[node] = l_id
-            right[node] = r_id
-            stack.append((l_id, idx[go_left], depth + 1))
-            stack.append((r_id, idx[~go_left], depth + 1))
-
-        self.feature = feature[:n_nodes]
-        self.threshold = threshold[:n_nodes]
-        self.left = left[:n_nodes]
-        self.right = right[:n_nodes]
-        self.size = size[:n_nodes]
 
 
 class _TreeArrays:
@@ -178,7 +86,7 @@ def _build_forest_batched(X: np.ndarray, idx: np.ndarray, max_depth: int, seed: 
     ----------
     X : (n, d) data matrix.
     idx : (T, psi) per-tree subsample indices.
-    max_depth : depth cap (⌈log₂ψ⌉, as in the per-tree builder).
+    max_depth : depth cap (⌈log₂ψ⌉).
     seed : integer keying the counter-seeded split draws.
 
     Returns ``(feature, threshold, left, right, size, n_nodes)`` where the
@@ -291,25 +199,9 @@ class _PackedForest:
 
     __slots__ = ("feature", "threshold", "left", "right", "size", "roots")
 
-    def __init__(self, trees: List):
-        counts = np.array([t.feature.shape[0] for t in trees], dtype=np.int64)
-        offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
-        self.roots = offsets
-        self.feature = np.concatenate([t.feature for t in trees])
-        self.threshold = np.concatenate([t.threshold for t in trees])
-        self.left = np.concatenate(
-            [np.where(t.left >= 0, t.left + off, -1)
-             for t, off in zip(trees, offsets)]
-        )
-        self.right = np.concatenate(
-            [np.where(t.right >= 0, t.right + off, -1)
-             for t, off in zip(trees, offsets)]
-        )
-        self.size = np.concatenate([t.size for t in trees])
-
     @classmethod
     def from_matrices(cls, feature, threshold, left, right, size, n_nodes):
-        """Pack directly from the batched builder's ``(T, cap)`` matrices."""
+        """Pack the builder's ``(T, cap)`` node matrices into one table."""
         self = cls.__new__(cls)
         cap = feature.shape[1]
         mask = np.arange(cap) < n_nodes[:, None]
@@ -354,10 +246,6 @@ class IForest(BaseDetector):
         Number of trees.
     max_samples : int
         Subsample size per tree (ψ; the paper's default 256).
-    build : {'batched', 'legacy', None}
-        Forest construction arm. ``None`` (default) resolves to the module
-        default (``"batched"``; see :func:`forest_build`). ``"legacy"``
-        replays the historical per-node RNG stream byte-for-byte.
     """
 
     def __init__(
@@ -366,58 +254,42 @@ class IForest(BaseDetector):
         max_samples: int = 256,
         contamination: float = 0.1,
         random_state=None,
-        build: Optional[str] = None,
     ):
         super().__init__(contamination=contamination)
         self.n_estimators = n_estimators
         self.max_samples = max_samples
         self.random_state = random_state
-        self.build = build
-
-    def _resolved_build(self) -> str:
-        build = self.build if self.build is not None else _DEFAULT_BUILD
-        if build not in ("batched", "legacy"):
-            raise ValueError("build must be 'batched', 'legacy' or None.")
-        return build
 
     def _fit(self, X: np.ndarray) -> None:
         if self.n_estimators < 1:
             raise ValueError("n_estimators must be >= 1.")
-        build = self._resolved_build()
         rng = check_random_state(self.random_state)
         n = X.shape[0]
         psi = min(self.max_samples, n)
         max_depth = int(np.ceil(np.log2(max(psi, 2))))
-        if build == "legacy":
-            self.trees_ = []
-            for _ in range(self.n_estimators):
-                idx = rng.choice(n, size=psi, replace=False)
-                self.trees_.append(_IsolationTree(X[idx], rng, max_depth))
-            self.forest_ = _PackedForest(self.trees_)
-        else:
-            # The split draws are counter-seeded; one generator draw keys
-            # them to the caller's seed. Subsamples then follow the same
-            # sequential rng.choice stream as the legacy arm.
-            seed = int(rng.integers(0, np.iinfo(np.int64).max))
-            idx = np.stack(
-                [
-                    rng.choice(n, size=psi, replace=False)
-                    for _ in range(self.n_estimators)
-                ]
-            )
-            mats = _build_forest_batched(X, idx, max_depth, seed)
-            feature, threshold, left, right, size, n_nodes = mats
-            self.trees_ = [
-                _TreeArrays(
-                    feature[t, : n_nodes[t]],
-                    threshold[t, : n_nodes[t]],
-                    left[t, : n_nodes[t]],
-                    right[t, : n_nodes[t]],
-                    size[t, : n_nodes[t]],
-                )
-                for t in range(self.n_estimators)
+        # The split draws are counter-seeded; one generator draw keys them
+        # to the caller's seed. Subsamples then follow the sequential
+        # rng.choice stream.
+        seed = int(rng.integers(0, np.iinfo(np.int64).max))
+        idx = np.stack(
+            [
+                rng.choice(n, size=psi, replace=False)
+                for _ in range(self.n_estimators)
             ]
-            self.forest_ = _PackedForest.from_matrices(*mats)
+        )
+        mats = _build_forest_batched(X, idx, max_depth, seed)
+        feature, threshold, left, right, size, n_nodes = mats
+        self.trees_ = [
+            _TreeArrays(
+                feature[t, : n_nodes[t]],
+                threshold[t, : n_nodes[t]],
+                left[t, : n_nodes[t]],
+                right[t, : n_nodes[t]],
+                size[t, : n_nodes[t]],
+            )
+            for t in range(self.n_estimators)
+        ]
+        self.forest_ = _PackedForest.from_matrices(*mats)
         self._psi = psi
 
     def _score(self, X: np.ndarray) -> np.ndarray:

@@ -208,8 +208,6 @@ def save_trace_npz(
     job_ids: List[str] = []
     counts: List[int] = []
     for job in jobs:
-        if job.n_tasks == 0:
-            raise ValueError(f"job {job.job_id} is empty; cannot save it.")
         if feature_names is None:
             feature_names = list(job.feature_names)
         elif job.feature_names != feature_names:

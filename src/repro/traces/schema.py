@@ -80,6 +80,8 @@ class Job:
                 f"features ({self.features.shape[0]} tasks) and latencies "
                 f"({self.latencies.shape[0]}) disagree."
             )
+        if self.latencies.shape[0] == 0:
+            raise ValueError(f"job {self.job_id} has no tasks.")
         if self.features.shape[1] != len(self.feature_names):
             raise ValueError(
                 f"features has {self.features.shape[1]} columns but "

@@ -18,11 +18,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from scipy.stats import chi2
+from test_detector_vectorization import REFERENCE_FOREST_FITS
 
 from repro.learn.cluster import KMeans, _kmeans_plus_plus
 from repro.learn.svm import LinearSVC, OneClassSVM
 from repro.outliers import CBLOF, MCD, SOS, IForest, XGBOD
-from repro.outliers.iforest import forest_build
 from repro.outliers.mcd import _det_cov, _mahalanobis_sq
 from repro.outliers.ocsvm import OCSVMDetector
 from repro.utils.validation import check_array, check_random_state
@@ -173,8 +173,8 @@ DATASET_KINDS = ["random", "duplicates", "constant"]
 def test_iforest_batched_build_is_deterministic(kind):
     """Same-seed batched builds are bit-identical run-to-run."""
     X = _make_dataset(kind)
-    a = IForest(n_estimators=20, random_state=5, build="batched").fit(X)
-    b = IForest(n_estimators=20, random_state=5, build="batched").fit(X.copy())
+    a = IForest(n_estimators=20, random_state=5).fit(X)
+    b = IForest(n_estimators=20, random_state=5).fit(X.copy())
     assert a.forest_.feature.tobytes() == b.forest_.feature.tobytes()
     assert a.forest_.threshold.tobytes() == b.forest_.threshold.tobytes()
     assert a.forest_.left.tobytes() == b.forest_.left.tobytes()
@@ -187,7 +187,7 @@ def test_iforest_batched_build_is_deterministic(kind):
 def test_iforest_batched_trees_are_valid_isolation_trees(kind):
     """Structural invariants: sizes telescope, splits partition, leaves end."""
     X = _make_dataset(kind)
-    det = IForest(n_estimators=10, random_state=1, build="batched").fit(X)
+    det = IForest(n_estimators=10, random_state=1).fit(X)
     psi = det._psi
     for tree in det.trees_:
         assert tree.size[0] == psi
@@ -207,14 +207,14 @@ def test_iforest_batched_trees_are_valid_isolation_trees(kind):
         assert np.all(tree.size[tree.right[internal]] >= 1)
 
 
-def test_iforest_batched_matches_legacy_quality():
-    """Both arms separate the same planted anomalies on the same subsamples."""
+def test_iforest_batched_matches_loop_built_quality():
+    """Batched and loop-built forests separate the same planted anomalies."""
     rng = np.random.default_rng(0)
     X = np.vstack([rng.normal(0, 1, (280, 6)), rng.normal(7, 0.5, (20, 6))])
-    batched = IForest(random_state=3, build="batched").fit(X)
-    legacy = IForest(random_state=3, build="legacy").fit(X)
+    batched = IForest(random_state=3).fit(X)
+    loop_built = REFERENCE_FOREST_FITS["IFOREST"](random_state=3).fit(X)
     s_b = batched.decision_scores_
-    s_l = legacy.decision_scores_
+    s_l = loop_built.decision_scores_
     # Identical anomaly separation: the 20 planted outliers top both lists.
     top_b = set(np.argsort(s_b)[-20:])
     top_l = set(np.argsort(s_l)[-20:])
@@ -222,25 +222,10 @@ def test_iforest_batched_matches_legacy_quality():
     assert np.corrcoef(s_b, s_l)[0, 1] > 0.9
 
 
-def test_iforest_build_default_and_override():
-    X = _make_dataset("random")
-    legacy = IForest(n_estimators=5, random_state=0, build="legacy").fit(X)
-    with forest_build("legacy"):
-        default = IForest(n_estimators=5, random_state=0).fit(X)
-    assert (
-        default.forest_.threshold.tobytes() == legacy.forest_.threshold.tobytes()
-    )
-    with pytest.raises(ValueError):
-        IForest(build="bogus").fit(X)
-    with pytest.raises(ValueError):
-        with forest_build("bogus"):
-            pass
-
-
 def test_iforest_batched_all_constant_rows():
     """No splittable feature anywhere: every tree is a single leaf."""
     X = np.ones((40, 3))
-    det = IForest(n_estimators=5, random_state=0, build="batched").fit(X)
+    det = IForest(n_estimators=5, random_state=0).fit(X)
     for tree in det.trees_:
         assert tree.feature.shape[0] == 1
         assert tree.feature[0] == -1
@@ -248,7 +233,7 @@ def test_iforest_batched_all_constant_rows():
 
 
 def test_xgbod_pool_inherits_batched_builds():
-    """XGBOD's default pool IForests resolve the module default arm."""
+    """XGBOD's default-pool IForests build deterministically."""
     X = _make_dataset("random")
     y = (np.arange(X.shape[0]) % 5 == 0).astype(np.int64)
     a = XGBOD(n_estimators=10, random_state=2).fit(X, y)

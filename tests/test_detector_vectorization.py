@@ -5,7 +5,9 @@ The pre-vectorization per-sample Python loops are preserved here as private
 ``benchmarks/perf/bench_detectors.py`` reuses as its "before" arm). Every
 batched kernel must reproduce its loop reference to ≤1e-8 rtol on random and
 adversarial (duplicate-row, constant-feature) inputs, so the Table-3 metrics
-are provably unchanged by the vectorization.
+are provably unchanged by the vectorization. ``REFERENCE_FOREST_FITS``
+additionally keeps the original per-node isolation-tree builder, the fit
+"before" arm of ``benchmarks/perf/bench_detector_fits.py``.
 
 Also covers the shared :class:`~repro.learn.neighbors.NeighborCache` and the
 per-row ``exclude_self`` fix for duplicated training points.
@@ -22,7 +24,7 @@ from repro.learn.neighbors import (
 )
 from repro.outliers import ABOD, COF, IForest, LSCP, SOD, SOS, XGBOD
 from repro.outliers.lscp import _zscore
-from repro.outliers.iforest import average_path_length, forest_build
+from repro.outliers.iforest import _PackedForest, average_path_length
 from repro.utils.validation import check_random_state
 
 RTOL = 1e-8
@@ -236,11 +238,12 @@ def _reference_lscp_scores(det, X):
 
 
 class _ReferenceIsolationTree:
-    """The pre-optimization list-append tree builder.
+    """The original per-node, list-append tree builder.
 
-    Uses the original per-node ``rng.choice`` / ``rng.uniform`` calls; the
-    optimized builder consumes the generator's bitstream identically via
-    their cheap forms, so both must produce byte-identical trees.
+    Uses per-node ``rng.choice`` / ``rng.uniform`` calls. The shipping
+    level-synchronous builder draws its splits from counter-seeded streams
+    instead, so the two grow different (equally valid) trees over the same
+    subsamples; ``REFERENCE_FOREST_FITS`` wires this one into detectors.
     """
 
     def __init__(self, X, rng, max_depth):
@@ -287,7 +290,7 @@ class _ReferenceIsolationTree:
 
 
 def _reference_tree_path_length(tree, X):
-    """Per-tree sample walk (the pre-packing ``_IsolationTree.path_length``)."""
+    """Per-tree sample walk (the pre-packing per-tree ``path_length``)."""
     node = np.zeros(X.shape[0], dtype=np.int64)
     depth = np.zeros(X.shape[0], dtype=np.float64)
     active = tree.feature[node] != -1
@@ -360,37 +363,27 @@ class _ReferenceLSCP(LSCP):
 
 
 class _ReferenceIForest(IForest):
-    def _fit(self, X):
-        if self.n_estimators < 1:
-            raise ValueError("n_estimators must be >= 1.")
-        rng = check_random_state(self.random_state)
-        n = X.shape[0]
-        psi = min(self.max_samples, n)
-        max_depth = int(np.ceil(np.log2(max(psi, 2))))
-        self.trees_ = []
-        for _ in range(self.n_estimators):
-            idx = rng.choice(n, size=psi, replace=False)
-            self.trees_.append(
-                _ReferenceIsolationTree(X[idx], rng, max_depth)
-            )
-        self._psi = psi
-
     def _score(self, X):
         return _reference_iforest_scores(self, X)
 
 
+def _pool_with_forest(pool, forest_cls):
+    """XGBOD's default pool with its IForest member rebuilt as ``forest_cls``."""
+    return [
+        forest_cls(
+            n_estimators=d.n_estimators,
+            contamination=d.contamination,
+            random_state=d.random_state,
+        )
+        if isinstance(d, IForest)
+        else d
+        for d in pool
+    ]
+
+
 class _ReferenceXGBOD(XGBOD):
     def _default_pool(self):
-        return [
-            _ReferenceIForest(
-                n_estimators=d.n_estimators,
-                contamination=d.contamination,
-                random_state=d.random_state,
-            )
-            if isinstance(d, IForest)
-            else d
-            for d in super()._default_pool()
-        ]
+        return _pool_with_forest(super()._default_pool(), _ReferenceIForest)
 
 
 REFERENCE_DETECTORS = {
@@ -401,6 +394,58 @@ REFERENCE_DETECTORS = {
     "LSCP": _ReferenceLSCP,
     "IFOREST": _ReferenceIForest,
     "XGBOD": _ReferenceXGBOD,
+}
+
+
+# Forest-backed detectors whose trees come from the per-node loop builder —
+# the fit "before" arm of benchmarks/perf/bench_detector_fits.py. Scoring
+# stays the shipping packed walk, so only the build differs.
+
+def _pack_trees(trees):
+    """Pad loop-built trees into the ``(T, cap)`` layout the packer takes."""
+    n_nodes = np.array([t.feature.shape[0] for t in trees], dtype=np.int64)
+    cap = int(n_nodes.max())
+
+    def matrix(attr, fill, dtype):
+        out = np.full((len(trees), cap), fill, dtype=dtype)
+        for row, tree in zip(out, trees):
+            row[: tree.feature.shape[0]] = getattr(tree, attr)
+        return out
+
+    return _PackedForest.from_matrices(
+        matrix("feature", -1, np.int64),
+        matrix("threshold", np.nan, np.float64),
+        matrix("left", -1, np.int64),
+        matrix("right", -1, np.int64),
+        matrix("size", 0, np.int64),
+        n_nodes,
+    )
+
+
+class _LoopBuiltIForest(IForest):
+    def _fit(self, X):
+        if self.n_estimators < 1:
+            raise ValueError("n_estimators must be >= 1.")
+        rng = check_random_state(self.random_state)
+        n = X.shape[0]
+        psi = min(self.max_samples, n)
+        max_depth = int(np.ceil(np.log2(max(psi, 2))))
+        self.trees_ = []
+        for _ in range(self.n_estimators):
+            idx = rng.choice(n, size=psi, replace=False)
+            self.trees_.append(_ReferenceIsolationTree(X[idx], rng, max_depth))
+        self.forest_ = _pack_trees(self.trees_)
+        self._psi = psi
+
+
+class _LoopBuiltXGBOD(XGBOD):
+    def _default_pool(self):
+        return _pool_with_forest(super()._default_pool(), _LoopBuiltIForest)
+
+
+REFERENCE_FOREST_FITS = {
+    "IFOREST": _LoopBuiltIForest,
+    "XGBOD": _LoopBuiltXGBOD,
 }
 
 
@@ -495,32 +540,11 @@ def test_cof_train_chaining_parity():
         )
 
 
-def test_iforest_build_is_byte_identical_to_reference():
-    """The legacy builder must replay the reference RNG stream exactly.
-
-    (The batched level-synchronous arm draws from counter-seeded streams
-    instead; its parity lives in tests/test_detector_fit_vectorization.py.)
-    """
-    for kind in DATASET_KINDS:
-        X = _make_dataset(kind)
-        new = IForest(n_estimators=15, random_state=9, build="legacy").fit(X)
-        ref = _ReferenceIForest(n_estimators=15, random_state=9).fit(X.copy())
-        for t_new, t_ref in zip(new.trees_, ref.trees_):
-            np.testing.assert_array_equal(t_new.feature, t_ref.feature)
-            np.testing.assert_array_equal(
-                t_new.threshold, t_ref.threshold
-            )
-            np.testing.assert_array_equal(t_new.left, t_ref.left)
-            np.testing.assert_array_equal(t_new.right, t_ref.right)
-            np.testing.assert_array_equal(t_new.size, t_ref.size)
-
-
 def test_xgbod_matches_reference_pool():
-    """XGBOD built on the legacy-arm IForest scores identically."""
+    """XGBOD on the loop-scored IForest scores identically."""
     X = _make_dataset("random")
     y = (np.arange(X.shape[0]) % 5 == 0).astype(np.int64)
-    with forest_build("legacy"):
-        cur = XGBOD(n_estimators=10, random_state=2).fit(X, y)
+    cur = XGBOD(n_estimators=10, random_state=2).fit(X, y)
     ref = _ReferenceXGBOD(n_estimators=10, random_state=2).fit(X.copy(), y)
     np.testing.assert_allclose(
         cur.decision_scores_, ref.decision_scores_, rtol=RTOL, atol=ATOL
@@ -528,12 +552,10 @@ def test_xgbod_matches_reference_pool():
 
 
 def test_reference_detectors_match_current():
-    """The bench's "before" arm scores identically to the shipping classes
-    (forest builds pinned to the legacy arm the references reproduce)."""
+    """The bench's "before" arm scores identically to the shipping classes."""
     X = _make_dataset("random")
     for name in DETECTOR_NAMES:
-        with forest_build("legacy"):
-            det = _make_detector(name).fit(X)
+        det = _make_detector(name).fit(X)
         ref_cls = REFERENCE_DETECTORS[name]
         ref_det = ref_cls(**{
             k: getattr(det, k)

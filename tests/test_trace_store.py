@@ -9,8 +9,9 @@ Covers the contracts the paper-scale replay path leans on:
 - streaming export (``iter_jobs`` -> ``save_trace_npz``) is byte-identical
   to exporting the materialized trace;
 - ``evaluate_method``/``evaluate_all`` produce bit-identical results from
-  a Trace, a TraceStore, and every fan-out arm (store / pickle, serial /
-  parallel), with the progress callback firing per replay;
+  a Trace or a TraceStore, serially or over the store-backed process pool,
+  with the progress callback firing per replay; a parallel run rejects a
+  trace the store cannot hold;
 - sharing a :class:`CheckpointPlan` across methods is bit-identical to a
   fresh plan per replay, a plan from another job or simulator is rejected,
   and the content-keyed neighbor cache stops per-replay KD-tree rebuilds.
@@ -305,17 +306,12 @@ class TestFanOutParity:
         parallel = evaluate_all(google_trace, self.METHODS, cfg, n_workers=2)
         _assert_results_bitwise_equal(serial, parallel)
 
-    def test_pickle_fan_out_matches_serial(self, google_trace, cfg, serial):
-        parallel = evaluate_all(
-            google_trace, self.METHODS, cfg, n_workers=2, fan_out="pickle"
-        )
-        _assert_results_bitwise_equal(serial, parallel)
-
-    def test_unknown_fan_out_rejected(self, google_trace, cfg):
-        with pytest.raises(ValueError, match="fan_out"):
-            evaluate_all(
-                google_trace, self.METHODS, cfg, n_workers=2, fan_out="carrier-pigeon"
-            )
+    def test_parallel_rejects_heterogeneous_trace(
+        self, google_trace, alibaba_trace, cfg
+    ):
+        mixed = Trace(name="mixed", jobs=[google_trace[0], alibaba_trace[0]])
+        with pytest.raises(ValueError, match="schema"):
+            evaluate_all(mixed, self.METHODS, cfg, n_workers=2)
 
     def test_progress_callback(self, google_trace, cfg):
         events = []

@@ -40,6 +40,8 @@ class TestJobSchema:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="disagree"):
             Job("j", np.zeros((3, 2)), np.ones(4), ["a", "b"])
+        with pytest.raises(ValueError, match="job j has no tasks"):
+            Job("j", np.zeros((0, 2)), np.zeros(0), ["a", "b"])
 
     def test_name_count_mismatch(self):
         with pytest.raises(ValueError, match="columns"):
