@@ -92,7 +92,7 @@ SPECS = {
         Check("gates.sink_outage.passed", "exact"),
         Check("gates.harness_retry.passed", "exact"),
         Check("gates.determinism.passed", "exact"),
-        Check("overhead.ratio", "ratio", rel_tol=0.5),
+        Check("overhead.engine_over_service", "ratio", rel_tol=0.5),
     ],
 }
 

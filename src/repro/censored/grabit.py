@@ -13,7 +13,8 @@ import numpy as np
 from scipy.stats import norm
 
 from repro.learn.base import BaseEstimator, RegressorMixin
-from repro.learn.tree import _MAX_HIST_BINS, _Binner, DecisionTreeRegressor
+from repro.learn.tree import _MAX_HIST_BINS, _Binner, _PackedTrees
+from repro.learn.tree import DecisionTreeRegressor
 from repro.utils.validation import (
     check_array,
     check_is_fitted,
@@ -134,6 +135,7 @@ class GrabitRegressor(BaseEstimator, RegressorMixin):
             tree.tree_.value = values
             raw += self.learning_rate * values[leaves, 0]
             self.estimators_.append(tree)
+        self._packed = _PackedTrees([tree.tree_ for tree in self.estimators_])
         self.n_features_in_ = X.shape[1]
         return self
 
@@ -146,7 +148,4 @@ class GrabitRegressor(BaseEstimator, RegressorMixin):
                 f"X has {X.shape[1]} features; model was fitted with "
                 f"{self.n_features_in_}."
             )
-        raw = np.full(X.shape[0], self.init_raw_)
-        for tree in self.estimators_:
-            raw += self.learning_rate * tree.tree_.predict(X)[:, 0]
-        return raw
+        return self._packed.raw(X, self.init_raw_, self.learning_rate)

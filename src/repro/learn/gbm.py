@@ -21,6 +21,10 @@ Two training-speed levers (both preserve the model family):
   trees are kept, raw predictions are re-accumulated on the new data, and
   only the missing stages are trained. NURD exploits this to reuse each
   checkpoint's ensemble at the next checkpoint.
+
+Every GBM prediction, the warm-start replay included, goes through one
+packed router (``tree._PackedTrees``) built once per fit from
+``estimators_``: all trees are routed at once, one pass per depth level.
 """
 
 from __future__ import annotations
@@ -30,7 +34,8 @@ from typing import Optional
 import numpy as np
 
 from repro.learn.base import BaseEstimator, ClassifierMixin, RegressorMixin
-from repro.learn.tree import _MAX_HIST_BINS, _Binner, DecisionTreeRegressor
+from repro.learn.tree import _MAX_HIST_BINS, _Binner, _PackedTrees
+from repro.learn.tree import DecisionTreeRegressor
 from repro.utils.validation import (
     check_array,
     check_is_fitted,
@@ -223,9 +228,7 @@ class _BaseGradientBoosting(BaseEstimator):
                     "trees already fitted."
                 )
             rng = self._rng
-            raw = np.full(n, self.init_raw_, dtype=np.float64)
-            for tree in self.estimators_:
-                raw += self.learning_rate * tree.tree_.predict(X)[:, 0]
+            raw = self._packed.raw(X, self.init_raw_, self.learning_rate)
         else:
             rng = check_random_state(self.random_state)
             self._rng = rng
@@ -276,6 +279,7 @@ class _BaseGradientBoosting(BaseEstimator):
                 raw += self.learning_rate * tree.tree_.predict(X)[:, 0]
             self.estimators_.append(tree)
             self.train_loss_.append(loss.loss(y, raw))
+        self._packed = _PackedTrees([tree.tree_ for tree in self.estimators_])
         self.loss_ = loss
         self.n_features_in_ = X.shape[1]
         return self
@@ -288,18 +292,15 @@ class _BaseGradientBoosting(BaseEstimator):
                 f"X has {X.shape[1]} features; model was fitted with "
                 f"{self.n_features_in_}."
             )
-        raw = np.full(X.shape[0], self.init_raw_, dtype=np.float64)
-        for tree in self.estimators_:
-            raw += self.learning_rate * tree.tree_.predict(X)[:, 0]
-        return raw
+        return self._packed.raw(X, self.init_raw_, self.learning_rate)
 
     def staged_raw_predict(self, X):
         """Yield raw predictions after each boosting stage."""
         check_is_fitted(self, ["estimators_"])
         X = check_array(X)
         raw = np.full(X.shape[0], self.init_raw_, dtype=np.float64)
-        for tree in self.estimators_:
-            raw = raw + self.learning_rate * tree.tree_.predict(X)[:, 0]
+        for values in self._packed.leaf_values(X):
+            raw += self.learning_rate * values
             yield raw.copy()
 
 
@@ -336,6 +337,7 @@ class GradientBoostingClassifier(_BaseGradientBoosting, ClassifierMixin):
             # Degenerate single-class training set: constant predictor.
             self.init_raw_ = np.inf if classes[0] == 1 else -np.inf
             self.estimators_ = []
+            self._packed = _PackedTrees([])
             self.train_loss_ = []
             self.loss_ = self._make_loss()
             self.n_features_in_ = check_array(X).shape[1]

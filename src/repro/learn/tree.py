@@ -14,17 +14,22 @@ Two split-search strategies are available via ``splitter``:
   histograms of (count, Σy) are built with a single ``bincount`` over all
   features at once, and every candidate cut of every feature is scored in
   one vectorized pass over the (d, n_bins) histogram — no sorting inside
-  nodes. Child histograms use the subtraction trick (child = parent −
-  sibling), so only the smaller child is ever scanned.
+  nodes. Whether a child can still split is decided when its parent
+  splits: a child that cannot (at ``max_depth``, below
+  ``min_samples_split`` or pure) becomes a leaf on the spot and is never
+  scanned. When a child will grow, the subtraction trick (child = parent −
+  sibling) means only the smaller child is ever scanned.
 
 Thresholds found by the histogram splitter are real feature values (bin
 edges), so fitted trees predict on raw, un-binned inputs either way.
+:class:`_PackedTrees` routes rows through a whole ensemble of fitted trees
+in one level-synchronous pass per depth.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -45,9 +50,9 @@ _MAX_HIST_BINS = 256
 class _Binner:
     """Quantile feature binner producing compact ``uint8`` codes.
 
-    Each feature is cut at at most ``max_bins - 1`` edges placed between
-    distinct observed values (all midpoints when the feature has few distinct
-    values, quantile midpoints otherwise). Bin ``b`` holds values in
+    Each feature is cut at at most ``max_bins - 1`` edges: the midpoints
+    between distinct observed values when the feature has few of them, its
+    interior quantiles otherwise. Bin ``b`` holds values in
     ``(edges[b-1], edges[b]]``, so the candidate split "bin ≤ b" is exactly
     the raw-space split "x ≤ edges[b]" — trees trained on codes remain valid
     on raw features.
@@ -72,8 +77,10 @@ class _Binner:
                 qs = np.quantile(
                     X[:, f], np.linspace(0.0, 1.0, self.max_bins + 1)[1:-1]
                 )
-                # Duplicate quantiles collapse; keep midpoint semantics by
-                # nudging each cut between the distinct values around it.
+                # Cuts are the interpolated quantiles themselves, not
+                # midpoints, and may equal an observed value (which then
+                # lands in the bin below). Tied quantiles are deduplicated,
+                # so a heavily tied feature gets fewer than max_bins bins.
                 cuts = np.unique(qs)
             edges.append(cuts)
         self.edges_ = edges
@@ -90,29 +97,19 @@ class _Binner:
             codes[:, f] = np.searchsorted(cuts, X[:, f], side="left")
         return codes
 
-    def fit_transform(self, X: np.ndarray) -> np.ndarray:
-        return self.fit(X).transform(X)
 
-
-def _node_histograms(
-    codes: np.ndarray,
-    y: np.ndarray,
-    idx: np.ndarray,
-    offsets: np.ndarray,
-    n_total: int,
-):
+def _node_histograms(slots: np.ndarray, y: np.ndarray, idx: np.ndarray, n_total: int):
     """(count, Σy) histograms of one node, shape (d, n_bins) each.
 
-    One flattened ``bincount`` covers every feature at once: code ``b`` of
-    feature ``f`` maps to slot ``f * n_bins + b``.
+    One flattened ``bincount`` covers every feature at once: ``slots`` holds
+    ``f * n_bins + b`` for code ``b`` of feature ``f``. Counts are float64
+    (exact below 2**53), so the gain arithmetic never casts them.
     """
-    flat = (codes[idx].astype(np.intp) + offsets).ravel()
-    d = offsets.shape[1]
-    cnt = np.bincount(flat, minlength=d * n_total).reshape(d, n_total)
-    wsum = np.bincount(
-        flat, weights=np.repeat(y[idx], d), minlength=d * n_total
-    ).reshape(d, n_total)
-    return cnt, wsum
+    flat = slots[idx].ravel()
+    d = slots.shape[1]
+    cnt = np.bincount(flat, minlength=d * n_total).astype(np.float64)
+    wsum = np.bincount(flat, weights=np.repeat(y[idx], d), minlength=d * n_total)
+    return cnt.reshape(d, n_total), wsum.reshape(d, n_total)
 
 
 @dataclass
@@ -123,11 +120,11 @@ class _TreeBuffers:
     threshold: List[float] = field(default_factory=list)
     left: List[int] = field(default_factory=list)
     right: List[int] = field(default_factory=list)
-    value: List[np.ndarray] = field(default_factory=list)
+    value: List[float] = field(default_factory=list)
     n_samples: List[int] = field(default_factory=list)
     impurity: List[float] = field(default_factory=list)
 
-    def add_node(self, value: np.ndarray, n: int, impurity: float) -> int:
+    def add_node(self, value: float, n: int, impurity: float) -> int:
         self.feature.append(_LEAF)
         self.threshold.append(np.nan)
         self.left.append(_LEAF)
@@ -143,7 +140,7 @@ class _TreeBuffers:
             threshold=np.asarray(self.threshold, dtype=np.float64),
             left=np.asarray(self.left, dtype=np.int64),
             right=np.asarray(self.right, dtype=np.int64),
-            value=np.stack(self.value),
+            value=np.asarray(self.value, dtype=np.float64)[:, None],
             n_samples=np.asarray(self.n_samples, dtype=np.int64),
             impurity=np.asarray(self.impurity, dtype=np.float64),
         )
@@ -186,23 +183,66 @@ class _Tree:
         """Return the node value for each row; shape (n, n_outputs)."""
         return self.value[self.apply(X)]
 
-    def decision_path_depth(self, X: np.ndarray) -> np.ndarray:
-        """Return the depth (number of edges) each row travels to its leaf.
 
-        Used by isolation-forest-style detectors.
-        """
-        node = np.zeros(X.shape[0], dtype=np.int64)
-        depth = np.zeros(X.shape[0], dtype=np.int64)
-        active = self.feature[node] != _LEAF
-        while np.any(active):
-            idx = np.nonzero(active)[0]
-            cur = node[idx]
-            feat = self.feature[cur]
-            go_left = X[idx, feat] <= self.threshold[cur]
-            node[idx] = np.where(go_left, self.left[cur], self.right[cur])
-            depth[idx] += 1
-            active[idx] = self.feature[node[idx]] != _LEAF
-        return depth
+class _PackedTrees:
+    """An ensemble's T fitted trees in flat node arrays, ``width`` slots each.
+
+    ``leaf_values`` routes rows through all T trees at once, one pass per
+    depth level. Node ids are global (``t * width + local``). The builders
+    add a split's two children one after the other (right = left + 1), so
+    only ``left`` is stored. Leaves and padding slots have threshold +inf
+    and are their own left child, so rows that reach a leaf early stay put.
+    """
+
+    def __init__(self, trees: Sequence[_Tree]):
+        sizes = np.array([tree.node_count for tree in trees], dtype=np.intp)
+        width = int(sizes.max(initial=1))
+        n_slots = len(trees) * width
+        self.roots = np.arange(len(trees)) * width
+        # Global ids of the real (unpadded) nodes, tree after tree, and each
+        # node attribute concatenated in the same order ([[]]: no trees).
+        local = np.arange(width)
+        real = (self.roots[:, None] + local)[local < sizes[:, None]]
+        feature, threshold, left, value = (
+            np.concatenate([getattr(t, name).ravel() for t in trees] or [[]])
+            for name in ("feature", "threshold", "left", "value")
+        )
+        split = feature != _LEAF
+        self.feature = np.zeros(n_slots, dtype=np.intp)
+        self.feature[real[split]] = feature[split]
+        self.threshold = np.full(n_slots, np.inf)
+        self.threshold[real[split]] = threshold[split]
+        self.left = np.arange(n_slots)
+        self.left[real[split]] = (left + np.repeat(self.roots, sizes))[split]
+        self.value = np.zeros(n_slots)
+        self.value[real] = value
+        # Passes needed = deepest leaf: walk the internal nodes level by level.
+        internal = self.left != np.arange(n_slots)
+        self.depth, level = 0, self.roots[internal[self.roots]]
+        while level.size:
+            self.depth += 1
+            level = np.concatenate([self.left[level], self.left[level] + 1])
+            level = level[internal[level]]
+
+    def leaf_values(self, X: np.ndarray) -> np.ndarray:
+        """Leaf value of each row in each tree, shape (T, n)."""
+        n, d = X.shape
+        flat_x, row = X.ravel(), np.arange(n) * d
+        node = np.repeat(self.roots, n).reshape(-1, n)
+        for _ in range(self.depth):
+            # X is finite, so ``x > thr`` is exactly "not x <= thr".
+            go_right = flat_x[row + self.feature[node]] > self.threshold[node]
+            node = self.left[node] + go_right
+        return self.value[node]
+
+    def raw(self, X: np.ndarray, init: float, learning_rate: float) -> np.ndarray:
+        """``init + Σ_t learning_rate · tree_t(X)``, summed tree by tree in
+        an explicit loop: a reduction over axis 0 would sum one row pairwise,
+        which rounds differently."""
+        raw = np.full(X.shape[0], init, dtype=np.float64)
+        for scaled in learning_rate * self.leaf_values(X):
+            raw += scaled
+        return raw
 
 
 def _best_split_mse(
@@ -312,17 +352,11 @@ class _BaseDecisionTree(BaseEstimator):
         self.random_state = random_state
 
     # Subclass hooks -------------------------------------------------
-    def _leaf_value(self, y: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def _impurity(self, y: np.ndarray) -> float:
-        raise NotImplementedError
-
     def _leaf_stats(self, y: np.ndarray):
-        """(leaf value array, impurity) in one pass — the builders' hot
-        path; subclasses override with raw reductions to avoid the
-        ``np.var``/``np.mean`` wrapper overhead on tiny node subsets."""
-        return self._leaf_value(y), self._impurity(y)
+        """(leaf value, impurity) of a node's targets as plain floats, in
+        one pass — the builders' hot path, so subclasses use raw reductions
+        rather than the ``np.var``/``np.mean`` wrappers."""
+        raise NotImplementedError
 
     def _split(self, Xf: np.ndarray, y: np.ndarray):
         raise NotImplementedError
@@ -373,6 +407,10 @@ class _BaseDecisionTree(BaseEstimator):
             )
         return rng, max_depth
 
+    def _grows(self, depth: int, m: int, imp: float, max_depth) -> bool:
+        """Whether a node may still be split; otherwise it is a leaf."""
+        return not (depth >= max_depth or m < self.min_samples_split or imp <= 1e-12)
+
     def _fit_validated(self, X: np.ndarray, y: np.ndarray):
         """Grow the tree on validated inputs, dispatching on ``splitter``."""
         if self.splitter == "hist":
@@ -394,11 +432,8 @@ class _BaseDecisionTree(BaseEstimator):
         while stack:
             node_id, idx, depth = stack.pop()
             ysub = y[idx]
-            if (
-                depth >= max_depth
-                or idx.shape[0] < self.min_samples_split
-                or buffers.impurity[node_id] <= 1e-12
-            ):
+            imp = buffers.impurity[node_id]
+            if not self._grows(depth, idx.shape[0], imp, max_depth):
                 train_leaves[idx] = node_id
                 continue
             if k < d:
@@ -453,105 +488,83 @@ class _BaseDecisionTree(BaseEstimator):
         n, d = codes.shape
         k = self._n_candidate_features(d)
         n_total = binner.n_total_bins_
-        offsets = (np.arange(d, dtype=np.intp) * n_total)[None, :]
+        # Histogram slot f * n_total + code of every cell, once per tree.
+        slots = codes.astype(np.intp) + np.arange(d, dtype=np.intp) * n_total
         # cut_exists[f, b]: feature f really has an edge after bin b.
         cut_exists = np.arange(n_total - 1)[None, :] < (binner.n_bins_[:, None] - 1)
         buffers = _TreeBuffers()
-        train_leaves = np.zeros(n, dtype=np.int64)
+        train_leaves = np.zeros(n, dtype=np.int64)  # all in the root, node 0
 
         root_value, root_imp = self._leaf_stats(y)
-        root_idx = buffers.add_node(root_value, n, root_imp)
+        buffers.add_node(root_value, n, root_imp)
         # Split-search histograms use (for regression) mean-centered targets:
         # the SSE-reduction gain is shift-invariant mathematically, and
         # centered sums avoid catastrophic cancellation on large-offset y.
         yh = self._hist_targets(y)
-        if n_total > 1:
-            root_hist = _node_histograms(codes, yh, np.arange(n), offsets, n_total)
-            stack = [(root_idx, np.arange(n), 0, root_hist)]
-        else:
-            # Every feature is constant: the root stays a leaf.
-            stack = []
+        root = np.arange(n)
+        # With every feature constant (n_total == 1) the root stays a leaf.
+        stack = []
+        if n_total > 1 and self._grows(0, n, root_imp, max_depth):
+            stack.append((0, root, 0, _node_histograms(slots, yh, root, n_total)))
         # One errstate switch for the whole build (zero-count divisions are
         # masked by the validity filter; per-node context managers cost more
         # than the arithmetic at this node size).
-        saved_err = np.seterr(divide="ignore", invalid="ignore")
-        try:
-            self._grow_binned_nodes(
-                stack, codes, y, yh, binner, buffers, train_leaves,
-                cut_exists, offsets, n_total, max_depth, k, d, rng,
-            )
-        finally:
-            np.seterr(**saved_err)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # Depth-first; every node on the stack can split.
+            while stack:
+                node_id, idx, depth, (cnt, wsum) = stack.pop()
+                m = idx.shape[0]
+                # Cumulative histograms score every cut of every feature at once.
+                left_n = np.cumsum(cnt, axis=1)[:, :-1]
+                left_sum = np.cumsum(wsum, axis=1)[:, :-1]
+                total = float(wsum[0].sum())
+                gain = self._hist_gain(left_n, left_sum, m, total)
+                valid = (
+                    cut_exists
+                    & (left_n >= self.min_samples_leaf)
+                    & (m - left_n >= self.min_samples_leaf)
+                )
+                if k < d:
+                    chosen = np.zeros(d, dtype=bool)
+                    chosen[rng.choice(d, size=k, replace=False)] = True
+                    valid = valid & chosen[:, None]
+                gain[~valid] = -np.inf
+                flat_best = int(np.argmax(gain))
+                best_feat, best_bin = divmod(flat_best, n_total - 1)
+                best_gain = gain[best_feat, best_bin]
+                if not np.isfinite(best_gain) or best_gain <= 1e-12:
+                    train_leaves[idx] = node_id
+                    continue
+                buffers.feature[node_id] = int(best_feat)
+                buffers.threshold[node_id] = float(binner.edges_[best_feat][best_bin])
+                go_left = codes[idx, best_feat] <= best_bin
+                # A child that cannot split is a leaf from here on: it is
+                # never pushed and its histogram is never built.
+                ids, parts, grows = [], (idx[go_left], idx[~go_left]), []
+                for part in parts:
+                    value, imp = self._leaf_stats(y[part])
+                    ids.append(buffers.add_node(value, part.shape[0], imp))
+                    grows.append(self._grows(depth + 1, part.shape[0], imp, max_depth))
+                    if not grows[-1]:
+                        train_leaves[part] = ids[-1]
+                buffers.left[node_id], buffers.right[node_id] = ids
+                if not any(grows):
+                    continue
+                # Subtraction trick: scan only the smaller child (the left on
+                # a tie), derive the larger one's histograms from the parent's.
+                small = int(parts[0].shape[0] > parts[1].shape[0])
+                big = 1 - small
+                cnt_s, wsum_s = _node_histograms(slots, yh, parts[small], n_total)
+                if grows[small]:
+                    stack.append((ids[small], parts[small], depth + 1, (cnt_s, wsum_s)))
+                if grows[big]:
+                    big_hist = (cnt - cnt_s, wsum - wsum_s)
+                    stack.append((ids[big], parts[big], depth + 1, big_hist))
 
         self.tree_ = buffers.finalize()
         self.n_features_in_ = d
         self._train_leaves_ = train_leaves
         return self
-
-    def _grow_binned_nodes(
-        self, stack, codes, y, yh, binner, buffers, train_leaves, cut_exists,
-        offsets, n_total, max_depth, k, d, rng,
-    ):
-        while stack:
-            node_id, idx, depth, (cnt, wsum) = stack.pop()
-            m = idx.shape[0]
-            if (
-                depth >= max_depth
-                or m < self.min_samples_split
-                or buffers.impurity[node_id] <= 1e-12
-            ):
-                train_leaves[idx] = node_id
-                continue
-            # Cumulative histograms score every cut of every feature at once.
-            left_n = np.cumsum(cnt, axis=1)[:, :-1]
-            left_sum = np.cumsum(wsum, axis=1)[:, :-1]
-            total = float(wsum[0].sum())
-            gain = self._hist_gain(left_n, left_sum, m, total)
-            valid = (
-                cut_exists
-                & (left_n >= self.min_samples_leaf)
-                & (m - left_n >= self.min_samples_leaf)
-            )
-            if k < d:
-                chosen = np.zeros(d, dtype=bool)
-                chosen[rng.choice(d, size=k, replace=False)] = True
-                valid = valid & chosen[:, None]
-            gain[~valid] = -np.inf
-            flat_best = int(np.argmax(gain))
-            best_feat, best_bin = divmod(flat_best, n_total - 1)
-            best_gain = gain[best_feat, best_bin]
-            if not np.isfinite(best_gain) or best_gain <= 1e-12:
-                train_leaves[idx] = node_id
-                continue
-            thr = float(binner.edges_[best_feat][best_bin])
-            go_left = codes[idx, best_feat] <= best_bin
-            left_idx = idx[go_left]
-            right_idx = idx[~go_left]
-            left_value, left_imp = self._leaf_stats(y[left_idx])
-            right_value, right_imp = self._leaf_stats(y[right_idx])
-            left_id = buffers.add_node(left_value, left_idx.shape[0], left_imp)
-            right_id = buffers.add_node(
-                right_value, right_idx.shape[0], right_imp
-            )
-            buffers.feature[node_id] = int(best_feat)
-            buffers.threshold[node_id] = thr
-            buffers.left[node_id] = left_id
-            buffers.right[node_id] = right_id
-            # Subtraction trick: scan only the smaller child, derive the
-            # larger one's histograms from the parent's.
-            if left_idx.shape[0] <= right_idx.shape[0]:
-                small_idx, small_id, big_idx, big_id = (
-                    left_idx, left_id, right_idx, right_id,
-                )
-            else:
-                small_idx, small_id, big_idx, big_id = (
-                    right_idx, right_id, left_idx, left_id,
-                )
-            cnt_s, wsum_s = _node_histograms(codes, yh, small_idx, offsets, n_total)
-            stack.append((small_id, small_idx, depth + 1, (cnt_s, wsum_s)))
-            stack.append(
-                (big_id, big_idx, depth + 1, (cnt - cnt_s, wsum - wsum_s))
-            )
 
     def _check_predict_input(self, X) -> np.ndarray:
         check_is_fitted(self, ["tree_"])
@@ -580,20 +593,13 @@ class DecisionTreeRegressor(_BaseDecisionTree, RegressorMixin):
         X, y = check_X_y(X, y)
         return self._fit_validated(X, y)
 
-    def _leaf_value(self, y: np.ndarray) -> np.ndarray:
-        return np.array([y.mean()])
-
-    def _impurity(self, y: np.ndarray) -> float:
-        return float(np.var(y) * y.shape[0])
-
     def _leaf_stats(self, y: np.ndarray):
         s = float(np.add.reduce(y))
         mean = s / y.shape[0]
         # Centered two-pass n·var: the one-pass Σy² − (Σy)²/n form suffers
         # catastrophic cancellation on large-offset targets.
         d = y - mean
-        imp = float(d @ d)
-        return np.array([mean]), imp
+        return mean, float(d @ d)
 
     def _split(self, Xf, y):
         return _best_split_mse(Xf, y, self.min_samples_leaf)
@@ -632,19 +638,11 @@ class DecisionTreeClassifier(_BaseDecisionTree, ClassifierMixin):
         y01 = (y == classes[-1]).astype(np.float64)
         return self._fit_validated(X, y01)
 
-    def _leaf_value(self, y: np.ndarray) -> np.ndarray:
-        # Stored value is P(class = classes_[-1]).
-        return np.array([y.mean()])
-
-    def _impurity(self, y: np.ndarray) -> float:
-        p = y.mean()
-        return float(2.0 * p * (1.0 - p) * y.shape[0])
-
     def _leaf_stats(self, y: np.ndarray):
+        # Stored value is p = P(class = classes_[-1]).
         n = y.shape[0]
-        s = float(np.add.reduce(y))
-        p = s / n
-        return np.array([p]), float(2.0 * p * (1.0 - p) * n)
+        p = float(np.add.reduce(y)) / n
+        return p, float(2.0 * p * (1.0 - p) * n)
 
     def _split(self, Xf, y):
         return _best_split_gini(Xf, y, self.min_samples_leaf)
