@@ -6,14 +6,19 @@ the performance trajectory. Run with::
 
     PYTHONPATH=src python benchmarks/perf/bench_training.py
 
+The shipping models grow histogram trees only. The exact-splitter arm is
+``EXACT_REFERENCE`` in ``tests/test_hist_training.py``: exact-splitter
+stand-ins for ``GradientBoostingRegressor`` and ``GrabitRegressor``.
+
 The end-to-end section replays the tier-1 benchmark traces (6 jobs per
 family, tasks 120-180, seed 42 — the same configuration as
 ``benchmarks/conftest.py``) through the GBM-backed methods twice:
 
-- **baseline** — exact split search, full 60-tree refit at every
-  checkpoint, strictly serial job loop (the seed-repo behaviour);
-- **optimized** — histogram splitter, warm-started checkpoint refits with
-  geometric refresh, and ``n_workers > 1``.
+- **baseline** — exact split search (the reference models swapped into
+  ``repro.core.nurd`` and ``repro.eval.baselines``), full 60-tree refit at
+  every checkpoint, strictly serial job loop (the seed-repo behaviour);
+- **optimized** — the shipping histogram trees, warm-started checkpoint
+  refits with geometric refresh, and ``n_workers > 1``.
 
 Alongside the speedup it records NURD's Table-3 deltas between the two
 configurations; the acceptance gate is ≥3× end-to-end with TPR/FPR/F1
@@ -26,15 +31,23 @@ import argparse
 import json
 import os
 import platform
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
-from repro.eval import EvaluationConfig, evaluate_all
-from repro.learn.gbm import GradientBoostingRegressor
-from repro.traces.alibaba import AlibabaTraceGenerator
-from repro.traces.google import GoogleTraceGenerator
+_REPO = Path(__file__).resolve().parents[2]
+sys.path.insert(0, str(_REPO / "tests"))
+
+from test_hist_training import EXACT_REFERENCE  # noqa: E402
+
+import repro.core.nurd as nurd_mod  # noqa: E402
+import repro.eval.baselines as baselines_mod  # noqa: E402
+from repro.eval import EvaluationConfig, evaluate_all  # noqa: E402
+from repro.learn.gbm import GradientBoostingRegressor  # noqa: E402
+from repro.traces.alibaba import AlibabaTraceGenerator  # noqa: E402
+from repro.traces.google import GoogleTraceGenerator  # noqa: E402
 
 #: Tier-1 benchmark trace configuration (mirrors benchmarks/conftest.py).
 N_JOBS = 6
@@ -46,13 +59,27 @@ N_CHECKPOINTS = 10
 #: The GBM-backed Table-3 methods — the ones this PR's machinery touches.
 METHODS = ["GBTR", "Grabit", "NURD-NC", "NURD"]
 
-#: method_params pinning the seed-repo behaviour for the baseline arm.
+#: method_params pinning the seed-repo behaviour for the baseline arm (its
+#: exact split search comes from swapping in ``EXACT_REFERENCE``).
 BASELINE_PARAMS = {
-    "GBTR": {"splitter": "exact"},
-    "Grabit": {"splitter": "exact"},
-    "NURD": {"splitter": "exact", "warm_start": False},
-    "NURD-NC": {"splitter": "exact", "warm_start": False},
+    "NURD": {"warm_start": False},
+    "NURD-NC": {"warm_start": False},
 }
+
+#: Modules whose boosted-model names the baseline arm rebinds.
+_MODEL_MODULES = (nurd_mod, baselines_mod)
+
+
+def _swap_models(models: dict) -> list:
+    """Rebind each model name found in ``_MODEL_MODULES``; return what to
+    restore."""
+    saved = []
+    for module in _MODEL_MODULES:
+        for name, cls in models.items():
+            if hasattr(module, name):
+                saved.append((module, name, getattr(module, name)))
+                setattr(module, name, cls)
+    return saved
 
 
 def bench_micro_fits(n: int = 150, d: int = 15, n_estimators: int = 60,
@@ -62,18 +89,16 @@ def bench_micro_fits(n: int = 150, d: int = 15, n_estimators: int = 60,
     X = rng.normal(size=(n, d))
     y = 2.0 * X[:, 0] + np.sin(3.0 * X[:, 1]) + rng.normal(scale=0.2, size=n)
 
-    def one(splitter):
+    def one(model_cls):
         best = np.inf
         for _ in range(repeats):
             t0 = time.perf_counter()
-            GradientBoostingRegressor(
-                n_estimators=n_estimators, max_depth=3,
-                splitter=splitter, random_state=0,
-            ).fit(X, y)
+            model_cls(n_estimators=n_estimators, max_depth=3).fit(X, y)
             best = min(best, time.perf_counter() - t0)
         return best
 
-    t_exact, t_hist = one("exact"), one("hist")
+    t_exact = one(EXACT_REFERENCE["GradientBoostingRegressor"])
+    t_hist = one(GradientBoostingRegressor)
     return {
         "n_samples": n,
         "n_features": d,
@@ -93,14 +118,11 @@ def bench_warm_start(n: int = 150, d: int = 15) -> dict:
 
     t0 = time.perf_counter()
     for s in sizes:
-        GradientBoostingRegressor(n_estimators=60, random_state=0).fit(
-            X[:s], y[:s]
-        )
+        GradientBoostingRegressor(n_estimators=60).fit(X[:s], y[:s])
     t_scratch = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    m = GradientBoostingRegressor(n_estimators=60, random_state=0,
-                                  warm_start=True)
+    m = GradientBoostingRegressor(n_estimators=60, warm_start=True)
     m.fit(X[: sizes[0]], y[: sizes[0]])
     for s in sizes[1:]:
         m.set_params(n_estimators=len(m.estimators_) + 15)
@@ -132,9 +154,14 @@ def bench_end_to_end(n_workers: int) -> dict:
             n_checkpoints=N_CHECKPOINTS, alpha=NURD_ALPHA[family],
             random_state=0,
         )
-        t0 = time.perf_counter()
-        res_base = evaluate_all(trace, METHODS, cfg_base)
-        t_base = time.perf_counter() - t0
+        saved = _swap_models(EXACT_REFERENCE)
+        try:
+            t0 = time.perf_counter()
+            res_base = evaluate_all(trace, METHODS, cfg_base)
+            t_base = time.perf_counter() - t0
+        finally:
+            for module, name, cls in saved:
+                setattr(module, name, cls)
         t0 = time.perf_counter()
         res_opt = evaluate_all(trace, METHODS, cfg_opt, n_workers=n_workers)
         t_opt = time.perf_counter() - t0

@@ -100,9 +100,7 @@ def test_ablation_propensity_model(google_trace, benchmark):
         logistic = _mean_f1(google_trace)
         boosted = _mean_f1(
             google_trace,
-            propensity_model=GradientBoostingClassifier(
-                n_estimators=30, max_depth=2, random_state=0
-            ),
+            propensity_model=GradientBoostingClassifier(n_estimators=30, max_depth=2),
         )
         return {"logistic": logistic, "gbm": boosted}
 

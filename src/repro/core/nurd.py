@@ -32,19 +32,10 @@ from repro.learn.gbm import GradientBoostingRegressor
 from repro.utils.validation import check_array, check_is_fitted, check_X_y
 
 
-def _default_regressor(
-    random_state=None, splitter: str = "hist", warm_start: bool = False
-) -> GradientBoostingRegressor:
+def _default_regressor() -> GradientBoostingRegressor:
     # Small, shallow ensemble: NURD retrains every checkpoint on a few
     # hundred samples, so capacity beyond this only costs time.
-    return GradientBoostingRegressor(
-        n_estimators=60,
-        max_depth=3,
-        learning_rate=0.1,
-        splitter=splitter,
-        warm_start=warm_start,
-        random_state=random_state,
-    )
+    return GradientBoostingRegressor(n_estimators=60, max_depth=3, learning_rate=0.1)
 
 
 class NurdPredictor(OnlineStragglerPredictor):
@@ -92,11 +83,9 @@ class NurdPredictor(OnlineStragglerPredictor):
         Both fits converge to the same strictly convex optimum within the
         solver tolerance, so flags are unchanged in practice; the default
         stays False so unbudgeted replay is bit-stable.
-    splitter : {'hist', 'exact'}
-        Split search of the default latency model's trees (ignored when a
-        custom ``regressor`` is supplied).
     random_state : int or Generator or None
-        Seed for the boosted trees.
+        Kept so every method is built alike (``build_predictor`` passes
+        one to each); the default models draw no random numbers.
     """
 
     def __init__(
@@ -111,7 +100,6 @@ class NurdPredictor(OnlineStragglerPredictor):
         warm_increment: int = 25,
         warm_refresh: float = 1.45,
         warm_propensity: bool = False,
-        splitter: str = "hist",
         random_state=None,
     ):
         self.alpha = alpha
@@ -124,7 +112,6 @@ class NurdPredictor(OnlineStragglerPredictor):
         self.warm_increment = warm_increment
         self.warm_refresh = warm_refresh
         self.warm_propensity = warm_propensity
-        self.splitter = splitter
         self.random_state = random_state
 
     # ------------------------------------------------------------------
@@ -183,7 +170,7 @@ class NurdPredictor(OnlineStragglerPredictor):
             base = (
                 self.regressor
                 if self.regressor is not None
-                else _default_regressor(self.random_state, splitter=self.splitter)
+                else _default_regressor()
             )
             self.h_ = clone(base)
             if self.warm_start and isinstance(
@@ -275,7 +262,6 @@ class NurdNcPredictor(NurdPredictor):
         warm_increment: int = 25,
         warm_refresh: float = 1.45,
         warm_propensity: bool = False,
-        splitter: str = "hist",
         random_state=None,
     ):
         super().__init__(
@@ -289,6 +275,5 @@ class NurdNcPredictor(NurdPredictor):
             warm_increment=warm_increment,
             warm_refresh=warm_refresh,
             warm_propensity=warm_propensity,
-            splitter=splitter,
             random_state=random_state,
         )

@@ -62,7 +62,7 @@ class TransferNurd(NurdPredictor):
         base = (
             self.regressor
             if self.regressor is not None
-            else _default_regressor(self.random_state)
+            else _default_regressor()
         )
         self.source_model_ = clone(base)
         self.source_model_.fit(X_source, y_source / self._source_scale_)

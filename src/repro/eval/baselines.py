@@ -37,26 +37,27 @@ from repro.utils.validation import check_random_state
 
 
 class GbtrPredictor(OnlineStragglerPredictor):
-    """Supervised baseline: plain gradient-boosted latency regression."""
+    """Supervised baseline: plain gradient-boosted latency regression.
+
+    ``random_state`` is kept so every method is built alike
+    (``build_predictor`` passes one to each); the model draws no random
+    numbers.
+    """
 
     def __init__(
         self,
         n_estimators: int = 60,
         max_depth: int = 3,
-        splitter: str = "hist",
         random_state=None,
     ):
         self.n_estimators = n_estimators
         self.max_depth = max_depth
-        self.splitter = splitter
         self.random_state = random_state
 
     def update(self, X_fin, y_fin, X_run, elapsed_run=None) -> None:
         self.model_ = GradientBoostingRegressor(
             n_estimators=self.n_estimators,
             max_depth=self.max_depth,
-            splitter=self.splitter,
-            random_state=self.random_state,
         ).fit(X_fin, y_fin)
 
     def predict_stragglers(self, X_run) -> np.ndarray:
@@ -186,6 +187,8 @@ class CensoredRegressionPredictor(OnlineStragglerPredictor):
     the largest finished latency). ``censor_mode='elapsed'`` instead censors
     each running task at its own elapsed execution time — strictly more
     information than the paper's setting, kept for the censoring ablation.
+    ``random_state`` is kept so every method is built alike; neither model
+    draws random numbers.
     """
 
     def __init__(
@@ -193,13 +196,11 @@ class CensoredRegressionPredictor(OnlineStragglerPredictor):
         variant: str = "Tobit",
         censor_mode: str = "tau_run",
         sigma=None,
-        splitter: str = "hist",
         random_state=None,
     ):
         self.variant = variant
         self.censor_mode = censor_mode
         self.sigma = sigma
-        self.splitter = splitter
         self.random_state = random_state
 
     def update(self, X_fin, y_fin, X_run, elapsed_run=None) -> None:
@@ -220,11 +221,7 @@ class CensoredRegressionPredictor(OnlineStragglerPredictor):
         if self.variant == "Tobit":
             self.model_ = TobitRegressor()
         elif self.variant == "Grabit":
-            self.model_ = GrabitRegressor(
-                sigma=self.sigma,
-                splitter=self.splitter,
-                random_state=self.random_state,
-            )
+            self.model_ = GrabitRegressor(sigma=self.sigma)
         else:
             raise ValueError(f"unknown censored variant {self.variant!r}.")
         self.model_.fit(X_all, y_all, censored)

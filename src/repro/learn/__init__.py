@@ -7,7 +7,7 @@ scalers and classification metrics. Everything is pure NumPy/SciPy.
 """
 
 from repro.learn.base import BaseEstimator, ClassifierMixin, RegressorMixin, clone
-from repro.learn.tree import DecisionTreeRegressor, DecisionTreeClassifier
+from repro.learn.tree import DecisionTreeRegressor
 from repro.learn.gbm import (
     GradientBoostingRegressor,
     GradientBoostingClassifier,
@@ -41,7 +41,6 @@ __all__ = [
     "RegressorMixin",
     "clone",
     "DecisionTreeRegressor",
-    "DecisionTreeClassifier",
     "GradientBoostingRegressor",
     "GradientBoostingClassifier",
     "LogisticRegression",

@@ -3,45 +3,40 @@
 ``GradientBoostingRegressor`` with the default least-squares loss is the
 paper's GBTR predictor (the supervised baseline and NURD's latency model
 ``h_t``); the Tobit loss in :mod:`repro.censored.grabit` plugs into the same
-machinery to form Grabit. ``GradientBoostingClassifier`` (binomial deviance)
-backs XGBOD and is available as an alternative propensity model.
+stage loop to form Grabit. ``GradientBoostingClassifier`` (binomial
+deviance) backs XGBOD and is available as an alternative propensity model.
 
-Each boosting stage fits a regression tree to the negative gradient and then
-re-estimates leaf values with one Newton step of the true loss (the classic
-Friedman/TreeBoost update), so non-quadratic losses converge properly.
+Each boosting stage fits a regression tree to the loss's residual (its
+negative gradient) and then re-estimates every leaf with one Newton step of
+the true loss, Σresidual / Σhessian over the leaf's samples (the classic
+Friedman/TreeBoost update), so non-quadratic losses converge properly. One
+stage loop, :meth:`_BaseGradientBoosting._boost`, serves every model here
+and Grabit; a loss only supplies its initial raw score and its per-sample
+(residual, hessian) pair.
 
-Two training-speed levers (both preserve the model family):
+Features are quantized into ≤255 bins **once per ensemble fit** and every
+stage's tree grows on the shared binned matrix (the histogram split search
+of :mod:`repro.learn.tree` without per-tree binning cost). Every stage sees
+every row and every feature, so fitting draws no random numbers.
+``warm_start=True`` makes ``fit`` extend an already-fitted ensemble up to
+the current ``n_estimators`` instead of restarting from scratch: existing
+trees are kept, raw predictions are re-accumulated on the new data, and
+only the missing stages are trained. NURD exploits this to reuse each
+checkpoint's ensemble at the next checkpoint.
 
-- ``splitter="hist"`` (default) quantizes features into ≤255 bins **once per
-  ensemble fit** and grows every stage's tree on the shared binned matrix —
-  the histogram split search of :mod:`repro.learn.tree` without per-tree
-  binning cost.
-- ``warm_start=True`` makes ``fit`` extend an already-fitted ensemble up to
-  the current ``n_estimators`` instead of restarting from scratch: existing
-  trees are kept, raw predictions are re-accumulated on the new data, and
-  only the missing stages are trained. NURD exploits this to reuse each
-  checkpoint's ensemble at the next checkpoint.
-
-Every GBM prediction, the warm-start replay included, goes through one
-packed router (``tree._PackedTrees``) built once per fit from
-``estimators_``: all trees are routed at once, one pass per depth level.
+Every prediction, the warm-start replay included, goes through one packed
+router (``tree._PackedTrees``) built once per fit from ``estimators_``: all
+trees are routed at once, one pass per depth level.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.learn.base import BaseEstimator, ClassifierMixin, RegressorMixin
-from repro.learn.tree import _MAX_HIST_BINS, _Binner, _PackedTrees
+from repro.learn.tree import _LEAF, _MAX_HIST_BINS, _Binner, _PackedTrees
 from repro.learn.tree import DecisionTreeRegressor
-from repro.utils.validation import (
-    check_array,
-    check_is_fitted,
-    check_random_state,
-    check_X_y,
-)
+from repro.utils.validation import check_array, check_is_fitted, check_X_y
 
 
 class LossFunction:
@@ -51,51 +46,14 @@ class LossFunction:
     """
 
     def init_raw(self, y: np.ndarray) -> float:
-        """Constant raw prediction minimizing the loss."""
+        """Constant raw prediction the first stage starts from."""
         raise NotImplementedError
 
-    def negative_gradient(self, y: np.ndarray, raw: np.ndarray) -> np.ndarray:
-        """Pseudo-residuals the next tree is fitted to."""
+    def gradients(self, y: np.ndarray, raw: np.ndarray):
+        """Per-sample ``(residual, hessian)``: the negative gradient the next
+        tree is fitted to, and the second derivative its Newton leaf step
+        divides by."""
         raise NotImplementedError
-
-    def loss(self, y: np.ndarray, raw: np.ndarray) -> float:
-        """Mean loss value (for monitoring / early stopping)."""
-        raise NotImplementedError
-
-    def leaf_value(
-        self, y: np.ndarray, raw: np.ndarray, residual: np.ndarray
-    ) -> float:
-        """Newton-step leaf estimate given the samples in one leaf."""
-        raise NotImplementedError
-
-    def leaf_values(
-        self,
-        y: np.ndarray,
-        raw: np.ndarray,
-        residual: np.ndarray,
-        leaves: np.ndarray,
-        n_nodes: int,
-    ):
-        """Newton leaf estimates for all leaves at once.
-
-        Returns ``(values, occupied)`` where ``values[j]`` is the estimate
-        for node ``j`` and ``occupied`` marks nodes holding ≥1 sample. The
-        generic fallback loops; concrete losses override with one
-        ``bincount`` pass.
-        """
-        counts = np.bincount(leaves, minlength=n_nodes)
-        occupied = counts > 0
-        values = np.zeros(n_nodes, dtype=np.float64)
-        for leaf in np.nonzero(occupied)[0]:
-            members = leaves == leaf
-            values[leaf] = self.leaf_value(
-                y[members], raw[members], residual[members]
-            )
-        return values, occupied
-
-    def link_inverse(self, raw: np.ndarray) -> np.ndarray:
-        """Map raw scores to the prediction scale (identity by default)."""
-        return raw
 
 
 class LeastSquaresLoss(LossFunction):
@@ -104,23 +62,8 @@ class LeastSquaresLoss(LossFunction):
     def init_raw(self, y):
         return float(np.mean(y))
 
-    def negative_gradient(self, y, raw):
-        return y - raw
-
-    def loss(self, y, raw):
-        return float(0.5 * np.mean((y - raw) ** 2))
-
-    def leaf_value(self, y, raw, residual):
-        return float(np.mean(residual))
-
-    def leaf_values(self, y, raw, residual, leaves, n_nodes):
-        counts = np.bincount(leaves, minlength=n_nodes)
-        sums = np.bincount(leaves, weights=residual, minlength=n_nodes)
-        occupied = counts > 0
-        values = np.divide(
-            sums, counts, out=np.zeros(n_nodes), where=occupied
-        )
-        return values, occupied
+    def gradients(self, y, raw):
+        return y - raw, np.ones(y.shape[0])
 
 
 class BinomialDevianceLoss(LossFunction):
@@ -130,34 +73,9 @@ class BinomialDevianceLoss(LossFunction):
         p = np.clip(np.mean(y), 1e-6, 1 - 1e-6)
         return float(np.log(p / (1.0 - p)))
 
-    def negative_gradient(self, y, raw):
-        return y - _sigmoid(raw)
-
-    def loss(self, y, raw):
-        # log(1 + exp(-margin)) written stably.
-        margin = np.where(y > 0.5, raw, -raw)
-        return float(np.mean(np.logaddexp(0.0, -margin)))
-
-    def leaf_value(self, y, raw, residual):
+    def gradients(self, y, raw):
         p = _sigmoid(raw)
-        denom = np.sum(p * (1.0 - p))
-        if denom < 1e-12:
-            return 0.0
-        return float(np.sum(residual) / denom)
-
-    def leaf_values(self, y, raw, residual, leaves, n_nodes):
-        p = _sigmoid(raw)
-        counts = np.bincount(leaves, minlength=n_nodes)
-        nums = np.bincount(leaves, weights=residual, minlength=n_nodes)
-        denoms = np.bincount(leaves, weights=p * (1.0 - p), minlength=n_nodes)
-        occupied = counts > 0
-        values = np.divide(
-            nums, denoms, out=np.zeros(n_nodes), where=denoms >= 1e-12
-        )
-        return values, occupied
-
-    def link_inverse(self, raw):
-        return _sigmoid(raw)
+        return y - p, p * (1.0 - p)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -169,52 +87,38 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _newton_step(tree: DecisionTreeRegressor, residual, hessian) -> np.ndarray:
+    """Set every leaf of a fitted stage tree to Σresidual / Σhessian over
+    its training samples (0 where Σhessian < 1e-12), in one bincount pass
+    over the builder's recorded leaf of every sample; internal nodes keep
+    their mean. Returns each training sample's new leaf value."""
+    leaves = tree._train_leaves_
+    n_nodes = tree.tree_.node_count
+    rsum = np.bincount(leaves, weights=residual, minlength=n_nodes)
+    hsum = np.bincount(leaves, weights=hessian, minlength=n_nodes)
+    step = np.divide(rsum, hsum, out=np.zeros(n_nodes), where=hsum >= 1e-12)
+    value = tree.tree_.value
+    is_leaf = tree.tree_.feature == _LEAF
+    value[is_leaf, 0] = step[is_leaf]
+    return value[leaves, 0]
+
+
 class _BaseGradientBoosting(BaseEstimator):
-    def __init__(
-        self,
-        n_estimators: int = 100,
-        learning_rate: float = 0.1,
-        max_depth: int = 3,
-        min_samples_split: int = 2,
-        min_samples_leaf: int = 1,
-        subsample: float = 1.0,
-        max_features: Optional[float] = None,
-        splitter: str = "hist",
-        max_bins: int = _MAX_HIST_BINS,
-        warm_start: bool = False,
-        random_state=None,
-    ):
-        self.n_estimators = n_estimators
-        self.learning_rate = learning_rate
-        self.max_depth = max_depth
-        self.min_samples_split = min_samples_split
-        self.min_samples_leaf = min_samples_leaf
-        self.subsample = subsample
-        self.max_features = max_features
-        self.splitter = splitter
-        self.max_bins = max_bins
-        self.warm_start = warm_start
-        self.random_state = random_state
+    """The boosting stage loop and packed prediction shared by every model
+    built on it. Subclasses hold ``n_estimators``, ``learning_rate``,
+    ``max_depth``, ``min_samples_leaf`` and ``max_bins``."""
 
-    def _make_loss(self) -> LossFunction:
-        raise NotImplementedError
+    def _boost(self, X, y, loss: LossFunction, warm=False, min_samples_split=2):
+        """Fit ``self.estimators_`` to ``(X, y)`` under ``loss``.
 
-    def _fit_boosting(self, X: np.ndarray, y: np.ndarray):
+        With ``warm`` the fitted trees are kept, replayed on ``X``, and only
+        the stages missing up to ``n_estimators`` are trained.
+        """
         if self.n_estimators < 1:
             raise ValueError("n_estimators must be >= 1.")
         if not 0.0 < self.learning_rate <= 1.0:
             raise ValueError("learning_rate must be in (0, 1].")
-        if not 0.0 < self.subsample <= 1.0:
-            raise ValueError("subsample must be in (0, 1].")
-        if self.splitter not in ("exact", "hist"):
-            raise ValueError(
-                f"splitter must be 'exact' or 'hist'; got {self.splitter!r}."
-            )
-        loss = self._make_loss()
-        n = X.shape[0]
-        if self.warm_start and getattr(self, "estimators_", None):
-            # Continue boosting: keep fitted trees, replay them on the new
-            # data, and train only the stages still missing.
+        if warm:
             if X.shape[1] != self.n_features_in_:
                 raise ValueError(
                     f"warm_start refit got {X.shape[1]} features; ensemble "
@@ -227,60 +131,26 @@ class _BaseGradientBoosting(BaseEstimator):
                     f"({self.n_estimators}) >= the {len(self.estimators_)} "
                     "trees already fitted."
                 )
-            rng = self._rng
             raw = self._packed.raw(X, self.init_raw_, self.learning_rate)
         else:
-            rng = check_random_state(self.random_state)
-            self._rng = rng
             self.init_raw_ = loss.init_raw(y)
-            raw = np.full(n, self.init_raw_, dtype=np.float64)
+            raw = np.full(X.shape[0], self.init_raw_, dtype=np.float64)
             self.estimators_ = []
-            self.train_loss_ = []
             n_new = self.n_estimators
-        if self.splitter == "hist":
-            # Bin once per fit; every stage reuses the shared codes.
-            binner = _Binner(self.max_bins).fit(X)
-            codes = binner.transform(X)
-        n_sub = max(1, int(round(self.subsample * n)))
+        # Bin once per fit; every stage reuses the shared codes.
+        binner = _Binner(self.max_bins).fit(X)
+        codes = binner.transform(X)
         for _ in range(n_new):
-            residual = loss.negative_gradient(y, raw)
-            if self.subsample < 1.0:
-                idx = rng.choice(n, size=n_sub, replace=False)
-            else:
-                idx = np.arange(n)
+            residual, hessian = loss.gradients(y, raw)
             tree = DecisionTreeRegressor(
                 max_depth=self.max_depth,
-                min_samples_split=self.min_samples_split,
+                min_samples_split=min_samples_split,
                 min_samples_leaf=self.min_samples_leaf,
-                max_features=self.max_features,
-                splitter=self.splitter,
                 max_bins=self.max_bins,
-                random_state=rng,
-            )
-            if self.splitter == "hist":
-                tree._fit_binned(codes[idx], residual[idx], binner)
-            else:
-                tree._fit_validated(X[idx], residual[idx])
-            # Newton re-estimation of leaf values on the in-bag samples;
-            # the builder already recorded their leaf assignment.
-            leaves_in = tree._train_leaves_
-            new_values = tree.tree_.value.copy()
-            values, occupied = loss.leaf_values(
-                y[idx], raw[idx], residual[idx], leaves_in,
-                tree.tree_.node_count,
-            )
-            new_values[occupied, 0] = values[occupied]
-            tree.tree_.value = new_values
-            if idx.shape[0] == n:
-                # No subsampling: the train-leaf assignment covers every
-                # sample, so skip re-routing the data through the tree.
-                raw += self.learning_rate * new_values[leaves_in, 0]
-            else:
-                raw += self.learning_rate * tree.tree_.predict(X)[:, 0]
+            )._fit_binned(codes, residual, binner)
+            raw += self.learning_rate * _newton_step(tree, residual, hessian)
             self.estimators_.append(tree)
-            self.train_loss_.append(loss.loss(y, raw))
         self._packed = _PackedTrees([tree.tree_ for tree in self.estimators_])
-        self.loss_ = loss
         self.n_features_in_ = X.shape[1]
         return self
 
@@ -304,25 +174,45 @@ class _BaseGradientBoosting(BaseEstimator):
             yield raw.copy()
 
 
-class GradientBoostingRegressor(_BaseGradientBoosting, RegressorMixin):
-    """Least-squares gradient boosting — the paper's GBTR."""
+class _GradientBoosting(_BaseGradientBoosting):
+    """Constructor and warm-start ``fit`` of the two public GBM models."""
 
-    def _make_loss(self):
-        return LeastSquaresLoss()
+    def __init__(
+        self,
+        n_estimators: int = 100,
+        learning_rate: float = 0.1,
+        max_depth: int = 3,
+        min_samples_split: int = 2,
+        min_samples_leaf: int = 1,
+        max_bins: int = _MAX_HIST_BINS,
+        warm_start: bool = False,
+    ):
+        self.n_estimators = n_estimators
+        self.learning_rate = learning_rate
+        self.max_depth = max_depth
+        self.min_samples_split = min_samples_split
+        self.min_samples_leaf = min_samples_leaf
+        self.max_bins = max_bins
+        self.warm_start = warm_start
+
+    def _fit_boosting(self, X, y, loss: LossFunction):
+        warm = self.warm_start and bool(getattr(self, "estimators_", None))
+        return self._boost(X, y, loss, warm, self.min_samples_split)
+
+
+class GradientBoostingRegressor(_GradientBoosting, RegressorMixin):
+    """Least-squares gradient boosting — the paper's GBTR."""
 
     def fit(self, X, y) -> "GradientBoostingRegressor":
         X, y = check_X_y(X, y)
-        return self._fit_boosting(X, y)
+        return self._fit_boosting(X, y, LeastSquaresLoss())
 
     def predict(self, X) -> np.ndarray:
-        return self.loss_.link_inverse(self._raw_predict(X))
+        return self._raw_predict(X)
 
 
-class GradientBoostingClassifier(_BaseGradientBoosting, ClassifierMixin):
+class GradientBoostingClassifier(_GradientBoosting, ClassifierMixin):
     """Binary gradient boosting with binomial deviance."""
-
-    def _make_loss(self):
-        return BinomialDevianceLoss()
 
     def fit(self, X, y) -> "GradientBoostingClassifier":
         X, y = check_X_y(X, y, y_numeric=False)
@@ -338,13 +228,11 @@ class GradientBoostingClassifier(_BaseGradientBoosting, ClassifierMixin):
             self.init_raw_ = np.inf if classes[0] == 1 else -np.inf
             self.estimators_ = []
             self._packed = _PackedTrees([])
-            self.train_loss_ = []
-            self.loss_ = self._make_loss()
             self.n_features_in_ = check_array(X).shape[1]
             self._single_class_ = classes[0]
             return self
         self._single_class_ = None
-        return self._fit_boosting(X, y01)
+        return self._fit_boosting(X, y01, BinomialDevianceLoss())
 
     def decision_function(self, X) -> np.ndarray:
         """Log-odds of the positive (last) class."""

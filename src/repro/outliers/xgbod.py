@@ -83,9 +83,7 @@ class XGBOD(BaseDetector):
             d.fit(X)
         Xa = self._augment(X)
         self.clf_ = GradientBoostingClassifier(
-            n_estimators=self.n_estimators,
-            max_depth=3,
-            random_state=self.random_state,
+            n_estimators=self.n_estimators, max_depth=3
         ).fit(Xa, y.astype(np.int64))
         self.n_features_in_ = X.shape[1]
         self.decision_scores_ = self.decision_function(X)

@@ -7,8 +7,10 @@ from repro.traces.google import GoogleTraceGenerator
 from repro.traces.alibaba import AlibabaTraceGenerator
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def rng():
+    """A fresh generator per test, so a test's data never depends on which
+    tests ran before it."""
     return np.random.default_rng(12345)
 
 

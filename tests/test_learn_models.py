@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from repro.learn import (
-    DecisionTreeClassifier,
     DecisionTreeRegressor,
     GradientBoostingClassifier,
     GradientBoostingRegressor,
@@ -100,77 +99,40 @@ class TestDecisionTreeRegressor:
         with pytest.raises(ValueError):
             DecisionTreeRegressor(min_samples_leaf=0).fit(X, y)
 
-    def test_max_features_sqrt_runs(self, regression_data):
-        X, y = regression_data
-        m = DecisionTreeRegressor(max_depth=4, max_features="sqrt", random_state=0)
-        assert m.fit(X, y).score(X, y) > 0.3
-
-
-class TestDecisionTreeClassifier:
-    def test_separable(self, classification_data):
-        X, y = classification_data
-        m = DecisionTreeClassifier(max_depth=5).fit(X, y)
-        assert m.score(X, y) > 0.9
-
-    def test_predict_proba_sums_to_one(self, classification_data):
-        X, y = classification_data
-        m = DecisionTreeClassifier(max_depth=3).fit(X, y)
-        proba = m.predict_proba(X)
-        np.testing.assert_allclose(proba.sum(axis=1), 1.0)
-
-    def test_multiclass_rejected(self):
-        X = np.zeros((9, 2))
-        with pytest.raises(ValueError, match="binary"):
-            DecisionTreeClassifier().fit(X, [0, 1, 2] * 3)
-
-    def test_single_class(self):
-        X = np.random.default_rng(0).normal(size=(20, 2))
-        m = DecisionTreeClassifier().fit(X, np.ones(20, dtype=int))
-        assert (m.predict(X) == 1).all()
-
-    def test_string_labels(self):
-        X = np.array([[0.0], [1.0], [0.1], [0.9]])
-        m = DecisionTreeClassifier().fit(X, np.array(["a", "b", "a", "b"]))
-        assert set(m.predict(X)) <= {"a", "b"}
-
 
 class TestGradientBoosting:
     def test_regressor_beats_single_tree(self, regression_data):
         X, y = regression_data
         tree = DecisionTreeRegressor(max_depth=3).fit(X, y)
-        gbm = GradientBoostingRegressor(
-            n_estimators=100, max_depth=3, random_state=0
-        ).fit(X, y)
+        gbm = GradientBoostingRegressor(n_estimators=100, max_depth=3).fit(X, y)
         assert gbm.score(X, y) > tree.score(X, y)
 
     def test_train_loss_decreases(self, regression_data):
         X, y = regression_data
-        gbm = GradientBoostingRegressor(n_estimators=50, random_state=0).fit(X, y)
-        losses = gbm.train_loss_
+        gbm = GradientBoostingRegressor(n_estimators=50).fit(X, y)
+        losses = [
+            0.5 * np.mean((y - raw) ** 2) for raw in gbm.staged_raw_predict(X)
+        ]
         assert losses[-1] < losses[0]
-
-    def test_subsample(self, regression_data):
-        X, y = regression_data
-        gbm = GradientBoostingRegressor(
-            n_estimators=30, subsample=0.5, random_state=0
-        ).fit(X, y)
-        assert gbm.score(X, y) > 0.7
+        # Least-squares stages are Newton steps on a quadratic: each one
+        # lowers the training loss.
+        assert all(b <= a for a, b in zip(losses, losses[1:]))
 
     def test_staged_predict_converges(self, regression_data):
         X, y = regression_data
-        gbm = GradientBoostingRegressor(n_estimators=20, random_state=0).fit(X, y)
+        gbm = GradientBoostingRegressor(n_estimators=20).fit(X, y)
         stages = list(gbm.staged_raw_predict(X[:5]))
         assert len(stages) == 20
         np.testing.assert_allclose(stages[-1], gbm.predict(X[:5]))
 
     def test_classifier_accuracy(self, classification_data):
         X, y = classification_data
-        clf = GradientBoostingClassifier(n_estimators=40, random_state=0).fit(X, y)
+        clf = GradientBoostingClassifier(n_estimators=40).fit(X, y)
         assert clf.score(X, y) > 0.9
 
     def test_classifier_proba_bounds(self, classification_data):
         X, y = classification_data
-        clf = GradientBoostingClassifier(n_estimators=20, random_state=0).fit(X, y)
+        clf = GradientBoostingClassifier(n_estimators=20).fit(X, y)
         proba = clf.predict_proba(X)
         assert (proba >= 0).all() and (proba <= 1).all()
         np.testing.assert_allclose(proba.sum(axis=1), 1.0)
@@ -193,14 +155,11 @@ class TestGradientBoosting:
             )
 
     def test_deterministic_given_seed(self, regression_data):
+        # Fitting draws no random numbers: two fits agree bit for bit.
         X, y = regression_data
-        a = GradientBoostingRegressor(
-            n_estimators=10, subsample=0.7, random_state=3
-        ).fit(X, y)
-        b = GradientBoostingRegressor(
-            n_estimators=10, subsample=0.7, random_state=3
-        ).fit(X, y)
-        np.testing.assert_allclose(a.predict(X), b.predict(X))
+        a = GradientBoostingRegressor(n_estimators=10).fit(X, y)
+        b = GradientBoostingRegressor(n_estimators=10).fit(X, y)
+        np.testing.assert_array_equal(a.predict(X), b.predict(X))
 
 
 class TestLinearModels:

@@ -119,19 +119,19 @@ class TestTobit:
 class TestGrabit:
     def test_censored_predictions_extrapolate(self, censored_data):
         X, y_obs, censored, y_latent = censored_data
-        m = GrabitRegressor(random_state=0).fit(X, y_obs, censored)
+        m = GrabitRegressor().fit(X, y_obs, censored)
         # Latent predictions for censored rows should mostly exceed the cap.
         cap = y_obs[censored].max()
         assert (m.predict(X)[censored] > cap * 0.95).mean() > 0.5
 
     def test_correlation_with_latent(self, censored_data):
         X, y_obs, censored, y_latent = censored_data
-        m = GrabitRegressor(random_state=0).fit(X, y_obs, censored)
+        m = GrabitRegressor().fit(X, y_obs, censored)
         assert np.corrcoef(m.predict(X), y_latent)[0, 1] > 0.85
 
     def test_fixed_sigma(self, censored_data):
         X, y_obs, censored, _ = censored_data
-        m = GrabitRegressor(sigma=2.0, random_state=0).fit(X, y_obs, censored)
+        m = GrabitRegressor(sigma=2.0).fit(X, y_obs, censored)
         assert m.sigma_ == 2.0
 
     def test_invalid_sigma(self, censored_data):
@@ -143,6 +143,12 @@ class TestGrabit:
         X, y_obs, censored, _ = censored_data
         with pytest.raises(ValueError):
             GrabitRegressor(n_estimators=0).fit(X, y_obs, censored)
+
+    @pytest.mark.parametrize("learning_rate", [0.0, -0.5, 3.0])
+    def test_invalid_learning_rate(self, censored_data, learning_rate):
+        X, y_obs, censored, _ = censored_data
+        with pytest.raises(ValueError, match="learning_rate"):
+            GrabitRegressor(learning_rate=learning_rate).fit(X, y_obs, censored)
 
 
 class TestCoxPH:
