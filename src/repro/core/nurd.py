@@ -76,13 +76,6 @@ class NurdPredictor(OnlineStragglerPredictor):
     warm_refresh : float
         Growth factor of the finished set that triggers a full refit
         (> 1; ``np.inf`` never refreshes).
-    warm_propensity : bool
-        When True, the propensity model ``g_t`` continues from the previous
-        checkpoint's fitted state (Newton restarted from its coefficients on
-        the new finished/running split) instead of refitting from scratch.
-        Both fits converge to the same strictly convex optimum within the
-        solver tolerance, so flags are unchanged in practice; the default
-        stays False so unbudgeted replay is bit-stable.
     random_state : int or Generator or None
         Kept so every method is built alike (``build_predictor`` passes
         one to each); the default models draw no random numbers.
@@ -99,7 +92,6 @@ class NurdPredictor(OnlineStragglerPredictor):
         warm_start: bool = True,
         warm_increment: int = 25,
         warm_refresh: float = 1.45,
-        warm_propensity: bool = False,
         random_state=None,
     ):
         self.alpha = alpha
@@ -111,7 +103,6 @@ class NurdPredictor(OnlineStragglerPredictor):
         self.warm_start = warm_start
         self.warm_increment = warm_increment
         self.warm_refresh = warm_refresh
-        self.warm_propensity = warm_propensity
         self.random_state = random_state
 
     # ------------------------------------------------------------------
@@ -200,17 +191,7 @@ class NurdPredictor(OnlineStragglerPredictor):
 
     def _fit_propensity(self, X_fin, X_run) -> None:
         if X_run.shape[0] > 0:
-            warm_g = (
-                self.warm_propensity
-                and getattr(self, "_fitted_models", False)
-                and isinstance(getattr(self, "g_", None), PropensityScorer)
-                and self.g_.warm_start
-            )
-            if not warm_g:
-                self.g_ = PropensityScorer(
-                    model=self.propensity_model,
-                    warm_start=self.warm_propensity,
-                )
+            self.g_ = PropensityScorer(model=self.propensity_model)
             self.g_.fit(X_fin, X_run)
         else:
             self.g_ = None
@@ -261,7 +242,6 @@ class NurdNcPredictor(NurdPredictor):
         warm_start: bool = True,
         warm_increment: int = 25,
         warm_refresh: float = 1.45,
-        warm_propensity: bool = False,
         random_state=None,
     ):
         super().__init__(
@@ -274,6 +254,5 @@ class NurdNcPredictor(NurdPredictor):
             warm_start=warm_start,
             warm_increment=warm_increment,
             warm_refresh=warm_refresh,
-            warm_propensity=warm_propensity,
             random_state=random_state,
         )

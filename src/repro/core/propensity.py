@@ -52,14 +52,6 @@ class PropensityScorer(BaseEstimator):
         Tile the minority class up to the majority size before fitting.
     prior_boost : float
         Relative weight of the finished class after balancing (≥ 1).
-    warm_start : bool
-        When True, repeated :meth:`fit` calls continue from the previous
-        checkpoint's fitted classifier instead of cloning a fresh one — the
-        default logistic model then runs Newton from its previous
-        coefficients. The finished/running split drifts by a handful of rows
-        per checkpoint, so continuation converges in a fraction of the
-        iterations a scratch refit needs, to the same strictly convex
-        optimum.
     """
 
     def __init__(
@@ -67,12 +59,10 @@ class PropensityScorer(BaseEstimator):
         model: Optional[BaseEstimator] = None,
         balance: bool = True,
         prior_boost: float = 2.0,
-        warm_start: bool = False,
     ):
         self.model = model
         self.balance = balance
         self.prior_boost = prior_boost
-        self.warm_start = warm_start
 
     @staticmethod
     def _tile_to(X: np.ndarray, n: int) -> np.ndarray:
@@ -105,17 +95,8 @@ class PropensityScorer(BaseEstimator):
             [np.ones(X_fin_fit.shape[0]), np.zeros(X_run_fit.shape[0])]
         ).astype(np.int64)
         self.scaler_ = StandardScaler().fit(X)
-        reuse = (
-            self.warm_start
-            and getattr(self, "model_", None) is not None
-            and getattr(self, "n_features_in_", None) == X.shape[1]
-        )
-        if not reuse:
-            if self.model is not None:
-                base = self.model
-            else:
-                base = LogisticRegression(warm_start=self.warm_start)
-            self.model_ = clone(base)
+        base = self.model if self.model is not None else LogisticRegression()
+        self.model_ = clone(base)
         self.model_.fit(self.scaler_.transform(X), y)
         self.n_features_in_ = X.shape[1]
         return self

@@ -30,26 +30,12 @@ class LogisticRegression(BaseEstimator, ClassifierMixin):
         Newton iteration cap.
     tol : float
         Stop when the max absolute coefficient update falls below this.
-    warm_start : bool
-        When True, refits initialize Newton from the previously fitted
-        coefficients instead of zeros. The L2-regularized logistic loss is
-        strictly convex, so cold and warm fits converge to the same unique
-        optimum (within ``tol``); warm starts just get there in far fewer
-        iterations when the data shifts slowly — NURD's checkpoint streams,
-        where each refit sees the previous finished set plus a few rows.
     """
 
-    def __init__(
-        self,
-        C: float = 1.0,
-        max_iter: int = 100,
-        tol: float = 1e-6,
-        warm_start: bool = False,
-    ):
+    def __init__(self, C: float = 1.0, max_iter: int = 100, tol: float = 1e-6):
         self.C = C
         self.max_iter = max_iter
         self.tol = tol
-        self.warm_start = warm_start
 
     def fit(self, X, y) -> "LogisticRegression":
         if self.C <= 0:
@@ -71,13 +57,6 @@ class LogisticRegression(BaseEstimator, ClassifierMixin):
         Xb = _add_intercept(X)
         n, d = Xb.shape
         beta = np.zeros(d)
-        if (
-            self.warm_start
-            and getattr(self, "coef_", None) is not None
-            and getattr(self, "n_features_in_", None) == X.shape[1]
-        ):
-            beta[0] = self.intercept_
-            beta[1:] = self.coef_
         lam = 1.0 / self.C
         reg = np.full(d, lam)
         reg[0] = 0.0  # do not penalize the intercept

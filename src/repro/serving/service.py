@@ -29,8 +29,10 @@ Fault tolerance (see EXPERIMENTS.md, "Fault matrix"):
   ``"emit-failed"``.
 
 All of it is opt-in per config; with the defaults the hot path adds only
-per-job bookkeeping appends, and :data:`BENCH_faults.json` gates that the
-fault-free arm stays at parity with the bare engine.
+per-job bookkeeping appends, and ``tests/test_faults.py``
+(``TestCrashRecovery::test_hardened_unfaulted_service_matches_engine``)
+checks that the hardened but unfaulted service stays at parity with the
+bare engine.
 """
 
 from __future__ import annotations

@@ -505,6 +505,30 @@ class TestCrashRecovery:
             np.testing.assert_array_equal(got.flag_times, want.flag_times)
         assert svc.dlq.total == 0
 
+    def test_hardened_unfaulted_service_matches_engine(self):
+        sim, jobs, factory = self._parts()
+        engine = ScoringEngine(factory, simulator=sim)
+        events, results = [], {}
+        for job in jobs:
+            engine.begin_job(job)
+            for tau in engine.checkpoint_grid(job.job_id):
+                events.append(engine.score_checkpoint(job.job_id, float(tau)))
+            results[job.job_id] = engine.finish_job(job.job_id)
+        config = ServiceConfig(
+            snapshot_every=3,
+            restart_policy=RetryPolicy(retries=4, base_delay=0.0),
+            emit_policy=RetryPolicy(retries=3, base_delay=0.0),
+        )
+        svc = _run_service(jobs, sim, factory, config=config, sleep=SleepRecorder())
+        assert _event_keys(svc.events) == _event_keys(events)
+        for job_id, want in results.items():
+            np.testing.assert_array_equal(svc.results[job_id].y_flag, want.y_flag)
+            np.testing.assert_array_equal(
+                svc.results[job_id].flag_times, want.flag_times
+            )
+        assert svc.engine.update_mode_counts == engine.update_mode_counts
+        assert svc.restarts == 0 and svc.dlq.total == 0 and not svc.failures
+
     def test_transient_fit_error_recovers_with_parity(self):
         sim, jobs, factory = self._parts(n_jobs=1)
         clean = _run_service(jobs, sim, factory)
@@ -638,7 +662,12 @@ class TestQuarantine:
         letters = {letter.reason: letter for letter in svc.dlq}
         assert letters["malformed-payload"].job_id == "poison"
 
-    def test_dlq_holds_exactly_injected_events(self):
+    @pytest.mark.parametrize(
+        "factory",
+        [CountingPredictor, lambda: NurdPredictor(random_state=0)],
+        ids=["counting", "nurd"],
+    )
+    def test_dlq_holds_exactly_injected_events(self, factory):
         sim = ReplaySimulator(n_checkpoints=10, random_state=0)
         jobs = [_job(n=50, seed=20 + i, job_id=f"job-{i}") for i in range(3)]
         plan = FaultPlan(
@@ -648,11 +677,13 @@ class TestQuarantine:
                 poison_jobs=3,
             ),
         )
-        injector = RequestInjector(plan)
-        faulted = list(injector.stream(_requests(sim, jobs)))
-        svc = _run_service(
-            jobs, sim, CountingPredictor, requests=faulted
-        )
+
+        def run():
+            injector = RequestInjector(plan)
+            faulted = list(injector.stream(_requests(sim, jobs)))
+            return injector, _run_service(jobs, sim, factory, requests=faulted)
+
+        injector, svc = run()
         assert injector.expected_rejects > 0
         assert svc.dlq.total == injector.expected_rejects
         assert svc.dlq.reasons["malformed-payload"] == injector.log["poisoned"]
@@ -665,6 +696,20 @@ class TestQuarantine:
         # All real jobs still produced results; nothing crashed.
         assert not svc.failures
         assert set(svc.results) == {job.job_id for job in jobs}
+        # Exactly-once accounting: the delivered events rebuild every mask.
+        accounts = collect_flags(svc.events, {job.job_id: job.n_tasks for job in jobs})
+        for job_id, result in svc.results.items():
+            np.testing.assert_array_equal(accounts[job_id].y_flag, result.y_flag)
+            np.testing.assert_array_equal(
+                accounts[job_id].flag_times, result.flag_times
+            )
+        # F1 degrades gracefully, and every fault decision replays exactly.
+        clean = _run_service(jobs, sim, factory)
+        f1 = [np.mean([r.f1 for r in s.results.values()]) for s in (clean, svc)]
+        assert f1[1] >= 0.6 * f1[0]
+        _, again = run()
+        assert _event_keys(again.events) == _event_keys(svc.events)
+        assert again.dlq.counts() == svc.dlq.counts()
 
     def test_quarantine_off_lets_errors_hit_supervisor(self):
         sim = ReplaySimulator(n_checkpoints=5, random_state=0)

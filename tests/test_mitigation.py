@@ -16,6 +16,7 @@ from repro.sim.mitigation import (
 )
 from repro.sim.replay import ReplayResult, ReplaySimulator
 from repro.core.nurd import NurdPredictor
+from repro.traces.alibaba import AlibabaTraceGenerator
 from repro.traces.google import GoogleTraceGenerator
 from repro.traces.schema import Job
 
@@ -256,22 +257,29 @@ class TestControlArms:
         with pytest.raises(ValueError, match="rate"):
             random_flagger_result(res, rate=1.5)
 
-    def test_control_reports_bracket_real_replays(self):
-        trace = GoogleTraceGenerator(
-            n_jobs=2, task_range=(60, 90), random_state=42
-        ).generate()
+    @pytest.mark.parametrize(
+        "generator, alpha",
+        [(GoogleTraceGenerator, 0.5), (AlibabaTraceGenerator, 0.35)],
+        ids=["google", "alibaba"],
+    )
+    def test_control_reports_bracket_real_replays(self, generator, alpha):
+        trace = generator(n_jobs=2, task_range=(60, 90), random_state=42).generate()
         sim = ReplaySimulator(n_checkpoints=10, random_state=0)
         replays = [
-            sim.run(job, NurdPredictor(random_state=i))
+            sim.run(job, NurdPredictor(alpha=alpha, random_state=i))
             for i, job in enumerate(trace)
         ]
         cfg = MitigationConfig(policy="speculative", spares=16, random_state=0)
-        controls = control_reports(replays, cfg)
-        loop = ClosedLoopSimulator(cfg)
-        nurd = loop.run_many(replays)
-        oracle_red = controls["Oracle"].mean_jct_reduction_pct
-        random_red = controls["Random"].mean_jct_reduction_pct
-        assert random_red < nurd.mean_jct_reduction_pct <= oracle_red + 1e-9
+
+        def close_loop():
+            reports = control_reports(replays, cfg)
+            reports["NURD"] = ClosedLoopSimulator(cfg).run_many(replays)
+            return {arm: report.as_dict() for arm, report in reports.items()}
+
+        reports = close_loop()
+        assert close_loop() == reports  # bit-identical rerun
+        red = {arm: d["mean_jct_reduction_pct"] for arm, d in reports.items()}
+        assert red["Random"] < red["NURD"] <= red["Oracle"] + 1e-9
 
 
 class TestDeterminism:

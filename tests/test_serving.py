@@ -20,6 +20,8 @@ from repro.serving import (
     ServiceConfig,
 )
 from repro.sim.replay import ReplaySimulator
+from repro.traces.alibaba import AlibabaTraceGenerator
+from repro.traces.google import GoogleTraceGenerator
 from repro.traces.schema import Job
 
 
@@ -169,6 +171,62 @@ class TestBudgetTiers:
         scored = sum(stream.step(tau).scored for tau in stream.checkpoints)
         assert pred.update_calls == scored
         assert stream.degraded_checkpoints == 0
+
+
+class ClockedNurd(NurdPredictor):
+    """NURD whose full refit, partial refit and scoring cost 9, 2 and 1 on
+    a :class:`FakeClock`."""
+
+    def __init__(self, clock, random_state):
+        super().__init__(random_state=random_state)
+        self.clock = clock
+
+    def update(self, *args):
+        self.clock.now += 9.0
+        return super().update(*args)
+
+    def partial_update(self, *args):
+        self.clock.now += 2.0
+        return super().partial_update(*args)
+
+    def predict_stragglers(self, X_run):
+        self.clock.now += 1.0
+        return super().predict_stragglers(X_run)
+
+
+class TestBudgetedNurd:
+    """Real NURD under a fake-clock budget: fewer refits, bounded F1 loss."""
+
+    def test_budget_trades_refits_for_bounded_accuracy_loss(self):
+        sim = ReplaySimulator(n_checkpoints=10, random_state=0)
+        batch_clock, budget_clock = FakeClock(), FakeClock()
+        batch, budgeted = [], []
+        modes = {"full": 0, "partial": 0, "cached": 0}
+        for gen in (GoogleTraceGenerator, AlibabaTraceGenerator):
+            trace = gen(n_jobs=2, task_range=(60, 90), random_state=42).generate()
+            for i, job in enumerate(trace):
+                batch.append(sim.run(job, ClockedNurd(batch_clock, i)))
+                engine = ScoringEngine(
+                    lambda i=i: ClockedNurd(budget_clock, i),
+                    simulator=sim,
+                    budget=3.5,
+                    clock=budget_clock,
+                )
+                budgeted.append(engine.run_job(job))
+                for mode, count in engine.update_mode_counts.items():
+                    modes[mode] += count
+        agree = np.mean(
+            np.concatenate([a.y_flag == b.y_flag for a, b in zip(batch, budgeted)])
+        )
+        assert agree >= 0.74
+        f1 = [np.mean([r.f1 for r in rs]) for rs in (batch, budgeted)]
+        assert f1[1] >= 0.8 * f1[0]
+        # Degraded checkpoints still refresh g_t, and banked credit pays for
+        # more full refits than each job's mandatory first one, but fewer
+        # than one per checkpoint.
+        assert modes["partial"] > 0
+        assert len(budgeted) < modes["full"] < sum(modes.values())
+        assert budget_clock.now < batch_clock.now
 
 
 class TestScoringEngine:

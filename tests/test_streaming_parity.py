@@ -283,31 +283,8 @@ class TestServingLayerParity:
             assert_replay_equal(b, r)
 
 
-class TestWarmPropensityEquivalence:
-    """Warm propensity continuation converges to the scratch-fit optimum
-    (strictly convex loss) — weights agree tightly when the solver
-    converges, and continuation takes fewer Newton iterations."""
-
-    def test_same_optimum_fewer_iterations(self):
-        from repro.core.propensity import PropensityScorer
-
-        rng = np.random.default_rng(0)
-        X_fin = rng.normal(0.0, 1.0, size=(80, 5))
-        X_run = rng.normal(0.8, 1.0, size=(60, 5))
-        cold = PropensityScorer(warm_start=False).fit(X_fin, X_run)
-        warm = PropensityScorer(warm_start=True).fit(X_fin, X_run)
-        # Drift the split by a handful of rows, as one checkpoint does.
-        X_fin2 = np.vstack([X_fin, X_run[:5]])
-        X_run2 = X_run[5:]
-        cold2 = PropensityScorer(warm_start=False).fit(X_fin2, X_run2)
-        warm.fit(X_fin2, X_run2)
-        assert cold2.model_.n_iter_ < cold2.model_.max_iter  # converged
-        assert warm.model_.n_iter_ < cold2.model_.n_iter_
-        grid = rng.normal(0.0, 1.2, size=(50, 5))
-        np.testing.assert_allclose(
-            warm.score(grid), cold2.score(grid), atol=1e-5
-        )
-        assert cold.model_.n_iter_ > 0
+class TestPartialUpdate:
+    """The budget's partial tier refits ``g_t`` and keeps the cached ``h_t``."""
 
     def test_partial_update_refreshes_propensity_only(self, google_trace):
         job = google_trace[0]
