@@ -34,7 +34,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.learn.base import BaseEstimator, ClassifierMixin, RegressorMixin
-from repro.learn.tree import _LEAF, _MAX_HIST_BINS, _Binner, _PackedTrees
+from repro.learn.tree import _LEAF, _MAX_HIST_BINS, _Binner, _PackedTrees, _fit_layout
 from repro.learn.tree import DecisionTreeRegressor
 from repro.utils.validation import check_array, check_is_fitted, check_X_y
 
@@ -137,9 +137,9 @@ class _BaseGradientBoosting(BaseEstimator):
             raw = np.full(X.shape[0], self.init_raw_, dtype=np.float64)
             self.estimators_ = []
             n_new = self.n_estimators
-        # Bin once per fit; every stage reuses the shared codes.
+        # Bin and count the root once per fit; every stage shares them.
         binner = _Binner(self.max_bins).fit(X)
-        codes = binner.transform(X)
+        layout = _fit_layout(binner, X)
         for _ in range(n_new):
             residual, hessian = loss.gradients(y, raw)
             tree = DecisionTreeRegressor(
@@ -147,14 +147,14 @@ class _BaseGradientBoosting(BaseEstimator):
                 min_samples_split=min_samples_split,
                 min_samples_leaf=self.min_samples_leaf,
                 max_bins=self.max_bins,
-            )._fit_binned(codes, residual, binner)
+            )._fit_binned(*layout, residual, binner)
             raw += self.learning_rate * _newton_step(tree, residual, hessian)
             self.estimators_.append(tree)
         self._packed = _PackedTrees([tree.tree_ for tree in self.estimators_])
         self.n_features_in_ = X.shape[1]
         return self
 
-    def _raw_predict(self, X) -> np.ndarray:
+    def _check_predict_input(self, X) -> np.ndarray:
         check_is_fitted(self, ["estimators_"])
         X = check_array(X)
         if X.shape[1] != self.n_features_in_:
@@ -162,12 +162,15 @@ class _BaseGradientBoosting(BaseEstimator):
                 f"X has {X.shape[1]} features; model was fitted with "
                 f"{self.n_features_in_}."
             )
+        return X
+
+    def _raw_predict(self, X) -> np.ndarray:
+        X = self._check_predict_input(X)
         return self._packed.raw(X, self.init_raw_, self.learning_rate)
 
     def staged_raw_predict(self, X):
         """Yield raw predictions after each boosting stage."""
-        check_is_fitted(self, ["estimators_"])
-        X = check_array(X)
+        X = self._check_predict_input(X)
         raw = np.full(X.shape[0], self.init_raw_, dtype=np.float64)
         for values in self._packed.leaf_values(X):
             raw += self.learning_rate * values

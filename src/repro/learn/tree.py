@@ -1,17 +1,19 @@
 """CART regression tree on histogram-binned features, pure NumPy.
 
 The tree is the weak learner inside :mod:`repro.learn.gbm`. It is grown
-LightGBM-style: each feature is quantized into ≤255 ``uint8`` bins once per
-fit (:class:`_Binner`), per-node histograms of (count, Σy) are built with a
-single ``bincount`` over all features at once, and every candidate cut of
-every feature is scored in one vectorized pass over the (d, n_bins)
-histogram — no sorting inside nodes. Whether a child can still split is
-decided when its parent splits: a child that cannot (at ``max_depth``,
-below ``min_samples_split`` or pure) becomes a leaf on the spot and is
-never scanned. When a child will grow, the subtraction trick (child =
-parent − sibling) means only the smaller child is ever scanned. Every node
-sees every row and every feature, so growing a tree draws no random
-numbers.
+LightGBM-style: each feature is quantized into ≤255 ``uint8`` bins and
+mapped to histogram slots once per fit (:func:`_fit_layout`), per-node
+histograms of (cumulative count, Σy) are built with one ``bincount`` each
+over all features at once, and every candidate cut of every feature is
+scored in one vectorized pass over the (d, n_bins) histogram — no sorting
+inside nodes. A cut is valid when both sides keep ``min_samples_leaf``
+rows, which also rules out cuts past a feature's last bin. Whether a child
+can still split is decided when its parent splits: a child that cannot (at
+``max_depth``, below ``min_samples_split`` or pure) becomes a leaf on the
+spot and is never scanned, and a leaf at ``max_depth`` gets its value from
+the caller. When a child will grow, the subtraction trick (child = parent
+− sibling) means only the smaller child is ever scanned. Every node sees
+every row and every feature, so growing a tree draws no random numbers.
 
 Thresholds are real feature values (bin edges), so fitted trees predict on
 raw, un-binned inputs, routed level by level rather than one Python call
@@ -86,18 +88,32 @@ class _Binner:
         return codes
 
 
-def _node_histograms(slots: np.ndarray, y: np.ndarray, idx: np.ndarray, n_total: int):
-    """(count, Σy) histograms of one node, shape (d, n_bins) each.
+def _fit_layout(binner: _Binner, X: np.ndarray):
+    """What every tree of one fit shares: the slot map and the root's counts.
 
-    One flattened ``bincount`` covers every feature at once: ``slots`` holds
-    ``f * n_bins + b`` for code ``b`` of feature ``f``. Counts are float64
-    (exact below 2**53), so the gain arithmetic never casts them.
+    ``slots`` holds ``f * n_total + b`` for code ``b`` of feature ``f``, so
+    one flattened ``bincount`` covers every feature at once, and "code ≤ b"
+    is "slot ≤ f * n_total + b". Counts depend only on the codes, so the
+    root's cumulative counts are computed once per fit, not once per tree.
     """
-    flat = slots[idx].ravel()
-    d = slots.shape[1]
-    cnt = np.bincount(flat, minlength=d * n_total).astype(np.float64)
-    wsum = np.bincount(flat, weights=np.repeat(y[idx], d), minlength=d * n_total)
-    return cnt.reshape(d, n_total), wsum.reshape(d, n_total)
+    d, n_total = X.shape[1], binner.n_total_bins_
+    slots = binner.transform(X).astype(np.intp)
+    slots += np.arange(d, dtype=np.intp) * n_total
+    return slots, _cumulative_counts(slots.ravel(), d, n_total)
+
+
+def _cumulative_counts(flat: np.ndarray, d: int, n_total: int) -> np.ndarray:
+    """Rows at or below each bin, shape (d, n_total): ``left_n`` of every
+    cut. Counts are float64 (exact below 2**53), so a sibling's is exactly
+    parent − child and the gain arithmetic never casts them."""
+    cnt = np.bincount(flat, minlength=d * n_total).reshape(d, n_total)
+    return np.add.accumulate(cnt, axis=1, dtype=np.float64)
+
+
+def _target_sums(flat: np.ndarray, yh: np.ndarray, d: int, n_total: int):
+    """Σy histogram of one node, shape (d, n_total); ``yh`` in row order."""
+    wsum = np.bincount(flat, weights=yh.repeat(d), minlength=d * n_total)
+    return wsum.reshape(d, n_total)
 
 
 @dataclass
@@ -251,7 +267,13 @@ class DecisionTreeRegressor(BaseEstimator, RegressorMixin):
     def fit(self, X, y) -> "DecisionTreeRegressor":
         X, y = check_X_y(X, y)
         binner = _Binner(self.max_bins).fit(X)
-        return self._fit_binned(binner.transform(X), y, binner)
+        self._fit_binned(*_fit_layout(binner, X), y, binner)
+        # Max-depth leaves: a leaf's rows are in ascending order, as in the
+        # builder, so the mean is the same pairwise sum.
+        value, leaves = self.tree_.value[:, 0], self._train_leaves_
+        for leaf in np.flatnonzero(np.isnan(value)):
+            value[leaf] = self._leaf_stats(y[leaves == leaf])[0]
+        return self
 
     def _leaf_stats(self, y: np.ndarray):
         """(leaf value, impurity) of a node's targets as plain floats, in
@@ -274,23 +296,19 @@ class DecisionTreeRegressor(BaseEstimator, RegressorMixin):
             raise ValueError("min_samples_leaf must be >= 1.")
         return max_depth
 
-    def _grows(self, depth: int, m: int, imp: float, max_depth) -> bool:
-        """Whether a node may still be split; otherwise it is a leaf."""
-        return not (depth >= max_depth or m < self.min_samples_split or imp <= 1e-12)
+    def _fit_binned(self, slots, root_left_n, y: np.ndarray, binner: _Binner):
+        """Grow the tree from a fit's shared :func:`_fit_layout`.
 
-    def _fit_binned(self, codes: np.ndarray, y: np.ndarray, binner: _Binner):
-        """Grow the tree from pre-binned ``uint8`` codes.
-
-        Ensembles call this directly so the binning cost is paid once per
-        ensemble fit rather than once per tree.
+        Ensembles call this directly so binning and the root's counts are
+        paid once per ensemble fit rather than once per tree. Leaves at
+        ``max_depth`` get value and impurity NaN: the caller sets their
+        values (the GBM's Newton step, or ``fit``'s means); their impurity
+        stays NaN, and nothing reads ``tree_.impurity``.
         """
         max_depth = self._check_builder_params()
-        n, d = codes.shape
+        min_split, min_leaf = self.min_samples_split, self.min_samples_leaf
+        n, d = slots.shape
         n_total = binner.n_total_bins_
-        # Histogram slot f * n_total + code of every cell, once per tree.
-        slots = codes.astype(np.intp) + np.arange(d, dtype=np.intp) * n_total
-        # cut_exists[f, b]: feature f really has an edge after bin b.
-        cut_exists = np.arange(n_total - 1)[None, :] < (binner.n_bins_[:, None] - 1)
         buffers = _TreeBuffers()
         # Leaf id of every training sample (all in the root, node 0, until
         # they are routed), so ensembles never re-route the training set.
@@ -301,55 +319,59 @@ class DecisionTreeRegressor(BaseEstimator, RegressorMixin):
         # Split-search histograms use mean-centered targets: the
         # SSE-reduction gain is shift-invariant mathematically, and centered
         # sums avoid catastrophic cancellation on large-offset y.
-        yh = y - np.add.reduce(y) / n
-        root = np.arange(n)
+        yh = y - root_value
         # With every feature constant (n_total == 1) the root stays a leaf.
         stack = []
-        if n_total > 1 and self._grows(0, n, root_imp, max_depth):
-            stack.append((0, root, 0, _node_histograms(slots, yh, root, n_total)))
+        if n_total > 1 and not (n < min_split or root_imp <= 1e-12):
+            wsum = _target_sums(slots.ravel(), yh, d, n_total)
+            stack.append((0, np.arange(n), 0, root_left_n, wsum))
         # One errstate switch for the whole build (zero-count divisions are
         # masked by the validity filter; per-node context managers cost more
         # than the arithmetic at this node size).
         with np.errstate(divide="ignore", invalid="ignore"):
             # Depth-first; every node on the stack can split.
             while stack:
-                node_id, idx, depth, (cnt, wsum) = stack.pop()
+                node_id, idx, depth, left_n, wsum = stack.pop()
                 m = idx.shape[0]
                 # Cumulative histograms score every cut of every feature at
                 # once. Gain is the SSE reduction: the Σy² terms cancel,
-                # leaving only squared sums.
-                left_n = np.cumsum(cnt, axis=1)[:, :-1]
-                left_sum = np.cumsum(wsum, axis=1)[:, :-1]
-                total = float(wsum[0].sum())
+                # leaving only squared sums. A cut needs min_leaf rows on
+                # each side; that also rules out the cuts at or past a
+                # feature's last bin (no rows to their right).
+                left_sum = np.add.accumulate(wsum, axis=1)
+                total = float(np.add.reduce(wsum[0]))
                 right_n = m - left_n
                 right_sum = total - left_sum
-                gain = (
-                    left_sum * left_sum / left_n
-                    + right_sum * right_sum / right_n
-                    - total * total / m
-                )
-                valid = (
-                    cut_exists
-                    & (left_n >= self.min_samples_leaf)
-                    & (right_n >= self.min_samples_leaf)
-                )
-                gain[~valid] = -np.inf
-                flat_best = int(np.argmax(gain))
-                best_feat, best_bin = divmod(flat_best, n_total - 1)
-                best_gain = gain[best_feat, best_bin]
-                if not np.isfinite(best_gain) or best_gain <= 1e-12:
+                gain = left_sum * left_sum
+                gain /= left_n
+                right_sum *= right_sum
+                right_sum /= right_n
+                gain += right_sum
+                gain -= total * total / m
+                gain[np.minimum(left_n, right_n) < min_leaf] = -np.inf
+                # Slot f * n_total + b is the cut "code of f ≤ b".
+                cut = int(gain.argmax())
+                best_gain = gain.item(cut)
+                # Also False for a NaN or infinite gain.
+                if not 1e-12 < best_gain < np.inf:
                     train_leaves[idx] = node_id
                     continue
-                buffers.feature[node_id] = int(best_feat)
+                best_feat, best_bin = divmod(cut, n_total)
+                buffers.feature[node_id] = best_feat
                 buffers.threshold[node_id] = float(binner.edges_[best_feat][best_bin])
-                go_left = codes[idx, best_feat] <= best_bin
+                go_left = slots[:, best_feat][idx] <= cut
                 # A child that cannot split is a leaf from here on: it is
                 # never pushed and its histogram is never built.
                 ids, parts, grows = [], (idx[go_left], idx[~go_left]), []
                 for part in parts:
-                    value, imp = self._leaf_stats(y[part])
-                    ids.append(buffers.add_node(value, part.shape[0], imp))
-                    grows.append(self._grows(depth + 1, part.shape[0], imp, max_depth))
+                    mc = part.shape[0]
+                    if depth + 1 < max_depth:
+                        value, imp = self._leaf_stats(y[part])
+                        grows.append(not (mc < min_split or imp <= 1e-12))
+                    else:
+                        value, imp = np.nan, np.nan
+                        grows.append(False)
+                    ids.append(buffers.add_node(value, mc, imp))
                     if not grows[-1]:
                         train_leaves[part] = ids[-1]
                 buffers.left[node_id], buffers.right[node_id] = ids
@@ -359,12 +381,16 @@ class DecisionTreeRegressor(BaseEstimator, RegressorMixin):
                 # a tie), derive the larger one's histograms from the parent's.
                 small = int(parts[0].shape[0] > parts[1].shape[0])
                 big = 1 - small
-                cnt_s, wsum_s = _node_histograms(slots, yh, parts[small], n_total)
+                flat = slots.take(parts[small], axis=0).ravel()
+                hist_s = (
+                    _cumulative_counts(flat, d, n_total),
+                    _target_sums(flat, yh[parts[small]], d, n_total),
+                )
                 if grows[small]:
-                    stack.append((ids[small], parts[small], depth + 1, (cnt_s, wsum_s)))
+                    stack.append((ids[small], parts[small], depth + 1, *hist_s))
                 if grows[big]:
-                    big_hist = (cnt - cnt_s, wsum - wsum_s)
-                    stack.append((ids[big], parts[big], depth + 1, big_hist))
+                    left_n_b, wsum_b = left_n - hist_s[0], wsum - hist_s[1]
+                    stack.append((ids[big], parts[big], depth + 1, left_n_b, wsum_b))
 
         self.tree_ = buffers.finalize()
         self.n_features_in_ = d

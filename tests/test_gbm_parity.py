@@ -541,3 +541,67 @@ def test_single_hist_tree_matches_reference(max_depth):
     new = DecisionTreeRegressor(**kw).fit(X, y)
     _assert_same_trees([ref], [new])
     _assert_same_predictions(ref.predict, new.predict, _queries())
+
+
+# ---------------------------------------------------------------------------
+# Randomized differential test
+# ---------------------------------------------------------------------------
+
+#: Seeded problems per model; the whole test stays well under 10 s.
+FUZZ_CASES = 300
+
+
+def _fuzz_case(seed):
+    """One random problem the fixed ``GRID`` does not cover: 2–120 rows,
+    1–9 features rounded to 0–3 decimals (so bins tie), plain, zero-heavy
+    or 1e6-offset targets, and random tree limits and bin budget."""
+    gen = np.random.default_rng(seed)
+    n, d = int(gen.integers(2, 121)), int(gen.integers(1, 10))
+    X = np.round(10.0 * gen.normal(size=(n, d)), int(gen.integers(0, 4)))
+    y = gen.normal(size=n)
+    shape = gen.integers(3)
+    if shape == 1:
+        y[gen.random(n) < 0.7] = 0.0
+    elif shape == 2:
+        y += 1e6
+    kw = dict(
+        max_depth=[None, 1, 2, 3, 4, 6][gen.integers(6)],
+        min_samples_leaf=int(gen.integers(1, 6)),
+        min_samples_split=int(gen.integers(2, 12)),
+        max_bins=int(gen.choice([8, 256])),
+    )
+    censored = gen.random(n) < 0.3
+    censored[0] = False
+    return X, y, censored, kw
+
+
+def _fit_both(model, X, y, censored, kw):
+    """(reference, shipping) fits of one model on one fuzz case."""
+    if model == "tree":
+        ref, new = _ReferenceRegressorTree(**kw), DecisionTreeRegressor(**kw)
+        return ref.fit(X, y), new.fit(X, y)
+    if model == "gbr":
+        kw = dict(kw, n_estimators=6)
+        ref, new = _ReferenceGBR(**kw), GradientBoostingRegressor(**kw)
+        return ref.fit(X, y), new.fit(X, y)
+    kw = dict(kw, n_estimators=4)
+    del kw["min_samples_split"]
+    ref, new = _ReferenceGrabit(**kw), GrabitRegressor(**kw)
+    return ref.fit(X, y, censored), new.fit(X, y, censored=censored)
+
+
+@pytest.mark.parametrize("model", ["tree", "gbr", "grabit"])
+def test_random_problems_match_reference(model):
+    """Exact equality with the loop references on seeded random problems:
+    ties, near-empty nodes and rounding residues that the 160-row ``GRID``
+    never reaches."""
+    for seed in range(FUZZ_CASES):
+        X, y, censored, kw = _fuzz_case(seed)
+        ref, new = _fit_both(model, X, y, censored, kw)
+        try:
+            _assert_same_trees(
+                getattr(ref, "estimators_", [ref]), getattr(new, "estimators_", [new])
+            )
+            _assert_same_predictions(ref.predict, new.predict, X)
+        except AssertionError as err:
+            raise AssertionError(f"fuzz case {seed}: {err}") from err

@@ -84,6 +84,10 @@ class ExactTreeRegressor(DecisionTreeRegressor):
         X, y = check_X_y(X, y)
         return self._fit_exact(X, y)
 
+    def _grows(self, depth, m, imp, max_depth):
+        """Whether a node may still be split; otherwise it is a leaf."""
+        return not (depth >= max_depth or m < self.min_samples_split or imp <= 1e-12)
+
     def _fit_exact(self, X, y):
         max_depth = self._check_builder_params()
         buffers = _TreeBuffers()

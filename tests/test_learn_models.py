@@ -125,6 +125,20 @@ class TestGradientBoosting:
         assert len(stages) == 20
         np.testing.assert_allclose(stages[-1], gbm.predict(X[:5]))
 
+    @pytest.mark.parametrize("width", [8, 2], ids=["wider", "narrower"])
+    def test_staged_predict_checks_feature_count(self, regression_data, width):
+        # A 4-feature model rejects any other width, in staged_raw_predict
+        # exactly as in predict.
+        X, y = regression_data
+        gbm = GradientBoostingRegressor(n_estimators=3).fit(X[:, :4], y)
+        bad = np.resize(X[:5], (5, width))
+        with pytest.raises(ValueError) as from_predict:
+            gbm.predict(bad)
+        with pytest.raises(ValueError) as from_staged:
+            next(gbm.staged_raw_predict(bad))
+        assert str(from_staged.value) == str(from_predict.value)
+        assert f"X has {width} features" in str(from_staged.value)
+
     def test_classifier_accuracy(self, classification_data):
         X, y = classification_data
         clf = GradientBoostingClassifier(n_estimators=40).fit(X, y)
