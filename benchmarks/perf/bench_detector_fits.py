@@ -54,6 +54,7 @@ _REPO = Path(__file__).resolve().parents[2]
 sys.path.insert(0, str(_REPO / "tests"))
 
 from test_detector_fit_vectorization import (  # noqa: E402
+    _reference_linear_svc,
     _ReferenceKMeans,
     _ReferenceMCD,
 )
@@ -177,7 +178,7 @@ COMPONENTS = {
     # Not a Table-3 detector, but the same Pegasos loop backs Wrangler and
     # the PU baselines — its blocked arm belongs to this PR's fit floor.
     "LINEAR_SVC": (
-        lambda: LinearSVC(solver="stream", random_state=0),
+        lambda: _reference_linear_svc(random_state=0),
         lambda: LinearSVC(solver="batch", random_state=0),
         True,
         lambda mdl: mdl.coef_.tobytes() + np.float64(mdl.intercept_).tobytes(),

@@ -11,8 +11,8 @@ from the constant model's uncensored residuals when not given).
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import norm
 
+from repro.censored.tobit import _normal_hazard
 from repro.learn.base import RegressorMixin
 from repro.learn.gbm import LossFunction, _BaseGradientBoosting
 from repro.learn.tree import _MAX_HIST_BINS
@@ -27,11 +27,7 @@ def _tobit_grad_hess(y, raw, censored, sigma):
     with z = (y-f)/σ and hazard λ = φ/Φ̄.
     """
     z = (y - raw) / sigma
-    zc = np.clip(z, -30.0, 30.0)
-    with np.errstate(divide="ignore", over="ignore"):
-        hazard = np.exp(norm.logpdf(zc) - norm.logsf(zc))
-    # Mills-ratio asymptote for the deep tail: λ(z) ≈ z + 1/z.
-    hazard = np.where(z > 30.0, z + 1.0 / np.maximum(z, 1.0), hazard)
+    hazard = _normal_hazard(z)
     grad = np.where(censored, -hazard / sigma, -(y - raw) / sigma**2)
     hess = np.where(
         censored,

@@ -11,11 +11,49 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.stats import norm
+from scipy.special import log_ndtr
 
 from repro.learn.base import BaseEstimator, RegressorMixin
 from repro.learn.preprocessing import StandardScaler
 from repro.utils.validation import check_array, check_is_fitted, check_X_y
+
+#: log √(2π): ``scipy.stats.norm.logpdf(z)`` is ``-z**2 / 2.0`` minus this.
+_LOG_SQRT_2PI = np.log(np.sqrt(2 * np.pi))
+
+
+def _normal_hazard(z):
+    """Standard normal hazard φ(z)/Φ̄(z); ``norm.logsf(z)`` is ``log_ndtr(-z)``.
+
+    Past z = 30 the Mills-ratio asymptote λ(z) ≈ z + 1/z avoids inf/inf.
+    """
+    zc = np.clip(z, -30.0, 30.0)
+    with np.errstate(divide="ignore", over="ignore"):
+        hazard = np.exp(-(zc**2) / 2.0 - _LOG_SQRT_2PI - log_ndtr(-zc))
+    return np.where(z > 30.0, z + 1.0 / np.maximum(z, 1.0), hazard)
+
+
+def _negloglik(theta, Zb, y, obs, reg):
+    """Penalized Tobit negative log-likelihood of ``(β, log σ)`` and its
+    gradient; ``obs`` marks uncensored rows."""
+    beta = theta[:-1]
+    log_sigma = np.clip(theta[-1], -10.0, 10.0)
+    sigma = np.exp(log_sigma)
+    mu = Zb @ beta
+    z = (y - mu) / sigma
+    ll = np.where(obs, -(z**2) / 2.0 - _LOG_SQRT_2PI - log_sigma, log_ndtr(-z))
+    penalty = 0.5 * np.sum(reg * beta**2)
+    # Uncensored: d/dmu logpdf = z / sigma.
+    w_obs = np.where(obs, z / sigma, 0.0)
+    # Censored: d/dmu logsf = hazard / sigma.
+    hazard = _normal_hazard(z)
+    w_cen = np.where(~obs, hazard / sigma, 0.0)
+    grad_beta = Zb.T @ (w_obs + w_cen)
+    # d/dlog_sigma.
+    g_obs = np.where(obs, z**2 - 1.0, 0.0).sum()
+    g_cen = np.where(~obs, hazard * z, 0.0).sum()
+    grad_logsig = g_obs + g_cen
+    grad = np.concatenate([grad_beta - reg * beta, [grad_logsig]])
+    return float(-np.sum(ll) + penalty), -grad
 
 
 class TobitRegressor(BaseEstimator, RegressorMixin):
@@ -59,40 +97,10 @@ class TobitRegressor(BaseEstimator, RegressorMixin):
         reg = np.full(d, self.l2)
         reg[0] = 0.0
 
-        def negloglik(theta):
-            beta = theta[:-1]
-            log_sigma = np.clip(theta[-1], -10.0, 10.0)
-            sigma = np.exp(log_sigma)
-            mu = Zb @ beta
-            z = (y - mu) / sigma
-            ll = np.where(
-                obs,
-                norm.logpdf(z) - log_sigma,
-                norm.logsf(z),
-            )
-            penalty = 0.5 * np.sum(reg * beta**2)
-            # Gradient.
-            grad_beta = np.zeros(d)
-            # Uncensored: d/dmu logpdf = z / sigma.
-            w_obs = np.where(obs, z / sigma, 0.0)
-            # Censored: d/dmu logsf = hazard/sigma = pdf/sf/sigma; for large z
-            # use the Mills-ratio asymptote λ(z) ≈ z + 1/z to avoid inf/inf.
-            zc = np.clip(z, -30.0, 30.0)
-            with np.errstate(divide="ignore", over="ignore"):
-                hazard = np.exp(norm.logpdf(zc) - norm.logsf(zc))
-            hazard = np.where(z > 30.0, z + 1.0 / np.maximum(z, 1.0), hazard)
-            w_cen = np.where(~obs, hazard / sigma, 0.0)
-            grad_beta = Zb.T @ (w_obs + w_cen)
-            # d/dlog_sigma.
-            g_obs = np.where(obs, z**2 - 1.0, 0.0).sum()
-            g_cen = np.where(~obs, hazard * z, 0.0).sum()
-            grad_logsig = g_obs + g_cen
-            grad = np.concatenate([grad_beta - reg * beta, [grad_logsig]])
-            return float(-np.sum(ll) + penalty), -grad
-
         res = minimize(
-            negloglik,
+            _negloglik,
             theta0,
+            args=(Zb, y, obs, reg),
             jac=True,
             method="L-BFGS-B",
             options={"maxiter": self.max_iter},

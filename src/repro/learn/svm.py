@@ -36,7 +36,8 @@ class LinearSVC(BaseEstimator, ClassifierMixin):
         "balanced" reweights the hinge loss inversely to class frequency
         (Wrangler-style handling of imbalanced straggler labels).
     solver : {"stream", "batch"}
-        ``"stream"`` (default) is the historical per-sample Pegasos loop.
+        ``"stream"`` (default) is per-sample Pegasos, run by the lockstep
+        kernel :func:`_pegasos_lockstep` with one lane.
         ``"batch"`` evaluates hinge margins a block at a time with the
         block-start weights and applies the per-sample learning-rate
         schedule in closed form (the ``(1 - η_s λ)`` decays telescope to
@@ -71,16 +72,31 @@ class LinearSVC(BaseEstimator, ClassifierMixin):
         if self.C <= 0:
             raise ValueError("C must be positive.")
         X, y = check_X_y(X, y, y_numeric=False)
+        targets = self._targets(X, y)
+        if targets is None:
+            return self
+        if self.solver == "stream":
+            _pegasos_lockstep([self], X[None], [targets])
+            return self
+        lam = 1.0 / (self.C * X.shape[0])
+        rng = check_random_state(self.random_state)
+        w, b = self._solve_batch(X, *targets, lam, rng)
+        self.coef_, self.intercept_ = w, float(b)
+        return self
+
+    def _targets(self, X, y):
+        """Record the classes; return the ±1 targets and hinge weights, or
+        None once a single-class ``y`` has its constant model."""
         classes = np.unique(y)
         if classes.shape[0] > 2:
             raise ValueError("LinearSVC supports binary labels only.")
         self.classes_ = classes
+        self.n_features_in_ = X.shape[1]
         if classes.shape[0] == 1:
             self._single_class_ = classes[0]
             self.coef_ = np.zeros(X.shape[1])
             self.intercept_ = 0.0
-            self.n_features_in_ = X.shape[1]
-            return self
+            return None
         self._single_class_ = None
         t = np.where(y == classes[-1], 1.0, -1.0)
         if self.class_weight == "balanced":
@@ -92,40 +108,7 @@ class LinearSVC(BaseEstimator, ClassifierMixin):
             sw = np.ones_like(t)
         else:
             raise ValueError("class_weight must be None or 'balanced'.")
-        rng = check_random_state(self.random_state)
-        n, d = X.shape
-        lam = 1.0 / (self.C * n)
-        if self.solver == "stream":
-            w, b = self._solve_stream(X, t, sw, lam, rng)
-        else:
-            w, b = self._solve_batch(X, t, sw, lam, rng)
-        self.coef_ = w
-        self.intercept_ = float(b)
-        self.n_features_in_ = d
-        return self
-
-    def _solve_stream(self, X, t, sw, lam, rng):
-        """Per-sample Pegasos loop (the historical arm, preserved verbatim)."""
-        n, d = X.shape
-        w = np.zeros(d)
-        b = 0.0
-        step = 0
-        for _ in range(self.max_iter):
-            perm = rng.permutation(n)
-            for i in perm:
-                step += 1
-                eta = 1.0 / (lam * step)
-                margin = t[i] * (X[i] @ w + b)
-                w *= 1.0 - eta * lam
-                if margin < 1.0:
-                    w += eta * sw[i] * t[i] * X[i]
-                    b += eta * sw[i] * t[i]
-                # Pegasos projection onto the ball of radius 1/sqrt(lam).
-                norm = np.linalg.norm(w)
-                radius = 1.0 / np.sqrt(lam)
-                if norm > radius:
-                    w *= radius / norm
-        return w, b
+        return t, sw
 
     def _solve_batch(self, X, t, sw, lam, rng):
         """Blocked Pegasos: margins frozen at block start, exact schedule.
@@ -179,6 +162,58 @@ class LinearSVC(BaseEstimator, ClassifierMixin):
             return np.full(X.shape[0], self._single_class_)
         scores = self.decision_function(X)
         return self.classes_[(scores >= 0).astype(int)]
+
+
+def _pegasos_lockstep(models, X, targets) -> None:
+    """Fit ``LinearSVC`` ``models[k]`` on ``X[k]`` by per-sample Pegasos, K
+    at once; ``X`` is (K, n, d) and ``targets[k]`` is ``models[k]._targets``.
+
+    The models share ``C`` and ``max_iter``, so all lanes take the same
+    step, η and λ; each shuffles with its own, unshared ``random_state``.
+    Every lane does a lone fit's arithmetic, so each model is bit-identical
+    to it: a stacked (K,1,d)@(K,d,1) ``matmul`` sends each vector pair to
+    the dot ``x @ w`` uses, ``sqrt(w·w)`` is ``np.linalg.norm`` of a real
+    vector, and hinge updates touch only violating lanes.
+    """
+    K, n, d = X.shape
+    t, sw = (np.stack(a) for a in zip(*targets))
+    rngs = [check_random_state(m.random_state) for m in models]
+    lam = 1.0 / (models[0].C * n)
+    # Pegasos projects onto the ball of radius 1/sqrt(lam).
+    radius = 1.0 / np.sqrt(lam)
+    W = np.zeros((K, d))
+    w_row, w_col = W[:, None, :], W[:, :, None]
+    # Per-lane scalars are (K, 1) columns, so they broadcast against W.
+    b, scale, dot = np.zeros((K, 1)), np.empty((K, 1)), np.empty((K, 1, 1))
+    dots = dot[:, :, 0]
+    lanes = np.arange(K)[:, None]
+    for epoch in range(models[0].max_iter):
+        perm = np.stack([rng.permutation(n) for rng in rngs])
+        # Step-major views: row i of every lane is one basic index away.
+        Xs = X[lanes, perm].transpose(1, 0, 2)
+        Xs_rows = Xs[:, :, None, :]
+        ts = t[lanes, perm].T[:, :, None]
+        etas = 1.0 / (lam * np.arange(epoch * n + 1, (epoch + 1) * n + 1))
+        decays = (1.0 - etas * lam).tolist()
+        # t is ±1, so (η·sw)·t == η·(sw·t) exactly.
+        coefs = etas[:, None, None] * (sw[lanes, perm].T[:, :, None] * ts)
+        for i in range(n):
+            np.matmul(Xs_rows[i], w_col, out=dot)
+            margin = ts[i] * (dots + b)
+            W *= decays[i]
+            viol = margin < 1.0
+            if np.count_nonzero(viol):
+                # ``where`` leaves the other lanes' bits untouched.
+                np.add(W, coefs[i] * Xs[i], out=W, where=viol)
+                np.add(b, coefs[i], out=b, where=viol)
+            np.matmul(w_row, w_col, out=dot)
+            norm = np.sqrt(dots)
+            over = norm > radius
+            if np.count_nonzero(over):
+                np.divide(radius, norm, out=scale, where=over)
+                np.multiply(W, scale, out=W, where=over)
+    for m, w, b_k in zip(models, W, b[:, 0]):
+        m.coef_, m.intercept_ = w, float(b_k)
 
 
 class OneClassSVM(BaseEstimator):

@@ -1,19 +1,20 @@
 """Bagging PU learning (Mordelet & Vert, 2014) — the paper's PU-BG baseline.
 
 Repeatedly draw a random bootstrap of the unlabeled set as stand-in
-negatives, train a binary base classifier (linear SVM per the original
-paper) against the labeled positives, and average the decision scores. Each
-unlabeled point's score aggregates only the bags where it was out-of-bag.
+negatives, train a linear SVM (per the original paper) against the labeled
+positives, and average the decision scores. Each unlabeled point's score
+aggregates only the bags where it was out-of-bag.
 """
 
 from __future__ import annotations
 
+import numbers
 from typing import Optional
 
 import numpy as np
 
 from repro.learn.base import BaseEstimator, ClassifierMixin, clone
-from repro.learn.svm import LinearSVC
+from repro.learn.svm import LinearSVC, _pegasos_lockstep
 from repro.utils.validation import (
     check_array,
     check_is_fitted,
@@ -26,28 +27,26 @@ class BaggingPuClassifier(BaseEstimator, ClassifierMixin):
     """Bagging SVM for PU data.
 
     ``fit(X, s)``: ``s = 1`` marks labeled (positive-class) examples,
-    ``s = 0`` unlabeled ones.
+    ``s = 0`` unlabeled ones. Every bag fits a
+    :class:`repro.learn.LinearSVC`; all bags have the same row count, so
+    their Pegasos runs advance in lockstep.
 
     Parameters
     ----------
-    estimator : classifier or None
-        Base binary classifier with ``decision_function``; defaults to
-        :class:`repro.learn.LinearSVC`.
     n_estimators : int
         Number of bags.
     sample_size : int or None
-        Unlabeled bootstrap size per bag; None matches the labeled count
-        (the balanced choice recommended by the original paper).
+        Unlabeled bootstrap size per bag, an int >= 1, clipped to the
+        unlabeled count; None matches the labeled count (the balanced
+        choice recommended by the original paper).
     """
 
     def __init__(
         self,
-        estimator: Optional[BaseEstimator] = None,
         n_estimators: int = 10,
         sample_size: Optional[int] = None,
         random_state=None,
     ):
-        self.estimator = estimator
         self.n_estimators = n_estimators
         self.sample_size = sample_size
         self.random_state = random_state
@@ -55,6 +54,9 @@ class BaggingPuClassifier(BaseEstimator, ClassifierMixin):
     def fit(self, X, s) -> "BaggingPuClassifier":
         if self.n_estimators < 1:
             raise ValueError("n_estimators must be >= 1.")
+        size = self.sample_size
+        if size is not None and not (isinstance(size, numbers.Integral) and size >= 1):
+            raise ValueError(f"sample_size must be None or an int >= 1, got {size!r}.")
         X, s = check_X_y(X, s, y_numeric=False)
         s = np.asarray(s).astype(np.int64)
         pos = np.nonzero(s == 1)[0]
@@ -62,23 +64,21 @@ class BaggingPuClassifier(BaseEstimator, ClassifierMixin):
         if pos.shape[0] < 1 or unl.shape[0] < 1:
             raise ValueError("need at least one labeled and one unlabeled example.")
         rng = check_random_state(self.random_state)
-        size = self.sample_size or min(pos.shape[0], unl.shape[0])
-        size = min(size, unl.shape[0])
-        base = (
-            self.estimator
-            if self.estimator is not None
-            else LinearSVC(max_iter=30, random_state=rng)
-        )
-        self.estimators_ = []
+        size = min(pos.shape[0] if size is None else size, unl.shape[0])
+        base = LinearSVC(max_iter=30, random_state=rng)
+        bags, self.estimators_ = [], []
+        for _ in range(self.n_estimators):
+            bags.append(rng.choice(unl, size=size, replace=True))
+            # The clone deep-copies the shared generator, so each bag's SVM
+            # shuffles with the stream as it stood after that bag's draw.
+            self.estimators_.append(clone(base))
+        Xb = X[np.hstack([np.tile(pos, (self.n_estimators, 1)), np.stack(bags)])]
+        yb = np.concatenate([np.ones(pos.shape[0]), np.zeros(size)]).astype(int)
+        targets = [clf._targets(Xk, yb) for clf, Xk in zip(self.estimators_, Xb)]
+        _pegasos_lockstep(self.estimators_, Xb, targets)
         oob_score = np.zeros(X.shape[0])
         oob_count = np.zeros(X.shape[0])
-        for _ in range(self.n_estimators):
-            bag = rng.choice(unl, size=size, replace=True)
-            Xb = np.vstack([X[pos], X[bag]])
-            yb = np.concatenate([np.ones(pos.shape[0]), np.zeros(size)]).astype(int)
-            clf = clone(base)
-            clf.fit(Xb, yb)
-            self.estimators_.append(clf)
+        for clf, bag in zip(self.estimators_, bags):
             oob = np.setdiff1d(unl, bag)
             if oob.shape[0]:
                 oob_score[oob] += clf.decision_function(X[oob])

@@ -2,12 +2,13 @@
 
 PR 5 vectorized detector scoring against preserved loop references; this file
 does the same for the fit-phase batching: the level-synchronous IForest
-builder, stacked MCD C-step trials, batched k-means restarts, blocked Pegasos
-solvers, and the kNN-sparse SOS binding matrix. Each optimized arm is pinned
-to a ``_reference_*`` loop implementation — bit-identical where the RNG
-stream is preserved and the arithmetic is unchanged, ≤1e-8 rtol where the
-batched arithmetic reorders floating-point reductions — on random,
-duplicate-row, and constant-feature inputs.
+builder, stacked MCD C-step trials, batched k-means restarts, lockstep and
+blocked Pegasos solvers (with PU-BG's bags), and the kNN-sparse SOS binding
+matrix. Each optimized arm is pinned to a ``_reference_*`` loop
+implementation — bit-identical where the RNG stream is preserved and the
+arithmetic is unchanged, ≤1e-8 rtol where the batched arithmetic reorders
+floating-point reductions — on random, duplicate-row, and constant-feature
+inputs.
 
 ``benchmarks/perf/bench_detector_fits.py`` imports the references here as
 its "before" arms.
@@ -20,12 +21,14 @@ import pytest
 from scipy.stats import chi2
 from test_detector_vectorization import REFERENCE_FOREST_FITS
 
+from repro.learn.base import clone
 from repro.learn.cluster import KMeans, _kmeans_plus_plus
 from repro.learn.svm import LinearSVC, OneClassSVM
 from repro.outliers import CBLOF, MCD, SOS, IForest, XGBOD
 from repro.outliers.mcd import _det_cov, _mahalanobis_sq
 from repro.outliers.ocsvm import OCSVMDetector
-from repro.utils.validation import check_array, check_random_state
+from repro.pu import BaggingPuClassifier
+from repro.utils.validation import check_array, check_random_state, check_X_y
 
 RTOL = 1e-8
 ATOL = 1e-10
@@ -122,9 +125,84 @@ class _ReferenceKMeans(KMeans):
         return self
 
 
+class _ReferenceLinearSVC(LinearSVC):
+    """Per-sample Pegasos: one model, one ``X[i] @ w`` and one
+    ``np.linalg.norm`` per step (the pre-lockstep stream solver)."""
+
+    def fit(self, X, y):
+        if self.C <= 0:
+            raise ValueError("C must be positive.")
+        X, y = check_X_y(X, y, y_numeric=False)
+        targets = self._targets(X, y)
+        if targets is not None:
+            lam = 1.0 / (self.C * X.shape[0])
+            rng = check_random_state(self.random_state)
+            w, b = self._solve_stream(X, *targets, lam, rng)
+            self.coef_ = w
+            self.intercept_ = float(b)
+        return self
+
+    def _solve_stream(self, X, t, sw, lam, rng):
+        n, d = X.shape
+        w = np.zeros(d)
+        b = 0.0
+        step = 0
+        for _ in range(self.max_iter):
+            perm = rng.permutation(n)
+            for i in perm:
+                step += 1
+                eta = 1.0 / (lam * step)
+                margin = t[i] * (X[i] @ w + b)
+                w *= 1.0 - eta * lam
+                if margin < 1.0:
+                    w += eta * sw[i] * t[i] * X[i]
+                    b += eta * sw[i] * t[i]
+                # Pegasos projection onto the ball of radius 1/sqrt(lam).
+                norm = np.linalg.norm(w)
+                radius = 1.0 / np.sqrt(lam)
+                if norm > radius:
+                    w *= radius / norm
+        return w, b
+
+
 def _reference_linear_svc(**kwargs):
-    """The per-sample Pegasos loop is the in-tree ``solver="stream"`` arm."""
-    return LinearSVC(solver="stream", **kwargs)
+    return _ReferenceLinearSVC(solver="stream", **kwargs)
+
+
+class _ReferenceBaggingPu(BaggingPuClassifier):
+    """One bag after another, each fitting its own per-sample SVM."""
+
+    def fit(self, X, s):
+        X, s = check_X_y(X, s, y_numeric=False)
+        s = np.asarray(s).astype(np.int64)
+        pos = np.nonzero(s == 1)[0]
+        unl = np.nonzero(s == 0)[0]
+        rng = check_random_state(self.random_state)
+        size = self.sample_size or min(pos.shape[0], unl.shape[0])
+        size = min(size, unl.shape[0])
+        base = _ReferenceLinearSVC(max_iter=30, random_state=rng)
+        self.estimators_ = []
+        oob_score = np.zeros(X.shape[0])
+        oob_count = np.zeros(X.shape[0])
+        for _ in range(self.n_estimators):
+            bag = rng.choice(unl, size=size, replace=True)
+            Xb = np.vstack([X[pos], X[bag]])
+            yb = np.concatenate([np.ones(pos.shape[0]), np.zeros(size)]).astype(int)
+            clf = clone(base)
+            clf.fit(Xb, yb)
+            self.estimators_.append(clf)
+            oob = np.setdiff1d(unl, bag)
+            if oob.shape[0]:
+                oob_score[oob] += clf.decision_function(X[oob])
+                oob_count[oob] += 1
+        self.oob_decision_ = np.divide(
+            oob_score,
+            np.maximum(oob_count, 1),
+            out=np.zeros_like(oob_score),
+            where=oob_count > 0,
+        )
+        self.n_features_in_ = X.shape[1]
+        return self
 
 
 def _reference_ocsvm(**kwargs):
@@ -336,6 +414,95 @@ def test_cblof_rides_on_batched_kmeans():
     b = CBLOF(random_state=0).fit(X.copy())
     np.testing.assert_array_equal(a.decision_scores_, b.decision_scores_)
     assert np.all(np.isfinite(a.decision_scores_))
+
+
+# ---------------------------------------------------------------------------
+# Pegasos: lockstep stream kernel (LinearSVC is K = 1, PU-BG K = n_estimators)
+# ---------------------------------------------------------------------------
+
+def _assert_same_bits(a, b):
+    assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def _assert_same_svc(ref, new, X):
+    _assert_same_bits(new.coef_, ref.coef_)
+    _assert_same_bits(np.float64(new.intercept_), np.float64(ref.intercept_))
+    _assert_same_bits(new.decision_function(X), ref.decision_function(X))
+
+
+def _svc_problem(gen, case):
+    n = 2 if case == "n2" else int(gen.integers(3, 40))
+    d = int(gen.integers(1, 7))
+    X = gen.normal(size=(n, d)) * gen.choice([0.1, 1.0, 30.0])
+    y = gen.integers(0, 2, n)
+    y[:2] = [0, 1]
+    if case == "single":
+        y[:] = gen.integers(0, 2)
+    elif case == "duplicates":
+        X[n // 2 :] = X[: n - n // 2]
+    elif case == "constant":
+        X[:, gen.integers(d)] = 2.5
+    return X, gen.permutation(y)
+
+
+SVC_CASES = ["random", "n2", "single", "duplicates", "constant"]
+
+
+@pytest.mark.parametrize("case", SVC_CASES)
+def test_linear_svc_lockstep_matches_per_sample_loop(case):
+    """Seeded fuzz: a one-lane lockstep fit is the per-sample loop, bit for
+    bit, under both class weightings and a range of C and epochs."""
+    gen = np.random.default_rng(SVC_CASES.index(case))
+    for trial in range(12):
+        X, y = _svc_problem(gen, case)
+        kw = dict(
+            C=float(gen.choice([0.05, 1.0, 20.0])),
+            max_iter=int(gen.integers(1, 12)),
+            class_weight=[None, "balanced"][trial % 2],
+            random_state=int(gen.integers(1000)),
+        )
+        ref = _reference_linear_svc(**kw).fit(X, y)
+        new = LinearSVC(**kw).fit(X, y)
+        _assert_same_svc(ref, new, X)
+
+
+def _pu_problem(gen, n_pos, n_unl, d=4):
+    X = gen.normal(size=(n_pos + n_unl, d))
+    X[:n_pos] += 1.0
+    s = np.r_[np.ones(n_pos, int), np.zeros(n_unl, int)]
+    order = gen.permutation(s.shape[0])
+    return X[order], s[order]
+
+
+@pytest.mark.parametrize(
+    "n_pos, n_unl, sample_size",
+    [
+        (12, 15, 1),  # bags of one unlabeled row
+        (40, 4, None),  # |pos| >> |unl|
+        (4, 40, None),  # |unl| >> |pos|
+        (6, 20, 9),  # sample_size set
+        (6, 8, 50),  # sample_size clipped to the unlabeled count
+        (1, 1, None),
+    ],
+)
+def test_bagging_pu_lockstep_matches_bag_loop(n_pos, n_unl, sample_size):
+    """Seeded fuzz: lockstep bags equal the one-bag-at-a-time loop in every
+    fitted SVM, the OOB scores and the decision function, bit for bit."""
+    gen = np.random.default_rng(n_pos * 100 + n_unl)
+    for _ in range(3):
+        X, s = _pu_problem(gen, n_pos, n_unl)
+        kw = dict(
+            n_estimators=int(gen.integers(1, 8)),
+            sample_size=sample_size,
+            random_state=int(gen.integers(1000)),
+        )
+        ref = _ReferenceBaggingPu(**kw).fit(X, s)
+        new = BaggingPuClassifier(**kw).fit(X, s)
+        assert len(new.estimators_) == len(ref.estimators_)
+        for r, m in zip(ref.estimators_, new.estimators_):
+            _assert_same_svc(r, m, X)
+        _assert_same_bits(new.oob_decision_, ref.oob_decision_)
+        _assert_same_bits(new.decision_function(X), ref.decision_function(X))
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from scipy.stats import norm
+from test_gbm_parity import _reference_tobit_grad_hess
 
 from repro.censored import CoxPHFitter, GrabitRegressor, TobitRegressor
+from repro.censored.grabit import _tobit_grad_hess
+from repro.censored.tobit import _negloglik, _normal_hazard
 from repro.pu import BaggingPuClassifier, ElkanNotoClassifier
 
 
@@ -83,6 +87,27 @@ class TestBaggingPu:
         with pytest.raises(ValueError):
             BaggingPuClassifier().fit(X, np.ones(X.shape[0], int))
 
+    @pytest.mark.parametrize("size", [0, -3, 2.5, "5"])
+    def test_invalid_sample_size(self, pu_data, size):
+        X, s, _ = pu_data
+        with pytest.raises(ValueError, match="sample_size"):
+            BaggingPuClassifier(sample_size=size).fit(X[:30], s[:30])
+
+    def test_sample_size_clipped_to_unlabeled_count(self):
+        X = np.random.default_rng(3).normal(size=(20, 3))
+        s = np.r_[np.ones(5, int), np.zeros(15, int)]
+        big = BaggingPuClassifier(sample_size=100, random_state=0).fit(X, s)
+        exact = BaggingPuClassifier(sample_size=15, random_state=0).fit(X, s)
+        assert big.oob_decision_.tobytes() == exact.oob_decision_.tobytes()
+        assert big.decision_function(X).tobytes() == exact.decision_function(
+            X
+        ).tobytes()
+
+    def test_has_no_estimator_parameter(self):
+        assert "estimator" not in BaggingPuClassifier().get_params()
+        with pytest.raises(TypeError):
+            BaggingPuClassifier(estimator=None)
+
 
 class TestTobit:
     def test_recovers_coefficients(self, censored_data):
@@ -114,6 +139,103 @@ class TestTobit:
         X, y_obs, _, _ = censored_data
         with pytest.raises(ValueError):
             TobitRegressor().fit(X, y_obs, np.ones(3, bool))
+
+
+#: z values for the Gaussian likelihood kernels: the non-finite values,
+#: signed zeros, subnormals, the ±30 clip edges and tails past them.
+Z_GRID = np.array([
+    -np.inf, -1e300, -1e155, -200.0, -38.5, -30.0, -29.9, -5.0, -1.0,
+    -1e-300, -5e-324, -0.0, 0.0, 5e-324, 0.5, 1.0, 8.0, 29.99, 30.0,
+    30.5, 37.0, 1e3, 1e155, 1e300, np.inf, np.nan,
+])
+
+
+def _reference_negloglik(theta, Zb, y, obs, reg):
+    """Tobit's likelihood through ``scipy.stats.norm`` (the pre-kernel
+    objective, verbatim)."""
+    d = Zb.shape[1]
+    beta = theta[:-1]
+    log_sigma = np.clip(theta[-1], -10.0, 10.0)
+    sigma = np.exp(log_sigma)
+    mu = Zb @ beta
+    z = (y - mu) / sigma
+    ll = np.where(
+        obs,
+        norm.logpdf(z) - log_sigma,
+        norm.logsf(z),
+    )
+    penalty = 0.5 * np.sum(reg * beta**2)
+    grad_beta = np.zeros(d)
+    w_obs = np.where(obs, z / sigma, 0.0)
+    zc = np.clip(z, -30.0, 30.0)
+    with np.errstate(divide="ignore", over="ignore"):
+        hazard = np.exp(norm.logpdf(zc) - norm.logsf(zc))
+    hazard = np.where(z > 30.0, z + 1.0 / np.maximum(z, 1.0), hazard)
+    w_cen = np.where(~obs, hazard / sigma, 0.0)
+    grad_beta = Zb.T @ (w_obs + w_cen)
+    g_obs = np.where(obs, z**2 - 1.0, 0.0).sum()
+    g_cen = np.where(~obs, hazard * z, 0.0).sum()
+    grad_logsig = g_obs + g_cen
+    grad = np.concatenate([grad_beta - reg * beta, [grad_logsig]])
+    return float(-np.sum(ll) + penalty), -grad
+
+
+def _assert_same_bits(a, b):
+    """Byte equality, where any NaN matches any NaN (payloads are not
+    values: scipy fills a NaN input with its own ``badvalue``)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    nan = np.isnan(a)
+    assert np.array_equal(nan, np.isnan(b))
+    assert a[~nan].tobytes() == b[~nan].tobytes()
+
+
+class TestGaussianKernels:
+    """Tobit and Grabit call the kernels ``scipy.stats.norm`` wraps; every
+    value must equal the wrapped version's."""
+
+    @pytest.mark.parametrize("censored", [False, True])
+    @pytest.mark.parametrize("z", Z_GRID)
+    def test_tobit_objective_per_z(self, z, censored):
+        # β = 0 and log σ = 0 make the standardized residual z itself.
+        args = (np.array([[1.0]]), np.array([z]), np.array([not censored]))
+        theta, reg = np.zeros(2), np.zeros(1)
+        with np.errstate(all="ignore"):
+            ref = _reference_negloglik(theta, *args, reg)
+            new = _negloglik(theta, *args, reg)
+        _assert_same_bits(new[0], ref[0])
+        _assert_same_bits(new[1], ref[1])
+
+    def test_tobit_objective_on_random_problems(self):
+        gen = np.random.default_rng(5)
+        for _ in range(50):
+            n, d = int(gen.integers(2, 40)), int(gen.integers(1, 5))
+            Zb = np.column_stack([np.ones(n), gen.normal(size=(n, d))])
+            y = gen.normal(0.0, gen.choice([0.1, 1.0, 50.0]), n)
+            obs = gen.random(n) < 0.6
+            theta = np.r_[gen.normal(size=d + 1), gen.uniform(-12.0, 12.0)]
+            reg = np.r_[0.0, np.full(d, 1e-3)]
+            with np.errstate(all="ignore"):
+                ref = _reference_negloglik(theta, Zb, y, obs, reg)
+                new = _negloglik(theta, Zb, y, obs, reg)
+            _assert_same_bits(new[0], ref[0])
+            _assert_same_bits(new[1], ref[1])
+
+    def test_grabit_hazard_and_derivatives(self):
+        censored = np.arange(Z_GRID.shape[0]) % 2 == 0
+        with np.errstate(all="ignore"):
+            ref_hazard = np.where(
+                Z_GRID > 30.0,
+                Z_GRID + 1.0 / np.maximum(Z_GRID, 1.0),
+                np.exp(norm.logpdf(np.clip(Z_GRID, -30.0, 30.0))
+                       - norm.logsf(np.clip(Z_GRID, -30.0, 30.0))),
+            )
+            _assert_same_bits(_normal_hazard(Z_GRID), ref_hazard)
+            for cen in (censored, ~censored):
+                for sigma in (1.0, 0.37):
+                    ref = _reference_tobit_grad_hess(Z_GRID, 0.0, cen, sigma)
+                    new = _tobit_grad_hess(Z_GRID, 0.0, cen, sigma)
+                    _assert_same_bits(new[0], ref[0])
+                    _assert_same_bits(new[1], ref[1])
 
 
 class TestGrabit:
