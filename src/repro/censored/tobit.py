@@ -10,8 +10,6 @@ precisely the distributional assumption the paper criticizes.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import log_ndtr
 
 from repro.learn.base import BaseEstimator, RegressorMixin
 from repro.learn.preprocessing import StandardScaler
@@ -26,6 +24,8 @@ def _normal_hazard(z):
 
     Past z = 30 the Mills-ratio asymptote λ(z) ≈ z + 1/z avoids inf/inf.
     """
+    from scipy.special import log_ndtr
+
     zc = np.clip(z, -30.0, 30.0)
     with np.errstate(divide="ignore", over="ignore"):
         hazard = np.exp(-(zc**2) / 2.0 - _LOG_SQRT_2PI - log_ndtr(-zc))
@@ -35,6 +35,8 @@ def _normal_hazard(z):
 def _negloglik(theta, Zb, y, obs, reg):
     """Penalized Tobit negative log-likelihood of ``(β, log σ)`` and its
     gradient; ``obs`` marks uncensored rows."""
+    from scipy.special import log_ndtr
+
     beta = theta[:-1]
     log_sigma = np.clip(theta[-1], -10.0, 10.0)
     sigma = np.exp(log_sigma)
@@ -75,6 +77,8 @@ class TobitRegressor(BaseEstimator, RegressorMixin):
     def fit(self, X, y, censored=None) -> "TobitRegressor":
         """Fit on observations ``y``; ``censored[i]`` marks y_i as a lower
         bound (right-censored) rather than an exact value."""
+        from scipy.optimize import minimize
+
         X, y = check_X_y(X, y)
         if censored is None:
             censored = np.zeros(y.shape[0], dtype=bool)

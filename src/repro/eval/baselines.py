@@ -110,9 +110,8 @@ class OutlierDetectorPredictor(OnlineStragglerPredictor):
                 [np.zeros(X_fin.shape[0]), np.ones(X_run.shape[0])]
             ).astype(np.int64)
             self.detector_.fit(X_all, labels)
-            scores = self.detector_.decision_function(X_all)
             self._xgbod_threshold_ = float(
-                np.quantile(scores, 1.0 - self.contamination)
+                np.quantile(self.detector_.decision_scores_, 1.0 - self.contamination)
             )
         else:
             self.detector_.fit(X_all)

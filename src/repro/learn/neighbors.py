@@ -21,13 +21,15 @@ import hashlib
 import weakref
 from collections import OrderedDict
 from contextlib import contextmanager
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from repro.learn.base import BaseEstimator
 from repro.utils.validation import check_array, check_is_fitted
+
+if TYPE_CHECKING:
+    from scipy.spatial import cKDTree
 
 
 class NeighborCache:
@@ -112,6 +114,8 @@ class NeighborCache:
             self._trees.move_to_end(key)
             self._remember_identity(X, key)
             return entry[1]
+        from scipy.spatial import cKDTree
+
         self.tree_misses += 1
         self.tree_builds += 1
         tree = cKDTree(X)
@@ -222,6 +226,8 @@ class NearestNeighbors(BaseEstimator):
     def fit(self, X, y=None) -> "NearestNeighbors":
         if self.n_neighbors < 1:
             raise ValueError("n_neighbors must be >= 1.")
+        from scipy.spatial import cKDTree
+
         X = check_array(X)
         self._fit_X_ = X
         cache = get_neighbor_cache()

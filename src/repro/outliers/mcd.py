@@ -17,10 +17,16 @@ given seed concentrates the same starting subsets.
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import chi2
 
 from repro.outliers.base import BaseDetector
 from repro.utils.validation import check_random_state
+
+
+def _chi2_ppf(q: float, df: int):
+    """``scipy.stats.chi2.ppf(q, df)`` by the kernel it calls, bit for bit."""
+    from scipy.special import gammaincinv
+
+    return 2 * gammaincinv(df / 2, q)
 
 
 def _det_cov(X: np.ndarray):
@@ -148,9 +154,9 @@ class MCD(BaseDetector):
         mean, cov = mean[best], cov[best]
         # Reweighting step: consistency-corrected scatter.
         dist = _mahalanobis_sq(X, mean, cov)
-        cutoff = chi2.ppf(0.975, df=d)
+        cutoff = _chi2_ppf(0.975, d)
         med = np.median(dist)
-        correction = med / max(chi2.ppf(0.5, df=d), 1e-12)
+        correction = med / max(_chi2_ppf(0.5, d), 1e-12)
         cov = cov * correction
         inliers = _mahalanobis_sq(X, mean, cov) <= cutoff
         if inliers.sum() > d + 1:

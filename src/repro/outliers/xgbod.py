@@ -81,12 +81,17 @@ class XGBOD(BaseDetector):
         ]
         for d in self.detectors_:
             d.fit(X)
-        Xa = self._augment(X)
+        # Each fit already scored X; for an inductive detector
+        # ``decision_scores_`` equals ``decision_function(X)``, so Xa is
+        # ``_augment(X)`` without scoring X again.
+        Xa = np.hstack(
+            [X, np.column_stack([d.decision_scores_ for d in self.detectors_])]
+        )
         self.clf_ = GradientBoostingClassifier(
             n_estimators=self.n_estimators, max_depth=3
         ).fit(Xa, y.astype(np.int64))
         self.n_features_in_ = X.shape[1]
-        self.decision_scores_ = self.decision_function(X)
+        self.decision_scores_ = self.clf_.decision_function(Xa)
         self.threshold_ = 0.0  # decision_function is centered log-odds
         return self
 

@@ -25,7 +25,7 @@ from repro.learn.base import clone
 from repro.learn.cluster import KMeans, _kmeans_plus_plus
 from repro.learn.svm import LinearSVC, OneClassSVM
 from repro.outliers import CBLOF, MCD, SOS, IForest, XGBOD
-from repro.outliers.mcd import _det_cov, _mahalanobis_sq
+from repro.outliers.mcd import _chi2_ppf, _det_cov, _mahalanobis_sq
 from repro.outliers.ocsvm import OCSVMDetector
 from repro.pu import BaggingPuClassifier
 from repro.utils.validation import check_array, check_random_state, check_X_y
@@ -319,6 +319,19 @@ def test_xgbod_pool_inherits_batched_builds():
     np.testing.assert_array_equal(a.decision_scores_, b.decision_scores_)
 
 
+@pytest.mark.parametrize("kind", DATASET_KINDS)
+def test_xgbod_training_scores_equal_rescoring(kind):
+    """``fit`` builds its training scores from the pool's own
+    ``decision_scores_``; they equal scoring an equal-valued copy of X
+    again, bit for bit, duplicate rows included (the kNN members decide
+    self-exclusion by content, not identity)."""
+    X = _make_dataset(kind)
+    y = (np.arange(X.shape[0]) % 5 == 0).astype(np.int64)
+    det = XGBOD(n_estimators=10, random_state=2).fit(X, y)
+    again = det.decision_function(X.copy())
+    assert det.decision_scores_.tobytes() == again.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # MCD: stacked C-step trials
 # ---------------------------------------------------------------------------
@@ -340,6 +353,15 @@ def test_mcd_matches_reference_loop(kind):
     np.testing.assert_allclose(
         cur.decision_scores_, ref.decision_scores_, rtol=RTOL, atol=ATOL
     )
+
+
+@pytest.mark.parametrize("q", [0.5, 0.975])
+def test_mcd_chi2_quantiles_match_scipy_stats(q):
+    """The cutoff (q = 0.975) and consistency correction (q = 0.5) are
+    ``chi2.ppf`` to the last bit for every dimension up to 64."""
+    for d in range(1, 65):
+        ours = np.float64(_chi2_ppf(q, d))
+        assert ours.tobytes() == np.float64(chi2.ppf(q, df=d)).tobytes(), d
 
 
 def test_mcd_batched_is_deterministic():

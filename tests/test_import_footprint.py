@@ -1,0 +1,102 @@
+"""What a serving process loads: no scipy submodule on the NURD path.
+
+Each scorer process holds one model per running job, so what it imports is
+memory it holds for its whole life. ``scipy.stats``, ``scipy.optimize``,
+``scipy.spatial`` and ``scipy.special`` together cost about 60 MB of RSS and
+most of a second of start-up. Only baselines call them (MCD's χ² quantiles,
+Tobit's optimizer and normal tail, the kNN detectors' KD-tree), so each is
+imported at the call that uses it.
+
+The test suite itself imports ``scipy.stats`` at module level, so every check
+here runs in a fresh interpreter.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+HEAVY = ("scipy.stats", "scipy.optimize", "scipy.spatial", "scipy.special")
+
+IMPORT_ALL = """
+import importlib
+import pkgutil
+
+import repro
+
+for info in pkgutil.walk_packages(repro.__path__, "repro."):
+    importlib.import_module(info.name)
+"""
+
+SERVE_ONE_JOB = """
+import asyncio
+
+from repro.core.nurd import NurdPredictor
+from repro.eval import EvaluationConfig
+from repro.serving.service import ScorerService
+from repro.traces.google import GoogleTraceGenerator
+
+job = GoogleTraceGenerator(random_state=0).generate_job("j0", n_tasks=80)
+
+
+async def serve():
+    service = ScorerService(
+        lambda: NurdPredictor(random_state=0),
+        simulator=EvaluationConfig(n_checkpoints=6).make_simulator(),
+    )
+    await service.start()
+    result = await service.replay_job(job)
+    await service.stop()
+    return result
+
+
+result = asyncio.run(serve())
+assert result is not None and result.y_flag.shape == (job.n_tasks,)
+"""
+
+FIT_MCD = """
+import numpy as np
+
+from repro.outliers import MCD
+
+MCD(random_state=0).fit(np.random.default_rng(0).normal(size=(40, 3)))
+"""
+
+REPORT = """
+import json
+import sys
+
+print(json.dumps(sorted(m for m in {heavy!r} if m in sys.modules)))
+"""
+
+
+def _loaded_heavy_modules(script: str) -> list:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run(
+        [sys.executable, "-c", script + REPORT.format(heavy=HEAVY)],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+@pytest.mark.parametrize(
+    "script", [IMPORT_ALL, SERVE_ONE_JOB], ids=["import_all", "serve_nurd_job"]
+)
+def test_serving_path_loads_no_heavy_scipy(script):
+    assert _loaded_heavy_modules(script) == []
+
+
+def test_heavy_scipy_is_visible_once_a_baseline_runs():
+    # The guard sees a deferred import once its caller runs: fitting MCD
+    # loads scipy.special, so an empty list above is not a blind probe.
+    assert _loaded_heavy_modules(IMPORT_ALL + FIT_MCD) == ["scipy.special"]
