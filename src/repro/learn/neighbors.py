@@ -1,6 +1,10 @@
 """Nearest-neighbor queries on top of ``scipy.spatial.cKDTree``.
 
-Shared by the KNN, LOF, COF, SOD, ABOD and LSCP outlier detectors.
+Shared by the KNN, LOF, COF, SOD, ABOD, LSCP and SOS outlier detectors and
+XGBOD's detector pool. Every query goes through :func:`_raw_tree_query`,
+which runs it on the calling thread: the matrices hold tens to hundreds of
+rows, so a worker pool's thread starts would cost more than the query, and
+the replay harness already parallelises across processes.
 
 Besides the :class:`NearestNeighbors` estimator this module hosts a small
 process-local :class:`NeighborCache`. Every unsupervised detector refit on a
@@ -170,7 +174,10 @@ class NeighborCache:
 def _raw_tree_query(
     tree: cKDTree, X: np.ndarray, k: int
 ) -> Tuple[np.ndarray, np.ndarray]:
-    dist, idx = tree.query(X, k=k, workers=-1)
+    """``tree.query(X, k)`` on the calling thread, as (n, k) arrays even at
+    k = 1. Rows are answered one by one, so the result equals a
+    ``workers=-1`` query bit for bit, ties included."""
+    dist, idx = tree.query(X, k=k)
     if k == 1:
         dist = dist[:, None]
         idx = idx[:, None]

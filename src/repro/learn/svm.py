@@ -10,6 +10,7 @@ nonlinear decision boundary the OCSVM baseline needs.
 
 from __future__ import annotations
 
+import numbers
 from typing import Optional
 
 import numpy as np
@@ -31,7 +32,7 @@ class LinearSVC(BaseEstimator, ClassifierMixin):
     C : float
         Inverse regularization strength; larger C fits the data harder.
     max_iter : int
-        Number of epochs over the training set.
+        Number of epochs over the training set, an int >= 1.
     class_weight : None or "balanced"
         "balanced" reweights the hinge loss inversely to class frequency
         (Wrangler-style handling of imbalanced straggler labels).
@@ -71,6 +72,9 @@ class LinearSVC(BaseEstimator, ClassifierMixin):
     def fit(self, X, y) -> "LinearSVC":
         if self.C <= 0:
             raise ValueError("C must be positive.")
+        max_iter = self.max_iter
+        if not (isinstance(max_iter, numbers.Integral) and max_iter >= 1):
+            raise ValueError(f"max_iter must be an int >= 1, got {max_iter!r}.")
         X, y = check_X_y(X, y, y_numeric=False)
         targets = self._targets(X, y)
         if targets is None:
@@ -172,8 +176,18 @@ def _pegasos_lockstep(models, X, targets) -> None:
     step, η and λ; each shuffles with its own, unshared ``random_state``.
     Every lane does a lone fit's arithmetic, so each model is bit-identical
     to it: a stacked (K,1,d)@(K,d,1) ``matmul`` sends each vector pair to
-    the dot ``x @ w`` uses, ``sqrt(w·w)`` is ``np.linalg.norm`` of a real
-    vector, and hinge updates touch only violating lanes.
+    the dot ``x @ w`` uses, the hinge rows η·sw·t·x are the same elementwise
+    products built one epoch at a time, and updates and projections touch
+    only the lanes they apply to.
+
+    The ball test ``sqrt(w·w) > radius`` is ``w·w > r2`` (see
+    :func:`_largest_square_within`), and a step in which no lane violates
+    skips it, since there it cannot come out true. Such a step only
+    multiplies W by the decay (s-1)/s. Before it, W passed the last test or
+    was just projected, so its norm is at most radius·(1 + (d/2 + 3)u),
+    u = 2⁻⁵³; the shrink by 1/s outweighs that and the rounding of the decay
+    and of the next w·w, (d + 6)u in all, while s < 1 / ((d + 6)u): over
+    10¹⁴ steps for d ≤ 20. A NaN lane stays NaN and never tests true.
     """
     K, n, d = X.shape
     t, sw = (np.stack(a) for a in zip(*targets))
@@ -181,6 +195,7 @@ def _pegasos_lockstep(models, X, targets) -> None:
     lam = 1.0 / (models[0].C * n)
     # Pegasos projects onto the ball of radius 1/sqrt(lam).
     radius = 1.0 / np.sqrt(lam)
+    r2 = _largest_square_within(radius)
     W = np.zeros((K, d))
     w_row, w_col = W[:, None, :], W[:, :, None]
     # Per-lane scalars are (K, 1) columns, so they broadcast against W.
@@ -191,29 +206,43 @@ def _pegasos_lockstep(models, X, targets) -> None:
         perm = np.stack([rng.permutation(n) for rng in rngs])
         # Step-major views: row i of every lane is one basic index away.
         Xs = X[lanes, perm].transpose(1, 0, 2)
-        Xs_rows = Xs[:, :, None, :]
         ts = t[lanes, perm].T[:, :, None]
         etas = 1.0 / (lam * np.arange(epoch * n + 1, (epoch + 1) * n + 1))
         decays = (1.0 - etas * lam).tolist()
         # t is ±1, so (η·sw)·t == η·(sw·t) exactly.
         coefs = etas[:, None, None] * (sw[lanes, perm].T[:, :, None] * ts)
-        for i in range(n):
-            np.matmul(Xs_rows[i], w_col, out=dot)
-            margin = ts[i] * (dots + b)
-            W *= decays[i]
+        hinge_rows = coefs * Xs
+        for x_row, t_i, decay, coef, row in zip(
+            Xs[:, :, None, :], ts, decays, coefs, hinge_rows
+        ):
+            np.matmul(x_row, w_col, out=dot)
+            margin = t_i * (dots + b)
+            W *= decay
             viol = margin < 1.0
-            if np.count_nonzero(viol):
-                # ``where`` leaves the other lanes' bits untouched.
-                np.add(W, coefs[i] * Xs[i], out=W, where=viol)
-                np.add(b, coefs[i], out=b, where=viol)
+            if not np.count_nonzero(viol):
+                continue
+            # ``where`` leaves the other lanes' bits untouched.
+            np.add(W, row, out=W, where=viol)
+            np.add(b, coef, out=b, where=viol)
             np.matmul(w_row, w_col, out=dot)
-            norm = np.sqrt(dots)
-            over = norm > radius
+            over = dots > r2
             if np.count_nonzero(over):
-                np.divide(radius, norm, out=scale, where=over)
+                np.divide(radius, np.sqrt(dots), out=scale, where=over)
                 np.multiply(W, scale, out=W, where=over)
     for m, w, b_k in zip(models, W, b[:, 0]):
         m.coef_, m.intercept_ = w, float(b_k)
+
+
+def _largest_square_within(radius: float) -> float:
+    """The largest double r2 with ``sqrt(r2) <= radius`` (inf for an
+    infinite radius). ``sqrt`` is correctly rounded, hence monotone, so
+    ``sqrt(q) > radius`` exactly when ``q > r2``, with no root taken."""
+    r2 = radius * radius
+    while np.sqrt(r2) > radius:
+        r2 = np.nextafter(r2, -np.inf)
+    while r2 < np.inf and np.sqrt(np.nextafter(r2, np.inf)) <= radius:
+        r2 = np.nextafter(r2, np.inf)
+    return r2
 
 
 class OneClassSVM(BaseEstimator):

@@ -25,6 +25,8 @@ Table-3 metric deltas against it are gated at ≤ 0.01 by
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from repro.outliers.base import BaseDetector
@@ -245,7 +247,8 @@ class IForest(BaseDetector):
     n_estimators : int
         Number of trees.
     max_samples : int
-        Subsample size per tree (ψ; the paper's default 256).
+        Subsample size per tree (ψ; the paper's default 256), an int >= 1;
+        clipped to the row count.
     """
 
     def __init__(
@@ -263,9 +266,12 @@ class IForest(BaseDetector):
     def _fit(self, X: np.ndarray) -> None:
         if self.n_estimators < 1:
             raise ValueError("n_estimators must be >= 1.")
+        psi = self.max_samples
+        if not (isinstance(psi, numbers.Integral) and psi >= 1):
+            raise ValueError(f"max_samples must be an int >= 1, got {psi!r}.")
         rng = check_random_state(self.random_state)
         n = X.shape[0]
-        psi = min(self.max_samples, n)
+        psi = min(psi, n)
         max_depth = int(np.ceil(np.log2(max(psi, 2))))
         # The split draws are counter-seeded; one generator draw keys them
         # to the caller's seed. Subsamples then follow the sequential

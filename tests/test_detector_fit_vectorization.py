@@ -23,7 +23,7 @@ from test_detector_vectorization import REFERENCE_FOREST_FITS
 
 from repro.learn.base import clone
 from repro.learn.cluster import KMeans, _kmeans_plus_plus
-from repro.learn.svm import LinearSVC, OneClassSVM
+from repro.learn.svm import LinearSVC, OneClassSVM, _largest_square_within
 from repro.outliers import CBLOF, MCD, SOS, IForest, XGBOD
 from repro.outliers.mcd import _chi2_ppf, _det_cov, _mahalanobis_sq
 from repro.outliers.ocsvm import OCSVMDetector
@@ -127,7 +127,13 @@ class _ReferenceKMeans(KMeans):
 
 class _ReferenceLinearSVC(LinearSVC):
     """Per-sample Pegasos: one model, one ``X[i] @ w`` and one
-    ``np.linalg.norm`` per step (the pre-lockstep stream solver)."""
+    ``np.linalg.norm`` per step (the pre-lockstep stream solver).
+
+    It also records the steps with no hinge violation (``quiet_steps_``,
+    1-based) and counts its ball projections (``projections_``): the
+    lockstep kernel skips the ball test on a step where no lane violates,
+    so the fuzz must show it reaches both that skip and a real projection.
+    """
 
     def fit(self, X, y):
         if self.C <= 0:
@@ -147,6 +153,7 @@ class _ReferenceLinearSVC(LinearSVC):
         w = np.zeros(d)
         b = 0.0
         step = 0
+        self.quiet_steps_, self.projections_ = [], 0
         for _ in range(self.max_iter):
             perm = rng.permutation(n)
             for i in perm:
@@ -157,11 +164,14 @@ class _ReferenceLinearSVC(LinearSVC):
                 if margin < 1.0:
                     w += eta * sw[i] * t[i] * X[i]
                     b += eta * sw[i] * t[i]
+                else:
+                    self.quiet_steps_.append(step)
                 # Pegasos projection onto the ball of radius 1/sqrt(lam).
                 norm = np.linalg.norm(w)
                 radius = 1.0 / np.sqrt(lam)
                 if norm > radius:
                     w *= radius / norm
+                    self.projections_ += 1
         return w, b
 
 
@@ -464,10 +474,27 @@ def _svc_problem(gen, case):
         X[n // 2 :] = X[: n - n // 2]
     elif case == "constant":
         X[:, gen.integers(d)] = 2.5
-    return X, gen.permutation(y)
+    elif case == "projected":
+        # Rows far outside the ball of radius sqrt(C·n): the first hinge
+        # update already leaves it.
+        X *= 1e3
+    y = gen.permutation(y)
+    if case == "separable":
+        # Feature 0 splits the classes with room to spare, so whole epochs
+        # pass without a violation once the fit has found it.
+        X[:, 0] = (2 * y - 1) * (1.0 + np.abs(X[:, 0]))
+    return X, y
 
 
-SVC_CASES = ["random", "n2", "single", "duplicates", "constant"]
+SVC_CASES = [
+    "random",
+    "n2",
+    "single",
+    "duplicates",
+    "constant",
+    "projected",
+    "separable",
+]
 
 
 @pytest.mark.parametrize("case", SVC_CASES)
@@ -475,6 +502,7 @@ def test_linear_svc_lockstep_matches_per_sample_loop(case):
     """Seeded fuzz: a one-lane lockstep fit is the per-sample loop, bit for
     bit, under both class weightings and a range of C and epochs."""
     gen = np.random.default_rng(SVC_CASES.index(case))
+    quiet = projections = 0
     for trial in range(12):
         X, y = _svc_problem(gen, case)
         kw = dict(
@@ -486,6 +514,33 @@ def test_linear_svc_lockstep_matches_per_sample_loop(case):
         ref = _reference_linear_svc(**kw).fit(X, y)
         new = LinearSVC(**kw).fit(X, y)
         _assert_same_svc(ref, new, X)
+        quiet += len(getattr(ref, "quiet_steps_", ()))
+        projections += getattr(ref, "projections_", 0)
+    if case == "projected":
+        assert projections > 0
+    if case == "separable":
+        assert quiet > 0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_ball_threshold_matches_sqrt_test(seed):
+    """``w·w > r2`` is ``sqrt(w·w) > radius`` for every double near the
+    boundary, at random radii and at 0 and inf."""
+    gen = np.random.default_rng(seed)
+    radii = np.r_[0.0, np.inf, 10.0 ** gen.uniform(-150, 150, 200)]
+    for radius in radii:
+        r2 = _largest_square_within(radius)
+        assert np.sqrt(r2) <= radius
+        if np.isfinite(r2):
+            assert np.sqrt(np.nextafter(r2, np.inf)) > radius
+        q = [r2]
+        for toward in (0.0, np.inf):
+            x = r2
+            for _ in range(3):
+                x = np.nextafter(x, toward)
+                q.append(x)
+        q = np.array(q)
+        np.testing.assert_array_equal(q > r2, np.sqrt(q) > radius)
 
 
 def _pu_problem(gen, n_pos, n_unl, d=4):
@@ -520,11 +575,41 @@ def test_bagging_pu_lockstep_matches_bag_loop(n_pos, n_unl, sample_size):
         )
         ref = _ReferenceBaggingPu(**kw).fit(X, s)
         new = BaggingPuClassifier(**kw).fit(X, s)
-        assert len(new.estimators_) == len(ref.estimators_)
-        for r, m in zip(ref.estimators_, new.estimators_):
-            _assert_same_svc(r, m, X)
-        _assert_same_bits(new.oob_decision_, ref.oob_decision_)
-        _assert_same_bits(new.decision_function(X), ref.decision_function(X))
+        _assert_same_bagging(ref, new, X)
+
+
+def _assert_same_bagging(ref, new, X):
+    assert len(new.estimators_) == len(ref.estimators_)
+    for r, m in zip(ref.estimators_, new.estimators_):
+        _assert_same_svc(r, m, X)
+    _assert_same_bits(new.oob_decision_, ref.oob_decision_)
+    _assert_same_bits(new.decision_function(X), ref.decision_function(X))
+
+
+@pytest.mark.parametrize("case", ["projected", "separable"])
+def test_bagging_pu_lockstep_projects_and_skips_quiet_steps(case):
+    """Seeded fuzz over K >= 2 bags that reaches both branches the lockstep
+    kernel treats specially: a projection onto the ball, and a step in which
+    no bag violates (the same step number is quiet in every reference bag),
+    where the kernel skips the ball test."""
+    gen = np.random.default_rng(["projected", "separable"].index(case))
+    quiet = projections = 0
+    for _ in range(3):
+        X, s = _pu_problem(gen, 12, 20)
+        if case == "projected":
+            X *= 1e3
+        else:
+            X[:, 0] = (2 * s - 1) * (1.0 + np.abs(X[:, 0]))
+        kw = dict(
+            n_estimators=int(gen.integers(2, 8)),
+            random_state=int(gen.integers(1000)),
+        )
+        ref = _ReferenceBaggingPu(**kw).fit(X, s)
+        new = BaggingPuClassifier(**kw).fit(X, s)
+        _assert_same_bagging(ref, new, X)
+        quiet += len(set.intersection(*(set(e.quiet_steps_) for e in ref.estimators_)))
+        projections += sum(e.projections_ for e in ref.estimators_)
+    assert (projections if case == "projected" else quiet) > 0
 
 
 # ---------------------------------------------------------------------------

@@ -137,6 +137,16 @@ def test_iforest_scores_in_unit_interval(outlier_data):
     assert (det.decision_scores_ > 0).all() and (det.decision_scores_ < 1).all()
 
 
+@pytest.mark.parametrize("max_samples", [0, -3, 2.5, np.nan])
+def test_iforest_invalid_max_samples(max_samples, outlier_data):
+    # 0 used to score every row 1.0; the rest failed inside numpy.
+    X, _ = outlier_data
+    from repro.outliers import IForest
+
+    with pytest.raises(ValueError, match="max_samples"):
+        IForest(max_samples=max_samples, random_state=0).fit(X)
+
+
 def test_cblof_small_cluster_scored_against_large():
     gen = np.random.default_rng(0)
     big = gen.normal(0, 0.5, size=(150, 2))
