@@ -58,6 +58,10 @@ def compute_rho(X_finished, X_running) -> float:
 def compute_delta(rho: float, alpha: float = 0.5, rho_max: float = 2.0) -> float:
     """Calibration term δ = 1/(1+ρ) − α (Eq. 3); lies in (−α, 1−α).
 
+    ``alpha`` must lie in (0, 1), where δ changes sign at ρ = 1/α − 1. At
+    α ≥ 1, δ ≤ 0 at every ρ, so calibration could never suppress a
+    prediction; at α ≤ 0, δ > 0 at every ρ, so it could never dilate one.
+
     ``rho_max`` caps ρ before applying Eq. 3. The ratio estimator ρ is
     heavy-tailed: when a job's stragglers have no feature signature the
     centroid separation collapses and ρ explodes, driving δ → −α and
@@ -67,8 +71,8 @@ def compute_delta(rho: float, alpha: float = 0.5, rho_max: float = 2.0) -> float
     degenerate case merely aggressive instead of saturated. Set
     ``rho_max=np.inf`` for the paper's exact formula.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive.")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1); got {alpha!r}.")
     if rho < 0:
         raise ValueError("rho must be non-negative.")
     if rho_max <= 0:

@@ -20,6 +20,7 @@ own ablation showing calibration is what keeps the false-positive rate low.
 
 from __future__ import annotations
 
+import numbers
 from typing import Optional
 
 import numpy as np
@@ -44,7 +45,9 @@ class NurdPredictor(OnlineStragglerPredictor):
     Parameters
     ----------
     alpha : float
-        Calibration range parameter; the paper tunes ``alpha = 0.5``.
+        Calibration range parameter in (0, 1) (see
+        :func:`repro.core.calibration.compute_delta`); the paper tunes
+        ``alpha = 0.5``.
     eps : float
         Minimum positive weight; the paper uses ``eps = 0.05``.
     regressor : estimator or None
@@ -72,7 +75,7 @@ class NurdPredictor(OnlineStragglerPredictor):
         refit cost is amortized to ~2 end-of-job fits while the model
         tracks the data).
     warm_increment : int
-        Trees added per warm-started checkpoint refit.
+        Trees added per warm-started checkpoint refit (an integer >= 1).
     warm_refresh : float
         Growth factor of the finished set that triggers a full refit
         (> 1; ``np.inf`` never refreshes).
@@ -107,20 +110,20 @@ class NurdPredictor(OnlineStragglerPredictor):
 
     # ------------------------------------------------------------------
     def begin_job(self, X_fin, y_fin, X_run, tau_stra: float) -> None:
-        """Compute the per-job calibration term from warmup centroids."""
+        """Compute the per-job calibration term from warmup centroids.
+
+        Raises ``ValueError`` unless ``alpha`` lies in (0, 1) (checked by
+        :func:`repro.core.calibration.compute_delta`, NURD-NC included) and
+        ``eps`` is positive.
+        """
         super().begin_job(X_fin, y_fin, X_run, tau_stra)
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive.")
         if self.eps <= 0:
             raise ValueError("eps must be positive.")
         X_fin = check_array(X_fin)
         X_run = check_array(X_run)
         self.rho_ = compute_rho(X_fin, X_run)
-        self.delta_ = (
-            compute_delta(self.rho_, self.alpha, rho_max=self.rho_max)
-            if self.calibrate
-            else 0.0
-        )
+        delta = compute_delta(self.rho_, self.alpha, rho_max=self.rho_max)
+        self.delta_ = delta if self.calibrate else 0.0
         self._fitted_models = False
 
     def update(self, X_fin, y_fin, X_run, elapsed_run=None) -> None:
@@ -131,8 +134,11 @@ class NurdPredictor(OnlineStragglerPredictor):
         ``warm_increment`` extra trees on the enlarged finished set.
         """
         check_is_fitted(self, ["tau_stra_"])
-        if self.warm_increment < 1:
-            raise ValueError("warm_increment must be >= 1.")
+        increment = self.warm_increment
+        if not (isinstance(increment, numbers.Integral) and increment >= 1):
+            raise ValueError(
+                f"warm_increment must be an integer >= 1; got {increment!r}."
+            )
         if self.warm_refresh <= 1.0:
             raise ValueError("warm_refresh must be > 1.")
         X_fin, y_fin = check_X_y(X_fin, y_fin)

@@ -16,8 +16,12 @@ and Grabit; a loss only supplies its initial raw score and its per-sample
 
 Features are quantized into ≤255 bins **once per ensemble fit** and every
 stage's tree grows on the shared binned matrix (the histogram split search
-of :mod:`repro.learn.tree` without per-tree binning cost). Every stage sees
-every row and every feature, so fitting draws no random numbers.
+of :mod:`repro.learn.tree` without per-tree binning cost). The same
+per-fit memo (``tree._FitMemo``) also carries the node state that does not
+depend on the residual: stages keep re-taking the cuts near the root, so
+their partitions and count histograms are computed once per fit. Integer
+parameters are validated once per fit, before any binning. Every stage
+sees every row and every feature, so fitting draws no random numbers.
 ``warm_start=True`` makes ``fit`` extend an already-fitted ensemble up to
 the current ``n_estimators`` instead of restarting from scratch: existing
 trees are kept, raw predictions are re-accumulated on the new data, and
@@ -31,10 +35,12 @@ trees are routed at once, one pass per depth level.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from repro.learn.base import BaseEstimator, ClassifierMixin, RegressorMixin
-from repro.learn.tree import _LEAF, _MAX_HIST_BINS, _Binner, _PackedTrees, _fit_layout
+from repro.learn.tree import _LEAF, _MAX_HIST_BINS, _FitMemo, _PackedTrees
 from repro.learn.tree import DecisionTreeRegressor
 from repro.utils.validation import check_array, check_is_fitted, check_X_y
 
@@ -114,10 +120,18 @@ class _BaseGradientBoosting(BaseEstimator):
         With ``warm`` the fitted trees are kept, replayed on ``X``, and only
         the stages missing up to ``n_estimators`` are trained.
         """
-        if self.n_estimators < 1:
-            raise ValueError("n_estimators must be >= 1.")
+        n_estimators = self.n_estimators
+        if not (isinstance(n_estimators, numbers.Integral) and n_estimators >= 1):
+            raise ValueError(
+                f"n_estimators must be an integer >= 1; got {n_estimators!r}."
+            )
         if not 0.0 < self.learning_rate <= 1.0:
             raise ValueError("learning_rate must be in (0, 1].")
+        # One memo per fit: it checks the tree limits, bins X once, and
+        # keeps the residual-free node state every stage reuses.
+        memo = _FitMemo(
+            X, self.max_bins, self.max_depth, min_samples_split, self.min_samples_leaf
+        )
         if warm:
             if X.shape[1] != self.n_features_in_:
                 raise ValueError(
@@ -137,9 +151,6 @@ class _BaseGradientBoosting(BaseEstimator):
             raw = np.full(X.shape[0], self.init_raw_, dtype=np.float64)
             self.estimators_ = []
             n_new = self.n_estimators
-        # Bin and count the root once per fit; every stage shares them.
-        binner = _Binner(self.max_bins).fit(X)
-        layout = _fit_layout(binner, X)
         for _ in range(n_new):
             residual, hessian = loss.gradients(y, raw)
             tree = DecisionTreeRegressor(
@@ -147,7 +158,7 @@ class _BaseGradientBoosting(BaseEstimator):
                 min_samples_split=min_samples_split,
                 min_samples_leaf=self.min_samples_leaf,
                 max_bins=self.max_bins,
-            )._fit_binned(*layout, residual, binner)
+            )._fit_binned(memo, residual)
             raw += self.learning_rate * _newton_step(tree, residual, hessian)
             self.estimators_.append(tree)
         self._packed = _PackedTrees([tree.tree_ for tree in self.estimators_])
@@ -167,14 +178,6 @@ class _BaseGradientBoosting(BaseEstimator):
     def _raw_predict(self, X) -> np.ndarray:
         X = self._check_predict_input(X)
         return self._packed.raw(X, self.init_raw_, self.learning_rate)
-
-    def staged_raw_predict(self, X):
-        """Yield raw predictions after each boosting stage."""
-        X = self._check_predict_input(X)
-        raw = np.full(X.shape[0], self.init_raw_, dtype=np.float64)
-        for values in self._packed.leaf_values(X):
-            raw += self.learning_rate * values
-            yield raw.copy()
 
 
 class _GradientBoosting(_BaseGradientBoosting):

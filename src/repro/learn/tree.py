@@ -2,7 +2,7 @@
 
 The tree is the weak learner inside :mod:`repro.learn.gbm`. It is grown
 LightGBM-style: each feature is quantized into ≤255 ``uint8`` bins and
-mapped to histogram slots once per fit (:func:`_fit_layout`), per-node
+mapped to histogram slots once per fit (:class:`_FitMemo`), per-node
 histograms of (cumulative count, Σy) are built with one ``bincount`` each
 over all features at once, and every candidate cut of every feature is
 scored in one vectorized pass over the (d, n_bins) histogram — no sorting
@@ -15,6 +15,16 @@ the caller. When a child will grow, the subtraction trick (child = parent
 − sibling) means only the smaller child is ever scanned. Every node sees
 every row and every feature, so growing a tree draws no random numbers.
 
+All trees of one fit (a boosted ensemble's stages, or a lone tree) share
+one :class:`_FitMemo`. A node's row set within a fit is fixed by its path
+of cuts from the root, so the memo keeps, per path, what depends only on
+the rows: the partition, the count histograms and the ``min_samples_leaf``
+mask. Later stages that take the same cuts reuse it. Nothing in the memo
+may depend on the residual, which changes every stage: Σy histograms,
+gains, leaf statistics and Newton steps are always recomputed, so a tree
+grown with a warm memo is bit-identical to one grown without. The memo
+holds at most ``_MEMO_BYTES`` and dies with the fit.
+
 Thresholds are real feature values (bin edges), so fitted trees predict on
 raw, un-binned inputs, routed level by level rather than one Python call
 per sample. :class:`_PackedTrees` routes rows through a whole ensemble of
@@ -23,6 +33,7 @@ fitted trees in one level-synchronous pass per depth.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -49,9 +60,12 @@ class _Binner:
     """
 
     def __init__(self, max_bins: int = _MAX_HIST_BINS):
-        if not 2 <= max_bins <= _MAX_HIST_BINS:
+        if not (
+            isinstance(max_bins, numbers.Integral) and 2 <= max_bins <= _MAX_HIST_BINS
+        ):
             raise ValueError(
-                f"max_bins must be in [2, {_MAX_HIST_BINS}]; got {max_bins}."
+                f"max_bins must be an integer in [2, {_MAX_HIST_BINS}]; "
+                f"got {max_bins!r}."
             )
         self.max_bins = max_bins
 
@@ -88,20 +102,6 @@ class _Binner:
         return codes
 
 
-def _fit_layout(binner: _Binner, X: np.ndarray):
-    """What every tree of one fit shares: the slot map and the root's counts.
-
-    ``slots`` holds ``f * n_total + b`` for code ``b`` of feature ``f``, so
-    one flattened ``bincount`` covers every feature at once, and "code ≤ b"
-    is "slot ≤ f * n_total + b". Counts depend only on the codes, so the
-    root's cumulative counts are computed once per fit, not once per tree.
-    """
-    d, n_total = X.shape[1], binner.n_total_bins_
-    slots = binner.transform(X).astype(np.intp)
-    slots += np.arange(d, dtype=np.intp) * n_total
-    return slots, _cumulative_counts(slots.ravel(), d, n_total)
-
-
 def _cumulative_counts(flat: np.ndarray, d: int, n_total: int) -> np.ndarray:
     """Rows at or below each bin, shape (d, n_total): ``left_n`` of every
     cut. Counts are float64 (exact below 2**53), so a sibling's is exactly
@@ -114,6 +114,136 @@ def _target_sums(flat: np.ndarray, yh: np.ndarray, d: int, n_total: int):
     """Σy histogram of one node, shape (d, n_total); ``yh`` in row order."""
     wsum = np.bincount(flat, weights=yh.repeat(d), minlength=d * n_total)
     return wsum.reshape(d, n_total)
+
+
+def _check_builder_params(max_depth, min_samples_split, min_samples_leaf):
+    """Validate the growth limits; returns ``max_depth`` (inf for None)."""
+    if max_depth is not None and not (
+        isinstance(max_depth, numbers.Integral) and max_depth >= 1
+    ):
+        raise ValueError(
+            f"max_depth must be an integer >= 1 or None; got {max_depth!r}."
+        )
+    split, leaf = min_samples_split, min_samples_leaf
+    if not (isinstance(split, numbers.Integral) and split >= 2):
+        raise ValueError(f"min_samples_split must be an integer >= 2; got {split!r}.")
+    if not (isinstance(leaf, numbers.Integral) and leaf >= 1):
+        raise ValueError(f"min_samples_leaf must be an integer >= 1; got {leaf!r}.")
+    return np.inf if max_depth is None else int(max_depth)
+
+
+#: Bytes of node state one fit's memo may hold (:class:`_FitMemo`). With it,
+#: a fit costs about one extra MiB at most; EXPERIMENTS.md ("One node memo
+#: per GBM fit") has the measured sizes behind the choice.
+_MEMO_BYTES = 1 << 20
+
+
+class _Node:
+    """Row-set state of one node that can split: its rows, every cut's
+    left and right counts, and the cuts that leave a side short of
+    ``min_samples_leaf`` rows. ``splits`` maps a cut to its memoized split
+    (see :meth:`_FitMemo.split`); it is None for a node the memo does not
+    hold, which then lives only as long as the tree that grows it."""
+
+    __slots__ = ("idx", "left_n", "right_n", "short", "splits")
+
+    def __init__(self, idx: np.ndarray, left_n: np.ndarray, min_leaf: int):
+        self.idx = idx
+        self.left_n = left_n
+        self.right_n = idx.shape[0] - left_n
+        self.short = np.minimum(left_n, self.right_n) < min_leaf
+        self.splits = None
+
+
+class _FitMemo:
+    """What every tree of one fit shares: binning and all residual-free
+    node state.
+
+    Built once per fit, before any tree: it validates the growth limits,
+    bins ``X`` and maps codes to histogram slots. ``slots`` holds
+    ``f * n_total + b`` for code ``b`` of feature ``f``, so one flattened
+    ``bincount`` covers every feature at once, and "code ≤ b" is "slot ≤
+    f * n_total + b".
+
+    Within one fit a node's row set is fixed by its path of (cut, side)
+    from the root, and boosting stages keep taking the same cuts near the
+    root. So the memo is a trie of :class:`_Node` keyed by those paths.
+    For each cut a tree takes it keeps the partition, the smaller side's
+    slot rows and the state of each child that may still grow. None of it
+    depends on the residual: the builder still computes every Σy histogram,
+    gain, leaf statistic and Newton step afresh, and counts are exact
+    integers in float64, so a memoized tree is the same bit for bit. New
+    entries stop once the arrays held reach ``_MEMO_BYTES``; held arrays
+    are read-only. The memo dies with the fit.
+    """
+
+    def __init__(self, X, max_bins, max_depth, min_samples_split, min_samples_leaf):
+        self.max_depth = _check_builder_params(
+            max_depth, min_samples_split, min_samples_leaf
+        )
+        self.min_split, self.min_leaf = min_samples_split, min_samples_leaf
+        self.binner = _Binner(max_bins).fit(X)
+        n, d = X.shape
+        n_total = self.binner.n_total_bins_
+        slots = self.binner.transform(X).astype(np.intp)
+        slots += np.arange(d, dtype=np.intp) * n_total
+        self.slots, self.flat = slots, slots.ravel()
+        self.root = _Node(
+            np.arange(n), _cumulative_counts(self.flat, d, n_total), min_samples_leaf
+        )
+        self.root.splits = {}
+        root = self.root
+        for a in (slots, root.idx, root.left_n, root.right_n, root.short):
+            a.setflags(write=False)
+        #: Bytes of the arrays held below the root.
+        self.nbytes = 0
+
+    def split(self, node: _Node, cut: int, feat: int, depth: int):
+        """``(parts, small, flat, children)`` of ``node`` cut at slot ``cut``
+        of feature ``feat``: the two row sets (left, right), the index of
+        the smaller one (the left on a tie), its flattened slot rows and a
+        :class:`_Node` for each child that may still grow whatever the
+        residual (None for one at ``max_depth`` or below
+        ``min_samples_split``; ``flat`` is None when neither may). Kept
+        under ``node`` while the memo has room and ``node`` is held.
+        """
+        idx = node.idx
+        go_left = self.slots[:, feat][idx] <= cut
+        parts = (idx[go_left], idx[~go_left])
+        small = int(parts[0].shape[0] > parts[1].shape[0])
+        flat, children = None, [None, None]
+        big = 1 - small
+        if depth + 1 < self.max_depth and parts[big].shape[0] >= self.min_split:
+            flat = self.slots.take(parts[small], axis=0).ravel()
+            d, n_total = self.slots.shape[1], self.binner.n_total_bins_
+            left_n = _cumulative_counts(flat, d, n_total)
+            if parts[small].shape[0] >= self.min_split:
+                children[small] = _Node(parts[small], left_n, self.min_leaf)
+            # The larger child's counts are parent − smaller, exactly.
+            children[big] = _Node(parts[big], node.left_n - left_n, self.min_leaf)
+        split = (parts, small, flat, children)
+        if node.splits is not None:
+            self._keep(node, cut, split)
+        return split
+
+    def _keep(self, node: _Node, cut: int, split) -> bool:
+        """Hold ``split`` under ``node`` if it fits in ``_MEMO_BYTES``."""
+        parts, _, flat, children = split
+        arrays = [*parts] if flat is None else [*parts, flat]
+        for child in children:
+            if child is not None:
+                arrays += (child.left_n, child.right_n, child.short)
+        size = sum([a.nbytes for a in arrays])
+        if self.nbytes + size > _MEMO_BYTES:
+            return False
+        self.nbytes += size
+        for a in arrays:
+            a.setflags(write=False)
+        for child in children:
+            if child is not None:
+                child.splits = {}
+        node.splits[cut] = split
+        return True
 
 
 @dataclass
@@ -266,8 +396,14 @@ class DecisionTreeRegressor(BaseEstimator, RegressorMixin):
 
     def fit(self, X, y) -> "DecisionTreeRegressor":
         X, y = check_X_y(X, y)
-        binner = _Binner(self.max_bins).fit(X)
-        self._fit_binned(*_fit_layout(binner, X), y, binner)
+        memo = _FitMemo(
+            X,
+            self.max_bins,
+            self.max_depth,
+            self.min_samples_split,
+            self.min_samples_leaf,
+        )
+        self._fit_binned(memo, y)
         # Max-depth leaves: a leaf's rows are in ascending order, as in the
         # builder, so the mean is the same pairwise sum.
         value, leaves = self.tree_.value[:, 0], self._train_leaves_
@@ -286,29 +422,20 @@ class DecisionTreeRegressor(BaseEstimator, RegressorMixin):
         d = y - mean
         return mean, float(d @ d)
 
-    def _check_builder_params(self):
-        max_depth = np.inf if self.max_depth is None else int(self.max_depth)
-        if max_depth < 1:
-            raise ValueError("max_depth must be >= 1.")
-        if self.min_samples_split < 2:
-            raise ValueError("min_samples_split must be >= 2.")
-        if self.min_samples_leaf < 1:
-            raise ValueError("min_samples_leaf must be >= 1.")
-        return max_depth
+    def _fit_binned(self, memo: _FitMemo, y: np.ndarray):
+        """Grow the tree on a fit's shared :class:`_FitMemo`, whose limits
+        the caller built from this tree's parameters.
 
-    def _fit_binned(self, slots, root_left_n, y: np.ndarray, binner: _Binner):
-        """Grow the tree from a fit's shared :func:`_fit_layout`.
-
-        Ensembles call this directly so binning and the root's counts are
-        paid once per ensemble fit rather than once per tree. Leaves at
-        ``max_depth`` get value and impurity NaN: the caller sets their
-        values (the GBM's Newton step, or ``fit``'s means); their impurity
-        stays NaN, and nothing reads ``tree_.impurity``.
+        Ensembles call this once per stage with one memo, so binning and
+        every node's row-set state are paid once per ensemble fit rather
+        than once per tree. Leaves at ``max_depth`` get value and impurity
+        NaN: the caller sets their values (the GBM's Newton step, or
+        ``fit``'s means); their impurity stays NaN, and nothing reads
+        ``tree_.impurity``.
         """
-        max_depth = self._check_builder_params()
-        min_split, min_leaf = self.min_samples_split, self.min_samples_leaf
-        n, d = slots.shape
-        n_total = binner.n_total_bins_
+        max_depth, min_split = memo.max_depth, memo.min_split
+        n, d = memo.slots.shape
+        n_total, edges = memo.binner.n_total_bins_, memo.binner.edges_
         buffers = _TreeBuffers()
         # Leaf id of every training sample (all in the root, node 0, until
         # they are routed), so ensembles never re-route the training set.
@@ -323,16 +450,14 @@ class DecisionTreeRegressor(BaseEstimator, RegressorMixin):
         # With every feature constant (n_total == 1) the root stays a leaf.
         stack = []
         if n_total > 1 and not (n < min_split or root_imp <= 1e-12):
-            wsum = _target_sums(slots.ravel(), yh, d, n_total)
-            stack.append((0, np.arange(n), 0, root_left_n, wsum))
+            stack.append((0, memo.root, 0, _target_sums(memo.flat, yh, d, n_total)))
         # One errstate switch for the whole build (zero-count divisions are
         # masked by the validity filter; per-node context managers cost more
         # than the arithmetic at this node size).
         with np.errstate(divide="ignore", invalid="ignore"):
             # Depth-first; every node on the stack can split.
             while stack:
-                node_id, idx, depth, left_n, wsum = stack.pop()
-                m = idx.shape[0]
+                node_id, node, depth, wsum = stack.pop()
                 # Cumulative histograms score every cut of every feature at
                 # once. Gain is the SSE reduction: the Σy² terms cancel,
                 # leaving only squared sums. A cut needs min_leaf rows on
@@ -340,34 +465,37 @@ class DecisionTreeRegressor(BaseEstimator, RegressorMixin):
                 # feature's last bin (no rows to their right).
                 left_sum = np.add.accumulate(wsum, axis=1)
                 total = float(np.add.reduce(wsum[0]))
-                right_n = m - left_n
                 right_sum = total - left_sum
                 gain = left_sum * left_sum
-                gain /= left_n
+                gain /= node.left_n
                 right_sum *= right_sum
-                right_sum /= right_n
+                right_sum /= node.right_n
                 gain += right_sum
-                gain -= total * total / m
-                gain[np.minimum(left_n, right_n) < min_leaf] = -np.inf
+                gain -= total * total / node.idx.shape[0]
+                np.putmask(gain, node.short, -np.inf)
                 # Slot f * n_total + b is the cut "code of f ≤ b".
                 cut = int(gain.argmax())
                 best_gain = gain.item(cut)
                 # Also False for a NaN or infinite gain.
                 if not 1e-12 < best_gain < np.inf:
-                    train_leaves[idx] = node_id
+                    train_leaves[node.idx] = node_id
                     continue
                 best_feat, best_bin = divmod(cut, n_total)
                 buffers.feature[node_id] = best_feat
-                buffers.threshold[node_id] = float(binner.edges_[best_feat][best_bin])
-                go_left = slots[:, best_feat][idx] <= cut
+                buffers.threshold[node_id] = float(edges[best_feat][best_bin])
+                split = node.splits.get(cut) if node.splits else None
+                if split is None:
+                    split = memo.split(node, cut, best_feat, depth)
+                parts, small, flat, children = split
                 # A child that cannot split is a leaf from here on: it is
                 # never pushed and its histogram is never built.
-                ids, parts, grows = [], (idx[go_left], idx[~go_left]), []
-                for part in parts:
+                ids, grows = [], []
+                for part, child in zip(parts, children):
                     mc = part.shape[0]
                     if depth + 1 < max_depth:
                         value, imp = self._leaf_stats(y[part])
-                        grows.append(not (mc < min_split or imp <= 1e-12))
+                        # A child the memo gave no node is below min_split.
+                        grows.append(child is not None and not imp <= 1e-12)
                     else:
                         value, imp = np.nan, np.nan
                         grows.append(False)
@@ -378,19 +506,13 @@ class DecisionTreeRegressor(BaseEstimator, RegressorMixin):
                 if not any(grows):
                     continue
                 # Subtraction trick: scan only the smaller child (the left on
-                # a tie), derive the larger one's histograms from the parent's.
-                small = int(parts[0].shape[0] > parts[1].shape[0])
-                big = 1 - small
-                flat = slots.take(parts[small], axis=0).ravel()
-                hist_s = (
-                    _cumulative_counts(flat, d, n_total),
-                    _target_sums(flat, yh[parts[small]], d, n_total),
-                )
+                # a tie), derive the larger one's histogram from the parent's.
+                wsum_s = _target_sums(flat, yh[parts[small]], d, n_total)
                 if grows[small]:
-                    stack.append((ids[small], parts[small], depth + 1, *hist_s))
+                    stack.append((ids[small], children[small], depth + 1, wsum_s))
+                big = 1 - small
                 if grows[big]:
-                    left_n_b, wsum_b = left_n - hist_s[0], wsum - hist_s[1]
-                    stack.append((ids[big], parts[big], depth + 1, left_n_b, wsum_b))
+                    stack.append((ids[big], children[big], depth + 1, wsum - wsum_s))
 
         self.tree_ = buffers.finalize()
         self.n_features_in_ = d

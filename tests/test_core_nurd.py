@@ -56,6 +56,18 @@ class TestCalibration:
         with pytest.raises(ValueError):
             compute_delta(1.0, rho_max=0.0)
 
+    @pytest.mark.parametrize("alpha", [0.0, -0.1, 1.0, 1.5, np.nan])
+    def test_delta_alpha_outside_unit_interval(self, alpha):
+        # At alpha >= 1, delta <= 0 at every rho (alpha=1.5 gave -0.785),
+        # so calibration could never suppress a prediction.
+        with pytest.raises(ValueError, match="alpha"):
+            compute_delta(0.5, alpha=alpha)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.4, 0.5, 0.999])
+    def test_delta_alpha_inside_unit_interval(self, alpha):
+        # Every rho reaches both signs' side: delta in (-alpha, 1 - alpha).
+        assert compute_delta(0.0, alpha=alpha, rho_max=np.inf) == 1.0 - alpha
+
     def test_clip_weight_bounds(self):
         z = np.array([0.0, 0.3, 0.9, 1.0])
         w = clip_weight(z, delta=0.2, eps=0.05)
@@ -171,6 +183,28 @@ class TestNurdPredictor:
             NurdPredictor(alpha=0.0).begin_job(*args)
         with pytest.raises(ValueError):
             NurdPredictor(eps=0.0).begin_job(*args)
+
+    @pytest.mark.parametrize("predictor", [NurdPredictor, NurdNcPredictor])
+    @pytest.mark.parametrize("alpha", [1.0, 1.5, -0.5, np.nan])
+    def test_begin_job_rejects_alpha_outside_unit_interval(
+        self, google_job, predictor, alpha
+    ):
+        y = google_job.latencies
+        fin = y <= np.quantile(y, 0.3)
+        args = (google_job.features[fin], y[fin], google_job.features[~fin], 1.0)
+        with pytest.raises(ValueError, match="alpha"):
+            predictor(alpha=alpha).begin_job(*args)
+
+    @pytest.mark.parametrize("increment", [2.5, 0, -1, "25"])
+    def test_update_rejects_non_integer_warm_increment(self, google_job, increment):
+        # warm_increment=2.5 used to fail with a bare TypeError from range().
+        y = google_job.latencies
+        fin = y <= np.quantile(y, 0.3)
+        X_fin, X_run = google_job.features[fin], google_job.features[~fin]
+        pred = NurdPredictor(warm_increment=increment)
+        pred.begin_job(X_fin, y[fin], X_run, google_job.straggler_threshold())
+        with pytest.raises(ValueError, match="warm_increment"):
+            pred.update(X_fin, y[fin], X_run)
 
     def test_empty_running_set(self, google_job):
         y = google_job.latencies

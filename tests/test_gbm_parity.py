@@ -16,9 +16,11 @@ pushed every child and built its histogram, the per-loss leaf estimates
 (least-squares mean, binomial Newton step, Grabit's −Σg/Σh), and the
 per-tree ``raw += lr * tree.predict(X)`` loops of ``_raw_predict``,
 ``staged_raw_predict``, the warm-start replay and
-``GrabitRegressor.predict``. They share only the binner and the fitted
-tree layout with the shipping code. Every test asserts exact equality
-(never a tolerance) of predictions, tree arrays and ``_train_leaves_``.
+``GrabitRegressor.predict``. Only tests use the per-stage view, so the
+shipping side of ``staged_raw_predict`` is the helper of that name below.
+The references share only the binner and the fitted tree layout with the
+shipping code. Every test asserts exact equality (never a tolerance) of
+predictions, tree arrays and ``_train_leaves_``.
 """
 
 from dataclasses import dataclass, field
@@ -404,6 +406,19 @@ class _ReferenceGrabit:
         return raw
 
 
+def staged_raw_predict(model, X):
+    """Yield a fitted boosted model's raw predictions after each stage.
+
+    Only tests need the per-stage view, so it is built here from the
+    packed router's per-tree leaf values, with the model's own input check.
+    """
+    X = model._check_predict_input(X)
+    raw = np.full(X.shape[0], model.init_raw_, dtype=np.float64)
+    for values in model._packed.leaf_values(X):
+        raw += model.learning_rate * values
+        yield raw.copy()
+
+
 # ---------------------------------------------------------------------------
 # Data and comparisons
 # ---------------------------------------------------------------------------
@@ -479,7 +494,7 @@ def test_regressor_warm_start_matches_reference(max_depth):
     _assert_same_trees(ref.estimators_, new.estimators_)
     Xq = _queries()
     _assert_same_predictions(ref.predict, new.predict, Xq)
-    for a, b in zip(ref.staged_raw_predict(Xq[:2]), new.staged_raw_predict(Xq[:2])):
+    for a, b in zip(ref.staged_raw_predict(Xq[:2]), staged_raw_predict(new, Xq[:2])):
         assert np.array_equal(a, b)
 
 
@@ -509,7 +524,7 @@ def test_single_class_classifier_matches_reference():
     Xq = _queries()
     _assert_same_predictions(ref.predict_proba, new.predict_proba, Xq)
     _assert_same_predictions(ref.decision_function, new.decision_function, Xq)
-    assert list(new.staged_raw_predict(Xq)) == []
+    assert list(staged_raw_predict(new, Xq)) == []
 
 
 @pytest.mark.parametrize("max_depth", [1, 3, 5])

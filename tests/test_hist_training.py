@@ -26,7 +26,12 @@ from repro.core.nurd import NurdPredictor
 from repro.eval import EvaluationConfig, evaluate_method
 from repro.learn import DecisionTreeRegressor
 from repro.learn.gbm import GradientBoostingRegressor, _newton_step
-from repro.learn.tree import _Binner, _PackedTrees, _TreeBuffers
+from repro.learn.tree import (
+    _Binner,
+    _PackedTrees,
+    _TreeBuffers,
+    _check_builder_params,
+)
 from repro.sim.replay import ReplaySimulator
 from repro.utils.validation import check_X_y
 
@@ -89,7 +94,9 @@ class ExactTreeRegressor(DecisionTreeRegressor):
         return not (depth >= max_depth or m < self.min_samples_split or imp <= 1e-12)
 
     def _fit_exact(self, X, y):
-        max_depth = self._check_builder_params()
+        max_depth = _check_builder_params(
+            self.max_depth, self.min_samples_split, self.min_samples_leaf
+        )
         buffers = _TreeBuffers()
         train_leaves = np.zeros(X.shape[0], dtype=np.int64)
         root_value, root_imp = self._leaf_stats(y)

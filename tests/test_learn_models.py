@@ -20,6 +20,7 @@ from repro.learn import (
 )
 from repro.learn.neighbors import NearestNeighbors
 from repro.utils.validation import NotFittedError
+from test_gbm_parity import staged_raw_predict
 
 
 class TestBaseEstimatorProtocol:
@@ -111,7 +112,7 @@ class TestGradientBoosting:
         X, y = regression_data
         gbm = GradientBoostingRegressor(n_estimators=50).fit(X, y)
         losses = [
-            0.5 * np.mean((y - raw) ** 2) for raw in gbm.staged_raw_predict(X)
+            0.5 * np.mean((y - raw) ** 2) for raw in staged_raw_predict(gbm, X)
         ]
         assert losses[-1] < losses[0]
         # Least-squares stages are Newton steps on a quadratic: each one
@@ -121,13 +122,13 @@ class TestGradientBoosting:
     def test_staged_predict_converges(self, regression_data):
         X, y = regression_data
         gbm = GradientBoostingRegressor(n_estimators=20).fit(X, y)
-        stages = list(gbm.staged_raw_predict(X[:5]))
+        stages = list(staged_raw_predict(gbm, X[:5]))
         assert len(stages) == 20
         np.testing.assert_allclose(stages[-1], gbm.predict(X[:5]))
 
     @pytest.mark.parametrize("width", [8, 2], ids=["wider", "narrower"])
     def test_staged_predict_checks_feature_count(self, regression_data, width):
-        # A 4-feature model rejects any other width, in staged_raw_predict
+        # A 4-feature model rejects any other width, in the staged view
         # exactly as in predict.
         X, y = regression_data
         gbm = GradientBoostingRegressor(n_estimators=3).fit(X[:, :4], y)
@@ -135,7 +136,7 @@ class TestGradientBoosting:
         with pytest.raises(ValueError) as from_predict:
             gbm.predict(bad)
         with pytest.raises(ValueError) as from_staged:
-            next(gbm.staged_raw_predict(bad))
+            next(staged_raw_predict(gbm, bad))
         assert str(from_staged.value) == str(from_predict.value)
         assert f"X has {width} features" in str(from_staged.value)
 
@@ -167,6 +168,52 @@ class TestGradientBoosting:
             GradientBoostingRegressor(n_estimators=0).fit(
                 np.zeros((10, 2)), np.zeros(10)
             )
+
+    @pytest.mark.parametrize(
+        "model,param,value",
+        [
+            (model, param, value)
+            for model in (
+                GradientBoostingRegressor,
+                GradientBoostingClassifier,
+                DecisionTreeRegressor,
+            )
+            for param, value in (
+                ("max_depth", 2.5),
+                ("max_depth", 0),
+                ("min_samples_leaf", 2.5),
+                ("min_samples_leaf", 0),
+                ("min_samples_split", 2.5),
+                ("min_samples_split", 1),
+                ("max_bins", 2.5),
+                ("max_bins", 1),
+                ("n_estimators", 2.5),
+                ("n_estimators", 0),
+            )
+            if param in model().get_params()
+        ],
+    )
+    def test_integer_params_checked_before_binning(
+        self, monkeypatch, classification_data, model, param, value
+    ):
+        # A float once trained silently (max_depth=2.5 grew depth-2 trees)
+        # or failed with a bare TypeError from range(). Each is now a
+        # ValueError naming the parameter, raised before any binning.
+        X, y = classification_data
+
+        def no_binning(self, X):
+            raise AssertionError("binned before the parameters were checked")
+
+        monkeypatch.setattr("repro.learn.tree._Binner.fit", no_binning)
+        with pytest.raises(ValueError, match=param):
+            model(**{param: value}).fit(X, y)
+
+    def test_numpy_integer_params_accepted(self, regression_data):
+        X, y = regression_data
+        kw = dict(n_estimators=np.int64(5), max_depth=np.int32(2))
+        a = GradientBoostingRegressor(**kw).fit(X, y)
+        b = GradientBoostingRegressor(n_estimators=5, max_depth=2).fit(X, y)
+        np.testing.assert_array_equal(a.predict(X), b.predict(X))
 
     def test_deterministic_given_seed(self, regression_data):
         # Fitting draws no random numbers: two fits agree bit for bit.
