@@ -8,7 +8,9 @@ reproduction target, not absolute values. See EXPERIMENTS.md.
 
 import pytest
 
-from repro.eval import EvaluationConfig
+from repro.eval import EvaluationConfig, evaluate_all
+from repro.eval.baselines import METHOD_NAMES
+from repro.eval.tuning import tuned_method_params
 from repro.traces.alibaba import AlibabaTraceGenerator
 from repro.traces.google import GoogleTraceGenerator
 
@@ -46,7 +48,28 @@ def make_config(trace_name: str, **overrides) -> EvaluationConfig:
     return EvaluationConfig(**params)
 
 
-#: Representative subset used by the slower figure benchmarks (the full
-#: 23-method sweep lives in the Table 3 benchmark).
+#: Representative subset shown by the streaming and JCT figures (Table 3
+#: shows all 23 methods).
 CORE_METHODS = ["GBTR", "KNN", "IFOREST", "PU-BG", "Grabit", "CoxPH",
                 "Wrangler", "NURD-NC", "NURD"]
+
+
+def _replay_all(trace, trace_name):
+    """Tune on ``trace``, then replay all 23 Table 3 methods over it.
+
+    Every replay seeds its simulator and predictor from the job index, so a
+    method's results do not depend on which other methods share the run:
+    the figures read their subsets from this one replay per trace family.
+    """
+    cfg = make_config(trace_name, method_params=tuned_method_params(trace))
+    return evaluate_all(trace, METHOD_NAMES, cfg)
+
+
+@pytest.fixture(scope="session")
+def google_results(google_trace):
+    return _replay_all(google_trace, "google")
+
+
+@pytest.fixture(scope="session")
+def alibaba_results(alibaba_trace):
+    return _replay_all(alibaba_trace, "alibaba")

@@ -7,32 +7,30 @@ non-decreasing (flags are cumulative).
 
 import numpy as np
 
-from conftest import CORE_METHODS, make_config
-from repro.eval import evaluate_all, format_series, streaming_f1_curve
-from repro.eval.tuning import tuned_method_params
+from conftest import CORE_METHODS
+from repro.eval import format_series, streaming_f1_curve
 
 
-def _streaming(trace, trace_name, benchmark):
-    cfg = make_config(trace_name, method_params=tuned_method_params(trace))
-    results = benchmark.pedantic(
-        lambda: evaluate_all(trace, CORE_METHODS, cfg), rounds=1, iterations=1
+def _streaming(all_results, benchmark):
+    results = {m: all_results[m] for m in CORE_METHODS}
+    curves = benchmark.pedantic(
+        lambda: streaming_f1_curve(results, n_points=10), rounds=1, iterations=1
     )
-    curves = streaming_f1_curve(results, n_points=10)
     xs = [round(x, 1) for x in np.linspace(0.1, 1.0, 10)]
     print("\n" + format_series(curves, xs, x_label="norm. time"))
     return curves
 
 
-def test_fig2_streaming_google(google_trace, benchmark):
-    curves = _streaming(google_trace, "google", benchmark)
+def test_fig2_streaming_google(google_results, benchmark):
+    curves = _streaming(google_results, benchmark)
     # NURD leads at the end of the run and its curve is monotone.
     final = {m: c[-1] for m, c in curves.items()}
     assert final["NURD"] >= max(v for m, v in final.items() if m != "NURD") - 0.1
     assert (np.diff(curves["NURD"]) >= -1e-9).all()
 
 
-def test_fig3_streaming_alibaba(alibaba_trace, benchmark):
-    curves = _streaming(alibaba_trace, "alibaba", benchmark)
+def test_fig3_streaming_alibaba(alibaba_results, benchmark):
+    curves = _streaming(alibaba_results, benchmark)
     final = {m: c[-1] for m, c in curves.items()}
     assert final["NURD"] >= max(v for m, v in final.items() if m != "NURD") - 0.1
     # NURD identifies stragglers before the job ends: its mid-run F1 is a

@@ -6,14 +6,12 @@ and reductions are positive for reasonable predictors.
 """
 
 
-from conftest import CORE_METHODS, make_config
-from repro.eval import evaluate_all, jct_reduction_table
-from repro.eval.tuning import tuned_method_params
+from conftest import CORE_METHODS
+from repro.eval import jct_reduction_table
 
 
-def _jct_unlimited(trace, trace_name, benchmark):
-    cfg = make_config(trace_name, method_params=tuned_method_params(trace))
-    results = evaluate_all(trace, CORE_METHODS, cfg)
+def _jct_unlimited(all_results, trace_name, benchmark):
+    results = {m: all_results[m] for m in CORE_METHODS}
     table = benchmark.pedantic(
         lambda: jct_reduction_table(results, machine_counts=None, random_state=1),
         rounds=1,
@@ -25,15 +23,15 @@ def _jct_unlimited(trace, trace_name, benchmark):
     return {m: table[m]["unlimited"] for m in CORE_METHODS}
 
 
-def test_fig4_jct_unlimited_google(google_trace, benchmark):
-    red = _jct_unlimited(google_trace, "google", benchmark)
+def test_fig4_jct_unlimited_google(google_results, benchmark):
+    red = _jct_unlimited(google_results, "google", benchmark)
     assert red["NURD"] > 0.0
     ranked = sorted(red, key=red.get, reverse=True)
     assert "NURD" in ranked[:3], f"NURD rank: {ranked.index('NURD') + 1}"
 
 
-def test_fig5_jct_unlimited_alibaba(alibaba_trace, benchmark):
-    red = _jct_unlimited(alibaba_trace, "alibaba", benchmark)
+def test_fig5_jct_unlimited_alibaba(alibaba_results, benchmark):
+    red = _jct_unlimited(alibaba_results, "alibaba", benchmark)
     assert red["NURD"] > 0.0
     ranked = sorted(red, key=red.get, reverse=True)
     assert "NURD" in ranked[:3], f"NURD rank: {ranked.index('NURD') + 1}"

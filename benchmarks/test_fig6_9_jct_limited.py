@@ -7,17 +7,14 @@ near the top of the averaged ranking.
 """
 
 
-from conftest import make_config
-from repro.eval import evaluate_all, jct_reduction_table
-from repro.eval.tuning import tuned_method_params
+from repro.eval import jct_reduction_table
 
 MACHINES = [100, 200, 400, 700, 1000]
 METHODS = ["GBTR", "KNN", "Grabit", "Wrangler", "NURD-NC", "NURD"]
 
 
-def _jct_limited(trace, trace_name, benchmark):
-    cfg = make_config(trace_name, method_params=tuned_method_params(trace))
-    results = evaluate_all(trace, METHODS, cfg)
+def _jct_limited(all_results, trace_name, benchmark):
+    results = {m: all_results[m] for m in METHODS}
     table = benchmark.pedantic(
         lambda: jct_reduction_table(results, machine_counts=MACHINES, random_state=1),
         rounds=1,
@@ -45,16 +42,16 @@ def _assert_shape(table):
         )
 
 
-def test_fig6_fig8_jct_limited_google(google_trace, benchmark):
-    table = _jct_limited(google_trace, "google", benchmark)
+def test_fig6_fig8_jct_limited_google(google_results, benchmark):
+    table = _jct_limited(google_results, "google", benchmark)
     _assert_shape(table)
     avg = {m: table[m]["avg_limited"] for m in METHODS}
     ranked = sorted(avg, key=avg.get, reverse=True)
     assert "NURD" in ranked[:3], f"NURD rank: {ranked.index('NURD') + 1}"
 
 
-def test_fig7_fig9_jct_limited_alibaba(alibaba_trace, benchmark):
-    table = _jct_limited(alibaba_trace, "alibaba", benchmark)
+def test_fig7_fig9_jct_limited_alibaba(alibaba_results, benchmark):
+    table = _jct_limited(alibaba_results, "alibaba", benchmark)
     _assert_shape(table)
     avg = {m: table[m]["avg_limited"] for m in METHODS}
     ranked = sorted(avg, key=avg.get, reverse=True)

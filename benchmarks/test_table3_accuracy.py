@@ -8,31 +8,10 @@ Reproduction target (shape, per the paper):
 - PU/flood-prone methods show high TPR with elevated FPR.
 """
 
-import pytest
+from repro.eval import format_table3
 
-from conftest import make_config
-from repro.eval import evaluate_all, format_table3
-from repro.eval.baselines import METHOD_NAMES
-from repro.eval.tuning import tuned_method_params
-
-# The full 23-method sweep is expensive; split per trace so pytest-benchmark
-# reports each trace separately.
-
-
-def _run_trace(trace, trace_name):
-    mp = tuned_method_params(trace)
-    cfg = make_config(trace_name, method_params=mp)
-    return evaluate_all(trace, METHOD_NAMES, cfg)
-
-
-@pytest.fixture(scope="module")
-def google_results(google_trace):
-    return _run_trace(google_trace, "google")
-
-
-@pytest.fixture(scope="module")
-def alibaba_results(alibaba_trace):
-    return _run_trace(alibaba_trace, "alibaba")
+# The 23-method replays are the session fixtures ``google_results`` and
+# ``alibaba_results`` (conftest.py), shared with the figure benchmarks.
 
 
 def test_table3_google(google_results, benchmark):

@@ -164,17 +164,10 @@ class ReplayProgress:
 #: column bytes live in the OS page cache, shared across all workers.
 _WORKER_STORE: Optional[TraceStore] = None
 
-#: Optional fault injector (:class:`repro.faults.injectors.HarnessFaults`)
-#: installed by the pool initializer; work units consult it with their
-#: ``(job_index, attempt)`` so injected crashes are deterministic and
-#: identical in every worker process.
-_WORKER_FAULTS = None
 
-
-def _worker_attach(store_path: str, faults=None) -> None:
-    global _WORKER_STORE, _WORKER_FAULTS
+def _worker_attach(store_path: str) -> None:
+    global _WORKER_STORE
     _WORKER_STORE = TraceStore(store_path)
-    _WORKER_FAULTS = faults
 
 
 def _replay_job(
@@ -213,13 +206,13 @@ def _replay_unit(
 ) -> List[ReplayResult]:
     """Read a work unit's job from the worker's store and replay it.
 
-    ``attempt`` numbers re-dispatches of the same unit (0 = first try); it
-    only feeds the installed fault injector — replays themselves are pure
-    functions of the unit, so a retried unit returns bit-identical results.
+    ``attempt`` numbers re-dispatches of the same unit (0 = first try). The
+    replay ignores it: replays are pure functions of the unit, so a retried
+    unit returns bit-identical results. It is kept as the one hook the
+    pool-retry tests need, which install a picklable stand-in for this
+    function that fails a unit's first attempts.
     """
     methods, config, job_index = unit
-    if _WORKER_FAULTS is not None:
-        _WORKER_FAULTS.maybe_fail(job_index, attempt)
     return _replay_job(_WORKER_STORE.job(job_index), methods, config, job_index)
 
 
@@ -288,7 +281,6 @@ def _evaluate(
     n_workers: Optional[int],
     progress: Optional[Callable[[ReplayProgress], None]],
     retries: int = 0,
-    faults=None,
 ) -> Dict[str, List[ReplayResult]]:
     """Core job-major evaluation loop shared by the public entry points."""
     if retries < 0:
@@ -325,8 +317,6 @@ def _evaluate(
             attempt = 0
             while True:
                 try:
-                    if faults is not None:
-                        faults.maybe_fail(i, attempt)
                     results = _replay_job(job, method_tuple, config, i)
                     break
                 except Exception:
@@ -349,7 +339,7 @@ def _evaluate(
         with ProcessPoolExecutor(
             max_workers=n_workers,
             initializer=_worker_attach,
-            initargs=(str(store_path), faults),
+            initargs=(str(store_path),),
         ) as pool:
             for i, results in enumerate(
                 _iter_bounded(pool, _replay_unit, units, window, retries)
@@ -368,7 +358,6 @@ def evaluate_method(
     n_workers: Optional[int] = None,
     progress: Optional[Callable[[ReplayProgress], None]] = None,
     retries: int = 0,
-    faults=None,
 ) -> MethodResult:
     """Replay every job of ``trace`` through ``method`` and collect results.
 
@@ -385,13 +374,9 @@ def evaluate_method(
     ``retries`` re-dispatches a failed work unit up to that many times
     before surfacing the error; recovered runs keep result order and are
     bit-identical to clean ones (replays are pure functions of the unit).
-    ``faults`` installs a deterministic work-unit fault injector
-    (:class:`repro.faults.injectors.HarnessFaults`) for testing.
     """
     config = config or EvaluationConfig()
-    per_method = _evaluate(
-        trace, [method], config, n_workers, progress, retries, faults
-    )
+    per_method = _evaluate(trace, [method], config, n_workers, progress, retries)
     return MethodResult(method=method, replays=per_method[method])
 
 
@@ -403,7 +388,6 @@ def evaluate_all(
     n_workers: Optional[int] = None,
     progress: Optional[Callable[[ReplayProgress], None]] = None,
     retries: int = 0,
-    faults=None,
 ) -> Dict[str, MethodResult]:
     """Evaluate several methods on the same trace (same simulator seed).
 
@@ -411,13 +395,11 @@ def evaluate_all(
     the job's checkpoint plan (grid, noise, observed features) across
     methods. With ``n_workers > 1`` units stream through one shared pool
     behind a bounded submission window; see :func:`evaluate_method` for
-    ``n_workers``, ``progress``, ``retries`` and ``faults``.
+    ``n_workers``, ``progress`` and ``retries``.
     """
     config = config or EvaluationConfig()
     methods = list(methods)
-    per_method = _evaluate(
-        trace, methods, config, n_workers, progress, retries, faults
-    )
+    per_method = _evaluate(trace, methods, config, n_workers, progress, retries)
     out: Dict[str, MethodResult] = {}
     for method in methods:
         out[method] = MethodResult(method=method, replays=per_method[method])

@@ -66,15 +66,3 @@ def format_series(
         lines.append(row)
     return "\n".join(lines)
 
-
-def summarize_best(results: Mapping[str, "MethodResult"]) -> str:
-    """One-line winner summary: best method by F1 and the runner-up gap."""
-    ranked = sorted(results.items(), key=lambda kv: kv[1].f1, reverse=True)
-    if len(ranked) < 2:
-        name, res = ranked[0]
-        return f"best: {name} (F1={res.f1:.2f})"
-    (n1, r1), (n2, r2) = ranked[0], ranked[1]
-    return (
-        f"best: {n1} (F1={r1.f1:.2f}), next: {n2} (F1={r2.f1:.2f}), "
-        f"margin: {100 * (r1.f1 - r2.f1):.1f} points"
-    )

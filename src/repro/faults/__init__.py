@@ -1,36 +1,17 @@
-"""Deterministic fault injection and the hardening that survives it.
+"""Fault hardening for the serving and eval layers.
 
-``repro.faults`` has two halves. The *plan* half (:mod:`plan`,
-:mod:`injectors`) builds seeded, reproducible fault scenarios — event
-drops/duplicates/delays/corruption, shard crashes, sink outages, fit
-errors — injected only through explicit wrapper shims. The *hardening*
-half (:mod:`retry`, :mod:`dlq`, :mod:`accounting`) is what the serving
-and eval layers use to survive them: capped-backoff retry policies, a
-bounded dead-letter queue with exact counters, and exactly-once flag
-accounting over possibly re-delivered event streams.
+:mod:`retry` holds capped-backoff retry policies, :mod:`dlq` a bounded
+dead-letter queue with exact counters, and :mod:`accounting` exactly-once
+flag accounting over possibly re-delivered event streams. The program
+carries no fault injection; the seeded fault plans and the wrappers that
+inject them are a test helper, ``tests/fault_injection.py``.
 """
 
 from repro.faults.accounting import FlagAccount, collect_flags
 from repro.faults.dlq import DeadLetter, DeadLetterQueue
-from repro.faults.plan import (
-    FAULT_TAG,
-    EventFaults,
-    FaultPlan,
-    InjectedCrash,
-    InjectedFitError,
-    ProcessFaults,
-    SinkOutage,
-)
 from repro.faults.retry import RetryPolicy
 
 __all__ = [
-    "FAULT_TAG",
-    "EventFaults",
-    "FaultPlan",
-    "InjectedCrash",
-    "InjectedFitError",
-    "ProcessFaults",
-    "SinkOutage",
     "RetryPolicy",
     "DeadLetter",
     "DeadLetterQueue",

@@ -8,6 +8,8 @@ where correlation-breaking anomalies show up.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from repro.outliers.base import BaseDetector
@@ -27,6 +29,12 @@ class PCADetector(BaseDetector):
         self.n_components = n_components
 
     def _fit(self, X: np.ndarray) -> None:
+        d = X.shape[1]
+        k = d if self.n_components is None else self.n_components
+        if not (isinstance(k, numbers.Integral) and 1 <= k <= d):
+            raise ValueError(
+                f"n_components must be None or an int in [1, {d}], got {k!r}."
+            )
         self.mean_ = X.mean(axis=0)
         std = X.std(axis=0)
         std[std == 0.0] = 1.0
@@ -37,11 +45,6 @@ class PCADetector(BaseDetector):
         order = np.argsort(eigvals)[::-1]
         eigvals = np.maximum(eigvals[order], 1e-12)
         eigvecs = eigvecs[:, order]
-        k = self.n_components or eigvals.shape[0]
-        if not 1 <= k <= eigvals.shape[0]:
-            raise ValueError(
-                f"n_components must be in [1, {eigvals.shape[0]}]."
-            )
         self.eigenvalues_ = eigvals[:k]
         self.components_ = eigvecs[:, :k]
 

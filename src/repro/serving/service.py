@@ -32,7 +32,10 @@ All of it is opt-in per config; with the defaults the hot path adds only
 per-job bookkeeping appends, and ``tests/test_faults.py``
 (``TestCrashRecovery::test_hardened_unfaulted_service_matches_engine``)
 checks that the hardened but unfaulted service stays at parity with the
-bare engine.
+bare engine. The service has no fault-injection hook: the tests inject
+faults by wrapping what they hand it or hold of it (the request stream,
+the emit sink, the predictor factory, ``engine.score_checkpoint``); see
+``tests/fault_injection.py``.
 """
 
 from __future__ import annotations
@@ -186,10 +189,7 @@ class ScorerService:
     or, for whole-job replay at serving speed, :meth:`replay_job` /
     :meth:`replay_trace`.
 
-    ``chaos`` is a fault-injection hook ``(shard, request) -> None`` called
-    on the ingest path after logging and before scoring (see
-    :class:`repro.faults.injectors.ServiceChaos`); ``sleep`` is the backoff
-    sleeper, injectable for deterministic tests.
+    ``sleep`` is the backoff sleeper, injectable for deterministic tests.
     """
 
     def __init__(
@@ -198,7 +198,6 @@ class ScorerService:
         simulator: Optional[ReplaySimulator] = None,
         config: Optional[ServiceConfig] = None,
         emit: Optional[Callable[[ScoreEvent], object]] = None,
-        chaos: Optional[Callable[[int, Request], None]] = None,
         sleep: Callable[[float], "asyncio.Future"] = asyncio.sleep,
     ):
         self.config = config or ServiceConfig()
@@ -208,7 +207,6 @@ class ScorerService:
             budget=self.config.budget,
         )
         self._emit = emit
-        self._chaos = chaos
         self._sleep = sleep
         self.results: Dict[str, ReplayResult] = {}
         self.events: List[ScoreEvent] = []
@@ -433,17 +431,15 @@ class ScorerService:
                 if reason is not None:
                     self.dlq.push(request, reason, job_id=job_id, shard=shard)
                     return
-            # Recovery bookkeeping runs before the chaos hook and the engine
-            # call, so a request that crashes mid-handling is already logged
-            # and the recovery replay covers it.
+            # Recovery bookkeeping runs before the engine call, so a request
+            # that crashes mid-handling is already logged and the recovery
+            # replay covers it.
             if isinstance(request, BeginJob):
                 self._recovery[job_id] = _JobLog(begin=request)
             elif isinstance(request, ScoreCheckpoint):
                 log = self._recovery.get(job_id)
                 if log is not None:
                     log.pending.append(request)
-            if self._chaos is not None:
-                self._chaos(shard, request)
         if isinstance(request, BeginJob):
             self.engine.begin_job(request.job, tau_stra=request.tau_stra)
         elif isinstance(request, ScoreCheckpoint):

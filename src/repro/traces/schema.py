@@ -128,10 +128,6 @@ class Job:
         """Boolean ground truth: latency ≥ τ_stra."""
         return self.latencies >= self.straggler_threshold(percentile)
 
-    def completion_time(self) -> float:
-        """Unmitigated job completion time (last task's completion)."""
-        return float(self.completion_times.max())
-
 
 @dataclass
 class Trace:

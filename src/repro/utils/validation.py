@@ -108,7 +108,7 @@ def check_job_payload(job) -> None:
     cannot: NaN/Inf feature values, NaN or non-positive task durations,
     NaN/negative start times, and mismatched array lengths — the kinds of
     damage planted after construction by bitrot, a buggy upstream joiner, or
-    the fault injector. Errors name the job id and the first offending task
+    the tests' poisoned payloads. Errors name the job id and the first offending task
     index so quarantined payloads are actionable.
 
     ``job`` is duck-typed: anything with ``job_id``, ``features``,

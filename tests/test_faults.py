@@ -3,33 +3,35 @@
 Crash recovery, emit retry and backoff are exercised with injected fake
 clocks/sleepers and seeded fault plans, so every fault fires (and every
 recovery happens) deterministically — the wall clock never decides a test.
+The plans and the wrappers that inject them live in ``fault_injection.py``
+next to this file; the program itself carries no injection hook.
 """
 
 import asyncio
+import functools
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from repro.core.nurd import NurdPredictor
-from repro.eval.harness import EvaluationConfig, evaluate_method
-from repro.faults import (
-    DeadLetterQueue,
+from fault_injection import (
     EventFaults,
     FaultPlan,
-    InjectedCrash,
-    ProcessFaults,
-    RetryPolicy,
-    collect_flags,
-)
-from repro.faults.injectors import (
+    FlakyReplayJob,
     FlakySink,
     HarnessFaults,
+    InjectedCrash,
+    ProcessFaults,
     RequestInjector,
     ServiceChaos,
     flaky_predictor_factory,
+    flaky_unit,
     make_poison_job,
 )
+from repro.core.nurd import NurdPredictor
+from repro.eval import harness
+from repro.eval.harness import EvaluationConfig, evaluate_method
+from repro.faults import DeadLetterQueue, RetryPolicy, collect_flags
 from repro.serving import (
     BeginJob,
     FinishJob,
@@ -117,9 +119,10 @@ def _run_service(jobs, sim, factory, config=None, chaos=None, sleep=None,
         simulator=sim,
         config=config or ServiceConfig(),
         emit=emit,
-        chaos=chaos,
         sleep=sleep or asyncio.sleep,
     )
+    if chaos is not None:
+        chaos.install(svc)
 
     async def go():
         await _drive(svc, requests or _requests(sim, jobs))
@@ -153,8 +156,6 @@ class TestFaultPlan:
             EventFaults(delay_span=0)
 
     def test_process_validation(self):
-        with pytest.raises(ValueError, match="stall_seconds"):
-            ProcessFaults(stall_seconds=-1.0)
         with pytest.raises(ValueError, match="sink outage"):
             ProcessFaults(sink_outage_events=0)
 
@@ -757,29 +758,41 @@ class TestHarnessRetry:
             np.testing.assert_array_equal(a.y_flag, b.y_flag)
             np.testing.assert_array_equal(a.flag_times, b.flag_times)
 
-    def test_serial_retry_preserves_order_and_parity(self, trace, cfg, clean):
-        faults = HarnessFaults(crashes={1: 2, 3: 1})
-        got = evaluate_method(trace, "NURD", cfg, retries=2, faults=faults)
-        self._assert_parity(got, clean)
+    @staticmethod
+    def _serial_faults(monkeypatch, crashes):
+        faults = HarnessFaults(crashes=crashes)
+        monkeypatch.setattr(harness, "_replay_job", FlakyReplayJob(faults))
 
-    def test_serial_insufficient_retries_surface(self, trace, cfg):
-        faults = HarnessFaults(crashes={1: 2})
-        with pytest.raises(InjectedCrash):
-            evaluate_method(trace, "NURD", cfg, retries=1, faults=faults)
-
-    def test_pool_retry_preserves_order_and_parity(self, trace, cfg, clean):
-        faults = HarnessFaults(crashes={0: 1, 2: 2})
-        got = evaluate_method(
-            trace, "NURD", cfg, n_workers=2, retries=2, faults=faults
+    @staticmethod
+    def _pool_faults(monkeypatch, crashes):
+        faults = HarnessFaults(crashes=crashes)
+        monkeypatch.setattr(
+            harness, "_replay_unit", functools.partial(flaky_unit, faults)
         )
+
+    def test_serial_retry_preserves_order_and_parity(
+        self, trace, cfg, clean, monkeypatch
+    ):
+        self._serial_faults(monkeypatch, {1: 2, 3: 1})
+        got = evaluate_method(trace, "NURD", cfg, retries=2)
         self._assert_parity(got, clean)
 
-    def test_pool_insufficient_retries_surface(self, trace, cfg):
-        faults = HarnessFaults(crashes={2: 3})
+    def test_serial_insufficient_retries_surface(self, trace, cfg, monkeypatch):
+        self._serial_faults(monkeypatch, {1: 2})
         with pytest.raises(InjectedCrash):
-            evaluate_method(
-                trace, "NURD", cfg, n_workers=2, retries=1, faults=faults
-            )
+            evaluate_method(trace, "NURD", cfg, retries=1)
+
+    def test_pool_retry_preserves_order_and_parity(
+        self, trace, cfg, clean, monkeypatch
+    ):
+        self._pool_faults(monkeypatch, {0: 1, 2: 2})
+        got = evaluate_method(trace, "NURD", cfg, n_workers=2, retries=2)
+        self._assert_parity(got, clean)
+
+    def test_pool_insufficient_retries_surface(self, trace, cfg, monkeypatch):
+        self._pool_faults(monkeypatch, {2: 3})
+        with pytest.raises(InjectedCrash):
+            evaluate_method(trace, "NURD", cfg, n_workers=2, retries=1)
 
     def test_negative_retries_rejected(self, trace, cfg):
         with pytest.raises(ValueError, match="retries"):

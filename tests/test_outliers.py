@@ -147,6 +147,18 @@ def test_iforest_invalid_max_samples(max_samples, outlier_data):
         IForest(max_samples=max_samples, random_state=0).fit(X)
 
 
+@pytest.mark.parametrize("n_components", [0, -1, 2.5, 6])
+def test_pca_invalid_n_components(n_components, outlier_data):
+    # 0 used to mean "all components" and 2.5 failed later in slicing;
+    # outlier_data has 5 features, so 6 is one past the top.
+    X, _ = outlier_data
+    from repro.outliers import PCADetector
+
+    assert X.shape[1] == 5
+    with pytest.raises(ValueError, match="n_components"):
+        PCADetector(n_components=n_components).fit(X)
+
+
 def test_cblof_small_cluster_scored_against_large():
     gen = np.random.default_rng(0)
     big = gen.normal(0, 0.5, size=(150, 2))
