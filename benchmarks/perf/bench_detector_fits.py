@@ -10,12 +10,12 @@ contract holds); this benchmark covers the *fit* batching:
 
 - **fits** — per-component fit wall time, before (the preserved loop
   implementations: recursive tree builder, per-trial MCD C-steps,
-  sequential k-means restarts, per-sample Pegasos, dense SOS binding)
-  vs. after (level-synchronous forest builds, stacked C-step trials,
-  batched Lloyd restarts, blocked Pegasos, kNN-sparse binding). The
-  acceptance gate is the **aggregate** fit-phase speedup (≥ 3x at full
-  scale) — individual components vary from ~1.3x (k-means, already
-  GEMM-bound) to >10x (the per-sample SVM loops).
+  sequential k-means restarts, per-sample one-class SGD, dense SOS
+  binding) vs. after (level-synchronous forest builds, stacked C-step
+  trials, batched Lloyd restarts, blocked one-class SGD, kNN-sparse
+  binding). The acceptance gate is the **aggregate** fit-phase speedup
+  (≥ 3x at full scale) — individual components vary from ~1.2x (XGBOD)
+  to ~40x (SOS).
 - **determinism** — every batched arm refit with the same seed must
   reproduce its fitted state byte-for-byte (the forest builder draws from
   per-node counter-seeded streams precisely so batch layout cannot leak
@@ -54,16 +54,18 @@ _REPO = Path(__file__).resolve().parents[2]
 sys.path.insert(0, str(_REPO / "tests"))
 
 from test_detector_fit_vectorization import (  # noqa: E402
-    _reference_linear_svc,
+    _DenseSOS,
+    _KnnSOS,
     _ReferenceKMeans,
     _ReferenceMCD,
+    _ReferenceOneClassSVM,
 )
 from test_detector_vectorization import REFERENCE_FOREST_FITS  # noqa: E402
 
 import repro.outliers.cblof as cblof_mod  # noqa: E402
+import repro.outliers.ocsvm as ocsvm_mod  # noqa: E402
 from repro.eval import EvaluationConfig, evaluate_all  # noqa: E402
 from repro.learn.neighbors import clear_neighbor_cache  # noqa: E402
-from repro.learn.svm import LinearSVC  # noqa: E402
 from repro.outliers import MCD, SOS, XGBOD, CBLOF, IForest  # noqa: E402
 from repro.outliers import ALL_DETECTORS  # noqa: E402
 from repro.outliers.ocsvm import OCSVMDetector  # noqa: E402
@@ -97,15 +99,15 @@ class _RefCBLOF(CBLOF):
 
 
 class _RefOCSVM(OCSVMDetector):
-    def __init__(self, **kwargs):
-        kwargs.setdefault("solver", "stream")
-        super().__init__(**kwargs)
+    """OCSVM on the per-sample SGD loop."""
 
-
-class _RefSOS(SOS):
-    def __init__(self, **kwargs):
-        kwargs.setdefault("binding", "dense")
-        super().__init__(**kwargs)
+    def _fit(self, X):
+        saved = ocsvm_mod.OneClassSVM
+        ocsvm_mod.OneClassSVM = _ReferenceOneClassSVM
+        try:
+            super()._fit(X)
+        finally:
+            ocsvm_mod.OneClassSVM = saved
 
 
 # ---------------------------------------------------------------------------
@@ -169,19 +171,13 @@ COMPONENTS = {
         False,
         lambda det: det.model_.coef_.tobytes() + det.decision_scores_.tobytes(),
     ),
+    # The kNN binding at every size: at smoke scale the row-count rule
+    # would keep SOS dense; from 1024 rows it is what SOS() runs.
     "SOS": (
-        lambda: _RefSOS(),
-        lambda: SOS(binding="knn"),
+        lambda: _DenseSOS(),
+        lambda: _KnnSOS(),
         False,
         _scores_bytes,
-    ),
-    # Not a Table-3 detector, but the same Pegasos loop backs Wrangler and
-    # the PU baselines — its blocked arm belongs to this PR's fit floor.
-    "LINEAR_SVC": (
-        lambda: _reference_linear_svc(random_state=0),
-        lambda: LinearSVC(solver="batch", random_state=0),
-        True,
-        lambda mdl: mdl.coef_.tobytes() + np.float64(mdl.intercept_).tobytes(),
     ),
 }
 
@@ -240,7 +236,7 @@ def bench_sos_memory(n_rows: int) -> dict:
     reported ratio is conservative.
     """
     X, _ = _dataset(n_rows)
-    det = SOS(binding="knn")
+    det = SOS()
     clear_neighbor_cache()
     tracemalloc.start()
     det.fit(X)
@@ -276,7 +272,7 @@ _EXACT_BEFORE = {
     "MCD": _ReferenceMCD,
     "CBLOF": _RefCBLOF,
     "OCSVM": _RefOCSVM,
-    "SOS": _RefSOS,
+    "SOS": _DenseSOS,
 }
 _EXACT_NAMES = list(_EXACT_BEFORE)
 #: Forest-backed detectors draw a different (counter-seeded) stream, so

@@ -123,18 +123,3 @@ class CoxPHFitter(BaseEstimator):
         risk = self.predict_partial_hazard(X)
         h0 = float(self._cumhaz_at(np.asarray([t]))[0])
         return np.exp(-h0 * risk)
-
-    def predict_median_survival_time(self, X) -> np.ndarray:
-        """Smallest baseline event time where S(t|x) drops below 0.5.
-
-        Rows whose survival never drops below 0.5 get the largest observed
-        event time (a right-censored estimate).
-        """
-        risk = self.predict_partial_hazard(X)
-        surv = np.exp(-np.outer(risk, self.baseline_cumhaz_))  # (n, T)
-        below = surv <= 0.5
-        out = np.full(X.shape[0], self.baseline_times_[-1])
-        any_below = below.any(axis=1)
-        first = np.argmax(below[any_below], axis=1)
-        out[any_below] = self.baseline_times_[first]
-        return out

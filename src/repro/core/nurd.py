@@ -20,7 +20,6 @@ own ablation showing calibration is what keeps the false-positive rate low.
 
 from __future__ import annotations
 
-import numbers
 from typing import Optional
 
 import numpy as np
@@ -30,7 +29,12 @@ from repro.core.calibration import clip_weight, compute_delta, compute_rho
 from repro.core.propensity import PropensityScorer
 from repro.learn.base import BaseEstimator, clone
 from repro.learn.gbm import GradientBoostingRegressor
-from repro.utils.validation import check_array, check_is_fitted, check_X_y
+from repro.utils.validation import (
+    check_array,
+    check_is_fitted,
+    check_positive_int,
+    check_X_y,
+)
 
 
 def _default_regressor() -> GradientBoostingRegressor:
@@ -134,11 +138,7 @@ class NurdPredictor(OnlineStragglerPredictor):
         ``warm_increment`` extra trees on the enlarged finished set.
         """
         check_is_fitted(self, ["tau_stra_"])
-        increment = self.warm_increment
-        if not (isinstance(increment, numbers.Integral) and increment >= 1):
-            raise ValueError(
-                f"warm_increment must be an integer >= 1; got {increment!r}."
-            )
+        check_positive_int(self.warm_increment, "warm_increment")
         if self.warm_refresh <= 1.0:
             raise ValueError("warm_refresh must be > 1.")
         X_fin, y_fin = check_X_y(X_fin, y_fin)

@@ -32,8 +32,8 @@ class PropensityScorer(BaseEstimator):
     predicting after only 4% of tasks finish), which would pin the estimated
     probabilities near the class prior and destroy the weighting function's
     dynamic range. The scorer therefore balances the classes by tiling the
-    minority class before fitting (``balance=True``), so ``z`` measures
-    feature similarity rather than the prior.
+    minority class before fitting, so ``z`` measures feature similarity
+    rather than the prior.
 
     ``prior_boost`` additionally overweights the finished class (default
     2:1). Running tasks that *look like* finished ones then get a
@@ -48,8 +48,6 @@ class PropensityScorer(BaseEstimator):
     model : classifier or None
         Binary classifier with ``fit``/``predict_proba``. Defaults to
         :class:`repro.learn.LogisticRegression`.
-    balance : bool
-        Tile the minority class up to the majority size before fitting.
     prior_boost : float
         Relative weight of the finished class after balancing (≥ 1).
     """
@@ -57,11 +55,9 @@ class PropensityScorer(BaseEstimator):
     def __init__(
         self,
         model: Optional[BaseEstimator] = None,
-        balance: bool = True,
         prior_boost: float = 2.0,
     ):
         self.model = model
-        self.balance = balance
         self.prior_boost = prior_boost
 
     @staticmethod
@@ -84,12 +80,9 @@ class PropensityScorer(BaseEstimator):
             )
         if self.prior_boost < 1.0:
             raise ValueError("prior_boost must be >= 1.")
-        if self.balance:
-            n = max(X_fin.shape[0], X_run.shape[0])
-            X_fin_fit = self._tile_to(X_fin, int(round(self.prior_boost * n)))
-            X_run_fit = self._tile_to(X_run, n)
-        else:
-            X_fin_fit, X_run_fit = X_fin, X_run
+        n = max(X_fin.shape[0], X_run.shape[0])
+        X_fin_fit = self._tile_to(X_fin, int(round(self.prior_boost * n)))
+        X_run_fit = self._tile_to(X_run, n)
         X = np.vstack([X_fin_fit, X_run_fit])
         y = np.concatenate(
             [np.ones(X_fin_fit.shape[0]), np.zeros(X_run_fit.shape[0])]

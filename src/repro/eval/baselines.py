@@ -183,35 +183,20 @@ class CensoredRegressionPredictor(OnlineStragglerPredictor):
 
     Censoring follows the paper's formulation (§2): at checkpoint t every
     running task's latency is only known to exceed τ_run_t (approximated by
-    the largest finished latency). ``censor_mode='elapsed'`` instead censors
-    each running task at its own elapsed execution time — strictly more
-    information than the paper's setting, kept for the censoring ablation.
-    ``random_state`` is kept so every method is built alike; neither model
-    draws random numbers.
+    the largest finished latency). ``random_state`` is kept so every method
+    is built alike; neither model draws random numbers.
     """
 
-    def __init__(
-        self,
-        variant: str = "Tobit",
-        censor_mode: str = "tau_run",
-        sigma=None,
-        random_state=None,
-    ):
+    def __init__(self, variant: str = "Tobit", sigma=None, random_state=None):
         self.variant = variant
-        self.censor_mode = censor_mode
         self.sigma = sigma
         self.random_state = random_state
 
     def update(self, X_fin, y_fin, X_run, elapsed_run=None) -> None:
-        if self.censor_mode not in ("tau_run", "elapsed"):
-            raise ValueError("censor_mode must be 'tau_run' or 'elapsed'.")
         X_fin = np.asarray(X_fin, dtype=float)
         y_fin = np.asarray(y_fin, dtype=float)
         X_run = np.asarray(X_run, dtype=float)
-        if self.censor_mode == "elapsed" and elapsed_run is not None:
-            censor_level = np.maximum(np.asarray(elapsed_run, dtype=float), 1e-9)
-        else:
-            censor_level = np.full(X_run.shape[0], float(y_fin.max()))
+        censor_level = np.full(X_run.shape[0], float(y_fin.max()))
         X_all = np.vstack([X_fin, X_run])
         y_all = np.concatenate([y_fin, censor_level])
         censored = np.concatenate(
@@ -238,18 +223,12 @@ class CensoredRegressionPredictor(OnlineStragglerPredictor):
 
 class CoxPhPredictor(OnlineStragglerPredictor):
     """Survival adapter: flag tasks more likely than not to survive past
-    τ_stra, i.e. ``S(τ_stra | x) > 0.5`` (``flag_rule='survival'``).
+    τ_stra, i.e. ``S(τ_stra | x) > 0.5``.
 
     Before any event beyond τ_run exists the Breslow baseline hazard is
     tiny, so early checkpoints over-flag — the high-TPR/high-FPR profile
-    the paper reports for CoxPH. ``flag_rule='median_time'`` (flag when the
-    predicted median survival time reaches τ_stra) is a more conservative
-    alternative kept for ablation.
+    the paper reports for CoxPH.
     """
-
-    def __init__(self, survival_threshold: float = 0.5, flag_rule: str = "survival"):
-        self.survival_threshold = survival_threshold
-        self.flag_rule = flag_rule
 
     def update(self, X_fin, y_fin, X_run, elapsed_run=None) -> None:
         X_fin = np.asarray(X_fin, dtype=float)
@@ -267,13 +246,7 @@ class CoxPhPredictor(OnlineStragglerPredictor):
         X_run = np.asarray(X_run, dtype=float)
         if X_run.shape[0] == 0:
             return np.zeros(0, dtype=bool)
-        if self.flag_rule == "survival":
-            surv = self.model_.predict_survival(self.tau_stra_, X_run)
-            return surv > self.survival_threshold
-        if self.flag_rule == "median_time":
-            median_t = self.model_.predict_median_survival_time(X_run)
-            return median_t >= self.tau_stra_
-        raise ValueError("flag_rule must be 'survival' or 'median_time'.")
+        return self.model_.predict_survival(self.tau_stra_, X_run) > 0.5
 
     @property
     def name(self) -> str:

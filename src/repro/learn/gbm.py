@@ -35,14 +35,18 @@ trees are routed at once, one pass per depth level.
 
 from __future__ import annotations
 
-import numbers
 
 import numpy as np
 
 from repro.learn.base import BaseEstimator, ClassifierMixin, RegressorMixin
 from repro.learn.tree import _LEAF, _MAX_HIST_BINS, _FitMemo, _PackedTrees
 from repro.learn.tree import DecisionTreeRegressor
-from repro.utils.validation import check_array, check_is_fitted, check_X_y
+from repro.utils.validation import (
+    check_array,
+    check_is_fitted,
+    check_positive_int,
+    check_X_y,
+)
 
 
 class LossFunction:
@@ -120,11 +124,7 @@ class _BaseGradientBoosting(BaseEstimator):
         With ``warm`` the fitted trees are kept, replayed on ``X``, and only
         the stages missing up to ``n_estimators`` are trained.
         """
-        n_estimators = self.n_estimators
-        if not (isinstance(n_estimators, numbers.Integral) and n_estimators >= 1):
-            raise ValueError(
-                f"n_estimators must be an integer >= 1; got {n_estimators!r}."
-            )
+        check_positive_int(self.n_estimators, "n_estimators")
         if not 0.0 < self.learning_rate <= 1.0:
             raise ValueError("learning_rate must be in (0, 1].")
         # One memo per fit: it checks the tree limits, bins X once, and

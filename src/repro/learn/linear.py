@@ -11,7 +11,13 @@ import numpy as np
 
 from repro.learn.base import BaseEstimator, ClassifierMixin, RegressorMixin
 from repro.learn.gbm import _sigmoid
-from repro.utils.validation import check_array, check_is_fitted, check_X_y
+from repro.utils.validation import (
+    check_array,
+    check_is_fitted,
+    check_positive_finite,
+    check_positive_int,
+    check_X_y,
+)
 
 
 def _add_intercept(X: np.ndarray) -> np.ndarray:
@@ -24,10 +30,11 @@ class LogisticRegression(BaseEstimator, ClassifierMixin):
     Parameters
     ----------
     C : float
-        Inverse regularization strength (sklearn convention); the penalty on
-        the coefficients is ``1/(2C) * ||w||²`` (intercept unpenalized).
+        Inverse regularization strength (sklearn convention), finite and
+        > 0; the penalty on the coefficients is ``1/(2C) * ||w||²``
+        (intercept unpenalized).
     max_iter : int
-        Newton iteration cap.
+        Newton iteration cap, an integer >= 1.
     tol : float
         Stop when the max absolute coefficient update falls below this.
     """
@@ -38,8 +45,8 @@ class LogisticRegression(BaseEstimator, ClassifierMixin):
         self.tol = tol
 
     def fit(self, X, y) -> "LogisticRegression":
-        if self.C <= 0:
-            raise ValueError("C must be positive.")
+        check_positive_finite(self.C, "C")
+        check_positive_int(self.max_iter, "max_iter")
         X, y = check_X_y(X, y, y_numeric=False)
         classes = np.unique(y)
         if classes.shape[0] > 2:

@@ -10,7 +10,6 @@ nonlinear decision boundary the OCSVM baseline needs.
 
 from __future__ import annotations
 
-import numbers
 from typing import Optional
 
 import numpy as np
@@ -19,6 +18,8 @@ from repro.learn.base import BaseEstimator, ClassifierMixin
 from repro.utils.validation import (
     check_array,
     check_is_fitted,
+    check_positive_finite,
+    check_positive_int,
     check_random_state,
     check_X_y,
 )
@@ -27,26 +28,19 @@ from repro.utils.validation import (
 class LinearSVC(BaseEstimator, ClassifierMixin):
     """Linear SVM trained with Pegasos (SGD on the regularized hinge loss).
 
+    The fit is per-sample Pegasos, run by the lockstep kernel
+    :func:`_pegasos_lockstep` with one lane.
+
     Parameters
     ----------
     C : float
-        Inverse regularization strength; larger C fits the data harder.
+        Inverse regularization strength, finite and > 0; larger C fits the
+        data harder.
     max_iter : int
         Number of epochs over the training set, an int >= 1.
     class_weight : None or "balanced"
         "balanced" reweights the hinge loss inversely to class frequency
         (Wrangler-style handling of imbalanced straggler labels).
-    solver : {"stream", "batch"}
-        ``"stream"`` (default) is per-sample Pegasos, run by the lockstep
-        kernel :func:`_pegasos_lockstep` with one lane.
-        ``"batch"`` evaluates hinge margins a block at a time with the
-        block-start weights and applies the per-sample learning-rate
-        schedule in closed form (the ``(1 - η_s λ)`` decays telescope to
-        ``t₀/t₁``, so every violator in the block lands with coefficient
-        ``1/(λ t₁)``); both arms consume one ``rng.permutation`` per epoch,
-        so they shuffle identically.
-    batch_size : int
-        Rows per blocked update in the ``"batch"`` solver.
     """
 
     def __init__(
@@ -55,37 +49,19 @@ class LinearSVC(BaseEstimator, ClassifierMixin):
         max_iter: int = 200,
         class_weight: Optional[str] = None,
         random_state=None,
-        solver: str = "stream",
-        batch_size: int = 64,
     ):
-        if solver not in ("stream", "batch"):
-            raise ValueError("solver must be 'stream' or 'batch'.")
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1.")
         self.C = C
         self.max_iter = max_iter
         self.class_weight = class_weight
         self.random_state = random_state
-        self.solver = solver
-        self.batch_size = batch_size
 
     def fit(self, X, y) -> "LinearSVC":
-        if self.C <= 0:
-            raise ValueError("C must be positive.")
-        max_iter = self.max_iter
-        if not (isinstance(max_iter, numbers.Integral) and max_iter >= 1):
-            raise ValueError(f"max_iter must be an int >= 1, got {max_iter!r}.")
+        check_positive_finite(self.C, "C")
+        check_positive_int(self.max_iter, "max_iter")
         X, y = check_X_y(X, y, y_numeric=False)
         targets = self._targets(X, y)
-        if targets is None:
-            return self
-        if self.solver == "stream":
+        if targets is not None:
             _pegasos_lockstep([self], X[None], [targets])
-            return self
-        lam = 1.0 / (self.C * X.shape[0])
-        rng = check_random_state(self.random_state)
-        w, b = self._solve_batch(X, *targets, lam, rng)
-        self.coef_, self.intercept_ = w, float(b)
         return self
 
     def _targets(self, X, y):
@@ -113,39 +89,6 @@ class LinearSVC(BaseEstimator, ClassifierMixin):
         else:
             raise ValueError("class_weight must be None or 'balanced'.")
         return t, sw
-
-    def _solve_batch(self, X, t, sw, lam, rng):
-        """Blocked Pegasos: margins frozen at block start, exact schedule.
-
-        Within a block covering steps ``t₀+1 .. t₁``, the per-sample decay
-        factors ``(1 - η_s λ) = (s-1)/s`` telescope to ``t₀/t₁``, and a
-        violator at step ``s`` enters the final weights with coefficient
-        ``η_s · s/t₁ = 1/(λ t₁)`` — so one GEMV applies the whole block.
-        The ball projection runs once per block.
-        """
-        n, d = X.shape
-        w = np.zeros(d)
-        b = 0.0
-        step = 0
-        radius = 1.0 / np.sqrt(lam)
-        B = min(self.batch_size, n)
-        for _ in range(self.max_iter):
-            perm = rng.permutation(n)
-            for start in range(0, n, B):
-                blk = perm[start : start + B]
-                m = blk.size
-                Xb = X[blk]
-                margins = t[blk] * (Xb @ w + b)
-                coeff = np.where(margins < 1.0, sw[blk] * t[blk], 0.0)
-                steps = step + 1 + np.arange(m)
-                last = step + m
-                w = w * (step / last) + (Xb.T @ coeff) / (lam * last)
-                b += float(coeff @ (1.0 / (lam * steps)))
-                step = last
-                norm = np.linalg.norm(w)
-                if norm > radius:
-                    w *= radius / norm
-        return w, b
 
     def decision_function(self, X) -> np.ndarray:
         check_is_fitted(self, ["coef_"])
@@ -245,11 +188,48 @@ def _largest_square_within(radius: float) -> float:
     return r2
 
 
+#: Rows per blocked SGD update in :meth:`OneClassSVM.fit`.
+_OCSVM_BLOCK = 64
+
+
+def _ocsvm_blocked_sgd(phi: np.ndarray, nu: float, max_iter: int, rng, block: int):
+    """SGD on the linear one-class objective, ``block`` rows at a time;
+    returns ``(w, rho)``.
+
+    The per-sample schedule is applied in closed form: the decays
+    ``(1 - η_s) = (s-1)/s`` across a block covering steps ``t₀+1 .. t₁``
+    collapse to ``t₀/t₁``, and every margin violator lands with coefficient
+    ``1/(ν t₁)``. Margins (and ρ) are frozen at block start; ρ accumulates
+    ``η_s`` over the block's non-violators, as the per-sample loop nets
+    out. One permutation is drawn per epoch, as the per-sample loop does,
+    so ``block=1`` replays that loop's schedule (to rounding).
+    """
+    n = phi.shape[0]
+    w = phi.mean(axis=0)
+    rho = 0.0
+    step = 0
+    B = min(block, n)
+    for _ in range(max_iter):
+        perm = rng.permutation(n)
+        for start in range(0, n, B):
+            blk = perm[start : start + B]
+            m = blk.size
+            phib = phi[blk]
+            viol = phib @ w - rho < 0.0
+            steps = step + 1 + np.arange(m)
+            last = step + m
+            w = w * (step / last) + (phib.T @ viol) / (nu * last)
+            rho += float((~viol) @ (1.0 / steps))
+            step = last
+    return w, rho
+
+
 class OneClassSVM(BaseEstimator):
     """One-class SVM with an RBF kernel approximated by random Fourier features.
 
     Solves Schölkopf's linear one-class objective in the randomized feature
-    space: minimize ``||w||²/2 + (1/(ν n)) Σ max(0, ρ − w·φ(x)) − ρ``.
+    space: minimize ``||w||²/2 + (1/(ν n)) Σ max(0, ρ − w·φ(x)) − ρ``, by
+    blocked SGD (:func:`_ocsvm_blocked_sgd`, ``_OCSVM_BLOCK`` rows a block).
     ``decision_function`` is positive inside the learned support region;
     ``score_samples`` returns an outlier score (higher = more anomalous) for
     use by the detector wrapper.
@@ -262,20 +242,12 @@ class OneClassSVM(BaseEstimator):
         n_components: int = 100,
         max_iter: int = 30,
         random_state=None,
-        solver: str = "batch",
-        batch_size: int = 64,
     ):
-        if solver not in ("stream", "batch"):
-            raise ValueError("solver must be 'stream' or 'batch'.")
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1.")
         self.nu = nu
         self.gamma = gamma
         self.n_components = n_components
         self.max_iter = max_iter
         self.random_state = random_state
-        self.solver = solver
-        self.batch_size = batch_size
 
     def _resolve_gamma(self, X: np.ndarray) -> float:
         if self.gamma == "scale":
@@ -295,6 +267,8 @@ class OneClassSVM(BaseEstimator):
     def fit(self, X, y=None) -> "OneClassSVM":
         if not 0.0 < self.nu <= 1.0:
             raise ValueError("nu must be in (0, 1].")
+        check_positive_int(self.n_components, "n_components")
+        check_positive_int(self.max_iter, "max_iter")
         X = check_array(X)
         rng = check_random_state(self.random_state)
         gamma = self._resolve_gamma(X)
@@ -302,68 +276,14 @@ class OneClassSVM(BaseEstimator):
         self.omega_ = rng.normal(0.0, np.sqrt(2.0 * gamma), size=(d, self.n_components))
         self.phase_ = rng.uniform(0.0, 2.0 * np.pi, size=self.n_components)
         phi = self._features(X)
-        if self.solver == "stream":
-            w, rho = self._solve_stream(phi, rng)
-        else:
-            w, rho = self._solve_batch(phi, rng)
+        w, _ = _ocsvm_blocked_sgd(phi, self.nu, self.max_iter, rng, _OCSVM_BLOCK)
         self.coef_ = w
-        self.rho_ = float(rho)
         self.n_features_in_ = d
         # Calibrate rho to the nu-quantile of training scores, which is what
         # exact OCSVM solvers converge to and is far more stable than the
         # SGD iterate.
-        scores = phi @ w
-        self.rho_ = float(np.quantile(scores, self.nu))
+        self.rho_ = float(np.quantile(phi @ w, self.nu))
         return self
-
-    def _solve_stream(self, phi: np.ndarray, rng) -> tuple:
-        """Per-sample projected SGD (the historical arm, preserved verbatim)."""
-        n = phi.shape[0]
-        w = phi.mean(axis=0)
-        rho = 0.0
-        step = 0
-        for _ in range(self.max_iter):
-            perm = rng.permutation(n)
-            for i in perm:
-                step += 1
-                eta = 1.0 / step
-                margin = phi[i] @ w - rho
-                w *= 1.0 - eta
-                if margin < 0.0:
-                    w += eta / self.nu * phi[i]
-                    rho -= eta
-                rho += eta * 1.0  # gradient of the -rho term is -1
-        return w, rho
-
-    def _solve_batch(self, phi: np.ndarray, rng) -> tuple:
-        """Blocked SGD with the per-sample schedule applied in closed form.
-
-        Same telescoping as :meth:`LinearSVC._solve_batch` with λ = 1: the
-        decays ``(1 - η_s) = (s-1)/s`` across a block covering steps
-        ``t₀+1 .. t₁`` collapse to ``t₀/t₁`` and every margin violator lands
-        with coefficient ``1/(ν t₁)``. Margins (and ρ) are frozen at block
-        start; ρ accumulates ``η_s`` over the block's non-violators exactly
-        as the stream arm nets out. Both arms draw one permutation per
-        epoch, so the RNG stream is preserved.
-        """
-        n = phi.shape[0]
-        w = phi.mean(axis=0)
-        rho = 0.0
-        step = 0
-        B = min(self.batch_size, n)
-        for _ in range(self.max_iter):
-            perm = rng.permutation(n)
-            for start in range(0, n, B):
-                blk = perm[start : start + B]
-                m = blk.size
-                phib = phi[blk]
-                viol = phib @ w - rho < 0.0
-                steps = step + 1 + np.arange(m)
-                last = step + m
-                w = w * (step / last) + (phib.T @ viol) / (self.nu * last)
-                rho += float((~viol) @ (1.0 / steps))
-                step = last
-        return w, rho
 
     def decision_function(self, X) -> np.ndarray:
         check_is_fitted(self, ["coef_"])

@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.learn.neighbors import NearestNeighbors
 from repro.outliers.base import BaseDetector, iter_row_blocks
+from repro.utils.validation import check_positive_int
 
 
 def _batched_chaining(points: np.ndarray) -> np.ndarray:
@@ -75,6 +76,7 @@ class COF(BaseDetector):
         self.n_neighbors = n_neighbors
 
     def _fit(self, X: np.ndarray) -> None:
+        check_positive_int(self.n_neighbors, "n_neighbors")
         k = min(self.n_neighbors, X.shape[0] - 1)
         if k < 1:
             raise ValueError("COF needs at least 2 samples.")

@@ -25,12 +25,11 @@ Table-3 metric deltas against it are gated at ≤ 0.01 by
 
 from __future__ import annotations
 
-import numbers
 
 import numpy as np
 
 from repro.outliers.base import BaseDetector
-from repro.utils.validation import check_random_state
+from repro.utils.validation import check_positive_int, check_random_state
 
 _EULER_GAMMA = 0.5772156649015329
 
@@ -264,11 +263,9 @@ class IForest(BaseDetector):
         self.random_state = random_state
 
     def _fit(self, X: np.ndarray) -> None:
-        if self.n_estimators < 1:
-            raise ValueError("n_estimators must be >= 1.")
+        check_positive_int(self.n_estimators, "n_estimators")
+        check_positive_int(self.max_samples, "max_samples")
         psi = self.max_samples
-        if not (isinstance(psi, numbers.Integral) and psi >= 1):
-            raise ValueError(f"max_samples must be an int >= 1, got {psi!r}.")
         rng = check_random_state(self.random_state)
         n = X.shape[0]
         psi = min(psi, n)

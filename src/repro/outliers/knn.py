@@ -1,8 +1,6 @@
 """kNN outlier detection (Ramaswamy, Rastogi & Shim, SIGMOD 2000).
 
-The outlier score of a point is its distance to its k-th nearest neighbor
-(``method='largest'``); 'mean' and 'median' aggregate over all k neighbor
-distances, as in PyOD.
+The outlier score of a point is its distance to its k-th nearest neighbor.
 """
 
 from __future__ import annotations
@@ -11,6 +9,7 @@ import numpy as np
 
 from repro.learn.neighbors import NearestNeighbors
 from repro.outliers.base import BaseDetector
+from repro.utils.validation import check_positive_int
 
 
 class KNNDetector(BaseDetector):
@@ -20,23 +19,14 @@ class KNNDetector(BaseDetector):
     ----------
     n_neighbors : int
         k.
-    method : {'largest', 'mean', 'median'}
-        How neighbor distances aggregate into a score.
     """
 
-    def __init__(
-        self,
-        n_neighbors: int = 5,
-        method: str = "largest",
-        contamination: float = 0.1,
-    ):
+    def __init__(self, n_neighbors: int = 5, contamination: float = 0.1):
         super().__init__(contamination=contamination)
         self.n_neighbors = n_neighbors
-        self.method = method
 
     def _fit(self, X: np.ndarray) -> None:
-        if self.method not in ("largest", "mean", "median"):
-            raise ValueError("method must be 'largest', 'mean' or 'median'.")
+        check_positive_int(self.n_neighbors, "n_neighbors")
         k = min(self.n_neighbors, X.shape[0] - 1)
         if k < 1:
             raise ValueError("KNN needs at least 2 samples.")
@@ -44,8 +34,4 @@ class KNNDetector(BaseDetector):
 
     def _score(self, X: np.ndarray) -> np.ndarray:
         dist, _ = self._kneighbors(self.nn_, X)
-        if self.method == "largest":
-            return dist[:, -1]
-        if self.method == "mean":
-            return dist.mean(axis=1)
-        return np.median(dist, axis=1)
+        return dist[:, -1]

@@ -11,6 +11,7 @@ import numpy as np
 
 from repro.learn.neighbors import NearestNeighbors
 from repro.outliers.base import BaseDetector
+from repro.utils.validation import check_positive_int
 
 
 class LOF(BaseDetector):
@@ -27,6 +28,7 @@ class LOF(BaseDetector):
         self.n_neighbors = n_neighbors
 
     def _fit(self, X: np.ndarray) -> None:
+        check_positive_int(self.n_neighbors, "n_neighbors")
         k = min(self.n_neighbors, X.shape[0] - 1)
         if k < 1:
             raise ValueError("LOF needs at least 2 samples.")

@@ -9,6 +9,7 @@ import numpy as np
 
 from repro.learn.svm import OneClassSVM
 from repro.outliers.base import BaseDetector
+from repro.utils.validation import check_positive_int
 
 
 class OCSVMDetector(BaseDetector):
@@ -23,8 +24,6 @@ class OCSVMDetector(BaseDetector):
         RBF bandwidth.
     n_components : int
         Random Fourier features.
-    solver : {"batch", "stream"}
-        Inner-SGD arm, passed through to :class:`OneClassSVM`.
     """
 
     def __init__(
@@ -34,18 +33,15 @@ class OCSVMDetector(BaseDetector):
         n_components: int = 100,
         contamination: float = 0.1,
         random_state=None,
-        solver: str = "batch",
     ):
         super().__init__(contamination=contamination)
         if nu is not None and not 0.0 < nu <= 1.0:
             raise ValueError(f"nu must be in (0, 1], got {nu}.")
-        if n_components < 1:
-            raise ValueError(f"n_components must be >= 1, got {n_components}.")
+        check_positive_int(n_components, "n_components")
         self.nu = nu
         self.gamma = gamma
         self.n_components = n_components
         self.random_state = random_state
-        self.solver = solver
 
     def _fit(self, X: np.ndarray) -> None:
         nu = self.contamination if self.nu is None else self.nu
@@ -54,7 +50,6 @@ class OCSVMDetector(BaseDetector):
             gamma=self.gamma,
             n_components=self.n_components,
             random_state=self.random_state,
-            solver=self.solver,
         ).fit(X)
 
     def _score(self, X: np.ndarray) -> np.ndarray:

@@ -10,18 +10,17 @@ The per-row perplexity bisection runs simultaneously for all rows
 are masked out, so the whole binding matrix costs ``max_iter`` vectorized
 sweeps instead of n independent Python-level searches.
 
-Two binding backends share that bisection core:
+Two binding backends share that bisection core, chosen by matrix size:
 
-- ``"dense"`` — the exact (n, n) affinity matrix of the paper.
-- ``"knn"`` — each row binds only to its ``n_neighbors`` nearest points
+- dense — the exact (n, n) affinity matrix of the paper, below
+  ``_KNN_MIN_ROWS`` rows (tier-1 scale stays exact) or when the
+  neighborhood is not sparse (``k > n/8``);
+- kNN — each row binds only to its ``n_neighbors`` nearest points
   (KD-tree query through the shared :class:`~repro.learn.neighbors.
   NeighborCache`), an O(n·k) matrix instead of O(n²). Bindings beyond
   ~3× the perplexity carry exponentially small mass, so the truncation
   changes scores negligibly while unlocking checkpoint sizes where the
   dense matrix would not fit.
-- ``"auto"`` (default) — dense below ``_KNN_MIN_ROWS`` rows (tier-1 scale
-  stays exact), kNN above it when the neighborhood is genuinely sparse
-  (``k ≤ n/8``).
 """
 
 from __future__ import annotations
@@ -32,8 +31,9 @@ import numpy as np
 
 from repro.learn.neighbors import NearestNeighbors
 from repro.outliers.base import BaseDetector
+from repro.utils.validation import check_positive_int
 
-#: ``binding="auto"`` switches to the kNN backend at this many rows.
+#: SOS switches to the kNN backend at this many rows.
 _KNN_MIN_ROWS = 1024
 
 
@@ -112,12 +112,7 @@ class SOS(BaseDetector):
     Parameters
     ----------
     perplexity : float
-        Effective neighborhood size.
-    binding : {"auto", "dense", "knn"}
-        Affinity backend. ``"dense"`` is the exact (n, n) matrix;
-        ``"knn"`` binds each row to its ``n_neighbors`` nearest points only
-        (O(n·k) memory); ``"auto"`` picks kNN for matrices of at least
-        ``1024`` rows whose neighborhood is sparse (k ≤ n/8).
+        Effective neighborhood size, finite and >= 1.
     n_neighbors : int, optional
         Candidate bindings per row for the kNN backend; ``None`` derives
         ``ceil(3 × perplexity)`` (the binding mass beyond that is
@@ -130,21 +125,19 @@ class SOS(BaseDetector):
         self,
         perplexity: float = 4.5,
         contamination: float = 0.1,
-        binding: str = "auto",
         n_neighbors: Optional[int] = None,
     ):
         super().__init__(contamination=contamination)
-        if binding not in ("auto", "dense", "knn"):
-            raise ValueError("binding must be 'auto', 'dense' or 'knn'.")
-        if n_neighbors is not None and n_neighbors < 1:
-            raise ValueError(f"n_neighbors must be >= 1, got {n_neighbors}.")
+        if n_neighbors is not None:
+            check_positive_int(n_neighbors, "n_neighbors")
         self.perplexity = perplexity
-        self.binding = binding
         self.n_neighbors = n_neighbors
 
     def _fit(self, X: np.ndarray) -> None:
-        if self.perplexity < 1:
-            raise ValueError("perplexity must be >= 1.")
+        if not 1 <= self.perplexity < np.inf:
+            raise ValueError(
+                f"perplexity must be finite and >= 1; got {self.perplexity!r}."
+            )
         self._train_X_ = X
 
     def _resolved_k(self, n: int) -> int:
@@ -154,12 +147,6 @@ class SOS(BaseDetector):
         return min(k, n - 1)
 
     def _use_knn(self, n: int) -> bool:
-        if self.binding == "dense":
-            return False
-        if n < 2:
-            return False
-        if self.binding == "knn":
-            return True
         return n >= _KNN_MIN_ROWS and self._resolved_k(n) <= n // 8
 
     def _sos_scores_dense(self, X: np.ndarray) -> np.ndarray:

@@ -18,6 +18,7 @@ from repro.learn.svm import LinearSVC, _pegasos_lockstep
 from repro.utils.validation import (
     check_array,
     check_is_fitted,
+    check_positive_int,
     check_random_state,
     check_X_y,
 )
@@ -52,8 +53,7 @@ class BaggingPuClassifier(BaseEstimator, ClassifierMixin):
         self.random_state = random_state
 
     def fit(self, X, s) -> "BaggingPuClassifier":
-        if self.n_estimators < 1:
-            raise ValueError("n_estimators must be >= 1.")
+        check_positive_int(self.n_estimators, "n_estimators")
         size = self.sample_size
         if size is not None and not (isinstance(size, numbers.Integral) and size >= 1):
             raise ValueError(f"sample_size must be None or an int >= 1, got {size!r}.")

@@ -20,16 +20,17 @@ Fault tolerance (see EXPERIMENTS.md, "Fault matrix"):
   ``BeginJob``) and replays the logged checkpoints; per-job event sequence
   numbers let :meth:`_dispatch` drop already-emitted events, so the
   delivered stream is bit-identical to an uninterrupted run.
-- *Quarantine*: with ``quarantine=True`` every request is validated on
-  ingest — malformed payloads, non-finite or stale checkpoint times,
-  unknown job ids — and rejects are routed to a bounded
-  :class:`~repro.faults.dlq.DeadLetterQueue` instead of crashing a worker.
+- *Quarantine*: every request is validated on ingest — malformed
+  payloads, non-finite or stale checkpoint times, unknown job ids — and
+  rejects are routed to a bounded :class:`~repro.faults.dlq.DeadLetterQueue`
+  instead of crashing a worker.
 - *Emit retry*: sink calls are retried per ``emit_policy`` (with optional
   ``emit_timeout``); undeliverable events land in the DLQ under
   ``"emit-failed"``.
 
-All of it is opt-in per config; with the defaults the hot path adds only
-per-job bookkeeping appends, and ``tests/test_faults.py``
+Restarts, retries and snapshots are set per config; with the defaults the
+hot path adds only the ingest check and per-job bookkeeping appends, and
+``tests/test_faults.py``
 (``TestCrashRecovery::test_hardened_unfaulted_service_matches_engine``)
 checks that the hardened but unfaulted service stays at parity with the
 bare engine. The service has no fault-injection hook: the tests inject
@@ -140,9 +141,6 @@ class ServiceConfig:
       checkpoints so recovery replays at most N events per job. ``None``
       (default) recovers by replaying from the job's warmup — bit-identical
       either way, just slower to recover.
-    - ``quarantine``: validate requests on ingest and route malformed /
-      stale / unknown ones to the dead-letter queue instead of letting them
-      crash a shard.
     - ``dlq_size``: bound on retained dead letters (counters stay exact).
     """
 
@@ -157,7 +155,6 @@ class ServiceConfig:
     )
     emit_timeout: Optional[float] = None
     snapshot_every: Optional[int] = None
-    quarantine: bool = True
     dlq_size: int = 1024
 
     def __post_init__(self):
@@ -426,11 +423,10 @@ class ScorerService:
                     request, "shard-dead", job_id=job_id, shard=shard
                 )
                 return
-            if self.config.quarantine:
-                reason = self._reject_reason(request)
-                if reason is not None:
-                    self.dlq.push(request, reason, job_id=job_id, shard=shard)
-                    return
+            reason = self._reject_reason(request)
+            if reason is not None:
+                self.dlq.push(request, reason, job_id=job_id, shard=shard)
+                return
             # Recovery bookkeeping runs before the engine call, so a request
             # that crashes mid-handling is already logged and the recovery
             # replay covers it.

@@ -183,14 +183,6 @@ class ReplaySimulator:
     feature_noise : float
         Scale of the progress-dependent observation noise on running tasks'
         features; 0 disables it.
-    grid : {'log', 'time', 'quantile'}
-        Checkpoint spacing. 'log' (default) places checkpoints geometrically
-        in wall-clock time between the warmup instant and job completion —
-        a compact stand-in for the paper's dense trace checkpoints that
-        covers both the early era (few tasks finished, where PU methods
-        flood) and the straggler tail (where online updates matter).
-        'time' is uniform in wall-clock time; 'quantile' uniform in the
-        finished-task fraction. Both alternatives are kept for ablations.
     random_state : int or Generator or None
         Seed for the observation noise.
     """
@@ -201,7 +193,6 @@ class ReplaySimulator:
         warmup_fraction: float = 0.04,
         straggler_percentile: float = 90.0,
         feature_noise: float = 0.05,
-        grid: str = "log",
         random_state=None,
     ):
         if n_checkpoints < 1:
@@ -212,41 +203,30 @@ class ReplaySimulator:
             raise ValueError("straggler_percentile must be in (0, 100).")
         if feature_noise < 0:
             raise ValueError("feature_noise must be non-negative.")
-        if grid not in ("log", "time", "quantile"):
-            raise ValueError("grid must be 'log', 'time' or 'quantile'.")
         self.n_checkpoints = n_checkpoints
         self.warmup_fraction = warmup_fraction
         self.straggler_percentile = straggler_percentile
         self.feature_noise = feature_noise
-        self.grid = grid
         self.random_state = random_state
 
     # ------------------------------------------------------------------
     def checkpoint_grid(self, job: Job) -> np.ndarray:
         """τ_run_t values; ``grid[0]`` is the warmup instant.
 
-        'time' mode: uniform in wall-clock time from the warmup instant to
-        just before the last task completes. 'quantile' mode: uniform in the
-        fraction of finished tasks.
+        Checkpoints are geometric in wall-clock time between the warmup
+        instant and just before job completion — a compact stand-in for the
+        paper's dense trace checkpoints that covers both the early era (few
+        tasks finished, where PU methods flood) and the straggler tail
+        (where online updates matter).
         """
         completion = job.completion_times
         warmup_time = float(np.quantile(completion, self.warmup_fraction))
         t_end = 0.98 * float(completion.max())
         t_end = max(t_end, warmup_time * (1.0 + 1e-9))
-        if self.grid == "log":
-            grid = np.geomspace(
-                max(warmup_time, 1e-9), t_end, self.n_checkpoints + 1
-            )
-        elif self.grid == "time":
-            grid = np.linspace(warmup_time, t_end, self.n_checkpoints + 1)
-        else:
-            q = np.linspace(self.warmup_fraction, 0.995, self.n_checkpoints + 1)
-            grid = np.quantile(completion, q)
-            grid = np.maximum.accumulate(grid)
-        # Enforce a strictly increasing grid: quantile grids plateau on
-        # duplicated completion times, and degenerate jobs can collapse the
-        # log/time spans below float resolution. Checkpoints must be distinct
-        # so flag_times identify the checkpoint that issued each flag.
+        grid = np.geomspace(max(warmup_time, 1e-9), t_end, self.n_checkpoints + 1)
+        # Enforce a strictly increasing grid: degenerate jobs can collapse
+        # the span below float resolution. Checkpoints must be distinct so
+        # flag_times identify the checkpoint that issued each flag.
         for i in range(1, grid.shape[0]):
             if grid[i] <= grid[i - 1]:
                 grid[i] = np.nextafter(grid[i - 1], np.inf)

@@ -83,6 +83,20 @@ def check_X_y(
     return X, y
 
 
+def check_positive_int(value, name: str) -> None:
+    """Raise a ``ValueError`` naming ``name`` unless ``value`` is an
+    integer >= 1 (iteration, component and neighbor counts)."""
+    if not (isinstance(value, numbers.Integral) and value >= 1):
+        raise ValueError(f"{name} must be an integer >= 1; got {value!r}.")
+
+
+def check_positive_finite(value, name: str) -> None:
+    """Raise a ``ValueError`` naming ``name`` unless ``value`` is a finite
+    number > 0 (NaN fails both comparisons)."""
+    if not 0 < value < np.inf:
+        raise ValueError(f"{name} must be finite and > 0; got {value!r}.")
+
+
 def check_random_state(seed) -> np.random.Generator:
     """Turn ``seed`` into a :class:`numpy.random.Generator`.
 

@@ -2,13 +2,13 @@
 
 PR 5 vectorized detector scoring against preserved loop references; this file
 does the same for the fit-phase batching: the level-synchronous IForest
-builder, stacked MCD C-step trials, batched k-means restarts, lockstep and
-blocked Pegasos solvers (with PU-BG's bags), and the kNN-sparse SOS binding
-matrix. Each optimized arm is pinned to a ``_reference_*`` loop
-implementation — bit-identical where the RNG stream is preserved and the
-arithmetic is unchanged, ≤1e-8 rtol where the batched arithmetic reorders
-floating-point reductions — on random, duplicate-row, and constant-feature
-inputs.
+builder, stacked MCD C-step trials, batched k-means restarts, lockstep
+Pegasos (with PU-BG's bags), the blocked one-class SVM solver, and the
+kNN-sparse SOS binding matrix. Each optimized arm is pinned to a
+``_Reference*`` loop implementation — bit-identical where the RNG stream is
+preserved and the arithmetic is unchanged, ≤1e-8 rtol where the batched
+arithmetic reorders floating-point reductions — on random, duplicate-row,
+and constant-feature inputs.
 
 ``benchmarks/perf/bench_detector_fits.py`` imports the references here as
 its "before" arms.
@@ -23,10 +23,16 @@ from test_detector_vectorization import REFERENCE_FOREST_FITS
 
 from repro.learn.base import clone
 from repro.learn.cluster import KMeans, _kmeans_plus_plus
-from repro.learn.svm import LinearSVC, OneClassSVM, _largest_square_within
+from repro.learn.svm import (
+    LinearSVC,
+    OneClassSVM,
+    _largest_square_within,
+    _ocsvm_blocked_sgd,
+)
 from repro.outliers import CBLOF, MCD, SOS, IForest, XGBOD
 from repro.outliers.mcd import _chi2_ppf, _det_cov, _mahalanobis_sq
 from repro.outliers.ocsvm import OCSVMDetector
+from repro.outliers.sos import _KNN_MIN_ROWS
 from repro.pu import BaggingPuClassifier
 from repro.utils.validation import check_array, check_random_state, check_X_y
 
@@ -111,9 +117,7 @@ class _ReferenceKMeans(KMeans):
         if self.n_clusters < 1:
             raise ValueError("n_clusters must be >= 1.")
         if X.shape[0] < self.n_clusters:
-            raise ValueError(
-                f"n_samples={X.shape[0]} < n_clusters={self.n_clusters}."
-            )
+            raise ValueError(f"n_samples={X.shape[0]} < n_clusters={self.n_clusters}.")
         rng = check_random_state(self.random_state)
         best = None
         for _ in range(max(1, self.n_init)):
@@ -175,10 +179,6 @@ class _ReferenceLinearSVC(LinearSVC):
         return w, b
 
 
-def _reference_linear_svc(**kwargs):
-    return _ReferenceLinearSVC(solver="stream", **kwargs)
-
-
 class _ReferenceBaggingPu(BaggingPuClassifier):
     """One bag after another, each fitting its own per-sample SVM."""
 
@@ -215,23 +215,54 @@ class _ReferenceBaggingPu(BaggingPuClassifier):
         return self
 
 
-def _reference_ocsvm(**kwargs):
-    """The per-sample projected-SGD loop is ``solver="stream"``."""
-    return OneClassSVM(solver="stream", **kwargs)
+class _ReferenceOneClassSVM(OneClassSVM):
+    """Per-sample projected SGD: one margin and one update per row (the
+    pre-blocking solver)."""
+
+    def fit(self, X, y=None):
+        X = check_array(X)
+        rng = check_random_state(self.random_state)
+        gamma = self._resolve_gamma(X)
+        d = X.shape[1]
+        self.omega_ = rng.normal(0.0, np.sqrt(2.0 * gamma), size=(d, self.n_components))
+        self.phase_ = rng.uniform(0.0, 2.0 * np.pi, size=self.n_components)
+        phi = self._features(X)
+        w, _ = self._solve_stream(phi, rng)
+        self.coef_ = w
+        self.n_features_in_ = d
+        self.rho_ = float(np.quantile(phi @ w, self.nu))
+        return self
+
+    def _solve_stream(self, phi: np.ndarray, rng) -> tuple:
+        """Per-sample projected SGD (the historical arm, preserved verbatim)."""
+        n = phi.shape[0]
+        w = phi.mean(axis=0)
+        rho = 0.0
+        step = 0
+        for _ in range(self.max_iter):
+            perm = rng.permutation(n)
+            for i in perm:
+                step += 1
+                eta = 1.0 / step
+                margin = phi[i] @ w - rho
+                w *= 1.0 - eta
+                if margin < 0.0:
+                    w += eta / self.nu * phi[i]
+                    rho -= eta
+                rho += eta * 1.0  # gradient of the -rho term is -1
+        return w, rho
 
 
-def _reference_sos(**kwargs):
-    """The exact (n, n) affinity matrix is the ``binding="dense"`` arm."""
-    return SOS(binding="dense", **kwargs)
+class _DenseSOS(SOS):
+    """SOS on the exact (n, n) affinity matrix at every size."""
+
+    _sos_scores = SOS._sos_scores_dense
 
 
-REFERENCE_FITTERS = {
-    "MCD": _ReferenceMCD,
-    "KMEANS": _ReferenceKMeans,
-    "LINEAR_SVC": _reference_linear_svc,
-    "OCSVM_MODEL": _reference_ocsvm,
-    "SOS": _reference_sos,
-}
+class _KnnSOS(SOS):
+    """SOS on the kNN-sparse binding matrix at every size."""
+
+    _sos_scores = SOS._sos_scores_knn
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +272,7 @@ REFERENCE_FITTERS = {
 def _make_dataset(kind, n=180, d=5, seed=7):
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n, d))
-    X[-max(n // 20, 3):] += 5.0
+    X[-max(n // 20, 3) :] += 5.0
     if kind == "duplicates":
         X = np.vstack([X, np.tile(X[:8], (3, 1))])
     elif kind == "constant":
@@ -354,12 +385,8 @@ def test_mcd_matches_reference_loop(kind):
     X = _make_dataset(kind)
     cur = MCD(random_state=4).fit(X)
     ref = _ReferenceMCD(random_state=4).fit(X.copy())
-    np.testing.assert_allclose(
-        cur.location_, ref.location_, rtol=RTOL, atol=ATOL
-    )
-    np.testing.assert_allclose(
-        cur.covariance_, ref.covariance_, rtol=RTOL, atol=ATOL
-    )
+    np.testing.assert_allclose(cur.location_, ref.location_, rtol=RTOL, atol=ATOL)
+    np.testing.assert_allclose(cur.covariance_, ref.covariance_, rtol=RTOL, atol=ATOL)
     np.testing.assert_allclose(
         cur.decision_scores_, ref.decision_scores_, rtol=RTOL, atol=ATOL
     )
@@ -414,17 +441,13 @@ def test_kmeans_matches_reference_loop(kind):
     np.testing.assert_allclose(
         cur.cluster_centers_, ref.cluster_centers_, rtol=RTOL, atol=ATOL
     )
-    np.testing.assert_allclose(
-        cur.inertia_, ref.inertia_, rtol=1e-9, atol=1e-9
-    )
+    np.testing.assert_allclose(cur.inertia_, ref.inertia_, rtol=1e-9, atol=1e-9)
 
 
 def test_kmeans_empty_cluster_reseed_matches_reference():
     """k far above the natural cluster count exercises the reseed path."""
     rng = np.random.default_rng(9)
-    X = np.vstack(
-        [rng.normal(0, 0.01, (25, 3)), rng.normal(10, 0.01, (25, 3))]
-    )
+    X = np.vstack([rng.normal(0, 0.01, (25, 3)), rng.normal(10, 0.01, (25, 3))])
     cur = KMeans(n_clusters=8, random_state=1).fit(X)
     ref = _ReferenceKMeans(n_clusters=8, random_state=1).fit(X.copy())
     np.testing.assert_allclose(cur.inertia_, ref.inertia_, rtol=1e-9, atol=1e-12)
@@ -511,7 +534,7 @@ def test_linear_svc_lockstep_matches_per_sample_loop(case):
             class_weight=[None, "balanced"][trial % 2],
             random_state=int(gen.integers(1000)),
         )
-        ref = _reference_linear_svc(**kw).fit(X, y)
+        ref = _ReferenceLinearSVC(**kw).fit(X, y)
         new = LinearSVC(**kw).fit(X, y)
         _assert_same_svc(ref, new, X)
         quiet += len(getattr(ref, "quiet_steps_", ()))
@@ -613,88 +636,40 @@ def test_bagging_pu_lockstep_projects_and_skips_quiet_steps(case):
 
 
 # ---------------------------------------------------------------------------
-# Pegasos: blocked solver arms
+# One-class SVM: blocked SGD
 # ---------------------------------------------------------------------------
 
-def test_linear_svc_batch_size_one_replays_stream_schedule():
-    """With one-row blocks the closed-form decay telescoping reduces to the
-    per-sample recursion: same permutations, same updates, ≤1e-8."""
-    X = _make_dataset("random")
-    y = (X[:, 0] > 0.2).astype(float)
-    stream = _reference_linear_svc(max_iter=10, random_state=3).fit(X, y)
-    batch = LinearSVC(
-        solver="batch", batch_size=1, max_iter=10, random_state=3
-    ).fit(X, y)
-    np.testing.assert_allclose(batch.coef_, stream.coef_, rtol=RTOL, atol=ATOL)
-    np.testing.assert_allclose(
-        batch.intercept_, stream.intercept_, rtol=RTOL, atol=ATOL
-    )
-
-
-def test_linear_svc_batch_flag_parity_at_tier1():
-    """Blocked updates must produce the same flags the stream arm does on a
-    separable tier-1-style problem (Wrangler's usage), both class weights."""
-    rng = np.random.default_rng(0)
-    X = np.vstack([rng.normal(1.2, 1, (120, 6)), rng.normal(-1.2, 1, (120, 6))])
-    y = np.r_[np.ones(120), np.zeros(120)]
-    for cw in (None, "balanced"):
-        stream = _reference_linear_svc(
-            max_iter=30, random_state=0, class_weight=cw
-        ).fit(X, y)
-        batch = LinearSVC(
-            solver="batch", max_iter=30, random_state=0, class_weight=cw
-        ).fit(X, y)
-        agree = float(np.mean(stream.predict(X) == batch.predict(X)))
-        assert agree >= 0.97, f"flag agreement {agree} (class_weight={cw})"
-
-
-def test_linear_svc_batch_deterministic_and_validated():
-    X = _make_dataset("random")
-    y = (X[:, 1] > 0).astype(float)
-    a = LinearSVC(solver="batch", random_state=1).fit(X, y)
-    b = LinearSVC(solver="batch", random_state=1).fit(X.copy(), y.copy())
-    assert a.coef_.tobytes() == b.coef_.tobytes()
-    assert a.intercept_ == b.intercept_
-    with pytest.raises(ValueError):
-        LinearSVC(solver="sgd")
-    with pytest.raises(ValueError):
-        LinearSVC(batch_size=0)
-
-
 def test_ocsvm_batch_size_one_replays_stream_schedule():
+    """With one-row blocks the closed-form decay telescoping reduces to the
+    per-sample recursion: same permutations, same updates, ≤1e-8 (the two
+    round (s−1)/s and 1 − 1/s differently, so the bits may differ)."""
     X = _make_dataset("random")
-    stream = _reference_ocsvm(max_iter=5, random_state=2).fit(X)
-    batch = OneClassSVM(
-        solver="batch", batch_size=1, max_iter=5, random_state=2
-    ).fit(X)
-    np.testing.assert_allclose(batch.coef_, stream.coef_, rtol=RTOL, atol=ATOL)
-    np.testing.assert_allclose(batch.rho_, stream.rho_, rtol=RTOL, atol=ATOL)
+    ref = _ReferenceOneClassSVM(max_iter=5, random_state=2).fit(X)
+    phi = ref._features(X)
+    w_s, rho_s = ref._solve_stream(phi, np.random.default_rng(2))
+    w_b, rho_b = _ocsvm_blocked_sgd(phi, ref.nu, 5, np.random.default_rng(2), 1)
+    np.testing.assert_allclose(w_b, w_s, rtol=RTOL, atol=ATOL)
+    np.testing.assert_allclose(rho_b, rho_s, rtol=RTOL, atol=ATOL)
 
 
 @pytest.mark.parametrize("kind", DATASET_KINDS)
 def test_ocsvm_batch_ranks_like_stream(kind):
     """The default blocked arm must rank outliers like the stream loop."""
     X = _make_dataset(kind)
-    stream = _reference_ocsvm(random_state=0).fit(X)
-    batch = OneClassSVM(solver="batch", random_state=0).fit(X)
+    stream = _ReferenceOneClassSVM(random_state=0).fit(X)
+    batch = OneClassSVM(random_state=0).fit(X)
     r = np.corrcoef(stream.score_samples(X), batch.score_samples(X))[0, 1]
     assert r > 0.95, f"rank agreement {r} ({kind})"
 
 
-def test_ocsvm_detector_validates_and_passes_solver():
+def test_ocsvm_detector_validates_and_fits():
     with pytest.raises(ValueError, match="nu"):
         OCSVMDetector(nu=0.0)
     with pytest.raises(ValueError, match="nu"):
         OCSVMDetector(nu=1.5)
     with pytest.raises(ValueError, match="n_components"):
         OCSVMDetector(n_components=0)
-    X = _make_dataset("random")
-    det = OCSVMDetector(random_state=0, solver="stream")
-    det.fit(X)
-    assert det.model_.solver == "stream"
-    det = OCSVMDetector(random_state=0)
-    det.fit(X)
-    assert det.model_.solver == "batch"
+    det = OCSVMDetector(random_state=0).fit(_make_dataset("random"))
     assert np.all(np.isfinite(det.decision_scores_))
 
 
@@ -706,8 +681,8 @@ def test_sos_knn_full_width_matches_dense():
     """With k = n−1 the sparse path IS the dense binding matrix (modulo the
     KD-tree computing distances without the Gram-trick cancellation)."""
     X = _make_dataset("random", n=120)
-    dense = SOS(binding="dense").fit(X)
-    sparse = SOS(binding="knn", n_neighbors=X.shape[0] - 1).fit(X)
+    dense = _DenseSOS().fit(X)
+    sparse = _KnnSOS(n_neighbors=X.shape[0] - 1).fit(X)
     np.testing.assert_allclose(
         sparse.decision_scores_, dense.decision_scores_, rtol=1e-8, atol=1e-10
     )
@@ -717,8 +692,8 @@ def test_sos_knn_full_width_matches_dense():
 def test_sos_knn_truncation_parity(kind):
     """Default-k truncation drops only exponentially small binding mass."""
     X = _make_dataset(kind)
-    dense = SOS(binding="dense").fit(X)
-    sparse = SOS(binding="knn").fit(X)
+    dense = _DenseSOS().fit(X)
+    sparse = _KnnSOS().fit(X)
     s_d, s_k = dense.decision_scores_, sparse.decision_scores_
     assert np.corrcoef(s_d, s_k)[0, 1] > 0.99
     assert np.abs(s_d - s_k).max() < 0.1
@@ -729,15 +704,16 @@ def test_sos_knn_truncation_parity(kind):
 
 
 def test_sos_auto_binding_thresholds():
-    """auto == dense below the row threshold, == knn above it."""
+    """SOS binds densely below ``_KNN_MIN_ROWS`` rows and by kNN above."""
     small = _make_dataset("random", n=200)
     auto = SOS().fit(small)
-    dense = SOS(binding="dense").fit(small)
+    dense = _DenseSOS().fit(small)
     np.testing.assert_array_equal(auto.decision_scores_, dense.decision_scores_)
     rng = np.random.default_rng(3)
     big = np.ascontiguousarray(rng.normal(size=(1100, 4)))
+    assert small.shape[0] < _KNN_MIN_ROWS <= big.shape[0]
     auto = SOS().fit(big)
-    knn = SOS(binding="knn").fit(big)
+    knn = _KnnSOS().fit(big)
     np.testing.assert_array_equal(auto.decision_scores_, knn.decision_scores_)
 
 
@@ -746,8 +722,8 @@ def test_sos_knn_transductive_join():
     X = _make_dataset("random", n=150)
     rng = np.random.default_rng(5)
     X_new = np.ascontiguousarray(rng.normal(size=(30, X.shape[1])) + 1.0)
-    dense = SOS(binding="dense").fit(X)
-    sparse = SOS(binding="knn").fit(X)
+    dense = _DenseSOS().fit(X)
+    sparse = _KnnSOS().fit(X)
     s_d = dense.decision_function(X_new)
     s_k = sparse.decision_function(X_new)
     assert np.corrcoef(s_d, s_k)[0, 1] > 0.99
@@ -758,14 +734,12 @@ def test_sos_knn_edge_inputs_finite():
     dup = np.repeat(rng.normal(size=(40, 4)), 3, axis=0)
     const = np.c_[np.ones(90), rng.normal(size=(90, 3))]
     for X in (dup, const):
-        det = SOS(binding="knn").fit(np.ascontiguousarray(X))
+        det = _KnnSOS().fit(np.ascontiguousarray(X))
         assert np.all(np.isfinite(det.decision_scores_))
         assert np.all(det.decision_scores_ >= 0)
         assert np.all(det.decision_scores_ <= 1.0 + 1e-9)
 
 
 def test_sos_binding_validation():
-    with pytest.raises(ValueError, match="binding"):
-        SOS(binding="bogus")
     with pytest.raises(ValueError, match="n_neighbors"):
         SOS(n_neighbors=0)

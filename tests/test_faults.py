@@ -712,26 +712,6 @@ class TestQuarantine:
         assert _event_keys(again.events) == _event_keys(svc.events)
         assert again.dlq.counts() == svc.dlq.counts()
 
-    def test_quarantine_off_lets_errors_hit_supervisor(self):
-        sim = ReplaySimulator(n_checkpoints=5, random_state=0)
-        job = _job(n=40, seed=8)
-        config = ServiceConfig(
-            quarantine=False, restart_policy=RetryPolicy(retries=0)
-        )
-        svc = ScorerService(
-            CountingPredictor, simulator=sim, config=config,
-            sleep=SleepRecorder(),
-        )
-
-        async def go():
-            await svc.start()
-            await svc.submit(ScoreCheckpoint("ghost", 1.0))  # unknown job
-            await svc.drain()
-            await svc.stop(raise_on_failure=False)
-
-        asyncio.run(go())
-        assert svc.failures  # the KeyError consumed the (zero) restart budget
-
 
 # ---------------------------------------------------------------------------
 # Harness work-unit retry

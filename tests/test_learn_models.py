@@ -301,11 +301,10 @@ class TestSvm:
         with pytest.raises(ValueError):
             LinearSVC(class_weight="wrong").fit(np.zeros((4, 1)), [0, 1, 0, 1])
 
-    @pytest.mark.parametrize("solver", ["stream", "batch"])
     @pytest.mark.parametrize("max_iter", [0, -1, 2.5, np.nan])
-    def test_invalid_max_iter(self, solver, max_iter):
+    def test_invalid_max_iter(self, max_iter):
         # Zero epochs used to return an all-zero model without a word.
-        svc = LinearSVC(max_iter=max_iter, solver=solver)
+        svc = LinearSVC(max_iter=max_iter)
         with pytest.raises(ValueError, match="max_iter"):
             svc.fit(np.eye(4), [0, 1, 0, 1])
 

@@ -293,14 +293,6 @@ class TestCoxPH:
         assert (s_lo >= 0).all() and (s_lo <= 1).all()
         assert (s_hi <= s_lo + 1e-12).all()
 
-    def test_median_survival_time_order(self, censored_data):
-        X, y_obs, censored, _ = censored_data
-        m = CoxPHFitter().fit(X, y_obs, ~censored)
-        med = m.predict_median_survival_time(X)
-        hi = X[:, 0] > 1.0
-        lo = X[:, 0] < -1.0
-        assert med[hi].mean() > med[lo].mean()
-
     def test_needs_events(self, censored_data):
         X, y_obs, _, _ = censored_data
         with pytest.raises(ValueError, match="events"):

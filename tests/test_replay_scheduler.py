@@ -101,18 +101,12 @@ class TestReplaySimulator:
         first = res.flag_times[np.isfinite(res.flag_times)].min()
         assert (res.flag_times[np.isfinite(res.flag_times)] == first).all()
 
-    def test_grid_modes(self):
-        job = _oracle_job()
-        for grid in ("log", "time", "quantile"):
-            sim = ReplaySimulator(n_checkpoints=6, grid=grid, random_state=0)
-            g = sim.checkpoint_grid(job)
-            assert g.shape == (7,)
-            assert (np.diff(g) >= 0).all()
-
     def test_log_grid_spans_warmup_to_end(self):
         job = _oracle_job()
         sim = ReplaySimulator(n_checkpoints=6, warmup_fraction=0.04, random_state=0)
         g = sim.checkpoint_grid(job)
+        assert g.shape == (7,)
+        assert (np.diff(g) >= 0).all()
         comp = job.completion_times
         assert g[0] == pytest.approx(np.quantile(comp, 0.04))
         assert g[-1] == pytest.approx(0.98 * comp.max())
@@ -126,8 +120,6 @@ class TestReplaySimulator:
             ReplaySimulator(straggler_percentile=100.0)
         with pytest.raises(ValueError):
             ReplaySimulator(feature_noise=-0.1)
-        with pytest.raises(ValueError):
-            ReplaySimulator(grid="daily")
 
     def test_observed_features_converge_with_progress(self):
         job = _oracle_job()

@@ -129,10 +129,9 @@ class TestNurdFlagParity:
         )
         assert_replay_equal(batch, inc)
 
-    @pytest.mark.parametrize("grid", ["log", "time", "quantile"])
-    def test_parity_across_grid_modes(self, grid, alibaba_trace):
+    def test_parity_on_alibaba_job(self, alibaba_trace):
         job = alibaba_trace[1]
-        sim = ReplaySimulator(n_checkpoints=6, grid=grid, random_state=5)
+        sim = ReplaySimulator(n_checkpoints=6, random_state=5)
         batch, inc = both_paths(sim, job, seed=2)
         assert_replay_equal(batch, inc)
 

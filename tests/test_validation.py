@@ -1,8 +1,13 @@
-"""Unit tests for repro.utils.validation."""
+"""Unit tests for repro.utils.validation and for estimators' parameter checks."""
 
 import numpy as np
 import pytest
 
+from repro.learn.linear import LogisticRegression
+from repro.learn.svm import LinearSVC, OneClassSVM
+from repro.outliers import COF, LOF, SOS, IForest, KNNDetector
+from repro.outliers.base import BaseDetector
+from repro.pu import BaggingPuClassifier
 from repro.utils.validation import (
     NotFittedError,
     check_array,
@@ -121,3 +126,52 @@ class TestCheckIsFitted:
         with pytest.raises(NotFittedError, match="missing"):
             check_is_fitted(m, ["b_"])
         check_is_fitted(m, ["a_"])
+
+
+def _xy():
+    gen = np.random.default_rng(0)
+    X = gen.normal(size=(30, 3))
+    return X, (X[:, 0] > 0).astype(int)
+
+
+@pytest.mark.parametrize(
+    "estimator, param, value",
+    [
+        (LogisticRegression, "C", np.nan),
+        (LogisticRegression, "C", np.inf),
+        (LogisticRegression, "max_iter", 0),
+        (LogisticRegression, "max_iter", 2.5),
+        (LinearSVC, "C", np.nan),
+        (LinearSVC, "C", np.inf),
+        (OneClassSVM, "max_iter", 0),
+        (OneClassSVM, "n_components", 0),
+        (OneClassSVM, "n_components", 2.5),
+        (SOS, "perplexity", np.nan),
+        (SOS, "perplexity", np.inf),
+        (SOS, "n_neighbors", np.nan),
+        (SOS, "n_neighbors", 2.5),
+        (KNNDetector, "n_neighbors", 0),
+        (KNNDetector, "n_neighbors", -1),
+        (KNNDetector, "n_neighbors", np.nan),
+        (LOF, "n_neighbors", 0),
+        (LOF, "n_neighbors", -1),
+        (LOF, "n_neighbors", np.nan),
+        (COF, "n_neighbors", 0),
+        (COF, "n_neighbors", -1),
+        (COF, "n_neighbors", np.nan),
+        (IForest, "n_estimators", np.nan),
+        (IForest, "n_estimators", 2.5),
+        (BaggingPuClassifier, "n_estimators", np.nan),
+        (BaggingPuClassifier, "n_estimators", 2.5),
+    ],
+)
+def test_bad_parameter_raises_naming_it(estimator, param, value):
+    """A value that used to fit silently (or fail deep inside NumPy) raises a
+    ValueError naming the parameter, at construction or at fit."""
+    X, y = _xy()
+    with pytest.raises(ValueError, match=f"^{param} must"):
+        model = estimator(**{param: value})
+        if isinstance(model, BaseDetector):
+            model.fit(X)
+        else:
+            model.fit(X, y)
