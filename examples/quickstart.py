@@ -1,24 +1,43 @@
 """Quickstart: predict stragglers online in one job with NURD.
 
-Generates a Google-style job, replays it checkpoint by checkpoint, and
-prints NURD's prediction quality and the job-completion-time win from
-relaunching the flagged tasks.
+Generates a Google-style job (or reads one from a trace CSV), replays it
+checkpoint by checkpoint, and prints NURD's prediction quality and the
+job-completion-time win from relaunching the flagged tasks.
 
-Run:  python examples/quickstart.py
+Run:  python examples/quickstart.py [trace.csv]
+
+A trace CSV has the columns ``job_id, latency, start_time, <features...>``
+(see ``repro.traces.io``); the first job with at least 100 tasks is
+replayed, the paper's job-size filter.
 """
+
+import sys
 
 import numpy as np
 
 from repro import GoogleTraceGenerator, NurdPredictor, ReplaySimulator
 from repro.sim import paper_report
+from repro.traces import filter_jobs_by_size, load_trace_csv
 
 
-def main() -> None:
-    # 1. A synthetic Google-style job: 300 tasks, 15 monitored features.
-    gen = GoogleTraceGenerator(random_state=7)
-    job = gen.generate_job("demo-job", n_tasks=300)
+def load_job(path):
+    """The first job with at least 100 tasks in the trace CSV at ``path``."""
+    trace = filter_jobs_by_size(load_trace_csv(path), min_tasks=100)
+    if not trace.jobs:
+        raise SystemExit(f"{path}: no job has 100 or more tasks.")
+    return trace.jobs[0]
+
+
+def main(argv=None) -> None:
+    args = sys.argv[1:] if argv is None else argv
+    if args:
+        job = load_job(args[0])
+    else:
+        # 1. A synthetic Google-style job: 300 tasks, 15 monitored features.
+        gen = GoogleTraceGenerator(random_state=7)
+        job = gen.generate_job("demo-job", n_tasks=300)
     tau = job.straggler_threshold(90.0)
-    print(f"job: {job.n_tasks} tasks, {job.n_features} features")
+    print(f"job {job.job_id}: {job.n_tasks} tasks, {job.n_features} features")
     print(f"p90 straggler threshold: {tau:.1f}")
     print(f"max latency: {job.latencies.max():.1f}")
     print(f"true stragglers: {int(job.straggler_mask().sum())}")

@@ -6,7 +6,7 @@ The package is organised as a set of substrates plus the paper's core
 contribution:
 
 - :mod:`repro.learn` — from-scratch ML substrate (trees, gradient boosting,
-  linear models, SVMs, neighbors, clustering, metrics).
+  logistic regression, SVMs, neighbors, clustering, Table-3 metrics).
 - :mod:`repro.outliers` — the fourteen outlier detectors evaluated in the
   paper (ABOD, CBLOF, HBOS, IFOREST, KNN, LOF, MCD, OCSVM, PCA, SOS, LSCP,
   COF, SOD, XGBOD).

@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.censored.tobit import _normal_hazard
-from repro.learn.base import RegressorMixin
 from repro.learn.gbm import LossFunction, _BaseGradientBoosting
 from repro.learn.tree import _MAX_HIST_BINS
 from repro.utils.validation import check_X_y
@@ -53,7 +52,7 @@ class _TobitLoss(LossFunction):
         return -grad, hess
 
 
-class GrabitRegressor(_BaseGradientBoosting, RegressorMixin):
+class GrabitRegressor(_BaseGradientBoosting):
     """Tobit-loss gradient boosting.
 
     Parameters

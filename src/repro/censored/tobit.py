@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.learn.base import BaseEstimator, RegressorMixin
+from repro.learn.base import BaseEstimator
 from repro.learn.preprocessing import StandardScaler
 from repro.utils.validation import check_array, check_is_fitted, check_X_y
 
@@ -58,7 +58,7 @@ def _negloglik(theta, Zb, y, obs, reg):
     return float(-np.sum(ll) + penalty), -grad
 
 
-class TobitRegressor(BaseEstimator, RegressorMixin):
+class TobitRegressor(BaseEstimator):
     """Right-censored Gaussian linear regression.
 
     Parameters

@@ -8,10 +8,8 @@ from repro.eval.harness import (
     evaluate_all,
     streaming_f1_curve,
     jct_reduction_table,
-    closed_loop_table,
 )
 from repro.eval.reporting import format_table3, format_series
-from repro.eval.thresholds import estimate_inflection_threshold
 
 __all__ = [
     "build_predictor",
@@ -23,8 +21,6 @@ __all__ = [
     "evaluate_all",
     "streaming_f1_curve",
     "jct_reduction_table",
-    "closed_loop_table",
     "format_table3",
     "format_series",
-    "estimate_inflection_threshold",
 ]

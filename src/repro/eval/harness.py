@@ -35,12 +35,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Un
 import numpy as np
 
 from repro.eval.baselines import build_predictor
-from repro.sim.mitigation import (
-    ClosedLoopSimulator,
-    MitigationConfig,
-    control_reports,
-    jct_reduction,
-)
+from repro.sim.mitigation import jct_reduction
 from repro.sim.replay import ReplayResult, ReplaySimulator
 from repro.traces.io import TraceStore, save_trace_npz
 from repro.traces.schema import Job, Trace
@@ -417,33 +412,6 @@ def streaming_f1_curve(
 ) -> Dict[str, np.ndarray]:
     """Figures 2–3: per-method streaming F1 over normalized time."""
     return {m: r.streaming_f1(n_points) for m, r in results.items()}
-
-
-def closed_loop_table(
-    results: Dict[str, MethodResult],
-    config: Optional[MitigationConfig] = None,
-    include_controls: bool = True,
-) -> Dict[str, Dict]:
-    """Closed-loop mitigation summary per method (plus control arms).
-
-    Runs every method's replays through the configured
-    :class:`~repro.sim.mitigation.ClosedLoopSimulator` and returns each
-    arm's JSON-ready report: mean JCT reduction, p99/p99.9 task-latency
-    deltas, and action accounting. ``include_controls`` adds the oracle and
-    random-flagger arms derived from the first method's replays (the
-    checkpoint grid and ground truth are method-independent, so the
-    controls bracket every method evaluated on the same trace).
-    """
-    config = config or MitigationConfig()
-    sim = ClosedLoopSimulator(config)
-    table: Dict[str, Dict] = {}
-    for method, res in results.items():
-        table[method] = sim.run_many(res.replays).as_dict()
-    if include_controls and results:
-        reference = next(iter(results.values())).replays
-        for arm, report in control_reports(reference, config).items():
-            table[arm] = report.as_dict()
-    return table
 
 
 def jct_reduction_table(

@@ -1,12 +1,15 @@
-"""Estimator base classes following the scikit-learn parameter protocol."""
+"""The estimator base class (scikit-learn parameter protocol) and ``clone``.
+
+Only the parameter protocol is shared. Each estimator defines the
+``predict``/``decision_function`` calls its callers use; there are no
+``score`` mixins.
+"""
 
 from __future__ import annotations
 
 import copy
 import inspect
 from typing import Any, Dict
-
-import numpy as np
 
 
 class BaseEstimator:
@@ -51,21 +54,3 @@ def clone(estimator: BaseEstimator) -> BaseEstimator:
     """Return an unfitted copy of ``estimator`` with identical parameters."""
     params = {k: copy.deepcopy(v) for k, v in estimator.get_params().items()}
     return type(estimator)(**params)
-
-
-class RegressorMixin:
-    """Adds an R² ``score`` method."""
-
-    def score(self, X, y) -> float:
-        from repro.learn.metrics import r2_score
-
-        return r2_score(np.asarray(y, dtype=float), self.predict(X))
-
-
-class ClassifierMixin:
-    """Adds an accuracy ``score`` method."""
-
-    def score(self, X, y) -> float:
-        from repro.learn.metrics import accuracy_score
-
-        return accuracy_score(np.asarray(y), self.predict(X))

@@ -5,7 +5,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.learn.base import BaseEstimator
-from repro.utils.validation import check_array, check_is_fitted, check_random_state
+from repro.utils.validation import (
+    check_array,
+    check_positive_int,
+    check_random_state,
+)
 
 
 def _kmeans_plus_plus(
@@ -117,13 +121,14 @@ class KMeans(BaseEstimator):
             raise ValueError(
                 f"n_samples={X.shape[0]} < n_clusters={self.n_clusters}."
             )
+        check_positive_int(self.n_init, "n_init")
+        check_positive_int(self.max_iter, "max_iter")
         rng = check_random_state(self.random_state)
-        n_init = max(1, self.n_init)
         # Seed every restart upfront with the same sequential RNG stream the
         # historical restart loop consumed; the Lloyd iterations themselves
         # draw no randomness and run batched.
         seeds = np.stack(
-            [_kmeans_plus_plus(X, self.n_clusters, rng) for _ in range(n_init)]
+            [_kmeans_plus_plus(X, self.n_clusters, rng) for _ in range(self.n_init)]
         )
         centers, labels, inertia = self._lloyd_batched(X, seeds)
         best = int(np.argmin(inertia))
@@ -132,29 +137,3 @@ class KMeans(BaseEstimator):
         self.inertia_ = float(inertia[best])
         self.n_features_in_ = X.shape[1]
         return self
-
-    def predict(self, X) -> np.ndarray:
-        check_is_fitted(self, ["cluster_centers_"])
-        X = check_array(X)
-        if X.shape[1] != self.n_features_in_:
-            raise ValueError(
-                f"X has {X.shape[1]} features; model was fitted with "
-                f"{self.n_features_in_}."
-            )
-        d2 = (
-            np.sum(X**2, axis=1)[:, None]
-            - 2.0 * X @ self.cluster_centers_.T
-            + np.sum(self.cluster_centers_**2, axis=1)[None, :]
-        )
-        return np.argmin(d2, axis=1)
-
-    def transform(self, X) -> np.ndarray:
-        """Distances to each cluster center."""
-        check_is_fitted(self, ["cluster_centers_"])
-        X = check_array(X)
-        d2 = (
-            np.sum(X**2, axis=1)[:, None]
-            - 2.0 * X @ self.cluster_centers_.T
-            + np.sum(self.cluster_centers_**2, axis=1)[None, :]
-        )
-        return np.sqrt(np.maximum(d2, 0.0))

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.learn.base import BaseEstimator, ClassifierMixin, RegressorMixin
+from repro.learn.base import BaseEstimator
 from repro.learn.tree import _LEAF, _MAX_HIST_BINS, _FitMemo, _PackedTrees
 from repro.learn.tree import DecisionTreeRegressor
 from repro.utils.validation import (
@@ -206,7 +206,7 @@ class _GradientBoosting(_BaseGradientBoosting):
         return self._boost(X, y, loss, warm, self.min_samples_split)
 
 
-class GradientBoostingRegressor(_GradientBoosting, RegressorMixin):
+class GradientBoostingRegressor(_GradientBoosting):
     """Least-squares gradient boosting — the paper's GBTR."""
 
     def fit(self, X, y) -> "GradientBoostingRegressor":
@@ -217,7 +217,7 @@ class GradientBoostingRegressor(_GradientBoosting, RegressorMixin):
         return self._raw_predict(X)
 
 
-class GradientBoostingClassifier(_GradientBoosting, ClassifierMixin):
+class GradientBoostingClassifier(_GradientBoosting):
     """Binary gradient boosting with binomial deviance."""
 
     def fit(self, X, y) -> "GradientBoostingClassifier":

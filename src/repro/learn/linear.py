@@ -1,4 +1,4 @@
-"""Linear models: logistic regression (NURD's propensity model), OLS, ridge.
+"""Logistic regression, NURD's propensity model.
 
 Logistic regression is fitted by Newton–Raphson with L2 regularization and a
 damped fallback, which is fast and extremely stable on the small per-job
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.learn.base import BaseEstimator, ClassifierMixin, RegressorMixin
+from repro.learn.base import BaseEstimator
 from repro.learn.gbm import _sigmoid
 from repro.utils.validation import (
     check_array,
@@ -24,7 +24,7 @@ def _add_intercept(X: np.ndarray) -> np.ndarray:
     return np.column_stack([np.ones(X.shape[0]), X])
 
 
-class LogisticRegression(BaseEstimator, ClassifierMixin):
+class LogisticRegression(BaseEstimator):
     """Binary L2-regularized logistic regression via Newton–Raphson.
 
     Parameters
@@ -118,67 +118,3 @@ class LogisticRegression(BaseEstimator, ClassifierMixin):
             return np.full(X.shape[0], self._single_class_)
         proba = self.predict_proba(X)
         return self.classes_[(proba[:, 1] >= 0.5).astype(int)]
-
-
-class LinearRegression(BaseEstimator, RegressorMixin):
-    """Ordinary least squares via ``numpy.linalg.lstsq``."""
-
-    def __init__(self, fit_intercept: bool = True):
-        self.fit_intercept = fit_intercept
-
-    def fit(self, X, y) -> "LinearRegression":
-        X, y = check_X_y(X, y)
-        A = _add_intercept(X) if self.fit_intercept else X
-        beta, *_ = np.linalg.lstsq(A, y, rcond=None)
-        if self.fit_intercept:
-            self.intercept_ = float(beta[0])
-            self.coef_ = beta[1:]
-        else:
-            self.intercept_ = 0.0
-            self.coef_ = beta
-        self.n_features_in_ = X.shape[1]
-        return self
-
-    def predict(self, X) -> np.ndarray:
-        check_is_fitted(self, ["coef_"])
-        X = check_array(X)
-        if X.shape[1] != self.n_features_in_:
-            raise ValueError(
-                f"X has {X.shape[1]} features; model was fitted with "
-                f"{self.n_features_in_}."
-            )
-        return X @ self.coef_ + self.intercept_
-
-
-class RidgeRegression(BaseEstimator, RegressorMixin):
-    """L2-regularized least squares with an unpenalized intercept."""
-
-    def __init__(self, alpha: float = 1.0):
-        self.alpha = alpha
-
-    def fit(self, X, y) -> "RidgeRegression":
-        if self.alpha < 0:
-            raise ValueError("alpha must be non-negative.")
-        X, y = check_X_y(X, y)
-        x_mean = X.mean(axis=0)
-        y_mean = y.mean()
-        Xc = X - x_mean
-        yc = y - y_mean
-        d = X.shape[1]
-        A = Xc.T @ Xc + self.alpha * np.eye(d)
-        b = Xc.T @ yc
-        coef = np.linalg.solve(A, b)
-        self.coef_ = coef
-        self.intercept_ = float(y_mean - x_mean @ coef)
-        self.n_features_in_ = d
-        return self
-
-    def predict(self, X) -> np.ndarray:
-        check_is_fitted(self, ["coef_"])
-        X = check_array(X)
-        if X.shape[1] != self.n_features_in_:
-            raise ValueError(
-                f"X has {X.shape[1]} features; model was fitted with "
-                f"{self.n_features_in_}."
-            )
-        return X @ self.coef_ + self.intercept_

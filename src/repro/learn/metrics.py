@@ -1,8 +1,7 @@
-"""Classification and regression metrics used throughout the evaluation.
+"""Binary classification metrics of the paper's Table 3.
 
-The paper reports TPR, FPR, FNR and F1 (Table 3); the harness additionally
-uses precision/recall/AUC for diagnostics and MSE/MAE/R² for the latency
-regressors.
+The paper reports TPR, FPR, FNR and F1; precision and recall are F1's
+parts.
 """
 
 from __future__ import annotations
@@ -67,62 +66,3 @@ def f1_score(y_true, y_pred) -> float:
     p = precision_score(y_true, y_pred)
     r = recall_score(y_true, y_pred)
     return 2 * p * r / (p + r) if (p + r) > 0 else 0.0
-
-
-def accuracy_score(y_true, y_pred) -> float:
-    """Fraction of exactly matching labels."""
-    t = np.asarray(y_true)
-    p = np.asarray(y_pred)
-    if t.shape != p.shape:
-        raise ValueError("shape mismatch in accuracy_score")
-    if t.size == 0:
-        return 0.0
-    return float(np.mean(t == p))
-
-
-def roc_auc_score(y_true, y_score) -> float:
-    """Area under the ROC curve via the rank statistic (handles ties)."""
-    t = _as_binary(y_true)
-    s = np.asarray(y_score, dtype=float)
-    n_pos = int(t.sum())
-    n_neg = t.size - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise ValueError("roc_auc_score requires both classes present.")
-    order = np.argsort(s, kind="mergesort")
-    ranks = np.empty(t.size, dtype=float)
-    sorted_scores = s[order]
-    # Average ranks over tied score groups.
-    i = 0
-    while i < t.size:
-        j = i
-        while j + 1 < t.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    pos_rank_sum = ranks[t == 1].sum()
-    return float((pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
-
-
-def mean_squared_error(y_true, y_pred) -> float:
-    """Average of squared residuals."""
-    t = np.asarray(y_true, dtype=float)
-    p = np.asarray(y_pred, dtype=float)
-    return float(np.mean((t - p) ** 2))
-
-
-def mean_absolute_error(y_true, y_pred) -> float:
-    """Average of absolute residuals."""
-    t = np.asarray(y_true, dtype=float)
-    p = np.asarray(y_pred, dtype=float)
-    return float(np.mean(np.abs(t - p)))
-
-
-def r2_score(y_true, y_pred) -> float:
-    """Coefficient of determination; 0.0 for a constant true vector."""
-    t = np.asarray(y_true, dtype=float)
-    p = np.asarray(y_pred, dtype=float)
-    ss_res = float(np.sum((t - p) ** 2))
-    ss_tot = float(np.sum((t - t.mean()) ** 2))
-    if ss_tot == 0.0:
-        return 0.0
-    return 1.0 - ss_res / ss_tot

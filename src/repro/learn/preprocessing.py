@@ -1,4 +1,4 @@
-"""Feature scaling transformers (fit/transform protocol)."""
+"""Feature standardization (fit/transform protocol)."""
 
 from __future__ import annotations
 
@@ -39,48 +39,3 @@ class StandardScaler(BaseEstimator):
                 f"{self.n_features_in_}."
             )
         return (X - self.mean_) / self.scale_
-
-    def fit_transform(self, X, y=None) -> np.ndarray:
-        return self.fit(X).transform(X)
-
-    def inverse_transform(self, X) -> np.ndarray:
-        check_is_fitted(self, ["mean_", "scale_"])
-        X = check_array(X)
-        return X * self.scale_ + self.mean_
-
-
-class MinMaxScaler(BaseEstimator):
-    """Scale features to a fixed range (default [0, 1]).
-
-    Constant features map to the range minimum.
-    """
-
-    def __init__(self, feature_range=(0.0, 1.0)):
-        self.feature_range = feature_range
-
-    def fit(self, X, y=None) -> "MinMaxScaler":
-        X = check_array(X)
-        lo, hi = self.feature_range
-        if lo >= hi:
-            raise ValueError(f"Invalid feature_range {self.feature_range}.")
-        self.data_min_ = X.min(axis=0)
-        self.data_max_ = X.max(axis=0)
-        span = self.data_max_ - self.data_min_
-        span[span == 0.0] = 1.0
-        self.scale_ = (hi - lo) / span
-        self.min_ = lo - self.data_min_ * self.scale_
-        self.n_features_in_ = X.shape[1]
-        return self
-
-    def transform(self, X) -> np.ndarray:
-        check_is_fitted(self, ["scale_", "min_"])
-        X = check_array(X)
-        if X.shape[1] != self.n_features_in_:
-            raise ValueError(
-                f"X has {X.shape[1]} features; scaler was fitted with "
-                f"{self.n_features_in_}."
-            )
-        return X * self.scale_ + self.min_
-
-    def fit_transform(self, X, y=None) -> np.ndarray:
-        return self.fit(X).transform(X)

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.learn.base import BaseEstimator, ClassifierMixin
+from repro.learn.base import BaseEstimator
 from repro.utils.validation import (
     check_array,
     check_is_fitted,
@@ -25,7 +25,7 @@ from repro.utils.validation import (
 )
 
 
-class LinearSVC(BaseEstimator, ClassifierMixin):
+class LinearSVC(BaseEstimator):
     """Linear SVM trained with Pegasos (SGD on the regularized hinge loss).
 
     The fit is per-sample Pegasos, run by the lockstep kernel
@@ -256,8 +256,7 @@ class OneClassSVM(BaseEstimator):
         if self.gamma == "auto":
             return 1.0 / X.shape[1]
         g = float(self.gamma)
-        if g <= 0:
-            raise ValueError("gamma must be positive.")
+        check_positive_finite(g, "gamma")
         return g
 
     def _features(self, X: np.ndarray) -> np.ndarray:

@@ -39,7 +39,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.learn.base import BaseEstimator, RegressorMixin
+from repro.learn.base import BaseEstimator
 from repro.utils.validation import check_array, check_is_fitted, check_X_y
 
 _LEAF = -1
@@ -379,7 +379,7 @@ class _PackedTrees:
         return raw
 
 
-class DecisionTreeRegressor(BaseEstimator, RegressorMixin):
+class DecisionTreeRegressor(BaseEstimator):
     """CART regression tree minimizing squared error, grown on histograms."""
 
     def __init__(

@@ -43,4 +43,8 @@ ALL_DETECTORS = {
     "XGBOD": XGBOD,
 }
 
-__all__ = ["BaseDetector", "ALL_DETECTORS", *ALL_DETECTORS.keys()]
+__all__ = [
+    "BaseDetector",
+    "ALL_DETECTORS",
+    *(cls.__name__ for cls in ALL_DETECTORS.values()),
+]

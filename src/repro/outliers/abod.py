@@ -19,6 +19,7 @@ import numpy as np
 
 from repro.learn.neighbors import NearestNeighbors
 from repro.outliers.base import BaseDetector, iter_row_blocks
+from repro.utils.validation import check_positive_int
 
 
 def _batched_abof(X: np.ndarray, neighbors: np.ndarray) -> np.ndarray:
@@ -69,6 +70,7 @@ class ABOD(BaseDetector):
         self.n_neighbors = n_neighbors
 
     def _fit(self, X: np.ndarray) -> None:
+        check_positive_int(self.n_neighbors, "n_neighbors")
         k = min(self.n_neighbors, X.shape[0] - 1)
         if k < 2:
             raise ValueError("ABOD needs at least 2 neighbors (3 samples).")

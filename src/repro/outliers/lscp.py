@@ -24,6 +24,7 @@ import numpy as np
 from repro.learn.neighbors import NearestNeighbors
 from repro.outliers.base import BaseDetector
 from repro.outliers.lof import LOF
+from repro.utils.validation import check_positive_int
 
 
 def _zscore(a: np.ndarray) -> np.ndarray:
@@ -63,6 +64,7 @@ class LSCP(BaseDetector):
         sizes = sorted({s for s in sizes if s >= 1})
         if not sizes:
             raise ValueError("LSCP needs at least 2 samples.")
+        check_positive_int(self.local_region_size, "local_region_size")
         region = min(self.local_region_size, X.shape[0] - 1)
         self._kmax_ = max(sizes[-1], max(region, 1))
         # One KD-tree serves the whole pool: the region index is built first

@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.learn.neighbors import NearestNeighbors
 from repro.outliers.base import BaseDetector, iter_row_blocks
+from repro.utils.validation import check_positive_int
 
 
 class SOD(BaseDetector):
@@ -46,6 +47,7 @@ class SOD(BaseDetector):
         self.alpha = alpha
 
     def _fit(self, X: np.ndarray) -> None:
+        check_positive_int(self.n_neighbors, "n_neighbors")
         if self.ref_set > self.n_neighbors:
             raise ValueError("ref_set must be <= n_neighbors.")
         if self.alpha <= 0:

@@ -27,8 +27,9 @@ class XGBOD(BaseDetector):
     """Boosted classifier over unsupervised-score-augmented features.
 
     Unlike the unsupervised detectors, ``fit`` requires labels; the
-    ``contamination`` threshold logic of the base class is unused and
-    ``predict`` uses the classifier's 0.5 probability cut.
+    ``contamination`` threshold logic of the base class is unused: the
+    threshold is 0 on the centered log-odds, so the base class's
+    ``predict`` is the classifier's 0.5 probability cut.
 
     Parameters
     ----------
@@ -104,11 +105,3 @@ class XGBOD(BaseDetector):
                 f"{self.n_features_in_}."
             )
         return self.clf_.decision_function(self._augment(X))
-
-    def predict_proba(self, X) -> np.ndarray:
-        check_is_fitted(self, ["clf_"])
-        X = check_array(X)
-        return self.clf_.predict_proba(self._augment(X))
-
-    def predict(self, X) -> np.ndarray:
-        return (self.decision_function(X) > self.threshold_).astype(np.int64)

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.learn.base import BaseEstimator, ClassifierMixin, clone
+from repro.learn.base import BaseEstimator, clone
 from repro.learn.svm import LinearSVC, _pegasos_lockstep
 from repro.utils.validation import (
     check_array,
@@ -24,7 +24,7 @@ from repro.utils.validation import (
 )
 
 
-class BaggingPuClassifier(BaseEstimator, ClassifierMixin):
+class BaggingPuClassifier(BaseEstimator):
     """Bagging SVM for PU data.
 
     ``fit(X, s)``: ``s = 1`` marks labeled (positive-class) examples,

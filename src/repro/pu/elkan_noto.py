@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.learn.base import BaseEstimator, ClassifierMixin, clone
+from repro.learn.base import BaseEstimator, clone
 from repro.learn.linear import LogisticRegression
 from repro.utils.validation import (
     check_array,
@@ -24,7 +24,7 @@ from repro.utils.validation import (
 )
 
 
-class ElkanNotoClassifier(BaseEstimator, ClassifierMixin):
+class ElkanNotoClassifier(BaseEstimator):
     """PU classifier with Elkan–Noto c-correction.
 
     ``fit(X, s)`` takes binary ``s`` where 1 marks *labeled* examples (known

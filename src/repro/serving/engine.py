@@ -44,21 +44,6 @@ class ScoreEvent:
     latency_s: float             # end-to-end engine latency for the event
     score_s: float               # predict_stragglers time alone
 
-    def as_dict(self) -> Dict:
-        return {
-            "job_id": self.job_id,
-            "tau": self.tau,
-            "seq": self.seq,
-            "newly_flagged": [int(i) for i in self.newly_flagged],
-            "n_running": self.n_running,
-            "n_finished": self.n_finished,
-            "scored": self.scored,
-            "degraded": self.degraded,
-            "update_mode": self.update_mode,
-            "latency_s": self.latency_s,
-            "score_s": self.score_s,
-        }
-
 
 @dataclass
 class EngineSnapshot:
@@ -226,13 +211,6 @@ class ScoringEngine:
         self._streams.pop(job_id, None)
         self._seq.pop(job_id, None)
         return existed
-
-    def run_job(self, job: Job, tau_stra: Optional[float] = None) -> ReplayResult:
-        """Convenience: begin, score every grid checkpoint, finish."""
-        job_id = self.begin_job(job, tau_stra=tau_stra)
-        for tau in self.checkpoint_grid(job_id):
-            self.score_checkpoint(job_id, tau)
-        return self.finish_job(job_id)
 
     def stats_dict(self) -> Dict:
         """Aggregate engine statistics for reporting/benchmarks."""

@@ -11,7 +11,6 @@ from repro.sim.cluster import MachinePool
 from repro.sim.mitigation import (
     ClosedLoopReport,
     ClosedLoopSimulator,
-    FlagEventMitigator,
     MitigationConfig,
     MitigationOutcome,
     control_reports,
@@ -32,7 +31,6 @@ __all__ = [
     "MachinePool",
     "ClosedLoopReport",
     "ClosedLoopSimulator",
-    "FlagEventMitigator",
     "MitigationConfig",
     "MitigationOutcome",
     "control_reports",

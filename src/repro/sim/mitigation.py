@@ -2,12 +2,12 @@
 
 The replay simulator and eval harness score predictors with F1 — a proxy.
 The paper's actual motivation is tail-latency reduction, so this module
-closes the loop: per-checkpoint flag decisions (from a
-:class:`~repro.sim.replay.ReplayResult`, a :class:`ReplayStream`, or live
-:class:`~repro.serving.engine.ScoreEvent` streams) trigger a pluggable
-mitigation policy against a finite :class:`~repro.sim.cluster.MachinePool`,
-and the report measures what operators care about: job completion time and
-p99/p99.9 task latency, per method, against a no-mitigation baseline.
+closes the loop: per-checkpoint flag decisions (a
+:class:`~repro.sim.replay.ReplayResult`, from a replay or from a scoring
+service's ``results``) trigger a pluggable mitigation policy against a
+finite :class:`~repro.sim.cluster.MachinePool`, and the report measures
+what operators care about: job completion time and p99/p99.9 task
+latency, per method, against a no-mitigation baseline.
 
 Three policies, all first-principles cluster-model knobs in the MLSYSIM
 spirit (mitigation cost, prediction lag, spare capacity):
@@ -55,7 +55,6 @@ import numpy as np
 
 from repro.sim.cluster import MachinePool
 from repro.sim.replay import ReplayResult
-from repro.traces.schema import Job
 
 #: Pluggable mitigation policies.
 POLICIES = ("speculative", "kill_restart", "boost")
@@ -457,82 +456,3 @@ def control_reports(
         ORACLE: sim.run_many(oracle),
         RANDOM_FLAGGER: sim.run_many(rand),
     }
-
-
-# ---------------------------------------------------------------------------
-# Serving bridge: flag events are the natural trigger source
-# ---------------------------------------------------------------------------
-
-class FlagEventMitigator:
-    """Drives the closed loop from live scoring events.
-
-    Usable directly as an emit sink for
-    :class:`~repro.serving.service.ScorerService` (or as a callback on
-    :class:`~repro.serving.engine.ScoringEngine` events): each
-    :class:`~repro.serving.engine.ScoreEvent`'s ``newly_flagged`` indices
-    are recorded with their checkpoint time, and :meth:`finish` replays the
-    accumulated flag decisions through the mitigation policy.
-
-    Register jobs before their first event; first flag wins when a task is
-    reported flagged at several checkpoints (matching the replay engine,
-    which never re-evaluates a flagged task).
-    """
-
-    def __init__(
-        self,
-        config: Optional[MitigationConfig] = None,
-        straggler_percentile: float = 90.0,
-    ):
-        self.simulator = ClosedLoopSimulator(config)
-        self.straggler_percentile = straggler_percentile
-        self._jobs: Dict[str, Job] = {}
-        self._job_index: Dict[str, int] = {}
-        self._flags: Dict[str, Dict[int, float]] = {}
-        self._taus: Dict[str, List[float]] = {}
-
-    def register_job(self, job: Job) -> None:
-        if job.job_id in self._jobs:
-            raise ValueError(f"job {job.job_id!r} is already registered.")
-        self._job_index[job.job_id] = len(self._jobs)
-        self._jobs[job.job_id] = job
-        self._flags[job.job_id] = {}
-        self._taus[job.job_id] = []
-
-    def __call__(self, event) -> None:
-        """Record one ScoreEvent (the service emit-sink protocol)."""
-        flags = self._flags.get(event.job_id)
-        if flags is None:
-            raise KeyError(
-                f"job {event.job_id!r} not registered; call register_job first."
-            )
-        self._taus[event.job_id].append(float(event.tau))
-        for i in np.asarray(event.newly_flagged, dtype=np.intp):
-            flags.setdefault(int(i), float(event.tau))
-
-    def finish(self, job_id: str) -> MitigationOutcome:
-        """Close the loop on a job's accumulated flags."""
-        job = self._jobs.pop(job_id, None)
-        if job is None:
-            raise KeyError(f"job {job_id!r} not registered.")
-        flags = self._flags.pop(job_id)
-        taus = self._taus.pop(job_id)
-        job_index = self._job_index.pop(job_id)
-        n = job.n_tasks
-        flag_times = np.full(n, np.inf)
-        y_flag = np.zeros(n, dtype=bool)
-        for i, tau in flags.items():
-            y_flag[i] = True
-            flag_times[i] = tau
-        tau_stra = job.straggler_threshold(self.straggler_percentile)
-        result = ReplayResult(
-            job_id=job_id,
-            tau_stra=tau_stra,
-            y_true=job.latencies >= tau_stra,
-            y_flag=y_flag,
-            flag_times=flag_times,
-            checkpoints=np.asarray(sorted(set(taus)), dtype=np.float64),
-            latencies=job.latencies.copy(),
-            start_times=job.start_times.copy(),
-            meta={"arm": "serving"},
-        )
-        return self.simulator.run(result, job_index=job_index)

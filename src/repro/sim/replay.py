@@ -23,7 +23,7 @@ from __future__ import annotations
 import copy
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
@@ -270,20 +270,6 @@ class ReplaySimulator:
         for tau in stream.checkpoints:
             stream.step(tau)
         return stream.result()
-
-    def run_trace(
-        self, trace, predictor_factory, tau_stra: Optional[float] = None
-    ) -> List[ReplayResult]:
-        """Replay every job of a trace; a fresh predictor per job.
-
-        ``predictor_factory`` is a zero-argument callable returning a new
-        predictor (the paper trains one model per job).
-        """
-        results = []
-        for job in trace:
-            predictor = predictor_factory()
-            results.append(self.run(job, predictor, tau_stra=tau_stra))
-        return results
 
     # ------------------------------------------------------------------
     def stream(

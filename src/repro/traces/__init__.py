@@ -12,13 +12,7 @@ from repro.traces.schema import Job, Trace, GOOGLE_FEATURES, ALIBABA_FEATURES
 from repro.traces.google import GoogleTraceGenerator
 from repro.traces.alibaba import AlibabaTraceGenerator
 from repro.traces.filters import filter_jobs_by_size
-from repro.traces.io import (
-    TraceStore,
-    load_trace_csv,
-    load_trace_npz,
-    save_trace_csv,
-    save_trace_npz,
-)
+from repro.traces.io import TraceStore, load_trace_csv, save_trace_npz
 
 __all__ = [
     "Job",
@@ -28,9 +22,7 @@ __all__ = [
     "GoogleTraceGenerator",
     "AlibabaTraceGenerator",
     "filter_jobs_by_size",
-    "save_trace_csv",
     "load_trace_csv",
     "save_trace_npz",
-    "load_trace_npz",
     "TraceStore",
 ]

@@ -1,35 +1,31 @@
-"""Trace persistence: row-oriented CSV and a columnar memory-mapped store.
+"""Trace persistence: CSV ingest and a columnar memory-mapped store.
 
-Two formats, exact parity between them:
+**CSV** (:func:`load_trace_csv`): columns ``job_id, latency, start_time,
+<feature...>`` — the flat layout the public Google/Alibaba trace dumps
+have after joining task events with usage tables. It is how a *real*
+trace enters :class:`repro.traces.Trace`: convert the dump to this CSV
+(``examples/quickstart.py trace.csv`` replays one of its jobs). Files
+without a ``start_time`` column load with all tasks starting at time 0.
+The package writes no CSV; a trace it generates goes to the store.
 
-**CSV** (``save_trace_csv`` / ``load_trace_csv``): columns ``job_id,
-latency, start_time, <feature...>`` — the same flat layout the public
-Google/Alibaba trace dumps use after joining task events with usage tables,
-so a user can load the *real* traces into :class:`repro.traces.Trace` by
-converting them to this CSV. Floats are written with ``repr``, which NumPy
-round-trips exactly, so save → load is bit-identical. Files written before
-the ``start_time`` column existed (no ``start_time`` header) still load,
-with all tasks starting at time 0.
-
-**Columnar npz** (``save_trace_npz`` / :class:`TraceStore` /
-``load_trace_npz``): one uncompressed ``.npz`` holding the whole trace as
-flat float64 columns (``features`` ``(N, d)``, ``latency`` ``(N,)``,
-``start_time`` ``(N,)``) plus a per-job offset index. Because ``np.savez``
-stores members without compression, :class:`TraceStore` memory-maps the
-array payloads in place — opening a multi-GB trace costs a few metadata
-reads, jobs materialize lazily as read-only views, and every process that
-maps the same file shares one page-cache copy (the paper-scale fan-out in
-:mod:`repro.eval.harness` relies on this). Binary float64 storage makes the
-npz round trip trivially bit-exact, matching the CSV ``repr`` guarantee.
-The file stays a perfectly ordinary npz: ``np.load`` reads it anywhere, and
-compressed or foreign npz files fall back to an eager (non-mapped) load.
+**Columnar npz** (:func:`save_trace_npz` / :class:`TraceStore`): one
+uncompressed ``.npz`` holding the whole trace as flat float64 columns
+(``features`` ``(N, d)``, ``latency`` ``(N,)``, ``start_time`` ``(N,)``)
+plus a per-job offset index. Because ``np.savez`` stores members without
+compression, :class:`TraceStore` memory-maps the array payloads in place —
+opening a multi-GB trace costs a few metadata reads, jobs materialize
+lazily as read-only views, and every process that maps the same file
+shares one page-cache copy (the paper-scale fan-out in
+:mod:`repro.eval.harness` relies on this). Binary float64 storage makes
+the round trip bit-exact. The file stays a perfectly ordinary npz:
+``np.load`` reads it anywhere, and compressed or foreign npz files fall
+back to an eager (non-mapped) load.
 """
 
 from __future__ import annotations
 
 import ast
 import csv
-import warnings
 import zipfile
 from collections import defaultdict
 from pathlib import Path
@@ -44,75 +40,15 @@ from repro.utils.validation import check_job_payload
 #: Version tag written into every columnar store (bump on layout changes).
 TRACE_STORE_VERSION = 1
 
-#: Estimated CSV size (bytes) above which ``save_trace_csv`` warns that the
-#: columnar store is the right format. ~100MB of repr floats is minutes of
-#: csv-module churn and a 3x size blowup over binary float64.
-CSV_SIZE_WARN_BYTES = 100 * 1024 * 1024
-
-#: Rough bytes per CSV cell (repr of a float64 averages ~18 chars + comma).
-_CSV_BYTES_PER_CELL = 19
-
-#: Rows per ``writerows`` batch in the buffered CSV writer.
-_CSV_BUFFER_ROWS = 4096
-
 
 # ---------------------------------------------------------------------------
 # CSV
 # ---------------------------------------------------------------------------
 
-def save_trace_csv(trace: Trace, path: Union[str, Path]) -> None:
-    """Write the trace to ``path`` as CSV (buffered, exact ``repr`` floats).
-
-    Emits a :class:`UserWarning` when the estimated file size exceeds
-    :data:`CSV_SIZE_WARN_BYTES` — at that scale :func:`save_trace_npz` is
-    both smaller (binary) and loadable without parsing.
-    """
-    path = Path(path)
-    if not trace.jobs:
-        raise ValueError("cannot save an empty trace.")
-    feature_names = trace.jobs[0].feature_names
-    for job in trace.jobs:
-        if job.feature_names != feature_names:
-            raise ValueError(
-                f"job {job.job_id} has a different feature schema; traces "
-                "must be homogeneous."
-            )
-    n_cells = trace.n_tasks * (len(feature_names) + 3)
-    est_bytes = n_cells * _CSV_BYTES_PER_CELL
-    if est_bytes > CSV_SIZE_WARN_BYTES:
-        warnings.warn(
-            f"trace {trace.name!r} is ~{est_bytes / 1e6:.0f}MB as CSV "
-            f"({trace.n_tasks} tasks x {len(feature_names) + 3} columns); "
-            "use save_trace_npz for traces this large (binary columnar "
-            "store, memory-mappable, ~3x smaller).",
-            UserWarning,
-            stacklevel=2,
-        )
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["job_id", "latency", "start_time", *feature_names])
-        buffer: List[list] = []
-        for job in trace.jobs:
-            job_id = job.job_id
-            latencies = job.latencies
-            starts = job.start_times
-            features = job.features
-            for i in range(job.n_tasks):
-                buffer.append(
-                    [job_id, repr(float(latencies[i])), repr(float(starts[i]))]
-                    + [repr(float(v)) for v in features[i]]
-                )
-                if len(buffer) >= _CSV_BUFFER_ROWS:
-                    writer.writerows(buffer)
-                    buffer.clear()
-        if buffer:
-            writer.writerows(buffer)
-
-
 def load_trace_csv(
     path: Union[str, Path], name: str = None, validate: bool = True
 ) -> Trace:
-    """Read a trace written by :func:`save_trace_csv` (or converted real data).
+    """Read a trace CSV (a real trace dump converted to the module's layout).
 
     With ``validate=True`` (default) every row must have exactly the header's
     column count, and each assembled job payload is checked for finite
@@ -191,7 +127,7 @@ def save_trace_npz(
     The layout is strictly columnar: per-task columns are concatenated
     across jobs in iteration order and a ``job_offsets`` index (length
     ``n_jobs + 1``) records each job's ``[start, stop)`` row range.
-    ``meta`` dicts are not persisted (same as the CSV format).
+    ``meta`` dicts are not persisted.
     """
     path = Path(path)
     if isinstance(trace, Trace):
@@ -467,21 +403,6 @@ class TraceStore:
         for i in range(len(self._job_ids)):
             yield self.job(i)
 
-    def materialize(self, name: Optional[str] = None) -> Trace:
-        """Copy the whole store into an in-memory (writable) :class:`Trace`."""
-        jobs = []
-        for job in self.iter_jobs():
-            jobs.append(
-                Job(
-                    job_id=job.job_id,
-                    features=np.array(job.features),
-                    latencies=np.array(job.latencies),
-                    feature_names=job.feature_names,
-                    start_times=np.array(job.start_times),
-                )
-            )
-        return Trace(name=name or self.name, jobs=jobs)
-
     def close(self) -> None:
         """Drop the column references (maps close once views are released)."""
         self._features = self._latency = self._start_time = None
@@ -502,17 +423,3 @@ class TraceStore:
             f"TraceStore({self.name!r}, n_jobs={self.n_jobs}, "
             f"n_tasks={self.n_tasks}, mmapped={self.mmapped})"
         )
-
-
-def load_trace_npz(path: Union[str, Path], name: str = None) -> Trace:
-    """Read a columnar store fully into memory as a :class:`Trace`.
-
-    The eager counterpart of :class:`TraceStore` — parity with
-    :func:`load_trace_csv` (writable arrays, same Job fields). Use the
-    store directly for paper-scale traces.
-    """
-    store = TraceStore(path)
-    try:
-        return store.materialize(name=name)
-    finally:
-        store.close()

@@ -111,13 +111,6 @@ class Job:
     def n_features(self) -> int:
         return self.features.shape[1]
 
-    @property
-    def nbytes(self) -> int:
-        """Numeric payload size (what the columnar store persists)."""
-        return int(
-            self.features.nbytes + self.latencies.nbytes + self.start_times.nbytes
-        )
-
     def straggler_threshold(self, percentile: float = 90.0) -> float:
         """The job's straggling latency threshold τ_stra (default p90)."""
         if not 0.0 < percentile < 100.0:
@@ -146,24 +139,10 @@ class Trace:
         return self.jobs[i]
 
     @property
-    def n_jobs(self) -> int:
-        return len(self.jobs)
-
-    @property
     def n_tasks(self) -> int:
         return sum(j.n_tasks for j in self.jobs)
-
-    @property
-    def nbytes(self) -> int:
-        return sum(j.nbytes for j in self.jobs)
 
     def iter_jobs(self):
         """Yield jobs in order — the same protocol :class:`TraceStore` and
         the trace generators expose, so consumers can stay source-agnostic."""
         return iter(self.jobs)
-
-    def job_by_id(self, job_id: str) -> Optional[Job]:
-        for job in self.jobs:
-            if job.job_id == job_id:
-                return job
-        return None

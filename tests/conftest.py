@@ -1,5 +1,7 @@
 """Shared fixtures for the test suite."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -61,3 +63,29 @@ def alibaba_trace():
 @pytest.fixture(scope="session")
 def google_job(google_trace):
     return google_trace[0]
+
+
+def _write_trace_csv(trace, path):
+    """Write ``trace`` in the layout ``load_trace_csv`` reads.
+
+    Python floats print as their shortest round-trip repr, so the file
+    holds every value exactly.
+    """
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        names = trace.jobs[0].feature_names
+        writer.writerow(["job_id", "latency", "start_time", *names])
+        for job in trace.jobs:
+            for lat, start, row in zip(
+                job.latencies.tolist(),
+                job.start_times.tolist(),
+                job.features.tolist(),
+            ):
+                writer.writerow([job.job_id, lat, start, *row])
+    return path
+
+
+@pytest.fixture
+def write_trace_csv():
+    """``write_trace_csv(trace, path)``: a trace CSV fixture on disk."""
+    return _write_trace_csv

@@ -27,14 +27,16 @@ test already holds:
 
 Every injector keeps an exact ledger of what it injected, so tests can
 assert accounting identities (e.g. "the dead-letter queue holds exactly
-the injected malformed events").
+the injected malformed events"). :func:`collect_flags` is the oracle on
+the delivery side: it folds a re-delivered event stream into the flag
+masks an exactly-once delivery would give.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -528,3 +530,72 @@ class FlakyReplayJob:
         self.attempts[job_index] += 1
         self.faults.maybe_fail(job_index, attempt)
         return _REPLAY_JOB(job, methods, config, job_index)
+
+
+# ---------------------------------------------------------------------------
+# The exactly-once oracle: flag accounting over re-delivered events
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class FlagAccount:
+    """Deduplicated flag outcome of one job's event stream."""
+
+    job_id: str
+    y_flag: np.ndarray  # boolean mask over task indices
+    flag_times: np.ndarray  # first flag time per task (inf = never)
+    events: int = 0  # distinct events consumed
+    duplicate_events: int = 0
+    duplicate_flags: int = 0  # flag re-deliveries absorbed by dedup
+
+
+def collect_flags(
+    events: Iterable, n_tasks: Mapping[str, int]
+) -> Dict[str, FlagAccount]:
+    """Fold an event stream into per-job flag masks, exactly-once.
+
+    After a crash recovery or a sink redelivery the same
+    :class:`~repro.serving.engine.ScoreEvent` can reach a consumer more than
+    once. Counting ``newly_flagged`` indices naively would then double-count
+    an already-flagged task toward precision/recall. This fold dedups twice
+    — whole events by ``(job_id, seq)``, and task flags by first-flag-wins
+    (matching the replay engine, which never re-evaluates a flagged task) —
+    so the resulting masks are those of an exactly-once delivery.
+
+    Parameters
+    ----------
+    events : iterable of ScoreEvent
+        In any order, with duplicates allowed (redelivery, recovery replay).
+    n_tasks : mapping of job_id -> task count
+        Sizes of the flag masks; events for unknown jobs raise ``KeyError``.
+    """
+    accounts: Dict[str, FlagAccount] = {}
+    seen = set()
+    for event in events:
+        job_id = event.job_id
+        account = accounts.get(job_id)
+        if account is None:
+            n = int(n_tasks[job_id])
+            account = FlagAccount(
+                job_id=job_id,
+                y_flag=np.zeros(n, dtype=bool),
+                flag_times=np.full(n, np.inf),
+            )
+            accounts[job_id] = account
+        key = (job_id, int(event.seq))
+        if key in seen:
+            account.duplicate_events += 1
+            continue
+        seen.add(key)
+        account.events += 1
+        tau = float(event.tau)
+        for i in np.asarray(event.newly_flagged, dtype=np.intp):
+            if account.y_flag[i]:
+                # Re-delivered flag for an already-flagged task: the first
+                # flag wins; never double-count toward precision/recall.
+                account.duplicate_flags += 1
+                account.flag_times[i] = min(account.flag_times[i], tau)
+            else:
+                account.y_flag[i] = True
+                account.flag_times[i] = tau
+    return accounts

@@ -1,5 +1,5 @@
-"""Tests for the evaluation harness, baseline adapters, tuning, thresholds
-and reporting, plus end-to-end integration checks."""
+"""Tests for the evaluation harness, baseline adapters, tuning and
+reporting, plus end-to-end integration checks."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ import pytest
 from repro.eval import (
     EvaluationConfig,
     build_predictor,
-    estimate_inflection_threshold,
     evaluate_all,
     evaluate_method,
     format_series,
@@ -120,29 +119,6 @@ class TestTuning:
     def test_tuned_method_params_structure(self, google_trace):
         mp = tuned_method_params(google_trace, n_tuning_jobs=1)
         assert "sigma" in mp["Grabit"]
-
-
-class TestThresholds:
-    def test_knee_of_mixture(self):
-        gen = np.random.default_rng(0)
-        bulk = gen.normal(10, 1, 900)
-        tail = gen.normal(30, 3, 100)
-        lat = np.abs(np.concatenate([bulk, tail]))
-        thr = estimate_inflection_threshold(lat)
-        # The knee sits between the bulk and the tail.
-        assert 12 < thr < 30
-
-    def test_too_few_points(self):
-        with pytest.raises(ValueError):
-            estimate_inflection_threshold([1.0, 2.0])
-
-    def test_invalid_window(self):
-        with pytest.raises(ValueError):
-            estimate_inflection_threshold(np.arange(10.0) + 1, 90, 50)
-
-    def test_constant_latencies(self):
-        thr = estimate_inflection_threshold(np.ones(50))
-        assert thr == 1.0
 
 
 class TestReporting:

@@ -24,6 +24,7 @@ from fault_injection import (
     ProcessFaults,
     RequestInjector,
     ServiceChaos,
+    collect_flags,
     flaky_predictor_factory,
     flaky_unit,
     make_poison_job,
@@ -31,7 +32,7 @@ from fault_injection import (
 from repro.core.nurd import NurdPredictor
 from repro.eval import harness
 from repro.eval.harness import EvaluationConfig, evaluate_method
-from repro.faults import DeadLetterQueue, RetryPolicy, collect_flags
+from repro.faults import DeadLetterQueue, RetryPolicy
 from repro.serving import (
     BeginJob,
     FinishJob,
@@ -43,7 +44,7 @@ from repro.serving import (
 )
 from repro.sim.replay import ReplaySimulator, ReplayStream
 from repro.traces.google import GoogleTraceGenerator
-from repro.traces.io import TraceStore, load_trace_csv, save_trace_csv, save_trace_npz
+from repro.traces.io import TraceStore, load_trace_csv, save_trace_npz
 from repro.traces.schema import Job, Trace
 from repro.utils.validation import check_job_payload
 
@@ -241,21 +242,19 @@ class TestPayloadValidation:
         with pytest.raises(ValueError, match="not finite"):
             engine.score_checkpoint(job.job_id, float("nan"))
 
-    def test_csv_row_width_checked(self, tmp_path):
+    def test_csv_row_width_checked(self, tmp_path, write_trace_csv):
         trace = Trace(name="t", jobs=[_job(n=20)])
-        path = tmp_path / "t.csv"
-        save_trace_csv(trace, path)
+        path = write_trace_csv(trace, tmp_path / "t.csv")
         lines = path.read_text().splitlines()
         lines[3] = ",".join(lines[3].split(",")[:-1])  # drop one cell
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="line 4"):
             load_trace_csv(path)
 
-    def test_csv_nan_latency_rejected(self, tmp_path):
+    def test_csv_nan_latency_rejected(self, tmp_path, write_trace_csv):
         job = _job(n=20, job_id="sick")
         job.latencies[5] = np.nan  # planted after construction, like bitrot
-        path = tmp_path / "t.csv"
-        save_trace_csv(Trace(name="t", jobs=[job]), path)
+        path = write_trace_csv(Trace(name="t", jobs=[job]), tmp_path / "t.csv")
         with pytest.raises(ValueError, match=r"'sick', task 5"):
             load_trace_csv(path)
         loaded = load_trace_csv(path, validate=False)

@@ -1,5 +1,5 @@
-"""Tests for the learn substrate: trees, boosting, linear models, SVMs,
-neighbors, clustering, scalers, base-estimator protocol."""
+"""Tests for the learn substrate: trees, boosting, logistic regression, SVMs,
+neighbors, clustering, the scaler, base-estimator protocol."""
 
 import numpy as np
 import pytest
@@ -9,18 +9,16 @@ from repro.learn import (
     GradientBoostingClassifier,
     GradientBoostingRegressor,
     KMeans,
-    LinearRegression,
     LinearSVC,
     LogisticRegression,
-    MinMaxScaler,
     OneClassSVM,
-    RidgeRegression,
     StandardScaler,
     clone,
 )
 from repro.learn.neighbors import NearestNeighbors
 from repro.utils.validation import NotFittedError
 from test_gbm_parity import staged_raw_predict
+from yardsticks import accuracy, r2
 
 
 class TestBaseEstimatorProtocol:
@@ -59,7 +57,7 @@ class TestDecisionTreeRegressor:
     def test_r2_reasonable(self, regression_data):
         X, y = regression_data
         m = DecisionTreeRegressor(max_depth=6).fit(X, y)
-        assert m.score(X, y) > 0.8
+        assert r2(y, m.predict(X)) > 0.8
 
     def test_max_depth_limits_leaves(self, regression_data):
         X, y = regression_data
@@ -106,7 +104,7 @@ class TestGradientBoosting:
         X, y = regression_data
         tree = DecisionTreeRegressor(max_depth=3).fit(X, y)
         gbm = GradientBoostingRegressor(n_estimators=100, max_depth=3).fit(X, y)
-        assert gbm.score(X, y) > tree.score(X, y)
+        assert r2(y, gbm.predict(X)) > r2(y, tree.predict(X))
 
     def test_train_loss_decreases(self, regression_data):
         X, y = regression_data
@@ -143,7 +141,7 @@ class TestGradientBoosting:
     def test_classifier_accuracy(self, classification_data):
         X, y = classification_data
         clf = GradientBoostingClassifier(n_estimators=40).fit(X, y)
-        assert clf.score(X, y) > 0.9
+        assert accuracy(y, clf.predict(X)) > 0.9
 
     def test_classifier_proba_bounds(self, classification_data):
         X, y = classification_data
@@ -224,36 +222,10 @@ class TestGradientBoosting:
 
 
 class TestLinearModels:
-    def test_ols_recovers_coefficients(self):
-        gen = np.random.default_rng(0)
-        X = gen.normal(size=(300, 3))
-        y = 1.5 + X @ np.array([2.0, -1.0, 0.5])
-        m = LinearRegression().fit(X, y)
-        np.testing.assert_allclose(m.coef_, [2.0, -1.0, 0.5], atol=1e-8)
-        assert m.intercept_ == pytest.approx(1.5)
-
-    def test_ols_no_intercept(self):
-        X = np.array([[1.0], [2.0], [3.0]])
-        m = LinearRegression(fit_intercept=False).fit(X, 2.0 * X[:, 0])
-        assert m.intercept_ == 0.0
-        assert m.coef_[0] == pytest.approx(2.0)
-
-    def test_ridge_shrinks(self):
-        gen = np.random.default_rng(0)
-        X = gen.normal(size=(100, 4))
-        y = X @ np.array([5.0, 0, 0, 0]) + gen.normal(0, 0.1, 100)
-        small = RidgeRegression(alpha=0.01).fit(X, y)
-        big = RidgeRegression(alpha=1000.0).fit(X, y)
-        assert abs(big.coef_[0]) < abs(small.coef_[0])
-
-    def test_ridge_negative_alpha(self):
-        with pytest.raises(ValueError):
-            RidgeRegression(alpha=-1).fit(np.zeros((5, 1)), np.zeros(5))
-
     def test_logistic_accuracy(self, classification_data):
         X, y = classification_data
         m = LogisticRegression().fit(X, y)
-        assert m.score(X, y) > 0.9
+        assert accuracy(y, m.predict(X)) > 0.9
 
     def test_logistic_proba_monotone_in_score(self, classification_data):
         X, y = classification_data
@@ -283,7 +255,7 @@ class TestSvm:
     def test_linear_svc_separable(self, classification_data):
         X, y = classification_data
         m = LinearSVC(max_iter=50, random_state=0).fit(X, y)
-        assert m.score(X, y) > 0.85
+        assert accuracy(y, m.predict(X)) > 0.85
 
     def test_balanced_class_weight_raises_minority_recall(self):
         gen = np.random.default_rng(0)
@@ -371,51 +343,21 @@ class TestKMeans:
         i8 = KMeans(n_clusters=8, random_state=0).fit(X).inertia_
         assert i8 < i2
 
-    def test_predict_matches_labels(self, rng):
-        X = rng.normal(size=(60, 2))
-        km = KMeans(n_clusters=4, random_state=0).fit(X)
-        np.testing.assert_array_equal(km.predict(X), km.labels_)
-
     def test_too_many_clusters(self):
         with pytest.raises(ValueError):
             KMeans(n_clusters=10).fit(np.zeros((5, 2)))
 
-    def test_transform_shape(self, rng):
-        X = rng.normal(size=(30, 2))
-        km = KMeans(n_clusters=3, random_state=0).fit(X)
-        assert km.transform(X).shape == (30, 3)
-
-
 class TestScalers:
     def test_standard_scaler(self, rng):
         X = rng.normal(5, 3, size=(200, 4))
-        Z = StandardScaler().fit_transform(X)
+        Z = StandardScaler().fit(X).transform(X)
         np.testing.assert_allclose(Z.mean(axis=0), 0.0, atol=1e-10)
         np.testing.assert_allclose(Z.std(axis=0), 1.0, atol=1e-10)
 
     def test_standard_scaler_constant_feature(self):
         X = np.column_stack([np.ones(10), np.arange(10.0)])
-        Z = StandardScaler().fit_transform(X)
+        Z = StandardScaler().fit(X).transform(X)
         assert np.isfinite(Z).all()
-
-    def test_standard_inverse_roundtrip(self, rng):
-        X = rng.normal(size=(50, 3))
-        sc = StandardScaler().fit(X)
-        np.testing.assert_allclose(sc.inverse_transform(sc.transform(X)), X)
-
-    def test_minmax_range(self, rng):
-        X = rng.normal(size=(100, 3))
-        Z = MinMaxScaler().fit_transform(X)
-        assert Z.min() >= 0.0 and Z.max() <= 1.0
-
-    def test_minmax_custom_range(self, rng):
-        X = rng.normal(size=(50, 2))
-        Z = MinMaxScaler(feature_range=(-1, 1)).fit_transform(X)
-        assert Z.min() == pytest.approx(-1.0) and Z.max() == pytest.approx(1.0)
-
-    def test_minmax_invalid_range(self):
-        with pytest.raises(ValueError):
-            MinMaxScaler(feature_range=(1, 0)).fit(np.zeros((5, 2)))
 
     def test_scaler_feature_mismatch(self, rng):
         X = rng.normal(size=(20, 3))

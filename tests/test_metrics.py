@@ -1,21 +1,15 @@
 """Unit and property tests for repro.learn.metrics."""
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.learn.metrics import (
-    accuracy_score,
     confusion_binary,
     f1_score,
     false_negative_rate,
     false_positive_rate,
-    mean_absolute_error,
-    mean_squared_error,
     precision_score,
-    r2_score,
     recall_score,
-    roc_auc_score,
     true_positive_rate,
 )
 
@@ -72,51 +66,6 @@ class TestRates:
         )
 
 
-class TestAccuracy:
-    def test_simple(self):
-        assert accuracy_score([1, 0, 1], [1, 0, 0]) == pytest.approx(2 / 3)
-
-    def test_empty(self):
-        assert accuracy_score([], []) == 0.0
-
-
-class TestAuc:
-    def test_perfect_ranking(self):
-        assert roc_auc_score([0, 0, 1, 1], [0.1, 0.2, 0.8, 0.9]) == 1.0
-
-    def test_inverted_ranking(self):
-        assert roc_auc_score([0, 0, 1, 1], [0.9, 0.8, 0.2, 0.1]) == 0.0
-
-    def test_random_is_half(self):
-        assert roc_auc_score([0, 1], [0.5, 0.5]) == pytest.approx(0.5)
-
-    def test_ties_averaged(self):
-        auc = roc_auc_score([0, 1, 0, 1], [0.5, 0.5, 0.1, 0.9])
-        assert 0.5 < auc < 1.0
-
-    def test_single_class_raises(self):
-        with pytest.raises(ValueError):
-            roc_auc_score([1, 1], [0.2, 0.3])
-
-
-class TestRegressionMetrics:
-    def test_mse(self):
-        assert mean_squared_error([1, 2], [1, 4]) == pytest.approx(2.0)
-
-    def test_mae(self):
-        assert mean_absolute_error([1, 2], [1, 4]) == pytest.approx(1.0)
-
-    def test_r2_perfect(self):
-        assert r2_score([1, 2, 3], [1, 2, 3]) == 1.0
-
-    def test_r2_mean_predictor(self):
-        y = np.array([1.0, 2.0, 3.0])
-        assert r2_score(y, np.full(3, y.mean())) == pytest.approx(0.0)
-
-    def test_r2_constant_target(self):
-        assert r2_score([2, 2, 2], [1, 2, 3]) == 0.0
-
-
 @given(
     st.lists(st.booleans(), min_size=2, max_size=60),
     st.lists(st.booleans(), min_size=2, max_size=60),
@@ -132,32 +81,3 @@ def test_f1_self_is_one_or_zero(y):
     # F1 of y against itself is 1 when positives exist, else 0.
     val = f1_score(y, y)
     assert val == (1.0 if any(y) else 0.0)
-
-
-@given(
-    st.lists(
-        st.floats(min_value=-100, max_value=100, allow_nan=False),
-        min_size=2,
-        max_size=50,
-    )
-)
-def test_mse_nonnegative_and_zero_on_self(y):
-    assert mean_squared_error(y, y) == 0.0
-    shifted = [v + 1.0 for v in y]
-    assert mean_squared_error(y, shifted) == pytest.approx(1.0)
-
-
-@given(
-    st.lists(st.sampled_from([0, 1]), min_size=4, max_size=50),
-    st.lists(
-        st.floats(min_value=0, max_value=1, allow_nan=False),
-        min_size=4,
-        max_size=50,
-    ),
-)
-def test_auc_bounded(y, s):
-    n = min(len(y), len(s))
-    y, s = y[:n], s[:n]
-    if len(set(y)) < 2:
-        return
-    assert 0.0 <= roc_auc_score(y, s) <= 1.0

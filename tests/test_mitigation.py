@@ -1,14 +1,12 @@
 """Closed-loop mitigation simulator: policies, pool accounting, control
-arms, determinism and the serving-event bridge."""
+arms and determinism."""
 
 import numpy as np
 import pytest
 
-from repro.serving import ScoringEngine
 from repro.sim.cluster import MachinePool
 from repro.sim.mitigation import (
     ClosedLoopSimulator,
-    FlagEventMitigator,
     MitigationConfig,
     control_reports,
     oracle_result,
@@ -18,7 +16,6 @@ from repro.sim.replay import ReplayResult, ReplaySimulator
 from repro.core.nurd import NurdPredictor
 from repro.traces.alibaba import AlibabaTraceGenerator
 from repro.traces.google import GoogleTraceGenerator
-from repro.traces.schema import Job
 
 
 def make_result(
@@ -332,77 +329,3 @@ class TestReport:
     def test_empty_results_raise(self):
         with pytest.raises(ValueError, match="no replay results"):
             ClosedLoopSimulator().run_many([])
-
-
-class TestFlagEventBridge:
-    def _job(self, seed=0):
-        trace = GoogleTraceGenerator(
-            n_jobs=1, task_range=(60, 80), random_state=seed
-        ).generate()
-        return trace[0]
-
-    def test_engine_events_drive_mitigation(self):
-        job = self._job()
-        engine = ScoringEngine(
-            lambda: NurdPredictor(random_state=0),
-            simulator=ReplaySimulator(n_checkpoints=10, random_state=0),
-        )
-        mitigator = FlagEventMitigator(
-            MitigationConfig(policy="speculative", spares=16, random_state=0)
-        )
-        mitigator.register_job(job)
-        engine.begin_job(job)
-        for tau in engine.checkpoint_grid(job.job_id):
-            mitigator(engine.score_checkpoint(job.job_id, tau))
-        replay = engine.finish_job(job.job_id)
-        outcome = mitigator.finish(job.job_id)
-        # The event-driven loop sees exactly the replay's flag decisions,
-        # so it matches the offline closed loop on the same replay.
-        offline = ClosedLoopSimulator(
-            MitigationConfig(policy="speculative", spares=16, random_state=0)
-        ).run(replay, job_index=0)
-        np.testing.assert_array_equal(
-            outcome.mitigated_completions, offline.mitigated_completions
-        )
-        assert outcome.n_actions == offline.n_actions
-
-    def test_unregistered_job_rejected(self):
-        mitigator = FlagEventMitigator()
-
-        class FakeEvent:
-            job_id = "ghost"
-            tau = 1.0
-            newly_flagged = np.array([0])
-
-        with pytest.raises(KeyError, match="ghost"):
-            mitigator(FakeEvent())
-        with pytest.raises(KeyError, match="ghost"):
-            mitigator.finish("ghost")
-
-    def test_double_registration_rejected(self):
-        job = self._job()
-        mitigator = FlagEventMitigator()
-        mitigator.register_job(job)
-        with pytest.raises(ValueError, match="already registered"):
-            mitigator.register_job(job)
-
-    def test_first_flag_wins(self):
-        job = Job(
-            job_id="j",
-            features=np.ones((4, 2)),
-            latencies=np.array([5.0, 5.0, 5.0, 40.0]),
-            feature_names=["a", "b"],
-        )
-        mitigator = FlagEventMitigator()
-        mitigator.register_job(job)
-
-        class Ev:
-            def __init__(self, tau, flagged):
-                self.job_id = "j"
-                self.tau = tau
-                self.newly_flagged = np.asarray(flagged, dtype=np.intp)
-
-        mitigator(Ev(2.0, [3]))
-        mitigator(Ev(4.0, [3, 1]))
-        out = mitigator.finish("j")
-        assert out.n_flagged == 2

@@ -4,10 +4,10 @@ detector-specific behavior checks."""
 import numpy as np
 import pytest
 
-from repro.learn.metrics import roc_auc_score
 from repro.outliers import ALL_DETECTORS, XGBOD
 from repro.outliers.iforest import average_path_length
 from repro.utils.validation import NotFittedError
+from yardsticks import roc_auc
 
 UNSUPERVISED = [n for n in ALL_DETECTORS if n != "XGBOD"]
 
@@ -68,7 +68,7 @@ GLOBAL_DETECTORS = ["HBOS", "IFOREST", "MCD", "OCSVM", "PCA"]
 def test_global_detectors_rank_outliers(name, outlier_data):
     X, y = outlier_data
     det = _make(name).fit(X)
-    auc = roc_auc_score(y, det.decision_scores_)
+    auc = roc_auc(y, det.decision_scores_)
     assert auc > 0.9, f"{name} AUC {auc:.2f}"
 
 
@@ -78,7 +78,7 @@ def test_knn_with_wide_neighborhood_defeats_masking(outlier_data):
 
     # k larger than the outlier cluster (20) breaks the masking effect.
     det = KNNDetector(n_neighbors=30).fit(X)
-    assert roc_auc_score(y, det.decision_scores_) > 0.9
+    assert roc_auc(y, det.decision_scores_) > 0.9
 
 
 def test_sod_scores_isolated_point_high():
@@ -228,7 +228,7 @@ class TestXgbod:
     def test_supervised_separation(self, outlier_data):
         X, y = outlier_data
         det = XGBOD(n_estimators=20, random_state=0).fit(X, y)
-        auc = roc_auc_score(y, det.decision_function(X))
+        auc = roc_auc(y, det.decision_function(X))
         assert auc > 0.95
 
     def test_augmented_features(self, outlier_data):

@@ -4,7 +4,6 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.core.calibration import clip_weight, compute_delta, compute_rho
-from repro.learn.preprocessing import MinMaxScaler, StandardScaler
 from repro.learn.tree import DecisionTreeRegressor
 from repro.sim.replay import ReplayResult, ReplaySimulator
 from repro.traces.schema import Job
@@ -63,32 +62,6 @@ def test_tree_predictions_within_target_range(n, d, seed):
     pred = tree.predict(rng.normal(size=(20, d)))
     assert pred.min() >= y.min() - 1e-9
     assert pred.max() <= y.max() + 1e-9
-
-
-@given(
-    st.integers(min_value=3, max_value=60),
-    st.integers(min_value=1, max_value=5),
-    st.integers(min_value=0, max_value=500),
-)
-@settings(max_examples=25, deadline=None)
-def test_standard_scaler_roundtrip(n, d, seed):
-    rng = np.random.default_rng(seed)
-    X = rng.normal(3.0, 2.0, size=(n, d))
-    sc = StandardScaler().fit(X)
-    np.testing.assert_allclose(sc.inverse_transform(sc.transform(X)), X, atol=1e-8)
-
-
-@given(
-    st.integers(min_value=3, max_value=60),
-    st.integers(min_value=1, max_value=5),
-    st.integers(min_value=0, max_value=500),
-)
-@settings(max_examples=25, deadline=None)
-def test_minmax_scaler_bounds(n, d, seed):
-    rng = np.random.default_rng(seed)
-    X = rng.normal(size=(n, d))
-    Z = MinMaxScaler().fit_transform(X)
-    assert Z.min() >= -1e-12 and Z.max() <= 1.0 + 1e-12
 
 
 @given(st.integers(min_value=10, max_value=60), st.integers(min_value=0, max_value=500))

@@ -91,6 +91,14 @@ def _job(n=50, seed=0, job_id="j"):
     return Job(job_id, X, y, ["lat_proxy", "aux"], None)
 
 
+def _engine_run(engine, job):
+    """Begin ``job`` on ``engine``, score every grid checkpoint, finish."""
+    job_id = engine.begin_job(job)
+    for tau in engine.checkpoint_grid(job_id):
+        engine.score_checkpoint(job_id, tau)
+    return engine.finish_job(job_id)
+
+
 class TestBudgetTiers:
     """step(budget=...) with a fake clock: tier selection is pure arithmetic."""
 
@@ -212,7 +220,7 @@ class TestBudgetedNurd:
                     budget=3.5,
                     clock=budget_clock,
                 )
-                budgeted.append(engine.run_job(job))
+                budgeted.append(_engine_run(engine, job))
                 for mode, count in engine.update_mode_counts.items():
                     modes[mode] += count
         agree = np.mean(
@@ -304,7 +312,7 @@ class TestScoringEngine:
             budget=0.0,
             clock=clock,
         )
-        engine.run_job(_job())
+        _engine_run(engine, _job())
         stats = engine.stats_dict()
         assert stats["scored_events"] > 0
         assert stats["degraded_events"] == stats["scored_events"] - 1

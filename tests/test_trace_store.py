@@ -2,12 +2,12 @@
 
 Covers the contracts the paper-scale replay path leans on:
 
-- CSV <-> npz round trips are bit-exact for both trace families;
+- a CSV load and a store read back are bit-exact for both trace families;
 - :class:`TraceStore` memory-maps uncompressed stores, serves read-only
   views, degrades gracefully (legacy members, compressed npz), and rejects
   malformed inputs loudly;
 - streaming export (``iter_jobs`` -> ``save_trace_npz``) is byte-identical
-  to exporting the materialized trace;
+  to exporting the generated trace;
 - ``evaluate_method``/``evaluate_all`` produce bit-identical results from
   a Trace or a TraceStore, serially or over the store-backed process pool,
   with the progress callback firing per replay; a parallel run rejects a
@@ -35,8 +35,6 @@ from repro.traces import (
     Trace,
     TraceStore,
     load_trace_csv,
-    load_trace_npz,
-    save_trace_csv,
     save_trace_npz,
 )
 
@@ -57,22 +55,18 @@ def _assert_traces_bitwise_equal(a: Trace, b: Trace) -> None:
 
 class TestRoundTrips:
     @pytest.mark.parametrize("family", ["google", "alibaba"])
-    def test_csv_and_npz_bit_parity(self, family, google_trace, alibaba_trace, tmp_path):
+    def test_csv_and_npz_bit_parity(
+        self, family, google_trace, alibaba_trace, tmp_path, write_trace_csv
+    ):
         trace = google_trace if family == "google" else alibaba_trace
-        csv_path = tmp_path / "t.csv"
-        npz_path = tmp_path / "t.npz"
-        save_trace_csv(trace, csv_path)
-        save_trace_npz(trace, npz_path)
+        csv_path = write_trace_csv(trace, tmp_path / "t.csv")
+        npz_path = save_trace_npz(trace, tmp_path / "t.npz")
         from_csv = load_trace_csv(csv_path, name=trace.name)
-        from_npz = load_trace_npz(npz_path, name=trace.name)
         _assert_traces_bitwise_equal(trace, from_csv)
-        _assert_traces_bitwise_equal(trace, from_npz)
-        _assert_traces_bitwise_equal(from_csv, from_npz)
-
-    def test_npz_loaded_arrays_are_writable(self, google_trace, tmp_path):
-        path = save_trace_npz(google_trace, tmp_path / "t.npz")
-        loaded = load_trace_npz(path)
-        loaded[0].features[0, 0] = 123.0  # must not raise: eager copy
+        with TraceStore(npz_path) as store:
+            assert store.name == trace.name
+            _assert_traces_bitwise_equal(trace, store)
+            _assert_traces_bitwise_equal(from_csv, store)
 
     def test_streaming_export_is_byte_identical(self, tmp_path):
         gen = GoogleTraceGenerator(n_jobs=3, task_range=(60, 90), random_state=3)
@@ -120,13 +114,6 @@ class TestTraceStore:
             # Negative indexing and the container protocol.
             assert store[-1].job_id == google_trace[-1].job_id
             assert [j.job_id for j in store] == [j.job_id for j in google_trace]
-
-    def test_materialize_returns_writable_copies(self, google_trace, tmp_path):
-        path = save_trace_npz(google_trace, tmp_path / "t.npz")
-        with TraceStore(path) as store:
-            trace = store.materialize()
-        trace[0].features[0, 0] = -1.0
-        assert trace.name == google_trace.name
 
     def test_pickle_reattaches_by_path(self, google_trace, tmp_path):
         path = save_trace_npz(google_trace, tmp_path / "t.npz")
@@ -216,25 +203,6 @@ class TestTraceStore:
             )
         with pytest.raises(ValueError, match="job_offsets"):
             TraceStore(path)
-
-
-# ---------------------------------------------------------------------------
-# CSV size guard
-# ---------------------------------------------------------------------------
-
-def test_csv_size_guard_warns(google_trace, tmp_path, monkeypatch):
-    monkeypatch.setattr(trace_io, "CSV_SIZE_WARN_BYTES", 1)
-    with pytest.warns(UserWarning, match="save_trace_npz"):
-        save_trace_csv(google_trace, tmp_path / "big.csv")
-    # Guarded write still produces a loadable, bit-exact file.
-    _assert_traces_bitwise_equal(
-        google_trace, load_trace_csv(tmp_path / "big.csv", name=google_trace.name)
-    )
-
-
-def test_csv_below_threshold_is_silent(google_trace, tmp_path, recwarn):
-    save_trace_csv(google_trace, tmp_path / "small.csv")
-    assert not [w for w in recwarn.list if issubclass(w.category, UserWarning)]
 
 
 # ---------------------------------------------------------------------------

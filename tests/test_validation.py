@@ -4,8 +4,19 @@ import numpy as np
 import pytest
 
 from repro.learn.linear import LogisticRegression
+from repro.learn.cluster import KMeans
 from repro.learn.svm import LinearSVC, OneClassSVM
-from repro.outliers import COF, LOF, SOS, IForest, KNNDetector
+from repro.outliers import (
+    ABOD,
+    COF,
+    LOF,
+    LSCP,
+    SOD,
+    SOS,
+    IForest,
+    KNNDetector,
+    OCSVMDetector,
+)
 from repro.outliers.base import BaseDetector
 from repro.pu import BaggingPuClassifier
 from repro.utils.validation import (
@@ -146,6 +157,13 @@ def _xy():
         (OneClassSVM, "max_iter", 0),
         (OneClassSVM, "n_components", 0),
         (OneClassSVM, "n_components", 2.5),
+        (OneClassSVM, "gamma", np.nan),
+        (OCSVMDetector, "gamma", np.nan),
+        (ABOD, "n_neighbors", np.nan),
+        (SOD, "n_neighbors", np.nan),
+        (LSCP, "local_region_size", 0),
+        (KMeans, "n_init", 0),
+        (KMeans, "max_iter", 0),
         (SOS, "perplexity", np.nan),
         (SOS, "perplexity", np.inf),
         (SOS, "n_neighbors", np.nan),
