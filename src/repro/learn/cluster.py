@@ -115,8 +115,7 @@ class KMeans(BaseEstimator):
 
     def fit(self, X, y=None) -> "KMeans":
         X = check_array(X)
-        if self.n_clusters < 1:
-            raise ValueError("n_clusters must be >= 1.")
+        check_positive_int(self.n_clusters, "n_clusters")
         if X.shape[0] < self.n_clusters:
             raise ValueError(
                 f"n_samples={X.shape[0]} < n_clusters={self.n_clusters}."

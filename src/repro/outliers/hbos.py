@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.outliers.base import BaseDetector
+from repro.utils.validation import check_positive_int
 
 
 class HBOS(BaseDetector):
@@ -33,6 +34,7 @@ class HBOS(BaseDetector):
         self.tol = tol
 
     def _fit(self, X: np.ndarray) -> None:
+        check_positive_int(self.n_bins, "n_bins")
         if self.n_bins < 2:
             raise ValueError("n_bins must be >= 2.")
         n, d = X.shape

@@ -18,9 +18,8 @@ same-seed build is bit-identical run-to-run regardless of how the level
 frontier is laid out. The loop count is the maximum tree depth (⌈log₂ψ⌉),
 not the node count. Per-tree subsamples are drawn by sequential
 ``rng.choice``, as in the original per-node builder, which survives as
-the loop reference in ``tests/test_detector_vectorization.py``; the
-Table-3 metric deltas against it are gated at ≤ 0.01 by
-``benchmarks/perf/bench_detector_fits.py``.
+the loop reference in ``tests/test_detector_vectorization.py``;
+``tests/test_speed_floors.py`` times the two builds against each other.
 """
 
 from __future__ import annotations

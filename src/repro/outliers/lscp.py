@@ -65,6 +65,7 @@ class LSCP(BaseDetector):
         if not sizes:
             raise ValueError("LSCP needs at least 2 samples.")
         check_positive_int(self.local_region_size, "local_region_size")
+        check_positive_int(self.top_k, "top_k")
         region = min(self.local_region_size, X.shape[0] - 1)
         self._kmax_ = max(sizes[-1], max(region, 1))
         # One KD-tree serves the whole pool: the region index is built first

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.learn.neighbors import NearestNeighbors
 from repro.outliers.base import BaseDetector, iter_row_blocks
-from repro.utils.validation import check_positive_int
+from repro.utils.validation import check_positive_finite, check_positive_int
 
 
 class SOD(BaseDetector):
@@ -48,10 +48,10 @@ class SOD(BaseDetector):
 
     def _fit(self, X: np.ndarray) -> None:
         check_positive_int(self.n_neighbors, "n_neighbors")
+        check_positive_int(self.ref_set, "ref_set")
         if self.ref_set > self.n_neighbors:
             raise ValueError("ref_set must be <= n_neighbors.")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive.")
+        check_positive_finite(self.alpha, "alpha")
         k = min(self.n_neighbors, X.shape[0] - 1)
         if k < 1:
             raise ValueError("SOD needs at least 2 samples.")

@@ -18,8 +18,9 @@ lazily as read-only views, and every process that maps the same file
 shares one page-cache copy (the paper-scale fan-out in
 :mod:`repro.eval.harness` relies on this). Binary float64 storage makes
 the round trip bit-exact. The file stays a perfectly ordinary npz:
-``np.load`` reads it anywhere, and compressed or foreign npz files fall
-back to an eager (non-mapped) load.
+``np.load`` reads it anywhere, and a compressed store falls back to an
+eager (non-mapped) load. The store records its layout version
+(``store_version``); :class:`TraceStore` refuses any other.
 """
 
 from __future__ import annotations
@@ -255,12 +256,13 @@ class TraceStore:
     processes mapping the same path share a single page-cache copy.
 
     Served arrays are **read-only** (writing raises); callers that need to
-    mutate must copy. Stores written before ``start_time`` existed load
-    with all tasks starting at 0, and compressed/foreign npz files degrade
-    to an eager in-memory load (``mmapped`` is False then).
+    mutate must copy. Opening checks ``store_version``: a store of another
+    layout (or none) raises rather than loading silently. A compressed npz
+    degrades to an eager in-memory load (``mmapped`` is False then).
     """
 
     _COLUMNS = ("features", "latency", "start_time")
+    _MEMBERS = _COLUMNS + ("job_offsets", "job_ids", "feature_names", "trace_name")
 
     def __init__(
         self,
@@ -285,11 +287,15 @@ class TraceStore:
             if mapped is None:
                 mapped = {k: npz[k] for k in npz.files if k in self._COLUMNS}
             members.update(mapped)
-        missing = [
-            k
-            for k in ("features", "latency", "job_offsets", "job_ids")
-            if k not in members
-        ]
+        version = members.get("store_version")
+        version = "none" if version is None else int(version)
+        if version != TRACE_STORE_VERSION:
+            raise ValueError(
+                f"{self.path} is not a columnar trace store of version "
+                f"{TRACE_STORE_VERSION} (its store_version is {version}); "
+                "write it with save_trace_npz."
+            )
+        missing = [k for k in self._MEMBERS if k not in members]
         if missing:
             raise ValueError(
                 f"{self.path} is not a columnar trace store "
@@ -297,22 +303,13 @@ class TraceStore:
             )
         self._features = members["features"]
         self._latency = members["latency"]
-        # Legacy stores predate start_time: all tasks start at 0.
-        self._start_time = members.get("start_time")
+        self._start_time = members["start_time"]
         self._offsets = np.asarray(members["job_offsets"], dtype=np.int64)
         self._job_ids = [str(j) for j in np.asarray(members["job_ids"])]
-        if "feature_names" in members:
-            self._feature_names = [str(f) for f in np.asarray(members["feature_names"])]
-        else:
-            self._feature_names = [
-                f"f{i}" for i in range(self._features.shape[1])
-            ]
-        if "trace_name" in members:
-            self.name = str(np.asarray(members["trace_name"]))
-        else:
-            self.name = self.path.stem
+        self._feature_names = [str(f) for f in np.asarray(members["feature_names"])]
+        self.name = str(np.asarray(members["trace_name"]))
         for arr in (self._features, self._latency, self._start_time):
-            if arr is not None and not isinstance(arr, np.memmap):
+            if not isinstance(arr, np.memmap):
                 arr.setflags(write=False)
         self._validate()
 
@@ -322,7 +319,7 @@ class TraceStore:
         n = self._features.shape[0]
         if self._latency.shape != (n,):
             raise ValueError("latency column does not match features rows.")
-        if self._start_time is not None and self._start_time.shape != (n,):
+        if self._start_time.shape != (n,):
             raise ValueError("start_time column does not match features rows.")
         if self._offsets.ndim != 1 or self._offsets.shape[0] < 2:
             raise ValueError("job_offsets must hold at least one job.")
@@ -368,29 +365,15 @@ class TraceStore:
         if i < 0:
             i += n
         lo, hi = int(self._offsets[i]), int(self._offsets[i + 1])
-        starts = None
-        if self._start_time is not None:
-            starts = self._start_time[lo:hi]
-        if self.validate_jobs:
-            check_job_payload(
-                SimpleNamespace(
-                    job_id=self._job_ids[i],
-                    features=self._features[lo:hi],
-                    latencies=self._latency[lo:hi],
-                    start_times=(
-                        starts
-                        if starts is not None
-                        else np.zeros(hi - lo)
-                    ),
-                )
-            )
-        return Job(
+        payload = SimpleNamespace(
             job_id=self._job_ids[i],
             features=self._features[lo:hi],
             latencies=self._latency[lo:hi],
-            feature_names=list(self._feature_names),
-            start_times=starts,
+            start_times=self._start_time[lo:hi],
         )
+        if self.validate_jobs:
+            check_job_payload(payload)
+        return Job(feature_names=list(self._feature_names), **vars(payload))
 
     def __getitem__(self, i: int) -> Job:
         return self.job(i)

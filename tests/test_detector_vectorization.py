@@ -1,13 +1,15 @@
 """Parity tests for the batched detector kernels.
 
 The pre-vectorization per-sample Python loops are preserved here as private
-``_reference_*`` functions (and thin detector subclasses wired to them, which
-``benchmarks/perf/bench_detectors.py`` reuses as its "before" arm). Every
-batched kernel must reproduce its loop reference to ≤1e-8 rtol on random and
-adversarial (duplicate-row, constant-feature) inputs, so the Table-3 metrics
-are provably unchanged by the vectorization. ``REFERENCE_FOREST_FITS``
-additionally keeps the original per-node isolation-tree builder, the fit
-"before" arm of ``benchmarks/perf/bench_detector_fits.py``.
+``_reference_*`` functions (and thin detector subclasses wired to them,
+``REFERENCE_DETECTORS``, which ``tests/test_speed_floors.py`` times as its
+reference scoring arm). Every batched kernel must reproduce its loop
+reference to ≤1e-8 rtol on random and adversarial (duplicate-row,
+constant-feature) inputs, and a replay of each of the 14 outlier detectors
+must flag the same tasks at the same times with the reference swapped in,
+so the Table-3 metrics are unchanged by the vectorization.
+``REFERENCE_FOREST_FITS`` additionally keeps the original per-node
+isolation-tree builder, the reference fit arm of the speed floors.
 
 Also covers the shared :class:`~repro.learn.neighbors.NeighborCache` and the
 per-row ``exclude_self`` fix for duplicated training points.
@@ -16,15 +18,27 @@ per-row ``exclude_self`` fix for duplicated training points.
 import numpy as np
 import pytest
 
+from repro.eval import EvaluationConfig, evaluate_method
+from repro.eval.baselines import OUTLIER_NAMES
 from repro.learn.neighbors import (
     NearestNeighbors,
     clear_neighbor_cache,
     get_neighbor_cache,
     neighbor_cache_disabled,
 )
-from repro.outliers import ABOD, COF, IForest, LSCP, SOD, SOS, XGBOD
+from repro.outliers import (
+    ABOD,
+    ALL_DETECTORS,
+    COF,
+    IForest,
+    LSCP,
+    SOD,
+    SOS,
+    XGBOD,
+)
 from repro.outliers.lscp import _zscore
 from repro.outliers.iforest import _PackedForest, average_path_length
+from repro.traces import AlibabaTraceGenerator, GoogleTraceGenerator
 from repro.utils.validation import check_random_state
 
 RTOL = 1e-8
@@ -326,8 +340,8 @@ REFERENCE_SCORERS = {
 }
 
 
-# Detector subclasses scoring through the loop references — the "before" arm
-# of benchmarks/perf/bench_detectors.py.
+# Detector subclasses scoring through the loop references — the reference
+# arm of tests/test_speed_floors.py and of the replay parity test below.
 
 class _ReferenceABOD(ABOD):
     def _score(self, X):
@@ -398,8 +412,8 @@ REFERENCE_DETECTORS = {
 
 
 # Forest-backed detectors whose trees come from the per-node loop builder —
-# the fit "before" arm of benchmarks/perf/bench_detector_fits.py. Scoring
-# stays the shipping packed walk, so only the build differs.
+# the reference fit arm of tests/test_speed_floors.py. Scoring stays the
+# shipping packed walk, so only the build differs.
 
 def _pack_trees(trees):
     """Pad loop-built trees into the ``(T, cap)`` layout the packer takes."""
@@ -552,7 +566,8 @@ def test_xgbod_matches_reference_pool():
 
 
 def test_reference_detectors_match_current():
-    """The bench's "before" arm scores identically to the shipping classes."""
+    """The speed floors' reference arm scores identically to the shipping
+    classes."""
     X = _make_dataset("random")
     for name in DETECTOR_NAMES:
         det = _make_detector(name).fit(X)
@@ -565,6 +580,38 @@ def test_reference_detectors_match_current():
             det.decision_scores_, ref_det.decision_scores_,
             rtol=RTOL, atol=ATOL, err_msg=name,
         )
+
+
+@pytest.fixture(scope="module")
+def smoke_traces():
+    """One job per family, 40–60 tasks."""
+    return {
+        family: gen(n_jobs=1, task_range=(40, 60), random_state=42).generate()
+        for family, gen in (
+            ("google", GoogleTraceGenerator),
+            ("alibaba", AlibabaTraceGenerator),
+        )
+    }
+
+
+@pytest.mark.parametrize("name", OUTLIER_NAMES)
+def test_reference_detector_replays_flag_identically(
+    name, smoke_traces, monkeypatch
+):
+    """A Table-3 replay with the loop reference swapped in (and the neighbor
+    cache off) flags the same tasks at the same checkpoints, bit for bit.
+    Detectors without a loop reference compare cache on against cache off."""
+    cfg = EvaluationConfig(n_checkpoints=10, random_state=0)
+    for family, trace in smoke_traces.items():
+        shipped = evaluate_method(trace, name, cfg)
+        ref_cls = REFERENCE_DETECTORS.get(name, ALL_DETECTORS[name])
+        with monkeypatch.context() as m, neighbor_cache_disabled():
+            m.setitem(ALL_DETECTORS, name, ref_cls)
+            reference = evaluate_method(trace, name, cfg)
+        for got, want in zip(shipped.replays, reference.replays):
+            for field in ("y_flag", "flag_times"):
+                same = getattr(got, field).tobytes() == getattr(want, field).tobytes()
+                assert same, f"{name} {family} job {got.job_id}: {field} differs"
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,9 @@ Covers the performance machinery added around the GBM stack:
 
 The exact splitter lives here as a reference: per node, each feature is
 sorted once and prefix sums score every cut in O(n) after the O(n log n)
-sort. ``EXACT_REFERENCE`` maps the shipping boosted models to exact-splitter
-stand-ins; ``benchmarks/perf/bench_training.py`` swaps them in for its
-"before" column.
+sort. ``ExactGBR`` and ``ExactGrabit`` are exact-splitter stand-ins for the
+shipping boosted models; ``tests/test_speed_floors.py`` times ``ExactGBR``
+against the histogram GBR.
 """
 
 import numpy as np
@@ -168,13 +168,6 @@ class ExactGBR(_ExactBoosting, GradientBoostingRegressor):
 
 class ExactGrabit(_ExactBoosting, GrabitRegressor):
     pass
-
-
-#: Exact-splitter stand-ins for the shipping boosted models, by class name.
-EXACT_REFERENCE = {
-    "GradientBoostingRegressor": ExactGBR,
-    "GrabitRegressor": ExactGrabit,
-}
 
 
 class TestBinner:

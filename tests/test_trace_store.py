@@ -4,8 +4,8 @@ Covers the contracts the paper-scale replay path leans on:
 
 - a CSV load and a store read back are bit-exact for both trace families;
 - :class:`TraceStore` memory-maps uncompressed stores, serves read-only
-  views, degrades gracefully (legacy members, compressed npz), and rejects
-  malformed inputs loudly;
+  views, degrades gracefully (compressed npz), and rejects malformed
+  inputs and other layout versions loudly;
 - streaming export (``iter_jobs`` -> ``save_trace_npz``) is byte-identical
   to exporting the generated trace;
 - ``evaluate_method``/``evaluate_all`` produce bit-identical results from
@@ -47,6 +47,15 @@ def _assert_traces_bitwise_equal(a: Trace, b: Trace) -> None:
         np.testing.assert_array_equal(ja.features, jb.features)
         np.testing.assert_array_equal(ja.latencies, jb.latencies)
         np.testing.assert_array_equal(ja.start_times, jb.start_times)
+
+
+def _rewrite_store(path, savez=np.savez, **members):
+    """Rewrite a saved store with ``members`` replaced (``None`` drops one)."""
+    with np.load(path) as npz:
+        arrays = {k: npz[k] for k in npz.files}
+    arrays.update(members)
+    with path.open("wb") as fh:
+        savez(fh, **{k: v for k, v in arrays.items() if v is not None})
 
 
 # ---------------------------------------------------------------------------
@@ -126,40 +135,21 @@ class TestTraceStore:
         # The pickle payload carries no column data, just the path.
         assert len(pickle.dumps(store)) < 1024
 
-    def test_legacy_store_without_start_time(self, google_trace, tmp_path):
-        path = tmp_path / "legacy.npz"
-        offsets = np.zeros(len(google_trace) + 1, dtype=np.int64)
-        np.cumsum([j.n_tasks for j in google_trace], out=offsets[1:])
-        with path.open("wb") as fh:
-            np.savez(
-                fh,
-                features=np.concatenate([j.features for j in google_trace]),
-                latency=np.concatenate([j.latencies for j in google_trace]),
-                job_offsets=offsets,
-                job_ids=np.asarray([j.job_id for j in google_trace]),
-            )
-        with TraceStore(path) as store:
-            job = store.job(0)
-            np.testing.assert_array_equal(
-                job.start_times, np.zeros(job.n_tasks)
-            )
-            # No feature_names member: synthesized positional names.
-            assert store.feature_names[0] == "f0"
+    @pytest.mark.parametrize("version", [None, trace_io.TRACE_STORE_VERSION + 1])
+    def test_store_version_mismatch(self, google_trace, tmp_path, version):
+        path = save_trace_npz(google_trace, tmp_path / "t.npz")
+        _rewrite_store(path, store_version=version)
+        found = "none" if version is None else version
+        with pytest.raises(
+            ValueError,
+            match=rf"version {trace_io.TRACE_STORE_VERSION} "
+            rf"\(its store_version is {found}\)",
+        ):
+            TraceStore(path)
 
     def test_compressed_npz_falls_back_to_eager(self, google_trace, tmp_path):
-        path = tmp_path / "z.npz"
-        offsets = np.zeros(len(google_trace) + 1, dtype=np.int64)
-        np.cumsum([j.n_tasks for j in google_trace], out=offsets[1:])
-        with path.open("wb") as fh:
-            np.savez_compressed(
-                fh,
-                features=np.concatenate([j.features for j in google_trace]),
-                latency=np.concatenate([j.latencies for j in google_trace]),
-                start_time=np.concatenate([j.start_times for j in google_trace]),
-                job_offsets=offsets,
-                job_ids=np.asarray([j.job_id for j in google_trace]),
-                feature_names=np.asarray(google_trace[0].feature_names),
-            )
+        path = save_trace_npz(google_trace, tmp_path / "z.npz")
+        _rewrite_store(path, savez=np.savez_compressed)
         with TraceStore(path) as store:
             assert not store.mmapped
             # Still read-only, still bit-exact.
@@ -190,17 +180,12 @@ class TestTraceStore:
             TraceStore(save_trace_npz(google_trace, tmp_path / "t.npz")).job(99)
 
     def test_store_rejects_corrupt_offsets(self, google_trace, tmp_path):
-        path = tmp_path / "bad.npz"
-        with path.open("wb") as fh:
-            np.savez(
-                fh,
-                features=google_trace[0].features,
-                latency=google_trace[0].latencies,
-                start_time=google_trace[0].start_times,
-                job_offsets=np.asarray([0, 10, 5], dtype=np.int64),
-                job_ids=np.asarray(["a", "b"]),
-                feature_names=np.asarray(google_trace[0].feature_names),
-            )
+        path = save_trace_npz([google_trace[0]], tmp_path / "bad.npz")
+        _rewrite_store(
+            path,
+            job_offsets=np.asarray([0, 10, 5], dtype=np.int64),
+            job_ids=np.asarray(["a", "b"]),
+        )
         with pytest.raises(ValueError, match="job_offsets"):
             TraceStore(path)
 

@@ -9,6 +9,7 @@ from repro.learn.svm import LinearSVC, OneClassSVM
 from repro.outliers import (
     ABOD,
     COF,
+    HBOS,
     LOF,
     LSCP,
     SOD,
@@ -162,6 +163,12 @@ def _xy():
         (ABOD, "n_neighbors", np.nan),
         (SOD, "n_neighbors", np.nan),
         (LSCP, "local_region_size", 0),
+        (LSCP, "top_k", 0),
+        (SOD, "alpha", np.nan),
+        (SOD, "ref_set", 0),
+        (SOD, "ref_set", np.nan),
+        (HBOS, "n_bins", np.nan),
+        (KMeans, "n_clusters", np.nan),
         (KMeans, "n_init", 0),
         (KMeans, "max_iter", 0),
         (SOS, "perplexity", np.nan),
