@@ -326,8 +326,8 @@ def _evaluate(
     # A trace the store cannot hold (mixed feature schemas) raises here.
     store_path = _spill_to_store(trace) if spilled else trace.path
     try:
-        if spilled or n_jobs is None:
-            with TraceStore(store_path, mmap=False) as meta:
+        if n_jobs is None:
+            with TraceStore(store_path) as meta:
                 n_jobs = meta.n_jobs
             n_total = n_jobs * len(methods)
         units = ((method_tuple, config, i) for i in range(n_jobs))
@@ -379,7 +379,6 @@ def evaluate_all(
     trace: Union[Trace, TraceStore, Iterable[Job]],
     methods: Iterable[str],
     config: Optional[EvaluationConfig] = None,
-    verbose: bool = False,
     n_workers: Optional[int] = None,
     progress: Optional[Callable[[ReplayProgress], None]] = None,
     retries: int = 0,
@@ -395,16 +394,7 @@ def evaluate_all(
     config = config or EvaluationConfig()
     methods = list(methods)
     per_method = _evaluate(trace, methods, config, n_workers, progress, retries)
-    out: Dict[str, MethodResult] = {}
-    for method in methods:
-        out[method] = MethodResult(method=method, replays=per_method[method])
-        if verbose:
-            r = out[method]
-            print(
-                f"{method:10s} TPR={r.tpr:.2f} FPR={r.fpr:.2f} "
-                f"FNR={r.fnr:.2f} F1={r.f1:.2f}"
-            )
-    return out
+    return {m: MethodResult(method=m, replays=per_method[m]) for m in methods}
 
 
 def streaming_f1_curve(

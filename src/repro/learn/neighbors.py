@@ -35,6 +35,11 @@ from repro.utils.validation import check_array, check_is_fitted
 if TYPE_CHECKING:
     from scipy.spatial import cKDTree
 
+#: LRU bounds of :class:`NeighborCache`: KD-trees (each pins its matrix)
+#: and raw kNN query results.
+_MAX_TREES = 8
+_MAX_QUERIES = 32
+
 
 class NeighborCache:
     """Content-keyed KD-tree cache plus identity-keyed kNN query cache.
@@ -68,12 +73,10 @@ class NeighborCache:
 
     The cache is process-local (each ``evaluate_all`` worker owns one) and
     LRU-bounded — tree entries pin their arrays, so memory stays
-    proportional to ``max_trees`` checkpoint-sized matrices.
+    proportional to ``_MAX_TREES`` checkpoint-sized matrices.
     """
 
-    def __init__(self, max_trees: int = 8, max_queries: int = 32):
-        self.max_trees = max_trees
-        self.max_queries = max_queries
+    def __init__(self):
         self._trees: OrderedDict = OrderedDict()      # content key -> (X, tree)
         self._tree_ids: OrderedDict = OrderedDict()   # id(X) -> (weakref, key)
         self._queries: OrderedDict = OrderedDict()
@@ -97,7 +100,7 @@ class NeighborCache:
     def _remember_identity(self, X: np.ndarray, key: Tuple) -> None:
         self._tree_ids[id(X)] = (weakref.ref(X), key)
         self._tree_ids.move_to_end(id(X))
-        while len(self._tree_ids) > 4 * self.max_trees:
+        while len(self._tree_ids) > 4 * _MAX_TREES:
             self._tree_ids.popitem(last=False)
 
     def tree(self, X: np.ndarray) -> cKDTree:
@@ -126,7 +129,7 @@ class NeighborCache:
         self._trees[key] = (X, tree)
         self._trees.move_to_end(key)
         self._remember_identity(X, key)
-        while len(self._trees) > self.max_trees:
+        while len(self._trees) > _MAX_TREES:
             self._trees.popitem(last=False)
         return tree
 
@@ -161,7 +164,7 @@ class NeighborCache:
                 weakref.ref(fit_X), weakref.ref(X), k, dist, idx
             )
             self._queries.move_to_end(key)
-            while len(self._queries) > self.max_queries:
+            while len(self._queries) > _MAX_QUERIES:
                 self._queries.popitem(last=False)
         return dist, idx
 

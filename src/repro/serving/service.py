@@ -24,16 +24,14 @@ Fault tolerance (see EXPERIMENTS.md, "Fault matrix"):
   payloads, non-finite or stale checkpoint times, unknown job ids — and
   rejects are routed to a bounded :class:`~repro.faults.dlq.DeadLetterQueue`
   instead of crashing a worker.
-- *Emit retry*: sink calls are retried per ``emit_policy`` (with optional
-  ``emit_timeout``); undeliverable events land in the DLQ under
-  ``"emit-failed"``.
+- *Emit retry*: sink calls are retried per ``emit_policy``; undeliverable
+  events land in the DLQ under ``"emit-failed"``.
 
 Restarts, retries and snapshots are set per config; with the defaults the
-hot path adds only the ingest check and per-job bookkeeping appends, and
-``tests/test_faults.py``
-(``TestCrashRecovery::test_hardened_unfaulted_service_matches_engine``)
-checks that the hardened but unfaulted service stays at parity with the
-bare engine. The service has no fault-injection hook: the tests inject
+hot path adds only the ingest check and per-job bookkeeping appends.
+``tests/test_differential.py`` holds the service, with one shard or
+several and through crash recovery, to the reference checkpoint loop bit
+for bit. The service has no fault-injection hook: the tests inject
 faults by wrapping what they hand it or hold of it (the request stream,
 the emit sink, the predictor factory, ``engine.score_checkpoint``); see
 ``tests/fault_injection.py``.
@@ -134,14 +132,15 @@ class ServiceConfig:
     - ``restart_policy``: how many times a crashed shard worker is restarted
       and with what backoff; beyond that the shard is marked dead, its
       requests dead-letter as ``"shard-dead"``, and :meth:`stop` raises.
-    - ``emit_policy`` / ``emit_timeout``: retry schedule and per-attempt
-      timeout for the emit sink; exhausted events dead-letter as
-      ``"emit-failed"``.
+    - ``emit_policy``: retry schedule for the emit sink; exhausted events
+      dead-letter as ``"emit-failed"``.
     - ``snapshot_every``: snapshot each job's engine state every N scored
       checkpoints so recovery replays at most N events per job. ``None``
       (default) recovers by replaying from the job's warmup — bit-identical
       either way, just slower to recover.
-    - ``dlq_size``: bound on retained dead letters (counters stay exact).
+
+    The dead-letter queue keeps its default bound of 1024 letters (its
+    counters stay exact past it).
     """
 
     n_workers: int = 1
@@ -153,9 +152,7 @@ class ServiceConfig:
             retries=2, base_delay=0.01, max_delay=0.25
         )
     )
-    emit_timeout: Optional[float] = None
     snapshot_every: Optional[int] = None
-    dlq_size: int = 1024
 
     def __post_init__(self):
         if self.n_workers < 1:
@@ -164,8 +161,6 @@ class ServiceConfig:
             raise ValueError("queue_depth must be >= 1.")
         if self.snapshot_every is not None and self.snapshot_every < 1:
             raise ValueError("snapshot_every must be >= 1 or None.")
-        if self.emit_timeout is not None and self.emit_timeout <= 0:
-            raise ValueError("emit_timeout must be positive or None.")
 
 
 class ScorerService:
@@ -207,7 +202,7 @@ class ScorerService:
         self._sleep = sleep
         self.results: Dict[str, ReplayResult] = {}
         self.events: List[ScoreEvent] = []
-        self.dlq = DeadLetterQueue(maxlen=self.config.dlq_size)
+        self.dlq = DeadLetterQueue()
         self.failures: List[ShardFailure] = []
         self.restarts = 0
         self.replayed_events = 0
@@ -483,10 +478,7 @@ class ScorerService:
             try:
                 out = self._emit(event)
                 if inspect.isawaitable(out):
-                    if self.config.emit_timeout is not None:
-                        await asyncio.wait_for(out, self.config.emit_timeout)
-                    else:
-                        await out
+                    await out
                 return
             except asyncio.CancelledError:
                 raise

@@ -500,9 +500,9 @@ class ReplayStream:
 
         Stepping the restored stream over the remaining checkpoints yields
         flags and flag times bit-identical to the uninterrupted stream
-        (enforced by ``tests/test_faults.py``). The snapshot itself is left
-        untouched — its predictor and arrays are copied again — so it can
-        seed any number of restores.
+        (enforced by ``tests/test_differential.py``). The snapshot itself is
+        left untouched — its predictor and arrays are copied again — so it
+        can seed any number of restores.
         """
         stream = object.__new__(cls)
         stream.plan = snap.plan

@@ -46,17 +46,15 @@ TRACE_STORE_VERSION = 1
 # CSV
 # ---------------------------------------------------------------------------
 
-def load_trace_csv(
-    path: Union[str, Path], name: str = None, validate: bool = True
-) -> Trace:
+def load_trace_csv(path: Union[str, Path], name: str = None) -> Trace:
     """Read a trace CSV (a real trace dump converted to the module's layout).
 
-    With ``validate=True`` (default) every row must have exactly the header's
-    column count, and each assembled job payload is checked for finite
-    features, finite positive durations and finite start times before a
-    :class:`Job` is built — errors name the job and the first offending task
-    (or the offending CSV line), so corrupt dumps fail loud at the boundary
-    instead of poisoning a replay later.
+    Every row must have exactly the header's column count, and each
+    assembled job payload is checked for finite features, finite positive
+    durations and finite start times before a :class:`Job` is built —
+    errors name the job and the first offending task (or the offending CSV
+    line), so corrupt dumps fail loud at the boundary instead of poisoning a
+    replay later.
     """
     path = Path(path)
     with path.open() as fh:
@@ -75,7 +73,7 @@ def load_trace_csv(
         rows_by_job = defaultdict(list)
         order = []
         for line, row in enumerate(reader, start=2):
-            if validate and len(row) != n_columns:
+            if len(row) != n_columns:
                 raise ValueError(
                     f"{path}, line {line}: expected {n_columns} columns "
                     f"(per header), got {len(row)}."
@@ -94,8 +92,7 @@ def load_trace_csv(
             latencies=arr[:, 0],
             start_times=arr[:, 1] if has_starts else np.zeros(arr.shape[0]),
         )
-        if validate:
-            check_job_payload(payload)
+        check_job_payload(payload)
         jobs.append(
             Job(
                 job_id=job_id,
@@ -256,33 +253,25 @@ class TraceStore:
     processes mapping the same path share a single page-cache copy.
 
     Served arrays are **read-only** (writing raises); callers that need to
-    mutate must copy. Opening checks ``store_version``: a store of another
-    layout (or none) raises rather than loading silently. A compressed npz
-    degrades to an eager in-memory load (``mmapped`` is False then).
+    mutate must copy. Each served job's payload is validated (finite
+    features, positive finite durations). Opening checks ``store_version``:
+    a store of another layout (or none) raises rather than loading
+    silently. A compressed npz degrades to an eager in-memory load
+    (``mmapped`` is False then).
     """
 
     _COLUMNS = ("features", "latency", "start_time")
     _MEMBERS = _COLUMNS + ("job_offsets", "job_ids", "feature_names", "trace_name")
 
-    def __init__(
-        self,
-        path: Union[str, Path],
-        mmap: bool = True,
-        validate: bool = True,
-    ):
+    def __init__(self, path: Union[str, Path]):
         self.path = Path(path)
-        #: Per-job payload validation on :meth:`job` (finite features,
-        #: positive finite durations); the structural index checks at open
-        #: always run. Costs one ``isfinite`` pass over rows the caller is
-        #: about to read anyway; disable for trusted stores on hot paths.
-        self.validate_jobs = validate
         # Index arrays (offsets, ids, names) are tiny: always eager. Only
         # the per-task float64 columns are worth (and safe to) map.
         with np.load(self.path, allow_pickle=False) as npz:
             members = {
                 k: npz[k] for k in npz.files if k not in self._COLUMNS
             }
-            mapped = _mmap_npz_columns(self.path, self._COLUMNS) if mmap else None
+            mapped = _mmap_npz_columns(self.path, self._COLUMNS)
             self.mmapped = mapped is not None
             if mapped is None:
                 mapped = {k: npz[k] for k in npz.files if k in self._COLUMNS}
@@ -371,8 +360,7 @@ class TraceStore:
             latencies=self._latency[lo:hi],
             start_times=self._start_time[lo:hi],
         )
-        if self.validate_jobs:
-            check_job_payload(payload)
+        check_job_payload(payload)
         return Job(feature_names=list(self._feature_names), **vars(payload))
 
     def __getitem__(self, i: int) -> Job:
@@ -399,7 +387,7 @@ class TraceStore:
     # Pickling sends only the path: each process re-opens (and re-maps) the
     # store locally, which is exactly the worker-attach semantic we want.
     def __reduce__(self):
-        return (type(self), (str(self.path), True, self.validate_jobs))
+        return (type(self), (str(self.path),))
 
     def __repr__(self) -> str:
         return (

@@ -4,7 +4,10 @@ Crash recovery, emit retry and backoff are exercised with injected fake
 clocks/sleepers and seeded fault plans, so every fault fires (and every
 recovery happens) deterministically — the wall clock never decides a test.
 The plans and the wrappers that inject them live in ``fault_injection.py``
-next to this file; the program itself carries no injection hook.
+next to this file; the program itself carries no injection hook. That a
+recovered run flags bit for bit like the reference loop is
+``test_differential.py``'s job; the cases here check what recovery counts,
+sleeps and reports.
 """
 
 import asyncio
@@ -42,7 +45,7 @@ from repro.serving import (
     ServiceConfig,
     ServiceFailure,
 )
-from repro.sim.replay import ReplaySimulator, ReplayStream
+from repro.sim.replay import ReplaySimulator
 from repro.traces.google import GoogleTraceGenerator
 from repro.traces.io import TraceStore, load_trace_csv, save_trace_npz
 from repro.traces.schema import Job, Trace
@@ -257,8 +260,6 @@ class TestPayloadValidation:
         path = write_trace_csv(Trace(name="t", jobs=[job]), tmp_path / "t.csv")
         with pytest.raises(ValueError, match=r"'sick', task 5"):
             load_trace_csv(path)
-        loaded = load_trace_csv(path, validate=False)
-        assert np.isnan(loaded[0].latencies[5])
 
     def test_store_validates_jobs(self, tmp_path):
         job = _job(n=20, job_id="sick")
@@ -267,13 +268,6 @@ class TestPayloadValidation:
         store = TraceStore(path)
         with pytest.raises(ValueError, match=r"'sick', task 4"):
             store.job(0)
-        trusting = TraceStore(path, validate=False)
-        assert np.isinf(trusting.job(0).latencies[4])
-        # The validate flag survives the pickle → worker-attach round trip.
-        import pickle
-
-        clone = pickle.loads(pickle.dumps(trusting))
-        assert clone.validate_jobs is False
 
 
 # ---------------------------------------------------------------------------
@@ -399,68 +393,23 @@ class TestSnapshots:
     def _sim(self):
         return ReplaySimulator(n_checkpoints=8, random_state=0)
 
-    def test_stream_snapshot_resumes_bit_identically(self):
-        sim = self._sim()
-        job = _job(n=60, seed=4)
-        baseline = sim.stream(job, NurdPredictor(random_state=0))
-        for tau in baseline.checkpoints:
-            baseline.step(tau)
-        expected = baseline.result()
-
-        stream = sim.stream(job, NurdPredictor(random_state=0))
-        for tau in stream.checkpoints[:4]:
-            stream.step(tau)
-        snap = stream.snapshot()
-
-        for restore_round in range(2):  # one snapshot, two resurrections
-            resumed = ReplayStream.from_snapshot(snap)
-            assert resumed.last_tau == stream.checkpoints[3]
-            for tau in resumed.checkpoints[4:]:
-                resumed.step(tau)
-            got = resumed.result()
-            np.testing.assert_array_equal(got.y_flag, expected.y_flag)
-            np.testing.assert_array_equal(got.flag_times, expected.flag_times)
-
-    def test_snapshot_isolated_from_source_stream(self):
-        sim = self._sim()
-        job = _job(n=60, seed=4)
-        stream = sim.stream(job, NurdPredictor(random_state=0))
-        for tau in stream.checkpoints[:3]:
-            stream.step(tau)
-        snap = stream.snapshot()
-        flags_at_snap = snap.flagged.copy()
-        for tau in stream.checkpoints[3:]:
-            stream.step(tau)  # keep mutating the source
-        np.testing.assert_array_equal(snap.flagged, flags_at_snap)
-
-    def test_engine_snapshot_round_trip(self):
-        sim = self._sim()
+    def test_engine_restore_needs_a_discarded_job(self):
         job = _job(n=60, seed=5)
-        factory = lambda: NurdPredictor(random_state=0)  # noqa: E731
-
-        engine = ScoringEngine(factory, simulator=sim)
+        engine = ScoringEngine(CountingPredictor, simulator=self._sim())
         engine.begin_job(job)
         grid = engine.checkpoint_grid(job.job_id)
-        expected_events = [
-            engine.score_checkpoint(job.job_id, t) for t in grid
-        ]
-        expected = engine.finish_job(job.job_id)
-
-        engine = ScoringEngine(factory, simulator=sim)
-        engine.begin_job(job)
-        events = [engine.score_checkpoint(job.job_id, t) for t in grid[:3]]
+        for tau in grid[:3]:
+            engine.score_checkpoint(job.job_id, tau)
         snap = engine.snapshot(job.job_id)
         with pytest.raises(ValueError, match="already open"):
             engine.restore(snap)
-        engine.discard(job.job_id)
+        assert engine.discard(job.job_id)
         assert not engine.has_job(job.job_id)
+        assert not engine.discard(job.job_id)
         engine.restore(snap)
-        events += [engine.score_checkpoint(job.job_id, t) for t in grid[3:]]
-        got = engine.finish_job(job.job_id)
-
-        assert _event_keys(events) == _event_keys(expected_events)
-        np.testing.assert_array_equal(got.y_flag, expected.y_flag)
-        np.testing.assert_array_equal(got.flag_times, expected.flag_times)
+        assert engine.last_tau(job.job_id) == grid[2]
+        # The restored job resumes its event sequence where the snapshot froze.
+        assert engine.score_checkpoint(job.job_id, grid[3]).seq == 3
 
 
 # ---------------------------------------------------------------------------
@@ -474,58 +423,20 @@ class TestCrashRecovery:
         factory = lambda: NurdPredictor(random_state=0)  # noqa: E731
         return sim, jobs, factory
 
-    @pytest.mark.parametrize("snapshot_every", [None, 2])
-    def test_crash_recovery_bit_parity(self, snapshot_every):
-        sim, jobs, factory = self._parts()
-        clean = _run_service(jobs, sim, factory)
-
-        plan = FaultPlan(
-            seed=1,
-            process=ProcessFaults(crash_shard=0, crash_at_event=3, crash_times=2),
-        )
-        chaos = ServiceChaos(plan)
-        sleeper = SleepRecorder()
-        config = ServiceConfig(
-            snapshot_every=snapshot_every,
-            restart_policy=RetryPolicy(retries=3, base_delay=0.05),
-        )
-        svc = _run_service(
-            jobs, sim, factory, config=config, chaos=chaos, sleep=sleeper
-        )
-
-        assert chaos.crashes_fired == 2
-        assert svc.restarts == 2
-        # Exponential backoff before each restart, from the injected sleeper.
-        assert sleeper.calls == [0.05, 0.1]
-        # Delivered event stream is bit-identical to the fault-free run.
-        assert _event_keys(svc.events) == _event_keys(clean.events)
-        for job in jobs:
-            got, want = svc.results[job.job_id], clean.results[job.job_id]
-            np.testing.assert_array_equal(got.y_flag, want.y_flag)
-            np.testing.assert_array_equal(got.flag_times, want.flag_times)
-        assert svc.dlq.total == 0
-
     def test_hardened_unfaulted_service_matches_engine(self):
         sim, jobs, factory = self._parts()
         engine = ScoringEngine(factory, simulator=sim)
-        events, results = [], {}
         for job in jobs:
             engine.begin_job(job)
             for tau in engine.checkpoint_grid(job.job_id):
-                events.append(engine.score_checkpoint(job.job_id, float(tau)))
-            results[job.job_id] = engine.finish_job(job.job_id)
+                engine.score_checkpoint(job.job_id, float(tau))
+            engine.finish_job(job.job_id)
         config = ServiceConfig(
             snapshot_every=3,
             restart_policy=RetryPolicy(retries=4, base_delay=0.0),
             emit_policy=RetryPolicy(retries=3, base_delay=0.0),
         )
         svc = _run_service(jobs, sim, factory, config=config, sleep=SleepRecorder())
-        assert _event_keys(svc.events) == _event_keys(events)
-        for job_id, want in results.items():
-            np.testing.assert_array_equal(svc.results[job_id].y_flag, want.y_flag)
-            np.testing.assert_array_equal(
-                svc.results[job_id].flag_times, want.flag_times
-            )
         assert svc.engine.update_mode_counts == engine.update_mode_counts
         assert svc.restarts == 0 and svc.dlq.total == 0 and not svc.failures
 

@@ -1,4 +1,4 @@
-"""Histogram-binned training, warm-start refits, and the parallel harness.
+"""Histogram-binned training, warm-start refits, and the harness mean cache.
 
 Covers the performance machinery added around the GBM stack:
 
@@ -8,7 +8,6 @@ Covers the performance machinery added around the GBM stack:
 - ``warm_start`` continuation is exactly equivalent to one big fit;
 - NURD's warm-started checkpoint refits keep its Table-3 metrics close to
   an exact-splitter full-refit baseline on both trace families;
-- ``evaluate_method(..., n_workers>1)`` is bit-identical to the serial path;
 - ``MethodResult`` caches its per-attribute means without going stale.
 
 The exact splitter lives here as a reference: per node, each feature is
@@ -360,17 +359,7 @@ class TestNurdWarmStart:
             pred.predict_stragglers(bad)
 
 
-class TestParallelHarness:
-    def test_parallel_matches_serial(self, google_trace):
-        cfg = EvaluationConfig(n_checkpoints=4, random_state=0)
-        serial = evaluate_method(google_trace, "GBTR", cfg)
-        parallel = evaluate_method(google_trace, "GBTR", cfg, n_workers=2)
-        assert len(serial.replays) == len(parallel.replays)
-        for rs, rp in zip(serial.replays, parallel.replays):
-            assert rs.job_id == rp.job_id
-            np.testing.assert_array_equal(rs.y_flag, rp.y_flag)
-            np.testing.assert_array_equal(rs.flag_times, rp.flag_times)
-
+class TestMeanCache:
     def test_mean_cache_returns_same_value(self, google_trace):
         cfg = EvaluationConfig(n_checkpoints=3, random_state=0)
         res = evaluate_method(google_trace, "GBTR", cfg)

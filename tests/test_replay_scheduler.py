@@ -1,10 +1,11 @@
-"""Tests for the replay simulator, the machine pool, and the paper's
-schedulers (Algorithms 2–3), which run as kill-restart closed loops."""
+"""Tests for the replay simulator and its stream, the machine pool, and the
+paper's schedulers (Algorithms 2–3), which run as kill-restart closed loops."""
 
 import numpy as np
 import pytest
 
 from repro.core.base import OnlineStragglerPredictor
+from repro.core.nurd import NurdPredictor
 from repro.sim.cluster import MachinePool
 from repro.sim.mitigation import (
     MitigationOutcome,
@@ -146,6 +147,76 @@ class TestReplaySimulator:
         assert curve.shape == (10,)
         assert curve[-1] == pytest.approx(res.f1)
         assert (np.diff(curve) >= -1e-12).all()  # cumulative flags: monotone
+
+
+class TestReplayStream:
+    """The plan's observation cache and the stream's contracts.
+
+    That every replay path flags bit for bit like an independent loop is
+    ``tests/test_differential.py``'s job.
+    """
+
+    def test_plan_computes_each_checkpoint_once(self, google_trace):
+        job = google_trace[0]
+        sim = ReplaySimulator(n_checkpoints=12, random_state=9)
+        stream = sim.stream(job, NurdPredictor(random_state=0))
+        # Each scored checkpoint is a cache miss of the stream's own plan.
+        outs = [stream.step(tau) for tau in stream.checkpoints]
+        assert any(out.scored for out in outs)
+        assert all(o.refreshed_rows == job.n_tasks * o.scored for o in outs)
+        # A second stream on the same plan computes no rows at all.
+        again = sim.stream(job, NurdPredictor(random_state=0), plan=stream.plan)
+        assert all(again.step(tau).refreshed_rows == 0 for tau in again.checkpoints)
+
+    def test_zero_noise_serves_the_job_features(self, google_trace):
+        job = google_trace[1]
+        sim = ReplaySimulator(n_checkpoints=8, feature_noise=0.0, random_state=0)
+        stream = sim.stream(job, NurdPredictor(random_state=1))
+        for tau in stream.checkpoints:
+            stream.step(tau)
+            assert stream.plan.observed(tau) is job.features
+
+    def test_all_tasks_finish_at_warmup(self):
+        """Everything completes by the warmup instant, so no checkpoint has
+        running tasks and no flag is issued; the F1 accessors stay defined."""
+        y = np.full(20, 5.0)
+        job = Job("all-at-warmup", np.column_stack([y, np.ones(20)]), y, ["a", "b"])
+        sim = ReplaySimulator(n_checkpoints=5, random_state=0)
+        res = sim.run(job, NurdPredictor(random_state=0))
+        assert not res.y_flag.any()
+        assert np.isinf(res.flag_times).all()
+        assert res.f1 == 0.0
+        assert res.f1_at_time(0.0) == 0.0
+        assert res.f1_at_time(np.inf) == 0.0
+        np.testing.assert_array_equal(res.streaming_f1(6), np.zeros(6))
+
+    def test_stream_rejects_backward_checkpoints(self, google_trace):
+        sim = ReplaySimulator(n_checkpoints=5, random_state=0)
+        stream = sim.stream(google_trace[0], NurdPredictor(random_state=0))
+        stream.step(stream.checkpoints[1])
+        with pytest.raises(ValueError, match="strictly increasing"):
+            stream.step(stream.checkpoints[0])
+
+    def test_partial_update_refreshes_propensity_only(self, google_trace):
+        """The budget's partial tier refits ``g_t`` and keeps the cached
+        ``h_t``."""
+        job = google_trace[0]
+        sim = ReplaySimulator(n_checkpoints=6, random_state=0)
+        pred = NurdPredictor(random_state=0)
+        stream = sim.stream(job, pred)
+        taus = list(stream.checkpoints)
+        stream.step(taus[0])
+        h_before, g_before = pred.h_, pred.g_
+        # Drive the next checkpoint through the partial tier directly.
+        finished = job.completion_times <= taus[1]
+        running = (job.start_times <= taus[1]) & ~finished & ~stream.flagged
+        pred.partial_update(
+            job.features[finished],
+            job.latencies[finished],
+            stream.plan.observed(taus[1])[running],
+        )
+        assert pred.h_ is h_before  # regressor untouched (cached)
+        assert pred.g_ is not g_before  # propensity refreshed
 
 
 def _replay_result(flag_times, latencies, starts=None, tau=None):

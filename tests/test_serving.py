@@ -265,44 +265,6 @@ class TestScoringEngine:
         with pytest.raises(KeyError):
             engine.finish_job(job.job_id)
 
-    def test_events_carry_sequence_and_flags(self):
-        engine = ScoringEngine(CountingPredictor)
-        job = _job()
-        engine.begin_job(job)
-        events = [
-            engine.score_checkpoint(job.job_id, tau)
-            for tau in engine.checkpoint_grid(job.job_id)
-        ]
-        assert [e.seq for e in events] == list(range(len(events)))
-        assert all(e.job_id == job.job_id for e in events)
-        flagged = np.concatenate([e.newly_flagged for e in events])
-        result = engine.finish_job(job.job_id)
-        np.testing.assert_array_equal(
-            np.sort(flagged), np.nonzero(result.y_flag)[0]
-        )
-
-    def test_interleaved_jobs_isolated(self):
-        """Two jobs scored turn-by-turn give the same results as run alone."""
-        sim = ReplaySimulator(n_checkpoints=6, random_state=0)
-        jobs = [_job(seed=1, job_id="a"), _job(seed=2, job_id="b")]
-        solo = {
-            j.job_id: sim.run_incremental(j, NurdPredictor(random_state=0))
-            for j in jobs
-        }
-        engine = ScoringEngine(
-            lambda: NurdPredictor(random_state=0), simulator=sim
-        )
-        grids = {j.job_id: engine.checkpoint_grid(engine.begin_job(j)) for j in jobs}
-        for k in range(6):
-            for j in jobs:
-                engine.score_checkpoint(j.job_id, grids[j.job_id][k])
-        for j in jobs:
-            res = engine.finish_job(j.job_id)
-            np.testing.assert_array_equal(res.y_flag, solo[j.job_id].y_flag)
-            np.testing.assert_array_equal(
-                res.flag_times, solo[j.job_id].flag_times
-            )
-
     def test_stats_dict_accounts_modes(self):
         clock = FakeClock()
         engine = ScoringEngine(

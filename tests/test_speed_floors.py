@@ -14,13 +14,16 @@ ratio                              reference / shipping            floor
 ``hist_vs_exact_gbm_fit``          exact-splitter GBM / histogram  3.316
 ``warm_vs_scratch_ckpt_refits``    10 scratch / warm-started fits  1.484
 ``detector_score``                 loop / batched scoring          3.16
-``detector_refit``                 loop fit+score / batched        1.04
+``detector_refit``                 loop fit+score / batched        1.5
 ``detector_fit_aggregate``         loop / batched fits, 6 kinds    2.988
 =================================  ==============================  =====
 
 The floors are 40% of the first full-scale records of these speed-ups on a
 2-core x86_64 VM under Python 3.11 (8.29x, 3.71x, 7.9x, 2.6x and 7.47x;
-EXPERIMENTS.md, "Speed floors"). The GBM pair fits the 150-row, 15-feature,
+EXPERIMENTS.md, "Speed floors"), except ``detector_refit``: 40% of its
+record (1.04) lay within the noise of two identical arms, so its floor is
+1.5, between the shipping arm's 2.29-2.53x and the 0.94-1.05x it reads with
+the reference bound into both arms. The GBM pair fits the 150-row, 15-feature,
 60-stage ensemble a NURD checkpoint fits. The detector pairs sweep all 14
 Table-3 detectors over every checkpoint matrix of one 40–60-task job per
 trace family, the reference arm with its neighbor cache off. The fit
@@ -286,7 +289,7 @@ FLOORS = {
     "hist_vs_exact_gbm_fit": (hist_vs_exact_gbm_fit, 3.316),
     "warm_vs_scratch_ckpt_refits": (warm_vs_scratch_ckpt_refits, 1.484),
     "detector_score": (detector_score, 3.16),
-    "detector_refit": (detector_refit, 1.04),
+    "detector_refit": (detector_refit, 1.5),
     "detector_fit_aggregate": (detector_fit_aggregate, 2.988),
 }
 
