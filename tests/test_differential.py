@@ -6,12 +6,14 @@ never scored again), but many paths drive it. ``_reference_run`` writes the
 loop out once more, without a plan or a stream, and every path must match
 its ``y_flag`` and ``flag_times`` bit for bit on jobs hypothesis draws,
 with each predictor seeded as the harness seeds it (``random_state`` plus
-the job index). The ``@example``s pin the four edge shapes (duplicate
-tasks, zero noise, staggered starts, every task done at warmup) and all
-five methods. A failure lists each diverging path, field and job.
+the job index). Each group of paths is its own test, run on five pinned
+cases (the four edge shapes, duplicate tasks, zero noise, staggered starts
+and every task done at warmup, across all five methods) and on drawn ones.
+A failure lists each diverging path, field and job.
 """
 
 import asyncio
+import functools
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,7 +21,8 @@ from types import SimpleNamespace
 from typing import Optional, Tuple
 
 import numpy as np
-from hypothesis import Phase, example, given, settings, strategies as st
+import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
 from fault_injection import FaultPlan, ProcessFaults, ServiceChaos
 from repro.eval import EvaluationConfig, evaluate_all
@@ -369,35 +372,59 @@ def _pinned(shapes, method, **kw):
     return Case(**{**fields, **kw})
 
 
+PATHS = (_batch, _streams, _engine, _service, _harness, _crash_recovery)
+PATH_IDS = [paths.__name__.lstrip("_") for paths in PATHS]
+
+# The four edge shapes, and all five methods, on every run.
+PINNED = {
+    "duplicate-NURD": _pinned(("duplicate", "duplicate"), "NURD", snapshot_every=2),
+    "zero_noise-GBTR": _pinned(("plain", "plain", "plain"), "GBTR", zero_noise=True),
+    "staggered-NURD-NC": _pinned(
+        ("staggered",) * 2, "NURD-NC", snapshot_every=2, seed=4
+    ),
+    "all_at_warmup-IFOREST": _pinned(
+        ("all_at_warmup", "plain"), "IFOREST", snapshot_at=1
+    ),
+    "mixed-KNN": _pinned(("plain", "staggered", "duplicate"), "KNN", n_checkpoints=8),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _reference(case):
+    """The reference results for ``case``, shared by every group of paths."""
+    sim = case.config().make_simulator()
+    trace = case.trace()
+    return [
+        _reference_run(sim, job, case.predictor(case.method, i))
+        for i, job in enumerate(trace)
+    ]
+
+
+def _assert_matches_reference(case, paths):
+    reference = _reference(case)
+    problems = []
+    sim, trace = case.config().make_simulator(), case.trace()
+    for path, got in paths(case, sim, trace).items():
+        problems += _mismatches(path, got, reference)
+    assert not problems, "\n".join(problems)
+
+
+@pytest.mark.parametrize("paths", PATHS, ids=PATH_IDS)
+@pytest.mark.parametrize("case", list(PINNED.values()), ids=list(PINNED))
+def test_edge_shape_matches_reference(case, paths):
+    _assert_matches_reference(case, paths)
+
+
+@pytest.mark.parametrize("paths", PATHS, ids=PATH_IDS)
 @settings(
     max_examples=6,
     deadline=None,
     derandomize=True,
     database=None,
     # A failure already names its paths, fields and jobs; shrinking would
-    # replay every path many more times to say less.
-    phases=(Phase.explicit, Phase.generate),
+    # replay the paths many more times to say less.
+    phases=(Phase.generate,),
 )
 @given(case=cases())
-@example(case=_pinned(("duplicate", "duplicate"), "NURD", snapshot_every=2))
-@example(case=_pinned(("plain", "plain", "plain"), "GBTR", zero_noise=True))
-@example(case=_pinned(("staggered",) * 2, "NURD-NC", snapshot_every=2, seed=4))
-@example(case=_pinned(("all_at_warmup", "plain"), "IFOREST", snapshot_at=1))
-@example(case=_pinned(("plain", "staggered", "duplicate"), "KNN", n_checkpoints=8))
-def test_every_path_matches_reference(case):
-    trace = case.trace()
-    sim = case.config().make_simulator()
-    reference = [
-        _reference_run(sim, job, case.predictor(case.method, i))
-        for i, job in enumerate(trace)
-    ]
-    problems = []
-    for paths in (_batch, _streams, _engine, _service, _harness, _crash_recovery):
-        try:
-            results = paths(case, sim, trace)
-        except Exception as exc:  # a path that raises is located too
-            problems.append(f"{paths.__name__}: raised {exc!r}")
-            continue
-        for path, got in results.items():
-            problems += _mismatches(path, got, reference)
-    assert not problems, "\n".join(problems)
+def test_drawn_jobs_match_reference(paths, case):
+    _assert_matches_reference(case, paths)
