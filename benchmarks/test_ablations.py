@@ -12,7 +12,7 @@ import numpy as np
 
 from conftest import make_config
 from repro.core.nurd import NurdPredictor
-from repro.eval import evaluate_all, evaluate_method
+from repro.eval import evaluate_all
 from repro.learn.gbm import GradientBoostingClassifier
 from repro.sim.replay import ReplaySimulator
 
@@ -58,7 +58,7 @@ def test_ablation_threshold_robustness(google_trace, benchmark):
         out = {}
         for p in percentiles:
             cfg = make_config("google", straggler_percentile=p)
-            out[p] = evaluate_method(google_trace, "NURD", cfg).f1
+            out[p] = evaluate_all(google_trace, ["NURD"], cfg)["NURD"].f1
         return out
 
     f1s = benchmark.pedantic(sweep, rounds=1, iterations=1)
@@ -74,7 +74,7 @@ def test_ablation_warmup(google_trace, benchmark):
         out = {}
         for w in fractions:
             cfg = make_config("google", warmup_fraction=w)
-            out[w] = evaluate_method(google_trace, "NURD", cfg).f1
+            out[w] = evaluate_all(google_trace, ["NURD"], cfg)["NURD"].f1
         return out
 
     f1s = benchmark.pedantic(sweep, rounds=1, iterations=1)

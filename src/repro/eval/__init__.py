@@ -4,7 +4,6 @@ from repro.eval.baselines import build_predictor, METHOD_NAMES, METHOD_GROUPS
 from repro.eval.harness import (
     EvaluationConfig,
     MethodResult,
-    evaluate_method,
     evaluate_all,
     streaming_f1_curve,
     jct_reduction_table,
@@ -17,7 +16,6 @@ __all__ = [
     "METHOD_GROUPS",
     "EvaluationConfig",
     "MethodResult",
-    "evaluate_method",
     "evaluate_all",
     "streaming_f1_curve",
     "jct_reduction_table",

@@ -124,6 +124,11 @@ class ServiceConfig:
 
     - ``n_workers``: worker shards consuming the ingest queues. Jobs are
       routed to shards by stable hash, preserving per-job checkpoint order.
+      Jobs *begin* in shard order, not submission order, and
+      ``ScoringEngine.begin_job`` calls the zero-argument predictor factory
+      without the job. A factory that seeds by call count (as the harness
+      seeds by job index) therefore reproduces harness seeds only with one
+      shard; with more, a job can get another job's seed.
     - ``queue_depth``: per-shard ingest queue bound; producers block when
       scoring falls behind (backpressure).
     - ``budget``: per-checkpoint latency budget in seconds forwarded to the

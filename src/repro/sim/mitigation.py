@@ -48,6 +48,7 @@ averaged by :func:`jct_reduction`):
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
@@ -55,6 +56,7 @@ import numpy as np
 
 from repro.sim.cluster import MachinePool
 from repro.sim.replay import ReplayResult
+from repro.utils.validation import check_non_negative_finite
 
 #: Pluggable mitigation policies.
 POLICIES = ("speculative", "kill_restart", "boost")
@@ -99,12 +101,11 @@ class MitigationConfig:
     def __post_init__(self):
         if self.policy not in POLICIES:
             raise ValueError(f"policy must be one of {POLICIES}.")
-        if self.spares < 0:
-            raise ValueError("spares must be >= 0.")
-        if self.action_cost < 0:
-            raise ValueError("action_cost must be non-negative.")
-        if self.prediction_lag < 0:
-            raise ValueError("prediction_lag must be non-negative.")
+        spares = self.spares
+        if not (isinstance(spares, numbers.Integral) and spares >= 0):
+            raise ValueError(f"spares must be an integer >= 0; got {spares!r}.")
+        check_non_negative_finite(self.action_cost, "action_cost")
+        check_non_negative_finite(self.prediction_lag, "prediction_lag")
         if not 0.0 < self.boost_factor <= 1.0:
             raise ValueError("boost_factor must be in (0, 1].")
         seed = self.random_state
@@ -118,15 +119,15 @@ class MitigationOutcome:
 
     job_id: str
     policy: str
-    baseline_completions: np.ndarray   # start + latency, untouched
+    baseline_completions: np.ndarray  # start + latency, untouched
     mitigated_completions: np.ndarray  # after mitigation actions
     start_times: np.ndarray
     n_flagged: int = 0
-    n_actions: int = 0      # actions that actually took effect
-    n_late: int = 0         # flag acted on after the task already finished
-    n_denied: int = 0       # no spare machine / credit available
-    n_helped: int = 0       # task finished earlier than baseline
-    n_hurt: int = 0         # task finished later (kill-restart FP cost)
+    n_actions: int = 0  # actions that actually took effect
+    n_late: int = 0  # flag acted on after the task already finished
+    n_denied: int = 0  # no spare machine / credit available
+    n_helped: int = 0  # task finished earlier than baseline
+    n_hurt: int = 0  # task finished later (kill-restart FP cost)
     pool_peak_in_use: int = 0
     pool_total_acquired: int = 0
 

@@ -35,7 +35,11 @@ from repro.learn.metrics import (
     true_positive_rate,
 )
 from repro.traces.schema import Job
-from repro.utils.validation import check_random_state
+from repro.utils.validation import (
+    check_non_negative_finite,
+    check_positive_int,
+    check_random_state,
+)
 
 
 @dataclass
@@ -195,14 +199,12 @@ class ReplaySimulator:
         feature_noise: float = 0.05,
         random_state=None,
     ):
-        if n_checkpoints < 1:
-            raise ValueError("n_checkpoints must be >= 1.")
+        check_positive_int(n_checkpoints, "n_checkpoints")
         if not 0.0 < warmup_fraction < 1.0:
             raise ValueError("warmup_fraction must be in (0, 1).")
         if not 0.0 < straggler_percentile < 100.0:
             raise ValueError("straggler_percentile must be in (0, 100).")
-        if feature_noise < 0:
-            raise ValueError("feature_noise must be non-negative.")
+        check_non_negative_finite(feature_noise, "feature_noise")
         self.n_checkpoints = n_checkpoints
         self.warmup_fraction = warmup_fraction
         self.straggler_percentile = straggler_percentile

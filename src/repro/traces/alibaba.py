@@ -8,12 +8,8 @@ lower on Alibaba than on Google while NURD still leads.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Tuple
-
-from repro.learn.base import BaseEstimator
-from repro.traces.generator import generate_job_arrays, stream_trace_jobs
-from repro.traces.schema import ALIBABA_FEATURES, Job, Trace
-from repro.utils.validation import check_random_state
+from repro.traces.generator import TraceGenerator
+from repro.traces.schema import ALIBABA_FEATURES
 
 #: Alibaba batch workloads are CPU/memory-bound, so contention dominates the
 #: straggler-cause mix; skew/slowness/failures still occur but are invisible
@@ -21,76 +17,13 @@ from repro.utils.validation import check_random_state
 ALIBABA_CAUSE_WEIGHTS = (0.55, 0.15, 0.15, 0.15)
 
 
-class AlibabaTraceGenerator(BaseEstimator):
+class AlibabaTraceGenerator(TraceGenerator):
     """Generate an Alibaba-style trace (4-feature instances).
 
-    Parameters
-    ----------
-    n_jobs : int
-        Number of jobs (the paper filters Alibaba tasks to >= 100 instances).
-    task_range : (int, int)
-        Inclusive range of instances per job.
-    random_state : int or Generator or None
-        Seed for reproducibility.
+    Parameters are those of :class:`~repro.traces.generator.TraceGenerator`;
+    the paper filters Alibaba jobs to >= 100 instances.
     """
 
-    def __init__(
-        self,
-        n_jobs: int = 20,
-        task_range: Tuple[int, int] = (100, 400),
-        random_state=None,
-    ):
-        self.n_jobs = n_jobs
-        self.task_range = task_range
-        self.random_state = random_state
-
-    @property
-    def schema(self) -> str:
-        return "alibaba"
-
-    @property
-    def feature_names(self):
-        return list(ALIBABA_FEATURES)
-
-    def generate_job(
-        self, job_id: str, n_tasks: Optional[int] = None, profile=None
-    ) -> Job:
-        """Generate a single job (optionally with a fixed size/profile)."""
-        rng = check_random_state(self.random_state)
-        lo, hi = self.task_range
-        if n_tasks is None:
-            n_tasks = int(rng.integers(lo, hi + 1))
-        X, y, starts, prof = generate_job_arrays(
-            n_tasks,
-            self.schema,
-            rng,
-            profile,
-            profile_overrides={"cause_weights": ALIBABA_CAUSE_WEIGHTS},
-        )
-        return Job(
-            job_id=job_id,
-            features=X,
-            latencies=y,
-            feature_names=self.feature_names,
-            start_times=starts,
-            meta=dict(prof),
-        )
-
-    def iter_jobs(self) -> Iterator[Job]:
-        """Stream the trace's jobs one at a time.
-
-        Bit-identical to ``generate()`` (same RNG stream); see
-        :meth:`GoogleTraceGenerator.iter_jobs`.
-        """
-        return stream_trace_jobs(
-            self.schema,
-            self.n_jobs,
-            self.task_range,
-            check_random_state(self.random_state),
-            self.feature_names,
-            profile_overrides={"cause_weights": ALIBABA_CAUSE_WEIGHTS},
-        )
-
-    def generate(self) -> Trace:
-        """Generate the full trace."""
-        return Trace(name=self.schema, jobs=list(self.iter_jobs()))
+    schema = "alibaba"
+    _features = ALIBABA_FEATURES
+    _profile_overrides = {"cause_weights": ALIBABA_CAUSE_WEIGHTS}

@@ -1,5 +1,8 @@
 """Shared synthetic-workload core behind the Google and Alibaba generators.
 
+:class:`TraceGenerator` is their one implementation; ``google.py`` and
+``alibaba.py`` set its schema, feature names and profile overrides.
+
 Structure (mirrors what production traces show; Reiss et al. 2012, Zheng &
 Lee 2018): a job's tasks run the same program over similar data shards, so
 the *bulk* of tasks is nearly homogeneous in feature space and its latency
@@ -29,7 +32,9 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.traces.schema import Job
+from repro.learn.base import BaseEstimator
+from repro.traces.schema import Job, Trace
+from repro.utils.validation import check_random_state
 
 #: Latency distribution families available to jobs (paper Fig. 1 shows both
 #: tail shapes occur in production).
@@ -52,8 +57,8 @@ class TaskFactors:
     slowness: np.ndarray
     failures: np.ndarray
     memory: np.ndarray
-    afflicted: np.ndarray    # bool: task carries a straggler cause
-    tolerated: np.ndarray    # bool: cause visible but latency unaffected
+    afflicted: np.ndarray  # bool: task carries a straggler cause
+    tolerated: np.ndarray  # bool: cause visible but latency unaffected
 
     @property
     def n_tasks(self) -> int:
@@ -124,9 +129,7 @@ def sample_factors(
     }
     for i in idx:
         n_causes = 2 if rng.random() < two_cause_prob else 1
-        causes = rng.choice(
-            len(CAUSES), size=n_causes, replace=False, p=cause_weights
-        )
+        causes = rng.choice(len(CAUSES), size=n_causes, replace=False, p=cause_weights)
         severity = severity_scale * rng.beta(*severity_ab)
         for c in causes:
             name = CAUSES[c]
@@ -136,9 +139,7 @@ def sample_factors(
                 cur = arrays[name][i]
                 arrays[name][i] = cur + severity * (1.0 - cur)
     # Memory tracks contention for afflicted tasks too.
-    memory = np.where(
-        afflicted, 0.6 * arrays["contention"] + 0.4 * memory, memory
-    )
+    memory = np.where(afflicted, 0.6 * arrays["contention"] + 0.4 * memory, memory)
     tolerated = afflicted & (rng.random(n_tasks) < tolerated_frac)
     return TaskFactors(
         contention=arrays["contention"],
@@ -334,8 +335,9 @@ def google_features(
     mai = _noisy(0.02 + 0.9 * g * slow2, s, rng)
     ev = np.round(_noisy(factors.failures * rng.uniform(0.5, 1.0), 0.1, rng))
     fl = np.round(_noisy(factors.failures, 0.1, rng))
+    skew_cols = [upc, tpc, mio, maxio, mdk]
     return np.column_stack(
-        [mcu, maxcpu, scpu, cmu, amu, maxmu, upc, tpc, mio, maxio, mdk, cpi, mai, ev, fl]
+        [mcu, maxcpu, scpu, cmu, amu, maxmu, *skew_cols, cpi, mai, ev, fl]
     )
 
 
@@ -409,37 +411,83 @@ def generate_job_arrays(
     return X, latencies, starts, profile
 
 
-def stream_trace_jobs(
-    schema: str,
-    n_jobs: int,
-    task_range: Tuple[int, int],
-    rng: np.random.Generator,
-    feature_names: List[str],
-    profile_overrides: Optional[Dict] = None,
-) -> Iterator[Job]:
-    """Yield a trace's jobs one at a time (shared generator back end).
+class TraceGenerator(BaseEstimator):
+    """Generate a synthetic trace of multi-task jobs in one feature schema.
 
-    Consumes ``rng`` in exactly the order the eager ``generate()`` loops
-    always did, so ``list(stream_trace_jobs(...))`` reproduces the batch
-    trace bit-for-bit — which is what lets 1000+-job traces stream straight
-    into :func:`repro.traces.io.save_trace_npz` without a materialized
-    :class:`~repro.traces.schema.Trace` ever existing.
+    The Google and Alibaba generators differ only in their class
+    attributes: ``schema`` names the feature projection, ``_features`` the
+    column names, and ``_profile_overrides`` forces schema-specific profile
+    entries (e.g. Alibaba's cause mix) on top of every sampled profile.
+
+    Parameters
+    ----------
+    n_jobs : int
+        Number of jobs in the trace.
+    task_range : (int, int)
+        Inclusive range of tasks per job; the paper filters to >= 100 tasks.
+    random_state : int or Generator or None
+        Seed for reproducibility.
     """
-    if n_jobs < 1:
-        raise ValueError("n_jobs must be >= 1.")
-    lo, hi = task_range
-    if lo < 2 or hi < lo:
-        raise ValueError(f"invalid task_range {task_range}.")
-    for j in range(n_jobs):
-        n_tasks = int(rng.integers(lo, hi + 1))
+
+    schema: str
+    _features: List[str]
+    _profile_overrides: Optional[Dict] = None
+
+    def __init__(
+        self,
+        n_jobs: int = 20,
+        task_range: Tuple[int, int] = (100, 400),
+        random_state=None,
+    ):
+        self.n_jobs = n_jobs
+        self.task_range = task_range
+        self.random_state = random_state
+
+    @property
+    def feature_names(self) -> List[str]:
+        return list(self._features)
+
+    def _job(self, job_id: str, n_tasks: int, rng, profile=None) -> Job:
         X, y, starts, prof = generate_job_arrays(
-            n_tasks, schema, rng, profile_overrides=profile_overrides
+            n_tasks, self.schema, rng, profile, self._profile_overrides
         )
-        yield Job(
-            job_id=f"{schema}-job-{j:05d}",
+        return Job(
+            job_id=job_id,
             features=X,
             latencies=y,
-            feature_names=list(feature_names),
+            feature_names=self.feature_names,
             start_times=starts,
             meta=dict(prof),
         )
+
+    def generate_job(
+        self, job_id: str, n_tasks: Optional[int] = None, profile=None
+    ) -> Job:
+        """Generate a single job (optionally with a fixed size/profile)."""
+        rng = check_random_state(self.random_state)
+        if n_tasks is None:
+            lo, hi = self.task_range
+            n_tasks = int(rng.integers(lo, hi + 1))
+        return self._job(job_id, n_tasks, rng, profile)
+
+    def iter_jobs(self) -> Iterator[Job]:
+        """Stream the trace's jobs one at a time.
+
+        Bit-identical to ``generate()`` (same RNG stream), but nothing is
+        retained between yields — pipe it into
+        :func:`repro.traces.io.save_trace_npz` to export 1000+-job traces
+        without a fully materialized :class:`Trace`.
+        """
+        if self.n_jobs < 1:
+            raise ValueError("n_jobs must be >= 1.")
+        lo, hi = self.task_range
+        if lo < 2 or hi < lo:
+            raise ValueError(f"invalid task_range {self.task_range}.")
+        rng = check_random_state(self.random_state)
+        for j in range(self.n_jobs):
+            n_tasks = int(rng.integers(lo, hi + 1))
+            yield self._job(f"{self.schema}-job-{j:05d}", n_tasks, rng)
+
+    def generate(self) -> Trace:
+        """Generate the full trace."""
+        return Trace(name=self.schema, jobs=list(self.iter_jobs()))

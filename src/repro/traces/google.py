@@ -9,87 +9,19 @@ paper's Figure 1 documents. Defaults are laptop-scale; raise ``n_jobs`` /
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Tuple
-
-
-from repro.learn.base import BaseEstimator
-from repro.traces.generator import (
-    generate_job_arrays,
-    sample_job_profile,
-    stream_trace_jobs,
-)
-from repro.traces.schema import GOOGLE_FEATURES, Job, Trace
+from repro.traces.generator import TraceGenerator, sample_job_profile
+from repro.traces.schema import GOOGLE_FEATURES, Job
 from repro.utils.validation import check_random_state
 
 
-class GoogleTraceGenerator(BaseEstimator):
-    """Generate a Google-style trace of multi-task jobs.
+class GoogleTraceGenerator(TraceGenerator):
+    """Generate a Google-style trace of multi-task jobs (15 features).
 
-    Parameters
-    ----------
-    n_jobs : int
-        Number of jobs in the trace.
-    task_range : (int, int)
-        Inclusive range of tasks per job; the paper filters to >= 100 tasks.
-    random_state : int or Generator or None
-        Seed for reproducibility.
+    Parameters are those of :class:`~repro.traces.generator.TraceGenerator`.
     """
 
-    def __init__(
-        self,
-        n_jobs: int = 20,
-        task_range: Tuple[int, int] = (100, 400),
-        random_state=None,
-    ):
-        self.n_jobs = n_jobs
-        self.task_range = task_range
-        self.random_state = random_state
-
-    @property
-    def schema(self) -> str:
-        return "google"
-
-    @property
-    def feature_names(self):
-        return list(GOOGLE_FEATURES)
-
-    def generate_job(
-        self, job_id: str, n_tasks: Optional[int] = None, profile=None
-    ) -> Job:
-        """Generate a single job (optionally with a fixed size/profile)."""
-        rng = check_random_state(self.random_state)
-        lo, hi = self.task_range
-        if n_tasks is None:
-            n_tasks = int(rng.integers(lo, hi + 1))
-        X, y, starts, prof = generate_job_arrays(n_tasks, self.schema, rng, profile)
-        return Job(
-            job_id=job_id,
-            features=X,
-            latencies=y,
-            feature_names=self.feature_names,
-            start_times=starts,
-            meta=dict(prof),
-        )
-
-    def iter_jobs(self) -> Iterator[Job]:
-        """Stream the trace's jobs one at a time.
-
-        Bit-identical to ``generate()`` (same RNG stream), but nothing is
-        retained between yields — pipe it into
-        :func:`repro.traces.io.save_trace_npz` to export 1000+-job traces
-        without a fully materialized :class:`Trace`.
-        """
-        return stream_trace_jobs(
-            self.schema,
-            self.n_jobs,
-            self.task_range,
-            check_random_state(self.random_state),
-            self.feature_names,
-        )
-
-    def generate(self) -> Trace:
-        """Generate the full trace."""
-        return Trace(name=self.schema, jobs=list(self.iter_jobs()))
+    schema = "google"
+    _features = GOOGLE_FEATURES
 
     def generate_job_with_family(self, job_id: str, family: str, n_tasks: int) -> Job:
         """Generate a job with a forced latency family (used by Fig. 1).

@@ -17,10 +17,11 @@ opening a multi-GB trace costs a few metadata reads, jobs materialize
 lazily as read-only views, and every process that maps the same file
 shares one page-cache copy (the paper-scale fan-out in
 :mod:`repro.eval.harness` relies on this). Binary float64 storage makes
-the round trip bit-exact. The file stays a perfectly ordinary npz:
-``np.load`` reads it anywhere, and a compressed store falls back to an
-eager (non-mapped) load. The store records its layout version
-(``store_version``); :class:`TraceStore` refuses any other.
+the round trip bit-exact. The file stays a perfectly ordinary npz that
+``np.load`` reads anywhere, but :class:`TraceStore` maps it only if its
+columns are stored uncompressed and refuses it otherwise: an eager load
+would give every pool worker its own copy. The store records its layout
+version (``store_version``); :class:`TraceStore` refuses any other.
 """
 
 from __future__ import annotations
@@ -202,19 +203,14 @@ def _mmap_npz_columns(path: Path, columns) -> Optional[dict]:
 
     Returns ``{member_name: read-only np.memmap}``, or ``None`` when any
     requested member is compressed or otherwise unmappable (the caller then
-    falls back to an eager ``np.load``). Mapped arrays share pages across
-    processes via the OS page cache — this is the zero-copy worker-attach
-    path.
+    rejects the file). Mapped arrays share pages across processes via the
+    OS page cache — this is the zero-copy worker-attach path.
     """
     members = {}
     try:
         with zipfile.ZipFile(path) as zf, path.open("rb") as fh:
-            names = set(zf.namelist())
             for column in columns:
-                member = f"{column}.npy"
-                if member not in names:
-                    continue
-                zinfo = zf.getinfo(member)
+                zinfo = zf.getinfo(f"{column}.npy")
                 if zinfo.compress_type != zipfile.ZIP_STORED:
                     return None
                 fh.seek(zinfo.header_offset)
@@ -256,8 +252,8 @@ class TraceStore:
     mutate must copy. Each served job's payload is validated (finite
     features, positive finite durations). Opening checks ``store_version``:
     a store of another layout (or none) raises rather than loading
-    silently. A compressed npz degrades to an eager in-memory load
-    (``mmapped`` is False then).
+    silently, and so does a store whose columns cannot be mapped (a
+    compressed npz): an eager load would give every process its own copy.
     """
 
     _COLUMNS = ("features", "latency", "start_time")
@@ -268,14 +264,8 @@ class TraceStore:
         # Index arrays (offsets, ids, names) are tiny: always eager. Only
         # the per-task float64 columns are worth (and safe to) map.
         with np.load(self.path, allow_pickle=False) as npz:
-            members = {
-                k: npz[k] for k in npz.files if k not in self._COLUMNS
-            }
-            mapped = _mmap_npz_columns(self.path, self._COLUMNS)
-            self.mmapped = mapped is not None
-            if mapped is None:
-                mapped = {k: npz[k] for k in npz.files if k in self._COLUMNS}
-            members.update(mapped)
+            names = set(npz.files)
+            members = {k: npz[k] for k in names if k not in self._COLUMNS}
         version = members.get("store_version")
         version = "none" if version is None else int(version)
         if version != TRACE_STORE_VERSION:
@@ -284,12 +274,19 @@ class TraceStore:
                 f"{TRACE_STORE_VERSION} (its store_version is {version}); "
                 "write it with save_trace_npz."
             )
-        missing = [k for k in self._MEMBERS if k not in members]
+        missing = [k for k in self._MEMBERS if k not in names]
         if missing:
             raise ValueError(
                 f"{self.path} is not a columnar trace store "
                 f"(missing {missing}); write it with save_trace_npz."
             )
+        mapped = _mmap_npz_columns(self.path, self._COLUMNS)
+        if mapped is None:
+            raise ValueError(
+                f"{self.path}: its columns cannot be memory-mapped (a "
+                "compressed npz?); write it with save_trace_npz."
+            )
+        members.update(mapped)
         self._features = members["features"]
         self._latency = members["latency"]
         self._start_time = members["start_time"]
@@ -297,9 +294,6 @@ class TraceStore:
         self._job_ids = [str(j) for j in np.asarray(members["job_ids"])]
         self._feature_names = [str(f) for f in np.asarray(members["feature_names"])]
         self.name = str(np.asarray(members["trace_name"]))
-        for arr in (self._features, self._latency, self._start_time):
-            if not isinstance(arr, np.memmap):
-                arr.setflags(write=False)
         self._validate()
 
     def _validate(self) -> None:
@@ -392,5 +386,5 @@ class TraceStore:
     def __repr__(self) -> str:
         return (
             f"TraceStore({self.name!r}, n_jobs={self.n_jobs}, "
-            f"n_tasks={self.n_tasks}, mmapped={self.mmapped})"
+            f"n_tasks={self.n_tasks})"
         )

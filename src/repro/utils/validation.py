@@ -97,6 +97,13 @@ def check_positive_finite(value, name: str) -> None:
         raise ValueError(f"{name} must be finite and > 0; got {value!r}.")
 
 
+def check_non_negative_finite(value, name: str) -> None:
+    """Raise a ``ValueError`` naming ``name`` unless ``value`` is a finite
+    number >= 0 (NaN fails both comparisons)."""
+    if not 0 <= value < np.inf:
+        raise ValueError(f"{name} must be finite and >= 0; got {value!r}.")
+
+
 def check_random_state(seed) -> np.random.Generator:
     """Turn ``seed`` into a :class:`numpy.random.Generator`.
 

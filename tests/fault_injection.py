@@ -20,10 +20,6 @@ test already holds:
 - :func:`flaky_predictor_factory` wraps a predictor factory so ``update``
   raises a transient :class:`InjectedFitError` (the singular-covariance
   scenario).
-- :class:`HarnessFaults` crashes :mod:`repro.eval.harness` work units on
-  their first attempts: :func:`flaky_unit` stands in for the pool's
-  ``_replay_unit`` and :class:`FlakyReplayJob` for the serial loop's
-  ``_replay_job``.
 
 Every injector keeps an exact ledger of what it injected, so tests can
 assert accounting identities (e.g. "the dead-letter queue holds exactly
@@ -40,7 +36,6 @@ from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, 
 
 import numpy as np
 
-from repro.eval import harness
 from repro.serving.service import BeginJob, FinishJob, ScoreCheckpoint
 from repro.traces.schema import Job
 
@@ -48,14 +43,9 @@ from repro.traces.schema import Job
 #: for the convention: ``default_rng([seed, tag, ...])``).
 FAULT_TAG = 0xFA17
 
-#: The harness entry points the injectors wrap, bound before any test
-#: patches them.
-_REPLAY_UNIT = harness._replay_unit
-_REPLAY_JOB = harness._replay_job
-
 
 class InjectedCrash(RuntimeError):
-    """A process-level fault: the shard worker (or pool worker) dies."""
+    """A process-level fault: the shard worker dies."""
 
 
 class InjectedFitError(ArithmeticError):
@@ -477,59 +467,6 @@ def flaky_predictor_factory(factory: Callable[[], object], plan: FaultPlan):
 
     make.fuse = fuse
     return make
-
-
-# ---------------------------------------------------------------------------
-# Harness work units
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class HarnessFaults:
-    """Deterministic work-unit crashes for the eval harness.
-
-    ``crashes[job_index] = n`` makes that job's work unit raise
-    :class:`InjectedCrash` on its first ``n`` attempts (0-based), so
-    ``retries >= n`` recovers bit-identically and ``retries < n`` surfaces
-    the failure. Purely a function of ``(job_index, attempt)``: stateless,
-    picklable, and identical in every worker process.
-    """
-
-    crashes: Dict[int, int] = field(default_factory=dict)
-
-    def maybe_fail(self, job_index: int, attempt: int) -> None:
-        if attempt < self.crashes.get(job_index, 0):
-            raise InjectedCrash(
-                f"injected work-unit crash: job {job_index}, attempt {attempt}."
-            )
-
-
-def flaky_unit(faults: HarnessFaults, unit, attempt: int = 0):
-    """Pool stand-in for ``harness._replay_unit``.
-
-    Install ``functools.partial(flaky_unit, faults)``: it pickles by
-    reference to this module, and the pool passes each dispatch's attempt
-    number, so every worker fails the same attempts.
-    """
-    faults.maybe_fail(unit[2], attempt)
-    return _REPLAY_UNIT(unit, attempt)
-
-
-class FlakyReplayJob:
-    """Serial-loop stand-in for ``harness._replay_job``.
-
-    The serial loop calls ``_replay_job`` once per attempt, so counting
-    calls per job index in-process recovers the attempt number.
-    """
-
-    def __init__(self, faults: HarnessFaults):
-        self.faults = faults
-        self.attempts: Counter = Counter()
-
-    def __call__(self, job, methods, config, job_index):
-        attempt = self.attempts[job_index]
-        self.attempts[job_index] += 1
-        self.faults.maybe_fail(job_index, attempt)
-        return _REPLAY_JOB(job, methods, config, job_index)
 
 
 # ---------------------------------------------------------------------------

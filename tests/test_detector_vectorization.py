@@ -18,7 +18,7 @@ per-row ``exclude_self`` fix for duplicated training points.
 import numpy as np
 import pytest
 
-from repro.eval import EvaluationConfig, evaluate_method
+from repro.eval import EvaluationConfig, evaluate_all
 from repro.eval.baselines import OUTLIER_NAMES
 from repro.learn.neighbors import (
     NearestNeighbors,
@@ -603,11 +603,11 @@ def test_reference_detector_replays_flag_identically(
     Detectors without a loop reference compare cache on against cache off."""
     cfg = EvaluationConfig(n_checkpoints=10, random_state=0)
     for family, trace in smoke_traces.items():
-        shipped = evaluate_method(trace, name, cfg)
+        shipped = evaluate_all(trace, [name], cfg)[name]
         ref_cls = REFERENCE_DETECTORS.get(name, ALL_DETECTORS[name])
         with monkeypatch.context() as m, neighbor_cache_disabled():
             m.setitem(ALL_DETECTORS, name, ref_cls)
-            reference = evaluate_method(trace, name, cfg)
+            reference = evaluate_all(trace, [name], cfg)[name]
         for got, want in zip(shipped.replays, reference.replays):
             for field in ("y_flag", "flag_times"):
                 same = getattr(got, field).tobytes() == getattr(want, field).tobytes()

@@ -8,7 +8,6 @@ from repro.eval import (
     EvaluationConfig,
     build_predictor,
     evaluate_all,
-    evaluate_method,
     format_series,
     format_table3,
     jct_reduction_table,
@@ -72,9 +71,9 @@ class TestWrangler:
 
 
 class TestHarness:
-    def test_evaluate_method(self, google_trace):
+    def test_single_method_metrics(self, google_trace):
         cfg = EvaluationConfig(n_checkpoints=4)
-        res = evaluate_method(google_trace, "NURD", cfg)
+        res = evaluate_all(google_trace, ["NURD"], cfg)["NURD"]
         assert len(res.replays) == len(google_trace)
         for attr in ("tpr", "fpr", "fnr", "f1"):
             assert 0.0 <= getattr(res, attr) <= 1.0
@@ -98,7 +97,7 @@ class TestHarness:
 
     def test_as_row(self, google_trace):
         cfg = EvaluationConfig(n_checkpoints=3)
-        res = evaluate_method(google_trace, "GBTR", cfg)
+        res = evaluate_all(google_trace, ["GBTR"], cfg)["GBTR"]
         row = res.as_row()
         assert row["method"] == "GBTR"
 
@@ -149,18 +148,18 @@ class TestIntegrationEndToEnd:
         """Paper Table 3: the supervised baseline has low TPR (censoring
         bias: it never sees straggler labels)."""
         cfg = EvaluationConfig(n_checkpoints=8)
-        res = evaluate_method(google_trace, "GBTR", cfg)
+        res = evaluate_all(google_trace, ["GBTR"], cfg)["GBTR"]
         assert res.tpr < 0.5
 
     def test_nurd_streaming_f1_increases(self, google_trace):
         cfg = EvaluationConfig(n_checkpoints=8)
-        res = evaluate_method(google_trace, "NURD", cfg)
+        res = evaluate_all(google_trace, ["NURD"], cfg)["NURD"]
         curve = res.streaming_f1(10)
         assert curve[-1] >= curve[0]
 
     def test_nurd_positive_jct_reduction(self, google_trace):
         cfg = EvaluationConfig(n_checkpoints=8)
-        res = evaluate_method(google_trace, "NURD", cfg)
+        res = evaluate_all(google_trace, ["NURD"], cfg)["NURD"]
         # Relaunch latencies are resampled; average over several draws so a
         # single unlucky resample on this 3-job fixture can't flip the sign.
         reds = [res.jct_reduction(None, random_state=s) for s in range(8)]

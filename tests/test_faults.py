@@ -11,7 +11,6 @@ sleeps and reports.
 """
 
 import asyncio
-import functools
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,21 +19,15 @@ import pytest
 from fault_injection import (
     EventFaults,
     FaultPlan,
-    FlakyReplayJob,
     FlakySink,
-    HarnessFaults,
-    InjectedCrash,
     ProcessFaults,
     RequestInjector,
     ServiceChaos,
     collect_flags,
     flaky_predictor_factory,
-    flaky_unit,
     make_poison_job,
 )
 from repro.core.nurd import NurdPredictor
-from repro.eval import harness
-from repro.eval.harness import EvaluationConfig, evaluate_method
 from repro.faults import DeadLetterQueue, RetryPolicy
 from repro.serving import (
     BeginJob,
@@ -46,7 +39,6 @@ from repro.serving import (
     ServiceFailure,
 )
 from repro.sim.replay import ReplaySimulator
-from repro.traces.google import GoogleTraceGenerator
 from repro.traces.io import TraceStore, load_trace_csv, save_trace_npz
 from repro.traces.schema import Job, Trace
 from repro.utils.validation import check_job_payload
@@ -621,69 +613,3 @@ class TestQuarantine:
         _, again = run()
         assert _event_keys(again.events) == _event_keys(svc.events)
         assert again.dlq.counts() == svc.dlq.counts()
-
-
-# ---------------------------------------------------------------------------
-# Harness work-unit retry
-# ---------------------------------------------------------------------------
-
-class TestHarnessRetry:
-    @pytest.fixture(scope="class")
-    def trace(self):
-        return GoogleTraceGenerator(
-            n_jobs=4, task_range=(40, 60), random_state=3
-        ).generate()
-
-    @pytest.fixture(scope="class")
-    def cfg(self):
-        return EvaluationConfig(n_checkpoints=4, random_state=0)
-
-    @pytest.fixture(scope="class")
-    def clean(self, trace, cfg):
-        return evaluate_method(trace, "NURD", cfg)
-
-    def _assert_parity(self, got, want):
-        assert [r.job_id for r in got.replays] == [r.job_id for r in want.replays]
-        for a, b in zip(got.replays, want.replays):
-            np.testing.assert_array_equal(a.y_flag, b.y_flag)
-            np.testing.assert_array_equal(a.flag_times, b.flag_times)
-
-    @staticmethod
-    def _serial_faults(monkeypatch, crashes):
-        faults = HarnessFaults(crashes=crashes)
-        monkeypatch.setattr(harness, "_replay_job", FlakyReplayJob(faults))
-
-    @staticmethod
-    def _pool_faults(monkeypatch, crashes):
-        faults = HarnessFaults(crashes=crashes)
-        monkeypatch.setattr(
-            harness, "_replay_unit", functools.partial(flaky_unit, faults)
-        )
-
-    def test_serial_retry_preserves_order_and_parity(
-        self, trace, cfg, clean, monkeypatch
-    ):
-        self._serial_faults(monkeypatch, {1: 2, 3: 1})
-        got = evaluate_method(trace, "NURD", cfg, retries=2)
-        self._assert_parity(got, clean)
-
-    def test_serial_insufficient_retries_surface(self, trace, cfg, monkeypatch):
-        self._serial_faults(monkeypatch, {1: 2})
-        with pytest.raises(InjectedCrash):
-            evaluate_method(trace, "NURD", cfg, retries=1)
-
-    def test_pool_retry_preserves_order_and_parity(
-        self, trace, cfg, clean, monkeypatch
-    ):
-        self._pool_faults(monkeypatch, {0: 1, 2: 2})
-        got = evaluate_method(trace, "NURD", cfg, n_workers=2, retries=2)
-        self._assert_parity(got, clean)
-
-    def test_pool_insufficient_retries_surface(self, trace, cfg, monkeypatch):
-        self._pool_faults(monkeypatch, {2: 3})
-        with pytest.raises(InjectedCrash):
-            evaluate_method(trace, "NURD", cfg, n_workers=2, retries=1)
-
-    def test_negative_retries_rejected(self, trace, cfg):
-        with pytest.raises(ValueError, match="retries"):
-            evaluate_method(trace, "NURD", cfg, retries=-1)

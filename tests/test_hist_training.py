@@ -1,4 +1,4 @@
-"""Histogram-binned training, warm-start refits, and the harness mean cache.
+"""Histogram-binned training and warm-start refits.
 
 Covers the performance machinery added around the GBM stack:
 
@@ -7,8 +7,7 @@ Covers the performance machinery added around the GBM stack:
   the benchmark trace families;
 - ``warm_start`` continuation is exactly equivalent to one big fit;
 - NURD's warm-started checkpoint refits keep its Table-3 metrics close to
-  an exact-splitter full-refit baseline on both trace families;
-- ``MethodResult`` caches its per-attribute means without going stale.
+  an exact-splitter full-refit baseline on both trace families.
 
 The exact splitter lives here as a reference: per node, each feature is
 sorted once and prefix sums score every cut in O(n) after the O(n log n)
@@ -22,7 +21,6 @@ import pytest
 
 from repro.censored import GrabitRegressor
 from repro.core.nurd import NurdPredictor
-from repro.eval import EvaluationConfig, evaluate_method
 from repro.learn import DecisionTreeRegressor
 from repro.learn.gbm import GradientBoostingRegressor, _newton_step
 from repro.learn.tree import (
@@ -358,52 +356,3 @@ class TestNurdWarmStart:
         with pytest.raises(ValueError, match="NaN"):
             pred.predict_stragglers(bad)
 
-
-class TestMeanCache:
-    def test_mean_cache_returns_same_value(self, google_trace):
-        cfg = EvaluationConfig(n_checkpoints=3, random_state=0)
-        res = evaluate_method(google_trace, "GBTR", cfg)
-        first = res.f1
-        assert "f1" in res._mean_cache
-        assert res.f1 == first
-
-    def test_mean_cache_invalidates_on_replacement(self, google_trace):
-        cfg = EvaluationConfig(n_checkpoints=3, random_state=0)
-        res = evaluate_method(google_trace, "NURD", cfg)
-        before = res.tpr
-        perfect = res.replays[0]
-        res.replays[0] = type(perfect)(
-            job_id="swapped",
-            tau_stra=perfect.tau_stra,
-            y_true=np.array([True]),
-            y_flag=np.array([True]),
-            flag_times=np.array([1.0]),
-            checkpoints=perfect.checkpoints,
-            latencies=np.array([5.0]),
-        )
-        # Same length, different replay object: the cache must notice.
-        expected = float(
-            np.mean([getattr(r, "tpr") for r in res.replays])
-        )
-        assert res.tpr == pytest.approx(expected)
-        assert res.replays[0].tpr == 1.0 or before == expected
-
-    def test_mean_cache_invalidates_on_append(self, google_trace):
-        cfg = EvaluationConfig(n_checkpoints=3, random_state=0)
-        res = evaluate_method(google_trace, "NURD", cfg)
-        tpr_before = res.tpr
-        # Appending a degenerate all-correct replay must change the mean.
-        perfect = res.replays[0]
-        res.replays.append(
-            type(perfect)(
-                job_id="synthetic",
-                tau_stra=perfect.tau_stra,
-                y_true=np.array([True, False]),
-                y_flag=np.array([True, False]),
-                flag_times=np.array([1.0, np.inf]),
-                checkpoints=perfect.checkpoints,
-                latencies=np.array([5.0, 1.0]),
-            )
-        )
-        assert res.tpr != pytest.approx(tpr_before) or res.tpr == 1.0
-        assert res.tpr == res._mean_cache["tpr"][1]

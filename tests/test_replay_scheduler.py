@@ -114,13 +114,25 @@ class TestReplaySimulator:
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
-            ReplaySimulator(n_checkpoints=0)
-        with pytest.raises(ValueError):
             ReplaySimulator(warmup_fraction=0.0)
         with pytest.raises(ValueError):
             ReplaySimulator(straggler_percentile=100.0)
-        with pytest.raises(ValueError):
-            ReplaySimulator(feature_noise=-0.1)
+
+    @pytest.mark.parametrize(
+        "param, value",
+        [
+            ("n_checkpoints", 0),
+            ("n_checkpoints", 2.5),
+            ("n_checkpoints", np.nan),
+            ("feature_noise", -0.1),
+            ("feature_noise", np.nan),
+            ("feature_noise", np.inf),
+        ],
+    )
+    def test_rejects_invalid_counts_and_noise(self, param, value):
+        # Otherwise NaN noise fails inside a predictor, a fraction in geomspace.
+        with pytest.raises(ValueError, match=f"^{param} must"):
+            ReplaySimulator(**{param: value})
 
     def test_observed_features_converge_with_progress(self):
         job = _oracle_job()

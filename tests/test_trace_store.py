@@ -3,14 +3,14 @@
 Covers the contracts the paper-scale replay path leans on:
 
 - a CSV load and a store read back are bit-exact for both trace families;
-- :class:`TraceStore` memory-maps uncompressed stores, serves read-only
-  views, degrades gracefully (compressed npz), and rejects malformed
-  inputs and other layout versions loudly;
+- :class:`TraceStore` memory-maps its columns and serves read-only views,
+  and rejects a store it cannot map (compressed npz), malformed inputs and
+  other layout versions loudly;
 - streaming export (``iter_jobs`` -> ``save_trace_npz``) is byte-identical
   to exporting the generated trace;
-- the harness fires its progress callback once per replay, serially or
-  over the store-backed process pool, and a parallel run rejects a trace
-  the store cannot hold;
+- the harness pool counts a bare job stream, a work unit that raises
+  surfaces its own error serially and from the pool, and a parallel run
+  rejects a trace the store cannot hold;
 - a :class:`CheckpointPlan` from another job or simulator is rejected, and
   the content-keyed neighbor cache stops per-replay KD-tree rebuilds.
 
@@ -25,7 +25,6 @@ import pytest
 
 import repro.traces.io as trace_io
 from repro.eval import EvaluationConfig, evaluate_all
-from repro.eval.harness import ReplayProgress
 from repro.eval.baselines import build_predictor
 from repro.learn.neighbors import clear_neighbor_cache, get_neighbor_cache
 from repro.sim.replay import ReplaySimulator
@@ -111,7 +110,7 @@ class TestTraceStore:
     def test_mmap_and_read_only_views(self, google_trace, tmp_path):
         path = save_trace_npz(google_trace, tmp_path / "t.npz")
         with TraceStore(path) as store:
-            assert store.mmapped
+            assert isinstance(store.job(0).features.base, np.memmap)
             assert store.n_jobs == len(google_trace)
             assert store.n_tasks == google_trace.n_tasks
             assert store.feature_names == google_trace[0].feature_names
@@ -148,17 +147,12 @@ class TestTraceStore:
         ):
             TraceStore(path)
 
-    def test_compressed_npz_falls_back_to_eager(self, google_trace, tmp_path):
+    def test_compressed_npz_is_rejected(self, google_trace, tmp_path):
+        # An eager load would give every pool worker its own copy.
         path = save_trace_npz(google_trace, tmp_path / "z.npz")
         _rewrite_store(path, savez=np.savez_compressed)
-        with TraceStore(path) as store:
-            assert not store.mmapped
-            # Still read-only, still bit-exact.
-            with pytest.raises(ValueError):
-                store.job(0).features[0, 0] = 1.0
-            np.testing.assert_array_equal(
-                store.job(2).features, google_trace[2].features
-            )
+        with pytest.raises(ValueError, match=r"z\.npz.*cannot be memory-mapped"):
+            TraceStore(path)
 
     def test_error_paths(self, google_trace, tmp_path):
         with pytest.raises(ValueError, match="empty trace"):
@@ -224,29 +218,30 @@ class TestFanOut:
         with pytest.raises(ValueError, match="schema"):
             evaluate_all(mixed, self.METHODS, cfg, n_workers=2)
 
-    def test_progress_callback(self, google_trace, cfg):
-        events = []
-        evaluate_all(google_trace, self.METHODS, cfg, progress=events.append)
-        assert len(events) == len(google_trace) * len(self.METHODS)
-        assert all(isinstance(e, ReplayProgress) for e in events)
-        assert [e.n_done for e in events] == list(range(1, len(events) + 1))
-        assert events[-1].n_total == len(events)
-        assert {e.method for e in events} == set(self.METHODS)
-
     def test_parallel_counts_a_bare_job_stream(self, google_trace, cfg):
         # A generator has no len(): the pool reads the count from the spill.
-        events = []
         jobs = google_trace.iter_jobs()
-        evaluate_all(jobs, self.METHODS, cfg, n_workers=2, progress=events.append)
-        assert {e.n_total for e in events} == {len(events)} == {6}
+        res = evaluate_all(jobs, self.METHODS, cfg, n_workers=2)
+        want = [j.job_id for j in google_trace]
+        for method in self.METHODS:
+            assert [r.job_id for r in res[method].replays] == want
 
-    def test_progress_callback_parallel(self, google_trace, cfg):
-        events = []
-        evaluate_all(
-            google_trace, self.METHODS, cfg, n_workers=2, progress=events.append
-        )
-        assert len(events) == len(google_trace) * len(self.METHODS)
-        assert [e.n_done for e in events] == list(range(1, len(events) + 1))
+    @pytest.mark.parametrize("n_workers", [None, 2])
+    def test_failing_unit_surfaces_its_error(self, google_trace, cfg, n_workers):
+        with pytest.raises(ValueError, match="unknown method 'NOPE'"):
+            evaluate_all(google_trace, ["KNN", "NOPE"], cfg, n_workers=n_workers)
+
+    @pytest.mark.parametrize("n_workers", [None, 2])
+    def test_corrupt_job_surfaces_its_error(
+        self, google_trace, cfg, tmp_path, n_workers
+    ):
+        path = save_trace_npz(google_trace, tmp_path / "t.npz")
+        latency = np.concatenate([j.latencies for j in google_trace])
+        latency[google_trace[0].n_tasks + 3] = np.nan
+        _rewrite_store(path, latency=latency)
+        bad = google_trace[1].job_id
+        with pytest.raises(ValueError, match=rf"job '{bad}', task 3: duration"):
+            evaluate_all(TraceStore(path), ["KNN"], cfg, n_workers=n_workers)
 
 
 # ---------------------------------------------------------------------------
