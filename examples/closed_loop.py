@@ -40,7 +40,7 @@ def main() -> None:
             random_state=0,
         )
         report = ClosedLoopSimulator(cfg).run_many(replays)
-        tail = report.tail_latency(0.99)
+        tail = report.tail_latency(99.0)
         print(
             f"{policy:14s} JCT -{report.mean_jct_reduction_pct:5.1f}%  "
             f"p99 {tail['baseline']:7.1f}s -> {tail['mitigated']:7.1f}s"

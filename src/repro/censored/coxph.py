@@ -13,26 +13,22 @@ import numpy as np
 
 from repro.learn.base import BaseEstimator
 from repro.learn.preprocessing import StandardScaler
-from repro.utils.validation import check_array, check_is_fitted, check_X_y
+from repro.utils.validation import (
+    check_array,
+    check_is_fitted,
+    check_n_features,
+    check_X_y,
+)
+
+#: Newton iteration cap, ridge penalty on β (for stability), and the max
+#: coefficient update that stops the iterations.
+_MAX_ITER = 50
+_L2 = 1e-2
+_TOL = 1e-6
 
 
 class CoxPHFitter(BaseEstimator):
-    """Cox proportional hazards for right-censored durations.
-
-    Parameters
-    ----------
-    max_iter : int
-        Newton iteration cap.
-    l2 : float
-        Ridge penalty on β for stability.
-    tol : float
-        Convergence threshold on the max coefficient update.
-    """
-
-    def __init__(self, max_iter: int = 50, l2: float = 1e-2, tol: float = 1e-6):
-        self.max_iter = max_iter
-        self.l2 = l2
-        self.tol = tol
+    """Cox proportional hazards for right-censored durations."""
 
     def fit(self, X, durations, events) -> "CoxPHFitter":
         """Fit on durations; ``events[i]`` is True when the duration is an
@@ -53,11 +49,11 @@ class CoxPHFitter(BaseEstimator):
         e = events[order]
 
         beta = np.zeros(d)
-        for _ in range(self.max_iter):
+        for _ in range(_MAX_ITER):
             eta = np.clip(Z @ beta, -30.0, 30.0)
             w = np.exp(eta)
             # Reverse cumulative sums give risk-set aggregates at each time.
-            rs_w = np.cumsum(w[::-1])[::-1]                    # Σ_{j in R_i} w_j
+            rs_w = np.cumsum(w[::-1])[::-1]  # Σ_{j in R_i} w_j
             rs_zw = np.cumsum((Z * w[:, None])[::-1], axis=0)[::-1]
             grad = np.zeros(d)
             hess = np.zeros((d, d))
@@ -72,8 +68,8 @@ class CoxPHFitter(BaseEstimator):
                 Zw = Z[tail] * w[tail, None]
                 m2 = Z[tail].T @ Zw / rs_w[i]
                 hess -= m2 - np.outer(zbar, zbar)
-            grad -= self.l2 * beta
-            hess -= self.l2 * np.eye(d)
+            grad -= _L2 * beta
+            hess -= _L2 * np.eye(d)
             try:
                 step = np.linalg.solve(hess, grad)
             except np.linalg.LinAlgError:
@@ -82,7 +78,7 @@ class CoxPHFitter(BaseEstimator):
             if max_step > 5.0:
                 step *= 5.0 / max_step
             beta -= step
-            if np.max(np.abs(step)) < self.tol:
+            if np.max(np.abs(step)) < _TOL:
                 break
         self.coef_ = beta
 
@@ -110,11 +106,7 @@ class CoxPHFitter(BaseEstimator):
         """Relative risk exp(x·β)."""
         check_is_fitted(self, ["coef_"])
         X = check_array(X)
-        if X.shape[1] != self.n_features_in_:
-            raise ValueError(
-                f"X has {X.shape[1]} features; model was fitted with "
-                f"{self.n_features_in_}."
-            )
+        check_n_features(X, self.n_features_in_)
         Z = self.scaler_.transform(X)
         return np.exp(np.clip(Z @ self.coef_, -30.0, 30.0))
 

@@ -15,7 +15,7 @@ import numpy as np
 from repro.censored.tobit import _normal_hazard
 from repro.learn.gbm import LossFunction, _BaseGradientBoosting
 from repro.learn.tree import _MAX_HIST_BINS
-from repro.utils.validation import check_X_y
+from repro.utils.validation import check_positive_finite, check_X_y
 
 
 def _tobit_grad_hess(y, raw, censored, sigma):
@@ -55,30 +55,24 @@ class _TobitLoss(LossFunction):
 class GrabitRegressor(_BaseGradientBoosting):
     """Tobit-loss gradient boosting.
 
+    The stages are GBTR's: 60 trees of depth 3 at learning rate 0.1.
+
     Parameters
     ----------
-    n_estimators, learning_rate, max_depth, min_samples_leaf, max_bins : as
-        in :class:`repro.learn.GradientBoostingRegressor`.
     sigma : float or None
         Tobit scale; None estimates it from the uncensored residual std of
         the constant model.
     """
 
-    def __init__(
-        self,
-        n_estimators: int = 60,
-        learning_rate: float = 0.1,
-        max_depth: int = 3,
-        min_samples_leaf: int = 1,
-        sigma=None,
-        max_bins: int = _MAX_HIST_BINS,
-    ):
-        self.n_estimators = n_estimators
-        self.learning_rate = learning_rate
-        self.max_depth = max_depth
-        self.min_samples_leaf = min_samples_leaf
+    # Stage settings read by ``_boost``.
+    n_estimators = 60
+    learning_rate = 0.1
+    max_depth = 3
+    min_samples_leaf = 1
+    max_bins = _MAX_HIST_BINS
+
+    def __init__(self, sigma=None):
         self.sigma = sigma
-        self.max_bins = max_bins
 
     def fit(self, X, y, censored=None) -> "GrabitRegressor":
         X, y = check_X_y(X, y)
@@ -90,9 +84,8 @@ class GrabitRegressor(_BaseGradientBoosting):
         if (~censored).sum() < 1:
             raise ValueError("need at least 1 uncensored observation.")
         if self.sigma is not None:
+            check_positive_finite(self.sigma, "sigma")
             sigma = float(self.sigma)
-            if sigma <= 0:
-                raise ValueError("sigma must be positive.")
         else:
             y_obs = y[~censored]
             sigma = max(float(np.std(y_obs - float(y_obs.mean()))), 1e-6)

@@ -13,10 +13,19 @@ import numpy as np
 
 from repro.learn.base import BaseEstimator
 from repro.learn.preprocessing import StandardScaler
-from repro.utils.validation import check_array, check_is_fitted, check_X_y
+from repro.utils.validation import (
+    check_array,
+    check_is_fitted,
+    check_n_features,
+    check_X_y,
+)
 
 #: log √(2π): ``scipy.stats.norm.logpdf(z)`` is ``-z**2 / 2.0`` minus this.
 _LOG_SQRT_2PI = np.log(np.sqrt(2 * np.pi))
+#: L-BFGS iteration cap, and the ridge penalty on β (not the intercept) that
+#: keeps small checkpoint datasets stable.
+_MAX_ITER = 200
+_L2 = 1e-3
 
 
 def _normal_hazard(z):
@@ -59,20 +68,7 @@ def _negloglik(theta, Zb, y, obs, reg):
 
 
 class TobitRegressor(BaseEstimator):
-    """Right-censored Gaussian linear regression.
-
-    Parameters
-    ----------
-    max_iter : int
-        L-BFGS iteration cap.
-    l2 : float
-        Ridge penalty on β (not the intercept) for stability on small
-        checkpoint datasets.
-    """
-
-    def __init__(self, max_iter: int = 200, l2: float = 1e-3):
-        self.max_iter = max_iter
-        self.l2 = l2
+    """Right-censored Gaussian linear regression."""
 
     def fit(self, X, y, censored=None) -> "TobitRegressor":
         """Fit on observations ``y``; ``censored[i]`` marks y_i as a lower
@@ -98,7 +94,7 @@ class TobitRegressor(BaseEstimator):
         resid = y[obs] - Zb[obs] @ beta0
         sigma0 = max(float(resid.std()), 1e-3)
         theta0 = np.concatenate([beta0, [np.log(sigma0)]])
-        reg = np.full(d, self.l2)
+        reg = np.full(d, _L2)
         reg[0] = 0.0
 
         res = minimize(
@@ -107,7 +103,7 @@ class TobitRegressor(BaseEstimator):
             args=(Zb, y, obs, reg),
             jac=True,
             method="L-BFGS-B",
-            options={"maxiter": self.max_iter},
+            options={"maxiter": _MAX_ITER},
         )
         theta = res.x
         self.intercept_ = float(theta[0])
@@ -121,10 +117,6 @@ class TobitRegressor(BaseEstimator):
         """Latent mean E[y* | x]."""
         check_is_fitted(self, ["coef_"])
         X = check_array(X)
-        if X.shape[1] != self.n_features_in_:
-            raise ValueError(
-                f"X has {X.shape[1]} features; model was fitted with "
-                f"{self.n_features_in_}."
-            )
+        check_n_features(X, self.n_features_in_)
         Z = self.scaler_.transform(X)
         return Z @ self.coef_ + self.intercept_

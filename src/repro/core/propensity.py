@@ -18,7 +18,10 @@ import numpy as np
 from repro.learn.base import BaseEstimator, clone
 from repro.learn.linear import LogisticRegression
 from repro.learn.preprocessing import StandardScaler
-from repro.utils.validation import check_array, check_is_fitted
+from repro.utils.validation import check_array, check_is_fitted, check_n_features
+
+#: Relative weight of the finished class after balancing.
+_PRIOR_BOOST = 2.0
 
 
 class PropensityScorer(BaseEstimator):
@@ -35,10 +38,10 @@ class PropensityScorer(BaseEstimator):
     minority class before fitting, so ``z`` measures feature similarity
     rather than the prior.
 
-    ``prior_boost`` additionally overweights the finished class (default
-    2:1). Running tasks that *look like* finished ones then get a
-    comfortably high z — they are, in expectation, bulk tasks that simply
-    have not finished yet — while tasks genuinely unlike anything finished
+    ``_PRIOR_BOOST`` additionally overweights the finished class (2:1).
+    Running tasks that *look like* finished ones then get a comfortably
+    high z — they are, in expectation, bulk tasks that simply have not
+    finished yet — while tasks genuinely unlike anything finished
     keep a low z. This damps false positives in the δ < 0 calibration regime
     without blunting straggler dilation; it is an implementation constant
     tuned on held-out jobs exactly as the paper tunes α and ε (§6).
@@ -48,17 +51,10 @@ class PropensityScorer(BaseEstimator):
     model : classifier or None
         Binary classifier with ``fit``/``predict_proba``. Defaults to
         :class:`repro.learn.LogisticRegression`.
-    prior_boost : float
-        Relative weight of the finished class after balancing (≥ 1).
     """
 
-    def __init__(
-        self,
-        model: Optional[BaseEstimator] = None,
-        prior_boost: float = 2.0,
-    ):
+    def __init__(self, model: Optional[BaseEstimator] = None):
         self.model = model
-        self.prior_boost = prior_boost
 
     @staticmethod
     def _tile_to(X: np.ndarray, n: int) -> np.ndarray:
@@ -75,13 +71,10 @@ class PropensityScorer(BaseEstimator):
         X_run = check_array(X_running)
         if X_fin.shape[1] != X_run.shape[1]:
             raise ValueError(
-                f"Feature dimension mismatch: {X_fin.shape[1]} vs "
-                f"{X_run.shape[1]}."
+                f"Feature dimension mismatch: {X_fin.shape[1]} vs {X_run.shape[1]}."
             )
-        if self.prior_boost < 1.0:
-            raise ValueError("prior_boost must be >= 1.")
         n = max(X_fin.shape[0], X_run.shape[0])
-        X_fin_fit = self._tile_to(X_fin, int(round(self.prior_boost * n)))
+        X_fin_fit = self._tile_to(X_fin, int(round(_PRIOR_BOOST * n)))
         X_run_fit = self._tile_to(X_run, n)
         X = np.vstack([X_fin_fit, X_run_fit])
         y = np.concatenate(
@@ -98,11 +91,7 @@ class PropensityScorer(BaseEstimator):
         """Return z = P(finished | x) for each row, in [0, 1]."""
         check_is_fitted(self, ["model_"])
         X = check_array(X)
-        if X.shape[1] != self.n_features_in_:
-            raise ValueError(
-                f"X has {X.shape[1]} features; scorer was fitted with "
-                f"{self.n_features_in_}."
-            )
+        check_n_features(X, self.n_features_in_)
         proba = self.model_.predict_proba(self.scaler_.transform(X))
         if proba.shape[1] == 1:
             # Degenerate single-class fit: that class's probability is 1.

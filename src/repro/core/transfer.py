@@ -13,42 +13,29 @@ target job's running median of finished latencies.
 
 from __future__ import annotations
 
-
 import numpy as np
 
 from repro.core.nurd import NurdPredictor, _default_regressor
-from repro.learn.base import clone
 from repro.utils.validation import check_array, check_is_fitted, check_X_y
 
 
 class TransferNurd(NurdPredictor):
     """NURD with a source-job prior on the latency model.
 
+    The target side is a stock :class:`NurdPredictor` (``alpha = 0.5``,
+    ``eps = 0.05``, the default latency and propensity models).
+
     Parameters
     ----------
     prior_strength : float
         Pseudo-count controlling how fast the target model takes over; the
         source model's blend weight is ``prior / (prior + n_finished)``.
-    (Other parameters as :class:`NurdPredictor`.)
+    random_state : int or Generator or None
+        As :class:`NurdPredictor`.
     """
 
-    def __init__(
-        self,
-        alpha: float = 0.5,
-        eps: float = 0.05,
-        regressor=None,
-        propensity_model=None,
-        prior_strength: float = 50.0,
-        random_state=None,
-    ):
-        super().__init__(
-            alpha=alpha,
-            eps=eps,
-            regressor=regressor,
-            propensity_model=propensity_model,
-            calibrate=True,
-            random_state=random_state,
-        )
+    def __init__(self, prior_strength: float = 50.0, random_state=None):
+        super().__init__(random_state=random_state)
         self.prior_strength = prior_strength
 
     def fit_source(self, X_source, y_source) -> "TransferNurd":
@@ -59,12 +46,7 @@ class TransferNurd(NurdPredictor):
         self._source_scale_ = float(np.median(y_source))
         if self._source_scale_ <= 0:
             raise ValueError("source latencies must be positive.")
-        base = (
-            self.regressor
-            if self.regressor is not None
-            else _default_regressor()
-        )
-        self.source_model_ = clone(base)
+        self.source_model_ = _default_regressor()
         self.source_model_.fit(X_source, y_source / self._source_scale_)
         return self
 
@@ -81,9 +63,7 @@ class TransferNurd(NurdPredictor):
         check_is_fitted(self, ["_n_finished_"])
         X_run = check_array(X_run)
         w_source = self.prior_strength / (self.prior_strength + self._n_finished_)
-        y_source = (
-            self.source_model_.predict(X_run) * self._target_scale_
-        )
+        y_source = self.source_model_.predict(X_run) * self._target_scale_
         # The source prediction is rescaled but NOT reweighted: the propensity
         # model belongs to the target job. Blending after adjustment keeps the
         # straggler dilation from the target side.

@@ -35,30 +35,27 @@ from repro.outliers import ALL_DETECTORS
 from repro.pu import BaggingPuClassifier, ElkanNotoClassifier
 from repro.utils.validation import check_random_state
 
+#: Wrangler's labeled training sample (a share of the job's tasks) and its
+#: oversampling target (stragglers per non-straggler).
+_WRANGLER_TRAIN_FRACTION = 2.0 / 3.0
+_WRANGLER_OVERSAMPLE = 3.0
+
 
 class GbtrPredictor(OnlineStragglerPredictor):
-    """Supervised baseline: plain gradient-boosted latency regression.
+    """Supervised baseline: plain gradient-boosted latency regression (60
+    trees of depth 3).
 
     ``random_state`` is kept so every method is built alike
     (``build_predictor`` passes one to each); the model draws no random
     numbers.
     """
 
-    def __init__(
-        self,
-        n_estimators: int = 60,
-        max_depth: int = 3,
-        random_state=None,
-    ):
-        self.n_estimators = n_estimators
-        self.max_depth = max_depth
+    def __init__(self, random_state=None):
         self.random_state = random_state
 
     def update(self, X_fin, y_fin, X_run, elapsed_run=None) -> None:
-        self.model_ = GradientBoostingRegressor(
-            n_estimators=self.n_estimators,
-            max_depth=self.max_depth,
-        ).fit(X_fin, y_fin)
+        model = GradientBoostingRegressor(n_estimators=60, max_depth=3)
+        self.model_ = model.fit(X_fin, y_fin)
 
     def predict_stragglers(self, X_run) -> np.ndarray:
         X_run = np.asarray(X_run, dtype=float)
@@ -143,9 +140,8 @@ class PuPredictor(OnlineStragglerPredictor):
     finished-task class.
     """
 
-    def __init__(self, variant: str = "PU-EN", n_estimators: int = 10, random_state=None):
+    def __init__(self, variant: str = "PU-EN", random_state=None):
         self.variant = variant
-        self.n_estimators = n_estimators
         self.random_state = random_state
 
     def update(self, X_fin, y_fin, X_run, elapsed_run=None) -> None:
@@ -158,9 +154,7 @@ class PuPredictor(OnlineStragglerPredictor):
         if self.variant == "PU-EN":
             self.model_ = ElkanNotoClassifier(random_state=self.random_state)
         elif self.variant == "PU-BG":
-            self.model_ = BaggingPuClassifier(
-                n_estimators=self.n_estimators, random_state=self.random_state
-            )
+            self.model_ = BaggingPuClassifier(random_state=self.random_state)
         else:
             raise ValueError(f"unknown PU variant {self.variant!r}.")
         self.model_.fit(X_all, s)
@@ -258,45 +252,39 @@ class WranglerPredictor(OnlineStragglerPredictor):
     stragglers.
 
     Wrangler assumes labeled stragglers exist: the harness calls
-    :meth:`fit_offline` with a 2/3 sample of the job's tasks and their true
-    straggler labels before the replay starts (mirroring the paper §6).
+    :meth:`fit_offline` with the job's tasks and their true straggler labels
+    before the replay starts, and the model trains on a
+    ``_WRANGLER_TRAIN_FRACTION`` (2/3) sample of them (mirroring the paper
+    §6).
     """
 
     needs_offline_labels = True
 
-    def __init__(
-        self,
-        train_fraction: float = 2.0 / 3.0,
-        oversample_ratio: float = 3.0,
-        random_state=None,
-    ):
-        self.train_fraction = train_fraction
-        self.oversample_ratio = oversample_ratio
+    def __init__(self, random_state=None):
         self.random_state = random_state
 
     def fit_offline(self, X_all, straggler_mask) -> None:
-        if not 0.0 < self.train_fraction <= 1.0:
-            raise ValueError("train_fraction must be in (0, 1].")
         X_all = np.asarray(X_all, dtype=float)
         mask = np.asarray(straggler_mask, dtype=bool)
         rng = check_random_state(self.random_state)
         n = X_all.shape[0]
         train_idx = rng.choice(
-            n, size=max(2, int(round(self.train_fraction * n))), replace=False
+            n, size=max(2, int(round(_WRANGLER_TRAIN_FRACTION * n))), replace=False
         )
         X_tr = X_all[train_idx]
         y_tr = mask[train_idx].astype(np.int64)
-        # Oversample stragglers past parity (Wrangler prioritizes recall:
-        # missing a straggler is costlier than a spurious relaunch).
+        # Oversample stragglers to _WRANGLER_OVERSAMPLE times the
+        # non-stragglers (Wrangler prioritizes recall: missing a straggler
+        # is costlier than a spurious relaunch).
         pos = np.nonzero(y_tr == 1)[0]
         neg = np.nonzero(y_tr == 0)[0]
         if pos.shape[0] > 0 and neg.shape[0] > pos.shape[0]:
-            target = int(round(self.oversample_ratio * neg.shape[0]))
+            target = int(round(_WRANGLER_OVERSAMPLE * neg.shape[0]))
             reps = int(np.ceil(target / pos.shape[0]))
             pos_over = np.tile(pos, reps)[:target]
             keep = np.concatenate([neg, pos_over])
             X_tr, y_tr = X_tr[keep], y_tr[keep]
-        self.model_ = LinearSVC(max_iter=30, random_state=rng).fit(X_tr, y_tr)
+        self.model_ = LinearSVC(random_state=rng).fit(X_tr, y_tr)
 
     def update(self, X_fin, y_fin, X_run, elapsed_run=None) -> None:
         # Offline model: nothing to update online.

@@ -26,7 +26,7 @@ class BaseEstimator:
         return [
             p.name
             for p in sig.parameters.values()
-            if p.name != "self" and p.kind != p.VAR_KEYWORD
+            if p.name != "self" and p.kind not in (p.VAR_POSITIONAL, p.VAR_KEYWORD)
         ]
 
     def get_params(self) -> Dict[str, Any]:

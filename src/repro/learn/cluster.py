@@ -11,10 +11,14 @@ from repro.utils.validation import (
     check_random_state,
 )
 
+#: k-means++ restarts, and the Lloyd iteration cap and the inertia/center
+#: shift tolerance that stops a restart.
+_N_INIT = 3
+_MAX_ITER = 100
+_TOL = 1e-6
 
-def _kmeans_plus_plus(
-    X: np.ndarray, k: int, rng: np.random.Generator
-) -> np.ndarray:
+
+def _kmeans_plus_plus(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """k-means++ initial centers."""
     n = X.shape[0]
     centers = np.empty((k, X.shape[1]))
@@ -36,42 +40,32 @@ def _kmeans_plus_plus(
 
 
 class KMeans(BaseEstimator):
-    """Lloyd iterations from a k-means++ seed; best of ``n_init`` restarts."""
+    """Lloyd iterations from a k-means++ seed; best of ``_N_INIT`` restarts."""
 
-    def __init__(
-        self,
-        n_clusters: int = 8,
-        n_init: int = 3,
-        max_iter: int = 100,
-        tol: float = 1e-6,
-        random_state=None,
-    ):
+    def __init__(self, n_clusters: int = 8, random_state=None):
         self.n_clusters = n_clusters
-        self.n_init = n_init
-        self.max_iter = max_iter
-        self.tol = tol
         self.random_state = random_state
 
     def _lloyd_batched(self, X: np.ndarray, centers: np.ndarray):
-        """Run Lloyd iterations for all ``n_init`` restarts at once.
+        """Run Lloyd iterations for all ``_N_INIT`` restarts at once.
 
-        ``centers`` is the (I, k, d) stack of k-means++ seeds. Every
-        iteration computes one (n, I·k) GEMM for all restarts' distances,
+        ``centers`` is the (R, k, d) stack of k-means++ seeds. Every
+        iteration computes one (n, R·k) GEMM for all restarts' distances,
         updates each restart's centers with per-feature ``bincount`` sums
         (the per-cluster member loop collapsed), and freezes restarts whose
         inertia/center shift has converged so they drop out of later
         iterations.
         """
         n, d = X.shape
-        I, k, _ = centers.shape
+        R, k, _ = centers.shape
         x2 = np.sum(X**2, axis=1)
-        labels = np.zeros((I, n), dtype=np.int64)
-        inertia = np.full(I, np.inf)
-        active = np.arange(I)
-        offs = np.arange(I, dtype=np.int64)[:, None] * k
-        for _ in range(self.max_iter):
+        labels = np.zeros((R, n), dtype=np.int64)
+        inertia = np.full(R, np.inf)
+        active = np.arange(R)
+        offs = np.arange(R, dtype=np.int64)[:, None] * k
+        for _ in range(_MAX_ITER):
             A = active.size
-            cen = centers[active]                           # (A, k, d)
+            cen = centers[active]  # (A, k, d)
             # Squared distances of every row to every active restart's
             # centers in one GEMM: (n, A*k) -> (A, n, k).
             prod = X @ cen.reshape(A * k, d).T
@@ -80,7 +74,7 @@ class KMeans(BaseEstimator):
                 - 2.0 * prod.T.reshape(A, k, n).transpose(0, 2, 1)
                 + np.sum(cen**2, axis=2)[:, None, :]
             )
-            lbl = np.argmin(d2, axis=2)                     # (A, n)
+            lbl = np.argmin(d2, axis=2)  # (A, n)
             labels[active] = lbl
             min_d2 = np.take_along_axis(d2, lbl[:, :, None], axis=2)[:, :, 0]
             new_inertia = min_d2.sum(axis=1)
@@ -99,14 +93,12 @@ class KMeans(BaseEstimator):
             empty = counts == 0
             if np.any(empty):
                 # Re-seed empty clusters at the restart's farthest point.
-                far = np.argmax(min_d2, axis=1)             # (A,)
+                far = np.argmax(min_d2, axis=1)  # (A,)
                 e_i, e_j = np.nonzero(empty)
                 new_cen[e_i, e_j] = X[far[e_i]]
             shift = np.max(np.abs(new_cen - cen), axis=(1, 2))
             centers[active] = new_cen
-            done = (np.abs(inertia[active] - new_inertia) <= self.tol) | (
-                shift <= self.tol
-            )
+            done = (np.abs(inertia[active] - new_inertia) <= _TOL) | (shift <= _TOL)
             inertia[active] = new_inertia
             active = active[~done]
             if active.size == 0:
@@ -117,17 +109,13 @@ class KMeans(BaseEstimator):
         X = check_array(X)
         check_positive_int(self.n_clusters, "n_clusters")
         if X.shape[0] < self.n_clusters:
-            raise ValueError(
-                f"n_samples={X.shape[0]} < n_clusters={self.n_clusters}."
-            )
-        check_positive_int(self.n_init, "n_init")
-        check_positive_int(self.max_iter, "max_iter")
+            raise ValueError(f"n_samples={X.shape[0]} < n_clusters={self.n_clusters}.")
         rng = check_random_state(self.random_state)
         # Seed every restart upfront with the same sequential RNG stream the
         # historical restart loop consumed; the Lloyd iterations themselves
         # draw no randomness and run batched.
         seeds = np.stack(
-            [_kmeans_plus_plus(X, self.n_clusters, rng) for _ in range(self.n_init)]
+            [_kmeans_plus_plus(X, self.n_clusters, rng) for _ in range(_N_INIT)]
         )
         centers, labels, inertia = self._lloyd_batched(X, seeds)
         best = int(np.argmin(inertia))

@@ -44,6 +44,7 @@ from repro.learn.tree import DecisionTreeRegressor
 from repro.utils.validation import (
     check_array,
     check_is_fitted,
+    check_n_features,
     check_positive_int,
     check_X_y,
 )
@@ -168,11 +169,7 @@ class _BaseGradientBoosting(BaseEstimator):
     def _check_predict_input(self, X) -> np.ndarray:
         check_is_fitted(self, ["estimators_"])
         X = check_array(X)
-        if X.shape[1] != self.n_features_in_:
-            raise ValueError(
-                f"X has {X.shape[1]} features; model was fitted with "
-                f"{self.n_features_in_}."
-            )
+        check_n_features(X, self.n_features_in_)
         return X
 
     def _raw_predict(self, X) -> np.ndarray:
@@ -224,9 +221,7 @@ class GradientBoostingClassifier(_GradientBoosting):
         X, y = check_X_y(X, y, y_numeric=False)
         classes = np.unique(y)
         if classes.shape[0] > 2:
-            raise ValueError(
-                "GradientBoostingClassifier supports binary labels only."
-            )
+            raise ValueError("GradientBoostingClassifier supports binary labels only.")
         self.classes_ = classes
         y01 = (y == classes[-1]).astype(np.float64)
         if classes.shape[0] == 1:

@@ -14,10 +14,15 @@ from repro.learn.gbm import _sigmoid
 from repro.utils.validation import (
     check_array,
     check_is_fitted,
-    check_positive_finite,
-    check_positive_int,
+    check_n_features,
     check_X_y,
 )
+
+#: Inverse regularization strength (sklearn convention).
+_C = 1.0
+#: Newton iteration cap and the coefficient-update tolerance that stops it.
+_MAX_ITER = 100
+_TOL = 1e-6
 
 
 def _add_intercept(X: np.ndarray) -> np.ndarray:
@@ -27,26 +32,12 @@ def _add_intercept(X: np.ndarray) -> np.ndarray:
 class LogisticRegression(BaseEstimator):
     """Binary L2-regularized logistic regression via Newton–Raphson.
 
-    Parameters
-    ----------
-    C : float
-        Inverse regularization strength (sklearn convention), finite and
-        > 0; the penalty on the coefficients is ``1/(2C) * ||w||²``
-        (intercept unpenalized).
-    max_iter : int
-        Newton iteration cap, an integer >= 1.
-    tol : float
-        Stop when the max absolute coefficient update falls below this.
+    The penalty on the coefficients is ``1/(2C) * ||w||²`` with ``C = 1``
+    (intercept unpenalized); Newton stops after ``_MAX_ITER`` iterations or
+    once the max absolute coefficient update falls below ``_TOL``.
     """
 
-    def __init__(self, C: float = 1.0, max_iter: int = 100, tol: float = 1e-6):
-        self.C = C
-        self.max_iter = max_iter
-        self.tol = tol
-
     def fit(self, X, y) -> "LogisticRegression":
-        check_positive_finite(self.C, "C")
-        check_positive_int(self.max_iter, "max_iter")
         X, y = check_X_y(X, y, y_numeric=False)
         classes = np.unique(y)
         if classes.shape[0] > 2:
@@ -64,11 +55,11 @@ class LogisticRegression(BaseEstimator):
         Xb = _add_intercept(X)
         n, d = Xb.shape
         beta = np.zeros(d)
-        lam = 1.0 / self.C
+        lam = 1.0 / _C
         reg = np.full(d, lam)
         reg[0] = 0.0  # do not penalize the intercept
         n_iter = 0
-        for n_iter in range(1, self.max_iter + 1):
+        for n_iter in range(1, _MAX_ITER + 1):
             eta = Xb @ beta
             p = _sigmoid(eta)
             grad = Xb.T @ (p - t) + reg * beta
@@ -84,7 +75,7 @@ class LogisticRegression(BaseEstimator):
             if max_step > 10.0:
                 step *= 10.0 / max_step
             beta -= step
-            if np.max(np.abs(step)) < self.tol:
+            if np.max(np.abs(step)) < _TOL:
                 break
         self.intercept_ = float(beta[0])
         self.coef_ = beta[1:]
@@ -95,11 +86,7 @@ class LogisticRegression(BaseEstimator):
     def decision_function(self, X) -> np.ndarray:
         check_is_fitted(self, ["coef_"])
         X = check_array(X)
-        if X.shape[1] != self.n_features_in_:
-            raise ValueError(
-                f"X has {X.shape[1]} features; model was fitted with "
-                f"{self.n_features_in_}."
-            )
+        check_n_features(X, self.n_features_in_)
         if self._single_class_ is not None:
             fill = np.inf if self._single_class_ == self.classes_[-1] else -np.inf
             return np.full(X.shape[0], fill)

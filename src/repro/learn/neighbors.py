@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Optional, Tuple
 import numpy as np
 
 from repro.learn.base import BaseEstimator
-from repro.utils.validation import check_array, check_is_fitted
+from repro.utils.validation import check_array, check_is_fitted, check_n_features
 
 if TYPE_CHECKING:
     from scipy.spatial import cKDTree
@@ -77,8 +77,8 @@ class NeighborCache:
     """
 
     def __init__(self):
-        self._trees: OrderedDict = OrderedDict()      # content key -> (X, tree)
-        self._tree_ids: OrderedDict = OrderedDict()   # id(X) -> (weakref, key)
+        self._trees: OrderedDict = OrderedDict()  # content key -> (X, tree)
+        self._tree_ids: OrderedDict = OrderedDict()  # id(X) -> (weakref, key)
         self._queries: OrderedDict = OrderedDict()
         self.tree_hits = 0
         self.tree_misses = 0
@@ -159,10 +159,13 @@ class NeighborCache:
         dist, idx = _raw_tree_query(tree, X, k)
         dist.setflags(write=False)
         idx.setflags(write=False)
-        if entry is None or entry[0]() is not fit_X or entry[1]() is not X or k > entry[2]:
-            self._queries[key] = (
-                weakref.ref(fit_X), weakref.ref(X), k, dist, idx
-            )
+        if (
+            entry is None
+            or entry[0]() is not fit_X
+            or entry[1]() is not X
+            or k > entry[2]
+        ):
+            self._queries[key] = (weakref.ref(fit_X), weakref.ref(X), k, dist, idx)
             self._queries.move_to_end(key)
             while len(self._queries) > _MAX_QUERIES:
                 self._queries.popitem(last=False)
@@ -296,11 +299,7 @@ class NearestNeighbors(BaseEstimator):
             exclude_self = True
         else:
             X = check_array(X)
-            if X.shape[1] != self.n_features_in_:
-                raise ValueError(
-                    f"X has {X.shape[1]} features; index was built with "
-                    f"{self.n_features_in_}."
-                )
+            check_n_features(X, self.n_features_in_)
         n_train = self._fit_X_.shape[0]
         k_query = min(k + (1 if exclude_self else 0), n_train)
         dist, idx = self._raw_query(X, k_query)

@@ -10,54 +10,34 @@ nonlinear decision boundary the OCSVM baseline needs.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.learn.base import BaseEstimator
 from repro.utils.validation import (
     check_array,
     check_is_fitted,
-    check_positive_finite,
-    check_positive_int,
+    check_n_features,
     check_random_state,
     check_X_y,
 )
+
+#: Pegasos' inverse regularization strength and its epochs over the data.
+_SVC_C = 1.0
+_SVC_EPOCHS = 30
 
 
 class LinearSVC(BaseEstimator):
     """Linear SVM trained with Pegasos (SGD on the regularized hinge loss).
 
-    The fit is per-sample Pegasos, run by the lockstep kernel
-    :func:`_pegasos_lockstep` with one lane.
-
-    Parameters
-    ----------
-    C : float
-        Inverse regularization strength, finite and > 0; larger C fits the
-        data harder.
-    max_iter : int
-        Number of epochs over the training set, an int >= 1.
-    class_weight : None or "balanced"
-        "balanced" reweights the hinge loss inversely to class frequency
-        (Wrangler-style handling of imbalanced straggler labels).
+    The fit is per-sample Pegasos with ``C = _SVC_C`` over ``_SVC_EPOCHS``
+    epochs, run by the lockstep kernel :func:`_pegasos_lockstep` with one
+    lane. ``random_state`` seeds the per-epoch shuffles.
     """
 
-    def __init__(
-        self,
-        C: float = 1.0,
-        max_iter: int = 200,
-        class_weight: Optional[str] = None,
-        random_state=None,
-    ):
-        self.C = C
-        self.max_iter = max_iter
-        self.class_weight = class_weight
+    def __init__(self, random_state=None):
         self.random_state = random_state
 
     def fit(self, X, y) -> "LinearSVC":
-        check_positive_finite(self.C, "C")
-        check_positive_int(self.max_iter, "max_iter")
         X, y = check_X_y(X, y, y_numeric=False)
         targets = self._targets(X, y)
         if targets is not None:
@@ -65,8 +45,8 @@ class LinearSVC(BaseEstimator):
         return self
 
     def _targets(self, X, y):
-        """Record the classes; return the ±1 targets and hinge weights, or
-        None once a single-class ``y`` has its constant model."""
+        """Record the classes; return the ±1 targets, or None once a
+        single-class ``y`` has its constant model."""
         classes = np.unique(y)
         if classes.shape[0] > 2:
             raise ValueError("LinearSVC supports binary labels only.")
@@ -78,26 +58,12 @@ class LinearSVC(BaseEstimator):
             self.intercept_ = 0.0
             return None
         self._single_class_ = None
-        t = np.where(y == classes[-1], 1.0, -1.0)
-        if self.class_weight == "balanced":
-            n = t.shape[0]
-            n_pos = float(np.sum(t > 0))
-            n_neg = n - n_pos
-            sw = np.where(t > 0, n / (2.0 * n_pos), n / (2.0 * n_neg))
-        elif self.class_weight is None:
-            sw = np.ones_like(t)
-        else:
-            raise ValueError("class_weight must be None or 'balanced'.")
-        return t, sw
+        return np.where(y == classes[-1], 1.0, -1.0)
 
     def decision_function(self, X) -> np.ndarray:
         check_is_fitted(self, ["coef_"])
         X = check_array(X)
-        if X.shape[1] != self.n_features_in_:
-            raise ValueError(
-                f"X has {X.shape[1]} features; model was fitted with "
-                f"{self.n_features_in_}."
-            )
+        check_n_features(X, self.n_features_in_)
         if self._single_class_ is not None:
             fill = np.inf if self._single_class_ == self.classes_[-1] else -np.inf
             return np.full(X.shape[0], fill)
@@ -115,13 +81,12 @@ def _pegasos_lockstep(models, X, targets) -> None:
     """Fit ``LinearSVC`` ``models[k]`` on ``X[k]`` by per-sample Pegasos, K
     at once; ``X`` is (K, n, d) and ``targets[k]`` is ``models[k]._targets``.
 
-    The models share ``C`` and ``max_iter``, so all lanes take the same
-    step, η and λ; each shuffles with its own, unshared ``random_state``.
-    Every lane does a lone fit's arithmetic, so each model is bit-identical
-    to it: a stacked (K,1,d)@(K,d,1) ``matmul`` sends each vector pair to
-    the dot ``x @ w`` uses, the hinge rows η·sw·t·x are the same elementwise
-    products built one epoch at a time, and updates and projections touch
-    only the lanes they apply to.
+    All lanes take the same step, η and λ; each shuffles with its own,
+    unshared ``random_state``. Every lane does a lone fit's arithmetic, so
+    each model is bit-identical to it: a stacked (K,1,d)@(K,d,1) ``matmul``
+    sends each vector pair to the dot ``x @ w`` uses, the hinge rows η·t·x
+    are the same elementwise products built one epoch at a time, and
+    updates and projections touch only the lanes they apply to.
 
     The ball test ``sqrt(w·w) > radius`` is ``w·w > r2`` (see
     :func:`_largest_square_within`), and a step in which no lane violates
@@ -133,9 +98,9 @@ def _pegasos_lockstep(models, X, targets) -> None:
     10¹⁴ steps for d ≤ 20. A NaN lane stays NaN and never tests true.
     """
     K, n, d = X.shape
-    t, sw = (np.stack(a) for a in zip(*targets))
+    t = np.stack(targets)
     rngs = [check_random_state(m.random_state) for m in models]
-    lam = 1.0 / (models[0].C * n)
+    lam = 1.0 / (_SVC_C * n)
     # Pegasos projects onto the ball of radius 1/sqrt(lam).
     radius = 1.0 / np.sqrt(lam)
     r2 = _largest_square_within(radius)
@@ -145,15 +110,14 @@ def _pegasos_lockstep(models, X, targets) -> None:
     b, scale, dot = np.zeros((K, 1)), np.empty((K, 1)), np.empty((K, 1, 1))
     dots = dot[:, :, 0]
     lanes = np.arange(K)[:, None]
-    for epoch in range(models[0].max_iter):
+    for epoch in range(_SVC_EPOCHS):
         perm = np.stack([rng.permutation(n) for rng in rngs])
         # Step-major views: row i of every lane is one basic index away.
         Xs = X[lanes, perm].transpose(1, 0, 2)
         ts = t[lanes, perm].T[:, :, None]
         etas = 1.0 / (lam * np.arange(epoch * n + 1, (epoch + 1) * n + 1))
         decays = (1.0 - etas * lam).tolist()
-        # t is ±1, so (η·sw)·t == η·(sw·t) exactly.
-        coefs = etas[:, None, None] * (sw[lanes, perm].T[:, :, None] * ts)
+        coefs = etas[:, None, None] * ts
         hinge_rows = coefs * Xs
         for x_row, t_i, decay, coef, row in zip(
             Xs[:, :, None, :], ts, decays, coefs, hinge_rows
@@ -190,6 +154,9 @@ def _largest_square_within(radius: float) -> float:
 
 #: Rows per blocked SGD update in :meth:`OneClassSVM.fit`.
 _OCSVM_BLOCK = 64
+#: Random Fourier features and SGD epochs of :class:`OneClassSVM`.
+_OCSVM_COMPONENTS = 100
+_OCSVM_EPOCHS = 30
 
 
 def _ocsvm_blocked_sgd(phi: np.ndarray, nu: float, max_iter: int, rng, block: int):
@@ -229,53 +196,44 @@ class OneClassSVM(BaseEstimator):
 
     Solves Schölkopf's linear one-class objective in the randomized feature
     space: minimize ``||w||²/2 + (1/(ν n)) Σ max(0, ρ − w·φ(x)) − ρ``, by
-    blocked SGD (:func:`_ocsvm_blocked_sgd`, ``_OCSVM_BLOCK`` rows a block).
+    blocked SGD (:func:`_ocsvm_blocked_sgd`, ``_OCSVM_BLOCK`` rows a block,
+    ``_OCSVM_EPOCHS`` epochs) over ``_OCSVM_COMPONENTS`` features. The RBF
+    bandwidth is sklearn's ``gamma="scale"``, ``1 / (d · Var(X))``.
     ``decision_function`` is positive inside the learned support region;
     ``score_samples`` returns an outlier score (higher = more anomalous) for
     use by the detector wrapper.
+
+    Parameters
+    ----------
+    nu : float
+        Upper bound on the training outlier fraction, in (0, 1].
     """
 
-    def __init__(
-        self,
-        nu: float = 0.5,
-        gamma: str = "scale",
-        n_components: int = 100,
-        max_iter: int = 30,
-        random_state=None,
-    ):
+    def __init__(self, nu: float = 0.5, random_state=None):
         self.nu = nu
-        self.gamma = gamma
-        self.n_components = n_components
-        self.max_iter = max_iter
         self.random_state = random_state
 
-    def _resolve_gamma(self, X: np.ndarray) -> float:
-        if self.gamma == "scale":
-            var = X.var()
-            return 1.0 / (X.shape[1] * var) if var > 0 else 1.0
-        if self.gamma == "auto":
-            return 1.0 / X.shape[1]
-        g = float(self.gamma)
-        check_positive_finite(g, "gamma")
-        return g
+    @staticmethod
+    def _gamma(X: np.ndarray) -> float:
+        var = X.var()
+        return 1.0 / (X.shape[1] * var) if var > 0 else 1.0
 
     def _features(self, X: np.ndarray) -> np.ndarray:
         proj = X @ self.omega_ + self.phase_
-        return np.sqrt(2.0 / self.n_components) * np.cos(proj)
+        return np.sqrt(2.0 / _OCSVM_COMPONENTS) * np.cos(proj)
 
     def fit(self, X, y=None) -> "OneClassSVM":
         if not 0.0 < self.nu <= 1.0:
             raise ValueError("nu must be in (0, 1].")
-        check_positive_int(self.n_components, "n_components")
-        check_positive_int(self.max_iter, "max_iter")
         X = check_array(X)
         rng = check_random_state(self.random_state)
-        gamma = self._resolve_gamma(X)
+        gamma = self._gamma(X)
         d = X.shape[1]
-        self.omega_ = rng.normal(0.0, np.sqrt(2.0 * gamma), size=(d, self.n_components))
-        self.phase_ = rng.uniform(0.0, 2.0 * np.pi, size=self.n_components)
+        size = (d, _OCSVM_COMPONENTS)
+        self.omega_ = rng.normal(0.0, np.sqrt(2.0 * gamma), size=size)
+        self.phase_ = rng.uniform(0.0, 2.0 * np.pi, size=_OCSVM_COMPONENTS)
         phi = self._features(X)
-        w, _ = _ocsvm_blocked_sgd(phi, self.nu, self.max_iter, rng, _OCSVM_BLOCK)
+        w, _ = _ocsvm_blocked_sgd(phi, self.nu, _OCSVM_EPOCHS, rng, _OCSVM_BLOCK)
         self.coef_ = w
         self.n_features_in_ = d
         # Calibrate rho to the nu-quantile of training scores, which is what
@@ -287,11 +245,7 @@ class OneClassSVM(BaseEstimator):
     def decision_function(self, X) -> np.ndarray:
         check_is_fitted(self, ["coef_"])
         X = check_array(X)
-        if X.shape[1] != self.n_features_in_:
-            raise ValueError(
-                f"X has {X.shape[1]} features; model was fitted with "
-                f"{self.n_features_in_}."
-            )
+        check_n_features(X, self.n_features_in_)
         return self._features(X) @ self.coef_ - self.rho_
 
     def score_samples(self, X) -> np.ndarray:

@@ -40,7 +40,12 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.learn.base import BaseEstimator
-from repro.utils.validation import check_array, check_is_fitted, check_X_y
+from repro.utils.validation import (
+    check_array,
+    check_is_fitted,
+    check_n_features,
+    check_X_y,
+)
 
 _LEAF = -1
 
@@ -522,11 +527,7 @@ class DecisionTreeRegressor(BaseEstimator):
     def _check_predict_input(self, X) -> np.ndarray:
         check_is_fitted(self, ["tree_"])
         X = check_array(X)
-        if X.shape[1] != self.n_features_in_:
-            raise ValueError(
-                f"X has {X.shape[1]} features; tree was fitted with "
-                f"{self.n_features_in_}."
-            )
+        check_n_features(X, self.n_features_in_)
         return X
 
     def apply(self, X) -> np.ndarray:

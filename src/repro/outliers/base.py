@@ -8,7 +8,7 @@ import numpy as np
 
 from repro.learn.base import BaseEstimator
 from repro.learn.neighbors import NearestNeighbors
-from repro.utils.validation import check_array, check_is_fitted
+from repro.utils.validation import check_array, check_is_fitted, check_n_features
 
 
 def iter_row_blocks(n: int, per_row_cost: int, budget: int = 2_000_000):
@@ -76,20 +76,14 @@ class BaseDetector(BaseEstimator):
         self.n_features_in_ = X.shape[1]
         train_scores = self._score(X)
         self.decision_scores_ = train_scores
-        self.threshold_ = float(
-            np.quantile(train_scores, 1.0 - self.contamination)
-        )
+        self.threshold_ = float(np.quantile(train_scores, 1.0 - self.contamination))
         return self
 
     def decision_function(self, X) -> np.ndarray:
         """Outlier scores for ``X`` (higher = more anomalous)."""
         check_is_fitted(self, ["threshold_"])
         X = check_array(X)
-        if X.shape[1] != self.n_features_in_:
-            raise ValueError(
-                f"X has {X.shape[1]} features; detector was fitted with "
-                f"{self.n_features_in_}."
-            )
+        check_n_features(X, self.n_features_in_)
         return self._score(X)
 
     def predict(self, X) -> np.ndarray:

@@ -13,51 +13,32 @@ import numpy as np
 from repro.learn.cluster import KMeans
 from repro.outliers.base import BaseDetector
 
+#: k-means clusters. Large clusters jointly cover at least ``_ALPHA`` of the
+#: points, or are ``_BETA`` times bigger than the next smaller cluster.
+_N_CLUSTERS = 8
+_ALPHA = 0.9
+_BETA = 5.0
+
 
 class CBLOF(BaseDetector):
-    """CBLOF detector.
+    """CBLOF detector. ``random_state`` seeds the k-means restarts."""
 
-    Parameters
-    ----------
-    n_clusters : int
-        Number of k-means clusters.
-    alpha : float
-        Large clusters must jointly cover at least this fraction of points.
-    beta : float
-        A cluster is also large when it is ``beta`` times bigger than the
-        next smaller cluster.
-    """
-
-    def __init__(
-        self,
-        n_clusters: int = 8,
-        alpha: float = 0.9,
-        beta: float = 5.0,
-        contamination: float = 0.1,
-        random_state=None,
-    ):
+    def __init__(self, contamination: float = 0.1, random_state=None):
         super().__init__(contamination=contamination)
-        self.n_clusters = n_clusters
-        self.alpha = alpha
-        self.beta = beta
         self.random_state = random_state
 
     def _fit(self, X: np.ndarray) -> None:
-        if not 0.5 < self.alpha < 1.0:
-            raise ValueError("alpha must be in (0.5, 1).")
-        if self.beta < 1.0:
-            raise ValueError("beta must be >= 1.")
-        k = min(self.n_clusters, X.shape[0])
+        k = min(_N_CLUSTERS, X.shape[0])
         self.kmeans_ = KMeans(n_clusters=k, random_state=self.random_state).fit(X)
         sizes = np.bincount(self.kmeans_.labels_, minlength=k)
         order = np.argsort(sizes)[::-1]  # biggest first
         n = X.shape[0]
         cum = np.cumsum(sizes[order])
-        # Find the boundary index per the (alpha, beta) rule.
+        # Find the boundary index per the (α, β) rule.
         boundary = k  # default: all clusters large
         for i in range(k - 1):
-            covers = cum[i] >= self.alpha * n
-            ratio_ok = sizes[order[i]] >= self.beta * max(sizes[order[i + 1]], 1)
+            covers = cum[i] >= _ALPHA * n
+            ratio_ok = sizes[order[i]] >= _BETA * max(sizes[order[i + 1]], 1)
             if covers or ratio_ok:
                 boundary = i + 1
                 break

@@ -16,7 +16,9 @@ import numpy as np
 
 from repro.learn.neighbors import NearestNeighbors
 from repro.outliers.base import BaseDetector, iter_row_blocks
-from repro.utils.validation import check_positive_int
+
+#: Neighborhood size k.
+_N_NEIGHBORS = 20
 
 
 def _batched_chaining(points: np.ndarray) -> np.ndarray:
@@ -63,21 +65,10 @@ def _chaining_for(X: np.ndarray, neighbors: np.ndarray) -> np.ndarray:
 
 
 class COF(BaseDetector):
-    """Connectivity-based outlier factor.
-
-    Parameters
-    ----------
-    n_neighbors : int
-        Neighborhood size k.
-    """
-
-    def __init__(self, n_neighbors: int = 20, contamination: float = 0.1):
-        super().__init__(contamination=contamination)
-        self.n_neighbors = n_neighbors
+    """Connectivity-based outlier factor over ``_N_NEIGHBORS`` neighbors."""
 
     def _fit(self, X: np.ndarray) -> None:
-        check_positive_int(self.n_neighbors, "n_neighbors")
-        k = min(self.n_neighbors, X.shape[0] - 1)
+        k = min(_N_NEIGHBORS, X.shape[0] - 1)
         if k < 1:
             raise ValueError("COF needs at least 2 samples.")
         self._k = k

@@ -31,6 +31,9 @@ from repro.outliers.base import BaseDetector
 from repro.utils.validation import check_positive_int, check_random_state
 
 _EULER_GAMMA = 0.5772156649015329
+#: Subsample size per tree (ψ; the paper's default 256), clipped to the
+#: row count.
+_MAX_SAMPLES = 256
 
 
 def average_path_length(n) -> np.ndarray:
@@ -76,7 +79,7 @@ def _counter_uniform(seed: np.uint64, counter: np.ndarray) -> np.ndarray:
         z = (z ^ (z >> np.uint64(30))) * _SM_MIX1
         z = (z ^ (z >> np.uint64(27))) * _SM_MIX2
         z = z ^ (z >> np.uint64(31))
-    return (z >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+    return (z >> np.uint64(11)).astype(np.float64) * (2.0**-53)
 
 
 def _build_forest_batched(X: np.ndarray, idx: np.ndarray, max_depth: int, seed: int):
@@ -113,7 +116,7 @@ def _build_forest_batched(X: np.ndarray, idx: np.ndarray, max_depth: int, seed: 
     seed64 = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
 
     if psi > 1 and max_depth > 0:
-        flat = X[idx.ravel()]                               # (T*psi, d)
+        flat = X[idx.ravel()]  # (T*psi, d)
         tree_of = np.repeat(np.arange(T, dtype=np.int64), psi)
         node_of = np.zeros(T * psi, dtype=np.int64)
         live = np.ones(T * psi, dtype=bool)
@@ -127,7 +130,7 @@ def _build_forest_batched(X: np.ndarray, idx: np.ndarray, max_depth: int, seed: 
             rows = rows[order]
             seg = seg[order]
             starts = np.nonzero(np.r_[True, seg[1:] != seg[:-1]])[0]
-            seg_ids = seg[starts]                           # global node ids
+            seg_ids = seg[starts]  # global node ids
             counts = np.diff(np.r_[starts, seg.size])
             sub = flat[rows]
             mins = np.minimum.reduceat(sub, starts, axis=0)  # (m, d)
@@ -142,9 +145,7 @@ def _build_forest_batched(X: np.ndarray, idx: np.ndarray, max_depth: int, seed: 
             u_feat = _counter_uniform(seed64, base)
             u_thr = _counter_uniform(seed64, base + np.uint64(1))
             # j-th candidate feature, j uniform over the candidate count.
-            j = np.minimum(
-                (u_feat * ncand).astype(np.int64), np.maximum(ncand - 1, 0)
-            )
+            j = np.minimum((u_feat * ncand).astype(np.int64), np.maximum(ncand - 1, 0))
             cum = np.cumsum(cand, axis=1)
             f = np.argmax(cum > j[:, None], axis=1)
             seg_rows = np.arange(m)
@@ -243,31 +244,24 @@ class IForest(BaseDetector):
     Parameters
     ----------
     n_estimators : int
-        Number of trees.
-    max_samples : int
-        Subsample size per tree (ψ; the paper's default 256), an int >= 1;
-        clipped to the row count.
+        Number of trees, each on ``_MAX_SAMPLES`` rows.
     """
 
     def __init__(
         self,
         n_estimators: int = 100,
-        max_samples: int = 256,
         contamination: float = 0.1,
         random_state=None,
     ):
         super().__init__(contamination=contamination)
         self.n_estimators = n_estimators
-        self.max_samples = max_samples
         self.random_state = random_state
 
     def _fit(self, X: np.ndarray) -> None:
         check_positive_int(self.n_estimators, "n_estimators")
-        check_positive_int(self.max_samples, "max_samples")
-        psi = self.max_samples
         rng = check_random_state(self.random_state)
         n = X.shape[0]
-        psi = min(psi, n)
+        psi = min(_MAX_SAMPLES, n)
         max_depth = int(np.ceil(np.log2(max(psi, 2))))
         # The split draws are counter-seeded; one generator draw keys them
         # to the caller's seed. Subsamples then follow the sequential

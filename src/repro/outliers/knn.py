@@ -9,25 +9,16 @@ import numpy as np
 
 from repro.learn.neighbors import NearestNeighbors
 from repro.outliers.base import BaseDetector
-from repro.utils.validation import check_positive_int
+
+#: k: a point's score is its distance to its k-th nearest neighbor.
+_N_NEIGHBORS = 5
 
 
 class KNNDetector(BaseDetector):
-    """kNN distance detector.
-
-    Parameters
-    ----------
-    n_neighbors : int
-        k.
-    """
-
-    def __init__(self, n_neighbors: int = 5, contamination: float = 0.1):
-        super().__init__(contamination=contamination)
-        self.n_neighbors = n_neighbors
+    """kNN distance detector (k = ``_N_NEIGHBORS``)."""
 
     def _fit(self, X: np.ndarray) -> None:
-        check_positive_int(self.n_neighbors, "n_neighbors")
-        k = min(self.n_neighbors, X.shape[0] - 1)
+        k = min(_N_NEIGHBORS, X.shape[0] - 1)
         if k < 1:
             raise ValueError("KNN needs at least 2 samples.")
         self.nn_ = NearestNeighbors(n_neighbors=k).fit(X)

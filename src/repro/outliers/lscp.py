@@ -17,14 +17,18 @@ each pool member slices the same cached query.
 
 from __future__ import annotations
 
-from typing import List, Optional
-
 import numpy as np
 
 from repro.learn.neighbors import NearestNeighbors
 from repro.outliers.base import BaseDetector
 from repro.outliers.lof import LOF
-from repro.utils.validation import check_positive_int
+
+#: Neighborhood sizes of the LOF pool.
+_NEIGHBOR_SIZES = (5, 10, 15, 20, 30)
+#: kNN region used for local competence estimation.
+_LOCAL_REGION_SIZE = 30
+#: Number of best-correlated detectors averaged per point.
+_TOP_K = 2
 
 
 def _zscore(a: np.ndarray) -> np.ndarray:
@@ -34,39 +38,13 @@ def _zscore(a: np.ndarray) -> np.ndarray:
 
 
 class LSCP(BaseDetector):
-    """Locally selective combination of LOF detectors.
-
-    Parameters
-    ----------
-    neighbor_sizes : list of int or None
-        Neighborhood sizes of the LOF pool; defaults to [5, 10, 15, 20, 30].
-    local_region_size : int
-        kNN region used for local competence estimation.
-    top_k : int
-        Number of best-correlated detectors averaged per point.
-    """
-
-    def __init__(
-        self,
-        neighbor_sizes: Optional[List[int]] = None,
-        local_region_size: int = 30,
-        top_k: int = 2,
-        contamination: float = 0.1,
-    ):
-        super().__init__(contamination=contamination)
-        self.neighbor_sizes = neighbor_sizes
-        self.local_region_size = local_region_size
-        self.top_k = top_k
+    """Locally selective combination of LOF detectors."""
 
     def _fit(self, X: np.ndarray) -> None:
-        sizes = self.neighbor_sizes or [5, 10, 15, 20, 30]
-        sizes = [min(s, X.shape[0] - 1) for s in sizes]
-        sizes = sorted({s for s in sizes if s >= 1})
+        sizes = sorted({min(s, X.shape[0] - 1) for s in _NEIGHBOR_SIZES} - {0})
         if not sizes:
             raise ValueError("LSCP needs at least 2 samples.")
-        check_positive_int(self.local_region_size, "local_region_size")
-        check_positive_int(self.top_k, "top_k")
-        region = min(self.local_region_size, X.shape[0] - 1)
+        region = min(_LOCAL_REGION_SIZE, X.shape[0] - 1)
         self._kmax_ = max(sizes[-1], max(region, 1))
         # One KD-tree serves the whole pool: the region index is built first
         # and primed at the widest neighborhood (+1 for the self column), so
@@ -78,9 +56,7 @@ class LSCP(BaseDetector):
             for s in sizes
         ]
         # Standardized training score matrix (n_train, n_detectors).
-        train_scores = np.column_stack(
-            [d.decision_scores_ for d in self.detectors_]
-        )
+        train_scores = np.column_stack([d.decision_scores_ for d in self.detectors_])
         self._train_scores_z_ = _zscore(train_scores)
         # Pseudo ground truth: max standardized score across the pool.
         self._pseudo_ = self._train_scores_z_.max(axis=1)
@@ -88,23 +64,19 @@ class LSCP(BaseDetector):
     def _score(self, X: np.ndarray) -> np.ndarray:
         exclude_self = self.region_nn_.is_self_query(X)
         self.region_nn_.warm(X, n_neighbors=self._kmax_ + 1)
-        test_scores = np.column_stack(
-            [d.decision_function(X) for d in self.detectors_]
-        )
+        test_scores = np.column_stack([d.decision_function(X) for d in self.detectors_])
         test_scores_z = _zscore(test_scores)
         _, region_idx = self.region_nn_.kneighbors(X, exclude_self=exclude_self)
-        top_k = min(self.top_k, len(self.detectors_))
+        top_k = min(_TOP_K, len(self.detectors_))
         # Pearson correlation of every detector's region scores against the
         # pseudo ground truth, for all test points at once.
-        pseudo = self._pseudo_[region_idx]                     # (n, r)
+        pseudo = self._pseudo_[region_idx]  # (n, r)
         pseudo_c = pseudo - pseudo.mean(axis=1, keepdims=True)
         denom_p = np.sqrt(np.einsum("nr,nr->n", pseudo_c, pseudo_c))
-        local = self._train_scores_z_[region_idx]              # (n, r, d)
+        local = self._train_scores_z_[region_idx]  # (n, r, d)
         local_c = local - local.mean(axis=1, keepdims=True)
         num = np.einsum("nr,nrd->nd", pseudo_c, local_c)
-        denom = denom_p[:, None] * np.sqrt(
-            np.einsum("nrd,nrd->nd", local_c, local_c)
-        )
+        denom = denom_p[:, None] * np.sqrt(np.einsum("nrd,nrd->nd", local_c, local_c))
         corrs = np.where(denom > 0, num / np.where(denom > 0, denom, 1.0), 0.0)
         best = np.argsort(corrs, axis=1)[:, ::-1][:, :top_k]
         return np.take_along_axis(test_scores_z, best, axis=1).mean(axis=1)

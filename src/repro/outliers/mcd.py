@@ -4,7 +4,7 @@ FastMCD (Rousseeuw & Van Driessen, 1999) with concentration steps: find the
 h-subset whose covariance determinant is minimal, then score points by the
 Mahalanobis distance under the robust (reweighted) location/scatter.
 
-The fit is batched: all ``n_trials`` concentrate at once as stacked
+The fit is batched: all ``_N_TRIALS`` concentrate at once as stacked
 ``(T, h, d)`` subsets — covariances via one stacked matmul, Mahalanobis
 distances via one batched ``np.linalg.solve``, per-trial subset selection via
 a row-wise argsort — and trials whose h-subset has reached a fixed point are
@@ -20,6 +20,10 @@ import numpy as np
 
 from repro.outliers.base import BaseDetector
 from repro.utils.validation import check_random_state
+
+#: Random initial subsets to concentrate, and concentration steps per trial.
+_N_TRIALS = 10
+_N_CSTEPS = 5
 
 
 def _chi2_ppf(q: float, df: int):
@@ -42,9 +46,9 @@ def _det_cov(X: np.ndarray):
 def _det_cov_batched(S: np.ndarray):
     """Per-trial mean/cov/logdet for stacked subsets ``S`` of shape (T, m, d)."""
     m = S.shape[1]
-    mean = S.mean(axis=1)                                   # (T, d)
+    mean = S.mean(axis=1)  # (T, d)
     diff = S - mean[:, None, :]
-    cov = diff.transpose(0, 2, 1) @ diff / max(m - 1, 1)    # (T, d, d)
+    cov = diff.transpose(0, 2, 1) @ diff / max(m - 1, 1)  # (T, d, d)
     di = np.arange(S.shape[2])
     cov[:, di, di] += 1e-9
     sign, logdet = np.linalg.slogdet(cov)
@@ -69,9 +73,9 @@ def _mahalanobis_sq_batched(
     applies them with one batched matmul — ``solve`` with an (T, d, n)
     right-hand side spends most of its time on Fortran-order copies here.
     """
-    diff = X[None, :, :] - mean[:, None, :]                 # (T, n, d)
+    diff = X[None, :, :] - mean[:, None, :]  # (T, n, d)
     try:
-        inv = np.linalg.inv(cov)                            # (T, d, d)
+        inv = np.linalg.inv(cov)  # (T, d, d)
     except np.linalg.LinAlgError:
         # A singular trial poisons the batched inverse; fall back per trial
         # (the lstsq path inside _mahalanobis_sq handles the singular ones).
@@ -84,46 +88,19 @@ def _mahalanobis_sq_batched(
 class MCD(BaseDetector):
     """FastMCD-based detector.
 
-    Parameters
-    ----------
-    support_fraction : float or None
-        h / n; None uses the breakdown-optimal (n + d + 1) / 2n.
-    n_trials : int
-        Random initial subsets to concentrate (all batched into one
-        ``(T, h, d)`` C-step recursion).
-    n_csteps : int
-        Concentration iterations per trial.
+    The h-subset is the breakdown-optimal h = (n + d + 1) / 2;
+    ``random_state`` seeds the initial subsets.
     """
 
-    def __init__(
-        self,
-        support_fraction=None,
-        n_trials: int = 10,
-        n_csteps: int = 5,
-        contamination: float = 0.1,
-        random_state=None,
-    ):
+    def __init__(self, contamination: float = 0.1, random_state=None):
         super().__init__(contamination=contamination)
-        if n_trials < 1:
-            raise ValueError(f"n_trials must be >= 1, got {n_trials}.")
-        if n_csteps < 1:
-            raise ValueError(f"n_csteps must be >= 1, got {n_csteps}.")
-        self.support_fraction = support_fraction
-        self.n_trials = n_trials
-        self.n_csteps = n_csteps
         self.random_state = random_state
 
     def _fit(self, X: np.ndarray) -> None:
         rng = check_random_state(self.random_state)
         n, d = X.shape
-        if self.support_fraction is None:
-            h = (n + d + 1) // 2
-        else:
-            if not 0.5 <= self.support_fraction <= 1.0:
-                raise ValueError("support_fraction must be in [0.5, 1].")
-            h = int(np.ceil(self.support_fraction * n))
-        h = min(max(h, d + 1), n)
-        T = self.n_trials
+        h = min(max((n + d + 1) // 2, d + 1), n)
+        T = _N_TRIALS
         m0 = min(max(d + 1, 2), n)
         # Sequential draws keep the RNG stream identical to the per-trial loop.
         init = np.stack([rng.choice(n, size=m0, replace=False) for _ in range(T)])
@@ -131,9 +108,9 @@ class MCD(BaseDetector):
 
         active = np.arange(T)
         subset = np.full((T, h), -1, dtype=np.int64)
-        for _ in range(self.n_csteps):
+        for _ in range(_N_CSTEPS):
             dist = _mahalanobis_sq_batched(X, mean[active], cov[active])
-            new_subset = np.argsort(dist, axis=1)[:, :h]    # (A, h)
+            new_subset = np.argsort(dist, axis=1)[:, :h]  # (A, h)
             # A trial whose h-subset is a fixed point (as a set) has
             # converged: re-concentrating it cannot change mean/cov/logdet.
             settled = np.all(

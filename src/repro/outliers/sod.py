@@ -17,45 +17,23 @@ import numpy as np
 
 from repro.learn.neighbors import NearestNeighbors
 from repro.outliers.base import BaseDetector, iter_row_blocks
-from repro.utils.validation import check_positive_finite, check_positive_int
+
+#: Candidate neighbors for SNN similarity, and the reference-set size.
+_N_NEIGHBORS = 20
+_REF_SET = 10
+#: A dimension is kept when its reference-set variance is below ``_ALPHA``
+#: times the mean per-dimension variance.
+_ALPHA = 0.8
 
 
 class SOD(BaseDetector):
-    """Subspace outlier degree.
-
-    Parameters
-    ----------
-    n_neighbors : int
-        Candidate neighbors used for SNN similarity.
-    ref_set : int
-        Reference set size (l ≤ n_neighbors).
-    alpha : float
-        A dimension is kept when its reference-set variance is below
-        ``alpha`` times the mean per-dimension variance.
-    """
-
-    def __init__(
-        self,
-        n_neighbors: int = 20,
-        ref_set: int = 10,
-        alpha: float = 0.8,
-        contamination: float = 0.1,
-    ):
-        super().__init__(contamination=contamination)
-        self.n_neighbors = n_neighbors
-        self.ref_set = ref_set
-        self.alpha = alpha
+    """Subspace outlier degree."""
 
     def _fit(self, X: np.ndarray) -> None:
-        check_positive_int(self.n_neighbors, "n_neighbors")
-        check_positive_int(self.ref_set, "ref_set")
-        if self.ref_set > self.n_neighbors:
-            raise ValueError("ref_set must be <= n_neighbors.")
-        check_positive_finite(self.alpha, "alpha")
-        k = min(self.n_neighbors, X.shape[0] - 1)
+        k = min(_N_NEIGHBORS, X.shape[0] - 1)
         if k < 1:
             raise ValueError("SOD needs at least 2 samples.")
-        self._k, self._l = k, min(self.ref_set, k)
+        self._k, self._l = k, min(_REF_SET, k)
         self.nn_ = NearestNeighbors(n_neighbors=k).fit(X)
         _, self._train_knn_ = self.nn_.kneighbors()
 
@@ -70,20 +48,18 @@ class SOD(BaseDetector):
         candidates = np.sort(idx, axis=1)  # = unique(idx[i]): kNN lists are
         membership = np.zeros((n, train.shape[0]), dtype=bool)  # duplicate-free
         membership[rows[:, None], idx] = True
-        cand_knn = self._train_knn_[candidates]                # (n, k, k_t)
+        cand_knn = self._train_knn_[candidates]  # (n, k, k_t)
         sims = membership[rows[:, None, None], cand_knn].sum(axis=2)
         order = np.argsort(sims, axis=1)[:, ::-1]
         ref_idx = np.take_along_axis(candidates, order, axis=1)[:, : self._l]
-        ref = train[ref_idx]                                   # (n, l, d)
+        ref = train[ref_idx]  # (n, l, d)
         mean = ref.mean(axis=1)
         var = ref.var(axis=1)
         mean_var = var.mean(axis=1)
-        keep = var < self.alpha * mean_var[:, None]
+        keep = var < _ALPHA * mean_var[:, None]
         n_kept = keep.sum(axis=1)
         sq_dist = np.einsum("nd,nd->n", (X - mean) ** 2, keep)
-        return np.where(
-            n_kept > 0, np.sqrt(sq_dist) / np.maximum(n_kept, 1), 0.0
-        )
+        return np.where(n_kept > 0, np.sqrt(sq_dist) / np.maximum(n_kept, 1), 0.0)
 
     def _score(self, X: np.ndarray) -> np.ndarray:
         _, idx = self._kneighbors(self.nn_, X)

@@ -13,9 +13,8 @@ sweeps instead of n independent Python-level searches.
 Two binding backends share that bisection core, chosen by matrix size:
 
 - dense — the exact (n, n) affinity matrix of the paper, below
-  ``_KNN_MIN_ROWS`` rows (tier-1 scale stays exact) or when the
-  neighborhood is not sparse (``k > n/8``);
-- kNN — each row binds only to its ``n_neighbors`` nearest points
+  ``_KNN_MIN_ROWS`` rows (tier-1 scale stays exact);
+- kNN — each row binds only to its ``_KNN_NEIGHBORS`` nearest points
   (KD-tree query through the shared :class:`~repro.learn.neighbors.
   NeighborCache`), an O(n·k) matrix instead of O(n²). Bindings beyond
   ~3× the perplexity carry exponentially small mass, so the truncation
@@ -25,16 +24,18 @@ Two binding backends share that bisection core, chosen by matrix size:
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.learn.neighbors import NearestNeighbors
 from repro.outliers.base import BaseDetector
-from repro.utils.validation import check_positive_int
 
 #: SOS switches to the kNN backend at this many rows.
 _KNN_MIN_ROWS = 1024
+#: Effective neighborhood size of every row's binding distribution.
+_PERPLEXITY = 4.5
+#: Candidate bindings per row for the kNN backend, ceil(3 × perplexity): the
+#: binding mass beyond that is exponentially small at the target perplexity.
+_KNN_NEIGHBORS = 14
 
 
 def _bind_rows(
@@ -108,46 +109,12 @@ class SOS(BaseDetector):
     data should slice ``decision_scores_`` instead of calling
     ``decision_function`` on the subset (which would duplicate those points
     in the joint affinity matrix); the ``transductive`` flag advertises this.
-
-    Parameters
-    ----------
-    perplexity : float
-        Effective neighborhood size, finite and >= 1.
-    n_neighbors : int, optional
-        Candidate bindings per row for the kNN backend; ``None`` derives
-        ``ceil(3 × perplexity)`` (the binding mass beyond that is
-        exponentially small at the target perplexity).
     """
 
     transductive = True
 
-    def __init__(
-        self,
-        perplexity: float = 4.5,
-        contamination: float = 0.1,
-        n_neighbors: Optional[int] = None,
-    ):
-        super().__init__(contamination=contamination)
-        if n_neighbors is not None:
-            check_positive_int(n_neighbors, "n_neighbors")
-        self.perplexity = perplexity
-        self.n_neighbors = n_neighbors
-
     def _fit(self, X: np.ndarray) -> None:
-        if not 1 <= self.perplexity < np.inf:
-            raise ValueError(
-                f"perplexity must be finite and >= 1; got {self.perplexity!r}."
-            )
         self._train_X_ = X
-
-    def _resolved_k(self, n: int) -> int:
-        k = self.n_neighbors
-        if k is None:
-            k = int(np.ceil(3.0 * self.perplexity))
-        return min(k, n - 1)
-
-    def _use_knn(self, n: int) -> bool:
-        return n >= _KNN_MIN_ROWS and self._resolved_k(n) <= n // 8
 
     def _sos_scores_dense(self, X: np.ndarray) -> np.ndarray:
         D2 = (
@@ -156,7 +123,7 @@ class SOS(BaseDetector):
             + np.sum(X**2, axis=1)[None, :]
         )
         np.maximum(D2, 0.0, out=D2)
-        perp = min(self.perplexity, X.shape[0] - 1)
+        perp = min(_PERPLEXITY, X.shape[0] - 1)
         B = _binding_probabilities(D2, perp)
         # P(outlier_j) = prod_i (1 - b_ij)
         with np.errstate(divide="ignore"):
@@ -165,11 +132,11 @@ class SOS(BaseDetector):
 
     def _sos_scores_knn(self, X: np.ndarray) -> np.ndarray:
         n = X.shape[0]
-        k = self._resolved_k(n)
+        k = min(_KNN_NEIGHBORS, n - 1)
         nn = NearestNeighbors(n_neighbors=k).fit(X)
-        dist, idx = self._kneighbors(nn, X)                 # self excluded
-        perp = min(self.perplexity, k)
-        P = _bind_rows(dist**2, perp)                       # (n, k)
+        dist, idx = self._kneighbors(nn, X)  # self excluded
+        perp = min(_PERPLEXITY, k)
+        P = _bind_rows(dist**2, perp)  # (n, k)
         # Column accumulation of log(1 - b_ij) over the sparse bindings;
         # absent entries bind with probability 0 and contribute log(1) = 0.
         with np.errstate(divide="ignore"):
@@ -178,7 +145,7 @@ class SOS(BaseDetector):
         return np.exp(col_sum)
 
     def _sos_scores(self, X: np.ndarray) -> np.ndarray:
-        if self._use_knn(X.shape[0]):
+        if X.shape[0] >= _KNN_MIN_ROWS:
             return self._sos_scores_knn(X)
         return self._sos_scores_dense(X)
 
@@ -188,4 +155,4 @@ class SOS(BaseDetector):
         if X.shape == self._train_X_.shape and np.array_equal(X, self._train_X_):
             return self._sos_scores(X)
         joint = np.vstack([self._train_X_, X])
-        return self._sos_scores(joint)[self._train_X_.shape[0]:]
+        return self._sos_scores(joint)[self._train_X_.shape[0] :]

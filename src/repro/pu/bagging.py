@@ -8,9 +8,6 @@ aggregates only the bags where it was out-of-bag.
 
 from __future__ import annotations
 
-import numbers
-from typing import Optional
-
 import numpy as np
 
 from repro.learn.base import BaseEstimator, clone
@@ -18,45 +15,30 @@ from repro.learn.svm import LinearSVC, _pegasos_lockstep
 from repro.utils.validation import (
     check_array,
     check_is_fitted,
-    check_positive_int,
+    check_n_features,
     check_random_state,
     check_X_y,
 )
+
+#: Number of bags.
+_N_BAGS = 10
 
 
 class BaggingPuClassifier(BaseEstimator):
     """Bagging SVM for PU data.
 
     ``fit(X, s)``: ``s = 1`` marks labeled (positive-class) examples,
-    ``s = 0`` unlabeled ones. Every bag fits a
-    :class:`repro.learn.LinearSVC`; all bags have the same row count, so
-    their Pegasos runs advance in lockstep.
-
-    Parameters
-    ----------
-    n_estimators : int
-        Number of bags.
-    sample_size : int or None
-        Unlabeled bootstrap size per bag, an int >= 1, clipped to the
-        unlabeled count; None matches the labeled count (the balanced
-        choice recommended by the original paper).
+    ``s = 0`` unlabeled ones. Each of the ``_N_BAGS`` bags fits a
+    :class:`repro.learn.LinearSVC` on the labeled rows and as many unlabeled
+    ones, drawn with replacement (clipped to the unlabeled count: the
+    balanced choice recommended by the original paper). All bags have the
+    same row count, so their Pegasos runs advance in lockstep.
     """
 
-    def __init__(
-        self,
-        n_estimators: int = 10,
-        sample_size: Optional[int] = None,
-        random_state=None,
-    ):
-        self.n_estimators = n_estimators
-        self.sample_size = sample_size
+    def __init__(self, random_state=None):
         self.random_state = random_state
 
     def fit(self, X, s) -> "BaggingPuClassifier":
-        check_positive_int(self.n_estimators, "n_estimators")
-        size = self.sample_size
-        if size is not None and not (isinstance(size, numbers.Integral) and size >= 1):
-            raise ValueError(f"sample_size must be None or an int >= 1, got {size!r}.")
         X, s = check_X_y(X, s, y_numeric=False)
         s = np.asarray(s).astype(np.int64)
         pos = np.nonzero(s == 1)[0]
@@ -64,15 +46,15 @@ class BaggingPuClassifier(BaseEstimator):
         if pos.shape[0] < 1 or unl.shape[0] < 1:
             raise ValueError("need at least one labeled and one unlabeled example.")
         rng = check_random_state(self.random_state)
-        size = min(pos.shape[0] if size is None else size, unl.shape[0])
-        base = LinearSVC(max_iter=30, random_state=rng)
+        size = min(pos.shape[0], unl.shape[0])
+        base = LinearSVC(random_state=rng)
         bags, self.estimators_ = [], []
-        for _ in range(self.n_estimators):
+        for _ in range(_N_BAGS):
             bags.append(rng.choice(unl, size=size, replace=True))
             # The clone deep-copies the shared generator, so each bag's SVM
             # shuffles with the stream as it stood after that bag's draw.
             self.estimators_.append(clone(base))
-        Xb = X[np.hstack([np.tile(pos, (self.n_estimators, 1)), np.stack(bags)])]
+        Xb = X[np.hstack([np.tile(pos, (_N_BAGS, 1)), np.stack(bags)])]
         yb = np.concatenate([np.ones(pos.shape[0]), np.zeros(size)]).astype(int)
         targets = [clf._targets(Xk, yb) for clf, Xk in zip(self.estimators_, Xb)]
         _pegasos_lockstep(self.estimators_, Xb, targets)
@@ -96,14 +78,8 @@ class BaggingPuClassifier(BaseEstimator):
         """Averaged decision score; positive = labeled-class-like."""
         check_is_fitted(self, ["estimators_"])
         X = check_array(X)
-        if X.shape[1] != self.n_features_in_:
-            raise ValueError(
-                f"X has {X.shape[1]} features; model was fitted with "
-                f"{self.n_features_in_}."
-            )
-        return np.mean(
-            [clf.decision_function(X) for clf in self.estimators_], axis=0
-        )
+        check_n_features(X, self.n_features_in_)
+        return np.mean([clf.decision_function(X) for clf in self.estimators_], axis=0)
 
     def predict(self, X) -> np.ndarray:
         return (self.decision_function(X) >= 0).astype(np.int64)

@@ -10,11 +10,9 @@ for straggler prediction.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
-from repro.learn.base import BaseEstimator, clone
+from repro.learn.base import BaseEstimator
 from repro.learn.linear import LogisticRegression
 from repro.utils.validation import (
     check_array,
@@ -23,35 +21,22 @@ from repro.utils.validation import (
     check_X_y,
 )
 
+#: Fraction of labeled examples held out to estimate ``c``.
+_HOLD_OUT_RATIO = 0.2
+
 
 class ElkanNotoClassifier(BaseEstimator):
     """PU classifier with Elkan–Noto c-correction.
 
     ``fit(X, s)`` takes binary ``s`` where 1 marks *labeled* examples (known
-    members of the positive class) and 0 marks unlabeled examples.
-
-    Parameters
-    ----------
-    estimator : classifier or None
-        Inner traditional classifier with ``predict_proba``; defaults to
-        logistic regression.
-    hold_out_ratio : float
-        Fraction of labeled examples held out to estimate ``c``.
+    members of the positive class) and 0 marks unlabeled examples. The
+    traditional classifier is :class:`repro.learn.LogisticRegression`.
     """
 
-    def __init__(
-        self,
-        estimator: Optional[BaseEstimator] = None,
-        hold_out_ratio: float = 0.2,
-        random_state=None,
-    ):
-        self.estimator = estimator
-        self.hold_out_ratio = hold_out_ratio
+    def __init__(self, random_state=None):
         self.random_state = random_state
 
     def fit(self, X, s) -> "ElkanNotoClassifier":
-        if not 0.0 < self.hold_out_ratio < 1.0:
-            raise ValueError("hold_out_ratio must be in (0, 1).")
         X, s = check_X_y(X, s, y_numeric=False)
         s = np.asarray(s).astype(np.int64)
         if set(np.unique(s)) - {0, 1}:
@@ -60,13 +45,11 @@ class ElkanNotoClassifier(BaseEstimator):
         if labeled_idx.shape[0] < 2:
             raise ValueError("need at least 2 labeled examples.")
         rng = check_random_state(self.random_state)
-        n_hold = max(1, int(round(self.hold_out_ratio * labeled_idx.shape[0])))
+        n_hold = max(1, int(round(_HOLD_OUT_RATIO * labeled_idx.shape[0])))
         hold = rng.choice(labeled_idx, size=n_hold, replace=False)
         train_mask = np.ones(X.shape[0], dtype=bool)
         train_mask[hold] = False
-        base = self.estimator if self.estimator is not None else LogisticRegression()
-        self.classifier_ = clone(base)
-        self.classifier_.fit(X[train_mask], s[train_mask])
+        self.classifier_ = LogisticRegression().fit(X[train_mask], s[train_mask])
         proba_hold = self._inner_proba(X[hold])
         self.c_ = float(np.clip(proba_hold.mean(), 1e-6, 1.0))
         self.n_features_in_ = X.shape[1]

@@ -355,6 +355,7 @@ def jct_reduction(
 # Control arms
 # ---------------------------------------------------------------------------
 
+
 def _running_checkpoint_mask(result: ReplayResult) -> np.ndarray:
     """(n_tasks, n_checkpoints) mask: task i is running at checkpoint t."""
     taus = result.checkpoints[None, :]

@@ -26,7 +26,6 @@ version (``store_version``); :class:`TraceStore` refuses any other.
 
 from __future__ import annotations
 
-import ast
 import csv
 import zipfile
 from collections import defaultdict
@@ -35,6 +34,7 @@ from types import SimpleNamespace
 from typing import Iterable, Iterator, List, Optional, Union
 
 import numpy as np
+from numpy.lib import format as npy_format
 
 from repro.traces.schema import Job, Trace
 from repro.utils.validation import check_job_payload
@@ -46,6 +46,7 @@ TRACE_STORE_VERSION = 1
 # ---------------------------------------------------------------------------
 # CSV
 # ---------------------------------------------------------------------------
+
 
 def load_trace_csv(path: Union[str, Path], name: str = None) -> Trace:
     """Read a trace CSV (a real trace dump converted to the module's layout).
@@ -109,6 +110,7 @@ def load_trace_csv(path: Union[str, Path], name: str = None) -> Trace:
 # ---------------------------------------------------------------------------
 # Columnar npz store
 # ---------------------------------------------------------------------------
+
 
 def save_trace_npz(
     trace: Union[Trace, Iterable[Job]],
@@ -176,26 +178,11 @@ def save_trace_npz(
     return path
 
 
-def _parse_npy_header(fh) -> tuple:
-    """Parse an npy header from ``fh``; returns (dtype, shape, order, size).
-
-    Hand-rolled (the format is tiny and frozen) so no private numpy API is
-    needed. ``size`` is the total header length including magic, i.e. the
-    array payload starts ``size`` bytes after the header's first byte.
-    """
-    start = fh.tell()
-    magic = fh.read(8)
-    if magic[:6] != b"\x93NUMPY":
-        raise ValueError("not an npy member.")
-    major = magic[6]
-    if major == 1:
-        (hlen,) = np.frombuffer(fh.read(2), dtype="<u2")
-    else:
-        (hlen,) = np.frombuffer(fh.read(4), dtype="<u4")
-    header = ast.literal_eval(fh.read(int(hlen)).decode("latin1"))
-    dtype = np.dtype(header["descr"])
-    order = "F" if header["fortran_order"] else "C"
-    return dtype, tuple(header["shape"]), order, fh.tell() - start
+#: npy header readers by format version.
+_NPY_HEADER_READERS = {
+    (1, 0): npy_format.read_array_header_1_0,
+    (2, 0): npy_format.read_array_header_2_0,
+}
 
 
 def _mmap_npz_columns(path: Path, columns) -> Optional[dict]:
@@ -221,19 +208,21 @@ def _mmap_npz_columns(path: Path, columns) -> Optional[dict]:
                 extra_len = int.from_bytes(local[28:30], "little")
                 data_off = zinfo.header_offset + 30 + name_len + extra_len
                 fh.seek(data_off)
-                dtype, shape, order, header_size = _parse_npy_header(fh)
+                read_header = _NPY_HEADER_READERS.get(npy_format.read_magic(fh))
+                if read_header is None:
+                    return None
+                shape, fortran_order, dtype = read_header(fh)
                 if dtype.hasobject:
                     return None
                 members[column] = np.memmap(
                     path,
                     dtype=dtype,
                     mode="r",
-                    offset=data_off + header_size,
+                    offset=fh.tell(),
                     shape=shape,
-                    order=order,
+                    order="F" if fortran_order else "C",
                 )
-    except (zipfile.BadZipFile, ValueError, KeyError, IndexError, OSError,
-            SyntaxError):
+    except (zipfile.BadZipFile, ValueError, KeyError, OSError):
         return None
     return members
 
@@ -309,8 +298,9 @@ class TraceStore:
         if self._offsets[0] != 0 or self._offsets[-1] != n:
             raise ValueError("job_offsets do not cover the task columns.")
         if np.any(np.diff(self._offsets) <= 0):
-            raise ValueError("job_offsets must be strictly increasing "
-                             "(empty jobs are not allowed).")
+            raise ValueError(
+                "job_offsets must be strictly increasing (empty jobs are not allowed)."
+            )
         if len(self._job_ids) != self._offsets.shape[0] - 1:
             raise ValueError("job_ids and job_offsets disagree.")
         if len(self._feature_names) != self._features.shape[1]:

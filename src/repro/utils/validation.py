@@ -83,6 +83,16 @@ def check_X_y(
     return X, y
 
 
+def check_n_features(X: np.ndarray, n_features: int) -> None:
+    """Raise a ``ValueError`` unless ``X`` has the ``n_features`` columns
+    its estimator was fitted with."""
+    if X.shape[1] != n_features:
+        raise ValueError(
+            f"X has {X.shape[1]} features; the estimator was fitted with "
+            f"{n_features}."
+        )
+
+
 def check_positive_int(value, name: str) -> None:
     """Raise a ``ValueError`` naming ``name`` unless ``value`` is an
     integer >= 1 (iteration, component and neighbor counts)."""
@@ -153,8 +163,7 @@ def check_job_payload(job) -> None:
     if bad.any():
         task = int(np.argmax(bad))
         raise ValueError(
-            f"job {job_id!r}, task {task}: features contain NaN or "
-            "infinite values."
+            f"job {job_id!r}, task {task}: features contain NaN or infinite values."
         )
     bad = ~(np.isfinite(latencies) & (latencies > 0))
     if bad.any():
@@ -187,9 +196,7 @@ def check_is_fitted(estimator, attributes: Optional[list] = None) -> None:
                 f"attributes {missing}. Call fit() first."
             )
         return
-    fitted = [
-        v for v in vars(estimator) if v.endswith("_") and not v.startswith("__")
-    ]
+    fitted = [v for v in vars(estimator) if v.endswith("_") and not v.startswith("__")]
     if not fitted:
         raise NotFittedError(
             f"{type(estimator).__name__} is not fitted. Call fit() first."

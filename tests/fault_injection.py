@@ -60,6 +60,7 @@ class SinkOutage(ConnectionError):
 # Plans
 # ---------------------------------------------------------------------------
 
+
 @dataclass(frozen=True)
 class EventFaults:
     """Event-level fault rates applied to a request stream.
@@ -170,6 +171,7 @@ class FaultPlan:
 # ---------------------------------------------------------------------------
 # Event-level faults: the request stream
 # ---------------------------------------------------------------------------
+
 
 def make_poison_job(template: Job, kind: str, job_id: str) -> Job:
     """Clone ``template`` and plant one malformed value of ``kind``.
@@ -321,6 +323,7 @@ class RequestInjector:
 # ---------------------------------------------------------------------------
 # Process-level faults: service shards, emit sink, predictor fits
 # ---------------------------------------------------------------------------
+
 
 class ServiceChaos:
     """Shard crashes for a :class:`~repro.serving.service.ScorerService`.

@@ -18,8 +18,8 @@ from repro.sim.replay import ReplaySimulator
 
 class TestCalibration:
     def test_rho_formula(self):
-        X_fin = np.array([[3.0, 4.0]])           # ||c_fin|| = 5
-        X_run = np.array([[3.0, 5.0]])           # separation = 1
+        X_fin = np.array([[3.0, 4.0]])  # ||c_fin|| = 5
+        X_run = np.array([[3.0, 5.0]])  # separation = 1
         assert compute_rho(X_fin, X_run) == pytest.approx(5.0)
 
     def test_rho_identical_centroids_is_large(self):
@@ -106,21 +106,10 @@ class TestPropensityScorer:
         # 10 finished vs 300 running, indistinguishable features.
         X_fin = rng.normal(size=(10, 2))
         X_run = rng.normal(size=(300, 2))
-        z = PropensityScorer(prior_boost=1.0).fit(X_fin, X_run).score(X_run)
-        # Balanced fit: indistinguishable tasks score near 0.5, not the
-        # 10/310 prior.
-        assert 0.3 < np.median(z) < 0.7
-
-    def test_prior_boost_raises_scores(self):
-        X_fin, X_run = self._split_data(sep=1.0)
-        z1 = PropensityScorer(prior_boost=1.0).fit(X_fin, X_run).score(X_run)
-        z3 = PropensityScorer(prior_boost=3.0).fit(X_fin, X_run).score(X_run)
-        assert np.median(z3) > np.median(z1)
-
-    def test_invalid_prior_boost(self):
-        X_fin, X_run = self._split_data()
-        with pytest.raises(ValueError):
-            PropensityScorer(prior_boost=0.5).fit(X_fin, X_run)
+        z = PropensityScorer().fit(X_fin, X_run).score(X_run)
+        # Balanced, then boosted 2:1 toward finished: indistinguishable tasks
+        # score near 2/3, not the 10/310 prior.
+        assert 0.5 < np.median(z) < 0.8
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
@@ -133,7 +122,9 @@ class TestNurdPredictor:
         fin = y <= np.quantile(y, 0.2)
         pred = NurdPredictor(random_state=0)
         pred.begin_job(
-            google_job.features[fin], y[fin], google_job.features[~fin],
+            google_job.features[fin],
+            y[fin],
+            google_job.features[~fin],
             google_job.straggler_threshold(),
         )
         assert pred.rho_ >= 0
@@ -144,7 +135,9 @@ class TestNurdPredictor:
         fin = y <= np.quantile(y, 0.3)
         pred = NurdPredictor(eps=0.07, random_state=0)
         pred.begin_job(
-            google_job.features[fin], y[fin], google_job.features[~fin],
+            google_job.features[fin],
+            y[fin],
+            google_job.features[~fin],
             google_job.straggler_threshold(),
         )
         pred.update(google_job.features[fin], y[fin], google_job.features[~fin])
@@ -156,7 +149,9 @@ class TestNurdPredictor:
         fin = y <= np.quantile(y, 0.3)
         pred = NurdPredictor(random_state=0)
         pred.begin_job(
-            google_job.features[fin], y[fin], google_job.features[~fin],
+            google_job.features[fin],
+            y[fin],
+            google_job.features[~fin],
             google_job.straggler_threshold(),
         )
         pred.update(google_job.features[fin], y[fin], google_job.features[~fin])
@@ -169,7 +164,9 @@ class TestNurdPredictor:
         fin = y <= np.quantile(y, 0.3)
         pred = NurdNcPredictor(random_state=0)
         pred.begin_job(
-            google_job.features[fin], y[fin], google_job.features[~fin],
+            google_job.features[fin],
+            y[fin],
+            google_job.features[~fin],
             google_job.straggler_threshold(),
         )
         assert pred.delta_ == 0.0
@@ -233,7 +230,9 @@ class TestTransferNurd:
         y = target.latencies
         fin = y <= np.quantile(y, 0.3)
         pred.begin_job(
-            target.features[fin], y[fin], target.features[~fin],
+            target.features[fin],
+            y[fin],
+            target.features[~fin],
             target.straggler_threshold(),
         )
         pred.update(target.features[fin], y[fin], target.features[~fin])

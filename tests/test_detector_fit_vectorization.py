@@ -21,6 +21,7 @@ import pytest
 from scipy.stats import chi2
 from test_detector_vectorization import REFERENCE_FOREST_FITS
 
+from repro.learn import cluster, svm
 from repro.learn.base import clone
 from repro.learn.cluster import KMeans, _kmeans_plus_plus
 from repro.learn.svm import (
@@ -29,11 +30,11 @@ from repro.learn.svm import (
     _largest_square_within,
     _ocsvm_blocked_sgd,
 )
-from repro.outliers import CBLOF, MCD, SOS, IForest, XGBOD
+from repro.outliers import CBLOF, MCD, SOS, IForest, XGBOD, mcd, sos
 from repro.outliers.mcd import _chi2_ppf, _det_cov, _mahalanobis_sq
 from repro.outliers.ocsvm import OCSVMDetector
 from repro.outliers.sos import _KNN_MIN_ROWS
-from repro.pu import BaggingPuClassifier
+from repro.pu import BaggingPuClassifier, bagging
 from repro.utils.validation import check_array, check_random_state, check_X_y
 
 RTOL = 1e-8
@@ -44,24 +45,19 @@ ATOL = 1e-10
 # Loop references (the pre-batching fit implementations, preserved verbatim)
 # ---------------------------------------------------------------------------
 
+
 class _ReferenceMCD(MCD):
     """Per-trial FastMCD loop: one C-step recursion per random subset."""
 
     def _fit(self, X):
         rng = check_random_state(self.random_state)
         n, d = X.shape
-        if self.support_fraction is None:
-            h = (n + d + 1) // 2
-        else:
-            if not 0.5 <= self.support_fraction <= 1.0:
-                raise ValueError("support_fraction must be in [0.5, 1].")
-            h = int(np.ceil(self.support_fraction * n))
-        h = min(max(h, d + 1), n)
+        h = min(max((n + d + 1) // 2, d + 1), n)
         best = None
-        for _ in range(max(1, self.n_trials)):
+        for _ in range(mcd._N_TRIALS):
             idx = rng.choice(n, size=min(max(d + 1, 2), n), replace=False)
             mean, cov, _ = _det_cov(X[idx])
-            for _ in range(self.n_csteps):
+            for _ in range(mcd._N_CSTEPS):
                 dist = _mahalanobis_sq(X, mean, cov)
                 subset = np.argsort(dist)[:h]
                 mean, cov, logdet = _det_cov(X[subset])
@@ -81,14 +77,14 @@ class _ReferenceMCD(MCD):
 
 
 class _ReferenceKMeans(KMeans):
-    """Sequential n_init restarts, per-cluster Lloyd update loop."""
+    """Sequential restarts, per-cluster Lloyd update loop."""
 
     def _lloyd(self, X, rng):
         k = self.n_clusters
         centers = _kmeans_plus_plus(X, k, rng)
         labels = np.zeros(X.shape[0], dtype=np.int64)
         inertia = np.inf
-        for _ in range(self.max_iter):
+        for _ in range(cluster._MAX_ITER):
             d2 = (
                 np.sum(X**2, axis=1)[:, None]
                 - 2.0 * X @ centers.T
@@ -106,7 +102,7 @@ class _ReferenceKMeans(KMeans):
                     new_centers[j] = X[far]
             shift = float(np.max(np.abs(new_centers - centers)))
             centers = new_centers
-            if abs(inertia - new_inertia) <= self.tol or shift <= self.tol:
+            if abs(inertia - new_inertia) <= cluster._TOL or shift <= cluster._TOL:
                 inertia = new_inertia
                 break
             inertia = new_inertia
@@ -120,7 +116,7 @@ class _ReferenceKMeans(KMeans):
             raise ValueError(f"n_samples={X.shape[0]} < n_clusters={self.n_clusters}.")
         rng = check_random_state(self.random_state)
         best = None
-        for _ in range(max(1, self.n_init)):
+        for _ in range(cluster._N_INIT):
             centers, labels, inertia = self._lloyd(X, rng)
             if best is None or inertia < best[2]:
                 best = (centers, labels, inertia)
@@ -140,25 +136,23 @@ class _ReferenceLinearSVC(LinearSVC):
     """
 
     def fit(self, X, y):
-        if self.C <= 0:
-            raise ValueError("C must be positive.")
         X, y = check_X_y(X, y, y_numeric=False)
-        targets = self._targets(X, y)
-        if targets is not None:
-            lam = 1.0 / (self.C * X.shape[0])
+        t = self._targets(X, y)
+        if t is not None:
+            lam = 1.0 / (svm._SVC_C * X.shape[0])
             rng = check_random_state(self.random_state)
-            w, b = self._solve_stream(X, *targets, lam, rng)
+            w, b = self._solve_stream(X, t, lam, rng)
             self.coef_ = w
             self.intercept_ = float(b)
         return self
 
-    def _solve_stream(self, X, t, sw, lam, rng):
+    def _solve_stream(self, X, t, lam, rng):
         n, d = X.shape
         w = np.zeros(d)
         b = 0.0
         step = 0
         self.quiet_steps_, self.projections_ = [], 0
-        for _ in range(self.max_iter):
+        for _ in range(svm._SVC_EPOCHS):
             perm = rng.permutation(n)
             for i in perm:
                 step += 1
@@ -166,8 +160,8 @@ class _ReferenceLinearSVC(LinearSVC):
                 margin = t[i] * (X[i] @ w + b)
                 w *= 1.0 - eta * lam
                 if margin < 1.0:
-                    w += eta * sw[i] * t[i] * X[i]
-                    b += eta * sw[i] * t[i]
+                    w += eta * t[i] * X[i]
+                    b += eta * t[i]
                 else:
                     self.quiet_steps_.append(step)
                 # Pegasos projection onto the ball of radius 1/sqrt(lam).
@@ -188,13 +182,12 @@ class _ReferenceBaggingPu(BaggingPuClassifier):
         pos = np.nonzero(s == 1)[0]
         unl = np.nonzero(s == 0)[0]
         rng = check_random_state(self.random_state)
-        size = self.sample_size or min(pos.shape[0], unl.shape[0])
-        size = min(size, unl.shape[0])
-        base = _ReferenceLinearSVC(max_iter=30, random_state=rng)
+        size = min(pos.shape[0], unl.shape[0])
+        base = _ReferenceLinearSVC(random_state=rng)
         self.estimators_ = []
         oob_score = np.zeros(X.shape[0])
         oob_count = np.zeros(X.shape[0])
-        for _ in range(self.n_estimators):
+        for _ in range(bagging._N_BAGS):
             bag = rng.choice(unl, size=size, replace=True)
             Xb = np.vstack([X[pos], X[bag]])
             yb = np.concatenate([np.ones(pos.shape[0]), np.zeros(size)]).astype(int)
@@ -222,10 +215,11 @@ class _ReferenceOneClassSVM(OneClassSVM):
     def fit(self, X, y=None):
         X = check_array(X)
         rng = check_random_state(self.random_state)
-        gamma = self._resolve_gamma(X)
+        gamma = self._gamma(X)
         d = X.shape[1]
-        self.omega_ = rng.normal(0.0, np.sqrt(2.0 * gamma), size=(d, self.n_components))
-        self.phase_ = rng.uniform(0.0, 2.0 * np.pi, size=self.n_components)
+        m = svm._OCSVM_COMPONENTS
+        self.omega_ = rng.normal(0.0, np.sqrt(2.0 * gamma), size=(d, m))
+        self.phase_ = rng.uniform(0.0, 2.0 * np.pi, size=m)
         phi = self._features(X)
         w, _ = self._solve_stream(phi, rng)
         self.coef_ = w
@@ -233,13 +227,13 @@ class _ReferenceOneClassSVM(OneClassSVM):
         self.rho_ = float(np.quantile(phi @ w, self.nu))
         return self
 
-    def _solve_stream(self, phi: np.ndarray, rng) -> tuple:
+    def _solve_stream(self, phi: np.ndarray, rng, epochs=svm._OCSVM_EPOCHS) -> tuple:
         """Per-sample projected SGD (the historical arm, preserved verbatim)."""
         n = phi.shape[0]
         w = phi.mean(axis=0)
         rho = 0.0
         step = 0
-        for _ in range(self.max_iter):
+        for _ in range(epochs):
             perm = rng.permutation(n)
             for i in perm:
                 step += 1
@@ -269,6 +263,7 @@ class _KnnSOS(SOS):
 # Fixtures
 # ---------------------------------------------------------------------------
 
+
 def _make_dataset(kind, n=180, d=5, seed=7):
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n, d))
@@ -288,6 +283,7 @@ DATASET_KINDS = ["random", "duplicates", "constant"]
 # Same-seed determinism of every batched fit
 # ---------------------------------------------------------------------------
 
+
 def _forest_state(det):
     f = det.forest_
     return [f.feature, f.threshold, f.left, f.right, f.size, det.decision_scores_]
@@ -297,10 +293,7 @@ def _forest_state(det):
 #: state lists every array a same-seed refit must reproduce byte for byte.
 BATCHED_FITS = {
     "IFOREST": (lambda: IForest(n_estimators=20, random_state=5), _forest_state),
-    "XGBOD": (
-        lambda: XGBOD(n_estimators=10, random_state=2),
-        lambda det: [det.decision_scores_],
-    ),
+    "XGBOD": (lambda: XGBOD(random_state=2), lambda det: [det.decision_scores_]),
     "MCD": (
         lambda: MCD(random_state=11),
         lambda det: [det.location_, det.covariance_, det.decision_scores_],
@@ -334,6 +327,7 @@ def test_batched_fit_is_deterministic(name, kind):
 # ---------------------------------------------------------------------------
 # IForest: level-synchronous batched builder
 # ---------------------------------------------------------------------------
+
 
 @pytest.mark.parametrize("kind", DATASET_KINDS)
 def test_iforest_batched_trees_are_valid_isolation_trees(kind):
@@ -392,7 +386,7 @@ def test_xgbod_training_scores_equal_rescoring(kind):
     self-exclusion by content, not identity)."""
     X = _make_dataset(kind)
     y = (np.arange(X.shape[0]) % 5 == 0).astype(np.int64)
-    det = XGBOD(n_estimators=10, random_state=2).fit(X, y)
+    det = XGBOD(random_state=2).fit(X, y)
     again = det.decision_function(X.copy())
     assert det.decision_scores_.tobytes() == again.tobytes()
 
@@ -400,6 +394,7 @@ def test_xgbod_training_scores_equal_rescoring(kind):
 # ---------------------------------------------------------------------------
 # MCD: stacked C-step trials
 # ---------------------------------------------------------------------------
+
 
 @pytest.mark.parametrize("kind", DATASET_KINDS)
 def test_mcd_matches_reference_loop(kind):
@@ -425,26 +420,10 @@ def test_mcd_chi2_quantiles_match_scipy_stats(q):
         assert ours.tobytes() == np.float64(chi2.ppf(q, df=d)).tobytes(), d
 
 
-def test_mcd_validates_trial_knobs():
-    with pytest.raises(ValueError, match="n_trials"):
-        MCD(n_trials=0)
-    with pytest.raises(ValueError, match="n_csteps"):
-        MCD(n_csteps=0)
-    with pytest.raises(ValueError, match="n_trials"):
-        MCD(n_trials=-2)
-
-
-def test_mcd_single_trial_and_step():
-    """The minimal configuration still fits (no empty batched shapes)."""
-    X = _make_dataset("random", n=60)
-    cur = MCD(n_trials=1, n_csteps=1, random_state=0).fit(X)
-    ref = _ReferenceMCD(n_trials=1, n_csteps=1, random_state=0).fit(X.copy())
-    np.testing.assert_allclose(cur.location_, ref.location_, rtol=RTOL, atol=ATOL)
-
-
 # ---------------------------------------------------------------------------
 # KMeans: batched restarts + vectorized Lloyd update
 # ---------------------------------------------------------------------------
+
 
 @pytest.mark.parametrize("kind", DATASET_KINDS)
 def test_kmeans_matches_reference_loop(kind):
@@ -487,6 +466,7 @@ def test_cblof_rides_on_batched_kmeans():
 # ---------------------------------------------------------------------------
 # Pegasos: lockstep stream kernel (LinearSVC is K = 1, PU-BG K = n_estimators)
 # ---------------------------------------------------------------------------
+
 
 def _assert_same_bits(a, b):
     assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
@@ -536,19 +516,14 @@ SVC_CASES = [
 @pytest.mark.parametrize("case", SVC_CASES)
 def test_linear_svc_lockstep_matches_per_sample_loop(case):
     """Seeded fuzz: a one-lane lockstep fit is the per-sample loop, bit for
-    bit, under both class weightings and a range of C and epochs."""
+    bit."""
     gen = np.random.default_rng(SVC_CASES.index(case))
     quiet = projections = 0
-    for trial in range(12):
+    for _ in range(12):
         X, y = _svc_problem(gen, case)
-        kw = dict(
-            C=float(gen.choice([0.05, 1.0, 20.0])),
-            max_iter=int(gen.integers(1, 12)),
-            class_weight=[None, "balanced"][trial % 2],
-            random_state=int(gen.integers(1000)),
-        )
-        ref = _ReferenceLinearSVC(**kw).fit(X, y)
-        new = LinearSVC(**kw).fit(X, y)
+        seed = int(gen.integers(1000))
+        ref = _ReferenceLinearSVC(random_state=seed).fit(X, y)
+        new = LinearSVC(random_state=seed).fit(X, y)
         _assert_same_svc(ref, new, X)
         quiet += len(getattr(ref, "quiet_steps_", ()))
         projections += getattr(ref, "projections_", 0)
@@ -588,29 +563,26 @@ def _pu_problem(gen, n_pos, n_unl, d=4):
 
 
 @pytest.mark.parametrize(
-    "n_pos, n_unl, sample_size",
+    "n_pos, n_unl",
     [
-        (12, 15, 1),  # bags of one unlabeled row
-        (40, 4, None),  # |pos| >> |unl|
-        (4, 40, None),  # |unl| >> |pos|
-        (6, 20, 9),  # sample_size set
-        (6, 8, 50),  # sample_size clipped to the unlabeled count
-        (1, 1, None),
+        (1, 15),  # bags of one unlabeled row
+        (40, 4),  # |pos| >> |unl|: bags clipped to the unlabeled count
+        (4, 40),  # |unl| >> |pos|
+        (1, 1),
+        (12, 15),
+        (6, 20),
+        (6, 8),
     ],
 )
-def test_bagging_pu_lockstep_matches_bag_loop(n_pos, n_unl, sample_size):
+def test_bagging_pu_lockstep_matches_bag_loop(n_pos, n_unl):
     """Seeded fuzz: lockstep bags equal the one-bag-at-a-time loop in every
     fitted SVM, the OOB scores and the decision function, bit for bit."""
     gen = np.random.default_rng(n_pos * 100 + n_unl)
     for _ in range(3):
         X, s = _pu_problem(gen, n_pos, n_unl)
-        kw = dict(
-            n_estimators=int(gen.integers(1, 8)),
-            sample_size=sample_size,
-            random_state=int(gen.integers(1000)),
-        )
-        ref = _ReferenceBaggingPu(**kw).fit(X, s)
-        new = BaggingPuClassifier(**kw).fit(X, s)
+        seed = int(gen.integers(1000))
+        ref = _ReferenceBaggingPu(random_state=seed).fit(X, s)
+        new = BaggingPuClassifier(random_state=seed).fit(X, s)
         _assert_same_bagging(ref, new, X)
 
 
@@ -624,7 +596,7 @@ def _assert_same_bagging(ref, new, X):
 
 @pytest.mark.parametrize("case", ["projected", "separable"])
 def test_bagging_pu_lockstep_projects_and_skips_quiet_steps(case):
-    """Seeded fuzz over K >= 2 bags that reaches both branches the lockstep
+    """Seeded fuzz over the bags that reaches both branches the lockstep
     kernel treats specially: a projection onto the ball, and a step in which
     no bag violates (the same step number is quiet in every reference bag),
     where the kernel skips the ball test."""
@@ -636,12 +608,9 @@ def test_bagging_pu_lockstep_projects_and_skips_quiet_steps(case):
             X *= 1e3
         else:
             X[:, 0] = (2 * s - 1) * (1.0 + np.abs(X[:, 0]))
-        kw = dict(
-            n_estimators=int(gen.integers(2, 8)),
-            random_state=int(gen.integers(1000)),
-        )
-        ref = _ReferenceBaggingPu(**kw).fit(X, s)
-        new = BaggingPuClassifier(**kw).fit(X, s)
+        seed = int(gen.integers(1000))
+        ref = _ReferenceBaggingPu(random_state=seed).fit(X, s)
+        new = BaggingPuClassifier(random_state=seed).fit(X, s)
         _assert_same_bagging(ref, new, X)
         quiet += len(set.intersection(*(set(e.quiet_steps_) for e in ref.estimators_)))
         projections += sum(e.projections_ for e in ref.estimators_)
@@ -652,14 +621,15 @@ def test_bagging_pu_lockstep_projects_and_skips_quiet_steps(case):
 # One-class SVM: blocked SGD
 # ---------------------------------------------------------------------------
 
+
 def test_ocsvm_batch_size_one_replays_stream_schedule():
     """With one-row blocks the closed-form decay telescoping reduces to the
     per-sample recursion: same permutations, same updates, ≤1e-8 (the two
     round (s−1)/s and 1 − 1/s differently, so the bits may differ)."""
     X = _make_dataset("random")
-    ref = _ReferenceOneClassSVM(max_iter=5, random_state=2).fit(X)
+    ref = _ReferenceOneClassSVM(random_state=2).fit(X)
     phi = ref._features(X)
-    w_s, rho_s = ref._solve_stream(phi, np.random.default_rng(2))
+    w_s, rho_s = ref._solve_stream(phi, np.random.default_rng(2), 5)
     w_b, rho_b = _ocsvm_blocked_sgd(phi, ref.nu, 5, np.random.default_rng(2), 1)
     np.testing.assert_allclose(w_b, w_s, rtol=RTOL, atol=ATOL)
     np.testing.assert_allclose(rho_b, rho_s, rtol=RTOL, atol=ATOL)
@@ -675,13 +645,7 @@ def test_ocsvm_batch_ranks_like_stream(kind):
     assert r > 0.95, f"rank agreement {r} ({kind})"
 
 
-def test_ocsvm_detector_validates_and_fits():
-    with pytest.raises(ValueError, match="nu"):
-        OCSVMDetector(nu=0.0)
-    with pytest.raises(ValueError, match="nu"):
-        OCSVMDetector(nu=1.5)
-    with pytest.raises(ValueError, match="n_components"):
-        OCSVMDetector(n_components=0)
+def test_ocsvm_detector_fits():
     det = OCSVMDetector(random_state=0).fit(_make_dataset("random"))
     assert np.all(np.isfinite(det.decision_scores_))
 
@@ -690,12 +654,14 @@ def test_ocsvm_detector_validates_and_fits():
 # SOS: kNN-sparse binding matrix
 # ---------------------------------------------------------------------------
 
-def test_sos_knn_full_width_matches_dense():
+
+def test_sos_knn_full_width_matches_dense(monkeypatch):
     """With k = n−1 the sparse path IS the dense binding matrix (modulo the
     KD-tree computing distances without the Gram-trick cancellation)."""
     X = _make_dataset("random", n=120)
     dense = _DenseSOS().fit(X)
-    sparse = _KnnSOS(n_neighbors=X.shape[0] - 1).fit(X)
+    monkeypatch.setattr(sos, "_KNN_NEIGHBORS", X.shape[0] - 1)
+    sparse = _KnnSOS().fit(X)
     np.testing.assert_allclose(
         sparse.decision_scores_, dense.decision_scores_, rtol=1e-8, atol=1e-10
     )
@@ -751,8 +717,3 @@ def test_sos_knn_edge_inputs_finite():
         assert np.all(np.isfinite(det.decision_scores_))
         assert np.all(det.decision_scores_ >= 0)
         assert np.all(det.decision_scores_ <= 1.0 + 1e-9)
-
-
-def test_sos_binding_validation():
-    with pytest.raises(ValueError, match="n_neighbors"):
-        SOS(n_neighbors=0)

@@ -36,7 +36,7 @@ from repro.outliers import (
     SOS,
     XGBOD,
 )
-from repro.outliers.lscp import _zscore
+from repro.outliers import cof, iforest, lscp, sod, sos
 from repro.outliers.iforest import _PackedForest, average_path_length
 from repro.traces import AlibabaTraceGenerator, GoogleTraceGenerator
 from repro.utils.validation import check_random_state
@@ -51,6 +51,7 @@ ATOL = 1e-12
 # kernels have a ground truth to match.
 # ---------------------------------------------------------------------------
 
+
 def _reference_abof(point, neighbors):
     """Angle-based outlier factor of one point w.r.t. its neighbors."""
     diffs = neighbors - point  # (k, d)
@@ -62,10 +63,10 @@ def _reference_abof(point, neighbors):
     k = diffs.shape[0]
     if k < 2:
         return 0.0
-    dots = diffs @ diffs.T                      # <a, b>
-    weight = np.outer(sq_norms, sq_norms)       # |a|^2 |b|^2
-    ratios = dots / weight                      # <a,b> / (|a|^2 |b|^2)
-    inv_norm_prod = 1.0 / np.sqrt(weight)       # 1 / (|a||b|)
+    dots = diffs @ diffs.T  # <a, b>
+    weight = np.outer(sq_norms, sq_norms)  # |a|^2 |b|^2
+    ratios = dots / weight  # <a,b> / (|a|^2 |b|^2)
+    inv_norm_prod = 1.0 / np.sqrt(weight)  # 1 / (|a||b|)
     iu = np.triu_indices(k, 1)
     w = inv_norm_prod[iu]
     r = ratios[iu]
@@ -130,9 +131,7 @@ def _reference_cof_scores(det, X):
     train = det.nn_._fit_X_
     scores = np.empty(X.shape[0])
     for i in range(X.shape[0]):
-        ac = _reference_chaining_distance(
-            np.vstack([X[i : i + 1], train[idx[i]]])
-        )
+        ac = _reference_chaining_distance(np.vstack([X[i : i + 1], train[idx[i]]]))
         neighbor_ac = det._ac_train_[idx[i]].mean()
         scores[i] = ac / max(neighbor_ac, 1e-12)
     return scores
@@ -161,7 +160,10 @@ def _reference_binding_probabilities(D2, perplexity, tol=1e-4, max_iter=60):
                 break
             if diff > 0:  # entropy too high -> sharpen
                 beta_lo = beta
-                beta = beta * 2.0 if not np.isfinite(beta_hi) else 0.5 * (beta + beta_hi)
+                if np.isfinite(beta_hi):
+                    beta = 0.5 * (beta + beta_hi)
+                else:
+                    beta = beta * 2.0
             else:
                 beta_hi = beta
                 beta = 0.5 * (beta + beta_lo)
@@ -172,13 +174,9 @@ def _reference_binding_probabilities(D2, perplexity, tol=1e-4, max_iter=60):
 
 
 def _reference_sos_joint_scores(det, X):
-    D2 = (
-        np.sum(X**2, axis=1)[:, None]
-        - 2.0 * X @ X.T
-        + np.sum(X**2, axis=1)[None, :]
-    )
+    D2 = np.sum(X**2, axis=1)[:, None] - 2.0 * X @ X.T + np.sum(X**2, axis=1)[None, :]
     np.maximum(D2, 0.0, out=D2)
-    perp = min(det.perplexity, X.shape[0] - 1)
+    perp = min(sos._PERPLEXITY, X.shape[0] - 1)
     B = _reference_binding_probabilities(D2, perp)
     with np.errstate(divide="ignore"):
         log1m = np.log(np.maximum(1.0 - B, 1e-12))
@@ -189,7 +187,7 @@ def _reference_sos_scores(det, X):
     if X.shape == det._train_X_.shape and np.array_equal(X, det._train_X_):
         return _reference_sos_joint_scores(det, X)
     joint = np.vstack([det._train_X_, X])
-    return _reference_sos_joint_scores(det, joint)[det._train_X_.shape[0]:]
+    return _reference_sos_joint_scores(det, joint)[det._train_X_.shape[0] :]
 
 
 def _reference_sod_reference_set(det, idx_query):
@@ -216,7 +214,7 @@ def _reference_sod_scores(det, X):
         mean = ref.mean(axis=0)
         var = ref.var(axis=0)
         mean_var = var.mean()
-        keep = var < det.alpha * mean_var
+        keep = var < sod._ALPHA * mean_var
         if not keep.any():
             scores[i] = 0.0
             continue
@@ -227,13 +225,11 @@ def _reference_sod_scores(det, X):
 
 def _reference_lscp_scores(det, X):
     exclude_self = det.region_nn_.is_self_query(X)
-    test_scores = np.column_stack(
-        [d.decision_function(X) for d in det.detectors_]
-    )
-    test_scores_z = _zscore(test_scores)
+    test_scores = np.column_stack([d.decision_function(X) for d in det.detectors_])
+    test_scores_z = lscp._zscore(test_scores)
     _, region_idx = det.region_nn_.kneighbors(X, exclude_self=exclude_self)
     n_det = len(det.detectors_)
-    top_k = min(det.top_k, n_det)
+    top_k = min(lscp._TOP_K, n_det)
     out = np.empty(X.shape[0])
     for i in range(X.shape[0]):
         local = region_idx[i]
@@ -343,6 +339,7 @@ REFERENCE_SCORERS = {
 # Detector subclasses scoring through the loop references — the reference
 # arm of tests/test_speed_floors.py and of the replay parity test below.
 
+
 class _ReferenceABOD(ABOD):
     def _score(self, X):
         return _reference_abod_scores(self, X)
@@ -350,7 +347,7 @@ class _ReferenceABOD(ABOD):
 
 class _ReferenceCOF(COF):
     def _fit(self, X):
-        k = min(self.n_neighbors, X.shape[0] - 1)
+        k = min(cof._N_NEIGHBORS, X.shape[0] - 1)
         if k < 1:
             raise ValueError("COF needs at least 2 samples.")
         self._k = k
@@ -382,7 +379,7 @@ class _ReferenceIForest(IForest):
 
 
 def _pool_with_forest(pool, forest_cls):
-    """XGBOD's default pool with its IForest member rebuilt as ``forest_cls``."""
+    """XGBOD's pool with its IForest member rebuilt as ``forest_cls``."""
     return [
         forest_cls(
             n_estimators=d.n_estimators,
@@ -396,8 +393,8 @@ def _pool_with_forest(pool, forest_cls):
 
 
 class _ReferenceXGBOD(XGBOD):
-    def _default_pool(self):
-        return _pool_with_forest(super()._default_pool(), _ReferenceIForest)
+    def _pool(self):
+        return _pool_with_forest(super()._pool(), _ReferenceIForest)
 
 
 REFERENCE_DETECTORS = {
@@ -414,6 +411,7 @@ REFERENCE_DETECTORS = {
 # Forest-backed detectors whose trees come from the per-node loop builder —
 # the reference fit arm of tests/test_speed_floors.py. Scoring stays the
 # shipping packed walk, so only the build differs.
+
 
 def _pack_trees(trees):
     """Pad loop-built trees into the ``(T, cap)`` layout the packer takes."""
@@ -442,7 +440,7 @@ class _LoopBuiltIForest(IForest):
             raise ValueError("n_estimators must be >= 1.")
         rng = check_random_state(self.random_state)
         n = X.shape[0]
-        psi = min(self.max_samples, n)
+        psi = min(iforest._MAX_SAMPLES, n)
         max_depth = int(np.ceil(np.log2(max(psi, 2))))
         self.trees_ = []
         for _ in range(self.n_estimators):
@@ -453,8 +451,8 @@ class _LoopBuiltIForest(IForest):
 
 
 class _LoopBuiltXGBOD(XGBOD):
-    def _default_pool(self):
-        return _pool_with_forest(super()._default_pool(), _LoopBuiltIForest)
+    def _pool(self):
+        return _pool_with_forest(super()._pool(), _LoopBuiltIForest)
 
 
 REFERENCE_FOREST_FITS = {
@@ -466,6 +464,7 @@ REFERENCE_FOREST_FITS = {
 # ---------------------------------------------------------------------------
 # Fixtures: random and adversarial inputs
 # ---------------------------------------------------------------------------
+
 
 def _make_dataset(kind):
     rng = np.random.default_rng(7)
@@ -485,11 +484,11 @@ def _make_dataset(kind):
 
 def _make_detector(name):
     return {
-        "ABOD": lambda: ABOD(n_neighbors=8),
-        "COF": lambda: COF(n_neighbors=10),
-        "SOS": lambda: SOS(perplexity=6.0),
-        "SOD": lambda: SOD(n_neighbors=14, ref_set=7),
-        "LSCP": lambda: LSCP(neighbor_sizes=[4, 8, 12], local_region_size=18),
+        "ABOD": ABOD,
+        "COF": COF,
+        "SOS": SOS,
+        "SOD": SOD,
+        "LSCP": LSCP,
         "IFOREST": lambda: IForest(n_estimators=25, random_state=3),
     }[name]()
 
@@ -502,6 +501,7 @@ DATASET_KINDS = ["random", "duplicates", "constant"]
 # Parity: batched kernels vs. loop references
 # ---------------------------------------------------------------------------
 
+
 @pytest.mark.parametrize("kind", DATASET_KINDS)
 @pytest.mark.parametrize("name", DETECTOR_NAMES)
 def test_train_score_parity(name, kind):
@@ -509,7 +509,10 @@ def test_train_score_parity(name, kind):
     det = _make_detector(name).fit(X)
     ref = REFERENCE_SCORERS[name](det, X)
     np.testing.assert_allclose(
-        det.decision_scores_, ref, rtol=RTOL, atol=ATOL,
+        det.decision_scores_,
+        ref,
+        rtol=RTOL,
+        atol=ATOL,
         err_msg=f"{name} batched scores diverge from loop reference ({kind})",
     )
 
@@ -525,7 +528,10 @@ def test_novel_query_parity(name, kind):
     got = det.decision_function(X_new)
     ref = REFERENCE_SCORERS[name](det, X_new)
     np.testing.assert_allclose(
-        got, ref, rtol=RTOL, atol=ATOL,
+        got,
+        ref,
+        rtol=RTOL,
+        atol=ATOL,
         err_msg=f"{name} batched novel-query scores diverge ({kind})",
     )
 
@@ -535,7 +541,7 @@ def test_sos_novel_query_parity():
     X = _make_dataset("random")
     rng = np.random.default_rng(11)
     X_new = np.ascontiguousarray(rng.normal(size=(19, X.shape[1])))
-    det = SOS(perplexity=6.0).fit(X)
+    det = SOS().fit(X)
     np.testing.assert_allclose(
         det.decision_function(X_new),
         _reference_sos_scores(det, X_new),
@@ -548,7 +554,7 @@ def test_cof_train_chaining_parity():
     """The batched Prim construction reproduces per-row trail distances."""
     for kind in DATASET_KINDS:
         X = _make_dataset(kind)
-        det = COF(n_neighbors=10).fit(X)
+        det = COF().fit(X)
         np.testing.assert_allclose(
             det._ac_train_, _reference_cof_train_ac(det), rtol=RTOL, atol=ATOL
         )
@@ -558,8 +564,8 @@ def test_xgbod_matches_reference_pool():
     """XGBOD on the loop-scored IForest scores identically."""
     X = _make_dataset("random")
     y = (np.arange(X.shape[0]) % 5 == 0).astype(np.int64)
-    cur = XGBOD(n_estimators=10, random_state=2).fit(X, y)
-    ref = _ReferenceXGBOD(n_estimators=10, random_state=2).fit(X.copy(), y)
+    cur = XGBOD(random_state=2).fit(X, y)
+    ref = _ReferenceXGBOD(random_state=2).fit(X.copy(), y)
     np.testing.assert_allclose(
         cur.decision_scores_, ref.decision_scores_, rtol=RTOL, atol=ATOL
     )
@@ -572,13 +578,13 @@ def test_reference_detectors_match_current():
     for name in DETECTOR_NAMES:
         det = _make_detector(name).fit(X)
         ref_cls = REFERENCE_DETECTORS[name]
-        ref_det = ref_cls(**{
-            k: getattr(det, k)
-            for k in det.get_params()
-        }).fit(X.copy())
+        ref_det = ref_cls(**det.get_params()).fit(X.copy())
         np.testing.assert_allclose(
-            det.decision_scores_, ref_det.decision_scores_,
-            rtol=RTOL, atol=ATOL, err_msg=name,
+            det.decision_scores_,
+            ref_det.decision_scores_,
+            rtol=RTOL,
+            atol=ATOL,
+            err_msg=name,
         )
 
 
@@ -595,9 +601,7 @@ def smoke_traces():
 
 
 @pytest.mark.parametrize("name", OUTLIER_NAMES)
-def test_reference_detector_replays_flag_identically(
-    name, smoke_traces, monkeypatch
-):
+def test_reference_detector_replays_flag_identically(name, smoke_traces, monkeypatch):
     """A Table-3 replay with the loop reference swapped in (and the neighbor
     cache off) flags the same tasks at the same checkpoints, bit for bit.
     Detectors without a loop reference compare cache on against cache off."""
@@ -617,6 +621,7 @@ def test_reference_detector_replays_flag_identically(
 # ---------------------------------------------------------------------------
 # exclude_self: duplicated training points
 # ---------------------------------------------------------------------------
+
 
 def test_exclude_self_drops_the_query_point_not_its_duplicate():
     X = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
@@ -667,6 +672,7 @@ def test_is_self_query():
 # ---------------------------------------------------------------------------
 # NeighborCache behavior
 # ---------------------------------------------------------------------------
+
 
 def test_cache_shares_trees_and_slices_queries():
     cache = get_neighbor_cache()
@@ -747,10 +753,10 @@ def test_cache_slices_are_tie_safe():
     # End-to-end: an identity-sensitive detector scores identically whether
     # or not a wider query warmed the cache first.
     clear_neighbor_cache()
-    cold_scores = SOD(n_neighbors=12, ref_set=8).fit(X).decision_scores_
+    cold_scores = SOD().fit(X).decision_scores_
     clear_neighbor_cache()
     NearestNeighbors(n_neighbors=5).fit(X).warm(n_neighbors=31)
-    warm_scores = SOD(n_neighbors=12, ref_set=8).fit(X).decision_scores_
+    warm_scores = SOD().fit(X).decision_scores_
     np.testing.assert_allclose(cold_scores, warm_scores, rtol=0, atol=0)
 
 

@@ -3,7 +3,8 @@
 Each example guards ``main()`` behind ``__main__``; importing one runs only
 its imports and module-level constants, so a removed or renamed API fails
 tier-1. The quickstart's trace-CSV path, the way a real trace gets in, also
-runs once on a tiny two-job CSV. Every name a ``repro`` module lists in
+runs once on a tiny two-job CSV, and the closed-loop example runs once to
+check the tail latency it prints. Every name a ``repro`` module lists in
 ``__all__`` must resolve, so a deletion cannot leave a stale export.
 """
 
@@ -47,6 +48,24 @@ def test_quickstart_replays_first_large_job_of_a_csv(tmp_path, capsys, write_tra
     assert "F1 =" in out
     with pytest.raises(SystemExit, match="no job has 100 or more tasks"):
         quickstart.main([str(write_trace_csv(Trace("s", jobs[:1]), path))])
+
+
+def test_closed_loop_prints_p99_task_latency(capsys, monkeypatch):
+    closed_loop = _load(EXAMPLES_DIR / "closed_loop.py")
+    simulator = closed_loop.ClosedLoopSimulator
+    run_many, reports = simulator.run_many, []
+
+    def recording_run_many(self, replays):
+        reports.append(run_many(self, replays))
+        return reports[-1]
+
+    monkeypatch.setattr(simulator, "run_many", recording_run_many)
+    closed_loop.main()
+    lines = [line for line in capsys.readouterr().out.splitlines() if " p99 " in line]
+    assert len(lines) == len(closed_loop.POLICIES)
+    for line, report in zip(lines, reports):
+        tail = report.tail_latency(99.0)
+        assert f"p99 {tail['baseline']:7.1f}s -> {tail['mitigated']:7.1f}s" in line
 
 
 MODULES = ["repro"] + [

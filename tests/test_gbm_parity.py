@@ -93,8 +93,9 @@ class _ReferenceRegressorTree:
     """The per-node histogram builder: every child is pushed, popped, and
     (for the smaller sibling) scanned, even when it can never split."""
 
-    def __init__(self, max_depth=None, min_samples_split=2, min_samples_leaf=1,
-                 max_bins=256):
+    def __init__(
+        self, max_depth=None, min_samples_split=2, min_samples_leaf=1, max_bins=256
+    ):
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split
         self.min_samples_leaf = min_samples_leaf
@@ -129,8 +130,17 @@ class _ReferenceRegressorTree:
         saved_err = np.seterr(divide="ignore", invalid="ignore")
         try:
             self._grow_binned_nodes(
-                stack, codes, y, yh, binner, buffers, train_leaves,
-                cut_exists, offsets, n_total, max_depth,
+                stack,
+                codes,
+                y,
+                yh,
+                binner,
+                buffers,
+                train_leaves,
+                cut_exists,
+                offsets,
+                n_total,
+                max_depth,
             )
         finally:
             np.seterr(**saved_err)
@@ -141,8 +151,18 @@ class _ReferenceRegressorTree:
         return self
 
     def _grow_binned_nodes(
-        self, stack, codes, y, yh, binner, buffers, train_leaves, cut_exists,
-        offsets, n_total, max_depth,
+        self,
+        stack,
+        codes,
+        y,
+        yh,
+        binner,
+        buffers,
+        train_leaves,
+        cut_exists,
+        offsets,
+        n_total,
+        max_depth,
     ):
         while stack:
             node_id, idx, depth, (cnt, wsum) = stack.pop()
@@ -190,11 +210,17 @@ class _ReferenceRegressorTree:
             buffers.right[node_id] = right_id
             if left_idx.shape[0] <= right_idx.shape[0]:
                 small_idx, small_id, big_idx, big_id = (
-                    left_idx, left_id, right_idx, right_id,
+                    left_idx,
+                    left_id,
+                    right_idx,
+                    right_id,
                 )
             else:
                 small_idx, small_id, big_idx, big_id = (
-                    right_idx, right_id, left_idx, left_id,
+                    right_idx,
+                    right_id,
+                    left_idx,
+                    left_id,
                 )
             cnt_s, wsum_s = _reference_node_histograms(
                 codes, yh, small_idx, offsets, n_total
@@ -249,9 +275,16 @@ class _ReferenceBoosting:
     """Boosting with per-loss leaf estimates, per-tree predict loops and the
     per-node builder."""
 
-    def __init__(self, n_estimators=100, learning_rate=0.1, max_depth=3,
-                 min_samples_split=2, min_samples_leaf=1, max_bins=256,
-                 warm_start=False):
+    def __init__(
+        self,
+        n_estimators=100,
+        learning_rate=0.1,
+        max_depth=3,
+        min_samples_split=2,
+        min_samples_leaf=1,
+        max_bins=256,
+        warm_start=False,
+    ):
         self.n_estimators = n_estimators
         self.learning_rate = learning_rate
         self.max_depth = max_depth
@@ -363,8 +396,14 @@ def _reference_tobit_grad_hess(y, raw, censored, sigma):
 
 
 class _ReferenceGrabit:
-    def __init__(self, n_estimators=60, learning_rate=0.1, max_depth=3,
-                 min_samples_leaf=1, max_bins=256):
+    def __init__(
+        self,
+        n_estimators=60,
+        learning_rate=0.1,
+        max_depth=3,
+        min_samples_leaf=1,
+        max_bins=256,
+    ):
         self.n_estimators = n_estimators
         self.learning_rate = learning_rate
         self.max_depth = max_depth
@@ -404,6 +443,12 @@ class _ReferenceGrabit:
         for tree in self.estimators_:
             raw += self.learning_rate * tree.tree_.predict(X)[:, 0]
         return raw
+
+
+def _grabit(**stage):
+    """A ``GrabitRegressor`` with its class-level stage settings replaced, so
+    its loss is checked against the reference under other tree limits too."""
+    return type("Grabit", (GrabitRegressor,), stage)()
 
 
 def staged_raw_predict(model, X):
@@ -533,7 +578,7 @@ def test_grabit_matches_reference(max_depth):
     censored = np.random.default_rng(4).random(y.shape[0]) < 0.3
     kw = dict(n_estimators=10, max_depth=max_depth, min_samples_leaf=5)
     ref = _ReferenceGrabit(**kw).fit(X, y, censored)
-    new = GrabitRegressor(**kw).fit(X, y, censored=censored)
+    new = _grabit(**kw).fit(X, y, censored=censored)
     _assert_same_trees(ref.estimators_, new.estimators_)
     _assert_same_predictions(ref.predict, new.predict, _queries())
 
@@ -601,7 +646,7 @@ def _fit_both(model, X, y, censored, kw):
         return ref.fit(X, y), new.fit(X, y)
     kw = dict(kw, n_estimators=4)
     del kw["min_samples_split"]
-    ref, new = _ReferenceGrabit(**kw), GrabitRegressor(**kw)
+    ref, new = _ReferenceGrabit(**kw), _grabit(**kw)
     return ref.fit(X, y, censored), new.fit(X, y, censored=censored)
 
 

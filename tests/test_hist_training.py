@@ -176,9 +176,7 @@ class TestBinner:
         for f in range(4):
             for b in range(binner.n_bins_[f] - 1):
                 thr = binner.edges_[f][b]
-                np.testing.assert_array_equal(
-                    codes[:, f] <= b, X[:, f] <= thr
-                )
+                np.testing.assert_array_equal(codes[:, f] <= b, X[:, f] <= thr)
 
     def test_low_cardinality_is_lossless(self, rng):
         X = rng.integers(0, 20, size=(200, 3)).astype(float)
@@ -214,9 +212,7 @@ class TestHistSplitter:
         assert abs(r2(y, exact.predict(X)) - r2(y, hist.predict(X))) < 0.02
 
     def test_constant_features_single_leaf(self):
-        m = DecisionTreeRegressor().fit(
-            np.ones((40, 3)), np.arange(40.0)
-        )
+        m = DecisionTreeRegressor().fit(np.ones((40, 3)), np.arange(40.0))
         assert m.n_leaves_ == 1
 
     def test_min_samples_leaf_respected(self, regression_data):
@@ -237,8 +233,8 @@ class TestGbmHist:
         X = rng.normal(size=(150, 5))
         y = np.abs(3.0 + X[:, 0] + 0.5 * rng.normal(size=150))
         censored = rng.random(150) < 0.3
-        exact = ExactGrabit(n_estimators=30).fit(X, y, censored)
-        hist = GrabitRegressor(n_estimators=30).fit(X, y, censored)
+        exact = ExactGrabit().fit(X, y, censored)
+        hist = GrabitRegressor().fit(X, y, censored)
         p_e, p_h = exact.predict(X), hist.predict(X)
         assert np.corrcoef(p_e, p_h)[0, 1] > 0.99
 
@@ -314,8 +310,7 @@ class TestNurdWarmStart:
 
     def test_warm_growth_capped_at_4x_base(self, google_job):
         pred = NurdPredictor(
-            random_state=0, warm_start=True, warm_refresh=1e9,
-            warm_increment=60,
+            random_state=0, warm_start=True, warm_refresh=1e9, warm_increment=60
         )
         X, y = google_job.features, google_job.latencies
         tau = google_job.straggler_threshold()

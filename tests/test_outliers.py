@@ -72,21 +72,12 @@ def test_global_detectors_rank_outliers(name, outlier_data):
     assert auc > 0.9, f"{name} AUC {auc:.2f}"
 
 
-def test_knn_with_wide_neighborhood_defeats_masking(outlier_data):
-    X, y = outlier_data
-    from repro.outliers import KNNDetector
-
-    # k larger than the outlier cluster (20) breaks the masking effect.
-    det = KNNDetector(n_neighbors=30).fit(X)
-    assert roc_auc(y, det.decision_scores_) > 0.9
-
-
 def test_sod_scores_isolated_point_high():
     gen = np.random.default_rng(5)
     X = np.vstack([gen.normal(size=(100, 4)), [[6.0, 6.0, 6.0, 6.0]]])
     from repro.outliers import SOD
 
-    det = SOD(n_neighbors=15, ref_set=8).fit(X)
+    det = SOD().fit(X)
     assert det.decision_scores_[-1] > np.quantile(det.decision_scores_[:-1], 0.9)
 
 
@@ -109,7 +100,7 @@ def test_abod_far_point_scores_high():
     X = np.vstack([gen.normal(size=(100, 3)), [[10.0, 10.0, 10.0]]])
     from repro.outliers import ABOD
 
-    det = ABOD(n_neighbors=10).fit(X)
+    det = ABOD().fit(X)
     assert det.decision_scores_[-1] >= np.quantile(det.decision_scores_, 0.95)
 
 
@@ -137,28 +128,6 @@ def test_iforest_scores_in_unit_interval(outlier_data):
     assert (det.decision_scores_ > 0).all() and (det.decision_scores_ < 1).all()
 
 
-@pytest.mark.parametrize("max_samples", [0, -3, 2.5, np.nan])
-def test_iforest_invalid_max_samples(max_samples, outlier_data):
-    # 0 used to score every row 1.0; the rest failed inside numpy.
-    X, _ = outlier_data
-    from repro.outliers import IForest
-
-    with pytest.raises(ValueError, match="max_samples"):
-        IForest(max_samples=max_samples, random_state=0).fit(X)
-
-
-@pytest.mark.parametrize("n_components", [0, -1, 2.5, 6])
-def test_pca_invalid_n_components(n_components, outlier_data):
-    # 0 used to mean "all components" and 2.5 failed later in slicing;
-    # outlier_data has 5 features, so 6 is one past the top.
-    X, _ = outlier_data
-    from repro.outliers import PCADetector
-
-    assert X.shape[1] == 5
-    with pytest.raises(ValueError, match="n_components"):
-        PCADetector(n_components=n_components).fit(X)
-
-
 def test_cblof_small_cluster_scored_against_large():
     gen = np.random.default_rng(0)
     big = gen.normal(0, 0.5, size=(150, 2))
@@ -166,7 +135,7 @@ def test_cblof_small_cluster_scored_against_large():
     X = np.vstack([big, small])
     from repro.outliers import CBLOF
 
-    det = CBLOF(n_clusters=3, random_state=0).fit(X)
+    det = CBLOF(random_state=0).fit(X)
     assert det.decision_scores_[150:].min() > np.median(det.decision_scores_[:150])
 
 
@@ -199,8 +168,8 @@ def test_lscp_uses_lof_pool(outlier_data):
     X, _ = outlier_data
     from repro.outliers import LSCP
 
-    det = LSCP(neighbor_sizes=[5, 15]).fit(X)
-    assert len(det.detectors_) == 2
+    det = LSCP().fit(X)
+    assert [d.n_neighbors for d in det.detectors_] == [5, 10, 15, 20, 30]
 
 
 def test_cof_far_point_scores_high():
@@ -208,15 +177,8 @@ def test_cof_far_point_scores_high():
     X = np.vstack([gen.normal(size=(80, 2)), [[9.0, 9.0]]])
     from repro.outliers import COF
 
-    det = COF(n_neighbors=10).fit(X)
+    det = COF().fit(X)
     assert det.decision_scores_[-1] > np.quantile(det.decision_scores_[:-1], 0.9)
-
-
-def test_sod_invalid_refset():
-    from repro.outliers import SOD
-
-    with pytest.raises(ValueError):
-        SOD(n_neighbors=5, ref_set=10).fit(np.zeros((20, 3)))
 
 
 class TestXgbod:
@@ -227,11 +189,11 @@ class TestXgbod:
 
     def test_supervised_separation(self, outlier_data):
         X, y = outlier_data
-        det = XGBOD(n_estimators=20, random_state=0).fit(X, y)
+        det = XGBOD(random_state=0).fit(X, y)
         auc = roc_auc(y, det.decision_function(X))
         assert auc > 0.95
 
     def test_augmented_features(self, outlier_data):
         X, y = outlier_data
-        det = XGBOD(n_estimators=5, random_state=0).fit(X, y)
+        det = XGBOD(random_state=0).fit(X, y)
         assert det._augment(X).shape[1] == X.shape[1] + len(det.detectors_)

@@ -62,6 +62,7 @@ def _rewrite_store(path, savez=np.savez, **members):
 # Round trips
 # ---------------------------------------------------------------------------
 
+
 class TestRoundTrips:
     @pytest.mark.parametrize("family", ["google", "alibaba"])
     def test_csv_and_npz_bit_parity(
@@ -98,13 +99,15 @@ class TestRoundTrips:
     def test_plain_np_load_reads_the_store(self, google_trace, tmp_path):
         path = save_trace_npz(google_trace, tmp_path / "t.npz")
         with np.load(path, allow_pickle=False) as npz:
-            assert npz["features"].shape == (google_trace.n_tasks, google_trace[0].n_features)
+            shape = (google_trace.n_tasks, google_trace[0].n_features)
+            assert npz["features"].shape == shape
             assert int(npz["store_version"]) == trace_io.TRACE_STORE_VERSION
 
 
 # ---------------------------------------------------------------------------
 # TraceStore semantics
 # ---------------------------------------------------------------------------
+
 
 class TestTraceStore:
     def test_mmap_and_read_only_views(self, google_trace, tmp_path):
@@ -129,9 +132,7 @@ class TestTraceStore:
         store = TraceStore(path)
         clone = pickle.loads(pickle.dumps(store))
         assert clone.path == store.path
-        np.testing.assert_array_equal(
-            clone.job(1).features, store.job(1).features
-        )
+        np.testing.assert_array_equal(clone.job(1).features, store.job(1).features)
         # The pickle payload carries no column data, just the path.
         assert len(pickle.dumps(store)) < 1024
 
@@ -152,6 +153,24 @@ class TestTraceStore:
         path = save_trace_npz(google_trace, tmp_path / "z.npz")
         _rewrite_store(path, savez=np.savez_compressed)
         with pytest.raises(ValueError, match=r"z\.npz.*cannot be memory-mapped"):
+            TraceStore(path)
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            (b"\x93NUMPY", b"\x93NUMPX"),  # bad magic
+            (b"\x93NUMPY\x01\x00", b"\x93NUMPY\x03\x00"),  # header version 3.0
+            (b"'descr':", b"'descr'!"),  # header dict that does not parse
+        ],
+        ids=["magic", "version", "header"],
+    )
+    def test_corrupt_member_header_is_rejected(self, google_trace, tmp_path, old, new):
+        path = save_trace_npz(google_trace, tmp_path / "c.npz")
+        raw = path.read_bytes()
+        start = raw.index(b"\x93NUMPY", raw.index(b"features.npy"))
+        at = raw.index(old, start)
+        path.write_bytes(raw[:at] + new + raw[at + len(old) :])
+        with pytest.raises(ValueError, match=r"c\.npz.*cannot be memory-mapped"):
             TraceStore(path)
 
     def test_error_paths(self, google_trace, tmp_path):
@@ -189,6 +208,7 @@ class TestTraceStore:
 # CheckpointPlan
 # ---------------------------------------------------------------------------
 
+
 class TestCheckpointPlan:
     def test_plan_rejects_foreign_job(self, google_trace):
         sim = ReplaySimulator(n_checkpoints=5, random_state=0)
@@ -197,12 +217,14 @@ class TestCheckpointPlan:
             sim.run(google_trace[1], build_predictor("KNN", random_state=3), plan=plan)
         other = ReplaySimulator(n_checkpoints=5, random_state=0)
         with pytest.raises(ValueError, match="per-simulator"):
-            other.run(google_trace[0], build_predictor("KNN", random_state=3), plan=plan)
+            knn = build_predictor("KNN", random_state=3)
+            other.run(google_trace[0], knn, plan=plan)
 
 
 # ---------------------------------------------------------------------------
 # Harness fan-out
 # ---------------------------------------------------------------------------
+
 
 class TestFanOut:
     METHODS = ["NURD", "KNN"]
@@ -247,6 +269,7 @@ class TestFanOut:
 # ---------------------------------------------------------------------------
 # Neighbor-tree build accounting (the per-worker rebuild regression)
 # ---------------------------------------------------------------------------
+
 
 def test_replaying_a_job_again_builds_no_new_trees(google_trace):
     """The content-keyed cache must serve identical checkpoint matrices.

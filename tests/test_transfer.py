@@ -144,6 +144,5 @@ class TestTransferReplayAndClosedLoop:
         assert transferred.jct_reduction_pct > control.jct_reduction_pct
         # Speculative copies never hurt their own task.
         assert np.all(
-            transferred.mitigated_completions
-            <= transferred.baseline_completions
+            transferred.mitigated_completions <= transferred.baseline_completions
         )

@@ -1,29 +1,56 @@
 """Unit tests for repro.utils.validation and for estimators' parameter checks."""
 
+import inspect
+
 import numpy as np
 import pytest
 
-from repro.learn.linear import LogisticRegression
+from repro.censored import CoxPHFitter, GrabitRegressor, TobitRegressor
+from repro.core.propensity import PropensityScorer
+from repro.core.transfer import TransferNurd
+from repro.eval.baselines import (
+    CensoredRegressionPredictor,
+    GbtrPredictor,
+    OutlierDetectorPredictor,
+    PuPredictor,
+    WranglerPredictor,
+)
+from repro.learn import (
+    DecisionTreeRegressor,
+    GradientBoostingClassifier,
+    GradientBoostingRegressor,
+    LinearSVC,
+    LogisticRegression,
+    OneClassSVM,
+    StandardScaler,
+    clone,
+)
 from repro.learn.cluster import KMeans
-from repro.learn.svm import LinearSVC, OneClassSVM
+from repro.learn.neighbors import NearestNeighbors
 from repro.outliers import (
     ABOD,
+    ALL_DETECTORS,
+    CBLOF,
     COF,
     HBOS,
     LOF,
     LSCP,
+    MCD,
     SOD,
     SOS,
+    XGBOD,
     IForest,
     KNNDetector,
     OCSVMDetector,
+    PCADetector,
 )
 from repro.outliers.base import BaseDetector
-from repro.pu import BaggingPuClassifier
+from repro.pu import BaggingPuClassifier, ElkanNotoClassifier
 from repro.utils.validation import (
     NotFittedError,
     check_array,
     check_is_fitted,
+    check_n_features,
     check_random_state,
     check_X_y,
 )
@@ -91,6 +118,15 @@ class TestCheckXy:
             check_X_y([[1.0], [2.0]], [1.0, np.nan])
 
 
+class TestCheckNFeatures:
+    def test_matching_width_passes(self):
+        check_n_features(np.zeros((2, 3)), 3)
+
+    def test_mismatch_names_both_widths(self):
+        with pytest.raises(ValueError, match="X has 2 features; .* fitted with 3"):
+            check_n_features(np.zeros((4, 2)), 3)
+
+
 class TestCheckRandomState:
     def test_none_gives_generator(self):
         assert isinstance(check_random_state(None), np.random.Generator)
@@ -149,45 +185,16 @@ def _xy():
 @pytest.mark.parametrize(
     "estimator, param, value",
     [
-        (LogisticRegression, "C", np.nan),
-        (LogisticRegression, "C", np.inf),
-        (LogisticRegression, "max_iter", 0),
-        (LogisticRegression, "max_iter", 2.5),
-        (LinearSVC, "C", np.nan),
-        (LinearSVC, "C", np.inf),
-        (OneClassSVM, "max_iter", 0),
-        (OneClassSVM, "n_components", 0),
-        (OneClassSVM, "n_components", 2.5),
-        (OneClassSVM, "gamma", np.nan),
-        (OCSVMDetector, "gamma", np.nan),
-        (ABOD, "n_neighbors", np.nan),
-        (SOD, "n_neighbors", np.nan),
-        (LSCP, "local_region_size", 0),
-        (LSCP, "top_k", 0),
-        (SOD, "alpha", np.nan),
-        (SOD, "ref_set", 0),
-        (SOD, "ref_set", np.nan),
-        (HBOS, "n_bins", np.nan),
         (KMeans, "n_clusters", np.nan),
-        (KMeans, "n_init", 0),
-        (KMeans, "max_iter", 0),
-        (SOS, "perplexity", np.nan),
-        (SOS, "perplexity", np.inf),
-        (SOS, "n_neighbors", np.nan),
-        (SOS, "n_neighbors", 2.5),
-        (KNNDetector, "n_neighbors", 0),
-        (KNNDetector, "n_neighbors", -1),
-        (KNNDetector, "n_neighbors", np.nan),
         (LOF, "n_neighbors", 0),
         (LOF, "n_neighbors", -1),
         (LOF, "n_neighbors", np.nan),
-        (COF, "n_neighbors", 0),
-        (COF, "n_neighbors", -1),
-        (COF, "n_neighbors", np.nan),
         (IForest, "n_estimators", np.nan),
         (IForest, "n_estimators", 2.5),
-        (BaggingPuClassifier, "n_estimators", np.nan),
-        (BaggingPuClassifier, "n_estimators", 2.5),
+        (GrabitRegressor, "sigma", np.nan),
+        (GrabitRegressor, "sigma", np.inf),
+        (GrabitRegressor, "sigma", 0.0),
+        (GrabitRegressor, "sigma", -1.0),
     ],
 )
 def test_bad_parameter_raises_naming_it(estimator, param, value):
@@ -200,3 +207,116 @@ def test_bad_parameter_raises_naming_it(estimator, param, value):
             model.fit(X)
         else:
             model.fit(X, y)
+
+
+# The census of EXPERIMENTS.md "Settable values": each class under the
+# Table-3 baselines and the constructor parameters it keeps. A parameter no
+# caller outside tests/ sets is a constant, so adding one back fails here.
+SETTABLE_VALUES = [
+    (StandardScaler, []),
+    (LogisticRegression, []),
+    (LinearSVC, ["random_state"]),
+    (OneClassSVM, ["nu", "random_state"]),
+    (KMeans, ["n_clusters", "random_state"]),
+    (NearestNeighbors, ["n_neighbors"]),
+    (CoxPHFitter, []),
+    (TobitRegressor, []),
+    (GrabitRegressor, ["sigma"]),
+    (BaggingPuClassifier, ["random_state"]),
+    (ElkanNotoClassifier, ["random_state"]),
+    (ABOD, ["contamination"]),
+    (CBLOF, ["contamination", "random_state"]),
+    (COF, ["contamination"]),
+    (HBOS, ["contamination"]),
+    (IForest, ["n_estimators", "contamination", "random_state"]),
+    (KNNDetector, ["contamination"]),
+    (LOF, ["n_neighbors", "contamination"]),
+    (LSCP, ["contamination"]),
+    (MCD, ["contamination", "random_state"]),
+    (OCSVMDetector, ["contamination", "random_state"]),
+    (PCADetector, ["contamination"]),
+    (SOD, ["contamination"]),
+    (SOS, ["contamination"]),
+    (XGBOD, ["contamination", "random_state"]),
+    (PropensityScorer, ["model"]),
+    (TransferNurd, ["prior_strength", "random_state"]),
+    (GbtrPredictor, ["random_state"]),
+    (OutlierDetectorPredictor, ["detector_name", "contamination", "random_state"]),
+    (PuPredictor, ["variant", "random_state"]),
+    (CensoredRegressionPredictor, ["variant", "sigma", "random_state"]),
+    (WranglerPredictor, ["random_state"]),
+]
+
+REQUIRED_ARGUMENTS = {OutlierDetectorPredictor: {"detector_name": "KNN"}}
+
+
+@pytest.mark.parametrize(
+    "cls, names", SETTABLE_VALUES, ids=[c.__name__ for c, _ in SETTABLE_VALUES]
+)
+def test_settable_values(cls, names):
+    """The constructor takes exactly the census's parameters, and the
+    parameter protocol (``get_params``, ``clone``, ``repr``) sees the same
+    names, including for a class with no ``__init__`` of its own."""
+    sig = inspect.signature(cls.__init__)
+    assert [p for p in sig.parameters if p not in ("self", "args", "kwargs")] == names
+    model = cls(**REQUIRED_ARGUMENTS.get(cls, {}))
+    assert list(model.get_params()) == names
+    copy = clone(model)
+    assert type(copy) is cls and copy.get_params() == model.get_params()
+    assert repr(model).startswith(f"{cls.__name__}(")
+
+
+def _fit_X(model, X, y):
+    return model.fit(X)
+
+
+def _fit_Xy(model, X, y):
+    return model.fit(X, y)
+
+
+def _fit_survival(model, X, y):
+    return model.fit(X, np.exp(X[:, 0]) + 1.0, y.astype(bool))
+
+
+def _fit_finished_running(model, X, y):
+    return model.fit(X[y == 1], X[y == 0])
+
+
+WIDTH_CASES = [
+    # XGBOD needs the labels; the unsupervised detectors ignore them.
+    *[(name, cls, _fit_Xy, "decision_function") for name, cls in ALL_DETECTORS.items()],
+    ("StandardScaler", StandardScaler, _fit_X, "transform"),
+    ("LogisticRegression", LogisticRegression, _fit_Xy, "decision_function"),
+    ("LinearSVC", LinearSVC, _fit_Xy, "decision_function"),
+    ("OneClassSVM", OneClassSVM, _fit_X, "decision_function"),
+    ("NearestNeighbors", NearestNeighbors, _fit_X, "kneighbors"),
+    ("DecisionTreeRegressor", DecisionTreeRegressor, _fit_Xy, "predict"),
+    ("GradientBoostingRegressor", GradientBoostingRegressor, _fit_Xy, "predict"),
+    (
+        "GradientBoostingClassifier",
+        GradientBoostingClassifier,
+        _fit_Xy,
+        "decision_function",
+    ),
+    ("GrabitRegressor", GrabitRegressor, _fit_Xy, "predict"),
+    ("TobitRegressor", TobitRegressor, _fit_Xy, "predict"),
+    ("CoxPHFitter", CoxPHFitter, _fit_survival, "predict_partial_hazard"),
+    ("BaggingPuClassifier", BaggingPuClassifier, _fit_Xy, "decision_function"),
+    ("ElkanNotoClassifier", ElkanNotoClassifier, _fit_Xy, "predict_proba"),
+    ("PropensityScorer", PropensityScorer, _fit_finished_running, "score"),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, fit, method", [c[1:] for c in WIDTH_CASES], ids=[c[0] for c in WIDTH_CASES]
+)
+def test_wrong_width_raises_naming_both_widths(cls, fit, method):
+    """Every estimator that checks its input width at predict time goes
+    through ``check_n_features``: one message, naming both widths."""
+    gen = np.random.default_rng(0)
+    X = gen.normal(size=(60, 3))
+    y = (X[:, 0] > 0).astype(int)
+    seeded = "random_state" in cls._param_names()
+    model = fit(cls(random_state=0) if seeded else cls(), X, y)
+    with pytest.raises(ValueError, match="^X has 2 features; .* fitted with 3"):
+        getattr(model, method)(X[:, :2])
