@@ -356,11 +356,7 @@ def build_predictor(
     if name == "Wrangler":
         return WranglerPredictor(random_state=random_state, **extra)
     if name == "NURD":
-        return NurdPredictor(
-            alpha=alpha, eps=eps, random_state=random_state, **extra
-        )
+        return NurdPredictor(alpha=alpha, eps=eps, random_state=random_state, **extra)
     if name == "NURD-NC":
-        return NurdNcPredictor(
-            alpha=alpha, eps=eps, random_state=random_state, **extra
-        )
+        return NurdNcPredictor(alpha=alpha, eps=eps, random_state=random_state, **extra)
     raise ValueError(f"unknown method {name!r}; known: {METHOD_NAMES}.")

@@ -48,19 +48,6 @@ def average_path_length(n) -> np.ndarray:
     return out
 
 
-class _TreeArrays:
-    """Flat node arrays of one tree produced by the batched builder."""
-
-    __slots__ = ("feature", "threshold", "left", "right", "size")
-
-    def __init__(self, feature, threshold, left, right, size):
-        self.feature = feature
-        self.threshold = threshold
-        self.left = left
-        self.right = right
-        self.size = size
-
-
 _SM_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _SM_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _SM_MIX2 = np.uint64(0x94D049BB133111EB)
@@ -274,24 +261,10 @@ class IForest(BaseDetector):
             ]
         )
         mats = _build_forest_batched(X, idx, max_depth, seed)
-        feature, threshold, left, right, size, n_nodes = mats
-        self.trees_ = [
-            _TreeArrays(
-                feature[t, : n_nodes[t]],
-                threshold[t, : n_nodes[t]],
-                left[t, : n_nodes[t]],
-                right[t, : n_nodes[t]],
-                size[t, : n_nodes[t]],
-            )
-            for t in range(self.n_estimators)
-        ]
         self.forest_ = _PackedForest.from_matrices(*mats)
         self._psi = psi
 
     def _score(self, X: np.ndarray) -> np.ndarray:
-        # trees_ is kept alongside the packed table as the inspectable
-        # per-tree form (and the parity tests' reference surface); scoring
-        # only touches the packed arrays.
         n_trees = self.forest_.roots.shape[0]
         mean_depth = self.forest_.path_lengths(X).sum(axis=0) / n_trees
         c = float(average_path_length(np.array([self._psi]))[0])

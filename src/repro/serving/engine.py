@@ -34,15 +34,15 @@ class ScoreEvent:
 
     job_id: str
     tau: float
-    seq: int                     # per-job checkpoint sequence number
-    newly_flagged: np.ndarray    # task indices flagged at this checkpoint
+    seq: int  # per-job checkpoint sequence number
+    newly_flagged: np.ndarray  # task indices flagged at this checkpoint
     n_running: int
     n_finished: int
-    scored: bool                 # False when nothing was running/finished
-    degraded: bool               # True when the budget degraded the update
-    update_mode: str             # "full" | "partial" | "cached" | "none"
-    latency_s: float             # end-to-end engine latency for the event
-    score_s: float               # predict_stragglers time alone
+    scored: bool  # False when nothing was running/finished
+    degraded: bool  # True when the budget degraded the update
+    update_mode: str  # "full" | "partial" | "cached" | "none"
+    latency_s: float  # end-to-end engine latency for the event
+    score_s: float  # predict_stragglers time alone
 
 
 @dataclass
@@ -63,11 +63,11 @@ class EngineSnapshot:
 class ScoringEngine:
     """Scores checkpoint events for many in-flight jobs incrementally.
 
+    The caller builds each job's predictor and hands it to
+    :meth:`begin_job` (the paper trains one model per job).
+
     Parameters
     ----------
-    predictor_factory : callable
-        Zero-argument callable returning a fresh predictor per job (the
-        paper trains one model per job).
     simulator : ReplaySimulator or None
         Supplies the observation model (noise scale, grid, warmup); a
         default simulator is built when omitted.
@@ -83,14 +83,12 @@ class ScoringEngine:
 
     def __init__(
         self,
-        predictor_factory: Callable[[], object],
         simulator: Optional[ReplaySimulator] = None,
         budget: Optional[float] = None,
         clock: Callable[[], float] = time.perf_counter,
     ):
         if budget is not None and budget < 0:
             raise ValueError("budget must be non-negative or None.")
-        self.predictor_factory = predictor_factory
         self.simulator = simulator if simulator is not None else ReplaySimulator()
         self.budget = budget
         self.clock = clock
@@ -100,9 +98,7 @@ class ScoringEngine:
         self.score_stats = LatencyStats()
         self.degraded_events = 0
         self.scored_events = 0
-        self.update_mode_counts: Dict[str, int] = {
-            "full": 0, "partial": 0, "cached": 0
-        }
+        self.update_mode_counts: Dict[str, int] = {"full": 0, "partial": 0, "cached": 0}
 
     # ------------------------------------------------------------------
     @property
@@ -117,8 +113,9 @@ class ScoringEngine:
         """The job's last stepped checkpoint (warmup instant before any)."""
         return self._stream(job_id).last_tau
 
-    def begin_job(self, job: Job, tau_stra: Optional[float] = None) -> str:
-        """Register ``job`` and warm up its stream; returns the job id.
+    def begin_job(self, job: Job, predictor, tau_stra: Optional[float] = None) -> str:
+        """Register ``job`` with its fresh ``predictor`` and warm up its
+        stream; returns the job id.
 
         The payload is validated first (finite features, positive finite
         durations, matching lengths) so a corrupt job is rejected before
@@ -128,7 +125,7 @@ class ScoringEngine:
             raise ValueError(f"job {job.job_id!r} is already being scored.")
         check_job_payload(job)
         stream = self.simulator.stream(
-            job, self.predictor_factory(), tau_stra=tau_stra, clock=self.clock
+            job, predictor, tau_stra=tau_stra, clock=self.clock
         )
         self._streams[job.job_id] = stream
         self._seq[job.job_id] = 0
@@ -142,9 +139,7 @@ class ScoringEngine:
         """Advance ``job_id`` to checkpoint ``tau`` and emit its flags."""
         stream = self._stream(job_id)
         if not np.isfinite(tau):
-            raise ValueError(
-                f"job {job_id!r}: checkpoint time {tau!r} is not finite."
-            )
+            raise ValueError(f"job {job_id!r}: checkpoint time {tau!r} is not finite.")
         t0 = self.clock()
         out = stream.step(tau, budget=self.budget)
         latency = self.clock() - t0

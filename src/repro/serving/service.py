@@ -16,10 +16,11 @@ Fault tolerance (see EXPERIMENTS.md, "Fault matrix"):
 
 - *Supervision*: a shard worker that raises is restarted with capped
   exponential backoff (``restart_policy``). Recovery rebuilds every job
-  routed to the shard from its last engine snapshot (or from the logged
-  ``BeginJob``) and replays the logged checkpoints; per-job event sequence
-  numbers let :meth:`_dispatch` drop already-emitted events, so the
-  delivered stream is bit-identical to an uninterrupted run.
+  routed to the shard from its last engine snapshot, or else from a copy
+  of its unfitted predictor (never from the factory), and replays the
+  logged checkpoints; per-job event sequence numbers let :meth:`_dispatch`
+  drop already-emitted events, so the delivered stream is bit-identical
+  to an uninterrupted run.
 - *Quarantine*: every request is validated on ingest — malformed
   payloads, non-finite or stale checkpoint times, unknown job ids — and
   rejects are routed to a bounded :class:`~repro.faults.dlq.DeadLetterQueue`
@@ -40,6 +41,7 @@ the emit sink, the predictor factory, ``engine.score_checkpoint``); see
 from __future__ import annotations
 
 import asyncio
+import copy
 import inspect
 import zlib
 from dataclasses import dataclass, field
@@ -110,9 +112,10 @@ class ServiceFailure(RuntimeError):
 
 @dataclass
 class _JobLog:
-    """Per-job recovery state: last snapshot plus the checkpoints since."""
+    """Per-job recovery state: unfitted predictor, last snapshot, checkpoints."""
 
     begin: BeginJob
+    predictor: object
     snapshot: Optional[EngineSnapshot] = None
     pending: List[ScoreCheckpoint] = field(default_factory=list)
     since_snapshot: int = 0
@@ -124,11 +127,6 @@ class ServiceConfig:
 
     - ``n_workers``: worker shards consuming the ingest queues. Jobs are
       routed to shards by stable hash, preserving per-job checkpoint order.
-      Jobs *begin* in shard order, not submission order, and
-      ``ScoringEngine.begin_job`` calls the zero-argument predictor factory
-      without the job. A factory that seeds by call count (as the harness
-      seeds by job index) therefore reproduces harness seeds only with one
-      shard; with more, a job can get another job's seed.
     - ``queue_depth``: per-shard ingest queue bound; producers block when
       scoring falls behind (backpressure).
     - ``budget``: per-checkpoint latency budget in seconds forwarded to the
@@ -153,9 +151,7 @@ class ServiceConfig:
     budget: Optional[float] = None
     restart_policy: RetryPolicy = field(default_factory=RetryPolicy)
     emit_policy: RetryPolicy = field(
-        default_factory=lambda: RetryPolicy(
-            retries=2, base_delay=0.01, max_delay=0.25
-        )
+        default_factory=lambda: RetryPolicy(retries=2, base_delay=0.01, max_delay=0.25)
     )
     snapshot_every: Optional[int] = None
 
@@ -186,6 +182,11 @@ class ScorerService:
     or, for whole-job replay at serving speed, :meth:`replay_job` /
     :meth:`replay_trace`.
 
+    :meth:`submit` calls ``predictor_factory()`` once per ``BeginJob``, in
+    submit order on any shard count, so a factory that counts its calls
+    seeds by arrival index, as the harness seeds by job index. A quarantined
+    ``BeginJob`` still used its call; recovery never calls the factory.
+
     ``sleep`` is the backoff sleeper, injectable for deterministic tests.
     """
 
@@ -198,11 +199,8 @@ class ScorerService:
         sleep: Callable[[float], "asyncio.Future"] = asyncio.sleep,
     ):
         self.config = config or ServiceConfig()
-        self.engine = ScoringEngine(
-            predictor_factory,
-            simulator=simulator,
-            budget=self.config.budget,
-        )
+        self.predictor_factory = predictor_factory
+        self.engine = ScoringEngine(simulator=simulator, budget=self.config.budget)
         self._emit = emit
         self._sleep = sleep
         self.results: Dict[str, ReplayResult] = {}
@@ -237,7 +235,8 @@ class ScorerService:
         """Enqueue a request; blocks when the shard's queue is full."""
         if not self._started:
             raise RuntimeError("service not started; call await start() first.")
-        await self._queues[self._shard(request)].put(request)
+        predictor = self.predictor_factory() if isinstance(request, BeginJob) else None
+        await self._queues[self._shard(request)].put((request, predictor))
 
     async def drain(self) -> None:
         """Wait until every submitted request has been processed."""
@@ -293,9 +292,7 @@ class ScorerService:
 
     async def replay_trace(self, trace) -> List[Optional[ReplayResult]]:
         """Replay every job of a trace through the service concurrently."""
-        return list(
-            await asyncio.gather(*(self.replay_job(job) for job in trace))
-        )
+        return list(await asyncio.gather(*(self.replay_job(job) for job in trace)))
 
     def fault_stats(self) -> Dict:
         """Fault-handling counters for reports and benchmarks."""
@@ -326,7 +323,7 @@ class ScorerService:
         policy = self.config.restart_policy
         restarts = 0
         while True:
-            request = await queue.get()
+            request, predictor = await queue.get()
             try:
                 recovering = False
                 while True:
@@ -334,7 +331,7 @@ class ScorerService:
                         if recovering:
                             await self._recover_shard(shard, request)
                         else:
-                            await self._handle(shard, request)
+                            await self._handle(shard, request, predictor)
                         break
                     except asyncio.CancelledError:
                         raise
@@ -343,9 +340,7 @@ class ScorerService:
                         self.restarts += 1
                         if restarts > policy.retries:
                             self._dead.add(shard)
-                            self.failures.append(
-                                ShardFailure(shard, exc, request)
-                            )
+                            self.failures.append(ShardFailure(shard, exc, request))
                             self.dlq.push(
                                 request,
                                 "shard-failed",
@@ -364,29 +359,29 @@ class ScorerService:
 
         The crash model is a lost worker process: all engine state for the
         shard's jobs is discarded, then rebuilt from each job's last
-        snapshot (or its logged ``BeginJob``) and the logged checkpoints are
-        replayed. Replayed events regenerate their original sequence
-        numbers, so :meth:`_dispatch` delivers only the ones the crash
-        prevented — consumers observe the exact fault-free stream.
+        snapshot (or a copy of its unfitted predictor) and the logged
+        checkpoints are replayed. Replayed events regenerate their original
+        sequence numbers, so :meth:`_dispatch` delivers only the ones the
+        crash prevented — consumers observe the exact fault-free stream.
 
         The failed request itself was logged *before* it crashed, so the
         replay covers it; only a crashed ``FinishJob`` needs re-handling.
         """
-        for job_id, log in self._recovery.items():
+        # A copy: other shards add and drop logs while this one awaits its sink.
+        for job_id, log in list(self._recovery.items()):
             if self._route(job_id) != shard:
                 continue
             self.engine.discard(job_id)
             if log.snapshot is not None:
                 self.engine.restore(log.snapshot)
             else:
-                self.engine.begin_job(
-                    log.begin.job, tau_stra=log.begin.tau_stra
-                )
+                predictor = copy.deepcopy(log.predictor)
+                self.engine.begin_job(log.begin.job, predictor, log.begin.tau_stra)
             for req in log.pending:
                 event = self.engine.score_checkpoint(req.job_id, req.tau)
                 await self._dispatch(event, shard)
         if isinstance(failed, FinishJob):
-            await self._handle(shard, failed, recovering=True)
+            await self._handle(shard, failed, None, recovering=True)
 
     def _reject_reason(self, request: Request) -> Optional[str]:
         """Quarantine verdict for ``request``; ``None`` means admit."""
@@ -414,14 +409,12 @@ class ScorerService:
         return "unknown-request"
 
     async def _handle(
-        self, shard: int, request: Request, recovering: bool = False
+        self, shard: int, request: Request, predictor, recovering: bool = False
     ) -> None:
         job_id = _request_job_id(request)
         if not recovering:
             if shard in self._dead:
-                self.dlq.push(
-                    request, "shard-dead", job_id=job_id, shard=shard
-                )
+                self.dlq.push(request, "shard-dead", job_id=job_id, shard=shard)
                 return
             reason = self._reject_reason(request)
             if reason is not None:
@@ -429,15 +422,15 @@ class ScorerService:
                 return
             # Recovery bookkeeping runs before the engine call, so a request
             # that crashes mid-handling is already logged and the recovery
-            # replay covers it.
+            # replay covers it. The predictor is copied before it fits.
             if isinstance(request, BeginJob):
-                self._recovery[job_id] = _JobLog(begin=request)
+                self._recovery[job_id] = _JobLog(request, copy.deepcopy(predictor))
             elif isinstance(request, ScoreCheckpoint):
                 log = self._recovery.get(job_id)
                 if log is not None:
                     log.pending.append(request)
         if isinstance(request, BeginJob):
-            self.engine.begin_job(request.job, tau_stra=request.tau_stra)
+            self.engine.begin_job(request.job, predictor, request.tau_stra)
         elif isinstance(request, ScoreCheckpoint):
             event = self.engine.score_checkpoint(request.job_id, request.tau)
             await self._dispatch(event, shard)

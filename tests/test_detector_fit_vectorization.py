@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from scipy.stats import chi2
-from test_detector_vectorization import REFERENCE_FOREST_FITS
+from test_detector_vectorization import REFERENCE_FOREST_FITS, _unpack_trees
 
 from repro.learn import cluster, svm
 from repro.learn.base import clone
@@ -335,7 +335,7 @@ def test_iforest_batched_trees_are_valid_isolation_trees(kind):
     X = _make_dataset(kind)
     det = IForest(n_estimators=10, random_state=1).fit(X)
     psi = det._psi
-    for tree in det.trees_:
+    for tree in _unpack_trees(det.forest_):
         assert tree.size[0] == psi
         internal = np.nonzero(tree.feature >= 0)[0]
         leaves = np.nonzero(tree.feature < 0)[0]
@@ -372,7 +372,7 @@ def test_iforest_batched_all_constant_rows():
     """No splittable feature anywhere: every tree is a single leaf."""
     X = np.ones((40, 3))
     det = IForest(n_estimators=5, random_state=0).fit(X)
-    for tree in det.trees_:
+    for tree in _unpack_trees(det.forest_):
         assert tree.feature.shape[0] == 1
         assert tree.feature[0] == -1
     assert np.all(np.isfinite(det.decision_scores_))

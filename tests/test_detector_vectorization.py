@@ -15,6 +15,8 @@ Also covers the shared :class:`~repro.learn.neighbors.NeighborCache` and the
 per-row ``exclude_self`` fix for duplicated training points.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -316,14 +318,37 @@ def _reference_tree_path_length(tree, X):
     return depth
 
 
-def _reference_iforest_scores(det, X):
+def _unpack_trees(forest):
+    """Each tree's node arrays, sliced from the packed table by its root
+    offset, with child ids local to the tree again."""
+    bounds = np.append(forest.roots, forest.feature.shape[0])
+    trees = []
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        left, right = forest.left[start:stop], forest.right[start:stop]
+        trees.append(
+            SimpleNamespace(
+                feature=forest.feature[start:stop],
+                threshold=forest.threshold[start:stop],
+                left=np.where(left >= 0, left - start, -1),
+                right=np.where(right >= 0, right - start, -1),
+                size=forest.size[start:stop],
+            )
+        )
+    return trees
+
+
+def _reference_forest_scores(trees, psi, X):
     depths = np.zeros(X.shape[0])
-    for tree in det.trees_:
+    for tree in trees:
         depths += _reference_tree_path_length(tree, X)
-    mean_depth = depths / len(det.trees_)
-    c = float(average_path_length(np.array([det._psi]))[0])
+    mean_depth = depths / len(trees)
+    c = float(average_path_length(np.array([psi]))[0])
     c = max(c, 1e-12)
     return np.power(2.0, -mean_depth / c)
+
+
+def _reference_iforest_scores(det, X):
+    return _reference_forest_scores(_unpack_trees(det.forest_), det._psi, X)
 
 
 REFERENCE_SCORERS = {
@@ -374,8 +399,13 @@ class _ReferenceLSCP(LSCP):
 
 
 class _ReferenceIForest(IForest):
+    def _fit(self, X):
+        super()._fit(X)
+        # Unpacked once per fit, so the timed scoring loop walks trees only.
+        self._trees = _unpack_trees(self.forest_)
+
     def _score(self, X):
-        return _reference_iforest_scores(self, X)
+        return _reference_forest_scores(self._trees, self._psi, X)
 
 
 def _pool_with_forest(pool, forest_cls):
@@ -442,11 +472,11 @@ class _LoopBuiltIForest(IForest):
         n = X.shape[0]
         psi = min(iforest._MAX_SAMPLES, n)
         max_depth = int(np.ceil(np.log2(max(psi, 2))))
-        self.trees_ = []
+        trees = []
         for _ in range(self.n_estimators):
             idx = rng.choice(n, size=psi, replace=False)
-            self.trees_.append(_ReferenceIsolationTree(X[idx], rng, max_depth))
-        self.forest_ = _pack_trees(self.trees_)
+            trees.append(_ReferenceIsolationTree(X[idx], rng, max_depth))
+        self.forest_ = _pack_trees(trees)
         self._psi = psi
 
 
@@ -781,6 +811,4 @@ def test_cached_scores_match_uncached():
         cached = _make_detector(name).fit(X).decision_scores_
         with neighbor_cache_disabled():
             uncached = _make_detector(name).fit(X.copy()).decision_scores_
-        np.testing.assert_allclose(
-            cached, uncached, rtol=RTOL, atol=ATOL, err_msg=name
-        )
+        np.testing.assert_allclose(cached, uncached, rtol=RTOL, atol=ATOL, err_msg=name)

@@ -6,14 +6,17 @@ never scored again), but many paths drive it. ``_reference_run`` writes the
 loop out once more, without a plan or a stream, and every path must match
 its ``y_flag`` and ``flag_times`` bit for bit on jobs hypothesis draws,
 with each predictor seeded as the harness seeds it (``random_state`` plus
-the job index). Each group of paths is its own test, run on five pinned
-cases (the four edge shapes, duplicate tasks, zero noise, staggered starts
-and every task done at warmup, across all five methods) and on drawn ones.
-A failure lists each diverging path, field and job.
+the job index). The services get theirs from a factory that counts its
+calls. Each group of paths is its own test, run on six pinned cases (the
+four edge shapes, duplicate tasks, zero noise, staggered starts and every
+task done at warmup, across all five methods, plus six jobs, which three
+shards begin out of submit order) and on drawn ones. A failure lists each
+diverging path, field and job.
 """
 
 import asyncio
 import functools
+import itertools
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -163,19 +166,11 @@ def cases(draw) -> Case:
     )
 
 
-def _seed_by_job(engine, case, trace):
-    """Build each begun job's predictor as the harness would, whatever order
-    the shards begin jobs in (and again when recovery re-begins one)."""
-    index = {job.job_id: i for i, job in enumerate(trace)}
-    begin = engine.begin_job
-
-    def begin_job(job, tau_stra=None):
-        i = index[job.job_id]
-        engine.predictor_factory = lambda: case.predictor(case.method, i)
-        return begin(job, tau_stra=tau_stra)
-
-    engine.begin_job = begin_job
-    return engine
+def _counting_factory(case):
+    """A plain zero-argument factory: call k builds the harness's predictor
+    for job k, so a service must call it once per job in submit order."""
+    calls = itertools.count()
+    return lambda: case.predictor(case.method, next(calls))
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +217,9 @@ def _streams(case, sim, trace):
 def _engine(case, sim, trace):
     """Jobs interleaved checkpoint by checkpoint. At round ``snapshot_at``
     each is snapshotted, stepped, discarded, restored and stepped again."""
-    engine = _seed_by_job(ScoringEngine(None, simulator=sim), case, trace)
-    for job in trace:
-        engine.begin_job(job)
+    engine = ScoringEngine(simulator=sim)
+    for i, job in enumerate(trace):
+        engine.begin_job(job, case.predictor(case.method, i))
     for r in range(case.n_checkpoints):
         for job in trace:
             tau = float(engine.checkpoint_grid(job.job_id)[r])
@@ -259,8 +254,7 @@ def _service(case, sim, trace):
     paths = {}
     for n_workers in (1, 3):
         config = ServiceConfig(n_workers=n_workers)
-        svc = ScorerService(None, simulator=sim, config=config)
-        _seed_by_job(svc.engine, case, trace)
+        svc = ScorerService(_counting_factory(case), simulator=sim, config=config)
 
         async def go():
             await svc.start()
@@ -306,8 +300,8 @@ def _crash_recovery(case, sim, trace):
         sleeps.append(delay)
 
     config = ServiceConfig(snapshot_every=case.snapshot_every, restart_policy=policy)
-    svc = ScorerService(None, simulator=sim, config=config, sleep=sleep)
-    _seed_by_job(svc.engine, case, trace)
+    factory = _counting_factory(case)
+    svc = ScorerService(factory, simulator=sim, config=config, sleep=sleep)
     faults = ProcessFaults(crash_at_event=_crash_event(case), crash_times=2)
     chaos = ServiceChaos(FaultPlan(process=faults))
     chaos.install(svc)
@@ -375,7 +369,8 @@ def _pinned(shapes, method, **kw):
 PATHS = (_batch, _streams, _engine, _service, _harness, _crash_recovery)
 PATH_IDS = [paths.__name__.lstrip("_") for paths in PATHS]
 
-# The four edge shapes, and all five methods, on every run.
+# The four edge shapes, all five methods, and jobs that three shards begin
+# out of submit order (job-4 before job-2), on every run.
 PINNED = {
     "duplicate-NURD": _pinned(("duplicate", "duplicate"), "NURD", snapshot_every=2),
     "zero_noise-GBTR": _pinned(("plain", "plain", "plain"), "GBTR", zero_noise=True),
@@ -386,6 +381,9 @@ PINNED = {
         ("all_at_warmup", "plain"), "IFOREST", snapshot_at=1
     ),
     "mixed-KNN": _pinned(("plain", "staggered", "duplicate"), "KNN", n_checkpoints=8),
+    "six_jobs-IFOREST": _pinned(
+        ("plain",) * 6, "IFOREST", n_tasks=(24, 30, 36, 24, 30, 36)
+    ),
 }
 
 

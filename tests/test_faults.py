@@ -107,8 +107,17 @@ def _event_keys(events):
     ]
 
 
-def _run_service(jobs, sim, factory, config=None, chaos=None, sleep=None,
-                 emit=None, requests=None, raise_on_failure=True):
+def _run_service(
+    jobs,
+    sim,
+    factory,
+    config=None,
+    chaos=None,
+    sleep=None,
+    emit=None,
+    requests=None,
+    raise_on_failure=True,
+):
     """Drive a service over the jobs' request stream; return the service."""
     svc = ScorerService(
         factory,
@@ -131,6 +140,7 @@ def _run_service(jobs, sim, factory, config=None, chaos=None, sleep=None,
 # ---------------------------------------------------------------------------
 # Plans, policies, DLQ
 # ---------------------------------------------------------------------------
+
 
 class TestFaultPlan:
     def test_rng_is_deterministic_per_tag(self):
@@ -196,6 +206,7 @@ class TestDeadLetterQueue:
 # Payload validation (engine, CSV, store)
 # ---------------------------------------------------------------------------
 
+
 class TestPayloadValidation:
     def test_check_job_payload_names_job_and_task(self):
         job = _job(job_id="wounded")
@@ -224,16 +235,16 @@ class TestPayloadValidation:
             check_job_payload(payload)
 
     def test_engine_rejects_poison_begin(self):
-        engine = ScoringEngine(CountingPredictor)
+        engine = ScoringEngine()
         poison = make_poison_job(_job(), "nan-feature", "poison")
         with pytest.raises(ValueError, match="'poison', task 0"):
-            engine.begin_job(poison)
+            engine.begin_job(poison, CountingPredictor())
         assert not engine.has_job("poison")
 
     def test_engine_rejects_non_finite_tau(self):
-        engine = ScoringEngine(CountingPredictor)
+        engine = ScoringEngine()
         job = _job()
-        engine.begin_job(job)
+        engine.begin_job(job, CountingPredictor())
         with pytest.raises(ValueError, match="not finite"):
             engine.score_checkpoint(job.job_id, float("nan"))
 
@@ -265,6 +276,7 @@ class TestPayloadValidation:
 # ---------------------------------------------------------------------------
 # Flag accounting (duplicate-delivery dedup)
 # ---------------------------------------------------------------------------
+
 
 def _event(job_id, seq, tau, flags):
     return SimpleNamespace(
@@ -314,6 +326,7 @@ class TestCollectFlags:
 # Request injector
 # ---------------------------------------------------------------------------
 
+
 class TestRequestInjector:
     PLAN = FaultPlan(
         seed=3,
@@ -350,8 +363,12 @@ class TestRequestInjector:
         # Every checkpoint got exactly one fate.
         n_checkpoints = 3 * 10
         fates = (
-            log["clean"] + log["dropped"] + log["duplicated"]
-            + log["delayed_stale"] + log["delayed_clean"] + log["corrupted"]
+            log["clean"]
+            + log["dropped"]
+            + log["duplicated"]
+            + log["delayed_stale"]
+            + log["delayed_clean"]
+            + log["corrupted"]
         )
         assert fates == n_checkpoints
         assert log["poisoned"] == 2
@@ -368,7 +385,8 @@ class TestRequestInjector:
     def test_poison_jobs_are_malformed(self):
         delivered, _ = self._stream()
         poison = [
-            r.job for r in delivered
+            r.job
+            for r in delivered
             if isinstance(r, BeginJob) and r.job.job_id.startswith("poison-")
         ]
         assert len(poison) == 2
@@ -381,14 +399,15 @@ class TestRequestInjector:
 # Stream / engine snapshots
 # ---------------------------------------------------------------------------
 
+
 class TestSnapshots:
     def _sim(self):
         return ReplaySimulator(n_checkpoints=8, random_state=0)
 
     def test_engine_restore_needs_a_discarded_job(self):
         job = _job(n=60, seed=5)
-        engine = ScoringEngine(CountingPredictor, simulator=self._sim())
-        engine.begin_job(job)
+        engine = ScoringEngine(simulator=self._sim())
+        engine.begin_job(job, CountingPredictor())
         grid = engine.checkpoint_grid(job.job_id)
         for tau in grid[:3]:
             engine.score_checkpoint(job.job_id, tau)
@@ -408,6 +427,7 @@ class TestSnapshots:
 # Service: crash recovery, supervision, backoff
 # ---------------------------------------------------------------------------
 
+
 class TestCrashRecovery:
     def _parts(self, n_jobs=2):
         sim = ReplaySimulator(n_checkpoints=8, random_state=0)
@@ -417,9 +437,9 @@ class TestCrashRecovery:
 
     def test_hardened_unfaulted_service_matches_engine(self):
         sim, jobs, factory = self._parts()
-        engine = ScoringEngine(factory, simulator=sim)
+        engine = ScoringEngine(simulator=sim)
         for job in jobs:
-            engine.begin_job(job)
+            engine.begin_job(job, factory())
             for tau in engine.checkpoint_grid(job.job_id):
                 engine.score_checkpoint(job.job_id, float(tau))
             engine.finish_job(job.job_id)
@@ -451,6 +471,38 @@ class TestCrashRecovery:
         np.testing.assert_array_equal(got.y_flag, want.y_flag)
         np.testing.assert_array_equal(got.flag_times, want.flag_times)
 
+    def test_one_restart_per_crash_while_another_shard_runs(self):
+        """Shard 0 recovers while shard 1 works through its backlog: the
+        async sink yields between shard 0's replayed emits, and shard 1
+        begins and finishes jobs meanwhile. One crash costs one restart."""
+        sim = ReplaySimulator(n_checkpoints=4, random_state=0)
+        jobs = [_job(n=40, seed=i, job_id=f"job-{i}") for i in (4, 5, 0, 1, 2)]
+        delivered = []
+
+        async def sink(event):
+            await asyncio.sleep(0)
+            delivered.append(event)
+
+        chaos = ServiceChaos(FaultPlan(process=ProcessFaults(crash_at_event=0)))
+        config = ServiceConfig(
+            n_workers=2, restart_policy=RetryPolicy(retries=3, base_delay=0.0)
+        )
+        svc = _run_service(
+            jobs,
+            sim,
+            CountingPredictor,
+            config=config,
+            chaos=chaos,
+            sleep=SleepRecorder(),
+            emit=sink,
+        )
+        assert [svc._route(job.job_id) for job in jobs] == [0, 0, 1, 1, 1]
+        assert chaos.crashes_fired == 1
+        assert svc.restarts == 1
+        assert not svc.failures and not svc.dlq.total
+        assert set(svc.results) == {job.job_id for job in jobs}
+        assert len(delivered) == 5 * 4
+
     def test_restart_budget_exhaustion_marks_shard_dead(self):
         sim = ReplaySimulator(n_checkpoints=6, random_state=0)
         jobs = [_job(n=40, seed=3)]
@@ -460,8 +512,12 @@ class TestCrashRecovery:
         chaos = ServiceChaos(plan)
         config = ServiceConfig(restart_policy=RetryPolicy(retries=1, base_delay=0.0))
         svc = _run_service(
-            jobs, sim, CountingPredictor,
-            config=config, chaos=chaos, sleep=SleepRecorder(),
+            jobs,
+            sim,
+            CountingPredictor,
+            config=config,
+            chaos=chaos,
+            sleep=SleepRecorder(),
             raise_on_failure=False,
         )
         assert svc.failures, "exhausted restarts must surface in failures"
@@ -480,8 +536,12 @@ class TestCrashRecovery:
         config = ServiceConfig(restart_policy=RetryPolicy(retries=0))
         with pytest.raises(ServiceFailure, match="shard 0"):
             _run_service(
-                jobs, sim, CountingPredictor, config=config,
-                chaos=ServiceChaos(plan), sleep=SleepRecorder(),
+                jobs,
+                sim,
+                CountingPredictor,
+                config=config,
+                chaos=ServiceChaos(plan),
+                sleep=SleepRecorder(),
             )
 
 
@@ -530,6 +590,7 @@ class TestSinkRetry:
 # Service: quarantine + DLQ accounting
 # ---------------------------------------------------------------------------
 
+
 class TestQuarantine:
     def test_reject_reasons(self):
         sim = ReplaySimulator(n_checkpoints=5, random_state=0)
@@ -542,14 +603,12 @@ class TestQuarantine:
             await svc.drain()
             grid = svc.engine.checkpoint_grid("good")
             await svc.submit(ScoreCheckpoint("good", float(grid[0])))
-            await svc.submit(ScoreCheckpoint("good", float(grid[0])))   # stale
-            await svc.submit(ScoreCheckpoint("good", float("nan")))     # malformed
+            await svc.submit(ScoreCheckpoint("good", float(grid[0])))  # stale
+            await svc.submit(ScoreCheckpoint("good", float("nan")))  # malformed
             await svc.submit(ScoreCheckpoint("ghost", float(grid[1])))  # unknown
-            await svc.submit(BeginJob(job))                             # duplicate
-            await svc.submit(
-                BeginJob(make_poison_job(job, "nan-latency", "poison"))
-            )
-            await svc.submit(FinishJob("ghost"))                        # unknown
+            await svc.submit(BeginJob(job))  # duplicate
+            await svc.submit(BeginJob(make_poison_job(job, "nan-latency", "poison")))
+            await svc.submit(FinishJob("ghost"))  # unknown
             await svc.drain()
             await svc.stop()
 
@@ -576,7 +635,9 @@ class TestQuarantine:
         plan = FaultPlan(
             seed=9,
             events=EventFaults(
-                duplicate_rate=0.2, delay_rate=0.15, corrupt_rate=0.2,
+                duplicate_rate=0.2,
+                delay_rate=0.15,
+                corrupt_rate=0.2,
                 poison_jobs=3,
             ),
         )

@@ -9,7 +9,9 @@ import asyncio
 import numpy as np
 import pytest
 
+from fault_injection import FaultPlan, ProcessFaults, ServiceChaos
 from repro.core.nurd import NurdPredictor
+from repro.faults import RetryPolicy
 from repro.serving import (
     BeginJob,
     FinishJob,
@@ -45,8 +47,14 @@ class CountingPredictor:
 
     name = "counting"
 
-    def __init__(self, clock=None, update_cost=0.0, partial_cost=0.0,
-                 score_cost=0.0, flag_every=5):
+    def __init__(
+        self,
+        clock=None,
+        update_cost=0.0,
+        partial_cost=0.0,
+        score_cost=0.0,
+        flag_every=5,
+    ):
         self.clock = clock
         self.update_cost = update_cost
         self.partial_cost = partial_cost
@@ -84,6 +92,18 @@ class CountingPredictor:
         return flags
 
 
+class DrawingPredictor(CountingPredictor):
+    """Flags tasks at random from a generator it keeps: a seeded model
+    whose state a second run on the same object would not start afresh."""
+
+    def __init__(self, seed):
+        super().__init__()
+        self.rng = np.random.default_rng(seed)
+
+    def predict_stragglers(self, X_run):
+        return self.rng.random(X_run.shape[0]) < 0.1
+
+
 def _job(n=50, seed=0, job_id="j"):
     rng = np.random.default_rng(seed)
     y = rng.lognormal(0.0, 1.0, n) + 0.1
@@ -91,9 +111,9 @@ def _job(n=50, seed=0, job_id="j"):
     return Job(job_id, X, y, ["lat_proxy", "aux"], None)
 
 
-def _engine_run(engine, job):
+def _engine_run(engine, job, predictor):
     """Begin ``job`` on ``engine``, score every grid checkpoint, finish."""
-    job_id = engine.begin_job(job)
+    job_id = engine.begin_job(job, predictor)
     for tau in engine.checkpoint_grid(job_id):
         engine.score_checkpoint(job_id, tau)
     return engine.finish_job(job_id)
@@ -128,25 +148,18 @@ class TestBudgetTiers:
         # Full refit 9s, partial 2s, score 1s; budget 4s/checkpoint. Credit
         # banks 4s per scored checkpoint: full at step 0, partial while
         # saving up, then a full refit once credit covers 9+1s.
-        stream, pred = self._stream(
-            update_cost=9.0, partial_cost=2.0, score_cost=1.0
-        )
-        modes = [
-            stream.step(tau, budget=4.0).update_mode
-            for tau in stream.checkpoints
-        ]
+        stream, pred = self._stream(update_cost=9.0, partial_cost=2.0, score_cost=1.0)
+        modes = [stream.step(tau, budget=4.0).update_mode for tau in stream.checkpoints]
         scored = [m for m in modes if m != "none"]
         assert scored[0] == "full"
         assert "partial" in scored
-        assert "full" in scored[1:]         # credit eventually pays for refit
+        assert "full" in scored[1:]  # credit eventually pays for refit
         assert stream.degraded_checkpoints > 0
         assert pred.update_calls == modes.count("full")
         assert pred.partial_calls == modes.count("partial")
 
     def test_zero_budget_degrades_everything_after_first(self):
-        stream, pred = self._stream(
-            update_cost=1.0, partial_cost=1.0, score_cost=0.1
-        )
+        stream, pred = self._stream(update_cost=1.0, partial_cost=1.0, score_cost=0.1)
         scored = 0
         for tau in stream.checkpoints:
             out = stream.step(tau, budget=0.0)
@@ -214,13 +227,8 @@ class TestBudgetedNurd:
             trace = gen(n_jobs=2, task_range=(60, 90), random_state=42).generate()
             for i, job in enumerate(trace):
                 batch.append(sim.run(job, ClockedNurd(batch_clock, i)))
-                engine = ScoringEngine(
-                    lambda i=i: ClockedNurd(budget_clock, i),
-                    simulator=sim,
-                    budget=3.5,
-                    clock=budget_clock,
-                )
-                budgeted.append(_engine_run(engine, job))
+                engine = ScoringEngine(simulator=sim, budget=3.5, clock=budget_clock)
+                budgeted.append(_engine_run(engine, job, ClockedNurd(budget_clock, i)))
                 for mode, count in engine.update_mode_counts.items():
                     modes[mode] += count
         agree = np.mean(
@@ -239,13 +247,13 @@ class TestBudgetedNurd:
 
 class TestScoringEngine:
     def test_duplicate_begin_rejected(self):
-        engine = ScoringEngine(CountingPredictor)
-        engine.begin_job(_job())
+        engine = ScoringEngine()
+        engine.begin_job(_job(), CountingPredictor())
         with pytest.raises(ValueError, match="already"):
-            engine.begin_job(_job())
+            engine.begin_job(_job(), CountingPredictor())
 
     def test_unknown_job_keyerror(self):
-        engine = ScoringEngine(CountingPredictor)
+        engine = ScoringEngine()
         with pytest.raises(KeyError, match="begin_job"):
             engine.score_checkpoint("nope", 1.0)
         with pytest.raises(KeyError, match="begin_job"):
@@ -253,12 +261,12 @@ class TestScoringEngine:
 
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError, match="budget"):
-            ScoringEngine(CountingPredictor, budget=-1.0)
+            ScoringEngine(budget=-1.0)
 
     def test_finish_closes_stream(self):
-        engine = ScoringEngine(CountingPredictor)
+        engine = ScoringEngine()
         job = _job()
-        engine.begin_job(job)
+        engine.begin_job(job, CountingPredictor())
         assert engine.active_jobs == [job.job_id]
         engine.finish_job(job.job_id)
         assert engine.active_jobs == []
@@ -267,14 +275,11 @@ class TestScoringEngine:
 
     def test_stats_dict_accounts_modes(self):
         clock = FakeClock()
-        engine = ScoringEngine(
-            lambda: CountingPredictor(
-                clock=clock, update_cost=5.0, partial_cost=2.0, score_cost=1.0
-            ),
-            budget=0.0,
-            clock=clock,
+        engine = ScoringEngine(budget=0.0, clock=clock)
+        predictor = CountingPredictor(
+            clock=clock, update_cost=5.0, partial_cost=2.0, score_cost=1.0
         )
-        _engine_run(engine, _job())
+        _engine_run(engine, _job(), predictor)
         stats = engine.stats_dict()
         assert stats["scored_events"] > 0
         assert stats["degraded_events"] == stats["scored_events"] - 1
@@ -302,9 +307,7 @@ class TestScorerService:
         job = _job(n=60)
 
         async def go():
-            svc = ScorerService(
-                CountingPredictor, config=ServiceConfig(queue_depth=4)
-            )
+            svc = ScorerService(CountingPredictor, config=ServiceConfig(queue_depth=4))
             await svc.start()
             await svc.start()  # idempotent
             await svc.submit(BeginJob(job))
@@ -376,6 +379,54 @@ class TestScorerService:
         assert set(per_job) == {j.job_id for j in jobs}
         for seqs in per_job.values():
             assert seqs == sorted(seqs)  # same-shard routing keeps order
+
+    @pytest.mark.parametrize("crash", [False, True], ids=["clean", "crash"])
+    def test_factory_called_once_per_begin_in_submit_order(self, crash):
+        """Three shards begin these six jobs out of submit order, and each of
+        two crashes with no snapshot re-begins every open job of shard 0.
+        The factory still runs once per submitted ``BeginJob``, inside
+        ``submit``, and the k-th job flags as a fresh k-th predictor does
+        alone."""
+        sim = ReplaySimulator(n_checkpoints=6, random_state=0)
+        jobs = [_job(n=40, seed=i, job_id=f"job-{i}") for i in range(6)]
+        calls = []
+
+        def factory():
+            calls.append(len(calls))
+            return DrawingPredictor(seed=calls[-1])
+
+        config = ServiceConfig(n_workers=3, restart_policy=RetryPolicy(base_delay=0.0))
+        svc = ScorerService(factory, simulator=sim, config=config)
+        crashes = ProcessFaults(crash_at_event=4, crash_times=2)
+        chaos = ServiceChaos(FaultPlan(process=crashes))
+        if crash:
+            chaos.install(svc)
+        grids = [sim.checkpoint_grid(job)[1:] for job in jobs]
+
+        async def go():
+            await svc.start()
+            for k, job in enumerate(jobs):
+                await svc.submit(BeginJob(job))
+                assert len(calls) == k + 1
+            # A duplicate is quarantined, but it has used its call.
+            await svc.submit(BeginJob(jobs[0]))
+            assert len(calls) == 7
+            for r in range(6):
+                for job, grid in zip(jobs, grids):
+                    await svc.submit(ScoreCheckpoint(job.job_id, float(grid[r])))
+            for job in jobs:
+                await svc.submit(FinishJob(job.job_id))
+            await svc.stop()
+
+        self._run(go())
+        assert len(calls) == 7
+        assert svc.restarts == chaos.crashes_fired == 2 * crash
+        assert svc.dlq.counts() == {"duplicate-job": 1}
+        for k, job in enumerate(jobs):
+            alone = _engine_run(ScoringEngine(simulator=sim), job, DrawingPredictor(k))
+            got = svc.results[job.job_id]
+            assert got.y_flag.tobytes() == alone.y_flag.tobytes(), job.job_id
+            assert got.flag_times.tobytes() == alone.flag_times.tobytes(), job.job_id
 
     def test_stop_without_start_is_noop(self):
         async def go():
