@@ -4,13 +4,19 @@ Each benchmark regenerates one table or figure of the paper. Traces are
 laptop-scale (the paper used 8425 Google jobs on a 64-core server); the
 *shape* of the results — which method wins, by roughly what factor — is the
 reproduction target, not absolute values. See EXPERIMENTS.md.
+
+Hyperparameters follow the paper's §6 protocol: each family's config is
+tuned by :func:`repro.eval.tuning.tune` on its own ``N_JOBS``-job draw
+(``TUNING_SEED``), disjoint from the evaluated seed-``SEED`` jobs, and then
+applied, fixed, to every evaluated job (EXPERIMENTS.md, "Hyperparameter
+protocol").
 """
 
 import pytest
 
 from repro.eval import EvaluationConfig, evaluate_all
 from repro.eval.baselines import METHOD_NAMES
-from repro.eval.tuning import tuned_method_params
+from repro.eval.tuning import tune
 from repro.traces.alibaba import AlibabaTraceGenerator
 from repro.traces.google import GoogleTraceGenerator
 
@@ -18,60 +24,80 @@ from repro.traces.google import GoogleTraceGenerator
 N_JOBS = 6
 TASK_RANGE = (120, 180)
 SEED = 42
+#: Seed of the tuning jobs: a generator stream apart from the evaluated one.
+TUNING_SEED = SEED + 10_000
 
-#: NURD's alpha per trace family, pinned by hand: no code derives it.
-#: 0.35 is not on repro.eval.tuning.tune_nurd's (0.3, 0.4, 0.5) grid, and the
-#: tuners replay their tuning jobs in-sample with 15 checkpoints, where these
-#: benchmarks replay 10. Tuning by the paper's protocol is ROADMAP.md item 1.
-NURD_ALPHA = {"google": 0.5, "alibaba": 0.35}
+GENERATORS = {"google": GoogleTraceGenerator, "alibaba": AlibabaTraceGenerator}
+
+
+def make_trace(family, seed):
+    gen = GENERATORS[family](n_jobs=N_JOBS, task_range=TASK_RANGE, random_state=seed)
+    return gen.generate()
 
 
 @pytest.fixture(scope="session")
 def google_trace():
-    return GoogleTraceGenerator(
-        n_jobs=N_JOBS, task_range=TASK_RANGE, random_state=SEED
-    ).generate()
+    return make_trace("google", SEED)
 
 
 @pytest.fixture(scope="session")
 def alibaba_trace():
-    return AlibabaTraceGenerator(
-        n_jobs=N_JOBS, task_range=TASK_RANGE, random_state=SEED
-    ).generate()
+    return make_trace("alibaba", SEED)
 
 
-def make_config(trace_name: str, **overrides) -> EvaluationConfig:
-    params = dict(
-        n_checkpoints=10,
-        alpha=NURD_ALPHA[trace_name],
-        random_state=0,
-    )
-    params.update(overrides)
-    return EvaluationConfig(**params)
+@pytest.fixture(scope="session")
+def google_tuning_trace():
+    return make_trace("google", TUNING_SEED)
 
+
+@pytest.fixture(scope="session")
+def alibaba_tuning_trace():
+    return make_trace("alibaba", TUNING_SEED)
+
+
+@pytest.fixture(scope="session")
+def google_config(google_tuning_trace):
+    return tune(google_tuning_trace, EvaluationConfig())
+
+
+@pytest.fixture(scope="session")
+def alibaba_config(alibaba_tuning_trace):
+    return tune(alibaba_tuning_trace, EvaluationConfig())
+
+
+#: The Alibaba claims that fail under held-out tuning. Each still runs, so
+#: the strict xfail flags the day it reproduces.
+UNREPRODUCED_ON_ALIBABA = pytest.mark.xfail(
+    strict=True,
+    reason=(
+        "NURD does not lead on Alibaba under held-out tuning "
+        '(EXPERIMENTS.md, "Hyperparameter protocol")'
+    ),
+)
 
 #: Representative subset shown by the streaming and JCT figures (Table 3
 #: shows all 23 methods).
-CORE_METHODS = ["GBTR", "KNN", "IFOREST", "PU-BG", "Grabit", "CoxPH",
-                "Wrangler", "NURD-NC", "NURD"]
+CORE_METHODS = [
+    "GBTR",
+    "KNN",
+    "IFOREST",
+    "PU-BG",
+    "Grabit",
+    "CoxPH",
+    "Wrangler",
+    "NURD-NC",
+    "NURD",
+]
 
 
-def _replay_all(trace, trace_name):
-    """Tune on ``trace``, then replay all 23 Table 3 methods over it.
-
-    Every replay seeds its simulator and predictor from the job index, so a
-    method's results do not depend on which other methods share the run:
-    the figures read their subsets from this one replay per trace family.
-    """
-    cfg = make_config(trace_name, method_params=tuned_method_params(trace))
-    return evaluate_all(trace, METHOD_NAMES, cfg)
+# Every replay seeds its simulator and predictor from the job index, so a
+# method's results do not depend on which other methods share the run: the
+# figures read their subsets from this one 23-method replay per family.
+@pytest.fixture(scope="session")
+def google_results(google_trace, google_config):
+    return evaluate_all(google_trace, METHOD_NAMES, google_config)
 
 
 @pytest.fixture(scope="session")
-def google_results(google_trace):
-    return _replay_all(google_trace, "google")
-
-
-@pytest.fixture(scope="session")
-def alibaba_results(alibaba_trace):
-    return _replay_all(alibaba_trace, "alibaba")
+def alibaba_results(alibaba_trace, alibaba_config):
+    return evaluate_all(alibaba_trace, METHOD_NAMES, alibaba_config)

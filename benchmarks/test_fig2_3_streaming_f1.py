@@ -2,12 +2,13 @@
 
 Reproduction target: NURD's curve dominates the other methods through most
 of the job lifetime (it identifies stragglers earlier), and every curve is
-non-decreasing (flags are cumulative).
+non-decreasing (flags are cumulative). On Alibaba, NURD's lead is a strict
+xfail under held-out tuning.
 """
 
 import numpy as np
 
-from conftest import CORE_METHODS
+from conftest import CORE_METHODS, UNREPRODUCED_ON_ALIBABA
 from repro.eval import format_series, streaming_f1_curve
 
 
@@ -31,9 +32,14 @@ def test_fig2_streaming_google(google_results, benchmark):
 
 def test_fig3_streaming_alibaba(alibaba_results, benchmark):
     curves = _streaming(alibaba_results, benchmark)
-    final = {m: c[-1] for m, c in curves.items()}
-    assert final["NURD"] >= max(v for m, v in final.items() if m != "NURD") - 0.1
     # NURD identifies stragglers before the job ends: its mid-run F1 is a
     # sizable fraction of its final F1.
     mid = curves["NURD"][4]
     assert mid >= 0.3 * curves["NURD"][-1]
+
+
+@UNREPRODUCED_ON_ALIBABA
+def test_fig3_streaming_alibaba_nurd_near_best(alibaba_results, benchmark):
+    curves = _streaming(alibaba_results, benchmark)
+    final = {m: c[-1] for m, c in curves.items()}
+    assert final["NURD"] >= max(v for m, v in final.items() if m != "NURD") - 0.1

@@ -2,11 +2,11 @@
 
 Reproduction target: NURD is at or near the top of the reduction ranking on
 both traces (its early, accurate flags translate into completion-time wins),
-and reductions are positive for reasonable predictors.
+and reductions are positive for reasonable predictors. On Alibaba, NURD's
+top-3 rank is a strict xfail under held-out tuning.
 """
 
-
-from conftest import CORE_METHODS
+from conftest import CORE_METHODS, UNREPRODUCED_ON_ALIBABA
 from repro.eval import jct_reduction_table
 
 
@@ -33,5 +33,10 @@ def test_fig4_jct_unlimited_google(google_results, benchmark):
 def test_fig5_jct_unlimited_alibaba(alibaba_results, benchmark):
     red = _jct_unlimited(alibaba_results, "alibaba", benchmark)
     assert red["NURD"] > 0.0
+
+
+@UNREPRODUCED_ON_ALIBABA
+def test_fig5_jct_unlimited_alibaba_nurd_top3(alibaba_results, benchmark):
+    red = _jct_unlimited(alibaba_results, "alibaba", benchmark)
     ranked = sorted(red, key=red.get, reverse=True)
     assert "NURD" in ranked[:3], f"NURD rank: {ranked.index('NURD') + 1}"

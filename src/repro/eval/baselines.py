@@ -332,11 +332,12 @@ def build_predictor(
 ) -> OnlineStragglerPredictor:
     """Instantiate a fresh predictor for ``name`` (one per job, per paper).
 
-    ``alpha``/``eps`` are NURD's calibration hyperparameters (tuned per
-    trace family on 6 jobs, following the paper's §6 protocol);
-    ``contamination`` is 1 − straggler percentile for the outlier detectors;
-    ``method_params`` carries trace-level tuned settings for other methods
-    (e.g. Grabit's σ from :func:`repro.eval.tuning.tuned_method_params`).
+    ``alpha``/``eps`` are NURD's calibration hyperparameters (the paper's
+    values by default; :func:`repro.eval.tuning.tune` tunes them on held-out
+    jobs by the paper's §6 protocol); ``contamination`` is 1 − straggler
+    percentile for the outlier detectors; ``method_params`` carries
+    per-method settings passed to the predictor's constructor (e.g. Grabit's
+    tuned σ, or NURD's ``rho_max`` in an ablation).
     """
     extra = (method_params or {}).get(name, {})
     if name == "GBTR":

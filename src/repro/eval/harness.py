@@ -2,32 +2,19 @@
 metrics (Table 3, Figures 2–9).
 
 Every job trains an independent predictor (one model per job, per the
-paper), so replays embarrassingly parallelize: pass ``n_workers > 1`` to
-:func:`evaluate_all` to fan jobs out over a process pool. Results are
-bit-identical to the serial path — each replay seeds its own simulator RNG
-and predictor from the job index, independent of execution order.
-
-The pool never pickles job arrays into its tasks. The trace is served
-from a columnar :class:`~repro.traces.io.TraceStore`: workers attach once
-to the memory-mapped store in their initializer (the OS page cache shares
-the bytes across processes) and each work unit carries only a job index.
-An in-memory :class:`~repro.traces.schema.Trace` is spilled to a
-temporary store (``/dev/shm`` when available) for the run, so a parallel
-run needs a trace the store can hold: one feature schema across all jobs.
-Work units are job-major — one unit replays *all* methods for one job
-against a shared :class:`~repro.sim.replay.CheckpointPlan` — and
-``pool.map`` returns their results in job order. A unit that raises
-surfaces its own exception, serially or from the pool; replays are pure
-functions of the unit, so re-running a failed one would fail the same way.
+paper), seeded from the job index, and :func:`evaluate_all` replays the
+jobs one after another in a single process. It is the one replay loop of
+the evaluation: the paper figures, the ablations and the hyperparameter
+tuner (:func:`repro.eval.tuning.tune`) all score through it. Each job
+replays *all* methods against one shared
+:class:`~repro.sim.replay.CheckpointPlan`. A job that raises surfaces its
+own exception; replays are pure functions of the job, so re-running a
+failed one would fail the same way.
 """
 
 from __future__ import annotations
 
-import os
-import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
@@ -35,7 +22,7 @@ import numpy as np
 from repro.eval.baselines import build_predictor
 from repro.sim.mitigation import jct_reduction
 from repro.sim.replay import ReplayResult, ReplaySimulator
-from repro.traces.io import TraceStore, save_trace_npz
+from repro.traces.io import TraceStore
 from repro.traces.schema import Job, Trace
 
 
@@ -46,20 +33,21 @@ class EvaluationConfig:
     - ``straggler_percentile`` = 90 (p90 threshold; §6 reports robustness
       over p70–p95),
     - ``warmup_fraction`` = 0.04 (predict once 4% of tasks finish),
-    - ``alpha`` = 0.5, ``eps`` = 0.05 (NURD's calibration; pinned, not tuned).
+    - ``alpha`` = 0.5, ``eps`` = 0.05 (NURD's calibration, the paper's
+      values; :func:`repro.eval.tuning.tune` replaces them, and Grabit's σ,
+      with values tuned on held-out jobs).
     """
 
     n_checkpoints: int = 10
     warmup_fraction: float = 0.04
     straggler_percentile: float = 90.0
     feature_noise: float = 0.05
-    # NURD's calibration hyperparameters, set by hand: α = 0.5 / ε = 0.05 are
-    # the paper's values, and the benchmarks pin α = 0.35 for Alibaba-style
-    # traces. No code tunes them; the paper's §6 protocol is ROADMAP.md item 1.
+    # NURD's calibration hyperparameters. The defaults are the paper's
+    # values; the benchmarks replace them by repro.eval.tuning.tune's.
     alpha: float = 0.5
     eps: float = 0.05
     #: Trace-level tuned settings per method, e.g. {"Grabit": {"sigma": s}}
-    #: from :func:`repro.eval.tuning.tuned_method_params`.
+    #: from :func:`repro.eval.tuning.tune`.
     method_params: Optional[Dict[str, Dict]] = None
     random_state: int = 0
 
@@ -122,26 +110,16 @@ class MethodResult:
         }
 
 
-#: Per-worker handle on the shared trace store, opened once by the pool
-#: initializer so every work unit carries only a job index. The mmap'd
-#: column bytes live in the OS page cache, shared across all workers.
-_WORKER_STORE: Optional[TraceStore] = None
-
-
-def _worker_attach(store_path: str) -> None:
-    global _WORKER_STORE
-    _WORKER_STORE = TraceStore(store_path)
-
-
 def _replay_job(
     job: Job, methods: Tuple[str, ...], config: EvaluationConfig, job_index: int
 ) -> List[ReplayResult]:
-    """Replay every method over one job — the unit of parallel work.
+    """Replay every method over one job.
 
     All methods share one :class:`CheckpointPlan` (the grid, noise draw and
     observed matrices are method-independent), so per-job setup runs once
     rather than once per method. Each method still gets a fresh predictor
-    seeded from the job index, so results do not depend on scheduling.
+    seeded from the job index, so results do not depend on which other
+    methods share the run.
     """
     sim = config.make_simulator()
     plan = sim.plan(job)
@@ -163,65 +141,10 @@ def _replay_job(
     return out
 
 
-def _replay_unit(unit: Tuple[Tuple[str, ...], EvaluationConfig, int]):
-    """Read a work unit's job from the worker's store and replay it."""
-    methods, config, job_index = unit
-    return _replay_job(_WORKER_STORE.job(job_index), methods, config, job_index)
-
-
-def _spill_to_store(jobs) -> Path:
-    """Write jobs to a temporary columnar store for shared-memory fan-out.
-
-    Prefers ``/dev/shm`` (RAM-backed tmpfs: worker mmaps never touch disk);
-    falls back to the regular temp dir.
-    """
-    shm = Path("/dev/shm")
-    base = shm if shm.is_dir() and os.access(shm, os.W_OK) else None
-    fd, name = tempfile.mkstemp(
-        prefix="repro-trace-", suffix=".npz", dir=base and str(base)
-    )
-    os.close(fd)
-    path = Path(name)
-    try:
-        save_trace_npz(jobs, path)
-    except BaseException:
-        path.unlink(missing_ok=True)
-        raise
-    return path
-
-
-def _replay_pooled(
-    trace: Union[Trace, TraceStore, Iterable[Job]],
-    n_jobs: Optional[int],
-    methods: Tuple[str, ...],
-    config: EvaluationConfig,
-    n_workers: int,
-) -> List[List[ReplayResult]]:
-    """Replay every job over a process pool attached to a shared store."""
-    spilled = not isinstance(trace, TraceStore)
-    # A trace the store cannot hold (mixed feature schemas) raises here.
-    store_path = _spill_to_store(trace) if spilled else trace.path
-    try:
-        if n_jobs is None:
-            with TraceStore(store_path) as meta:
-                n_jobs = meta.n_jobs
-        units = [(methods, config, i) for i in range(n_jobs)]
-        with ProcessPoolExecutor(
-            max_workers=n_workers,
-            initializer=_worker_attach,
-            initargs=(str(store_path),),
-        ) as pool:
-            return list(pool.map(_replay_unit, units))
-    finally:
-        if spilled:
-            store_path.unlink(missing_ok=True)
-
-
 def evaluate_all(
     trace: Union[Trace, TraceStore, Iterable[Job]],
     methods: Iterable[str],
     config: Optional[EvaluationConfig] = None,
-    n_workers: Optional[int] = None,
 ) -> Dict[str, MethodResult]:
     """Replay every job of ``trace`` through each method and collect results.
 
@@ -230,23 +153,12 @@ def evaluate_all(
     labeled sample. All methods share the job's checkpoint plan (grid,
     noise, observed features) and the simulator seed. ``trace`` may be an
     in-memory :class:`Trace`, a memory-mapped :class:`TraceStore`, or any
-    iterable of jobs. ``n_workers > 1`` distributes jobs over a process
-    pool whose workers attach to the store by path; an in-memory trace is
-    spilled to a temporary store first, so its jobs must share one feature
-    schema (``save_trace_npz`` raises a ``ValueError`` naming the first job
-    that does not). For one method, take ``evaluate_all(trace, [m])[m]``.
+    iterable of jobs. For one method, take ``evaluate_all(trace, [m])[m]``.
     """
     config = config or EvaluationConfig()
     methods = tuple(methods)
-    try:
-        n_jobs: Optional[int] = len(trace)  # type: ignore[arg-type]
-    except TypeError:
-        n_jobs = None
-    if n_workers is None or n_workers <= 1 or (n_jobs or 2) <= 1:
-        source = trace.iter_jobs() if hasattr(trace, "iter_jobs") else iter(trace)
-        per_job = [_replay_job(job, methods, config, i) for i, job in enumerate(source)]
-    else:
-        per_job = _replay_pooled(trace, n_jobs, methods, config, n_workers)
+    source = trace.iter_jobs() if hasattr(trace, "iter_jobs") else iter(trace)
+    per_job = [_replay_job(job, methods, config, i) for i, job in enumerate(source)]
     return {
         m: MethodResult(method=m, replays=[results[k] for results in per_job])
         for k, m in enumerate(methods)

@@ -1,103 +1,62 @@
-"""Hyperparameter tuning following the paper's protocol (§6).
+"""Hyperparameter tuning by the paper's protocol (§6).
 
-The paper tunes each method's hyperparameters on **six jobs per trace** and
-then applies them, fixed, to every job. This module reproduces that: tuned
-values are trace-level constants, so jobs whose scales differ from the
-tuning jobs run with (realistically) mis-specified settings — the paper's
-protocol, not per-job adaptation.
+The paper tunes each method on six jobs per trace and then applies the
+values, fixed, to every evaluated job. :func:`tune` does that on a tuning
+trace the caller draws disjoint from the evaluated jobs. It scores each grid
+point with :func:`~repro.eval.harness.evaluate_all`, the loop that produces
+the reported numbers, so tuning replays exactly what is reported. Jobs
+whose scales differ from the tuning jobs then run with mis-specified
+settings: that is the paper's protocol, not per-job adaptation.
 
-Currently tuned here:
+Tuned here, by mean F1 on the tuning trace (on a tie the first grid point
+wins):
 
+- NURD's (α, ε), over :data:`NURD_GRID`;
 - Grabit's Tobit scale σ (Sigrist & Hirnschall expose it as a
-  hyperparameter): the median latency standard deviation of the tuning jobs.
-- NURD's (α, ε): grid-searched on the tuning jobs by mean F1.
+  hyperparameter), over :data:`SIGMA_MULTIPLIERS` × the median latency
+  standard deviation of the tuning jobs. A single σ cannot fit every job
+  (per-job latency scales differ by an order of magnitude), which is the
+  mis-specification the protocol induces for parametric censored models.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple
+from dataclasses import replace
 
 import numpy as np
 
-from repro.core.nurd import NurdPredictor
-from repro.sim.replay import ReplaySimulator
+from repro.eval.harness import EvaluationConfig, evaluate_all
 from repro.traces.schema import Trace
 
-
-def select_tuning_jobs(trace: Trace, n_jobs: int = 6):
-    """The paper uses 6 representative jobs per trace; we take the first 6
-    (as it does for Alibaba)."""
-    if n_jobs < 1:
-        raise ValueError("n_jobs must be >= 1.")
-    return trace.jobs[: min(n_jobs, len(trace.jobs))]
+#: NURD's (α, ε) grid, in search order.
+NURD_GRID = tuple((a, e) for a in (0.3, 0.4, 0.5) for e in (0.05, 0.2, 0.3))
+#: Grabit's σ grid, in multiples of the tuning jobs' median latency std.
+SIGMA_MULTIPLIERS = (0.5, 1.0, 2.0, 4.0, 8.0)
 
 
-def tune_grabit_sigma(
-    trace: Trace,
-    simulator: Optional[ReplaySimulator] = None,
-    n_tuning_jobs: int = 6,
-    multipliers: Iterable[float] = (0.5, 1.0, 2.0, 4.0, 8.0),
-    random_state: int = 0,
-) -> float:
-    """Trace-level Tobit scale σ for Grabit, F1-grid-searched on the tuning
-    jobs around the median latency std.
+def tune(tuning_trace: Trace, config: EvaluationConfig) -> EvaluationConfig:
+    """Return ``config`` with NURD's (α, ε) and Grabit's σ tuned on
+    ``tuning_trace``; its other fields are unchanged.
 
-    A single σ cannot fit every job (per-job latency scales differ by an
-    order of magnitude), which is exactly the mis-specification the paper's
-    tune-on-6-jobs protocol induces for parametric censored models.
+    Draw ``tuning_trace`` apart from the evaluated jobs (the benchmarks use
+    their own generator seed), or tuning is in-sample.
     """
-    from repro.eval.baselines import CensoredRegressionPredictor
+    if len(tuning_trace) == 0:
+        raise ValueError("tuning_trace has no jobs.")
+    base = float(np.median([np.std(job.latencies) for job in tuning_trace]))
+    if not base > 0:
+        raise ValueError("tuning_trace has zero latency variance.")
 
-    jobs = select_tuning_jobs(trace, n_tuning_jobs)
-    base = float(np.median([np.std(job.latencies) for job in jobs]))
-    if base <= 0:
-        raise ValueError("tuning jobs have zero latency variance.")
-    sim = simulator or ReplaySimulator(random_state=random_state)
-    best = (-1.0, base)
-    for mult in multipliers:
-        sigma = mult * base
-        f1s = []
-        for job in jobs:
-            pred = CensoredRegressionPredictor(
-                variant="Grabit", sigma=sigma, random_state=random_state
-            )
-            f1s.append(sim.run(job, pred).f1)
-        mean_f1 = float(np.mean(f1s))
-        if mean_f1 > best[0]:
-            best = (mean_f1, sigma)
-    return best[1]
+    def f1(method: str, **changes) -> float:
+        cfg = replace(config, **changes)
+        return evaluate_all(tuning_trace, [method], cfg)[method].f1
 
-
-def tune_nurd(
-    trace: Trace,
-    simulator: Optional[ReplaySimulator] = None,
-    n_tuning_jobs: int = 6,
-    alphas: Iterable[float] = (0.3, 0.4, 0.5),
-    epsilons: Iterable[float] = (0.05, 0.2, 0.3),
-    random_state: int = 0,
-) -> Tuple[float, float]:
-    """Grid-search (α, ε) for NURD on the tuning jobs; returns the best pair."""
-    sim = simulator or ReplaySimulator(random_state=random_state)
-    jobs = select_tuning_jobs(trace, n_tuning_jobs)
-    best: Tuple[float, Tuple[float, float]] = (-1.0, (0.5, 0.05))
-    for alpha in alphas:
-        for eps in epsilons:
-            f1s = []
-            for job in jobs:
-                pred = NurdPredictor(
-                    alpha=alpha, eps=eps, random_state=random_state
-                )
-                f1s.append(sim.run(job, pred).f1)
-            mean_f1 = float(np.mean(f1s))
-            if mean_f1 > best[0]:
-                best = (mean_f1, (alpha, eps))
-    return best[1]
-
-
-def tuned_method_params(trace: Trace, n_tuning_jobs: int = 6) -> Dict[str, Dict]:
-    """Trace-level tuned hyperparameters for the methods that need them."""
-    return {
-        "Grabit": {
-            "sigma": tune_grabit_sigma(trace, n_tuning_jobs=n_tuning_jobs)
-        },
-    }
+    # max() keeps the first of equal maxima.
+    alpha, eps = max(NURD_GRID, key=lambda p: f1("NURD", alpha=p[0], eps=p[1]))
+    sigma = max(
+        (m * base for m in SIGMA_MULTIPLIERS),
+        key=lambda s: f1("Grabit", method_params={"Grabit": {"sigma": s}}),
+    )
+    return replace(
+        config, alpha=alpha, eps=eps, method_params={"Grabit": {"sigma": sigma}}
+    )

@@ -3,8 +3,7 @@
 Shared by the KNN, LOF, COF, SOD, ABOD, LSCP and SOS outlier detectors and
 XGBOD's detector pool. Every query goes through :func:`_raw_tree_query`,
 which runs it on the calling thread: the matrices hold tens to hundreds of
-rows, so a worker pool's thread starts would cost more than the query, and
-the replay harness already parallelises across processes.
+rows, so a worker pool's thread starts would cost more than the query.
 
 Besides the :class:`NearestNeighbors` estimator this module hosts a small
 process-local :class:`NeighborCache`. Every unsupervised detector refit on a
@@ -15,7 +14,7 @@ on the same job sees bitwise-equal checkpoint matrices (one simulator seed
 per job). The cache keys tree builds on array **content** and raw kNN query
 results on array identity, so all of those consumers share one KD-tree and
 one sorted neighbor list per matrix — across detectors within a checkpoint
-and across method replays within a worker — and narrower queries slice the
+and across method replays of one job — and narrower queries slice the
 widest cached result instead of hitting the tree again.
 """
 
@@ -50,10 +49,9 @@ class NeighborCache:
     side-index makes repeated lookups of the same live object skip the
     hashing. Content keying is what lets independent replays share builds:
     every method replaying the same job sees bitwise-equal observation
-    matrices at the same checkpoint (same simulator seed), so a worker
-    processing a job-major chunk builds each checkpoint's tree once per
-    *(job, checkpoint)* rather than once per method — the cross-task reuse
-    the paper-scale harness schedules for.
+    matrices at the same checkpoint (same simulator seed), so the harness,
+    which replays every method of a job together, builds each checkpoint's
+    tree once per *(job, checkpoint)* rather than once per method.
 
     **Query results** are keyed on ``id()`` of the participating arrays and
     guarded by weak references: a hit requires the cached reference to still
@@ -71,9 +69,9 @@ class NeighborCache:
     to modify them must copy (in-place writes would otherwise corrupt every
     later hit).
 
-    The cache is process-local (each ``evaluate_all`` worker owns one) and
-    LRU-bounded — tree entries pin their arrays, so memory stays
-    proportional to ``_MAX_TREES`` checkpoint-sized matrices.
+    The cache is process-local and LRU-bounded — tree entries pin their
+    arrays, so memory stays proportional to ``_MAX_TREES`` checkpoint-sized
+    matrices.
     """
 
     def __init__(self):

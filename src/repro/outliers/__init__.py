@@ -7,7 +7,7 @@ thresholds the scores at the ``contamination`` quantile of the training
 scores (1 = outlier).
 
 All detectors are reimplemented from their original papers on top of
-:mod:`repro.learn` (PyOD is not available offline; see DESIGN.md §2).
+:mod:`repro.learn` (PyOD is not available offline).
 """
 
 from repro.outliers.base import BaseDetector

@@ -5,7 +5,8 @@ traces. Those datasets are not available offline, so this package provides
 synthetic generators that reproduce the *statistical structure* the paper's
 method exploits (per-job heterogeneous latency distributions, feature–latency
 coupling, p90-tail stragglers) with the exact feature schemas of the paper's
-Tables 1 and 2. See DESIGN.md §2 for the substitution argument.
+Tables 1 and 2. EXPERIMENTS.md, "Benchmark scale vs. the paper", says what
+that substitution means for the results.
 """
 
 from repro.traces.schema import Job, Trace, GOOGLE_FEATURES, ALIBABA_FEATURES

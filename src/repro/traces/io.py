@@ -15,12 +15,11 @@ plus a per-job offset index. Because ``np.savez`` stores members without
 compression, :class:`TraceStore` memory-maps the array payloads in place —
 opening a multi-GB trace costs a few metadata reads, jobs materialize
 lazily as read-only views, and every process that maps the same file
-shares one page-cache copy (the paper-scale fan-out in
-:mod:`repro.eval.harness` relies on this). Binary float64 storage makes
-the round trip bit-exact. The file stays a perfectly ordinary npz that
-``np.load`` reads anywhere, but :class:`TraceStore` maps it only if its
-columns are stored uncompressed and refuses it otherwise: an eager load
-would give every pool worker its own copy. The store records its layout
+shares one page-cache copy. Binary float64 storage makes the round trip
+bit-exact. The file stays a perfectly ordinary npz that ``np.load`` reads
+anywhere, but :class:`TraceStore` maps it only if its columns are stored
+uncompressed and refuses it otherwise: an eager load would hold the whole
+trace in memory. The store records its layout
 version (``store_version``); :class:`TraceStore` refuses any other.
 """
 
@@ -191,7 +190,7 @@ def _mmap_npz_columns(path: Path, columns) -> Optional[dict]:
     Returns ``{member_name: read-only np.memmap}``, or ``None`` when any
     requested member is compressed or otherwise unmappable (the caller then
     rejects the file). Mapped arrays share pages across processes via the
-    OS page cache — this is the zero-copy worker-attach path.
+    OS page cache.
     """
     members = {}
     try:
@@ -234,7 +233,7 @@ class TraceStore:
     feature/latency/start-time columns stay on disk and are memory-mapped
     read-only. :meth:`job` materializes one :class:`Job` lazily as views
     into the map — no copy, no parsing — so iterating a 1000+-job trace
-    holds one job's working set in memory at a time and concurrent worker
+    holds one job's working set in memory at a time and concurrent
     processes mapping the same path share a single page-cache copy.
 
     Served arrays are **read-only** (writing raises); callers that need to
@@ -242,7 +241,7 @@ class TraceStore:
     features, positive finite durations). Opening checks ``store_version``:
     a store of another layout (or none) raises rather than loading
     silently, and so does a store whose columns cannot be mapped (a
-    compressed npz): an eager load would give every process its own copy.
+    compressed npz): an eager load would hold the whole trace in memory.
     """
 
     _COLUMNS = ("features", "latency", "start_time")
@@ -368,8 +367,8 @@ class TraceStore:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    # Pickling sends only the path: each process re-opens (and re-maps) the
-    # store locally, which is exactly the worker-attach semantic we want.
+    # Pickling sends only the path: the receiving process re-opens (and
+    # re-maps) the store locally instead of copying its columns.
     def __reduce__(self):
         return (type(self), (str(self.path),))
 

@@ -267,18 +267,14 @@ def _service(case, sim, trace):
 
 
 def _harness(case, sim, trace):
-    def replays(source, n_workers=None):
-        methods = [case.method]
-        results = evaluate_all(source, methods, case.config(), n_workers=n_workers)
-        return results[case.method].replays
+    def replays(source):
+        return evaluate_all(source, [case.method], case.config())[case.method].replays
 
     with tempfile.TemporaryDirectory() as tmp:
         with TraceStore(save_trace_npz(trace, Path(tmp) / "t.npz")) as store:
             return {
                 "evaluate_all[Trace]": replays(trace),
                 "evaluate_all[TraceStore]": replays(store),
-                "evaluate_all[TraceStore, n_workers=2]": replays(store, 2),
-                "evaluate_all[Trace, n_workers=2]": replays(trace, 2),
             }
 
 

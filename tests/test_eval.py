@@ -1,6 +1,9 @@
 """Tests for the evaluation harness, baseline adapters, tuning and
 reporting, plus end-to-end integration checks."""
 
+from dataclasses import replace
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -16,12 +19,10 @@ from repro.eval import (
     METHOD_NAMES,
 )
 from repro.eval.baselines import WranglerPredictor
-from repro.eval.tuning import (
-    select_tuning_jobs,
-    tune_grabit_sigma,
-    tuned_method_params,
-)
+from repro.eval import tuning
+from repro.eval.tuning import NURD_GRID, SIGMA_MULTIPLIERS, tune
 from repro.sim.replay import ReplaySimulator
+from repro.traces import AlibabaTraceGenerator, GoogleTraceGenerator, Trace
 
 
 FAST_METHODS = ["GBTR", "KNN", "PU-EN", "Grabit", "Wrangler", "NURD", "NURD-NC"]
@@ -99,21 +100,63 @@ class TestHarness:
 
 
 class TestTuning:
-    def test_select_tuning_jobs(self, google_trace):
-        jobs = select_tuning_jobs(google_trace, 2)
-        assert len(jobs) == 2
-        assert jobs[0] is google_trace[0]
+    CONFIG = EvaluationConfig(n_checkpoints=4, random_state=3)
 
-    def test_grabit_sigma_positive(self, google_trace):
-        sim = ReplaySimulator(n_checkpoints=3, random_state=0)
-        sigma = tune_grabit_sigma(
-            google_trace, simulator=sim, n_tuning_jobs=2, multipliers=(1.0, 4.0)
-        )
-        assert sigma > 0
+    @pytest.fixture(
+        scope="class",
+        params=[GoogleTraceGenerator, AlibabaTraceGenerator],
+        ids=["google", "alibaba"],
+    )
+    def tiny_trace(self, request):
+        gen = request.param(n_jobs=3, task_range=(40, 60), random_state=11)
+        return gen.generate()
 
-    def test_tuned_method_params_structure(self, google_trace):
-        mp = tuned_method_params(google_trace, n_tuning_jobs=1)
-        assert "sigma" in mp["Grabit"]
+    @staticmethod
+    def _base_sigma(trace):
+        return float(np.median([np.std(job.latencies) for job in trace]))
+
+    def test_tuned_config_scores_the_grid_maximum(self, tiny_trace, monkeypatch):
+        scores = {"NURD": {}, "Grabit": {}}
+
+        def recording(trace, methods, config):
+            (method,) = methods
+            res = evaluate_all(trace, methods, config)
+            if method == "NURD":
+                point = (config.alpha, config.eps)
+            else:
+                point = config.method_params["Grabit"]["sigma"]
+            scores[method][point] = res[method].f1
+            return res
+
+        monkeypatch.setattr(tuning, "evaluate_all", recording)
+        tuned = tune(tiny_trace, self.CONFIG)
+        sigmas = [m * self._base_sigma(tiny_trace) for m in SIGMA_MULTIPLIERS]
+        assert list(scores["NURD"]) == list(NURD_GRID)
+        assert list(scores["Grabit"]) == sigmas
+        for method, grid in scores.items():
+            f1 = evaluate_all(tiny_trace, [method], tuned)[method].f1
+            assert f1 == max(grid.values())
+        untuned = replace(tuned, alpha=0.5, eps=0.05, method_params=None)
+        assert untuned == self.CONFIG
+
+    def test_a_tie_keeps_the_first_grid_point(self, tiny_trace, monkeypatch):
+        def constant_f1(trace, methods, config):
+            return {m: SimpleNamespace(f1=0.5) for m in methods}
+
+        monkeypatch.setattr(tuning, "evaluate_all", constant_f1)
+        tuned = tune(tiny_trace, self.CONFIG)
+        assert (tuned.alpha, tuned.eps) == NURD_GRID[0]
+        sigma = SIGMA_MULTIPLIERS[0] * self._base_sigma(tiny_trace)
+        assert tuned.method_params == {"Grabit": {"sigma": sigma}}
+
+    def test_rejects_an_empty_trace(self):
+        with pytest.raises(ValueError, match="tuning_trace"):
+            tune(Trace(name="empty", jobs=[]), self.CONFIG)
+
+    def test_rejects_zero_latency_variance(self, tiny_trace):
+        flat = [replace(j, latencies=np.full(j.n_tasks, 5.0)) for j in tiny_trace]
+        with pytest.raises(ValueError, match="tuning_trace"):
+            tune(Trace(name="flat", jobs=flat), self.CONFIG)
 
 
 class TestReporting:

@@ -2,8 +2,7 @@
 
 Every kNN-family detector reaches ``cKDTree.query`` through
 ``learn.neighbors._raw_tree_query``. Its matrices hold tens of rows, so a
-query pool's thread starts would cost more than the query itself; the
-replay harness parallelises across processes instead.
+query pool's thread starts would cost more than the query itself.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Columnar trace store and paper-scale fan-out tests.
+"""Columnar trace store and harness tests.
 
 Covers the contracts the paper-scale replay path leans on:
 
@@ -8,13 +8,12 @@ Covers the contracts the paper-scale replay path leans on:
   other layout versions loudly;
 - streaming export (``iter_jobs`` -> ``save_trace_npz``) is byte-identical
   to exporting the generated trace;
-- the harness pool counts a bare job stream, a work unit that raises
-  surfaces its own error serially and from the pool, and a parallel run
-  rejects a trace the store cannot hold;
+- the harness replays a bare job stream in job order, and a job that
+  raises surfaces its own error;
 - a :class:`CheckpointPlan` from another job or simulator is rejected, and
   the content-keyed neighbor cache stops per-replay KD-tree rebuilds.
 
-That a Trace, a TraceStore, the pool and a shared plan all replay bit for
+That a Trace, a TraceStore and a shared plan all replay bit for
 bit like the reference loop is ``tests/test_differential.py``'s job.
 """
 
@@ -149,7 +148,7 @@ class TestTraceStore:
             TraceStore(path)
 
     def test_compressed_npz_is_rejected(self, google_trace, tmp_path):
-        # An eager load would give every pool worker its own copy.
+        # An eager load would hold the whole trace in memory.
         path = save_trace_npz(google_trace, tmp_path / "z.npz")
         _rewrite_store(path, savez=np.savez_compressed)
         with pytest.raises(ValueError, match=r"z\.npz.*cannot be memory-mapped"):
@@ -222,48 +221,37 @@ class TestCheckpointPlan:
 
 
 # ---------------------------------------------------------------------------
-# Harness fan-out
+# Harness job loop
 # ---------------------------------------------------------------------------
 
 
-class TestFanOut:
+class TestJobLoop:
     METHODS = ["NURD", "KNN"]
 
     @pytest.fixture(scope="class")
     def cfg(self):
         return EvaluationConfig(n_checkpoints=5, random_state=0)
 
-    def test_parallel_rejects_heterogeneous_trace(
-        self, google_trace, alibaba_trace, cfg
-    ):
-        mixed = Trace(name="mixed", jobs=[google_trace[0], alibaba_trace[0]])
-        with pytest.raises(ValueError, match="schema"):
-            evaluate_all(mixed, self.METHODS, cfg, n_workers=2)
-
-    def test_parallel_counts_a_bare_job_stream(self, google_trace, cfg):
-        # A generator has no len(): the pool reads the count from the spill.
+    def test_bare_job_stream_replays_in_job_order(self, google_trace, cfg):
+        # A generator has no len() and no iter_jobs(): evaluate_all iterates it.
         jobs = google_trace.iter_jobs()
-        res = evaluate_all(jobs, self.METHODS, cfg, n_workers=2)
+        res = evaluate_all(jobs, self.METHODS, cfg)
         want = [j.job_id for j in google_trace]
         for method in self.METHODS:
             assert [r.job_id for r in res[method].replays] == want
 
-    @pytest.mark.parametrize("n_workers", [None, 2])
-    def test_failing_unit_surfaces_its_error(self, google_trace, cfg, n_workers):
+    def test_failing_unit_surfaces_its_error(self, google_trace, cfg):
         with pytest.raises(ValueError, match="unknown method 'NOPE'"):
-            evaluate_all(google_trace, ["KNN", "NOPE"], cfg, n_workers=n_workers)
+            evaluate_all(google_trace, ["KNN", "NOPE"], cfg)
 
-    @pytest.mark.parametrize("n_workers", [None, 2])
-    def test_corrupt_job_surfaces_its_error(
-        self, google_trace, cfg, tmp_path, n_workers
-    ):
+    def test_corrupt_job_surfaces_its_error(self, google_trace, cfg, tmp_path):
         path = save_trace_npz(google_trace, tmp_path / "t.npz")
         latency = np.concatenate([j.latencies for j in google_trace])
         latency[google_trace[0].n_tasks + 3] = np.nan
         _rewrite_store(path, latency=latency)
         bad = google_trace[1].job_id
         with pytest.raises(ValueError, match=rf"job '{bad}', task 3: duration"):
-            evaluate_all(TraceStore(path), ["KNN"], cfg, n_workers=n_workers)
+            evaluate_all(TraceStore(path), ["KNN"], cfg)
 
 
 # ---------------------------------------------------------------------------
