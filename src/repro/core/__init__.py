@@ -3,7 +3,6 @@
 from repro.core.calibration import compute_rho, compute_delta, clip_weight
 from repro.core.propensity import PropensityScorer
 from repro.core.nurd import NurdPredictor, NurdNcPredictor
-from repro.core.transfer import TransferNurd
 
 __all__ = [
     "compute_rho",
@@ -12,5 +11,4 @@ __all__ = [
     "PropensityScorer",
     "NurdPredictor",
     "NurdNcPredictor",
-    "TransferNurd",
 ]

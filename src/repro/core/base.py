@@ -37,14 +37,8 @@ class OnlineStragglerPredictor(BaseEstimator):
         """
         self.tau_stra_ = float(tau_stra)
 
-    def update(self, X_fin, y_fin, X_run, elapsed_run=None) -> None:
-        """Refit internal models on the current finished/running split.
-
-        ``elapsed_run`` (optional) gives each running task's elapsed
-        execution time — a per-task lower bound on its latency, which the
-        censored/survival baselines use as the censoring level. Methods that
-        don't need it ignore it.
-        """
+    def update(self, X_fin, y_fin, X_run) -> None:
+        """Refit internal models on the current finished/running split."""
         raise NotImplementedError
 
     def predict_stragglers(self, X_run) -> np.ndarray:

@@ -130,7 +130,7 @@ class NurdPredictor(OnlineStragglerPredictor):
         self.delta_ = delta if self.calibrate else 0.0
         self._fitted_models = False
 
-    def update(self, X_fin, y_fin, X_run, elapsed_run=None) -> None:
+    def update(self, X_fin, y_fin, X_run) -> None:
         """Refit ``h_t`` on finished tasks and ``g_t`` on finished vs running.
 
         With ``warm_start`` the first checkpoint trains the full ensemble;
@@ -165,14 +165,10 @@ class NurdPredictor(OnlineStragglerPredictor):
             self.h_.fit(X_fin, y_fin)
         else:
             base = (
-                self.regressor
-                if self.regressor is not None
-                else _default_regressor()
+                self.regressor if self.regressor is not None else _default_regressor()
             )
             self.h_ = clone(base)
-            if self.warm_start and isinstance(
-                self.h_, GradientBoostingRegressor
-            ):
+            if self.warm_start and isinstance(self.h_, GradientBoostingRegressor):
                 self.h_.set_params(warm_start=True)
             self.h_.fit(X_fin, y_fin)
             self._n_full_fit = X_fin.shape[0]
@@ -180,7 +176,7 @@ class NurdPredictor(OnlineStragglerPredictor):
         self._fit_propensity(X_fin, X_run)
         self._fitted_models = True
 
-    def partial_update(self, X_fin, y_fin, X_run, elapsed_run=None) -> None:
+    def partial_update(self, X_fin, y_fin, X_run) -> None:
         """Budget-degraded update: refresh ``g_t`` only, keep the cached ``h_t``.
 
         The propensity model discriminates finished vs. running — a split

@@ -53,7 +53,7 @@ class GbtrPredictor(OnlineStragglerPredictor):
     def __init__(self, random_state=None):
         self.random_state = random_state
 
-    def update(self, X_fin, y_fin, X_run, elapsed_run=None) -> None:
+    def update(self, X_fin, y_fin, X_run) -> None:
         model = GradientBoostingRegressor(n_estimators=60, max_depth=3)
         self.model_ = model.fit(X_fin, y_fin)
 
@@ -90,7 +90,7 @@ class OutlierDetectorPredictor(OnlineStragglerPredictor):
             kwargs["random_state"] = self.random_state
         return cls(**kwargs)
 
-    def update(self, X_fin, y_fin, X_run, elapsed_run=None) -> None:
+    def update(self, X_fin, y_fin, X_run) -> None:
         # No cache clear here: the shared NeighborCache is LRU-bounded (so
         # long replays stay at constant footprint) and content-keyed, which
         # lets *other* method replays of the same job hit this checkpoint's
@@ -144,7 +144,7 @@ class PuPredictor(OnlineStragglerPredictor):
         self.variant = variant
         self.random_state = random_state
 
-    def update(self, X_fin, y_fin, X_run, elapsed_run=None) -> None:
+    def update(self, X_fin, y_fin, X_run) -> None:
         X_fin = np.asarray(X_fin, dtype=float)
         X_run = np.asarray(X_run, dtype=float)
         X_all = np.vstack([X_fin, X_run])
@@ -186,7 +186,7 @@ class CensoredRegressionPredictor(OnlineStragglerPredictor):
         self.sigma = sigma
         self.random_state = random_state
 
-    def update(self, X_fin, y_fin, X_run, elapsed_run=None) -> None:
+    def update(self, X_fin, y_fin, X_run) -> None:
         X_fin = np.asarray(X_fin, dtype=float)
         y_fin = np.asarray(y_fin, dtype=float)
         X_run = np.asarray(X_run, dtype=float)
@@ -224,7 +224,7 @@ class CoxPhPredictor(OnlineStragglerPredictor):
     the paper reports for CoxPH.
     """
 
-    def update(self, X_fin, y_fin, X_run, elapsed_run=None) -> None:
+    def update(self, X_fin, y_fin, X_run) -> None:
         X_fin = np.asarray(X_fin, dtype=float)
         y_fin = np.asarray(y_fin, dtype=float)
         X_run = np.asarray(X_run, dtype=float)
@@ -286,7 +286,7 @@ class WranglerPredictor(OnlineStragglerPredictor):
             X_tr, y_tr = X_tr[keep], y_tr[keep]
         self.model_ = LinearSVC(random_state=rng).fit(X_tr, y_tr)
 
-    def update(self, X_fin, y_fin, X_run, elapsed_run=None) -> None:
+    def update(self, X_fin, y_fin, X_run) -> None:
         # Offline model: nothing to update online.
         if not hasattr(self, "model_"):
             raise RuntimeError(

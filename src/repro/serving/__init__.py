@@ -7,7 +7,7 @@
 - :mod:`repro.serving.stats` — latency reservoir for p50/p99 reporting.
 """
 
-from repro.serving.engine import EngineSnapshot, ScoreEvent, ScoringEngine
+from repro.serving.engine import ScoreEvent, ScoringEngine
 from repro.serving.service import (
     BeginJob,
     FinishJob,
@@ -22,7 +22,6 @@ from repro.serving.stats import LatencyStats
 __all__ = [
     "ScoringEngine",
     "ScoreEvent",
-    "EngineSnapshot",
     "ScorerService",
     "ServiceConfig",
     "ServiceFailure",

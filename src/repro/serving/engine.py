@@ -18,12 +18,7 @@ from typing import Callable, Dict, List, Optional
 import numpy as np
 
 from repro.serving.stats import LatencyStats
-from repro.sim.replay import (
-    ReplayResult,
-    ReplaySimulator,
-    ReplayStream,
-    StreamSnapshot,
-)
+from repro.sim.replay import ReplayResult, ReplaySimulator, ReplayStream
 from repro.traces.schema import Job
 from repro.utils.validation import check_job_payload
 
@@ -43,21 +38,6 @@ class ScoreEvent:
     update_mode: str  # "full" | "partial" | "cached" | "none"
     latency_s: float  # end-to-end engine latency for the event
     score_s: float  # predict_stragglers time alone
-
-
-@dataclass
-class EngineSnapshot:
-    """Frozen per-job engine state for crash recovery.
-
-    Pairs the stream's :class:`StreamSnapshot` with the engine's per-job
-    event sequence counter, so a restored job resumes emitting events with
-    the exact sequence numbers an uninterrupted run would have used —
-    which is what lets consumers dedup replayed events bit-exactly.
-    """
-
-    job_id: str
-    seq: int
-    stream: StreamSnapshot
 
 
 class ScoringEngine:
@@ -173,33 +153,6 @@ class ScoringEngine:
         del self._seq[job_id]
         return stream.result()
 
-    # -- crash recovery -------------------------------------------------
-    def snapshot(self, job_id: str) -> EngineSnapshot:
-        """Freeze the job's stream state and event sequence counter."""
-        return EngineSnapshot(
-            job_id=job_id,
-            seq=self._seq[job_id],
-            stream=self._stream(job_id).snapshot(),
-        )
-
-    def restore(self, snap: EngineSnapshot) -> str:
-        """Reopen a job from ``snap``; scoring resumes bit-identically.
-
-        The job must not currently be open (``discard`` a half-mutated
-        stream first). The snapshot is not consumed — the same snapshot can
-        seed any number of restores.
-        """
-        if snap.job_id in self._streams:
-            raise ValueError(
-                f"job {snap.job_id!r} is already open; discard it before "
-                "restoring a snapshot."
-            )
-        self._streams[snap.job_id] = ReplayStream.from_snapshot(
-            snap.stream, clock=self.clock
-        )
-        self._seq[snap.job_id] = snap.seq
-        return snap.job_id
-
     def discard(self, job_id: str) -> bool:
         """Drop a job's stream without producing a result (crash cleanup)."""
         existed = job_id in self._streams
@@ -213,9 +166,7 @@ class ScoringEngine:
             "scored_events": self.scored_events,
             "degraded_events": self.degraded_events,
             "degraded_fraction": (
-                self.degraded_events / self.scored_events
-                if self.scored_events
-                else 0.0
+                self.degraded_events / self.scored_events if self.scored_events else 0.0
             ),
             "update_modes": dict(self.update_mode_counts),
             "checkpoint_latency": self.checkpoint_stats.as_dict(),

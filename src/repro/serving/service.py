@@ -15,12 +15,11 @@ the checkpoint rate, instead of buffering without limit.
 Fault tolerance (see EXPERIMENTS.md, "Fault matrix"):
 
 - *Supervision*: a shard worker that raises is restarted with capped
-  exponential backoff (``restart_policy``). Recovery rebuilds every job
-  routed to the shard from its last engine snapshot, or else from a copy
-  of its unfitted predictor (never from the factory), and replays the
-  logged checkpoints; per-job event sequence numbers let :meth:`_dispatch`
-  drop already-emitted events, so the delivered stream is bit-identical
-  to an uninterrupted run.
+  exponential backoff (``restart_policy``). Recovery begins every job
+  routed to the shard again from a copy of its unfitted predictor (never
+  from the factory) and replays its logged checkpoints; per-job event
+  sequence numbers let :meth:`_dispatch` drop already-emitted events, so
+  the delivered stream is bit-identical to an uninterrupted run.
 - *Quarantine*: every request is validated on ingest — malformed
   payloads, non-finite or stale checkpoint times, unknown job ids — and
   rejects are routed to a bounded :class:`~repro.faults.dlq.DeadLetterQueue`
@@ -28,8 +27,8 @@ Fault tolerance (see EXPERIMENTS.md, "Fault matrix"):
 - *Emit retry*: sink calls are retried per ``emit_policy``; undeliverable
   events land in the DLQ under ``"emit-failed"``.
 
-Restarts, retries and snapshots are set per config; with the defaults the
-hot path adds only the ingest check and per-job bookkeeping appends.
+Restarts and retries are set per config; the hot path adds only the
+ingest check and per-job bookkeeping appends.
 ``tests/test_differential.py`` holds the service, with one shard or
 several and through crash recovery, to the reference checkpoint loop bit
 for bit. The service has no fault-injection hook: the tests inject
@@ -51,7 +50,7 @@ import numpy as np
 
 from repro.faults.dlq import DeadLetterQueue
 from repro.faults.retry import RetryPolicy
-from repro.serving.engine import EngineSnapshot, ScoreEvent, ScoringEngine
+from repro.serving.engine import ScoreEvent, ScoringEngine
 from repro.sim.replay import ReplayResult, ReplaySimulator
 from repro.traces.schema import Job
 from repro.utils.validation import check_job_payload
@@ -112,13 +111,12 @@ class ServiceFailure(RuntimeError):
 
 @dataclass
 class _JobLog:
-    """Per-job recovery state: unfitted predictor, last snapshot, checkpoints."""
+    """Per-job recovery state: the job's ``BeginJob``, a copy of its
+    unfitted predictor, and every checkpoint admitted since."""
 
     begin: BeginJob
     predictor: object
-    snapshot: Optional[EngineSnapshot] = None
     pending: List[ScoreCheckpoint] = field(default_factory=list)
-    since_snapshot: int = 0
 
 
 @dataclass
@@ -137,10 +135,6 @@ class ServiceConfig:
       requests dead-letter as ``"shard-dead"``, and :meth:`stop` raises.
     - ``emit_policy``: retry schedule for the emit sink; exhausted events
       dead-letter as ``"emit-failed"``.
-    - ``snapshot_every``: snapshot each job's engine state every N scored
-      checkpoints so recovery replays at most N events per job. ``None``
-      (default) recovers by replaying from the job's warmup — bit-identical
-      either way, just slower to recover.
 
     The dead-letter queue keeps its default bound of 1024 letters (its
     counters stay exact past it).
@@ -153,15 +147,12 @@ class ServiceConfig:
     emit_policy: RetryPolicy = field(
         default_factory=lambda: RetryPolicy(retries=2, base_delay=0.01, max_delay=0.25)
     )
-    snapshot_every: Optional[int] = None
 
     def __post_init__(self):
         if self.n_workers < 1:
             raise ValueError("n_workers must be >= 1.")
         if self.queue_depth < 1:
             raise ValueError("queue_depth must be >= 1.")
-        if self.snapshot_every is not None and self.snapshot_every < 1:
-            raise ValueError("snapshot_every must be >= 1 or None.")
 
 
 class ScorerService:
@@ -358,11 +349,11 @@ class ScorerService:
         """Rebuild every job on ``shard`` and re-handle the failed request.
 
         The crash model is a lost worker process: all engine state for the
-        shard's jobs is discarded, then rebuilt from each job's last
-        snapshot (or a copy of its unfitted predictor) and the logged
-        checkpoints are replayed. Replayed events regenerate their original
-        sequence numbers, so :meth:`_dispatch` delivers only the ones the
-        crash prevented — consumers observe the exact fault-free stream.
+        shard's jobs is discarded, each job is begun again from a fresh copy
+        of its unfitted predictor, and its logged checkpoints are replayed.
+        Replayed events regenerate their original sequence numbers, so
+        :meth:`_dispatch` delivers only the ones the crash prevented —
+        consumers observe the exact fault-free stream.
 
         The failed request itself was logged *before* it crashed, so the
         replay covers it; only a crashed ``FinishJob`` needs re-handling.
@@ -372,11 +363,8 @@ class ScorerService:
             if self._route(job_id) != shard:
                 continue
             self.engine.discard(job_id)
-            if log.snapshot is not None:
-                self.engine.restore(log.snapshot)
-            else:
-                predictor = copy.deepcopy(log.predictor)
-                self.engine.begin_job(log.begin.job, predictor, log.begin.tau_stra)
+            predictor = copy.deepcopy(log.predictor)
+            self.engine.begin_job(log.begin.job, predictor, log.begin.tau_stra)
             for req in log.pending:
                 event = self.engine.score_checkpoint(req.job_id, req.tau)
                 await self._dispatch(event, shard)
@@ -434,26 +422,12 @@ class ScorerService:
         elif isinstance(request, ScoreCheckpoint):
             event = self.engine.score_checkpoint(request.job_id, request.tau)
             await self._dispatch(event, shard)
-            log = self._recovery.get(job_id)
-            if log is not None:
-                self._maybe_snapshot(log, job_id)
         elif isinstance(request, FinishJob):
             self.results[job_id] = self.engine.finish_job(job_id)
             self._recovery.pop(job_id, None)
             self._emitted_seq.pop(job_id, None)
         else:
             raise TypeError(f"unknown request type: {type(request).__name__}")
-
-    def _maybe_snapshot(self, log: _JobLog, job_id: str) -> None:
-        if self.config.snapshot_every is None:
-            return
-        log.since_snapshot += 1
-        if log.since_snapshot >= self.config.snapshot_every:
-            # Snapshot after the engine call: the just-scored checkpoint is
-            # inside the snapshot, so the pending log restarts empty.
-            log.snapshot = self.engine.snapshot(job_id)
-            log.pending.clear()
-            log.since_snapshot = 0
 
     async def _dispatch(self, event: ScoreEvent, shard: int) -> None:
         # Exactly-once delivery across recovery replays: every job's events

@@ -24,7 +24,6 @@ from repro.sim.replay import (
     ReplayResult,
     ReplayStream,
     StepOutcome,
-    StreamSnapshot,
 )
 
 __all__ = [
@@ -42,5 +41,4 @@ __all__ = [
     "ReplayResult",
     "ReplayStream",
     "StepOutcome",
-    "StreamSnapshot",
 ]

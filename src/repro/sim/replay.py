@@ -20,7 +20,6 @@ task progress (fully-finished tasks are observed exactly).
 
 from __future__ import annotations
 
-import copy
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
@@ -51,11 +50,11 @@ class ReplayResult:
 
     job_id: str
     tau_stra: float
-    y_true: np.ndarray          # ground-truth straggler mask
-    y_flag: np.ndarray          # predicted straggler mask (flagged at any point)
-    flag_times: np.ndarray      # time each task was flagged (inf = never)
-    checkpoints: np.ndarray     # the τ_run_t grid used
-    latencies: np.ndarray       # true task execution times (for mitigation)
+    y_true: np.ndarray  # ground-truth straggler mask
+    y_flag: np.ndarray  # predicted straggler mask (flagged at any point)
+    flag_times: np.ndarray  # time each task was flagged (inf = never)
+    checkpoints: np.ndarray  # the τ_run_t grid used
+    latencies: np.ndarray  # true task execution times (for mitigation)
     #: Task start times; ``None`` means all tasks start at time 0.
     start_times: Optional[np.ndarray] = field(default=None)
     meta: Dict = field(default_factory=dict)
@@ -126,7 +125,7 @@ class CheckpointPlan:
     Build with :meth:`ReplaySimulator.plan` and pass to
     :meth:`ReplaySimulator.run` or :meth:`ReplaySimulator.stream` via
     ``plan=``. Cached matrices are frozen read-only and depend only on the
-    job, the simulator and ``tau``, so streams and their snapshots share a
+    job, the simulator and ``tau``, so every method's stream shares one
     plan by reference; the boolean-mask slices handed to predictors are
     copies, so sharing is invisible to them.
     """
@@ -314,36 +313,6 @@ class ReplaySimulator:
 
 
 @dataclass
-class StreamSnapshot:
-    """Frozen mid-replay state of a :class:`ReplayStream`.
-
-    Captures everything a restarted stream needs to continue bit-identically:
-    a deep copy of the predictor, flag state, the forward-only cursor, and
-    the latency-budget bookkeeping. The :class:`CheckpointPlan` (job,
-    simulator, grid, noise and cached observed matrices) is shared by
-    reference: it caches only frozen, deterministic matrices.
-
-    A snapshot is restorable any number of times:
-    :meth:`ReplayStream.from_snapshot` copies the stored state again rather
-    than adopting it, so two streams restored from the same snapshot never
-    alias each other.
-    """
-
-    plan: CheckpointPlan
-    predictor: OnlineStragglerPredictor
-    tau_stra: float
-    flagged: np.ndarray
-    flag_times: np.ndarray
-    last_tau: float
-    n_updates: int
-    update_cost: Optional[float]
-    partial_cost: Optional[float]
-    score_cost: Optional[float]
-    credit: float
-    degraded_checkpoints: int
-
-
-@dataclass
 class StepOutcome:
     """What happened at one checkpoint."""
 
@@ -353,8 +322,8 @@ class StepOutcome:
     newly_flagged: np.ndarray = field(
         default_factory=lambda: np.zeros(0, dtype=np.intp)
     )
-    scored: bool = False        # False when the checkpoint had nothing to score
-    updated: bool = False       # False when the budget degraded the update
+    scored: bool = False  # False when the checkpoint had nothing to score
+    updated: bool = False  # False when the budget degraded the update
     #: "full" = complete refit; "partial" = predictor.partial_update (e.g.
     #: NURD's propensity-only refresh); "cached" = scored on stale state;
     #: "none" = nothing finished/running, checkpoint skipped.
@@ -416,8 +385,7 @@ class ReplayStream:
             )
         elif plan.sim is not sim:
             raise ValueError(
-                "plan was built by another ReplaySimulator; plans are "
-                "per-simulator."
+                "plan was built by another ReplaySimulator; plans are per-simulator."
             )
         self.plan = plan
         self.predictor = predictor
@@ -469,59 +437,6 @@ class ReplayStream:
         """The last checkpoint stepped (the warmup instant before any step)."""
         return self._last_tau
 
-    # -- crash recovery -------------------------------------------------
-    def snapshot(self) -> StreamSnapshot:
-        """Freeze the stream's full state for later bit-identical resume.
-
-        The predictor is deep-copied (its fitted state is the expensive,
-        mutable part) and the flag arrays are copied; the plan is shared by
-        reference.
-        """
-        return StreamSnapshot(
-            plan=self.plan,
-            predictor=copy.deepcopy(self.predictor),
-            tau_stra=self.tau_stra,
-            flagged=self.flagged.copy(),
-            flag_times=self.flag_times.copy(),
-            last_tau=self._last_tau,
-            n_updates=self._n_updates,
-            update_cost=self._update_cost,
-            partial_cost=self._partial_cost,
-            score_cost=self._score_cost,
-            credit=self._credit,
-            degraded_checkpoints=self.degraded_checkpoints,
-        )
-
-    @classmethod
-    def from_snapshot(
-        cls,
-        snap: StreamSnapshot,
-        clock: Callable[[], float] = time.perf_counter,
-    ) -> "ReplayStream":
-        """Rebuild a stream from ``snap``, resuming exactly where it froze.
-
-        Stepping the restored stream over the remaining checkpoints yields
-        flags and flag times bit-identical to the uninterrupted stream
-        (enforced by ``tests/test_differential.py``). The snapshot itself is
-        left untouched — its predictor and arrays are copied again — so it
-        can seed any number of restores.
-        """
-        stream = object.__new__(cls)
-        stream.plan = snap.plan
-        stream.predictor = copy.deepcopy(snap.predictor)
-        stream.clock = clock
-        stream.tau_stra = snap.tau_stra
-        stream.flagged = snap.flagged.copy()
-        stream.flag_times = snap.flag_times.copy()
-        stream._last_tau = snap.last_tau
-        stream._n_updates = snap.n_updates
-        stream._update_cost = snap.update_cost
-        stream._partial_cost = snap.partial_cost
-        stream._score_cost = snap.score_cost
-        stream._credit = snap.credit
-        stream.degraded_checkpoints = snap.degraded_checkpoints
-        return stream
-
     def step(self, tau: float, budget: Optional[float] = None) -> StepOutcome:
         """Advance the stream to checkpoint ``tau`` and score running tasks.
 
@@ -561,19 +476,16 @@ class ReplayStream:
                     or self._partial_cost + score_est <= self._credit
                 ):
                     mode = "partial"
-        elapsed_run = tau - job.start_times[running]
         if mode == "full":
             t0 = self.clock()
-            self.predictor.update(
-                job.features[finished], y[finished], X_run, elapsed_run
-            )
+            self.predictor.update(job.features[finished], y[finished], X_run)
             out.update_seconds = self.clock() - t0
             self._update_cost = self._ewma(self._update_cost, out.update_seconds)
             self._n_updates += 1
             out.updated = True
         elif mode == "partial":
             t0 = self.clock()
-            partial(job.features[finished], y[finished], X_run, elapsed_run)
+            partial(job.features[finished], y[finished], X_run)
             out.update_seconds = self.clock() - t0
             self._partial_cost = self._ewma(self._partial_cost, out.update_seconds)
             self.degraded_checkpoints += 1

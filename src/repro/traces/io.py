@@ -367,10 +367,13 @@ class TraceStore:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    # Pickling sends only the path: the receiving process re-opens (and
-    # re-maps) the store locally instead of copying its columns.
-    def __reduce__(self):
-        return (type(self), (str(self.path),))
+    # A pickle carries the columns; unpickled arrays come back writable,
+    # so the served views are made read-only again here.
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        for column in (self._features, self._latency, self._start_time):
+            if column is not None:
+                column.flags.writeable = False
 
     def __repr__(self) -> str:
         return (

@@ -407,9 +407,10 @@ class FlakySink:
 class _Fuse:
     """Shared fire-once(-ish) state for transient predictor faults.
 
-    Deliberately survives ``deepcopy`` by identity: engine snapshots
-    deep-copy predictor state, and a forked fuse would re-arm the fault
-    on every recovery replay, turning a transient error permanent.
+    Deliberately survives ``deepcopy`` by identity: recovery begins a job
+    again from a deep copy of its unfitted predictor, and a forked fuse
+    would re-arm the fault on every recovery replay, turning a transient
+    error permanent.
     """
 
     def __init__(self, at: Optional[int], times: int):
@@ -444,13 +445,13 @@ class FlakyPredictor:
     def begin_job(self, X_fin, y_fin, X_run, tau_stra):
         return self._inner.begin_job(X_fin, y_fin, X_run, tau_stra)
 
-    def update(self, X_fin, y_fin, X_run, elapsed_run=None):
+    def update(self, X_fin, y_fin, X_run):
         if self._fuse.should_fire():
             raise InjectedFitError(
                 "injected fit failure (singular covariance scenario) at "
                 f"update call {self._fuse.calls - 1}."
             )
-        return self._inner.update(X_fin, y_fin, X_run, elapsed_run)
+        return self._inner.update(X_fin, y_fin, X_run)
 
     def predict_stragglers(self, X_run):
         return self._inner.predict_stragglers(X_run)

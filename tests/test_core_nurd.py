@@ -1,5 +1,4 @@
-"""Tests for NURD's core pieces: calibration, propensity, Algorithm 1,
-transfer extension."""
+"""Tests for NURD's core pieces: calibration, propensity, Algorithm 1."""
 
 import numpy as np
 import pytest
@@ -8,7 +7,6 @@ from repro.core import (
     NurdNcPredictor,
     NurdPredictor,
     PropensityScorer,
-    TransferNurd,
     clip_weight,
     compute_delta,
     compute_rho,
@@ -221,39 +219,3 @@ class TestNurdPredictor:
         assert res.f1 > 0.2
         assert res.tpr > 0.4
 
-
-class TestTransferNurd:
-    def test_blends_toward_target(self, google_trace):
-        source, target = google_trace[0], google_trace[1]
-        pred = TransferNurd(prior_strength=50.0, random_state=0)
-        pred.fit_source(source.features, source.latencies)
-        y = target.latencies
-        fin = y <= np.quantile(y, 0.3)
-        pred.begin_job(
-            target.features[fin],
-            y[fin],
-            target.features[~fin],
-            target.straggler_threshold(),
-        )
-        pred.update(target.features[fin], y[fin], target.features[~fin])
-        assert pred.predict_latency(target.features[~fin]).shape == ((~fin).sum(),)
-
-    def test_without_source_equals_nurd(self, google_job):
-        sim = ReplaySimulator(n_checkpoints=6, random_state=0)
-        plain = sim.run(google_job, NurdPredictor(random_state=0))
-        transfer = sim.run(google_job, TransferNurd(random_state=0))
-        # No fit_source call: TransferNurd degrades to plain NURD.
-        np.testing.assert_array_equal(plain.y_flag, transfer.y_flag)
-
-    def test_invalid_prior_strength(self, google_job):
-        pred = TransferNurd(prior_strength=-1.0)
-        with pytest.raises(ValueError):
-            pred.fit_source(google_job.features, google_job.latencies)
-
-    def test_replay_with_source(self, google_trace):
-        source, target = google_trace[0], google_trace[2]
-        pred = TransferNurd(prior_strength=30.0, random_state=0)
-        pred.fit_source(source.features, source.latencies)
-        sim = ReplaySimulator(n_checkpoints=6, random_state=0)
-        res = sim.run(target, pred)
-        assert 0.0 <= res.f1 <= 1.0

@@ -21,7 +21,7 @@ import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 import pytest
@@ -39,7 +39,7 @@ from repro.serving import (
     ScoringEngine,
     ServiceConfig,
 )
-from repro.sim.replay import ReplayResult, ReplayStream
+from repro.sim.replay import ReplayResult
 from repro.traces import Trace, TraceStore, save_trace_npz
 from repro.traces.schema import Job
 from repro.utils.validation import check_random_state
@@ -75,8 +75,7 @@ def _reference_run(sim, job, predictor):
         if not finished.any() or not running.any():
             continue
         X_run = sim.observed_features(job, float(tau), noise)[running]
-        elapsed = tau - starts[running]
-        predictor.update(job.features[finished], y[finished], X_run, elapsed)
+        predictor.update(job.features[finished], y[finished], X_run)
         flags = np.asarray(predictor.predict_stragglers(X_run), dtype=bool)
         idx = np.nonzero(running)[0][flags]
         flagged[idx] = True
@@ -95,9 +94,8 @@ def _reference_run(sim, job, predictor):
 
 @dataclass(frozen=True)
 class Case:
-    """One drawn replay. ``snapshot_at`` is how many checkpoints a stream or
-    engine job has stepped when it is snapshotted; ``crash_at`` is mapped
-    into the recovery path's crash window (:func:`_crash_event`)."""
+    """One drawn replay. ``crash_at`` is mapped onto the recovery path's
+    request events (:func:`_crash_event`)."""
 
     shapes: Tuple[str, ...]
     n_tasks: Tuple[int, ...]
@@ -106,9 +104,7 @@ class Case:
     zero_noise: bool
     seed: int
     method: str
-    snapshot_at: int
     crash_at: int
-    snapshot_every: Optional[int]
 
     def config(self) -> EvaluationConfig:
         return EvaluationConfig(
@@ -160,9 +156,7 @@ def cases(draw) -> Case:
         zero_noise=draw(st.booleans()),
         seed=draw(st.integers(0, 2**16)),
         method=draw(st.sampled_from(METHODS)),
-        snapshot_at=draw(st.integers(0, n_checkpoints - 1)),
         crash_at=draw(st.integers(0, 2**16)),
-        snapshot_every=draw(st.sampled_from([None, 2])),
     )
 
 
@@ -194,40 +188,24 @@ def _batch(case, sim, trace):
 
 
 def _streams(case, sim, trace):
-    """Hand-stepped streams, snapshotted, then restored twice. The source runs
-    to the end first, so state a snapshot or a restore shares shows."""
-    k = case.snapshot_at
-    paths = {"stream": [], "stream.restore[1]": [], "stream.restore[2]": []}
+    """Hand-stepped streams, one checkpoint at a time."""
+    results = []
     for i, job in enumerate(trace):
         stream = sim.stream(job, case.predictor(case.method, i))
-        for tau in stream.checkpoints[:k]:
+        for tau in stream.checkpoints:
             stream.step(tau)
-        snap = stream.snapshot()
-        for tau in stream.checkpoints[k:]:
-            stream.step(tau)
-        paths["stream"].append(stream.result())
-        for name in ("stream.restore[1]", "stream.restore[2]"):
-            resumed = ReplayStream.from_snapshot(snap)
-            for tau in resumed.checkpoints[k:]:
-                resumed.step(tau)
-            paths[name].append(resumed.result())
-    return paths
+        results.append(stream.result())
+    return {"stream": results}
 
 
 def _engine(case, sim, trace):
-    """Jobs interleaved checkpoint by checkpoint. At round ``snapshot_at``
-    each is snapshotted, stepped, discarded, restored and stepped again."""
+    """Jobs interleaved checkpoint by checkpoint on one engine."""
     engine = ScoringEngine(simulator=sim)
     for i, job in enumerate(trace):
         engine.begin_job(job, case.predictor(case.method, i))
     for r in range(case.n_checkpoints):
         for job in trace:
             tau = float(engine.checkpoint_grid(job.job_id)[r])
-            if r == case.snapshot_at:
-                snap = engine.snapshot(job.job_id)
-                engine.score_checkpoint(job.job_id, tau)
-                engine.discard(job.job_id)
-                engine.restore(snap)
             engine.score_checkpoint(job.job_id, tau)
     return {"engine": [engine.finish_job(job.job_id) for job in trace]}
 
@@ -279,30 +257,24 @@ def _harness(case, sim, trace):
 
 
 def _crash_event(case) -> int:
-    """Requests arrive round-robin over the jobs, so with ``snapshot_every=2``
-    every job holds a snapshot after ``2 * n_jobs`` events: the crash falls
-    at or after that, and recovery must restore."""
-    total = len(case.shapes) * case.n_checkpoints
-    lo = 2 * len(case.shapes) if case.snapshot_every == 2 else 0
-    return lo + case.crash_at % (total - lo)
+    """The crash falls on any of the ``n_jobs * n_checkpoints`` events."""
+    return case.crash_at % (len(case.shapes) * case.n_checkpoints)
 
 
 def _crash_recovery(case, sim, trace):
     """A one-shard service whose worker crashes twice from a drawn event."""
-    path = f"crash_recovery[snapshot_every={case.snapshot_every}]"
-    policy, sleeps, restores = RetryPolicy(retries=3, base_delay=0.05), [], []
+    path = "crash_recovery"
+    policy, sleeps = RetryPolicy(retries=3, base_delay=0.05), []
 
     async def sleep(delay):
         sleeps.append(delay)
 
-    config = ServiceConfig(snapshot_every=case.snapshot_every, restart_policy=policy)
+    config = ServiceConfig(restart_policy=policy)
     factory = _counting_factory(case)
     svc = ScorerService(factory, simulator=sim, config=config, sleep=sleep)
     faults = ProcessFaults(crash_at_event=_crash_event(case), crash_times=2)
     chaos = ServiceChaos(FaultPlan(process=faults))
     chaos.install(svc)
-    restore = svc.engine.restore
-    svc.engine.restore = lambda snap: restores.append(snap) or restore(snap)
     grids = [sim.checkpoint_grid(job)[1:] for job in trace]
     requests = [BeginJob(job) for job in trace]
     for r in range(case.n_checkpoints):
@@ -319,7 +291,6 @@ def _crash_recovery(case, sim, trace):
     crashes = chaos.crashes_fired
     assert crashes and svc.restarts == crashes, f"{path}: {svc.restarts} restarts"
     assert sleeps == [policy.delay(a) for a in range(1, crashes + 1)], sleeps
-    assert restores or case.snapshot_every is None, f"{path}: no restore ran"
     assert not svc.dlq.total, f"{path}: dead letters {svc.dlq.counts()}"
     return _delivered(path, svc, trace)
 
@@ -355,9 +326,7 @@ def _pinned(shapes, method, **kw):
         zero_noise=False,
         seed=11,
         method=method,
-        snapshot_at=3,
         crash_at=5,
-        snapshot_every=None,
     )
     return Case(**{**fields, **kw})
 
@@ -368,14 +337,10 @@ PATH_IDS = [paths.__name__.lstrip("_") for paths in PATHS]
 # The four edge shapes, all five methods, and jobs that three shards begin
 # out of submit order (job-4 before job-2), on every run.
 PINNED = {
-    "duplicate-NURD": _pinned(("duplicate", "duplicate"), "NURD", snapshot_every=2),
+    "duplicate-NURD": _pinned(("duplicate", "duplicate"), "NURD"),
     "zero_noise-GBTR": _pinned(("plain", "plain", "plain"), "GBTR", zero_noise=True),
-    "staggered-NURD-NC": _pinned(
-        ("staggered",) * 2, "NURD-NC", snapshot_every=2, seed=4
-    ),
-    "all_at_warmup-IFOREST": _pinned(
-        ("all_at_warmup", "plain"), "IFOREST", snapshot_at=1
-    ),
+    "staggered-NURD-NC": _pinned(("staggered",) * 2, "NURD-NC", seed=4),
+    "all_at_warmup-IFOREST": _pinned(("all_at_warmup", "plain"), "IFOREST"),
     "mixed-KNN": _pinned(("plain", "staggered", "duplicate"), "KNN", n_checkpoints=8),
     "six_jobs-IFOREST": _pinned(
         ("plain",) * 6, "IFOREST", n_tasks=(24, 30, 36, 24, 30, 36)

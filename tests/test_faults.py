@@ -62,7 +62,7 @@ class CountingPredictor:
     def begin_job(self, X_fin, y_fin, X_run, tau_stra):
         return self
 
-    def update(self, X_fin, y_fin, X_run, elapsed_run=None):
+    def update(self, X_fin, y_fin, X_run):
         return self
 
     def predict_stragglers(self, X_run):
@@ -102,8 +102,7 @@ async def _drive(svc, requests):
 
 def _event_keys(events):
     return [
-        (e.job_id, e.seq, e.tau, tuple(int(i) for i in e.newly_flagged))
-        for e in events
+        (e.job_id, e.seq, e.tau, tuple(int(i) for i in e.newly_flagged)) for e in events
     ]
 
 
@@ -396,31 +395,29 @@ class TestRequestInjector:
 
 
 # ---------------------------------------------------------------------------
-# Stream / engine snapshots
+# Engine: discard, then begin again (recovery's rebuild)
 # ---------------------------------------------------------------------------
 
 
-class TestSnapshots:
-    def _sim(self):
-        return ReplaySimulator(n_checkpoints=8, random_state=0)
-
-    def test_engine_restore_needs_a_discarded_job(self):
-        job = _job(n=60, seed=5)
-        engine = ScoringEngine(simulator=self._sim())
-        engine.begin_job(job, CountingPredictor())
-        grid = engine.checkpoint_grid(job.job_id)
-        for tau in grid[:3]:
-            engine.score_checkpoint(job.job_id, tau)
-        snap = engine.snapshot(job.job_id)
-        with pytest.raises(ValueError, match="already open"):
-            engine.restore(snap)
-        assert engine.discard(job.job_id)
-        assert not engine.has_job(job.job_id)
-        assert not engine.discard(job.job_id)
-        engine.restore(snap)
-        assert engine.last_tau(job.job_id) == grid[2]
-        # The restored job resumes its event sequence where the snapshot froze.
-        assert engine.score_checkpoint(job.job_id, grid[3]).seq == 3
+def test_discard_then_begin_restarts_the_job():
+    """A discarded job begun again replays from ``seq`` 0 with the same
+    events, which is what lets the service's dedup drop those it delivered
+    before a crash."""
+    job = _job(n=60, seed=5)
+    engine = ScoringEngine(simulator=ReplaySimulator(n_checkpoints=8, random_state=0))
+    engine.begin_job(job, CountingPredictor())
+    grid = engine.checkpoint_grid(job.job_id)
+    before = [engine.score_checkpoint(job.job_id, tau) for tau in grid[:3]]
+    assert engine.discard(job.job_id)
+    assert not engine.has_job(job.job_id)
+    assert not engine.discard(job.job_id)
+    engine.begin_job(job, CountingPredictor())
+    assert engine.last_tau(job.job_id) < grid[0]
+    after = [engine.score_checkpoint(job.job_id, tau) for tau in grid[:3]]
+    assert [e.seq for e in after] == [e.seq for e in before] == [0, 1, 2]
+    for a, b in zip(after, before):
+        assert a.tau == b.tau
+        np.testing.assert_array_equal(a.newly_flagged, b.newly_flagged)
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +441,6 @@ class TestCrashRecovery:
                 engine.score_checkpoint(job.job_id, float(tau))
             engine.finish_job(job.job_id)
         config = ServiceConfig(
-            snapshot_every=3,
             restart_policy=RetryPolicy(retries=4, base_delay=0.0),
             emit_policy=RetryPolicy(retries=3, base_delay=0.0),
         )
@@ -470,6 +466,49 @@ class TestCrashRecovery:
         want = clean.results[jobs[0].job_id]
         np.testing.assert_array_equal(got.y_flag, want.y_flag)
         np.testing.assert_array_equal(got.flag_times, want.flag_times)
+
+    @pytest.mark.parametrize(
+        "n_workers, crash_at",
+        [
+            pytest.param(w, k, id=f"workers={w}-at={k}")
+            for w, n_positions in ((1, 12), (3, 6))
+            for k in range(n_positions)
+        ],
+    )
+    def test_a_crash_at_any_checkpoint_delivers_the_clean_stream(
+        self, n_workers, crash_at
+    ):
+        """Shard 0 crashes once, at each of its checkpoints in turn (all 12
+        with one worker; job-2's and job-3's 6 with three, while the other
+        shards run). Recovery rebuilds every open job from its log, and the
+        consumer sees the fault-free events exactly once."""
+        sim = ReplaySimulator(n_checkpoints=3, random_state=0)
+        jobs = [
+            _job(n=40, seed=30 + i, job_id=job_id)
+            for i, job_id in enumerate(("job-2", "job-0", "job-3", "job-1"))
+        ]
+        factory = lambda: NurdPredictor(random_state=0)  # noqa: E731
+        config = ServiceConfig(
+            n_workers=n_workers, restart_policy=RetryPolicy(retries=1, base_delay=0.0)
+        )
+        clean = _run_service(jobs, sim, factory, config=config)
+        plan = FaultPlan(process=ProcessFaults(crash_at_event=crash_at))
+        chaos = ServiceChaos(plan)
+        svc = _run_service(
+            jobs, sim, factory, config=config, chaos=chaos, sleep=SleepRecorder()
+        )
+        routes = [svc._route(job.job_id) for job in jobs]
+        assert routes == ([0, 0, 0, 0] if n_workers == 1 else [0, 1, 0, 2])
+        assert chaos.crashes_fired == 1 and svc.restarts == 1
+        assert not svc.failures and not svc.dlq.total
+        assert sorted(_event_keys(svc.events)) == sorted(_event_keys(clean.events))
+        n_tasks = {job.job_id: job.n_tasks for job in jobs}
+        accounts = collect_flags(svc.events, n_tasks)
+        for job in jobs:
+            assert accounts[job.job_id].duplicate_events == 0
+            got, want = svc.results[job.job_id], clean.results[job.job_id]
+            np.testing.assert_array_equal(got.y_flag, want.y_flag)
+            np.testing.assert_array_equal(got.flag_times, want.flag_times)
 
     def test_one_restart_per_crash_while_another_shard_runs(self):
         """Shard 0 recovers while shard 1 works through its backlog: the

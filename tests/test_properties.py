@@ -118,7 +118,7 @@ class _RandomFlagger:
     def begin_job(self, X_fin, y_fin, X_run, tau_stra):
         return self
 
-    def update(self, X_fin, y_fin, X_run, elapsed_run=None):
+    def update(self, X_fin, y_fin, X_run):
         return self
 
     def predict_stragglers(self, X_run):

@@ -28,7 +28,7 @@ class OracleRule(OnlineStragglerPredictor):
     def begin_job(self, X_fin, y_fin, X_run, tau_stra):
         super().begin_job(X_fin, y_fin, X_run, tau_stra)
 
-    def update(self, X_fin, y_fin, X_run, elapsed_run=None):
+    def update(self, X_fin, y_fin, X_run):
         self._X_run = np.asarray(X_run)
 
     def predict_stragglers(self, X_run):
@@ -38,7 +38,7 @@ class OracleRule(OnlineStragglerPredictor):
 
 
 class NeverRule(OnlineStragglerPredictor):
-    def update(self, X_fin, y_fin, X_run, elapsed_run=None):
+    def update(self, X_fin, y_fin, X_run):
         pass
 
     def predict_stragglers(self, X_run):
@@ -46,7 +46,7 @@ class NeverRule(OnlineStragglerPredictor):
 
 
 class AlwaysRule(OnlineStragglerPredictor):
-    def update(self, X_fin, y_fin, X_run, elapsed_run=None):
+    def update(self, X_fin, y_fin, X_run):
         pass
 
     def predict_stragglers(self, X_run):

@@ -73,12 +73,12 @@ class CountingPredictor:
         self.begin_calls += 1
         return self
 
-    def update(self, X_fin, y_fin, X_run, elapsed_run=None):
+    def update(self, X_fin, y_fin, X_run):
         self.update_calls += 1
         self._spend(self.update_cost)
         return self
 
-    def partial_update(self, X_fin, y_fin, X_run, elapsed_run=None):
+    def partial_update(self, X_fin, y_fin, X_run):
         self.partial_calls += 1
         self._spend(self.partial_cost)
         return self
@@ -383,7 +383,7 @@ class TestScorerService:
     @pytest.mark.parametrize("crash", [False, True], ids=["clean", "crash"])
     def test_factory_called_once_per_begin_in_submit_order(self, crash):
         """Three shards begin these six jobs out of submit order, and each of
-        two crashes with no snapshot re-begins every open job of shard 0.
+        two crashes re-begins every open job of shard 0.
         The factory still runs once per submitted ``BeginJob``, inside
         ``submit``, and the k-th job flags as a fresh k-th predictor does
         alone."""

@@ -130,7 +130,7 @@ class _CheckpointRecorder(OnlineStragglerPredictor):
     def __init__(self):
         self.matrices = []
 
-    def update(self, X_fin, y_fin, X_run, elapsed_run=None) -> None:
+    def update(self, X_fin, y_fin, X_run) -> None:
         self.matrices.append((np.vstack([X_fin, X_run]), len(X_fin)))
 
     def predict_stragglers(self, X_run) -> np.ndarray:

@@ -3,9 +3,10 @@
 Covers the contracts the paper-scale replay path leans on:
 
 - a CSV load and a store read back are bit-exact for both trace families;
-- :class:`TraceStore` memory-maps its columns and serves read-only views,
-  and rejects a store it cannot map (compressed npz), malformed inputs and
-  other layout versions loudly;
+- :class:`TraceStore` memory-maps its columns and serves read-only views
+  (a pickled store carries its columns and stays read-only), and rejects
+  a store it cannot map (compressed npz), malformed inputs and other
+  layout versions loudly;
 - streaming export (``iter_jobs`` -> ``save_trace_npz``) is byte-identical
   to exporting the generated trace;
 - the harness replays a bare job stream in job order, and a job that
@@ -126,14 +127,21 @@ class TestTraceStore:
             assert store[-1].job_id == google_trace[-1].job_id
             assert [j.job_id for j in store] == [j.job_id for j in google_trace]
 
-    def test_pickle_reattaches_by_path(self, google_trace, tmp_path):
+    def test_pickle_carries_read_only_columns(self, google_trace, tmp_path):
         path = save_trace_npz(google_trace, tmp_path / "t.npz")
         store = TraceStore(path)
-        clone = pickle.loads(pickle.dumps(store))
-        assert clone.path == store.path
-        np.testing.assert_array_equal(clone.job(1).features, store.job(1).features)
-        # The pickle payload carries no column data, just the path.
-        assert len(pickle.dumps(store)) < 1024
+        payload = pickle.dumps(store)
+        assert len(payload) > store.job(0).features.base.nbytes
+        path.unlink()  # the clone needs no file
+        clone = pickle.loads(payload)
+        assert clone.path == store.path and clone.n_jobs == store.n_jobs
+        job = clone.job(1)
+        np.testing.assert_array_equal(job.features, google_trace[1].features)
+        np.testing.assert_array_equal(job.latencies, google_trace[1].latencies)
+        with pytest.raises(ValueError):
+            job.features[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            job.start_times[0] = 1.0
 
     @pytest.mark.parametrize("version", [None, trace_io.TRACE_STORE_VERSION + 1])
     def test_store_version_mismatch(self, google_trace, tmp_path, version):

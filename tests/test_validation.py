@@ -7,7 +7,6 @@ import pytest
 
 from repro.censored import CoxPHFitter, GrabitRegressor, TobitRegressor
 from repro.core.propensity import PropensityScorer
-from repro.core.transfer import TransferNurd
 from repro.eval.baselines import (
     CensoredRegressionPredictor,
     GbtrPredictor,
@@ -239,7 +238,6 @@ SETTABLE_VALUES = [
     (SOS, ["contamination"]),
     (XGBOD, ["contamination", "random_state"]),
     (PropensityScorer, ["model"]),
-    (TransferNurd, ["prior_strength", "random_state"]),
     (GbtrPredictor, ["random_state"]),
     (OutlierDetectorPredictor, ["detector_name", "contamination", "random_state"]),
     (PuPredictor, ["variant", "random_state"]),
