@@ -66,9 +66,7 @@ class GrabitRegressor(_BaseGradientBoosting):
 
     # Stage settings read by ``_boost``.
     n_estimators = 60
-    learning_rate = 0.1
     max_depth = 3
-    min_samples_leaf = 1
     max_bins = _MAX_HIST_BINS
 
     def __init__(self, sigma=None):

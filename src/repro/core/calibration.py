@@ -55,7 +55,7 @@ def compute_rho(X_finished, X_running) -> float:
     return float(np.linalg.norm(c_fin)) / denom
 
 
-def compute_delta(rho: float, alpha: float = 0.5, rho_max: float = 2.0) -> float:
+def compute_delta(rho: float, alpha: float = 0.5, *, rho_max: float) -> float:
     """Calibration term δ = 1/(1+ρ) − α (Eq. 3); lies in (−α, 1−α).
 
     ``alpha`` must lie in (0, 1), where δ changes sign at ρ = 1/α − 1. At
@@ -66,17 +66,18 @@ def compute_delta(rho: float, alpha: float = 0.5, rho_max: float = 2.0) -> float
     heavy-tailed: when a job's stragglers have no feature signature the
     centroid separation collapses and ρ explodes, driving δ → −α and
     flooding the predictions. Capping ρ bounds δ below by
-    ``1/(1+rho_max) − α`` (−1/6 at the defaults), which preserves the
-    paper's regime behavior for well-estimated ρ while keeping the
-    degenerate case merely aggressive instead of saturated. Set
-    ``rho_max=np.inf`` for the paper's exact formula.
+    ``1/(1+rho_max) − α`` (−1/22 at NURD's ``rho_max=1.2`` and α = 0.5),
+    which preserves the paper's regime behavior for well-estimated ρ while
+    keeping the degenerate case merely aggressive instead of saturated. Set
+    ``rho_max=np.inf`` for the paper's exact formula. A NaN ``rho_max`` is
+    rejected: ``min(ρ, nan)`` is ρ, so it would switch the cap off silently.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1); got {alpha!r}.")
     if rho < 0:
         raise ValueError("rho must be non-negative.")
-    if rho_max <= 0:
-        raise ValueError("rho_max must be positive.")
+    if not rho_max > 0:
+        raise ValueError(f"rho_max must be positive (inf: no cap); got {rho_max!r}.")
     return 1.0 / (1.0 + min(rho, rho_max)) - alpha
 
 

@@ -40,7 +40,7 @@ from repro.utils.validation import (
 def _default_regressor() -> GradientBoostingRegressor:
     # Small, shallow ensemble: NURD retrains every checkpoint on a few
     # hundred samples, so capacity beyond this only costs time.
-    return GradientBoostingRegressor(n_estimators=60, max_depth=3, learning_rate=0.1)
+    return GradientBoostingRegressor(n_estimators=60, max_depth=3)
 
 
 class NurdPredictor(OnlineStragglerPredictor):

@@ -1,14 +1,13 @@
 """From-scratch ML substrate used by NURD and every baseline.
 
 Implements the slice of a scikit-learn-style toolkit the paper's evaluation
-depends on: CART trees, gradient boosting with pluggable losses, logistic
+depends on: gradient boosting on CART trees with pluggable losses, logistic
 regression, linear/one-class SVMs, nearest neighbors, k-means, feature
 standardization and the Table-3 classification metrics. Everything is pure
 NumPy/SciPy.
 """
 
 from repro.learn.base import BaseEstimator, clone
-from repro.learn.tree import DecisionTreeRegressor
 from repro.learn.gbm import (
     GradientBoostingRegressor,
     GradientBoostingClassifier,
@@ -30,7 +29,6 @@ from repro.learn.metrics import (
 __all__ = [
     "BaseEstimator",
     "clone",
-    "DecisionTreeRegressor",
     "GradientBoostingRegressor",
     "GradientBoostingClassifier",
     "LogisticRegression",

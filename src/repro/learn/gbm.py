@@ -14,14 +14,18 @@ stage loop, :meth:`_BaseGradientBoosting._boost`, serves every model here
 and Grabit; a loss only supplies its initial raw score and its per-sample
 (residual, hessian) pair.
 
-Features are quantized into ≤255 bins **once per ensemble fit** and every
-stage's tree grows on the shared binned matrix (the histogram split search
-of :mod:`repro.learn.tree` without per-tree binning cost). The same
-per-fit memo (``tree._FitMemo``) also carries the node state that does not
-depend on the residual: stages keep re-taking the cuts near the root, so
-their partitions and count histograms are computed once per fit. Integer
-parameters are validated once per fit, before any binning. Every stage
-sees every row and every feature, so fitting draws no random numbers.
+Every model shrinks each stage by ``_LEARNING_RATE`` = 0.1, and its trees
+grow with the builder's fixed ``_MIN_SAMPLES_SPLIT`` and
+``_MIN_SAMPLES_LEAF``; only the tree count, depth, bin budget and warm
+start are settable. Features are quantized into ≤255 bins **once per
+ensemble fit** and every stage's tree grows on the shared binned matrix
+(the histogram split search of :mod:`repro.learn.tree` without per-tree
+binning cost). The same per-fit memo (``tree._FitMemo``) also carries the
+node state that does not depend on the residual: stages keep re-taking the
+cuts near the root, so their partitions and count histograms are computed
+once per fit. Integer parameters are validated once per fit, before any
+binning. Every stage sees every row and every feature, so fitting draws no
+random numbers.
 ``warm_start=True`` makes ``fit`` extend an already-fitted ensemble up to
 the current ``n_estimators`` instead of restarting from scratch: existing
 trees are kept, raw predictions are re-accumulated on the new data, and
@@ -35,12 +39,17 @@ trees are routed at once, one pass per depth level.
 
 from __future__ import annotations
 
-
 import numpy as np
 
 from repro.learn.base import BaseEstimator
-from repro.learn.tree import _LEAF, _MAX_HIST_BINS, _FitMemo, _PackedTrees
-from repro.learn.tree import DecisionTreeRegressor
+from repro.learn.tree import (
+    _LEAF,
+    _MAX_HIST_BINS,
+    _FitMemo,
+    _grow_tree,
+    _PackedTrees,
+    _Tree,
+)
 from repro.utils.validation import (
     check_array,
     check_is_fitted,
@@ -48,6 +57,10 @@ from repro.utils.validation import (
     check_positive_int,
     check_X_y,
 )
+
+
+#: Shrinkage of every boosting stage.
+_LEARNING_RATE = 0.1
 
 
 class LossFunction:
@@ -98,41 +111,36 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _newton_step(tree: DecisionTreeRegressor, residual, hessian) -> np.ndarray:
+def _newton_step(tree: _Tree, leaves, residual, hessian) -> np.ndarray:
     """Set every leaf of a fitted stage tree to Σresidual / Σhessian over
     its training samples (0 where Σhessian < 1e-12), in one bincount pass
-    over the builder's recorded leaf of every sample; internal nodes keep
-    their mean. Returns each training sample's new leaf value."""
-    leaves = tree._train_leaves_
-    n_nodes = tree.tree_.node_count
+    over ``leaves``, the builder's leaf of every sample; internal nodes
+    keep their mean. Returns each training sample's new leaf value."""
+    n_nodes = tree.node_count
     rsum = np.bincount(leaves, weights=residual, minlength=n_nodes)
     hsum = np.bincount(leaves, weights=hessian, minlength=n_nodes)
     step = np.divide(rsum, hsum, out=np.zeros(n_nodes), where=hsum >= 1e-12)
-    value = tree.tree_.value
-    is_leaf = tree.tree_.feature == _LEAF
-    value[is_leaf, 0] = step[is_leaf]
-    return value[leaves, 0]
+    is_leaf = tree.feature == _LEAF
+    tree.value[is_leaf] = step[is_leaf]
+    return tree.value[leaves]
 
 
 class _BaseGradientBoosting(BaseEstimator):
     """The boosting stage loop and packed prediction shared by every model
-    built on it. Subclasses hold ``n_estimators``, ``learning_rate``,
-    ``max_depth``, ``min_samples_leaf`` and ``max_bins``."""
+    built on it. Subclasses hold ``n_estimators``, ``max_depth`` and
+    ``max_bins``; ``estimators_`` holds the fitted stage trees."""
 
-    def _boost(self, X, y, loss: LossFunction, warm=False, min_samples_split=2):
+    def _boost(self, X, y, loss: LossFunction, warm=False):
         """Fit ``self.estimators_`` to ``(X, y)`` under ``loss``.
 
         With ``warm`` the fitted trees are kept, replayed on ``X``, and only
         the stages missing up to ``n_estimators`` are trained.
         """
         check_positive_int(self.n_estimators, "n_estimators")
-        if not 0.0 < self.learning_rate <= 1.0:
-            raise ValueError("learning_rate must be in (0, 1].")
-        # One memo per fit: it checks the tree limits, bins X once, and
-        # keeps the residual-free node state every stage reuses.
-        memo = _FitMemo(
-            X, self.max_bins, self.max_depth, min_samples_split, self.min_samples_leaf
-        )
+        check_positive_int(self.max_depth, "max_depth")
+        # One memo per fit: it bins X once (checking max_bins) and keeps
+        # the residual-free node state every stage reuses.
+        memo = _FitMemo(X, self.max_bins, self.max_depth)
         if warm:
             if X.shape[1] != self.n_features_in_:
                 raise ValueError(
@@ -146,7 +154,7 @@ class _BaseGradientBoosting(BaseEstimator):
                     f"({self.n_estimators}) >= the {len(self.estimators_)} "
                     "trees already fitted."
                 )
-            raw = self._packed.raw(X, self.init_raw_, self.learning_rate)
+            raw = self._packed.raw(X, self.init_raw_, _LEARNING_RATE)
         else:
             self.init_raw_ = loss.init_raw(y)
             raw = np.full(X.shape[0], self.init_raw_, dtype=np.float64)
@@ -154,15 +162,10 @@ class _BaseGradientBoosting(BaseEstimator):
             n_new = self.n_estimators
         for _ in range(n_new):
             residual, hessian = loss.gradients(y, raw)
-            tree = DecisionTreeRegressor(
-                max_depth=self.max_depth,
-                min_samples_split=min_samples_split,
-                min_samples_leaf=self.min_samples_leaf,
-                max_bins=self.max_bins,
-            )._fit_binned(memo, residual)
-            raw += self.learning_rate * _newton_step(tree, residual, hessian)
+            tree, leaves = _grow_tree(memo, residual)
+            raw += _LEARNING_RATE * _newton_step(tree, leaves, residual, hessian)
             self.estimators_.append(tree)
-        self._packed = _PackedTrees([tree.tree_ for tree in self.estimators_])
+        self._packed = _PackedTrees(self.estimators_)
         self.n_features_in_ = X.shape[1]
         return self
 
@@ -174,7 +177,7 @@ class _BaseGradientBoosting(BaseEstimator):
 
     def _raw_predict(self, X) -> np.ndarray:
         X = self._check_predict_input(X)
-        return self._packed.raw(X, self.init_raw_, self.learning_rate)
+        return self._packed.raw(X, self.init_raw_, _LEARNING_RATE)
 
 
 class _GradientBoosting(_BaseGradientBoosting):
@@ -183,24 +186,18 @@ class _GradientBoosting(_BaseGradientBoosting):
     def __init__(
         self,
         n_estimators: int = 100,
-        learning_rate: float = 0.1,
         max_depth: int = 3,
-        min_samples_split: int = 2,
-        min_samples_leaf: int = 1,
         max_bins: int = _MAX_HIST_BINS,
         warm_start: bool = False,
     ):
         self.n_estimators = n_estimators
-        self.learning_rate = learning_rate
         self.max_depth = max_depth
-        self.min_samples_split = min_samples_split
-        self.min_samples_leaf = min_samples_leaf
         self.max_bins = max_bins
         self.warm_start = warm_start
 
     def _fit_boosting(self, X, y, loss: LossFunction):
         warm = self.warm_start and bool(getattr(self, "estimators_", None))
-        return self._boost(X, y, loss, warm, self.min_samples_split)
+        return self._boost(X, y, loss, warm)
 
 
 class GradientBoostingRegressor(_GradientBoosting):

@@ -20,7 +20,6 @@ import numpy as np
 from repro.serving.stats import LatencyStats
 from repro.sim.replay import ReplayResult, ReplaySimulator, ReplayStream
 from repro.traces.schema import Job
-from repro.utils.validation import check_job_payload
 
 
 @dataclass
@@ -97,13 +96,13 @@ class ScoringEngine:
         """Register ``job`` with its fresh ``predictor`` and warm up its
         stream; returns the job id.
 
-        The payload is validated first (finite features, positive finite
-        durations, matching lengths) so a corrupt job is rejected before
-        any model sees it.
+        The payload is validated first (:meth:`Job.validate`: finite
+        features, positive finite durations, matching lengths) so a job
+        damaged since construction is rejected before any model sees it.
         """
         if job.job_id in self._streams:
             raise ValueError(f"job {job.job_id!r} is already being scored.")
-        check_job_payload(job)
+        job.validate()
         stream = self.simulator.stream(
             job, predictor, tau_stra=tau_stra, clock=self.clock
         )

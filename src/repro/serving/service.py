@@ -53,7 +53,6 @@ from repro.faults.retry import RetryPolicy
 from repro.serving.engine import ScoreEvent, ScoringEngine
 from repro.sim.replay import ReplayResult, ReplaySimulator
 from repro.traces.schema import Job
-from repro.utils.validation import check_job_payload
 
 
 @dataclass
@@ -378,7 +377,7 @@ class ScorerService:
             if self.engine.has_job(job_id) or job_id in self.results:
                 return "duplicate-job"
             try:
-                check_job_payload(request.job)
+                request.job.validate()
             except ValueError:
                 return "malformed-payload"
             return None

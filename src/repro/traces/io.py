@@ -29,14 +29,12 @@ import csv
 import zipfile
 from collections import defaultdict
 from pathlib import Path
-from types import SimpleNamespace
 from typing import Iterable, Iterator, List, Optional, Union
 
 import numpy as np
 from numpy.lib import format as npy_format
 
 from repro.traces.schema import Job, Trace
-from repro.utils.validation import check_job_payload
 
 #: Version tag written into every columnar store (bump on layout changes).
 TRACE_STORE_VERSION = 1
@@ -51,11 +49,11 @@ def load_trace_csv(path: Union[str, Path], name: str = None) -> Trace:
     """Read a trace CSV (a real trace dump converted to the module's layout).
 
     Every row must have exactly the header's column count, and each
-    assembled job payload is checked for finite features, finite positive
-    durations and finite start times before a :class:`Job` is built —
-    errors name the job and the first offending task (or the offending CSV
-    line), so corrupt dumps fail loud at the boundary instead of poisoning a
-    replay later.
+    assembled :class:`Job` checks its payload as it is built (finite
+    features, finite positive durations, finite start times) — errors name
+    the job and the first offending task (or the offending CSV line), so
+    corrupt dumps fail loud at the boundary instead of poisoning a replay
+    later.
     """
     path = Path(path)
     with path.open() as fh:
@@ -87,18 +85,11 @@ def load_trace_csv(path: Union[str, Path], name: str = None) -> Trace:
     n_meta = 2 if has_starts else 1  # latency (+ start_time) before features
     for job_id in order:
         arr = np.asarray(rows_by_job[job_id], dtype=np.float64)
-        payload = SimpleNamespace(
-            job_id=job_id,
-            features=arr[:, n_meta:],
-            latencies=arr[:, 0],
-            start_times=arr[:, 1] if has_starts else np.zeros(arr.shape[0]),
-        )
-        check_job_payload(payload)
         jobs.append(
             Job(
                 job_id=job_id,
-                features=payload.features,
-                latencies=payload.latencies,
+                features=arr[:, n_meta:],
+                latencies=arr[:, 0],
                 feature_names=list(feature_names),
                 start_times=arr[:, 1] if has_starts else None,
             )
@@ -237,11 +228,12 @@ class TraceStore:
     processes mapping the same path share a single page-cache copy.
 
     Served arrays are **read-only** (writing raises); callers that need to
-    mutate must copy. Each served job's payload is validated (finite
-    features, positive finite durations). Opening checks ``store_version``:
-    a store of another layout (or none) raises rather than loading
-    silently, and so does a store whose columns cannot be mapped (a
-    compressed npz): an eager load would hold the whole trace in memory.
+    mutate must copy. Each served :class:`Job` validates its payload once,
+    as it is built (finite features, positive finite durations). Opening
+    checks ``store_version``: a store of another layout (or none) raises
+    rather than loading silently, and so does a store whose columns cannot
+    be mapped (a compressed npz): an eager load would hold the whole trace
+    in memory.
     """
 
     _COLUMNS = ("features", "latency", "start_time")
@@ -337,14 +329,13 @@ class TraceStore:
         if i < 0:
             i += n
         lo, hi = int(self._offsets[i]), int(self._offsets[i + 1])
-        payload = SimpleNamespace(
+        return Job(
             job_id=self._job_ids[i],
             features=self._features[lo:hi],
             latencies=self._latency[lo:hi],
+            feature_names=list(self._feature_names),
             start_times=self._start_time[lo:hi],
         )
-        check_job_payload(payload)
-        return Job(feature_names=list(self._feature_names), **vars(payload))
 
     def __getitem__(self, i: int) -> Job:
         return self.job(i)

@@ -9,21 +9,21 @@ import numpy as np
 
 #: Google trace task features (paper Table 1).
 GOOGLE_FEATURES: List[str] = [
-    "MCU",      # Mean CPU usage
-    "MAXCPU",   # Maximum CPU usage
-    "SCPU",     # Sampled CPU usage
-    "CMU",      # Canonical memory usage
-    "AMU",      # Assigned memory usage
-    "MAXMU",    # Maximum memory usage
-    "UPC",      # Unmapped page cache memory usage
-    "TPC",      # Total page cache memory usage
-    "MIO",      # Mean disk I/O time
-    "MAXIO",    # Maximum disk I/O time
-    "MDK",      # Mean local disk space used
-    "CPI",      # Cycles per instruction
-    "MAI",      # Memory accesses per instruction
-    "EV",       # Number of times task is evicted
-    "FL",       # Number of times task fails
+    "MCU",  # Mean CPU usage
+    "MAXCPU",  # Maximum CPU usage
+    "SCPU",  # Sampled CPU usage
+    "CMU",  # Canonical memory usage
+    "AMU",  # Assigned memory usage
+    "MAXMU",  # Maximum memory usage
+    "UPC",  # Unmapped page cache memory usage
+    "TPC",  # Total page cache memory usage
+    "MIO",  # Mean disk I/O time
+    "MAXIO",  # Maximum disk I/O time
+    "MDK",  # Mean local disk space used
+    "CPI",  # Cycles per instruction
+    "MAI",  # Memory accesses per instruction
+    "EV",  # Number of times task is evicted
+    "FL",  # Number of times task fails
 ]
 
 #: Alibaba trace instance features (paper Table 2).
@@ -71,32 +71,62 @@ class Job:
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
         self.latencies = np.asarray(self.latencies, dtype=np.float64)
-        if self.features.ndim != 2:
-            raise ValueError("features must be 2-d (n_tasks, d).")
-        if self.latencies.ndim != 1:
-            raise ValueError("latencies must be 1-d.")
-        if self.features.shape[0] != self.latencies.shape[0]:
-            raise ValueError(
-                f"features ({self.features.shape[0]} tasks) and latencies "
-                f"({self.latencies.shape[0]}) disagree."
-            )
-        if self.latencies.shape[0] == 0:
-            raise ValueError(f"job {self.job_id} has no tasks.")
-        if self.features.shape[1] != len(self.feature_names):
-            raise ValueError(
-                f"features has {self.features.shape[1]} columns but "
-                f"{len(self.feature_names)} names were given."
-            )
-        if np.any(self.latencies <= 0):
-            raise ValueError("latencies must be strictly positive.")
         if self.start_times is None:
             self.start_times = np.zeros_like(self.latencies)
         else:
             self.start_times = np.asarray(self.start_times, dtype=np.float64)
-            if self.start_times.shape != self.latencies.shape:
-                raise ValueError("start_times must match latencies in length.")
-            if np.any(self.start_times < 0):
-                raise ValueError("start_times must be non-negative.")
+        self.validate()
+
+    def validate(self) -> None:
+        """Raise a ``ValueError`` unless the payload is well formed.
+
+        Checks 2-d features with one name per column and at least one task,
+        one latency and one start time per task, finite features, finite
+        positive latencies and finite non-negative start times. Errors name
+        the job and the first offending task. The constructor calls this;
+        the scoring engine and the scorer service call it again at ingest,
+        because arrays can be damaged after construction (bitrot, a buggy
+        upstream joiner).
+        """
+        job = f"job {self.job_id!r}"
+        features = np.asarray(self.features, dtype=np.float64)
+        latencies = np.asarray(self.latencies, dtype=np.float64)
+        starts = np.asarray(self.start_times, dtype=np.float64)
+        if features.ndim != 2:
+            raise ValueError(f"{job}: features must be 2-d; got {features.ndim}-d.")
+        n, d = features.shape
+        if latencies.shape != (n,) or starts.shape != (n,):
+            raise ValueError(
+                f"{job}: mismatched lengths — {n} feature rows, latencies of "
+                f"shape {latencies.shape}, start times of shape {starts.shape}."
+            )
+        if n == 0:
+            raise ValueError(f"{job} has no tasks.")
+        if d != len(self.feature_names):
+            raise ValueError(
+                f"{job}: features has {d} columns but "
+                f"{len(self.feature_names)} names were given."
+            )
+        bad = ~np.isfinite(features).all(axis=1)
+        if bad.any():
+            task = int(np.argmax(bad))
+            raise ValueError(
+                f"{job}, task {task}: features contain NaN or infinite values."
+            )
+        bad = ~(np.isfinite(latencies) & (latencies > 0))
+        if bad.any():
+            task = int(np.argmax(bad))
+            raise ValueError(
+                f"{job}, task {task}: duration {latencies[task]!r} is not a "
+                "finite positive number."
+            )
+        bad = ~(np.isfinite(starts) & (starts >= 0))
+        if bad.any():
+            task = int(np.argmax(bad))
+            raise ValueError(
+                f"{job}, task {task}: start time {starts[task]!r} is not finite "
+                "and non-negative."
+            )
 
     @property
     def completion_times(self) -> np.ndarray:

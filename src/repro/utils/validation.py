@@ -132,55 +132,6 @@ def check_random_state(seed) -> np.random.Generator:
     raise ValueError(f"Cannot use {seed!r} to seed a Generator.")
 
 
-def check_job_payload(job) -> None:
-    """Validate a job payload before it enters scoring or storage.
-
-    Catches the corruption the :class:`~repro.traces.schema.Job` constructor
-    cannot: NaN/Inf feature values, NaN or non-positive task durations,
-    NaN/negative start times, and mismatched array lengths — the kinds of
-    damage planted after construction by bitrot, a buggy upstream joiner, or
-    the tests' poisoned payloads. Errors name the job id and the first offending task
-    index so quarantined payloads are actionable.
-
-    ``job`` is duck-typed: anything with ``job_id``, ``features``,
-    ``latencies`` and ``start_times`` array attributes qualifies.
-    """
-    job_id = getattr(job, "job_id", "<unknown>")
-    features = np.asarray(job.features, dtype=np.float64)
-    latencies = np.asarray(job.latencies, dtype=np.float64)
-    starts = np.asarray(job.start_times, dtype=np.float64)
-    if features.ndim != 2:
-        raise ValueError(
-            f"job {job_id!r}: features must be 2-d; got {features.ndim}-d."
-        )
-    n = features.shape[0]
-    if latencies.shape != (n,) or starts.shape != (n,):
-        raise ValueError(
-            f"job {job_id!r}: mismatched lengths — {n} feature rows, "
-            f"{latencies.shape[0]} latencies, {starts.shape[0]} start times."
-        )
-    bad = ~np.isfinite(features).all(axis=1)
-    if bad.any():
-        task = int(np.argmax(bad))
-        raise ValueError(
-            f"job {job_id!r}, task {task}: features contain NaN or infinite values."
-        )
-    bad = ~(np.isfinite(latencies) & (latencies > 0))
-    if bad.any():
-        task = int(np.argmax(bad))
-        raise ValueError(
-            f"job {job_id!r}, task {task}: duration "
-            f"{latencies[task]!r} is not a finite positive number."
-        )
-    bad = ~(np.isfinite(starts) & (starts >= 0))
-    if bad.any():
-        task = int(np.argmax(bad))
-        raise ValueError(
-            f"job {job_id!r}, task {task}: start time {starts[task]!r} is "
-            "not finite and non-negative."
-        )
-
-
 def check_is_fitted(estimator, attributes: Optional[list] = None) -> None:
     """Raise :class:`NotFittedError` unless the estimator has been fitted.
 

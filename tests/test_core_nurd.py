@@ -40,7 +40,7 @@ class TestCalibration:
 
     def test_delta_sign_switch_at_rho_one(self):
         # α = 0.5 puts the sign change exactly at ρ = 1 (paper's regimes).
-        assert compute_delta(0.5, alpha=0.5) > 0
+        assert compute_delta(0.5, alpha=0.5, rho_max=np.inf) > 0
         assert compute_delta(2.0, alpha=0.5, rho_max=np.inf) < 0
 
     def test_delta_rho_cap(self):
@@ -48,18 +48,24 @@ class TestCalibration:
 
     def test_delta_invalid(self):
         with pytest.raises(ValueError):
-            compute_delta(-1.0)
+            compute_delta(-1.0, rho_max=1.2)
         with pytest.raises(ValueError):
-            compute_delta(1.0, alpha=0.0)
-        with pytest.raises(ValueError):
-            compute_delta(1.0, rho_max=0.0)
+            compute_delta(1.0, alpha=0.0, rho_max=1.2)
+
+    @pytest.mark.parametrize("rho_max", [np.nan, 0.0, -1.0])
+    def test_delta_rejects_rho_max_not_positive(self, rho_max):
+        # A NaN cap used to switch the cap off silently: min(5.0, nan) is
+        # 5.0, so compute_delta(5.0, 0.5, rho_max=nan) returned the
+        # uncapped (rho_max=inf) value.
+        with pytest.raises(ValueError, match="^rho_max must be positive"):
+            compute_delta(5.0, 0.5, rho_max=rho_max)
 
     @pytest.mark.parametrize("alpha", [0.0, -0.1, 1.0, 1.5, np.nan])
     def test_delta_alpha_outside_unit_interval(self, alpha):
         # At alpha >= 1, delta <= 0 at every rho (alpha=1.5 gave -0.785),
         # so calibration could never suppress a prediction.
         with pytest.raises(ValueError, match="alpha"):
-            compute_delta(0.5, alpha=alpha)
+            compute_delta(0.5, alpha=alpha, rho_max=1.2)
 
     @pytest.mark.parametrize("alpha", [0.3, 0.4, 0.5, 0.999])
     def test_delta_alpha_inside_unit_interval(self, alpha):
@@ -190,6 +196,18 @@ class TestNurdPredictor:
         with pytest.raises(ValueError, match="alpha"):
             predictor(alpha=alpha).begin_job(*args)
 
+    @pytest.mark.parametrize("predictor", [NurdPredictor, NurdNcPredictor])
+    @pytest.mark.parametrize("rho_max", [np.nan, 0.0, -1.0])
+    def test_begin_job_rejects_rho_max_not_positive(
+        self, google_job, predictor, rho_max
+    ):
+        # NurdPredictor(rho_max=nan) used to fit with its rho cap off.
+        y = google_job.latencies
+        fin = y <= np.quantile(y, 0.3)
+        args = (google_job.features[fin], y[fin], google_job.features[~fin], 1.0)
+        with pytest.raises(ValueError, match="rho_max"):
+            predictor(rho_max=rho_max).begin_job(*args)
+
     @pytest.mark.parametrize("increment", [2.5, 0, -1, "25"])
     def test_update_rejects_non_integer_warm_increment(self, google_job, increment):
         # warm_increment=2.5 used to fail with a bare TypeError from range().
@@ -206,9 +224,7 @@ class TestNurdPredictor:
         fin = np.ones(google_job.n_tasks, dtype=bool)
         fin[:2] = False
         pred = NurdPredictor(random_state=0)
-        pred.begin_job(
-            google_job.features[fin], y[fin], google_job.features[~fin], 1e9
-        )
+        pred.begin_job(google_job.features[fin], y[fin], google_job.features[~fin], 1e9)
         pred.update(google_job.features[fin], y[fin], google_job.features[~fin])
         flags = pred.predict_stragglers(np.zeros((0, google_job.n_features)))
         assert flags.shape == (0,)

@@ -173,6 +173,8 @@ def _counting_factory(case):
 
 
 def _batch(case, sim, trace):
+    """``run`` is a stream stepped over each checkpoint, then ``result()``,
+    so it covers a hand-stepped stream too."""
     other = "GBTR" if case.method == "KNN" else "KNN"
     paths = {"run": [], "run(plan=)": [], "run_incremental": []}
     for i, job in enumerate(trace):
@@ -185,17 +187,6 @@ def _batch(case, sim, trace):
         inc = sim.run_incremental(job, case.predictor(case.method, i))
         paths["run_incremental"].append(inc)
     return paths
-
-
-def _streams(case, sim, trace):
-    """Hand-stepped streams, one checkpoint at a time."""
-    results = []
-    for i, job in enumerate(trace):
-        stream = sim.stream(job, case.predictor(case.method, i))
-        for tau in stream.checkpoints:
-            stream.step(tau)
-        results.append(stream.result())
-    return {"stream": results}
 
 
 def _engine(case, sim, trace):
@@ -331,7 +322,7 @@ def _pinned(shapes, method, **kw):
     return Case(**{**fields, **kw})
 
 
-PATHS = (_batch, _streams, _engine, _service, _harness, _crash_recovery)
+PATHS = (_batch, _engine, _service, _harness, _crash_recovery)
 PATH_IDS = [paths.__name__.lstrip("_") for paths in PATHS]
 
 # The four edge shapes, all five methods, and jobs that three shards begin

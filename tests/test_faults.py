@@ -41,7 +41,6 @@ from repro.serving import (
 from repro.sim.replay import ReplaySimulator
 from repro.traces.io import TraceStore, load_trace_csv, save_trace_npz
 from repro.traces.schema import Job, Trace
-from repro.utils.validation import check_job_payload
 
 
 def _job(n=50, seed=0, job_id="j"):
@@ -206,32 +205,59 @@ class TestDeadLetterQueue:
 # ---------------------------------------------------------------------------
 
 
+#: A malformed value planted at task 3: (array, value, what the message says).
+BAD_PAYLOADS = {
+    "nan-feature": ("features", np.nan, "features"),
+    "inf-feature": ("features", -np.inf, "features"),
+    "nan-latency": ("latencies", np.nan, "duration"),
+    "inf-latency": ("latencies", np.inf, "duration"),
+    "zero-latency": ("latencies", 0.0, "duration"),
+    "nan-start": ("start_times", np.nan, "start time"),
+    "inf-start": ("start_times", np.inf, "start time"),
+    "negative-start": ("start_times", -1.0, "start time"),
+}
+
+
 class TestPayloadValidation:
-    def test_check_job_payload_names_job_and_task(self):
+    def test_validate_names_job_and_task(self):
         job = _job(job_id="wounded")
         job.features[3, 1] = np.nan
         with pytest.raises(ValueError, match=r"'wounded', task 3.*features"):
-            check_job_payload(job)
+            job.validate()
 
         job = _job(job_id="wounded")
         job.latencies[7] = np.nan
         with pytest.raises(ValueError, match=r"'wounded', task 7.*duration"):
-            check_job_payload(job)
+            job.validate()
 
         job = _job(job_id="wounded")
         job.latencies[2] = -1.0
         with pytest.raises(ValueError, match="task 2"):
-            check_job_payload(job)
+            job.validate()
+
+    @pytest.mark.parametrize("kind", list(BAD_PAYLOADS))
+    def test_constructor_rejects_bad_payload(self, kind):
+        # Job used to accept NaN latencies, NaN start times and non-finite
+        # features; its straggler threshold was then NaN and a replay
+        # failed much later with "X has 0 samples".
+        name, value, what = BAD_PAYLOADS[kind]
+        clean = _job()
+        arrays = {
+            "features": clean.features.copy(),
+            "latencies": clean.latencies.copy(),
+            "start_times": clean.start_times.copy(),
+        }
+        arrays[name][3] = value
+        with pytest.raises(ValueError, match=rf"^job 'bad', task 3: {what}"):
+            Job("bad", feature_names=clean.feature_names, **arrays)
 
     def test_mismatched_lengths(self):
-        payload = SimpleNamespace(
-            job_id="ragged",
-            features=np.ones((5, 2)),
-            latencies=np.ones(4),
-            start_times=np.zeros(5),
-        )
-        with pytest.raises(ValueError, match="mismatched lengths"):
-            check_job_payload(payload)
+        with pytest.raises(ValueError, match="'ragged': mismatched lengths"):
+            Job("ragged", np.ones((5, 2)), np.ones(4), ["a", "b"], np.zeros(5))
+        job = _job(job_id="ragged")
+        job.start_times = job.start_times[1:]
+        with pytest.raises(ValueError, match="'ragged': mismatched lengths"):
+            job.validate()
 
     def test_engine_rejects_poison_begin(self):
         engine = ScoringEngine()
@@ -262,6 +288,30 @@ class TestPayloadValidation:
         path = write_trace_csv(Trace(name="t", jobs=[job]), tmp_path / "t.csv")
         with pytest.raises(ValueError, match=r"'sick', task 5"):
             load_trace_csv(path)
+
+    @pytest.mark.parametrize("source", ["csv", "store"])
+    def test_loaders_validate_each_job_once(
+        self, monkeypatch, tmp_path, write_trace_csv, source
+    ):
+        # The loaders used to check a payload copy and then build the Job,
+        # which checked it again.
+        jobs = [_job(n=20, job_id="a"), _job(n=30, seed=1, job_id="b")]
+        if source == "csv":
+            path = write_trace_csv(Trace(name="t", jobs=jobs), tmp_path / "t.csv")
+        else:
+            path = save_trace_npz(jobs, tmp_path / "t.npz")
+        calls, validate = [], Job.validate
+
+        def counting(job):
+            calls.append(job.job_id)
+            validate(job)
+
+        monkeypatch.setattr(Job, "validate", counting)
+        if source == "csv":
+            loaded = load_trace_csv(path).jobs
+        else:
+            loaded = list(TraceStore(path).iter_jobs())
+        assert [job.job_id for job in loaded] == calls == ["a", "b"]
 
     def test_store_validates_jobs(self, tmp_path):
         job = _job(n=20, job_id="sick")
@@ -391,7 +441,7 @@ class TestRequestInjector:
         assert len(poison) == 2
         for job in poison:
             with pytest.raises(ValueError):
-                check_job_payload(job)
+                job.validate()
 
 
 # ---------------------------------------------------------------------------

@@ -2,32 +2,38 @@
 
 Every stage of a boosted fit grows on the same binned rows, so the builder
 keeps each node's residual-free state (partitions, count histograms, the
-``min_samples_leaf`` mask) in one memo per fit and later stages reuse it.
+``_MIN_SAMPLES_LEAF`` mask) in one memo per fit and later stages reuse it.
 These cases reach that reuse: long NURD-shaped fits with a warm-start
 extension, the classifier, and a fit that fills the memo's byte bound
 partway through. Every one compares against the loop references in
 ``test_gbm_parity.py``, which have no memo, and asserts tree arrays and
-``_train_leaves_`` equal by ``tobytes``.
+each stage's training leaves equal by ``tobytes``.
 """
 
 import numpy as np
 import pytest
-from test_gbm_parity import _fuzz_case, _ReferenceGBC, _ReferenceGBR
+from test_gbm_parity import (
+    TREE_ARRAYS,
+    _fuzz_case,
+    _ReferenceGBC,
+    _ReferenceGBR,
+    fit_recording_leaves,
+)
 
 from repro.learn import tree as tree_module
 from repro.learn.gbm import GradientBoostingClassifier, GradientBoostingRegressor
 
-TREE_ARRAYS = ("feature", "threshold", "left", "right", "value", "n_samples")
 
-
-def _assert_same_bytes(ref_estimators, new_estimators):
-    assert len(ref_estimators) == len(new_estimators)
-    for t, (ref, new) in enumerate(zip(ref_estimators, new_estimators)):
+def _assert_same_bytes(ref_estimators, new_estimators, new_leaves):
+    assert len(ref_estimators) == len(new_estimators) == len(new_leaves)
+    trees = zip(ref_estimators, new_estimators, new_leaves)
+    for t, (ref, new, leaves) in enumerate(trees):
         for name in TREE_ARRAYS:
-            a, b = getattr(ref.tree_, name), getattr(new.tree_, name)
+            a, b = getattr(ref.tree_, name), getattr(new, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (t, name)
-        a, b = ref._train_leaves_, new._train_leaves_
-        assert a.tobytes() == b.tobytes(), (t, "_train_leaves_")
+        a = ref._train_leaves_
+        same = a.dtype == leaves.dtype and a.tobytes() == leaves.tobytes()
+        assert same, (t, "training leaves")
 
 
 def _nurd_case(seed):
@@ -53,14 +59,15 @@ def test_nurd_shaped_fits_match_reference(seed):
     X, y, n, kw = _nurd_case(seed)
     ref, new = _ReferenceGBR(**kw), GradientBoostingRegressor(**kw)
     ref.fit(X[:n], y[:n])
-    new.fit(X[:n], y[:n])
-    _assert_same_bytes(ref.estimators_, new.estimators_)
+    leaves = fit_recording_leaves(new, X[:n], y[:n])
+    _assert_same_bytes(ref.estimators_, new.estimators_, leaves)
     # Warm start: NURD's next checkpoint adds trees on the grown finished
     # set, with a fresh memo over the new rows.
     for model in (ref, new):
         model.set_params(n_estimators=kw["n_estimators"] + 25)
-        model.fit(X, y)
-    _assert_same_bytes(ref.estimators_, new.estimators_)
+    ref.fit(X, y)
+    leaves += fit_recording_leaves(new, X, y)
+    _assert_same_bytes(ref.estimators_, new.estimators_, leaves)
     assert np.array_equal(ref.predict(X), new.predict(X))
 
 
@@ -73,10 +80,11 @@ def test_classifier_random_problems_match_reference():
         labels = (X[:, 0] + noise > 0).astype(int)
         kw = dict(kw, n_estimators=15)
         ref = _ReferenceGBC(**kw).fit(X, labels)
-        new = GradientBoostingClassifier(**kw).fit(X, labels)
+        new = GradientBoostingClassifier(**kw)
+        leaves = fit_recording_leaves(new, X, labels)
         try:
             if ref._single_class_ is None:
-                _assert_same_bytes(ref.estimators_, new.estimators_)
+                _assert_same_bytes(ref.estimators_, new.estimators_, leaves)
             a, b = ref.decision_function(X), new.decision_function(X)
             assert a.tobytes() == b.tobytes()
         except AssertionError as err:
@@ -131,11 +139,13 @@ def test_fit_past_the_memo_bound_matches_reference(monkeypatch):
     recorder = _Recorder(monkeypatch)
     X, y = _big_case()
     kw = dict(n_estimators=40, max_depth=3)
-    new = GradientBoostingRegressor(**kw).fit(X, y)
+    new = GradientBoostingRegressor(**kw)
+    leaves = fit_recording_leaves(new, X, y)
     # The memo admitted entries, then refused some partway through.
     first_refused = recorder.kept.index(False)
     assert first_refused > 0 and any(recorder.kept[first_refused:])
-    _assert_same_bytes(_ReferenceGBR(**kw).fit(X, y).estimators_, new.estimators_)
+    ref = _ReferenceGBR(**kw).fit(X, y)
+    _assert_same_bytes(ref.estimators_, new.estimators_, leaves)
 
 
 def test_memo_never_exceeds_its_bound(monkeypatch):

@@ -12,15 +12,16 @@ single bit.
 The loop references below are self-contained copies of the
 implementations those replaced, kept as they were apart from input
 validation and the options that are gone: the per-node builder that
-pushed every child and built its histogram, the per-loss leaf estimates
-(least-squares mean, binomial Newton step, Grabit's −Σg/Σh), and the
-per-tree ``raw += lr * tree.predict(X)`` loops of ``_raw_predict``,
-``staged_raw_predict``, the warm-start replay and
+pushed every child and built its histogram, its per-tree router, the
+per-loss leaf estimates (least-squares mean, binomial Newton step,
+Grabit's −Σg/Σh), and the per-tree ``raw += lr * tree.predict(X)`` loops
+of ``_raw_predict``, ``staged_raw_predict``, the warm-start replay and
 ``GrabitRegressor.predict``. Only tests use the per-stage view, so the
 shipping side of ``staged_raw_predict`` is the helper of that name below.
-The references share only the binner and the fitted tree layout with the
-shipping code. Every test asserts exact equality (never a tolerance) of
-predictions, tree arrays and ``_train_leaves_``.
+The references share only the binner and the leaf marker of the tree
+layout with the shipping code. Every test asserts exact equality (never a
+tolerance) of predictions, tree arrays and each stage's training leaves,
+which ``fit_recording_leaves`` reads from the stage loop's builder.
 """
 
 from dataclasses import dataclass, field
@@ -31,13 +32,18 @@ import pytest
 from scipy.stats import norm
 
 from repro.censored import GrabitRegressor
-from repro.learn import DecisionTreeRegressor
+from repro.learn import gbm
 from repro.learn.gbm import GradientBoostingClassifier, GradientBoostingRegressor
-from repro.learn.tree import _LEAF, _Binner, _Tree
+from repro.learn.tree import _LEAF, _Binner, _FitMemo, _grow_tree
 
 # ---------------------------------------------------------------------------
 # Loop references (the pre-packing, per-loss implementations)
 # ---------------------------------------------------------------------------
+
+#: The shipping stage shrinkage and growth limits, as literals.
+LEARNING_RATE = 0.1
+MIN_SAMPLES_SPLIT = 2
+MIN_SAMPLES_LEAF = 1
 
 
 def _reference_node_histograms(codes, y, idx, offsets, n_total):
@@ -51,34 +57,57 @@ def _reference_node_histograms(codes, y, idx, offsets, n_total):
 
 
 @dataclass
+class _ReferenceTree:
+    """Fitted node arrays with the per-tree router they had."""
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+
+    def apply(self, X):
+        """Leaf index of each row, routed level by level."""
+        node = np.zeros(X.shape[0], dtype=np.int64)
+        active = self.feature[node] != _LEAF
+        while np.any(active):
+            idx = np.nonzero(active)[0]
+            cur = node[idx]
+            feat = self.feature[cur]
+            go_left = X[idx, feat] <= self.threshold[cur]
+            node[idx] = np.where(go_left, self.left[cur], self.right[cur])
+            active[idx] = self.feature[node[idx]] != _LEAF
+        return node
+
+    def predict(self, X):
+        return self.value[self.apply(X)]
+
+
+@dataclass
 class _ReferenceBuffers:
     feature: List[int] = field(default_factory=list)
     threshold: List[float] = field(default_factory=list)
     left: List[int] = field(default_factory=list)
     right: List[int] = field(default_factory=list)
-    value: List[np.ndarray] = field(default_factory=list)
-    n_samples: List[int] = field(default_factory=list)
+    value: List[float] = field(default_factory=list)
     impurity: List[float] = field(default_factory=list)
 
-    def add_node(self, value, n, impurity):
+    def add_node(self, value, impurity):
         self.feature.append(_LEAF)
         self.threshold.append(np.nan)
         self.left.append(_LEAF)
         self.right.append(_LEAF)
         self.value.append(value)
-        self.n_samples.append(n)
         self.impurity.append(impurity)
         return len(self.feature) - 1
 
     def finalize(self):
-        return _Tree(
+        return _ReferenceTree(
             feature=np.asarray(self.feature, dtype=np.int64),
             threshold=np.asarray(self.threshold, dtype=np.float64),
             left=np.asarray(self.left, dtype=np.int64),
             right=np.asarray(self.right, dtype=np.int64),
-            value=np.stack(self.value),
-            n_samples=np.asarray(self.n_samples, dtype=np.int64),
-            impurity=np.asarray(self.impurity, dtype=np.float64),
+            value=np.asarray(self.value, dtype=np.float64),
         )
 
 
@@ -86,30 +115,22 @@ def _reference_leaf_stats(y):
     s = float(np.add.reduce(y))
     mean = s / y.shape[0]
     d = y - mean
-    return np.array([mean]), float(d @ d)
+    return mean, float(d @ d)
 
 
 class _ReferenceRegressorTree:
     """The per-node histogram builder: every child is pushed, popped, and
     (for the smaller sibling) scanned, even when it can never split."""
 
-    def __init__(
-        self, max_depth=None, min_samples_split=2, min_samples_leaf=1, max_bins=256
-    ):
+    def __init__(self, max_depth, max_bins=256):
         self.max_depth = max_depth
-        self.min_samples_split = min_samples_split
-        self.min_samples_leaf = min_samples_leaf
         self.max_bins = max_bins
 
     def fit(self, X, y):
         binner = _Binner(self.max_bins).fit(X)
         return self._fit_binned(binner.transform(X), y, binner)
 
-    def predict(self, X):
-        return self.tree_.predict(X)[:, 0]
-
     def _fit_binned(self, codes, y, binner):
-        max_depth = np.inf if self.max_depth is None else int(self.max_depth)
         n, d = codes.shape
         n_total = binner.n_total_bins_
         offsets = (np.arange(d, dtype=np.intp) * n_total)[None, :]
@@ -117,8 +138,7 @@ class _ReferenceRegressorTree:
         buffers = _ReferenceBuffers()
         train_leaves = np.zeros(n, dtype=np.int64)
 
-        root_value, root_imp = _reference_leaf_stats(y)
-        root_idx = buffers.add_node(root_value, n, root_imp)
+        root_idx = buffers.add_node(*_reference_leaf_stats(y))
         yh = y - np.add.reduce(y) / y.shape[0]
         if n_total > 1:
             root_hist = _reference_node_histograms(
@@ -140,13 +160,11 @@ class _ReferenceRegressorTree:
                 cut_exists,
                 offsets,
                 n_total,
-                max_depth,
             )
         finally:
             np.seterr(**saved_err)
 
         self.tree_ = buffers.finalize()
-        self.n_features_in_ = d
         self._train_leaves_ = train_leaves
         return self
 
@@ -162,14 +180,13 @@ class _ReferenceRegressorTree:
         cut_exists,
         offsets,
         n_total,
-        max_depth,
     ):
         while stack:
             node_id, idx, depth, (cnt, wsum) = stack.pop()
             m = idx.shape[0]
             if (
-                depth >= max_depth
-                or m < self.min_samples_split
+                depth >= self.max_depth
+                or m < MIN_SAMPLES_SPLIT
                 or buffers.impurity[node_id] <= 1e-12
             ):
                 train_leaves[idx] = node_id
@@ -186,8 +203,8 @@ class _ReferenceRegressorTree:
             )
             valid = (
                 cut_exists
-                & (left_n >= self.min_samples_leaf)
-                & (m - left_n >= self.min_samples_leaf)
+                & (left_n >= MIN_SAMPLES_LEAF)
+                & (m - left_n >= MIN_SAMPLES_LEAF)
             )
             gain[~valid] = -np.inf
             flat_best = int(np.argmax(gain))
@@ -200,10 +217,8 @@ class _ReferenceRegressorTree:
             go_left = codes[idx, best_feat] <= best_bin
             left_idx = idx[go_left]
             right_idx = idx[~go_left]
-            left_value, left_imp = _reference_leaf_stats(y[left_idx])
-            right_value, right_imp = _reference_leaf_stats(y[right_idx])
-            left_id = buffers.add_node(left_value, left_idx.shape[0], left_imp)
-            right_id = buffers.add_node(right_value, right_idx.shape[0], right_imp)
+            left_id = buffers.add_node(*_reference_leaf_stats(y[left_idx]))
+            right_id = buffers.add_node(*_reference_leaf_stats(y[right_idx]))
             buffers.feature[node_id] = int(best_feat)
             buffers.threshold[node_id] = thr
             buffers.left[node_id] = left_id
@@ -275,21 +290,9 @@ class _ReferenceBoosting:
     """Boosting with per-loss leaf estimates, per-tree predict loops and the
     per-node builder."""
 
-    def __init__(
-        self,
-        n_estimators=100,
-        learning_rate=0.1,
-        max_depth=3,
-        min_samples_split=2,
-        min_samples_leaf=1,
-        max_bins=256,
-        warm_start=False,
-    ):
+    def __init__(self, n_estimators=100, max_depth=3, max_bins=256, warm_start=False):
         self.n_estimators = n_estimators
-        self.learning_rate = learning_rate
         self.max_depth = max_depth
-        self.min_samples_split = min_samples_split
-        self.min_samples_leaf = min_samples_leaf
         self.max_bins = max_bins
         self.warm_start = warm_start
 
@@ -304,7 +307,7 @@ class _ReferenceBoosting:
             n_new = self.n_estimators - len(self.estimators_)
             raw = np.full(n, self.init_raw_, dtype=np.float64)
             for tree in self.estimators_:
-                raw += self.learning_rate * tree.tree_.predict(X)[:, 0]
+                raw += LEARNING_RATE * tree.tree_.predict(X)
         else:
             self.init_raw_ = loss.init_raw(y)
             raw = np.full(n, self.init_raw_, dtype=np.float64)
@@ -314,34 +317,29 @@ class _ReferenceBoosting:
         codes = binner.transform(X)
         for _ in range(n_new):
             residual = loss.negative_gradient(y, raw)
-            tree = _ReferenceRegressorTree(
-                max_depth=self.max_depth,
-                min_samples_split=self.min_samples_split,
-                min_samples_leaf=self.min_samples_leaf,
-                max_bins=self.max_bins,
-            )
+            tree = _ReferenceRegressorTree(self.max_depth, self.max_bins)
             tree._fit_binned(codes, residual, binner)
             leaves_in = tree._train_leaves_
             new_values = tree.tree_.value.copy()
             values, occupied = loss.leaf_values(
-                y, raw, residual, leaves_in, tree.tree_.node_count
+                y, raw, residual, leaves_in, new_values.shape[0]
             )
-            new_values[occupied, 0] = values[occupied]
+            new_values[occupied] = values[occupied]
             tree.tree_.value = new_values
-            raw += self.learning_rate * new_values[leaves_in, 0]
+            raw += LEARNING_RATE * new_values[leaves_in]
             self.estimators_.append(tree)
         return self
 
     def _raw_predict(self, X):
         raw = np.full(X.shape[0], self.init_raw_, dtype=np.float64)
         for tree in self.estimators_:
-            raw += self.learning_rate * tree.tree_.predict(X)[:, 0]
+            raw += LEARNING_RATE * tree.tree_.predict(X)
         return raw
 
     def staged_raw_predict(self, X):
         raw = np.full(X.shape[0], self.init_raw_, dtype=np.float64)
         for tree in self.estimators_:
-            raw = raw + self.learning_rate * tree.tree_.predict(X)[:, 0]
+            raw = raw + LEARNING_RATE * tree.tree_.predict(X)
             yield raw.copy()
 
 
@@ -396,18 +394,9 @@ def _reference_tobit_grad_hess(y, raw, censored, sigma):
 
 
 class _ReferenceGrabit:
-    def __init__(
-        self,
-        n_estimators=60,
-        learning_rate=0.1,
-        max_depth=3,
-        min_samples_leaf=1,
-        max_bins=256,
-    ):
+    def __init__(self, n_estimators=60, max_depth=3, max_bins=256):
         self.n_estimators = n_estimators
-        self.learning_rate = learning_rate
         self.max_depth = max_depth
-        self.min_samples_leaf = min_samples_leaf
         self.max_bins = max_bins
 
     def fit(self, X, y, censored):
@@ -420,28 +409,24 @@ class _ReferenceGrabit:
         self.estimators_ = []
         for _ in range(self.n_estimators):
             grad, hess = _reference_tobit_grad_hess(y, raw, censored, sigma)
-            tree = _ReferenceRegressorTree(
-                max_depth=self.max_depth,
-                min_samples_leaf=self.min_samples_leaf,
-                max_bins=self.max_bins,
-            )
+            tree = _ReferenceRegressorTree(self.max_depth, self.max_bins)
             tree._fit_binned(codes, -grad, binner)
             leaves = tree._train_leaves_
-            n_nodes = tree.tree_.node_count
+            values = tree.tree_.value.copy()
+            n_nodes = values.shape[0]
             gsum = np.bincount(leaves, weights=grad, minlength=n_nodes)
             hsum = np.bincount(leaves, weights=hess, minlength=n_nodes)
-            values = tree.tree_.value.copy()
             occupied = np.bincount(leaves, minlength=n_nodes) > 0
-            values[occupied, 0] = -gsum[occupied] / hsum[occupied]
+            values[occupied] = -gsum[occupied] / hsum[occupied]
             tree.tree_.value = values
-            raw += self.learning_rate * values[leaves, 0]
+            raw += LEARNING_RATE * values[leaves]
             self.estimators_.append(tree)
         return self
 
     def predict(self, X):
         raw = np.full(X.shape[0], self.init_raw_)
         for tree in self.estimators_:
-            raw += self.learning_rate * tree.tree_.predict(X)[:, 0]
+            raw += LEARNING_RATE * tree.tree_.predict(X)
         return raw
 
 
@@ -460,8 +445,24 @@ def staged_raw_predict(model, X):
     X = model._check_predict_input(X)
     raw = np.full(X.shape[0], model.init_raw_, dtype=np.float64)
     for values in model._packed.leaf_values(X):
-        raw += model.learning_rate * values
+        raw += gbm._LEARNING_RATE * values
         yield raw.copy()
+
+
+def fit_recording_leaves(model, *args, **kwargs):
+    """Fit ``model`` and return the training leaves of each stage it grew,
+    in stage order, as the stage loop's builder returned them."""
+    leaves = []
+
+    def recording(memo, y):
+        tree, rows = _grow_tree(memo, y)
+        leaves.append(rows)
+        return tree, rows
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gbm, "_grow_tree", recording)
+        model.fit(*args, **kwargs)
+    return leaves
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +472,8 @@ def staged_raw_predict(model, X):
 
 def _data(n=160, seed=0):
     """Continuous, low-cardinality and constant columns, duplicate rows,
-    and a large-offset target."""
+    and a large-offset target. The continuous columns hold 129 distinct
+    values, the low-cardinality one 4."""
     gen = np.random.default_rng(seed)
     X = gen.normal(size=(n, 6))
     X[:, 2] = 3.5
@@ -486,14 +488,19 @@ def _queries(seed=1):
     return np.random.default_rng(seed).normal(size=(9, 6))
 
 
-def _assert_same_trees(ref_estimators, new_estimators):
-    assert len(ref_estimators) == len(new_estimators)
-    for ref, new in zip(ref_estimators, new_estimators):
-        for name in ("feature", "threshold", "left", "right", "value", "n_samples"):
-            a, b = getattr(ref.tree_, name), getattr(new.tree_, name)
+TREE_ARRAYS = ("feature", "threshold", "left", "right", "value")
+
+
+def _assert_same_trees(ref_estimators, new_estimators, new_leaves):
+    """Reference trees (``tree_`` and ``_train_leaves_``) against shipping
+    trees and the training leaves their builder returned."""
+    assert len(ref_estimators) == len(new_estimators) == len(new_leaves)
+    for ref, new, leaves in zip(ref_estimators, new_estimators, new_leaves):
+        for name in TREE_ARRAYS:
+            a, b = getattr(ref.tree_, name), getattr(new, name)
             assert a.dtype == b.dtype and a.shape == b.shape, name
             assert np.array_equal(a, b, equal_nan=True), name
-        assert np.array_equal(ref._train_leaves_, new._train_leaves_)
+        assert np.array_equal(ref._train_leaves_, leaves)
 
 
 def _assert_same_predictions(ref_fn, new_fn, Xq):
@@ -504,25 +511,39 @@ def _assert_same_predictions(ref_fn, new_fn, Xq):
         assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
-GRID = [
-    (depth, leaf, split)
-    for depth in range(1, 6)
-    for leaf in (1, 5)
-    for split in (2, 20)
-]
-
-
-@pytest.mark.parametrize("max_depth,min_samples_leaf,min_samples_split", GRID)
-def test_regressor_matches_reference(max_depth, min_samples_leaf, min_samples_split):
-    X, y, _ = _data()
-    kw = dict(
-        n_estimators=12,
-        max_depth=max_depth,
-        min_samples_leaf=min_samples_leaf,
-        min_samples_split=min_samples_split,
+def _reference_tree(X, y, max_depth, max_bins):
+    """One reference tree on ``y`` with least-squares (mean) leaves."""
+    tree = _ReferenceRegressorTree(max_depth, max_bins).fit(X, y)
+    n_nodes = tree.tree_.value.shape[0]
+    values, occupied = _ReferenceLeastSquares().leaf_values(
+        y, None, y, tree._train_leaves_, n_nodes
     )
-    ref, new = _ReferenceGBR(**kw).fit(X, y), GradientBoostingRegressor(**kw).fit(X, y)
-    _assert_same_trees(ref.estimators_, new.estimators_)
+    tree.tree_.value[occupied] = values[occupied]
+    return tree
+
+
+def builder_tree(X, y, max_depth, max_bins=256):
+    """One builder tree on ``y`` with Newton leaves at unit hessian (the
+    leaf means), its training leaves, and its predict through the packed
+    router."""
+    tree, leaves = _grow_tree(_FitMemo(X, max_bins, max_depth), y)
+    gbm._newton_step(tree, leaves, y, np.ones_like(y))
+    packed = gbm._PackedTrees([tree])
+    return tree, leaves, lambda X: packed.leaf_values(X)[0]
+
+
+#: Bin budgets below the 129 distinct values of ``_data``'s continuous
+#: columns (quantile cuts) and above them (midpoint cuts).
+GRID = [(depth, bins) for depth in range(1, 6) for bins in (3, 16, 64, 256)]
+
+
+@pytest.mark.parametrize("max_depth,max_bins", GRID)
+def test_regressor_matches_reference(max_depth, max_bins):
+    X, y, _ = _data()
+    kw = dict(n_estimators=12, max_depth=max_depth, max_bins=max_bins)
+    ref, new = _ReferenceGBR(**kw).fit(X, y), GradientBoostingRegressor(**kw)
+    leaves = fit_recording_leaves(new, X, y)
+    _assert_same_trees(ref.estimators_, new.estimators_, leaves)
     _assert_same_predictions(ref.predict, new.predict, _queries())
 
 
@@ -530,31 +551,29 @@ def test_regressor_matches_reference(max_depth, min_samples_leaf, min_samples_sp
 def test_regressor_warm_start_matches_reference(max_depth):
     X, y, _ = _data()
     kw = dict(n_estimators=10, max_depth=max_depth, warm_start=True)
-    ref, new = _ReferenceGBR(**kw).fit(X, y), GradientBoostingRegressor(**kw).fit(X, y)
+    ref, new = _ReferenceGBR(**kw).fit(X, y), GradientBoostingRegressor(**kw)
+    leaves = fit_recording_leaves(new, X, y)
     # Extend both on a different (shorter) training set: the replay of the
     # kept trees goes through the packed router.
     for m in (ref, new):
         m.set_params(n_estimators=18)
-        m.fit(X[:120], y[:120])
-    _assert_same_trees(ref.estimators_, new.estimators_)
+    ref.fit(X[:120], y[:120])
+    leaves += fit_recording_leaves(new, X[:120], y[:120])
+    _assert_same_trees(ref.estimators_, new.estimators_, leaves)
     Xq = _queries()
     _assert_same_predictions(ref.predict, new.predict, Xq)
     for a, b in zip(ref.staged_raw_predict(Xq[:2]), staged_raw_predict(new, Xq[:2])):
         assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("max_depth,min_samples_leaf,min_samples_split", GRID[::3])
-def test_classifier_matches_reference(max_depth, min_samples_leaf, min_samples_split):
+@pytest.mark.parametrize("max_depth,max_bins", GRID[::3])
+def test_classifier_matches_reference(max_depth, max_bins):
     X, _, labels = _data()
-    kw = dict(
-        n_estimators=12,
-        max_depth=max_depth,
-        min_samples_leaf=min_samples_leaf,
-        min_samples_split=min_samples_split,
-    )
+    kw = dict(n_estimators=12, max_depth=max_depth, max_bins=max_bins)
     ref = _ReferenceGBC(**kw).fit(X, labels)
-    new = GradientBoostingClassifier(**kw).fit(X, labels)
-    _assert_same_trees(ref.estimators_, new.estimators_)
+    new = GradientBoostingClassifier(**kw)
+    leaves = fit_recording_leaves(new, X, labels)
+    _assert_same_trees(ref.estimators_, new.estimators_, leaves)
     Xq = _queries()
     _assert_same_predictions(ref.decision_function, new.decision_function, Xq)
     _assert_same_predictions(ref.predict_proba, new.predict_proba, Xq)
@@ -576,10 +595,11 @@ def test_single_class_classifier_matches_reference():
 def test_grabit_matches_reference(max_depth):
     X, y, _ = _data()
     censored = np.random.default_rng(4).random(y.shape[0]) < 0.3
-    kw = dict(n_estimators=10, max_depth=max_depth, min_samples_leaf=5)
+    kw = dict(n_estimators=10, max_depth=max_depth, max_bins=16)
     ref = _ReferenceGrabit(**kw).fit(X, y, censored)
-    new = _grabit(**kw).fit(X, y, censored=censored)
-    _assert_same_trees(ref.estimators_, new.estimators_)
+    new = _grabit(**kw)
+    leaves = fit_recording_leaves(new, X, y, censored=censored)
+    _assert_same_trees(ref.estimators_, new.estimators_, leaves)
     _assert_same_predictions(ref.predict, new.predict, _queries())
 
 
@@ -587,20 +607,21 @@ def test_all_constant_X_matches_reference():
     X = np.full((30, 4), 2.0)
     y = np.random.default_rng(0).normal(size=30)
     ref = _ReferenceGBR(n_estimators=4).fit(X, y)
-    new = GradientBoostingRegressor(n_estimators=4).fit(X, y)
-    _assert_same_trees(ref.estimators_, new.estimators_)
-    assert all(t.tree_.node_count == 1 for t in new.estimators_)
+    new = GradientBoostingRegressor(n_estimators=4)
+    leaves = fit_recording_leaves(new, X, y)
+    _assert_same_trees(ref.estimators_, new.estimators_, leaves)
+    assert all(t.node_count == 1 for t in new.estimators_)
     _assert_same_predictions(ref.predict, new.predict, _queries()[:, :4])
 
 
-@pytest.mark.parametrize("max_depth", [1, 4, None])
-def test_single_hist_tree_matches_reference(max_depth):
+@pytest.mark.parametrize("max_depth", [1, 4, 12])
+def test_single_builder_tree_matches_reference(max_depth):
+    """One tree on the raw large-offset target, not a centered residual."""
     X, y, _ = _data()
-    kw = dict(max_depth=max_depth, min_samples_leaf=3)
-    ref = _ReferenceRegressorTree(**kw).fit(X, y)
-    new = DecisionTreeRegressor(**kw).fit(X, y)
-    _assert_same_trees([ref], [new])
-    _assert_same_predictions(ref.predict, new.predict, _queries())
+    ref = _reference_tree(X, y, max_depth, 256)
+    new, leaves, predict = builder_tree(X, y, max_depth)
+    _assert_same_trees([ref], [new], [leaves])
+    _assert_same_predictions(ref.tree_.predict, predict, _queries())
 
 
 # ---------------------------------------------------------------------------
@@ -614,7 +635,7 @@ FUZZ_CASES = 300
 def _fuzz_case(seed):
     """One random problem the fixed ``GRID`` does not cover: 2–120 rows,
     1–9 features rounded to 0–3 decimals (so bins tie), plain, zero-heavy
-    or 1e6-offset targets, and random tree limits and bin budget."""
+    or 1e6-offset targets, and a random depth and bin budget."""
     gen = np.random.default_rng(seed)
     n, d = int(gen.integers(2, 121)), int(gen.integers(1, 10))
     X = np.round(10.0 * gen.normal(size=(n, d)), int(gen.integers(0, 4)))
@@ -625,9 +646,7 @@ def _fuzz_case(seed):
     elif shape == 2:
         y += 1e6
     kw = dict(
-        max_depth=[None, 1, 2, 3, 4, 6][gen.integers(6)],
-        min_samples_leaf=int(gen.integers(1, 6)),
-        min_samples_split=int(gen.integers(2, 12)),
+        max_depth=[1, 2, 3, 4, 6, 10][gen.integers(6)],
         max_bins=int(gen.choice([8, 256])),
     )
     censored = gen.random(n) < 0.3
@@ -636,18 +655,21 @@ def _fuzz_case(seed):
 
 
 def _fit_both(model, X, y, censored, kw):
-    """(reference, shipping) fits of one model on one fuzz case."""
+    """(reference trees, shipping trees, shipping training leaves, reference
+    predict, shipping predict) of one model on one fuzz case."""
     if model == "tree":
-        ref, new = _ReferenceRegressorTree(**kw), DecisionTreeRegressor(**kw)
-        return ref.fit(X, y), new.fit(X, y)
+        ref = _reference_tree(X, y, kw["max_depth"], kw["max_bins"])
+        new, leaves, predict = builder_tree(X, y, kw["max_depth"], kw["max_bins"])
+        return [ref], [new], [leaves], ref.tree_.predict, predict
     if model == "gbr":
         kw = dict(kw, n_estimators=6)
-        ref, new = _ReferenceGBR(**kw), GradientBoostingRegressor(**kw)
-        return ref.fit(X, y), new.fit(X, y)
-    kw = dict(kw, n_estimators=4)
-    del kw["min_samples_split"]
-    ref, new = _ReferenceGrabit(**kw), _grabit(**kw)
-    return ref.fit(X, y, censored), new.fit(X, y, censored=censored)
+        ref, new = _ReferenceGBR(**kw).fit(X, y), GradientBoostingRegressor(**kw)
+        leaves = fit_recording_leaves(new, X, y)
+    else:
+        kw = dict(kw, n_estimators=4)
+        ref, new = _ReferenceGrabit(**kw).fit(X, y, censored), _grabit(**kw)
+        leaves = fit_recording_leaves(new, X, y, censored=censored)
+    return ref.estimators_, new.estimators_, leaves, ref.predict, new.predict
 
 
 @pytest.mark.parametrize("model", ["tree", "gbr", "grabit"])
@@ -657,11 +679,11 @@ def test_random_problems_match_reference(model):
     never reaches."""
     for seed in range(FUZZ_CASES):
         X, y, censored, kw = _fuzz_case(seed)
-        ref, new = _fit_both(model, X, y, censored, kw)
+        ref, new, leaves, ref_predict, new_predict = _fit_both(
+            model, X, y, censored, kw
+        )
         try:
-            _assert_same_trees(
-                getattr(ref, "estimators_", [ref]), getattr(new, "estimators_", [new])
-            )
-            _assert_same_predictions(ref.predict, new.predict, X)
+            _assert_same_trees(ref, new, leaves)
+            _assert_same_predictions(ref_predict, new_predict, X)
         except AssertionError as err:
             raise AssertionError(f"fuzz case {seed}: {err}") from err

@@ -16,29 +16,29 @@ shipping boosted models; ``tests/test_speed_floors.py`` times ``ExactGBR``
 against the histogram GBR.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
+from test_gbm_parity import builder_tree
 
 from repro.censored import GrabitRegressor
 from repro.core.nurd import NurdPredictor
-from repro.learn import DecisionTreeRegressor
-from repro.learn.gbm import GradientBoostingRegressor, _newton_step
-from repro.learn.tree import (
-    _Binner,
-    _PackedTrees,
-    _TreeBuffers,
-    _check_builder_params,
-)
+from repro.learn import tree as tree_module
+from repro.learn.gbm import _LEARNING_RATE, GradientBoostingRegressor
+from repro.learn.tree import _Binner
 from repro.sim.replay import ReplaySimulator
-from repro.utils.validation import check_X_y
 from yardsticks import r2
 
 # ---------------------------------------------------------------------------
 # Exact-splitter reference
 # ---------------------------------------------------------------------------
 
+#: Leaf marker of the node arrays, as in the shipping layout.
+LEAF = -1
 
-def _best_split_mse(Xf, y, min_samples_leaf):
+
+def _best_split_mse(Xf, y):
     """Best threshold on one feature column for MSE.
 
     Returns ``(gain, threshold)`` where gain is the reduction in total sum of
@@ -66,12 +66,8 @@ def _best_split_mse(Xf, y, min_samples_leaf):
     sse_right = right_sq - right_sum**2 / right_n
     sse_parent = total_sq - total_sum**2 / n
     gain = sse_parent - (sse_left + sse_right)
-    # Disallow splitting between equal values and undersized leaves.
-    valid = (xs[1:] != xs[:-1]) & (left_n >= min_samples_leaf) & (
-        right_n >= min_samples_leaf
-    )
-    if not np.any(valid):
-        return None
+    # Disallow splitting between equal values; every side keeps a row.
+    valid = xs[1:] != xs[:-1]
     gain = np.where(valid, gain, -np.inf)
     best = int(np.argmax(gain))
     if not np.isfinite(gain[best]) or gain[best] <= 1e-12:
@@ -80,66 +76,80 @@ def _best_split_mse(Xf, y, min_samples_leaf):
     return float(gain[best]), float(thr)
 
 
-class ExactTreeRegressor(DecisionTreeRegressor):
-    """``DecisionTreeRegressor`` grown by the exact splitter on raw features."""
+def _best_split(X, y):
+    """``(feature, threshold)`` of a node's best exact cut, or None when the
+    node stays a leaf (fewer than two rows, pure, or no gain)."""
+    d = y - np.mean(y)
+    if y.shape[0] < 2 or d @ d <= 1e-12:
+        return None
+    best_gain, best = -np.inf, None
+    for f in range(X.shape[1]):
+        res = _best_split_mse(X[:, f], y)
+        if res is not None and res[0] > best_gain:
+            best_gain, best = res[0], (f, res[1])
+    return best
 
-    def fit(self, X, y):
-        X, y = check_X_y(X, y)
-        return self._fit_exact(X, y)
 
-    def _grows(self, depth, m, imp, max_depth):
-        """Whether a node may still be split; otherwise it is a leaf."""
-        return not (depth >= max_depth or m < self.min_samples_split or imp <= 1e-12)
+@dataclass
+class ExactTree:
+    """Node arrays of a tree the exact splitter grew, with its own per-tree
+    router."""
 
-    def _fit_exact(self, X, y):
-        max_depth = _check_builder_params(
-            self.max_depth, self.min_samples_split, self.min_samples_leaf
-        )
-        buffers = _TreeBuffers()
-        train_leaves = np.zeros(X.shape[0], dtype=np.int64)
-        root_value, root_imp = self._leaf_stats(y)
-        root_idx = buffers.add_node(root_value, y.shape[0], root_imp)
-        stack = [(root_idx, np.arange(X.shape[0]), 0)]
-        while stack:
-            node_id, idx, depth = stack.pop()
-            ysub = y[idx]
-            imp = buffers.impurity[node_id]
-            if not self._grows(depth, idx.shape[0], imp, max_depth):
-                train_leaves[idx] = node_id
-                continue
-            best_gain, best_feat, best_thr = -np.inf, -1, np.nan
-            for f in range(X.shape[1]):
-                res = _best_split_mse(X[idx, f], ysub, self.min_samples_leaf)
-                if res is not None and res[0] > best_gain:
-                    best_gain, best_thr = res
-                    best_feat = f
-            if best_feat < 0:
-                train_leaves[idx] = node_id
-                continue
-            go_left = X[idx, best_feat] <= best_thr
-            parts = (idx[go_left], idx[~go_left])
-            if min(part.shape[0] for part in parts) < self.min_samples_leaf:
-                train_leaves[idx] = node_id
-                continue
-            ids = []
-            for part in parts:
-                value, part_imp = self._leaf_stats(y[part])
-                ids.append(buffers.add_node(value, part.shape[0], part_imp))
-                stack.append((ids[-1], part, depth + 1))
-            buffers.feature[node_id] = best_feat
-            buffers.threshold[node_id] = best_thr
-            buffers.left[node_id], buffers.right[node_id] = ids
-        self.tree_ = buffers.finalize()
-        self.n_features_in_ = X.shape[1]
-        self._train_leaves_ = train_leaves
-        return self
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+
+    def predict(self, X):
+        node = np.zeros(X.shape[0], dtype=np.int64)
+        active = self.feature[node] != LEAF
+        while np.any(active):
+            idx = np.nonzero(active)[0]
+            cur = node[idx]
+            go_left = X[idx, self.feature[cur]] <= self.threshold[cur]
+            node[idx] = np.where(go_left, self.left[cur], self.right[cur])
+            active[idx] = self.feature[node[idx]] != LEAF
+        return self.value[node]
+
+
+def grow_exact_tree(X, y, max_depth):
+    """Grow a tree on raw features with the exact splitter. Returns it, with
+    each node's mean target as its value, and each training row's leaf."""
+    feature, threshold, left, right, value = [], [], [], [], []
+
+    def add_node(rows):
+        feature.append(LEAF)
+        threshold.append(np.nan)
+        left.append(LEAF)
+        right.append(LEAF)
+        value.append(float(np.mean(y[rows])))
+        return len(value) - 1
+
+    leaves = np.zeros(X.shape[0], dtype=np.int64)
+    root = np.arange(X.shape[0])
+    stack = [(add_node(root), root, 0)]
+    while stack:
+        node_id, idx, depth = stack.pop()
+        split = _best_split(X[idx], y[idx]) if depth < max_depth else None
+        if split is None:
+            leaves[idx] = node_id
+            continue
+        feature[node_id], threshold[node_id] = split
+        go_left = X[idx, split[0]] <= split[1]
+        parts = (idx[go_left], idx[~go_left])
+        left[node_id], right[node_id] = ids = [add_node(part) for part in parts]
+        stack += [(i, part, depth + 1) for i, part in zip(ids, parts)]
+    arrays = (feature, threshold, left, right, value)
+    return ExactTree(*(np.asarray(a) for a in arrays)), leaves
 
 
 class _ExactBoosting:
-    """The shipping stage loop with exact trees grown on raw features. It
+    """The shipping stage loop's arithmetic with exact trees grown on raw
+    features, their own Newton leaf step and a per-tree predict loop. It
     always fits from scratch, so it refuses a warm-started extension."""
 
-    def _boost(self, X, y, loss, warm=False, min_samples_split=2):
+    def _boost(self, X, y, loss, warm=False):
         if warm:
             raise NotImplementedError("the exact reference has no warm start")
         self.init_raw_ = loss.init_raw(y)
@@ -147,16 +157,24 @@ class _ExactBoosting:
         self.estimators_ = []
         for _ in range(self.n_estimators):
             residual, hessian = loss.gradients(y, raw)
-            tree = ExactTreeRegressor(
-                max_depth=self.max_depth,
-                min_samples_split=min_samples_split,
-                min_samples_leaf=self.min_samples_leaf,
-            )._fit_exact(X, residual)
-            raw += self.learning_rate * _newton_step(tree, residual, hessian)
+            tree, leaves = grow_exact_tree(X, residual, self.max_depth)
+            n_nodes = tree.value.shape[0]
+            rsum = np.bincount(leaves, weights=residual, minlength=n_nodes)
+            hsum = np.bincount(leaves, weights=hessian, minlength=n_nodes)
+            step = np.divide(rsum, hsum, out=np.zeros(n_nodes), where=hsum >= 1e-12)
+            is_leaf = tree.feature == LEAF
+            tree.value[is_leaf] = step[is_leaf]
+            raw += _LEARNING_RATE * tree.value[leaves]
             self.estimators_.append(tree)
-        self._packed = _PackedTrees([tree.tree_ for tree in self.estimators_])
         self.n_features_in_ = X.shape[1]
         return self
+
+    def _raw_predict(self, X):
+        X = self._check_predict_input(X)
+        raw = np.full(X.shape[0], self.init_raw_, dtype=np.float64)
+        for tree in self.estimators_:
+            raw += _LEARNING_RATE * tree.predict(X)
+        return raw
 
 
 class ExactGBR(_ExactBoosting, GradientBoostingRegressor):
@@ -199,27 +217,38 @@ class TestBinner:
 
 class TestHistSplitter:
     def test_identical_to_exact_on_low_cardinality(self, rng):
+        # Midpoint bins cut where the exact splitter does, so every stage
+        # partitions the rows alike (node ids differ: the builders number
+        # children in another order).
         X = rng.integers(0, 10, size=(250, 4)).astype(float)
         y = 2.0 * X[:, 0] - X[:, 2] + 0.05 * rng.normal(size=250)
-        exact = ExactTreeRegressor(max_depth=4).fit(X, y)
-        hist = DecisionTreeRegressor(max_depth=4).fit(X, y)
-        np.testing.assert_allclose(exact.predict(X), hist.predict(X))
+        exact = ExactGBR(n_estimators=10, max_depth=4).fit(X, y)
+        hist = GradientBoostingRegressor(n_estimators=10, max_depth=4).fit(X, y)
+        stages = hist._packed.leaf_values(X)
+        assert len(exact.estimators_) == len(stages)
+        for tree, values in zip(exact.estimators_, stages):
+            np.testing.assert_allclose(tree.predict(X), values)
 
     def test_regressor_quality_close(self, regression_data):
         X, y = regression_data
-        exact = ExactTreeRegressor(max_depth=6).fit(X, y)
-        hist = DecisionTreeRegressor(max_depth=6).fit(X, y)
-        assert abs(r2(y, exact.predict(X)) - r2(y, hist.predict(X))) < 0.02
+        exact, _ = grow_exact_tree(X, y, max_depth=6)
+        _, _, hist = builder_tree(X, y, max_depth=6)
+        assert abs(r2(y, exact.predict(X)) - r2(y, hist(X))) < 0.02
 
     def test_constant_features_single_leaf(self):
-        m = DecisionTreeRegressor().fit(np.ones((40, 3)), np.arange(40.0))
-        assert m.n_leaves_ == 1
+        tree, _, _ = builder_tree(np.ones((40, 3)), np.arange(40.0), max_depth=3)
+        assert tree.node_count == 1
 
-    def test_min_samples_leaf_respected(self, regression_data):
+    @pytest.mark.parametrize("min_leaf", [5, 30])
+    def test_min_samples_leaf_respected(self, monkeypatch, regression_data, min_leaf):
+        # The builder's one validity mask keeps _MIN_SAMPLES_LEAF rows on
+        # each side of every cut; a raised minimum must bind on this data.
         X, y = regression_data
-        m = DecisionTreeRegressor(min_samples_leaf=30).fit(X, y)
-        _, counts = np.unique(m.apply(X), return_counts=True)
-        assert counts.min() >= 30
+        _, leaves, _ = builder_tree(X, y, max_depth=12)
+        assert np.bincount(leaves)[np.unique(leaves)].min() < min_leaf
+        monkeypatch.setattr(tree_module, "_MIN_SAMPLES_LEAF", min_leaf)
+        _, leaves, _ = builder_tree(X, y, max_depth=12)
+        assert np.bincount(leaves)[np.unique(leaves)].min() >= min_leaf
 
 
 class TestGbmHist:
@@ -290,7 +319,7 @@ class TestNurdWarmStart:
         self, family, google_trace, alibaba_trace
     ):
         trace = {"google": google_trace, "alibaba": alibaba_trace}[family]
-        exact_h = ExactGBR(n_estimators=60, max_depth=3, learning_rate=0.1)
+        exact_h = ExactGBR(n_estimators=60, max_depth=3)
         for job in trace:
             base = self._replay_f1(job, regressor=exact_h, warm_start=False)
             fast = self._replay_f1(job, warm_start=True)
@@ -325,9 +354,9 @@ class TestNurdWarmStart:
         # formulas would cancel catastrophically and stop splitting.
         X = rng.normal(size=(400, 4))
         y = 1e8 + 2.0 * X[:, 0] + 0.1 * rng.normal(size=400)
-        m = DecisionTreeRegressor(max_depth=4).fit(X, y)
-        assert m.n_leaves_ > 4
-        assert r2(y, m.predict(X)) > 0.8
+        tree, _, predict = builder_tree(X, y, max_depth=4)
+        assert np.sum(tree.feature == tree_module._LEAF) > 4
+        assert r2(y, predict(X)) > 0.8
 
     def test_geometric_refresh_forces_full_refit(self, google_job):
         pred = NurdPredictor(random_state=0, warm_start=True, warm_refresh=1.5)

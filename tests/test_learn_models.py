@@ -1,11 +1,12 @@
-"""Tests for the learn substrate: trees, boosting, logistic regression, SVMs,
-neighbors, clustering, the scaler, base-estimator protocol."""
+"""Tests for the learn substrate: the tree builder, boosting, logistic
+regression, SVMs, neighbors, clustering, the scaler, base-estimator
+protocol."""
 
 import numpy as np
 import pytest
 
+from repro.censored import GrabitRegressor
 from repro.learn import (
-    DecisionTreeRegressor,
     GradientBoostingClassifier,
     GradientBoostingRegressor,
     KMeans,
@@ -16,95 +17,103 @@ from repro.learn import (
     clone,
 )
 from repro.learn.neighbors import NearestNeighbors
+from repro.learn.tree import _LEAF
 from repro.utils.validation import NotFittedError
-from test_gbm_parity import staged_raw_predict
+from test_gbm_parity import builder_tree, staged_raw_predict
 from yardsticks import accuracy, r2
 
 
 class TestBaseEstimatorProtocol:
     def test_get_params(self):
-        m = DecisionTreeRegressor(max_depth=4, min_samples_leaf=2)
+        m = GradientBoostingRegressor(max_depth=4, max_bins=32)
         params = m.get_params()
         assert params["max_depth"] == 4
-        assert params["min_samples_leaf"] == 2
+        assert params["max_bins"] == 32
 
     def test_set_params(self):
-        m = DecisionTreeRegressor().set_params(max_depth=7)
+        m = GradientBoostingRegressor().set_params(max_depth=7)
         assert m.max_depth == 7
 
     def test_set_invalid_param(self):
         with pytest.raises(ValueError, match="Invalid parameter"):
-            DecisionTreeRegressor().set_params(bogus=1)
+            GradientBoostingRegressor().set_params(bogus=1)
 
     def test_clone_unfitted_copy(self, regression_data):
         X, y = regression_data
-        m = DecisionTreeRegressor(max_depth=3).fit(X, y)
+        m = GradientBoostingRegressor(n_estimators=5, max_depth=3).fit(X, y)
         c = clone(m)
         assert c.max_depth == 3
-        assert not hasattr(c, "tree_")
+        assert not hasattr(c, "estimators_")
 
     def test_repr_contains_params(self):
-        assert "max_depth=5" in repr(DecisionTreeRegressor(max_depth=5))
+        assert "max_depth=5" in repr(GradientBoostingRegressor(max_depth=5))
 
 
-class TestDecisionTreeRegressor:
+def _n_leaves(tree):
+    return int(np.sum(tree.feature == _LEAF))
+
+
+class TestTreeBuilder:
+    """One tree of the stage loop's builder, with mean leaves (the Newton
+    step at unit hessian)."""
+
     def test_fits_noiseless_step(self):
         X = np.linspace(0, 1, 100).reshape(-1, 1)
         y = (X[:, 0] > 0.5).astype(float) * 10.0
-        m = DecisionTreeRegressor(max_depth=2).fit(X, y)
-        np.testing.assert_allclose(m.predict(X), y)
+        _, _, predict = builder_tree(X, y, max_depth=2)
+        np.testing.assert_allclose(predict(X), y)
 
     def test_r2_reasonable(self, regression_data):
         X, y = regression_data
-        m = DecisionTreeRegressor(max_depth=6).fit(X, y)
-        assert r2(y, m.predict(X)) > 0.8
+        _, _, predict = builder_tree(X, y, max_depth=6)
+        assert r2(y, predict(X)) > 0.8
 
     def test_max_depth_limits_leaves(self, regression_data):
         X, y = regression_data
-        shallow = DecisionTreeRegressor(max_depth=2).fit(X, y)
-        deep = DecisionTreeRegressor(max_depth=8).fit(X, y)
-        assert shallow.n_leaves_ <= 4 < deep.n_leaves_
+        shallow, _, _ = builder_tree(X, y, max_depth=2)
+        deep, _, _ = builder_tree(X, y, max_depth=8)
+        assert _n_leaves(shallow) <= 4 < _n_leaves(deep)
 
-    def test_min_samples_leaf(self, regression_data):
+    def test_training_leaves_are_routed_leaves(self, regression_data):
+        # The leaf the builder records for each training row is the leaf
+        # the packed router sends that row to, so the Newton step and
+        # prediction agree on every training row.
         X, y = regression_data
-        m = DecisionTreeRegressor(max_depth=None, min_samples_leaf=40).fit(X, y)
-        leaves = m.apply(X)
-        _, counts = np.unique(leaves, return_counts=True)
-        assert counts.min() >= 40
+        tree, leaves, predict = builder_tree(X, y, max_depth=5)
+        assert (tree.feature[leaves] == _LEAF).all()
+        np.testing.assert_array_equal(tree.value[leaves], predict(X))
 
     def test_constant_target_single_leaf(self):
         X = np.random.default_rng(0).normal(size=(50, 3))
-        m = DecisionTreeRegressor().fit(X, np.ones(50))
-        assert m.n_leaves_ == 1
-        np.testing.assert_allclose(m.predict(X), 1.0)
-
-    def test_predict_before_fit(self):
-        with pytest.raises(NotFittedError):
-            DecisionTreeRegressor().predict([[1.0]])
-
-    def test_feature_count_check(self, regression_data):
-        X, y = regression_data
-        m = DecisionTreeRegressor(max_depth=2).fit(X, y)
-        with pytest.raises(ValueError, match="features"):
-            m.predict(X[:, :2])
-
-    def test_invalid_hyperparams(self):
-        X = np.zeros((10, 2))
-        y = np.zeros(10)
-        with pytest.raises(ValueError):
-            DecisionTreeRegressor(max_depth=0).fit(X, y)
-        with pytest.raises(ValueError):
-            DecisionTreeRegressor(min_samples_split=1).fit(X, y)
-        with pytest.raises(ValueError):
-            DecisionTreeRegressor(min_samples_leaf=0).fit(X, y)
+        tree, _, predict = builder_tree(X, np.ones(50), max_depth=3)
+        assert tree.node_count == 1
+        np.testing.assert_allclose(predict(X), 1.0)
 
 
 class TestGradientBoosting:
+    def test_predict_before_fit(self):
+        with pytest.raises(NotFittedError):
+            GradientBoostingRegressor().predict([[1.0]])
+
     def test_regressor_beats_single_tree(self, regression_data):
         X, y = regression_data
-        tree = DecisionTreeRegressor(max_depth=3).fit(X, y)
+        _, _, tree = builder_tree(X, y, max_depth=3)
         gbm = GradientBoostingRegressor(n_estimators=100, max_depth=3).fit(X, y)
-        assert r2(y, gbm.predict(X)) > r2(y, tree.predict(X))
+        assert r2(y, gbm.predict(X)) > r2(y, tree(X))
+
+    @pytest.mark.parametrize(
+        "model",
+        [GradientBoostingRegressor, GradientBoostingClassifier, GrabitRegressor],
+    )
+    def test_every_leaf_takes_the_newton_step(self, classification_data, model):
+        # The builder leaves a leaf at max_depth NaN; the stage loop's
+        # Newton step is what sets it, so no fitted leaf may stay NaN.
+        X, y = classification_data
+        m = model().fit(X, y)
+        leaf_values = [t.value[t.feature == _LEAF] for t in m.estimators_]
+        assert any(v.shape[0] == 2**m.max_depth for v in leaf_values)
+        assert all(np.isfinite(v).all() for v in leaf_values)
+        assert np.isfinite(m.predict(X)).all()
 
     def test_train_loss_decreases(self, regression_data):
         X, y = regression_data
@@ -153,12 +162,6 @@ class TestGradientBoosting:
         clf = GradientBoostingClassifier(n_estimators=5).fit(X, np.zeros(15, int))
         assert (clf.predict(X) == 0).all()
 
-    def test_invalid_learning_rate(self):
-        with pytest.raises(ValueError, match="learning_rate"):
-            GradientBoostingRegressor(learning_rate=0.0).fit(
-                np.zeros((10, 2)), np.zeros(10)
-            )
-
     def test_invalid_n_estimators(self):
         with pytest.raises(ValueError, match="n_estimators"):
             GradientBoostingRegressor(n_estimators=0).fit(
@@ -169,24 +172,17 @@ class TestGradientBoosting:
         "model,param,value",
         [
             (model, param, value)
-            for model in (
-                GradientBoostingRegressor,
-                GradientBoostingClassifier,
-                DecisionTreeRegressor,
-            )
+            for model in (GradientBoostingRegressor, GradientBoostingClassifier)
             for param, value in (
                 ("max_depth", 2.5),
                 ("max_depth", 0),
-                ("min_samples_leaf", 2.5),
-                ("min_samples_leaf", 0),
-                ("min_samples_split", 2.5),
-                ("min_samples_split", 1),
+                ("max_depth", None),
                 ("max_bins", 2.5),
                 ("max_bins", 1),
+                ("max_bins", 257),
                 ("n_estimators", 2.5),
                 ("n_estimators", 0),
             )
-            if param in model().get_params()
         ],
     )
     def test_integer_params_checked_before_binning(
@@ -195,6 +191,7 @@ class TestGradientBoosting:
         # A float once trained silently (max_depth=2.5 grew depth-2 trees)
         # or failed with a bare TypeError from range(). Each is now a
         # ValueError naming the parameter, raised before any binning.
+        # max_depth=None (unlimited) is gone with the standalone tree.
         X, y = classification_data
 
         def no_binning(self, X):

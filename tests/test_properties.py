@@ -4,9 +4,9 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.core.calibration import clip_weight, compute_delta, compute_rho
-from repro.learn.tree import DecisionTreeRegressor
 from repro.sim.replay import ReplayResult, ReplaySimulator
 from repro.traces.schema import Job
+from test_gbm_parity import builder_tree
 
 finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -58,8 +58,8 @@ def test_tree_predictions_within_target_range(n, d, seed):
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n, d))
     y = rng.normal(size=n) * 10
-    tree = DecisionTreeRegressor(max_depth=4).fit(X, y)
-    pred = tree.predict(rng.normal(size=(20, d)))
+    _, _, predict = builder_tree(X, y, max_depth=4)
+    pred = predict(rng.normal(size=(20, d)))
     assert pred.min() >= y.min() - 1e-9
     assert pred.max() <= y.max() + 1e-9
 

@@ -37,9 +37,9 @@ class TestJobSchema:
         assert job.n_tasks == 20 and job.n_features == 3
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="disagree"):
+        with pytest.raises(ValueError, match="mismatched lengths"):
             Job("j", np.zeros((3, 2)), np.ones(4), ["a", "b"])
-        with pytest.raises(ValueError, match="job j has no tasks"):
+        with pytest.raises(ValueError, match="job 'j' has no tasks"):
             Job("j", np.zeros((0, 2)), np.zeros(0), ["a", "b"])
 
     def test_name_count_mismatch(self):

@@ -15,7 +15,6 @@ from repro.eval.baselines import (
     WranglerPredictor,
 )
 from repro.learn import (
-    DecisionTreeRegressor,
     GradientBoostingClassifier,
     GradientBoostingRegressor,
     LinearSVC,
@@ -221,6 +220,14 @@ SETTABLE_VALUES = [
     (CoxPHFitter, []),
     (TobitRegressor, []),
     (GrabitRegressor, ["sigma"]),
+    (
+        GradientBoostingRegressor,
+        ["n_estimators", "max_depth", "max_bins", "warm_start"],
+    ),
+    (
+        GradientBoostingClassifier,
+        ["n_estimators", "max_depth", "max_bins", "warm_start"],
+    ),
     (BaggingPuClassifier, ["random_state"]),
     (ElkanNotoClassifier, ["random_state"]),
     (ABOD, ["contamination"]),
@@ -288,7 +295,6 @@ WIDTH_CASES = [
     ("LinearSVC", LinearSVC, _fit_Xy, "decision_function"),
     ("OneClassSVM", OneClassSVM, _fit_X, "decision_function"),
     ("NearestNeighbors", NearestNeighbors, _fit_X, "kneighbors"),
-    ("DecisionTreeRegressor", DecisionTreeRegressor, _fit_Xy, "predict"),
     ("GradientBoostingRegressor", GradientBoostingRegressor, _fit_Xy, "predict"),
     (
         "GradientBoostingClassifier",
