@@ -81,6 +81,18 @@ def compute_delta(rho: float, alpha: float = 0.5, *, rho_max: float) -> float:
     return 1.0 / (1.0 + min(rho, rho_max)) - alpha
 
 
+def check_eps(eps) -> None:
+    """Raise a ``ValueError`` naming ``eps`` unless it lies in (0, 1].
+
+    ε floors the weight ``w = max(ε, min(z + δ, 1))``: at ε ≤ 0 the adjusted
+    prediction ``ŷ / w`` can be infinite, and at ε > 1 the weight exceeds 1
+    and shrinks every prediction. A NaN or infinite ε fails too: with it, NURD
+    flags nothing.
+    """
+    if not 0.0 < eps <= 1.0:
+        raise ValueError(f"eps must be in (0, 1]; got {eps!r}.")
+
+
 def clip_weight(z, delta: float, eps: float = 0.05) -> np.ndarray:
     """Final weighting function w = max(ε, min(z + δ, 1)) (Alg. 1, line 15).
 
@@ -91,9 +103,9 @@ def clip_weight(z, delta: float, eps: float = 0.05) -> np.ndarray:
     delta : float
         Calibration term from :func:`compute_delta`.
     eps : float
-        Minimum positive weight ε; keeps the adjusted prediction finite.
+        Minimum weight ε in (0, 1] (:func:`check_eps`); keeps the adjusted
+        prediction finite.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive.")
+    check_eps(eps)
     z = np.asarray(z, dtype=np.float64)
     return np.maximum(eps, np.minimum(z + delta, 1.0))

@@ -2,8 +2,8 @@
 
 At every checkpoint NURD
 
-1. fits a latency regressor ``h_t`` (gradient boosting trees by default) on
-   the finished tasks,
+1. fits a latency regressor ``h_t`` (gradient boosting trees) on the
+   finished tasks,
 2. fits a propensity model ``g_t`` discriminating finished vs. running tasks,
 3. adjusts each running task's latency prediction by the calibrated weight
    ``w = max(eps, min(z + delta, 1))`` and flags it as a straggler when
@@ -25,26 +25,27 @@ from typing import Optional
 import numpy as np
 
 from repro.core.base import OnlineStragglerPredictor
-from repro.core.calibration import clip_weight, compute_delta, compute_rho
+from repro.core.calibration import check_eps, clip_weight, compute_delta, compute_rho
 from repro.core.propensity import PropensityScorer
-from repro.learn.base import BaseEstimator, clone
+from repro.learn.base import BaseEstimator
 from repro.learn.gbm import GradientBoostingRegressor
-from repro.utils.validation import (
-    check_array,
-    check_is_fitted,
-    check_positive_int,
-    check_X_y,
-)
+from repro.utils.validation import check_array, check_is_fitted, check_X_y
 
-
-def _default_regressor() -> GradientBoostingRegressor:
-    # Small, shallow ensemble: NURD retrains every checkpoint on a few
-    # hundred samples, so capacity beyond this only costs time.
-    return GradientBoostingRegressor(n_estimators=60, max_depth=3)
+#: The latency model's size: a small, shallow ensemble. NURD retrains every
+#: checkpoint on a few hundred samples, so capacity beyond this only costs time.
+_N_ESTIMATORS = 60
+_MAX_DEPTH = 3
+#: Trees a warm-started checkpoint refit adds to the ensemble.
+_WARM_INCREMENT = 25
+#: Growth of the finished set since the last full fit that forces a full refit.
+_WARM_REFRESH = 1.45
 
 
 class NurdPredictor(OnlineStragglerPredictor):
     """Negative-unlabeled straggler predictor with reweighting + calibration.
+
+    The latency model ``h_t`` is gradient boosting trees (the paper's
+    choice), ``_N_ESTIMATORS`` trees of depth ``_MAX_DEPTH``.
 
     Parameters
     ----------
@@ -53,63 +54,46 @@ class NurdPredictor(OnlineStragglerPredictor):
         :func:`repro.core.calibration.compute_delta`); the paper tunes
         ``alpha = 0.5``.
     eps : float
-        Minimum positive weight; the paper uses ``eps = 0.05``.
-    regressor : estimator or None
-        Latency model ``h_t``; any regressor with fit/predict. Defaults to
-        gradient boosting trees (the paper's choice).
+        Minimum weight, in (0, 1]; the paper uses ``eps = 0.05``.
     propensity_model : classifier or None
         Model for ``g_t``; defaults to logistic regression per the paper.
-    calibrate : bool
-        When False, behaves as NURD-NC (``w = z``); prefer the
-        :class:`NurdNcPredictor` alias for readability.
     rho_max : float
         Cap on ρ before Eq. 3 (see
         :func:`repro.core.calibration.compute_delta`); ``np.inf`` recovers
         the paper's exact formula.
     warm_start : bool
-        When True (default) and the latency model supports it, each
-        checkpoint's :meth:`update` extends the previous checkpoint's
-        ensemble by ``warm_increment`` trees (re-boosting on the enlarged
-        finished set) instead of refitting all 60 trees from scratch — the
-        old trees stay valid because they predict on raw features, and the
-        new stages correct their residuals on the newest data. To avoid
-        anchoring the ensemble on trees fitted to tiny early samples, a
-        full refit is forced whenever the finished set has grown by
-        ``warm_refresh`` since the last full fit (geometric refresh: total
-        refit cost is amortized to ~2 end-of-job fits while the model
-        tracks the data).
-    warm_increment : int
-        Trees added per warm-started checkpoint refit (an integer >= 1).
-    warm_refresh : float
-        Growth factor of the finished set that triggers a full refit
-        (> 1; ``np.inf`` never refreshes).
+        When True (default), each checkpoint's :meth:`update` extends the
+        previous checkpoint's ensemble by ``_WARM_INCREMENT`` trees
+        (re-boosting on the enlarged finished set) instead of refitting all
+        ``_N_ESTIMATORS`` trees from scratch — the old trees stay valid
+        because they predict on raw features, and the new stages correct
+        their residuals on the newest data. To avoid anchoring the ensemble
+        on trees fitted to tiny early samples, a full refit is forced
+        whenever the finished set has grown by ``_WARM_REFRESH`` since the
+        last full fit (geometric refresh: total refit cost is amortized to
+        ~2 end-of-job fits while the model tracks the data).
     random_state : int or Generator or None
         Kept so every method is built alike (``build_predictor`` passes
-        one to each); the default models draw no random numbers.
+        one to each); NURD's models draw no random numbers.
     """
+
+    #: False in :class:`NurdNcPredictor`: ``w = z``, no calibration.
+    calibrate = True
 
     def __init__(
         self,
         alpha: float = 0.5,
         eps: float = 0.05,
-        regressor: Optional[BaseEstimator] = None,
         propensity_model: Optional[BaseEstimator] = None,
-        calibrate: bool = True,
         rho_max: float = 1.2,
         warm_start: bool = True,
-        warm_increment: int = 25,
-        warm_refresh: float = 1.45,
         random_state=None,
     ):
         self.alpha = alpha
         self.eps = eps
-        self.regressor = regressor
         self.propensity_model = propensity_model
-        self.calibrate = calibrate
         self.rho_max = rho_max
         self.warm_start = warm_start
-        self.warm_increment = warm_increment
-        self.warm_refresh = warm_refresh
         self.random_state = random_state
 
     # ------------------------------------------------------------------
@@ -117,12 +101,11 @@ class NurdPredictor(OnlineStragglerPredictor):
         """Compute the per-job calibration term from warmup centroids.
 
         Raises ``ValueError`` unless ``alpha`` lies in (0, 1) (checked by
-        :func:`repro.core.calibration.compute_delta`, NURD-NC included) and
-        ``eps`` is positive.
+        :func:`repro.core.calibration.compute_delta`) and ``eps`` in (0, 1]
+        (:func:`repro.core.calibration.check_eps`), NURD-NC included.
         """
         super().begin_job(X_fin, y_fin, X_run, tau_stra)
-        if self.eps <= 0:
-            raise ValueError("eps must be positive.")
+        check_eps(self.eps)
         X_fin = check_array(X_fin)
         X_run = check_array(X_run)
         self.rho_ = compute_rho(X_fin, X_run)
@@ -135,44 +118,34 @@ class NurdPredictor(OnlineStragglerPredictor):
 
         With ``warm_start`` the first checkpoint trains the full ensemble;
         every later checkpoint re-boosts the existing ensemble with
-        ``warm_increment`` extra trees on the enlarged finished set.
+        ``_WARM_INCREMENT`` extra trees on the enlarged finished set.
         """
         check_is_fitted(self, ["tau_stra_"])
-        check_positive_int(self.warm_increment, "warm_increment")
-        if self.warm_refresh <= 1.0:
-            raise ValueError("warm_refresh must be > 1.")
         X_fin, y_fin = check_X_y(X_fin, y_fin)
         X_run = check_array(X_run, allow_empty=True)
         warm_ok = (
             self.warm_start
             and getattr(self, "_fitted_models", False)
-            and isinstance(getattr(self, "h_", None), GradientBoostingRegressor)
-            and self.h_.warm_start
             and X_fin.shape[1] == self.h_.n_features_in_
             # Geometric refresh: once the finished set outgrows the last
-            # full fit by warm_refresh, old trees (fitted on a much smaller
+            # full fit by _WARM_REFRESH, old trees (fitted on a much smaller
             # sample) would dominate — refit from scratch instead.
-            and X_fin.shape[0] < self.warm_refresh * self._n_full_fit
+            and X_fin.shape[0] < _WARM_REFRESH * self._n_full_fit
             # Bound ensemble growth on long checkpoint streams: never let
             # warm extensions exceed 4x the base capacity.
-            and len(self.h_.estimators_) + self.warm_increment
-            <= 4 * self._base_trees
+            and len(self.h_.estimators_) + _WARM_INCREMENT <= 4 * _N_ESTIMATORS
         )
         if warm_ok:
-            self.h_.set_params(
-                n_estimators=len(self.h_.estimators_) + self.warm_increment
-            )
-            self.h_.fit(X_fin, y_fin)
+            n_trees = len(self.h_.estimators_) + _WARM_INCREMENT
+            self.h_.set_params(n_estimators=n_trees)
         else:
-            base = (
-                self.regressor if self.regressor is not None else _default_regressor()
+            self.h_ = GradientBoostingRegressor(
+                n_estimators=_N_ESTIMATORS,
+                max_depth=_MAX_DEPTH,
+                warm_start=self.warm_start,
             )
-            self.h_ = clone(base)
-            if self.warm_start and isinstance(self.h_, GradientBoostingRegressor):
-                self.h_.set_params(warm_start=True)
-            self.h_.fit(X_fin, y_fin)
             self._n_full_fit = X_fin.shape[0]
-            self._base_trees = max(len(getattr(self.h_, "estimators_", [])), 1)
+        self.h_.fit(X_fin, y_fin)
         self._fit_propensity(X_fin, X_run)
         self._fitted_models = True
 
@@ -234,27 +207,4 @@ class NurdPredictor(OnlineStragglerPredictor):
 class NurdNcPredictor(NurdPredictor):
     """NURD without calibration (w = z) — the paper's NURD-NC ablation."""
 
-    def __init__(
-        self,
-        alpha: float = 0.5,
-        eps: float = 0.05,
-        regressor: Optional[BaseEstimator] = None,
-        propensity_model: Optional[BaseEstimator] = None,
-        rho_max: float = 1.2,
-        warm_start: bool = True,
-        warm_increment: int = 25,
-        warm_refresh: float = 1.45,
-        random_state=None,
-    ):
-        super().__init__(
-            alpha=alpha,
-            eps=eps,
-            regressor=regressor,
-            propensity_model=propensity_model,
-            calibrate=False,
-            rho_max=rho_max,
-            warm_start=warm_start,
-            warm_increment=warm_increment,
-            warm_refresh=warm_refresh,
-            random_state=random_state,
-        )
+    calibrate = False

@@ -21,7 +21,8 @@ Fault tolerance (see EXPERIMENTS.md, "Fault matrix"):
   sequence numbers let :meth:`_dispatch` drop already-emitted events, so
   the delivered stream is bit-identical to an uninterrupted run.
 - *Quarantine*: every request is validated on ingest — malformed
-  payloads, non-finite or stale checkpoint times, unknown job ids — and
+  payloads (a damaged job, or a non-finite or non-positive ``tau_stra``),
+  non-finite or stale checkpoint times, unknown job ids — and
   rejects are routed to a bounded :class:`~repro.faults.dlq.DeadLetterQueue`
   instead of crashing a worker.
 - *Emit retry*: sink calls are retried per ``emit_policy``; undeliverable
@@ -53,6 +54,7 @@ from repro.faults.retry import RetryPolicy
 from repro.serving.engine import ScoreEvent, ScoringEngine
 from repro.sim.replay import ReplayResult, ReplaySimulator
 from repro.traces.schema import Job
+from repro.utils.validation import check_positive_finite
 
 
 @dataclass
@@ -378,6 +380,8 @@ class ScorerService:
                 return "duplicate-job"
             try:
                 request.job.validate()
+                if request.tau_stra is not None:
+                    check_positive_finite(request.tau_stra, "tau_stra")
             except ValueError:
                 return "malformed-payload"
             return None

@@ -36,6 +36,7 @@ from repro.learn.metrics import (
 from repro.traces.schema import Job
 from repro.utils.validation import (
     check_non_negative_finite,
+    check_positive_finite,
     check_positive_int,
     check_random_state,
 )
@@ -391,6 +392,9 @@ class ReplayStream:
         self.predictor = predictor
         self.clock = clock
         self.tau_stra = plan.tau_stra if tau_stra is None else float(tau_stra)
+        # A NaN or infinite threshold flags no task and marks none a
+        # straggler; a non-positive one marks every task a straggler.
+        check_positive_finite(self.tau_stra, "tau_stra")
         n = job.n_tasks
         self.flagged = np.zeros(n, dtype=bool)
         self.flag_times = np.full(n, np.inf)

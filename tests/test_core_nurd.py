@@ -11,6 +11,7 @@ from repro.core import (
     compute_delta,
     compute_rho,
 )
+from repro.learn import clone
 from repro.sim.replay import ReplaySimulator
 
 
@@ -81,9 +82,10 @@ class TestCalibration:
         w = clip_weight(np.array([0.0]), delta=-0.4, eps=0.05)
         assert w[0] == 0.05
 
-    def test_clip_weight_invalid_eps(self):
-        with pytest.raises(ValueError):
-            clip_weight(np.array([0.5]), 0.0, eps=0.0)
+    @pytest.mark.parametrize("eps", [0.0, np.nan, np.inf, 2.0])
+    def test_clip_weight_invalid_eps(self, eps):
+        with pytest.raises(ValueError, match="^eps must"):
+            clip_weight(np.array([0.5]), 0.0, eps=eps)
 
 
 class TestPropensityScorer:
@@ -175,15 +177,23 @@ class TestNurdPredictor:
         )
         assert pred.delta_ == 0.0
         assert pred.name == "NURD-NC"
+        # A plain subclass: its parameters, and so its clones, are NURD's.
+        assert "__init__" not in vars(NurdNcPredictor)
+        assert clone(NurdNcPredictor(alpha=0.3)).name == "NURD-NC"
 
-    def test_invalid_alpha_eps(self, google_job):
+    @pytest.mark.parametrize("predictor", [NurdPredictor, NurdNcPredictor])
+    @pytest.mark.parametrize(
+        "param, value",
+        [("alpha", 0.0), ("eps", 0.0), ("eps", np.nan), ("eps", np.inf), ("eps", 2.0)],
+    )
+    def test_invalid_alpha_eps(self, google_job, predictor, param, value):
+        # eps=nan or inf used to replay with zero flags; eps=2.0 made the
+        # weight max(eps, .) exceed 1.
         y = google_job.latencies
         fin = y <= np.quantile(y, 0.3)
         args = (google_job.features[fin], y[fin], google_job.features[~fin], 1.0)
-        with pytest.raises(ValueError):
-            NurdPredictor(alpha=0.0).begin_job(*args)
-        with pytest.raises(ValueError):
-            NurdPredictor(eps=0.0).begin_job(*args)
+        with pytest.raises(ValueError, match=f"^{param} must"):
+            predictor(**{param: value}).begin_job(*args)
 
     @pytest.mark.parametrize("predictor", [NurdPredictor, NurdNcPredictor])
     @pytest.mark.parametrize("alpha", [1.0, 1.5, -0.5, np.nan])
@@ -207,17 +217,6 @@ class TestNurdPredictor:
         args = (google_job.features[fin], y[fin], google_job.features[~fin], 1.0)
         with pytest.raises(ValueError, match="rho_max"):
             predictor(rho_max=rho_max).begin_job(*args)
-
-    @pytest.mark.parametrize("increment", [2.5, 0, -1, "25"])
-    def test_update_rejects_non_integer_warm_increment(self, google_job, increment):
-        # warm_increment=2.5 used to fail with a bare TypeError from range().
-        y = google_job.latencies
-        fin = y <= np.quantile(y, 0.3)
-        X_fin, X_run = google_job.features[fin], google_job.features[~fin]
-        pred = NurdPredictor(warm_increment=increment)
-        pred.begin_job(X_fin, y[fin], X_run, google_job.straggler_threshold())
-        with pytest.raises(ValueError, match="warm_increment"):
-            pred.update(X_fin, y[fin], X_run)
 
     def test_empty_running_set(self, google_job):
         y = google_job.latencies

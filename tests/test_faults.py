@@ -697,6 +697,8 @@ class TestQuarantine:
             await svc.submit(ScoreCheckpoint("ghost", float(grid[1])))  # unknown
             await svc.submit(BeginJob(job))  # duplicate
             await svc.submit(BeginJob(make_poison_job(job, "nan-latency", "poison")))
+            nan_tau = _job(n=40, seed=9, job_id="nan-tau")
+            await svc.submit(BeginJob(nan_tau, tau_stra=float("nan")))
             await svc.submit(FinishJob("ghost"))  # unknown
             await svc.drain()
             await svc.stop()
@@ -707,11 +709,12 @@ class TestQuarantine:
             "malformed-tau": 1,
             "unknown-job": 2,
             "duplicate-job": 1,
-            "malformed-payload": 1,
+            "malformed-payload": 2,
         }
         assert len(svc.events) == 1  # only the clean checkpoint scored
-        letters = {letter.reason: letter for letter in svc.dlq}
-        assert letters["malformed-payload"].job_id == "poison"
+        malformed = [x.job_id for x in svc.dlq if x.reason == "malformed-payload"]
+        assert malformed == ["poison", "nan-tau"]
+        assert not svc.engine.has_job("nan-tau")
 
     @pytest.mark.parametrize(
         "factory",

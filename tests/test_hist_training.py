@@ -23,6 +23,7 @@ import pytest
 from test_gbm_parity import builder_tree
 
 from repro.censored import GrabitRegressor
+from repro.core import nurd
 from repro.core.nurd import NurdPredictor
 from repro.learn import tree as tree_module
 from repro.learn.gbm import _LEARNING_RATE, GradientBoostingRegressor
@@ -316,31 +317,33 @@ class TestNurdWarmStart:
 
     @pytest.mark.parametrize("family", ["google", "alibaba"])
     def test_hist_warm_metrics_close_to_exact_full_refit(
-        self, family, google_trace, alibaba_trace
+        self, family, google_trace, alibaba_trace, monkeypatch
     ):
         trace = {"google": google_trace, "alibaba": alibaba_trace}[family]
-        exact_h = ExactGBR(n_estimators=60, max_depth=3)
         for job in trace:
-            base = self._replay_f1(job, regressor=exact_h, warm_start=False)
+            with monkeypatch.context() as m:
+                m.setattr(nurd, "GradientBoostingRegressor", ExactGBR)
+                base = self._replay_f1(job, warm_start=False)
             fast = self._replay_f1(job, warm_start=True)
             assert abs(base.f1 - fast.f1) < 0.2, (
                 f"{family}/{job.job_id}: F1 {base.f1:.3f} vs {fast.f1:.3f}"
             )
 
-    def test_warm_update_extends_ensemble(self, google_job):
-        pred = NurdPredictor(random_state=0, warm_start=True, warm_refresh=10.0)
+    def test_warm_update_extends_ensemble(self, google_job, monkeypatch):
+        monkeypatch.setattr(nurd, "_WARM_REFRESH", 10.0)
+        pred = NurdPredictor(random_state=0, warm_start=True)
         X, y = google_job.features, google_job.latencies
         tau = google_job.straggler_threshold()
         pred.begin_job(X[:20], y[:20], X[20:40], tau)
         pred.update(X[:50], y[:50], X[50:80])
         n0 = len(pred.h_.estimators_)
         pred.update(X[:60], y[:60], X[60:90])
-        assert len(pred.h_.estimators_) == n0 + pred.warm_increment
+        assert len(pred.h_.estimators_) == n0 + nurd._WARM_INCREMENT
 
-    def test_warm_growth_capped_at_4x_base(self, google_job):
-        pred = NurdPredictor(
-            random_state=0, warm_start=True, warm_refresh=1e9, warm_increment=60
-        )
+    def test_warm_growth_capped_at_4x_base(self, google_job, monkeypatch):
+        monkeypatch.setattr(nurd, "_WARM_REFRESH", 1e9)
+        monkeypatch.setattr(nurd, "_WARM_INCREMENT", 60)
+        pred = NurdPredictor(random_state=0, warm_start=True)
         X, y = google_job.features, google_job.latencies
         tau = google_job.straggler_threshold()
         pred.begin_job(X[:20], y[:20], X[20:40], tau)
@@ -359,13 +362,14 @@ class TestNurdWarmStart:
         assert r2(y, predict(X)) > 0.8
 
     def test_geometric_refresh_forces_full_refit(self, google_job):
-        pred = NurdPredictor(random_state=0, warm_start=True, warm_refresh=1.5)
+        pred = NurdPredictor(random_state=0, warm_start=True)
         X, y = google_job.features, google_job.latencies
         tau = google_job.straggler_threshold()
         pred.begin_job(X[:10], y[:10], X[10:30], tau)
         pred.update(X[:20], y[:20], X[20:40])
         n0 = len(pred.h_.estimators_)
-        # Finished set doubles: refresh must refit from scratch, not extend.
+        # Finished set triples, past _WARM_REFRESH: refresh must refit from
+        # scratch, not extend.
         pred.update(X[:60], y[:60], X[60:90])
         assert len(pred.h_.estimators_) == n0
 

@@ -127,12 +127,23 @@ class TestReplaySimulator:
             ("feature_noise", -0.1),
             ("feature_noise", np.nan),
             ("feature_noise", np.inf),
+            ("tau_stra", np.nan),
+            ("tau_stra", np.inf),
+            ("tau_stra", 0.0),
+            ("tau_stra", -1.0),
         ],
     )
     def test_rejects_invalid_counts_and_noise(self, param, value):
-        # Otherwise NaN noise fails inside a predictor, a fraction in geomspace.
+        # Otherwise NaN noise fails inside a predictor, a fraction in geomspace;
+        # a NaN or infinite tau_stra replays with no flags and no stragglers,
+        # and tau_stra=-1.0 marks every task a straggler.
         with pytest.raises(ValueError, match=f"^{param} must"):
-            ReplaySimulator(**{param: value})
+            if param == "tau_stra":
+                ReplaySimulator(random_state=0).run(
+                    _oracle_job(), NeverRule(), tau_stra=value
+                )
+            else:
+                ReplaySimulator(**{param: value})
 
     def test_observed_features_converge_with_progress(self):
         job = _oracle_job()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.censored import CoxPHFitter, GrabitRegressor, TobitRegressor
+from repro.core.nurd import NurdNcPredictor, NurdPredictor
 from repro.core.propensity import PropensityScorer
 from repro.eval.baselines import (
     CensoredRegressionPredictor,
@@ -207,8 +208,8 @@ def test_bad_parameter_raises_naming_it(estimator, param, value):
             model.fit(X, y)
 
 
-# The census of EXPERIMENTS.md "Settable values": each class under the
-# Table-3 baselines and the constructor parameters it keeps. A parameter no
+# The census of EXPERIMENTS.md "Settable values": each class under NURD and
+# the Table-3 baselines and the constructor parameters it keeps. A parameter no
 # caller outside tests/ sets is a constant, so adding one back fails here.
 SETTABLE_VALUES = [
     (StandardScaler, []),
@@ -245,6 +246,14 @@ SETTABLE_VALUES = [
     (SOS, ["contamination"]),
     (XGBOD, ["contamination", "random_state"]),
     (PropensityScorer, ["model"]),
+    (
+        NurdPredictor,
+        ["alpha", "eps", "propensity_model", "rho_max", "warm_start", "random_state"],
+    ),
+    (
+        NurdNcPredictor,
+        ["alpha", "eps", "propensity_model", "rho_max", "warm_start", "random_state"],
+    ),
     (GbtrPredictor, ["random_state"]),
     (OutlierDetectorPredictor, ["detector_name", "contamination", "random_state"]),
     (PuPredictor, ["variant", "random_state"]),
