@@ -2,10 +2,10 @@
 
 Replays a Google-style trace with NURD, then feeds the per-checkpoint flag
 decisions to the closed-loop mitigation simulator under each policy —
-speculative re-execution, kill-restart, and a credit boost — against a
-finite pool of spare machines. Prints job-completion-time and p99 tail
-reductions, bracketed by a perfect-information oracle and a prediction-free
-random flagger spending the same flag budget.
+speculative re-execution and kill-restart — against a pool of eight spare
+machines per job. Prints job-completion-time and p99 tail reductions,
+bracketed by a perfect-information oracle and a prediction-free random
+flagger spending the same flag budget.
 
 Run:  PYTHONPATH=src python examples/closed_loop.py
 """
@@ -30,15 +30,8 @@ def main() -> None:
     replays = [sim.run(job, NurdPredictor(random_state=0)) for job in trace]
 
     # 2. Mitigate: every flag triggers an action against the spare pool.
-    #    Costs and lag model a real monitor -> analyze -> adapt control loop.
     for policy in POLICIES:
-        cfg = MitigationConfig(
-            policy=policy,
-            spares=8,
-            action_cost=2.0,
-            prediction_lag=5.0,
-            random_state=0,
-        )
+        cfg = MitigationConfig(policy=policy, random_state=0)
         report = ClosedLoopSimulator(cfg).run_many(replays)
         tail = report.tail_latency(99.0)
         print(
@@ -47,7 +40,7 @@ def main() -> None:
         )
 
     # 3. Controls: how much of the win is prediction quality?
-    cfg = MitigationConfig(policy="speculative", spares=8, random_state=0)
+    cfg = MitigationConfig(policy="speculative", random_state=0)
     nurd = ClosedLoopSimulator(cfg).run_many(replays)
     controls = control_reports(replays, cfg)
     print("\nspeculative, 8 spares (JCT reduction):")

@@ -67,6 +67,13 @@ class PropensityScorer(BaseEstimator):
 
         The positive class (label 1) is *finished*.
         """
+        model = self.model
+        if model is not None and not (
+            isinstance(model, BaseEstimator) and hasattr(model, "predict_proba")
+        ):
+            raise ValueError(
+                f"model must be None or a classifier with predict_proba; got {model!r}."
+            )
         X_fin = check_array(X_finished)
         X_run = check_array(X_running)
         if X_fin.shape[1] != X_run.shape[1]:
@@ -81,7 +88,7 @@ class PropensityScorer(BaseEstimator):
             [np.ones(X_fin_fit.shape[0]), np.zeros(X_run_fit.shape[0])]
         ).astype(np.int64)
         self.scaler_ = StandardScaler().fit(X)
-        base = self.model if self.model is not None else LogisticRegression()
+        base = model if model is not None else LogisticRegression()
         self.model_ = clone(base)
         self.model_.fit(self.scaler_.transform(X), y)
         self.n_features_in_ = X.shape[1]

@@ -29,7 +29,12 @@ from typing import TYPE_CHECKING, Optional, Tuple
 import numpy as np
 
 from repro.learn.base import BaseEstimator
-from repro.utils.validation import check_array, check_is_fitted, check_n_features
+from repro.utils.validation import (
+    check_array,
+    check_is_fitted,
+    check_n_features,
+    check_positive_int,
+)
 
 if TYPE_CHECKING:
     from scipy.spatial import cKDTree
@@ -235,8 +240,7 @@ class NearestNeighbors(BaseEstimator):
         self.n_neighbors = n_neighbors
 
     def fit(self, X, y=None) -> "NearestNeighbors":
-        if self.n_neighbors < 1:
-            raise ValueError("n_neighbors must be >= 1.")
+        check_positive_int(self.n_neighbors, "n_neighbors")
         from scipy.spatial import cKDTree
 
         X = check_array(X)

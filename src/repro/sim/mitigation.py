@@ -4,13 +4,12 @@ The replay simulator and eval harness score predictors with F1 — a proxy.
 The paper's actual motivation is tail-latency reduction, so this module
 closes the loop: per-checkpoint flag decisions (a
 :class:`~repro.sim.replay.ReplayResult`, from a replay or from a scoring
-service's ``results``) trigger a pluggable mitigation policy against a
+service's ``results``) trigger a mitigation policy against a
 finite :class:`~repro.sim.cluster.MachinePool`, and the report measures
 what operators care about: job completion time and p99/p99.9 task
 latency, per method, against a no-mitigation baseline.
 
-Three policies, all first-principles cluster-model knobs in the MLSYSIM
-spirit (mitigation cost, prediction lag, spare capacity):
+Two policies:
 
 - ``speculative`` — speculative re-execution: launch a copy of the flagged
   task on a spare machine and keep the earlier finisher. A false positive
@@ -20,13 +19,12 @@ spirit (mitigation cost, prediction lag, spare capacity):
   scratch on a spare; the implicated original machine is retired. False
   positives carry the paper's full restart cost: the relaunch may well
   finish *later* than the original would have.
-- ``boost`` — admission throttling / credit-based resource boost: spend a
-  credit (modeled as a pool slot) to shrink the task's *remaining* latency
-  by ``boost_factor`` — e.g. by throttling co-located admissions or raising
-  its cgroup share. The task never migrates, so a boost can only help.
 
-Every action costs ``action_cost`` setup seconds and begins no earlier than
-``prediction_lag`` after the flag (monitor → analyze → adapt is not free).
+An action starts at its flag time, or when a spare frees up if none is
+free then; :meth:`ClosedLoopSimulator.run` gives each job
+``ClosedLoopSimulator._SPARES`` = 8 spares at time 0. A flag at or after
+its task's completion is counted late and not acted on.
+
 Relaunch execution times follow the paper's §7.3 rule — resampled from the
 job's empirical latency distribution — but are drawn *per task* from a
 seed derived of ``(random_state, job_index)`` only, so every method, policy
@@ -48,7 +46,6 @@ averaged by :func:`jct_reduction`):
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
@@ -56,10 +53,9 @@ import numpy as np
 
 from repro.sim.cluster import MachinePool
 from repro.sim.replay import ReplayResult
-from repro.utils.validation import check_non_negative_finite
 
-#: Pluggable mitigation policies.
-POLICIES = ("speculative", "kill_restart", "boost")
+#: Mitigation policies.
+POLICIES = ("speculative", "kill_restart")
 
 #: Method names of the synthetic control arms.
 ORACLE = "Oracle"
@@ -68,46 +64,24 @@ RANDOM_FLAGGER = "Random"
 
 @dataclass
 class MitigationConfig:
-    """Knobs of the closed loop (see EXPERIMENTS.md, "Closed-loop grid").
+    """Run-level values of the closed loop (see EXPERIMENTS.md, "Closed-loop
+    mitigation").
 
     Parameters
     ----------
-    policy : {'speculative', 'kill_restart', 'boost'}
+    policy : {'speculative', 'kill_restart'}
         What a flag triggers.
-    spares : int
-        Spare machines (or boost credits) available per job at time 0.
-    action_cost : float
-        Setup seconds between winning a spare and the action taking effect
-        (container pull, state transfer, cgroup reconfiguration).
-    prediction_lag : float
-        Seconds between a flag being raised and the mitigation pipeline
-        acting on it (monitoring + decision latency).
-    boost_factor : float
-        Multiplier on the remaining latency under the ``boost`` policy
-        (0.5 = the boosted task finishes the rest of its work twice as
-        fast). Ignored by the other policies.
     random_state : int
         Seed for the per-task relaunch-latency draws; runs with the same
         seed are bit-identical. Python or NumPy integers only.
     """
 
     policy: str = "speculative"
-    spares: int = 8
-    action_cost: float = 0.0
-    prediction_lag: float = 0.0
-    boost_factor: float = 0.5
     random_state: int = 0
 
     def __post_init__(self):
         if self.policy not in POLICIES:
             raise ValueError(f"policy must be one of {POLICIES}.")
-        spares = self.spares
-        if not (isinstance(spares, numbers.Integral) and spares >= 0):
-            raise ValueError(f"spares must be an integer >= 0; got {spares!r}.")
-        check_non_negative_finite(self.action_cost, "action_cost")
-        check_non_negative_finite(self.prediction_lag, "prediction_lag")
-        if not 0.0 < self.boost_factor <= 1.0:
-            raise ValueError("boost_factor must be in (0, 1].")
         seed = self.random_state
         if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
             raise ValueError(f"random_state must be an integer, got {seed!r}.")
@@ -125,11 +99,10 @@ class MitigationOutcome:
     n_flagged: int = 0
     n_actions: int = 0  # actions that actually took effect
     n_late: int = 0  # flag acted on after the task already finished
-    n_denied: int = 0  # no spare machine / credit available
+    n_denied: int = 0  # no spare machine available
     n_helped: int = 0  # task finished earlier than baseline
     n_hurt: int = 0  # task finished later (kill-restart FP cost)
     pool_peak_in_use: int = 0
-    pool_total_acquired: int = 0
 
     @property
     def baseline_jct(self) -> float:
@@ -186,28 +159,6 @@ class ClosedLoopReport:
         mit = np.concatenate([o.mitigated_task_latencies for o in self.outcomes])
         return _percentile_delta_pct(base, mit, q)
 
-    def _total(self, attr: str) -> int:
-        return int(sum(getattr(o, attr) for o in self.outcomes))
-
-    def as_dict(self) -> Dict:
-        """JSON-ready summary (per-task arrays are not serialized)."""
-        return {
-            "policy": self.policy,
-            "n_jobs": len(self.outcomes),
-            "mean_jct_reduction_pct": self.mean_jct_reduction_pct,
-            "p99_task_latency": self.tail_latency(99.0),
-            "p999_task_latency": self.tail_latency(99.9),
-            "n_flagged": self._total("n_flagged"),
-            "n_actions": self._total("n_actions"),
-            "n_late": self._total("n_late"),
-            "n_denied": self._total("n_denied"),
-            "n_helped": self._total("n_helped"),
-            "n_hurt": self._total("n_hurt"),
-            "pool_peak_in_use": max(
-                (o.pool_peak_in_use for o in self.outcomes), default=0
-            ),
-        }
-
 
 class ClosedLoopSimulator:
     """Applies a mitigation policy to per-checkpoint flag decisions.
@@ -217,6 +168,9 @@ class ClosedLoopSimulator:
     never from call order, so outcomes are bit-reproducible and directly
     comparable across method arms.
     """
+
+    #: Spare machines :meth:`run` gives each job at time 0.
+    _SPARES = 8
 
     def __init__(self, config: Optional[MitigationConfig] = None):
         self.config = config or MitigationConfig()
@@ -237,7 +191,7 @@ class ClosedLoopSimulator:
 
     def run(self, result: ReplayResult, job_index: int = 0) -> MitigationOutcome:
         """Apply the configured policy to one job's flag decisions."""
-        return self._run(result, job_index, MachinePool(self.config.spares))
+        return self._run(result, job_index, MachinePool(self._SPARES))
 
     def _run(
         self, result: ReplayResult, job_index: int, pool: MachinePool
@@ -263,7 +217,7 @@ class ClosedLoopSimulator:
         # causally faithful: earlier flags compete for spares first.
         order = flagged_idx[np.lexsort((flagged_idx, result.flag_times[flagged_idx]))]
         for i in order:
-            t_act = float(result.flag_times[i]) + cfg.prediction_lag
+            t_act = float(result.flag_times[i])
             if t_act >= completion[i]:
                 out.n_late += 1
                 continue
@@ -271,37 +225,22 @@ class ClosedLoopSimulator:
             if slot is None:
                 out.n_denied += 1
                 continue
-            effective = slot + cfg.action_cost
+            new = slot + relaunch[i]
             if cfg.policy == "speculative":
-                copy_end = effective + relaunch[i]
-                new = min(float(completion[i]), copy_end)
                 # The losing execution is killed the moment the race
                 # resolves, freeing the spare.
-                pool.release(new)
-                completion[i] = new
-            elif cfg.policy == "kill_restart":
-                # The original machine is retired as suspect; the spare
-                # returns when the relaunch completes — even if that is
-                # later than the original would have finished (FP cost).
-                new = effective + relaunch[i]
-                pool.release(new)
-                completion[i] = new
-            else:  # boost
-                if effective >= completion[i]:
-                    pool.release(effective)
-                    out.n_late += 1
-                    continue
-                remaining = completion[i] - effective
-                new = effective + cfg.boost_factor * remaining
-                pool.release(new)
-                completion[i] = new
+                new = min(float(completion[i]), new)
+            # Under kill_restart the original machine is retired as suspect;
+            # the spare returns when the relaunch completes, even if that is
+            # later than the original would have finished (FP cost).
+            pool.release(new)
+            completion[i] = new
             out.n_actions += 1
             if completion[i] < baseline[i]:
                 out.n_helped += 1
             elif completion[i] > baseline[i]:
                 out.n_hurt += 1
         out.pool_peak_in_use = pool.peak_in_use
-        out.pool_total_acquired = pool.total_acquired
         return out
 
     def run_many(self, results: Iterable[ReplayResult]) -> ClosedLoopReport:
@@ -395,23 +334,19 @@ def oracle_result(result: ReplayResult) -> ReplayResult:
 
 def random_flagger_result(
     result: ReplayResult,
-    rate: Optional[float] = None,
     random_state: int = 0,
     job_index: int = 0,
 ) -> ReplayResult:
     """Prediction-free control: flag tasks at random, at random checkpoints.
 
-    Each task is flagged with probability ``rate`` (default: the job's true
-    straggler fraction, so the control spends the same flag budget as a
-    well-calibrated predictor) at a uniformly chosen checkpoint among those
+    Each task is flagged with probability equal to the job's true straggler
+    fraction, so the control spends the same flag budget as a
+    well-calibrated predictor, at a uniformly chosen checkpoint among those
     where it is running. Any mitigation win a real method reports must
     clear this arm to mean anything.
     """
     n = result.latencies.shape[0]
-    if rate is None:
-        rate = float(np.mean(result.y_true))
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError("rate must be in [0, 1].")
+    rate = float(np.mean(result.y_true))
     rng = np.random.default_rng([int(random_state), 0xD1CE, int(job_index)])
     running = _running_checkpoint_mask(result)
     picked = rng.random(n) < rate

@@ -117,19 +117,22 @@ def check_non_negative_finite(value, name: str) -> None:
 def check_random_state(seed) -> np.random.Generator:
     """Turn ``seed`` into a :class:`numpy.random.Generator`.
 
-    Accepts None (fresh entropy), ints, legacy ``RandomState`` and modern
-    ``Generator`` instances.
+    Accepts None (fresh entropy), integers >= 0, legacy ``RandomState`` and
+    modern ``Generator`` instances; anything else (NaN, 2.5, -1) raises a
+    ``ValueError`` naming ``random_state``.
     """
     if seed is None:
         return np.random.default_rng()
-    if isinstance(seed, numbers.Integral):
+    if isinstance(seed, numbers.Integral) and seed >= 0:
         return np.random.default_rng(int(seed))
     if isinstance(seed, np.random.Generator):
         return seed
     if isinstance(seed, np.random.RandomState):
         # Bridge legacy RandomState into the Generator API.
         return np.random.default_rng(seed.randint(0, 2**31 - 1))
-    raise ValueError(f"Cannot use {seed!r} to seed a Generator.")
+    raise ValueError(
+        f"random_state must be None, an integer >= 0 or a Generator; got {seed!r}."
+    )
 
 
 def check_is_fitted(estimator, attributes: Optional[list] = None) -> None:

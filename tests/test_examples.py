@@ -5,7 +5,9 @@ its imports and module-level constants, so a removed or renamed API fails
 tier-1. The quickstart's trace-CSV path, the way a real trace gets in, also
 runs once on a tiny two-job CSV, and the closed-loop example runs once to
 check the tail latency it prints. Every name a ``repro`` module lists in
-``__all__`` must resolve, so a deletion cannot leave a stale export.
+``__all__`` must resolve, so a deletion cannot leave a stale export, and
+every file CI's ``ruff format --check`` step lists must exist, so a deletion
+cannot leave a stale path there either.
 """
 
 import importlib
@@ -18,7 +20,8 @@ import pytest
 import repro
 from repro.traces import GoogleTraceGenerator, Trace
 
-EXAMPLES_DIR = Path(__file__).resolve().parents[1] / "examples"
+ROOT = Path(__file__).resolve().parents[1]
+EXAMPLES_DIR = ROOT / "examples"
 EXAMPLES = sorted(EXAMPLES_DIR.glob("*.py"))
 
 
@@ -78,3 +81,11 @@ def test_every_export_resolves(name):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert not missing, f"{name}.__all__ names missing objects: {missing}"
+
+
+def test_ci_format_list_names_existing_files():
+    ci = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
+    listed = ci.split("ruff format --check\n", 1)[1].split("\n\n", 1)[0].split()
+    assert len(listed) > 50
+    missing = [path for path in listed if not (ROOT / path).is_file()]
+    assert not missing, f"ruff format --check in ci.yml lists missing {missing}"

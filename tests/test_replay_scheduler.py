@@ -1,12 +1,11 @@
-"""Tests for the replay simulator and its stream, the machine pool, and the
-paper's schedulers (Algorithms 2–3), which run as kill-restart closed loops."""
+"""Tests for the replay simulator and its stream, and the paper's schedulers
+(Algorithms 2–3), which run as kill-restart closed loops."""
 
 import numpy as np
 import pytest
 
 from repro.core.base import OnlineStragglerPredictor
 from repro.core.nurd import NurdPredictor
-from repro.sim.cluster import MachinePool
 from repro.sim.mitigation import (
     MitigationOutcome,
     jct_reduction,
@@ -347,25 +346,3 @@ class TestSchedulers:
 
         assert outcome(100.0, 80.0).jct_reduction_pct == pytest.approx(20.0)
         assert outcome(0.0, 0.0).jct_reduction_pct == 0.0
-
-
-class TestMachinePool:
-    def test_acquire_order(self):
-        pool = MachinePool(initial_spares=1)
-        pool.release(5.0)
-        assert pool.acquire(0.0) == 0.0
-        assert pool.acquire(0.0) == 5.0
-        assert pool.acquire(0.0) is None
-
-    def test_acquire_not_before(self):
-        pool = MachinePool(initial_spares=1)
-        assert pool.acquire(3.0) == 3.0
-
-    def test_negative_spares(self):
-        with pytest.raises(ValueError):
-            MachinePool(initial_spares=-1)
-
-    def test_len_and_peek(self):
-        pool = MachinePool(initial_spares=2)
-        assert len(pool) == 2
-        assert pool.peek() == 0.0

@@ -15,6 +15,7 @@ from repro.eval.baselines import (
     PuPredictor,
     WranglerPredictor,
 )
+from repro.eval.harness import EvaluationConfig
 from repro.learn import (
     GradientBoostingClassifier,
     GradientBoostingRegressor,
@@ -45,6 +46,9 @@ from repro.outliers import (
 )
 from repro.outliers.base import BaseDetector
 from repro.pu import BaggingPuClassifier, ElkanNotoClassifier
+from repro.serving.service import ServiceConfig
+from repro.sim.mitigation import MitigationConfig
+from repro.sim.replay import ReplaySimulator
 from repro.utils.validation import (
     NotFittedError,
     check_array,
@@ -194,6 +198,14 @@ def _xy():
         (GrabitRegressor, "sigma", np.inf),
         (GrabitRegressor, "sigma", 0.0),
         (GrabitRegressor, "sigma", -1.0),
+        *[
+            (estimator, "random_state", seed)
+            for estimator in (IForest, KMeans, MCD)
+            for seed in (np.nan, 2.5, -1)
+        ],
+        (NearestNeighbors, "n_neighbors", np.nan),
+        (NearestNeighbors, "n_neighbors", 2.5),
+        (PropensityScorer, "model", 0),
     ],
 )
 def test_bad_parameter_raises_naming_it(estimator, param, value):
@@ -278,6 +290,50 @@ def test_settable_values(cls, names):
     copy = clone(model)
     assert type(copy) is cls and copy.get_params() == model.get_params()
     assert repr(model).startswith(f"{cls.__name__}(")
+
+
+# The run-level half of the census: the configs a replay, a closed loop or a
+# service run is built from, and who sets what each keeps (EXPERIMENTS.md,
+# "Settable values").
+RUN_LEVEL_VALUES = [
+    (MitigationConfig, ["policy", "random_state"]),
+    (
+        EvaluationConfig,
+        [
+            "n_checkpoints",
+            "warmup_fraction",
+            "straggler_percentile",
+            "feature_noise",
+            "alpha",
+            "eps",
+            "method_params",
+            "random_state",
+        ],
+    ),
+    (
+        ServiceConfig,
+        ["n_workers", "queue_depth", "budget", "restart_policy", "emit_policy"],
+    ),
+    (
+        ReplaySimulator,
+        [
+            "n_checkpoints",
+            "warmup_fraction",
+            "straggler_percentile",
+            "feature_noise",
+            "random_state",
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, names", RUN_LEVEL_VALUES, ids=[c.__name__ for c, _ in RUN_LEVEL_VALUES]
+)
+def test_run_level_values(cls, names):
+    """A run-level config takes exactly the census's parameters."""
+    sig = inspect.signature(cls.__init__)
+    assert [p for p in sig.parameters if p != "self"] == names
 
 
 def _fit_X(model, X, y):
