@@ -29,7 +29,7 @@ from repro.core.calibration import check_eps, clip_weight, compute_delta, comput
 from repro.core.propensity import PropensityScorer
 from repro.learn.base import BaseEstimator
 from repro.learn.gbm import GradientBoostingRegressor
-from repro.utils.validation import check_array, check_is_fitted, check_X_y
+from repro.utils.validation import check_array, check_bool, check_is_fitted, check_X_y
 
 #: The latency model's size: a small, shallow ensemble. NURD retrains every
 #: checkpoint on a few hundred samples, so capacity beyond this only costs time.
@@ -102,10 +102,12 @@ class NurdPredictor(OnlineStragglerPredictor):
 
         Raises ``ValueError`` unless ``alpha`` lies in (0, 1) (checked by
         :func:`repro.core.calibration.compute_delta`) and ``eps`` in (0, 1]
-        (:func:`repro.core.calibration.check_eps`), NURD-NC included.
+        (:func:`repro.core.calibration.check_eps`), NURD-NC included, and
+        unless ``warm_start`` is a bool.
         """
         super().begin_job(X_fin, y_fin, X_run, tau_stra)
         check_eps(self.eps)
+        check_bool(self.warm_start, "warm_start")
         X_fin = check_array(X_fin)
         X_run = check_array(X_run)
         self.rho_ = compute_rho(X_fin, X_run)

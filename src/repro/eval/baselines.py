@@ -94,7 +94,7 @@ class OutlierDetectorPredictor(OnlineStragglerPredictor):
         # No cache clear here: the shared NeighborCache is LRU-bounded (so
         # long replays stay at constant footprint) and content-keyed, which
         # lets *other* method replays of the same job hit this checkpoint's
-        # tree builds when the harness schedules them job-major.
+        # index builds when the harness schedules them job-major.
         X_fin = np.asarray(X_fin, dtype=float)
         X_run = np.asarray(X_run, dtype=float)
         X_all = np.vstack([X_fin, X_run])

@@ -52,6 +52,7 @@ from repro.learn.tree import (
 )
 from repro.utils.validation import (
     check_array,
+    check_bool,
     check_is_fitted,
     check_n_features,
     check_positive_int,
@@ -196,6 +197,7 @@ class _GradientBoosting(_BaseGradientBoosting):
         self.warm_start = warm_start
 
     def _fit_boosting(self, X, y, loss: LossFunction):
+        check_bool(self.warm_start, "warm_start")
         warm = self.warm_start and bool(getattr(self, "estimators_", None))
         return self._boost(X, y, loss, warm)
 

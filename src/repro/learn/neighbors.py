@@ -1,9 +1,29 @@
-"""Nearest-neighbor queries on top of ``scipy.spatial.cKDTree``.
+"""Exact k-nearest-neighbour search in NumPy.
 
 Shared by the KNN, LOF, COF, SOD, ABOD, LSCP and SOS outlier detectors and
-XGBOD's detector pool. Every query goes through :func:`_raw_tree_query`,
-which runs it on the calling thread: the matrices hold tens to hundreds of
-rows, so a worker pool's thread starts would cost more than the query.
+XGBOD's detector pool. Every query goes through :meth:`KnnIndex.query`, one
+exact kernel:
+
+- **Candidates.** One matmul per block of query rows gives the Gram form
+  ``|x|^2 - 2 q.x`` of every (query, training) pair, both rows centred at
+  the training mean: the squared distance less the query's own ``|q|^2``.
+  ``np.partition`` finds each query's k-th smallest value, and every
+  training row within three rounding margins of it is a candidate. The
+  margin, ``(4d + 32) u (|q|^2 + max |x|^2)`` with ``u = 2**-53``, bounds
+  the Gram form's error against the exact distance, so the candidates hold
+  every row that ties with or beats the k-th neighbour (EXPERIMENTS.md,
+  "Exact neighbour search"). Near overflow the bound fails, and every
+  training row is a candidate.
+- **Exact distances.** Each candidate's distance is recomputed with the
+  arithmetic of SciPy's KD-tree: four running sums over the dimensions in
+  groups of four, added left to right, then the remaining dimensions in
+  order, then ``sqrt``. The distances equal a KD-tree query's bit for bit
+  (``tests/test_neighbor_kernel.py``).
+- **Order.** Neighbours come sorted by (distance, training-row index), a
+  total order, so a narrower query is exactly a prefix of a wider one.
+
+Query rows are taken ``_BLOCK_ELEMENTS // n`` at a time, so the Gram block
+stays at 2 MiB whatever the matrix size.
 
 Besides the :class:`NearestNeighbors` estimator this module hosts a small
 process-local :class:`NeighborCache`. Every unsupervised detector refit on a
@@ -11,20 +31,21 @@ replay checkpoint queries the *same* feature matrix — often several times
 (once while fitting, once while scoring the training data, and LSCP's LOF
 pool repeats the whole exercise per pool member), and every *method* replayed
 on the same job sees bitwise-equal checkpoint matrices (one simulator seed
-per job). The cache keys tree builds on array **content** and raw kNN query
-results on array identity, so all of those consumers share one KD-tree and
+per job). The cache keys index builds on array **content** and raw kNN query
+results on array identity, so all of those consumers share one index and
 one sorted neighbor list per matrix — across detectors within a checkpoint
 and across method replays of one job — and narrower queries slice the
-widest cached result instead of hitting the tree again.
+widest cached result instead of querying again.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import weakref
 from collections import OrderedDict
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -36,56 +57,147 @@ from repro.utils.validation import (
     check_positive_int,
 )
 
-if TYPE_CHECKING:
-    from scipy.spatial import cKDTree
-
-#: LRU bounds of :class:`NeighborCache`: KD-trees (each pins its matrix)
-#: and raw kNN query results.
-_MAX_TREES = 8
+#: LRU bounds of :class:`NeighborCache`: indexes (each pins its matrix) and
+#: raw kNN query results.
+_MAX_INDEXES = 8
 _MAX_QUERIES = 32
+#: Elements of one block of the Gram matrix (query rows x training rows),
+#: and of one block of candidate coordinates.
+_BLOCK_ELEMENTS = 1 << 18
+#: Unit roundoff of float64, and its smallest normal number.
+_U = np.finfo(np.float64).eps / 2
+_TINY = np.finfo(np.float64).tiny
+
+
+def _sq_distances(diff: np.ndarray) -> np.ndarray:
+    """Row sums of ``diff**2`` as SciPy's KD-tree adds them (consumes ``diff``).
+
+    Four running sums take the dimensions in groups of four; they are added
+    left to right, then the remaining dimensions one by one.
+    """
+    sq = np.multiply(diff, diff, out=diff)
+    d = sq.shape[1]
+    full = d - d % 4
+    if full:
+        acc = sq[:, :4]
+        for j in range(4, full, 4):
+            acc = acc + sq[:, j : j + 4]
+        total = acc[:, 0] + acc[:, 1]
+        total += acc[:, 2]
+        total += acc[:, 3]
+    else:
+        total = np.zeros(sq.shape[0])
+    for j in range(full, d):
+        total += sq[:, j]
+    return total
+
+
+def _nearest(
+    X: np.ndarray, Q: np.ndarray, mask: np.ndarray, k: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Each query row's first ``k`` candidates (``mask`` row, training rows
+    as columns) in (distance, index) order, as ``(dist, idx)``."""
+    b, n = mask.shape
+    counts = np.count_nonzero(mask, axis=1)
+    rows, cols = np.divmod(np.flatnonzero(mask), n)
+    sq = np.empty(cols.size)
+    chunk = _BLOCK_ELEMENTS // max(X.shape[1], 1)
+    for lo in range(0, cols.size, chunk):
+        part = slice(lo, lo + chunk)
+        sq[part] = _sq_distances(X[cols[part]] - Q[rows[part]])
+    cand = np.sqrt(sq, out=sq)
+    # Candidates come row by row in index order, so a stable sort by
+    # distance orders each row by (distance, index).
+    width = int(counts.max())
+    if cols.size == b * width:
+        dist, idx = cand.reshape(b, width), cols.reshape(b, width)
+    else:
+        # Pad the rows to one width; the pads sort after every candidate.
+        pos = np.arange(cols.size) - (np.cumsum(counts) - counts)[rows]
+        dist = np.full((b, width), np.inf)
+        dist[rows, pos] = cand
+        idx = np.zeros((b, width), dtype=np.intp)
+        idx[rows, pos] = cols
+    order = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    at = np.arange(b)[:, None]
+    return dist[at, order], idx[at, order]
+
+
+class KnnIndex:
+    """Exact k-nearest-neighbour search over one training matrix."""
+
+    def __init__(self, X: np.ndarray):
+        self.X = X
+        self._mean = X.mean(axis=0)
+        Xc = X - self._mean
+        self._sq_norms = np.einsum("ij,ij->i", Xc, Xc)
+        self._max_sq_norm = float(self._sq_norms.max())
+        self._minus_2_xc_t = np.ascontiguousarray(-2.0 * Xc.T)
+
+    def query(self, Q: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The ``k`` (1 <= k <= n) nearest training rows of each row of
+        ``Q``, as ``(dist, idx)``, each (len(Q), k), sorted by (distance,
+        index)."""
+        n, d = self.X.shape
+        dist = np.empty((Q.shape[0], k))
+        idx = np.empty((Q.shape[0], k), dtype=np.intp)
+        Qc = Q - self._mean
+        q_sq_norms = np.einsum("ij,ij->i", Qc, Qc)
+        # Three rounding margins past each row's k-th Gram value.
+        reach = 3 * (4 * d + 32) * _U * (q_sq_norms + self._max_sq_norm) + _TINY
+        # Near overflow the Gram form bounds nothing: every row is a candidate.
+        bounded = math.isfinite(8.0 * (float(q_sq_norms.max()) + self._max_sq_norm))
+        step = max(1, _BLOCK_ELEMENTS // n)
+        for start in range(0, Q.shape[0], step):
+            block = slice(start, start + step)
+            if bounded:
+                gram = Qc[block] @ self._minus_2_xc_t
+                gram += self._sq_norms
+                cut = np.partition(gram, k - 1, axis=1)[:, k - 1] + reach[block]
+                mask = gram <= cut[:, None]
+            else:
+                mask = np.ones((Qc[block].shape[0], n), dtype=bool)
+            dist[block], idx[block] = _nearest(self.X, Q[block], mask, k)
+        return dist, idx
 
 
 class NeighborCache:
-    """Content-keyed KD-tree cache plus identity-keyed kNN query cache.
+    """Content-keyed index cache plus identity-keyed kNN query cache.
 
-    **Trees** are keyed on array *content* (shape + dtype + BLAKE2 digest,
+    **Indexes** are keyed on array *content* (shape + dtype + BLAKE2 digest,
     with an exact ``np.array_equal`` guard against digest collisions, so a
-    served tree is always a tree over bit-identical data). An identity
+    served index is always an index over bit-identical data). An identity
     side-index makes repeated lookups of the same live object skip the
     hashing. Content keying is what lets independent replays share builds:
     every method replaying the same job sees bitwise-equal observation
     matrices at the same checkpoint (same simulator seed), so the harness,
     which replays every method of a job together, builds each checkpoint's
-    tree once per *(job, checkpoint)* rather than once per method.
+    index once per *(job, checkpoint)* rather than once per method.
 
     **Query results** are keyed on ``id()`` of the participating arrays and
     guarded by weak references: a hit requires the cached reference to still
     point at the *same live object*, so recycled ids or garbage-collected
     matrices can never alias. Results are cached at the widest ``k``
     requested so far for a (train, query) pair; narrower requests return
-    slices (neighbor lists are sorted by distance, so a prefix of a wider
-    query *is* the narrower query) — **unless** an exact distance tie
-    straddles the cut, in which case the tied membership of a direct ``k``
-    query is not determined by the wider result and the cache falls back to
-    querying the tree, so a served result is always bit-identical to what an
-    uncached ``tree.query(X, k)`` returns regardless of cache state.
+    slices. Neighbours are sorted by (distance, index), so a prefix of a
+    wider query *is* the narrower query, ties included.
 
     Returned arrays are read-only views of cache storage; callers that want
     to modify them must copy (in-place writes would otherwise corrupt every
     later hit).
 
-    The cache is process-local and LRU-bounded — tree entries pin their
-    arrays, so memory stays proportional to ``_MAX_TREES`` checkpoint-sized
+    The cache is process-local and LRU-bounded — index entries pin their
+    arrays, so memory stays proportional to ``_MAX_INDEXES`` checkpoint-sized
     matrices.
     """
 
     def __init__(self):
-        self._trees: OrderedDict = OrderedDict()  # content key -> (X, tree)
+        self._trees: OrderedDict = OrderedDict()  # content key -> (X, index)
         self._tree_ids: OrderedDict = OrderedDict()  # id(X) -> (weakref, key)
         self._queries: OrderedDict = OrderedDict()
         self.tree_hits = 0
         self.tree_misses = 0
-        #: KD-trees actually constructed (the regression-test counter:
+        #: Indexes actually constructed (the regression-test counter:
         #: equal-valued matrices must not rebuild).
         self.tree_builds = 0
         #: Hits served to a *different* array object with equal content.
@@ -93,7 +205,7 @@ class NeighborCache:
         self.query_hits = 0
         self.query_misses = 0
 
-    # -- trees ----------------------------------------------------------
+    # -- indexes --------------------------------------------------------
     @staticmethod
     def _content_key(X: np.ndarray) -> Tuple:
         data = X if X.flags["C_CONTIGUOUS"] else np.ascontiguousarray(X)
@@ -103,11 +215,12 @@ class NeighborCache:
     def _remember_identity(self, X: np.ndarray, key: Tuple) -> None:
         self._tree_ids[id(X)] = (weakref.ref(X), key)
         self._tree_ids.move_to_end(id(X))
-        while len(self._tree_ids) > 4 * _MAX_TREES:
+        while len(self._tree_ids) > 4 * _MAX_INDEXES:
             self._tree_ids.popitem(last=False)
 
-    def tree(self, X: np.ndarray) -> cKDTree:
-        """Return a (possibly shared) cKDTree over data equal to ``X``."""
+    def tree(self, X: np.ndarray) -> KnnIndex:
+        """Return a (possibly shared) :class:`KnnIndex` over data equal to
+        ``X``."""
         ident = self._tree_ids.get(id(X))
         if ident is not None and ident[0]() is X:
             entry = self._trees.get(ident[1])
@@ -124,23 +237,21 @@ class NeighborCache:
             self._trees.move_to_end(key)
             self._remember_identity(X, key)
             return entry[1]
-        from scipy.spatial import cKDTree
-
         self.tree_misses += 1
         self.tree_builds += 1
-        tree = cKDTree(X)
-        self._trees[key] = (X, tree)
+        index = KnnIndex(X)
+        self._trees[key] = (X, index)
         self._trees.move_to_end(key)
         self._remember_identity(X, key)
-        while len(self._trees) > _MAX_TREES:
+        while len(self._trees) > _MAX_INDEXES:
             self._trees.popitem(last=False)
-        return tree
+        return index
 
     # -- raw queries ----------------------------------------------------
     def query(
-        self, tree: cKDTree, fit_X: np.ndarray, X: np.ndarray, k: int
+        self, index: KnnIndex, fit_X: np.ndarray, X: np.ndarray, k: int
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Raw ``tree.query`` with caching; returns ``(dist, idx)``, (n, k)."""
+        """``index.query(X, k)`` with caching; returns ``(dist, idx)``."""
         key = (id(fit_X), id(X))
         entry = self._queries.get(key)
         if (
@@ -149,48 +260,23 @@ class NeighborCache:
             and entry[1]() is X
             and entry[2] >= k
         ):
-            dist, idx = entry[3], entry[4]
-            # A slice of a wider query equals a direct k query only when the
-            # k-th and (k+1)-th distances differ in every row; with exact
-            # ties (duplicated points) the tree may pick a different tied
-            # subset at each width, so fall through to a direct query then.
-            if entry[2] == k or not np.any(dist[:, k - 1] == dist[:, k]):
-                self.query_hits += 1
-                self._queries.move_to_end(key)
-                return dist[:, :k], idx[:, :k]
+            self.query_hits += 1
+            self._queries.move_to_end(key)
+            return entry[3][:, :k], entry[4][:, :k]
         self.query_misses += 1
-        dist, idx = _raw_tree_query(tree, X, k)
+        dist, idx = index.query(X, k)
         dist.setflags(write=False)
         idx.setflags(write=False)
-        if (
-            entry is None
-            or entry[0]() is not fit_X
-            or entry[1]() is not X
-            or k > entry[2]
-        ):
-            self._queries[key] = (weakref.ref(fit_X), weakref.ref(X), k, dist, idx)
-            self._queries.move_to_end(key)
-            while len(self._queries) > _MAX_QUERIES:
-                self._queries.popitem(last=False)
+        self._queries[key] = (weakref.ref(fit_X), weakref.ref(X), k, dist, idx)
+        self._queries.move_to_end(key)
+        while len(self._queries) > _MAX_QUERIES:
+            self._queries.popitem(last=False)
         return dist, idx
 
     def clear(self) -> None:
         self._trees.clear()
         self._tree_ids.clear()
         self._queries.clear()
-
-
-def _raw_tree_query(
-    tree: cKDTree, X: np.ndarray, k: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """``tree.query(X, k)`` on the calling thread, as (n, k) arrays even at
-    k = 1. Rows are answered one by one, so the result equals a
-    ``workers=-1`` query bit for bit, ties included."""
-    dist, idx = tree.query(X, k=k)
-    if k == 1:
-        dist = dist[:, None]
-        idx = idx[:, None]
-    return dist, idx
 
 
 #: Process-global default cache; ``None`` disables caching entirely.
@@ -211,7 +297,7 @@ def set_neighbor_cache(cache: Optional[NeighborCache]) -> Optional[NeighborCache
 
 
 def clear_neighbor_cache() -> None:
-    """Drop all cached trees and query results (no-op when disabled)."""
+    """Drop all cached indexes and query results (no-op when disabled)."""
     if _neighbor_cache is not None:
         _neighbor_cache.clear()
 
@@ -241,12 +327,10 @@ class NearestNeighbors(BaseEstimator):
 
     def fit(self, X, y=None) -> "NearestNeighbors":
         check_positive_int(self.n_neighbors, "n_neighbors")
-        from scipy.spatial import cKDTree
-
         X = check_array(X)
         self._fit_X_ = X
         cache = get_neighbor_cache()
-        self.tree_ = cache.tree(X) if cache is not None else cKDTree(X)
+        self.index_ = cache.tree(X) if cache is not None else KnnIndex(X)
         self.n_features_in_ = X.shape[1]
         return self
 
@@ -258,7 +342,7 @@ class NearestNeighbors(BaseEstimator):
         (``BaseDetector.fit`` passes the same validated array to ``_fit``
         and ``_score``), value equality covers callers that re-validate.
         """
-        check_is_fitted(self, ["tree_"])
+        check_is_fitted(self, ["index_"])
         fit_X = self._fit_X_
         if X is fit_X:
             return True
@@ -270,10 +354,10 @@ class NearestNeighbors(BaseEstimator):
 
         Lets a caller that will issue several narrower queries against the
         same (train, query) pair — e.g. LSCP's LOF pool — pay for one wide
-        tree query and have every subsequent request slice it. No-op when
+        query and have every subsequent request slice it. No-op when
         the cache is disabled.
         """
-        check_is_fitted(self, ["tree_"])
+        check_is_fitted(self, ["index_"])
         if get_neighbor_cache() is None:
             return
         X = self._fit_X_ if X is None else check_array(X)
@@ -283,8 +367,8 @@ class NearestNeighbors(BaseEstimator):
     def _raw_query(self, X: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
         cache = get_neighbor_cache()
         if cache is None:
-            return _raw_tree_query(self.tree_, X, k)
-        return cache.query(self.tree_, self._fit_X_, X, k)
+            return self.index_.query(X, k)
+        return cache.query(self.index_, self._fit_X_, X, k)
 
     def kneighbors(
         self, X=None, n_neighbors: int = None, exclude_self: bool = False
@@ -294,7 +378,7 @@ class NearestNeighbors(BaseEstimator):
         With ``X=None`` queries the training set itself with
         ``exclude_self=True`` implied.
         """
-        check_is_fitted(self, ["tree_"])
+        check_is_fitted(self, ["index_"])
         k = self.n_neighbors if n_neighbors is None else int(n_neighbors)
         if X is None:
             X = self._fit_X_
@@ -305,8 +389,6 @@ class NearestNeighbors(BaseEstimator):
         n_train = self._fit_X_.shape[0]
         k_query = min(k + (1 if exclude_self else 0), n_train)
         dist, idx = self._raw_query(X, k_query)
-        dist = dist[:, :k_query]
-        idx = idx[:, :k_query]
         if exclude_self:
             dist, idx = _drop_self_column(dist, idx, k)
         else:

@@ -11,8 +11,8 @@ detector scores the test point (LSCP_A variant averages the top detectors).
 The local-competence Pearson correlations are vectorized: the per-point
 region scores are gathered into an ``(n, region, n_detectors)`` tensor and
 all correlations fall out of a single ``einsum``. The LOF pool shares one
-KD-tree over the training matrix, primed once at the widest neighborhood so
-each pool member slices the same cached query.
+neighbour index over the training matrix, primed once at the widest
+neighborhood so each pool member slices the same cached query.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ class LSCP(BaseDetector):
             raise ValueError("LSCP needs at least 2 samples.")
         region = min(_LOCAL_REGION_SIZE, X.shape[0] - 1)
         self._kmax_ = max(sizes[-1], max(region, 1))
-        # One KD-tree serves the whole pool: the region index is built first
+        # One index serves the whole pool: the region index is built first
         # and primed at the widest neighborhood (+1 for the self column), so
         # every LOF's narrower fit/score query slices the same cached result.
         self.region_nn_ = NearestNeighbors(n_neighbors=max(region, 1)).fit(X)

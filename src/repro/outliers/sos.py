@@ -15,7 +15,7 @@ Two binding backends share that bisection core, chosen by matrix size:
 - dense — the exact (n, n) affinity matrix of the paper, below
   ``_KNN_MIN_ROWS`` rows (tier-1 scale stays exact);
 - kNN — each row binds only to its ``_KNN_NEIGHBORS`` nearest points
-  (KD-tree query through the shared :class:`~repro.learn.neighbors.
+  (exact kNN query through the shared :class:`~repro.learn.neighbors.
   NeighborCache`), an O(n·k) matrix instead of O(n²). Bindings beyond
   ~3× the perplexity carry exponentially small mass, so the truncation
   changes scores negligibly while unlocking checkpoint sizes where the

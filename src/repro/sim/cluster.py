@@ -7,10 +7,9 @@ task finishes or when a relaunched task completes. Machines that hosted a
 *flagged* task are retired — the paper relaunches "on a new machine" because
 the old one is implicated in the straggling.
 
-``peak_in_use`` is the high-water mark of machines acquired and not yet
-released; the closed loop reports it per job. A ``release`` beyond the
-outstanding acquisitions adds a machine — that is how Algorithm 3 donates
-the machines of finished unflagged tasks to the spare pool.
+A ``release`` either returns an acquired machine or adds a new one — that
+is how Algorithm 3 donates the machines of finished unflagged tasks to the
+spare pool.
 """
 
 from __future__ import annotations
@@ -20,26 +19,19 @@ from typing import List, Optional
 
 
 class MachinePool:
-    """Min-heap of machine-available times with a peak-occupancy count."""
+    """Min-heap of machine-available times."""
 
     def __init__(self, initial_spares: int):
         if initial_spares < 0:
             raise ValueError("initial_spares must be >= 0.")
         # Spare machines are available from time 0.
         self._heap: List[float] = [0.0] * initial_spares
-        self._in_use = 0
-        self.peak_in_use = 0
 
     def release(self, when: float) -> None:
-        """A machine becomes available at time ``when``.
-
-        Returning an acquired machine lowers the in-use count; a release with
-        no outstanding acquisition adds a *new* machine (as when a finished
-        task's original machine joins the spares).
-        """
+        """A machine becomes available at time ``when``: an acquired one
+        coming back, or a *new* one (as when a finished task's original
+        machine joins the spares)."""
         heapq.heappush(self._heap, float(when))
-        if self._in_use > 0:
-            self._in_use -= 1
 
     def acquire(self, not_before: float) -> Optional[float]:
         """Take the earliest machine usable at or after ``not_before``.
@@ -51,7 +43,4 @@ class MachinePool:
         """
         if not self._heap:
             return None
-        avail = heapq.heappop(self._heap)
-        self._in_use += 1
-        self.peak_in_use = max(self.peak_in_use, self._in_use)
-        return max(avail, float(not_before))
+        return max(heapq.heappop(self._heap), float(not_before))

@@ -102,7 +102,6 @@ class MitigationOutcome:
     n_denied: int = 0  # no spare machine available
     n_helped: int = 0  # task finished earlier than baseline
     n_hurt: int = 0  # task finished later (kill-restart FP cost)
-    pool_peak_in_use: int = 0
 
     @property
     def baseline_jct(self) -> float:
@@ -240,7 +239,6 @@ class ClosedLoopSimulator:
                 out.n_helped += 1
             elif completion[i] > baseline[i]:
                 out.n_hurt += 1
-        out.pool_peak_in_use = pool.peak_in_use
         return out
 
     def run_many(self, results: Iterable[ReplayResult]) -> ClosedLoopReport:

@@ -100,6 +100,13 @@ def check_positive_int(value, name: str) -> None:
         raise ValueError(f"{name} must be an integer >= 1; got {value!r}.")
 
 
+def check_bool(value, name: str) -> None:
+    """Raise a ``ValueError`` naming ``name`` unless ``value`` is a
+    ``bool`` or ``np.bool_`` (a switch, where any truthy value would pass)."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a bool; got {value!r}.")
+
+
 def check_positive_finite(value, name: str) -> None:
     """Raise a ``ValueError`` naming ``name`` unless ``value`` is a finite
     number > 0 (NaN fails both comparisons)."""

@@ -657,7 +657,8 @@ def test_ocsvm_detector_fits():
 
 def test_sos_knn_full_width_matches_dense(monkeypatch):
     """With k = n−1 the sparse path IS the dense binding matrix (modulo the
-    KD-tree computing distances without the Gram-trick cancellation)."""
+    kNN kernel computing exact distances, without the Gram-trick
+    cancellation)."""
     X = _make_dataset("random", n=120)
     dense = _DenseSOS().fit(X)
     monkeypatch.setattr(sos, "_KNN_NEIGHBORS", X.shape[0] - 1)

@@ -712,7 +712,7 @@ def test_cache_shares_trees_and_slices_queries():
     X = np.ascontiguousarray(rng.normal(size=(60, 3)))
     nn_a = NearestNeighbors(n_neighbors=5).fit(X)
     nn_b = NearestNeighbors(n_neighbors=9).fit(X)
-    assert nn_a.tree_ is nn_b.tree_, "same matrix must share one KD-tree"
+    assert nn_a.index_ is nn_b.index_, "same matrix must share one index"
 
     nn_b.warm(n_neighbors=10)
     hits_before = cache.query_hits
@@ -740,9 +740,9 @@ def test_cache_is_content_keyed():
     value_hits_before = cache.tree_value_hits
     nn_x = NearestNeighbors(n_neighbors=3).fit(X)
     nn_y = NearestNeighbors(n_neighbors=3).fit(Y)
-    # Equal values in distinct objects share one tree (exact-equality
+    # Equal values in distinct objects share one index (exact-equality
     # guarded), so cross-worker / cross-method refits reuse the build...
-    assert nn_x.tree_ is nn_y.tree_
+    assert nn_x.index_ is nn_y.index_
     assert cache.tree_builds == builds_before + 1
     assert cache.tree_value_hits >= value_hits_before + 1
     # ...and identical results either way.
@@ -753,17 +753,17 @@ def test_cache_is_content_keyed():
     # Different values never falsely share.
     Z = X + 1e-9
     nn_z = NearestNeighbors(n_neighbors=3).fit(Z)
-    assert nn_z.tree_ is not nn_x.tree_
+    assert nn_z.index_ is not nn_x.index_
     assert cache.tree_builds == builds_before + 2
 
 
 def test_cache_slices_are_tie_safe():
     """A pre-warmed wider query must not change tied neighbor sets.
 
-    With duplicated rows, cKDTree may return a different subset of
-    equidistant neighbors at different query widths; the cache must detect
-    ties straddling the slice boundary and fall back to a direct query, so
-    results never depend on cache state.
+    With every row duplicated, exact distance ties straddle the slice
+    boundary. Neighbours are ordered by (distance, index), so the cache's
+    slice of a wider query is the direct query and results never depend on
+    cache state.
     """
     base = np.random.default_rng(4).normal(size=(20, 3))
     X = np.ascontiguousarray(np.vstack([base] * 4))  # every row 4x duplicated

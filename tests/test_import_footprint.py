@@ -3,9 +3,11 @@
 Each scorer process holds one model per running job, so what it imports is
 memory it holds for its whole life. ``scipy.stats``, ``scipy.optimize``,
 ``scipy.spatial`` and ``scipy.special`` together cost about 60 MB of RSS and
-most of a second of start-up. Only baselines call them (MCD's χ² quantiles,
-Tobit's optimizer and normal tail, the kNN detectors' KD-tree), so each is
-imported at the call that uses it.
+most of a second of start-up. ``src/`` never imports ``scipy.stats`` or
+``scipy.spatial``: the kNN detectors search with the NumPy kernel of
+``repro.learn.neighbors``. Only baselines call the other two (MCD's χ²
+quantiles, Tobit's optimizer and normal tail), so each is imported at the
+call that uses it.
 
 The test suite itself imports ``scipy.stats`` at module level, so every check
 here runs in a fresh interpreter.
@@ -61,6 +63,30 @@ result = asyncio.run(serve())
 assert result is not None and result.y_flag.shape == (job.n_tasks,)
 """
 
+REPLAY_NURD_AND_KNN = """
+import numpy as np
+
+from repro.eval import EvaluationConfig, evaluate_all
+from repro.outliers import ABOD, COF, LOF, LSCP, SOD, SOS, XGBOD, KNNDetector
+from repro.traces import Trace
+from repro.traces.google import GoogleTraceGenerator
+
+gen = GoogleTraceGenerator(random_state=0)
+jobs = [gen.generate_job(f"j{i}", n_tasks=60) for i in range(3)]
+results = evaluate_all(
+    Trace(name="google", jobs=jobs), ["NURD", "KNN"], EvaluationConfig(n_checkpoints=4)
+)
+assert all(len(r.replays) == 3 for r in results.values())
+
+rng = np.random.default_rng(0)
+X = rng.normal(size=(60, 4))
+y = (np.arange(60) % 6 == 0).astype(int)
+for det in (KNNDetector(), LOF(), COF(), SOD(), ABOD(), LSCP()):
+    det.fit(X)
+XGBOD(random_state=0).fit(X, y)
+SOS().fit(rng.normal(size=(1024, 4)))  # the kNN binding backend
+"""
+
 FIT_MCD = """
 import numpy as np
 
@@ -90,7 +116,9 @@ def _loaded_heavy_modules(script: str) -> list:
 
 
 @pytest.mark.parametrize(
-    "script", [IMPORT_ALL, SERVE_ONE_JOB], ids=["import_all", "serve_nurd_job"]
+    "script",
+    [IMPORT_ALL, SERVE_ONE_JOB, REPLAY_NURD_AND_KNN],
+    ids=["import_all", "serve_nurd_job", "replay_nurd_and_knn"],
 )
 def test_serving_path_loads_no_heavy_scipy(script):
     assert _loaded_heavy_modules(script) == []

@@ -60,7 +60,6 @@ def counters(out):
         out.n_denied,
         out.n_helped,
         out.n_hurt,
-        out.pool_peak_in_use,
     )
 
 
@@ -80,24 +79,19 @@ class TestMachinePoolErgonomics:
         pool = MachinePool(initial_spares=1)
         assert pool.acquire(3.0) == 3.0
 
-    def test_peak_in_use_is_a_high_water_mark(self):
+    def test_released_machine_is_acquired_again(self):
         pool = MachinePool(initial_spares=2)
-        assert pool.peak_in_use == 0
-        pool.acquire(1.0)
-        assert pool.peak_in_use == 1
-        pool.acquire(1.0)
-        assert pool.peak_in_use == 2
+        assert pool.acquire(1.0) == 1.0
+        assert pool.acquire(1.0) == 1.0
         assert pool.acquire(1.0) is None
-        pool.release(5.0)
-        assert pool.peak_in_use == 2  # high-water mark sticks
-        pool.acquire(1.0)
-        assert pool.peak_in_use == 2
+        pool.release(5.0)  # an acquired machine comes back at t=5
+        assert pool.acquire(1.0) == 5.0
+        assert pool.acquire(1.0) is None
 
     def test_release_beyond_outstanding_adds_a_machine(self):
         pool = MachinePool(initial_spares=0)
         pool.release(3.0)  # a freed original machine joins the spares
         assert pool.acquire(0.0) == 3.0
-        assert pool.peak_in_use == 1
         assert pool.acquire(0.0) is None
 
     def test_simultaneous_release_and_acquire_timestamp(self):
@@ -177,7 +171,6 @@ class TestSpeculativePolicy:
         res = make_result([30.0, 30.0, 1.0, 1.0], [1.0, 1.0, np.inf, np.inf])
         sim = with_spares(1)(MitigationConfig(policy="speculative"))
         out = sim.run(res)
-        assert out.pool_peak_in_use == 1
         assert out.n_actions == 2
         first, second = out.mitigated_completions[[0, 1]]
         # Second copy started only when the first resolved.
@@ -325,7 +318,6 @@ class TestReport:
             assert out.n_actions == out.n_flagged  # 64 spares never bind
             assert out.n_helped + out.n_hurt <= out.n_actions
             assert out.n_hurt == 0  # speculative keeps the earlier finisher
-            assert 0 < out.pool_peak_in_use <= 64
 
     def test_empty_results_raise(self):
         with pytest.raises(ValueError, match="no replay results"):

@@ -12,7 +12,7 @@ Covers the contracts the paper-scale replay path leans on:
 - the harness replays a bare job stream in job order, and a job that
   raises surfaces its own error;
 - a :class:`CheckpointPlan` from another job or simulator is rejected, and
-  the content-keyed neighbor cache stops per-replay KD-tree rebuilds.
+  the content-keyed neighbor cache stops per-replay index rebuilds.
 
 That a Trace, a TraceStore and a shared plan all replay bit for
 bit like the reference loop is ``tests/test_differential.py``'s job.
@@ -272,8 +272,8 @@ def test_replaying_a_job_again_builds_no_new_trees(google_trace):
 
     Before the fix, ``OutlierDetectorPredictor.update`` cleared the shared
     cache at every checkpoint, so replaying the same job — even in the same
-    process — rebuilt every KD-tree from scratch. Now a second replay of a
-    job with bit-identical observations must cost zero tree builds.
+    process — rebuilt every neighbour index from scratch. Now a second replay
+    of a job with bit-identical observations must cost zero index builds.
     """
     cache = get_neighbor_cache()
     clear_neighbor_cache()

@@ -206,6 +206,11 @@ def _xy():
         (NearestNeighbors, "n_neighbors", np.nan),
         (NearestNeighbors, "n_neighbors", 2.5),
         (PropensityScorer, "model", 0),
+        *[
+            (estimator, "warm_start", value)
+            for estimator in (GradientBoostingRegressor, GradientBoostingClassifier)
+            for value in (np.nan, -1, 2.5, "yes")
+        ],
     ],
 )
 def test_bad_parameter_raises_naming_it(estimator, param, value):
@@ -218,6 +223,21 @@ def test_bad_parameter_raises_naming_it(estimator, param, value):
             model.fit(X)
         else:
             model.fit(X, y)
+
+
+@pytest.mark.parametrize("value", [np.nan, -1, 2.5, "yes"])
+@pytest.mark.parametrize("predictor", [NurdPredictor, NurdNcPredictor])
+def test_nurd_warm_start_must_be_a_bool(predictor, value):
+    """Any truthy ``warm_start`` used to warm-extend NURD's latency model."""
+    X, _ = _xy()
+    with pytest.raises(ValueError, match="^warm_start must"):
+        predictor(warm_start=value).begin_job(X[:20], X[:20, 0] + 3.0, X[20:], 3.0)
+
+
+@pytest.mark.parametrize("value", [True, False, np.True_, np.False_])
+def test_warm_start_takes_numpy_bools(value):
+    X, y = _xy()
+    GradientBoostingRegressor(n_estimators=2, warm_start=value).fit(X, y)
 
 
 # The census of EXPERIMENTS.md "Settable values": each class under NURD and
